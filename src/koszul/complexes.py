@@ -12,11 +12,12 @@ composites stay inside the window.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .linalg import (
+    Q1,
     Matrix,
     RowReduction,
     ShapeError,
@@ -26,7 +27,6 @@ from .linalg import (
     kernel_basis,
     qstr,
     vec,
-    zero_vec,
 )
 
 
@@ -163,6 +163,64 @@ class LinMap:
         return f"LinMap(shift={self.shift}, blocks at {sorted(self.blocks)})"
 
 
+class TensorSpace:
+    """Graded tensor product A ⊗ B, cut to total degrees lo..top.
+
+    ``entries[t]`` lists the basis of total degree t as tuples (q, a, r, b):
+    basis vector a of A in degree q times basis vector b of B in degree
+    r = t - q, ordered by q, then a, then b.  ``index[t]`` maps each tuple to
+    its position and ``space`` is the product, labelled "a⊗b".  ``lo``
+    defaults to A.lo + B.lo.
+    """
+
+    __slots__ = ("A", "B", "space", "entries", "index")
+
+    def __init__(self, A: GradedSpace, B: GradedSpace, top: int, lo: Optional[int] = None):
+        lo = A.lo + B.lo if lo is None else lo
+        self.A, self.B = A, B
+        self.entries: dict = {}
+        labels: dict = {}
+        for t in range(lo, top + 1):
+            ents = [(q, a, t - q, b) for q in A.degrees()
+                    for a in range(A.dim(q)) for b in range(B.dim(t - q))]
+            if ents:
+                self.entries[t] = ents
+                labels[t] = tuple(f"{A.labels(q)[a]}⊗{B.labels(r)[b]}" for q, a, r, b in ents)
+        self.space = GradedSpace(labels, lo=lo, hi=top)
+        self.index = {t: {e: i for i, e in enumerate(ents)} for t, ents in self.entries.items()}
+
+    def lift(self, opA: Optional[LinMap], opB: Optional[LinMap]) -> LinMap:
+        """opA ⊗ opB on the product; None stands for the identity.
+
+        Koszul sign rule: (f⊗g)(x⊗y) = (-1)^{|g|·|x|} f(x)⊗g(y), with |g| the
+        parity of opB's shift.  Images outside the window are dropped.
+        """
+        shiftA = 0 if opA is None else opA.shift
+        shiftB = 0 if opB is None else opB.shift
+        colsA = None if opA is None else {q: m.by_column() for q, m in opA.blocks.items()}
+        colsB = None if opB is None else {r: m.by_column() for r, m in opB.blocks.items()}
+        blocks = {}
+        for t, ents in self.entries.items():
+            tgt = self.index.get(t + shiftA + shiftB)
+            if tgt is None:
+                continue
+            mat: dict = {}
+            for col, (q, a, r, b) in enumerate(ents):
+                imA = ((a, Q1),) if colsA is None else colsA.get(q, {}).get(a, ())
+                imB = ((b, Q1),) if colsB is None else colsB.get(r, {}).get(b, ())
+                negate = shiftB % 2 and q % 2
+                for rowA, vA in imA:
+                    for rowB, vB in imB:
+                        row = tgt.get((q + shiftA, rowA, r + shiftB, rowB))
+                        if row is not None:
+                            # an identity factor contributes Q1 itself: skip the product
+                            v = vB if vA is Q1 else vA if vB is Q1 else vA * vB
+                            mat[(row, col)] = -v if negate else v
+            if mat:
+                blocks[t] = Matrix(len(tgt), len(ents), mat)
+        return LinMap(self.space, self.space, shiftA + shiftB, blocks)
+
+
 class Complex:
     """Cochain complex: graded space plus a degree +1 differential with d^2 = 0."""
 
@@ -196,6 +254,15 @@ class Complex:
 
     def dims(self) -> dict:
         return {d: self.space.dim(d) for d in self.space.degrees()}
+
+    def truncated(self, top: int) -> "Complex":
+        """The complex cut at degree top (itself when top reaches the window's end)."""
+        if top >= self.space.hi:
+            return self
+        labels = {d: self.space.labels(d) for d in self.space.degrees() if d <= top}
+        space = GradedSpace(labels, lo=self.space.lo, hi=top)
+        blocks = {d: m for d, m in self.d.blocks.items() if d <= top - 1}
+        return Complex(space, LinMap(space, space, 1, blocks), complete=False, check=False)
 
 
 @dataclass
@@ -416,7 +483,7 @@ def induced_map(
     blocks = {}
     for d in src_space.degrees():
         vecs = src_vectors.get(d, [])
-        if not vecs:
+        if not vecs or not op.target.dim(d + op.shift):
             continue
         tgt = tgt_vectors.get(d + op.shift, [])
         cols = []

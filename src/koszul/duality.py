@@ -15,19 +15,19 @@ that trades a primitive factor for multiplication by its transgression.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .complexes import (
     ChainMap,
     ChainMapReport,
-    CohomologyReport,
     Complex,
     GradedSpace,
     LinMap,
     QuasiIsoReport,
+    TensorSpace,
     Truncation,
     check_chain_map,
     cohomology,
@@ -35,7 +35,7 @@ from .complexes import (
 )
 from .equivariant import CartanModel, cartan_model, invariant_subcomplex
 from .lie import LieAlgebra
-from .linalg import Matrix, express_in_span, kernel_basis, vec, vstack
+from .linalg import Matrix, express_in_span
 from .modules import (
     KgModule,
     exterior_model,
@@ -43,12 +43,11 @@ from .modules import (
     tensor_module,
 )
 from .transgression import (
-    PrimitiveSpace,
     TransgressionData,
     distinguished_transgression,
     primitive_basis,
 )
-from .weil import TwistData, WeilModule, twist_operators, weil_model
+from .weil import TwistData, WeilModule, twist_operators, twisted_cartan_image, weil_model
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -64,7 +63,8 @@ class KoszulDualComplex:
     """h(A) = (exterior algebra on the primitives) ⊗ A with the trade differential."""
 
     complex: Complex
-    basis: dict  # degree -> list of (primitive index subset, A degree, A index)
+    tensor: TensorSpace  # Λ(P) ⊗ A; basis vector i of Λ(P) in degree q is subsets[q][i]
+    subsets: dict  # degree -> primitive index subsets J (increasing tuples)
     primitive_degrees: list
     source: CartanModel
 
@@ -74,79 +74,40 @@ def h_of(A: CartanModel, T: TransgressionData, trunc: Truncation) -> KoszulDualC
 
     Differential on (ξ_{j_1}∧...∧ξ_{j_t}) ⊗ a: delete the r-th primitive
     with sign (−1)^{r+1} and multiply a by its transgression, plus
-    (−1)^t on the inner differential of a.
+    (−1)^t on the inner differential of a.  As lifts to Λ(P) ⊗ A this is
+    sum_j delete_j ⊗ ξ~_j  +  1 ⊗ d; the Koszul sign of 1 ⊗ d is (−1)^t
+    because every primitive has odd degree.
     """
     N = trunc.max_degree
-    prims = [e.primitive for e in T.entries]
-    weights = [p.degree for p in prims]
-    mults = []
-    for idx, entry in enumerate(T.entries):
-        w = T.xi_tilde_sym_degree(idx)
-        mults.append(A.s_action(w, entry.xi_tilde))
-
-    subsets = []
-    for r in range(len(prims) + 1):
-        for J in combinations(range(len(prims)), r):
+    weights = [e.primitive.degree for e in T.entries]
+    subsets: dict = {}
+    for t in range(len(weights) + 1):
+        for J in combinations(range(len(weights)), t):
             deg = sum(weights[j] for j in J)
             if deg <= N:
-                subsets.append((J, deg))
+                subsets.setdefault(deg, []).append(J)
+    lam_P = GradedSpace({deg: tuple("∧".join(f"P{j}" for j in J) or "1" for J in Js)
+                         for deg, Js in subsets.items()})
+    position = {J: i for Js in subsets.values() for i, J in enumerate(Js)}
 
-    basis: dict = {}
-    labels: dict = {}
-    A_space = A.complex.space
-    for total in range(0, N + 1):
-        ents = []
-        labs = []
-        for J, jdeg in subsets:
-            adeg = total - jdeg
-            if A_space.dim(adeg) == 0:
-                continue
-            for ai, albl in enumerate(A_space.labels(adeg)):
-                ents.append((J, adeg, ai))
-                prefix = "∧".join(f"P{j}" for j in J) or "1"
-                labs.append(f"{prefix}⊗{albl}")
-        if ents:
-            basis[total] = ents
-            labels[total] = tuple(labs)
-    space = GradedSpace(labels, lo=0, hi=N)
-    index = {deg: {e: i for i, e in enumerate(ents)} for deg, ents in basis.items()}
+    def delete(j: int) -> LinMap:
+        blocks = {}
+        for deg, Js in subsets.items():
+            ents = {}
+            for col, J in enumerate(Js):
+                if j in J:
+                    r = J.index(j)  # (−1)^{(r+1)+1} with 1-based position
+                    ents[(position[J[:r] + J[r + 1 :]], col)] = (-1) ** r
+            blocks[deg] = Matrix(lam_P.dim(deg - weights[j]), len(Js), ents)
+        return LinMap(lam_P, lam_P, -weights[j], blocks)
 
-    d_blocks = {}
-    for total, ents in basis.items():
-        tgt_index = index.get(total + 1, {})
-        mat: dict = {}
-        for col, (J, adeg, ai) in enumerate(ents):
-            t = len(J)
-            for r, j in enumerate(J):
-                sign = Fraction((-1) ** r)  # (−1)^{(r+1)+1} with 1-based position
-                subJ = J[:r] + J[r + 1 :]
-                blk = mults[j].block(adeg)
-                for (row_a, col_a), v in blk.entries.items():
-                    if col_a != ai:
-                        continue
-                    row = tgt_index.get((subJ, adeg + 2 * T.xi_tilde_sym_degree(j), row_a))
-                    if row is not None:
-                        s = mat.get((row, col), Q0) + sign * v
-                        if s:
-                            mat[(row, col)] = s
-                        else:
-                            mat.pop((row, col), None)
-            sign_d = Fraction((-1) ** t)
-            for (row_a, col_a), v in A.complex.d.block(adeg).entries.items():
-                if col_a != ai:
-                    continue
-                row = tgt_index.get((J, adeg + 1, row_a))
-                if row is not None:
-                    s = mat.get((row, col), Q0) + sign_d * v
-                    if s:
-                        mat[(row, col)] = s
-                    else:
-                        mat.pop((row, col), None)
-        m = Matrix(space.dim(total + 1), len(ents), mat)
-        if not m.is_zero():
-            d_blocks[total] = m
-    cx = Complex(space, LinMap(space, space, 1, d_blocks), complete=False, check=True)
-    return KoszulDualComplex(cx, basis, weights, A)
+    product = TensorSpace(lam_P, A.complex.space, N, lo=0)
+    d = product.lift(None, A.complex.d)
+    for j, entry in enumerate(T.entries):
+        mult = A.s_action(T.xi_tilde_sym_degree(j), entry.xi_tilde)
+        d = d.add(product.lift(delete(j), mult))
+    cx = Complex(product.space, d, complete=False, check=True)
+    return KoszulDualComplex(cx, product, subsets, weights, A)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +142,12 @@ def _invariant_coords(inv_model, deg: int, ambient_vec, dim: int):
 
 def inclusion_map(M: KgModule, WM: KgModule, inv_model, inv_M) -> ChainMap:
     """(M)^g -> (W⊗M)^g, m -> 1⊗1⊗m."""
-    wm_basis = WM.meta["basis"]
-    wm_index = {deg: {e: i for i, e in enumerate(ents)} for deg, ents in wm_basis.items()}
+    wm_index = WM.meta["tensor"].index
     blocks = {}
     src = inv_M.complex.space
     for deg in src.degrees():
         vecs = inv_M.vectors.get(deg, [])
-        if not vecs or deg not in wm_index:
+        if not vecs or deg > inv_model.complex.space.hi:
             continue
         cols = []
         for v in vecs:
@@ -252,44 +212,15 @@ def build_psi(
             products[J] = alg.multiply(omegas[head], omega_product(rest))
         return products[J]
 
-    ext_monos = twist.exterior.meta["monomials"]
-    tm_basis = twist.tensor.meta["basis"]
-    tm_index = {deg: {e: i for i, e in enumerate(ents)} for deg, ents in tm_basis.items()}
-    wm_basis = WM.meta["basis"]
-    wm_index = {deg: {e: i for i, e in enumerate(ents)} for deg, ents in wm_basis.items()}
-
+    image = twisted_cartan_image(A, T.weil, WM, twist)
     blocks = {}
-    for deg, ents in h.basis.items():
+    for deg, ents in h.tensor.entries.items():
         if deg > inv_model.complex.space.hi:
             continue
         cols = []
-        for (J, adeg, ai) in ents:
-            wfactor = omega_product(J)
-            avec = A.vectors[adeg][ai]
-            amb_ents = A.ambient[adeg]
-            img = [Q0] * WM.space.dim(deg)
-            for coeff, (exps, q, mi) in zip(avec, amb_ents):
-                if not coeff:
-                    continue
-                src_idx = tm_index[q][(0, 0, q, mi)]
-                tcol = twist.twist.block(q).column(src_idx)
-                for pos, tval in enumerate(tcol):
-                    if not tval:
-                        continue
-                    p, il, r, im = tm_basis[q][pos]
-                    base = {(exps, ext_monos[p][il]): Q1}
-                    prod = alg.multiply(wfactor, base)
-                    for (w_exps, w_mono), wv in prod.items():
-                        w_deg = 2 * sum(w_exps) + len(w_mono)
-                        row = wm_index[deg].get(
-                            (w_deg, alg.index[w_deg][(w_exps, w_mono)], r, im)
-                        )
-                        if row is None:
-                            raise AssertionError("duality image escaped the window")
-                        img[row] += coeff * tval * wv
-            cols.append(
-                _invariant_coords(inv_model, deg, tuple(img), WM.space.dim(deg))
-            )
+        for (q, ji, adeg, ai) in ents:
+            img = image(adeg, A.vectors[adeg][ai], omega_product(h.subsets[q][ji]), deg)
+            cols.append(_invariant_coords(inv_model, deg, img, WM.space.dim(deg)))
         blk = Matrix.from_columns(cols, nrows=inv_model.complex.space.dim(deg))
         if not blk.is_zero():
             blocks[deg] = blk
@@ -466,80 +397,48 @@ def psi_contraction_compatibility(comp: DualityComputation) -> bool:
     multis = invariant_multivector_basis(g)
     for mv_idx, mv in enumerate(multis):
         # action on the h side: contract the primitive-product forms
-        lhs_blocks = _h_side_contraction(comp, ext, mv)
+        h_side = _h_side_contraction(comp, ext, mv)
         act = inv_WM_full.actions[mv_idx]
         for deg in comp.h.complex.space.degrees():
             if deg > inv_WM_full.complex.space.hi:
                 continue
             lhs = act.block(deg) @ psi.map.block(deg)
-            rhs_blk = psi.map.block(deg - mv.degree) @ lhs_blocks.get(
-                deg, Matrix.zero(comp.h.complex.space.dim(deg - mv.degree),
-                                 comp.h.complex.space.dim(deg))
-            )
+            rhs_blk = psi.map.block(deg - mv.degree) @ h_side.block(deg)
             if lhs != rhs_blk:
                 return False
     return True
 
 
-def _h_side_contraction(comp: DualityComputation, ext: KgModule, mv):
+def _h_side_contraction(comp: DualityComputation, ext: KgModule, mv) -> LinMap:
     """Contraction by an invariant multivector on the exterior factor of h."""
     from .transgression import wedge_vectors
 
-    g = comp.g
-    n = g.dim
-    T = comp.transgression
-    prims = [e.primitive for e in T.entries]
+    n = comp.g.dim
+    prims = [e.primitive for e in comp.transgression.entries]
     op = ext.contraction_of_multivector(mv.coeffs, lambda_monomials(n, mv.degree))
 
-    # expand each primitive subset into an exterior form, contract, and
-    # re-express in the subset basis
-    subsets: dict = {}
-    for deg, ents in comp.h.basis.items():
-        for (J, adeg, ai) in ents:
-            subsets.setdefault(J, None)
-    forms = {}
-    for J in subsets:
-        v = (Q1,)
-        d_so_far = 0
-        for j in J:
-            v = wedge_vectors(v, d_so_far, prims[j].coeffs, prims[j].degree, n)
-            d_so_far += prims[j].degree
-        forms[J] = (v, d_so_far)
-
-    by_degree: dict = {}
-    for J, (v, dJ) in forms.items():
-        by_degree.setdefault(dJ, []).append((J, v))
+    # expand each primitive subset into an exterior form
+    forms: dict = {}
+    for deg, Js in comp.h.subsets.items():
+        for J in Js:
+            v = (Q1,)
+            d_so_far = 0
+            for j in J:
+                v = wedge_vectors(v, d_so_far, prims[j].coeffs, prims[j].degree, n)
+                d_so_far += prims[j].degree
+            forms.setdefault(deg, []).append(v)
 
     # coordinates of i_mv(form_J) over the forms of lower degree
-    contracted: dict = {}
-    for J, (v, dJ) in forms.items():
-        tgt = dJ - mv.degree
-        img = op.apply(dJ, v)
-        basis_vecs = [w for (_, w) in by_degree.get(tgt, [])]
-        if not basis_vecs:
-            if any(img):
-                raise AssertionError("contraction left the primitive algebra")
-            contracted[J] = []
-            continue
-        coords = express_in_span(basis_vecs, img, dim=len(img))
-        if coords is None:
-            raise AssertionError("contraction left the primitive algebra")
-        contracted[J] = list(zip([Jt for (Jt, _) in by_degree[tgt]], coords))
-
-    h_index = {
-        deg: {e: i for i, e in enumerate(ents)} for deg, ents in comp.h.basis.items()
-    }
     blocks = {}
-    for deg, ents in comp.h.basis.items():
-        tgt_index = h_index.get(deg - mv.degree, {})
-        mat: dict = {}
-        for col, (J, adeg, ai) in enumerate(ents):
-            for Jt, c in contracted[J]:
-                if not c:
-                    continue
-                row = tgt_index.get((Jt, adeg, ai))
-                if row is not None:
-                    mat[(row, col)] = mat.get((row, col), Q0) + c
-        m = Matrix(comp.h.complex.space.dim(deg - mv.degree), len(ents), mat)
-        blocks[deg] = m
-    return blocks
+    for deg, vs in forms.items():
+        tgt = forms.get(deg - mv.degree, [])
+        cols = []
+        for v in vs:
+            img = op.apply(deg, v)
+            coords = express_in_span(tgt, img, dim=len(img))
+            if coords is None:
+                raise AssertionError("contraction left the primitive algebra")
+            cols.append(coords)
+        blocks[deg] = Matrix.from_columns(cols, nrows=len(tgt))
+    lam_P = comp.h.tensor.A
+    return comp.h.tensor.lift(LinMap(lam_P, lam_P, -mv.degree, blocks), None)

@@ -14,9 +14,9 @@ twist embedding into the basic Weil subcomplex is a chain map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .complexes import (
     ChainMap,
@@ -24,11 +24,12 @@ from .complexes import (
     GradedSpace,
     LinMap,
     SubcomplexError,
+    TensorSpace,
     Truncation,
     induced_map,
     subcomplex,
 )
-from .lie import LieAlgebra, RepMatrices, adjoint_matrices, invariant_vectors
+from .lie import LieAlgebra, adjoint_matrices
 from .linalg import Matrix, kernel_basis, vec, vstack
 from .modules import (
     KgModule,
@@ -155,7 +156,7 @@ def invariant_subcomplex(M: KgModule, with_actions: bool = True) -> InvariantMod
         stacked = vstack([op.block(deg) for op in M.L_ops])
         vectors[deg] = kernel_basis(stacked) if n_dim else []
     sub, incl = subcomplex(
-        _restrict_complex(M, top), {d: v for d, v in vectors.items() if v},
+        M.complex.truncated(top), {d: v for d, v in vectors.items() if v},
         label_prefix=f"({M.name})^g",
     )
     multis = invariant_multivector_basis(g) if with_actions else []
@@ -178,16 +179,6 @@ def invariant_subcomplex(M: KgModule, with_actions: bool = True) -> InvariantMod
     return InvariantModel(M, sub, incl, vectors, multis, actions)
 
 
-def _restrict_complex(M: KgModule, top: int) -> Complex:
-    """View of M's complex cut at the trustworthy band (no-op when complete)."""
-    if M.complete or top >= M.space.hi:
-        return M.complex
-    labels = {d: M.space.labels(d) for d in M.space.degrees() if d <= top}
-    space = GradedSpace(labels, lo=M.space.lo, hi=top)
-    blocks = {d: m for d, m in M.d.blocks.items() if d <= top - 1}
-    return Complex(space, LinMap(space, space, 1, blocks), complete=False, check=False)
-
-
 # ---------------------------------------------------------------------------
 # Cartan model
 # ---------------------------------------------------------------------------
@@ -201,56 +192,35 @@ class CartanModel:
     g: LieAlgebra
     N: int
     complex: Complex
-    ambient: dict  # degree -> list of (sym_exps, m_degree, m_index)
+    ambient: TensorSpace  # S(g*) ⊗ M cut at degree N
+    sym_basis: dict  # degree 2a -> the S^a monomials, basis of ambient.A
     vectors: dict  # degree -> invariant vectors in ambient coordinates
     s_invariants: dict  # cohomological degree 2a -> list of S^a coefficient vectors
 
-    def ambient_dim(self, deg: int) -> int:
-        return len(self.ambient.get(deg, ()))
-
     def s_action(self, sym_degree: int, coeffs: Sequence) -> LinMap:
         """Multiplication by an S^sym_degree element on the model (shift 2a)."""
-        g_dim = self.g.dim
-        monos = sym_monomials(g_dim, sym_degree)
-        if len(coeffs) != len(monos):
+        if len(coeffs) != len(sym_monomials(self.g.dim, sym_degree)):
             raise ValueError("coefficient vector does not match the monomial basis")
-        shift = 2 * sym_degree
-        blocks = {}
-        for deg, ents in self.ambient.items():
-            tgt_deg = deg + shift
-            tgt_ents = self.ambient.get(tgt_deg)
-            if tgt_ents is None:
-                continue
-            tgt_index = {e: i for i, e in enumerate(tgt_ents)}
-            src_vecs = self.vectors.get(deg, [])
-            if not src_vecs:
-                continue
-            amb = {}
-            for col, (exps, q, mi) in enumerate(ents):
-                for smono, c in zip(monos, coeffs):
-                    if not c:
-                        continue
-                    key = (sym_multiply(exps, smono), q, mi)
-                    row = tgt_index.get(key)
-                    if row is not None:
-                        amb[(row, col)] = amb.get((row, col), Q0) + c
-            m = Matrix(len(tgt_ents), len(ents), amb)
-            cols = []
-            for v in src_vecs:
-                img = m.apply(v)
-                from .linalg import express_in_span
+        factor = dict(zip(sym_monomials(self.g.dim, sym_degree), coeffs))
+        mult = _sym_multiplication(self.ambient.A, self.sym_basis, sym_degree, factor)
+        space = self.complex.space
+        return induced_map(self.ambient.lift(mult, None), self.vectors, self.vectors,
+                           space, space)
 
-                co = express_in_span(self.vectors.get(tgt_deg, []), img,
-                                     dim=len(tgt_ents))
-                if co is None:
-                    raise SubcomplexError(
-                        f"S-multiplication leaves the invariants at degree {deg}"
-                    )
-                cols.append(co)
-            blk = Matrix.from_columns(cols, nrows=len(self.vectors.get(tgt_deg, [])))
-            if not blk.is_zero():
-                blocks[deg] = blk
-        return LinMap(self.complex.space, self.complex.space, shift, blocks)
+
+def _sym_multiplication(S: GradedSpace, sym_basis: dict, a: int, factor: dict) -> LinMap:
+    """Multiplication by the S^a element {monomial: coefficient} on S(g*) (shift 2a)."""
+    blocks = {}
+    for deg, monos in sym_basis.items():
+        target = sym_basis.get(deg + 2 * a)
+        if target is None:
+            continue
+        row_of = {m: i for i, m in enumerate(target)}
+        blocks[deg] = Matrix(len(target), len(monos), {
+            (row_of[sym_multiply(exps, smono)], col): c
+            for col, exps in enumerate(monos) for smono, c in factor.items() if c
+        })
+    return LinMap(S, S, 2 * a, blocks)
 
 
 def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
@@ -260,91 +230,29 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
     N = trunc.max_degree
     if not M.complete:
         raise ValueError("the equivariant model needs a complete (untruncated) module")
-    lo = M.space.lo
     _, coad = adjoint_matrices(g)
-
-    sym_bases = {}
-    coad_sym = {}
-    max_a = max(0, (N - lo) // 2)
-    for a in range(max_a + 1):
-        sym_bases[a] = sym_monomials(n, a)
-        coad_sym[a] = derivation_on_sym(list(coad.matrices), a)
-
-    ambient: dict = {}
-    labels: dict = {}
-    for deg in range(lo, N + 1):
-        ents = []
-        labs = []
-        for a in range((deg - lo) // 2 + 1):
-            q = deg - 2 * a
-            if M.space.dim(q) == 0:
-                continue
-            for exps in sym_bases[a]:
-                s_lbl = sym_label(exps, g.basis_labels)
-                for mi, m_lbl in enumerate(M.space.labels(q)):
-                    ents.append((exps, q, mi))
-                    labs.append(f"{s_lbl}⊗{m_lbl}")
-        if ents:
-            ambient[deg] = ents
-            labels[deg] = tuple(labs)
+    max_a = max(0, (N - M.space.lo) // 2)
+    sym_basis = {2 * a: sym_monomials(n, a) for a in range(max_a + 1)}
+    S = GradedSpace({deg: tuple(sym_label(e, g.basis_labels) for e in monos)
+                     for deg, monos in sym_basis.items()})
+    ambient = TensorSpace(S, M.space, N)
 
     # invariants of the diagonal action per total degree
-    vectors: dict = {}
-    for deg, ents in ambient.items():
-        dim = len(ents)
-        index = {e: i for i, e in enumerate(ents)}
-        stacked_rows = []
-        for k in range(n):
-            amb: dict = {}
-            for col, (exps, q, mi) in enumerate(ents):
-                a = sum(exps)
-                smat = coad_sym[a][k]
-                scol_idx = sym_bases[a].index(exps)
-                for (r_, c_), v in smat.entries.items():
-                    if c_ == scol_idx:
-                        row = index.get((sym_bases[a][r_], q, mi))
-                        if row is not None:
-                            amb[(row, col)] = amb.get((row, col), Q0) + v
-                lmat = M.L_ops[k].block(q)
-                for (r_, c_), v in lmat.entries.items():
-                    if c_ == mi:
-                        row = index.get((exps, q, r_))
-                        if row is not None:
-                            amb[(row, col)] = amb.get((row, col), Q0) + v
-            stacked_rows.append(Matrix(dim, dim, amb))
-        vectors[deg] = kernel_basis(vstack(stacked_rows))
+    coad_sym = [derivation_on_sym(list(coad.matrices), a) for a in range(max_a + 1)]
+    diagonal = [
+        ambient.lift(LinMap(S, S, 0, {2 * a: coad_sym[a][k] for a in range(max_a + 1)}), None)
+        .add(ambient.lift(None, M.L_ops[k]))
+        for k in range(n)
+    ]
+    vectors = {deg: kernel_basis(vstack([L.block(deg) for L in diagonal]))
+               for deg in ambient.entries}
 
-    # ambient equivariant differential
-    amb_space = GradedSpace(labels, lo=lo, hi=N)
-    d_blocks = {}
-    for deg, ents in ambient.items():
-        tgt = ambient.get(deg + 1)
-        if tgt is None:
-            continue
-        tgt_index = {e: i for i, e in enumerate(tgt)}
-        amb: dict = {}
-        for col, (exps, q, mi) in enumerate(ents):
-            dmat = M.d.block(q)
-            for (r_, c_), v in dmat.entries.items():
-                if c_ == mi:
-                    row = tgt_index.get((exps, q + 1, r_))
-                    if row is not None:
-                        amb[(row, col)] = amb.get((row, col), Q0) + v
-            for k in range(n):
-                imat = M.i_ops[k].block(q)
-                bumped = list(exps)
-                bumped[k] += 1
-                key_exps = tuple(bumped)
-                for (r_, c_), v in imat.entries.items():
-                    if c_ == mi:
-                        row = tgt_index.get((key_exps, q - 1, r_))
-                        if row is not None:
-                            amb[(row, col)] = amb.get((row, col), Q0) + v
-        m = Matrix(len(tgt), len(ents), amb)
-        if not m.is_zero():
-            d_blocks[deg] = m
-    amb_d = LinMap(amb_space, amb_space, 1, d_blocks)
-    amb_complex = Complex(amb_space, amb_d, complete=False, check=False)
+    # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs)
+    amb_d = ambient.lift(None, M.d)
+    for k in range(n):
+        u_k = {tuple(int(i == k) for i in range(n)): 1}
+        amb_d = amb_d.add(ambient.lift(_sym_multiplication(S, sym_basis, 1, u_k), M.i_ops[k]))
+    amb_complex = Complex(ambient.space, amb_d, complete=False, check=False)
 
     sub, _ = subcomplex(amb_complex, {d: v for d, v in vectors.items() if v},
                         label_prefix=f"({M.name})_g")
@@ -364,6 +272,7 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
         N=N,
         complex=sub,
         ambient=ambient,
+        sym_basis=sym_basis,
         vectors={d: v for d, v in vectors.items() if v},
         s_invariants=s_inv,
     )

@@ -18,8 +18,6 @@ from typing import Iterable, Optional, Sequence
 Q0 = Fraction(0)
 Q1 = Fraction(1)
 
-Vector = "tuple[Fraction, ...]"
-
 
 class ShapeError(ValueError):
     """Incompatible dimensions in a matrix or vector operation."""
@@ -45,23 +43,6 @@ def vec(values: Iterable) -> tuple:
 
 def zero_vec(n: int) -> tuple:
     return (Q0,) * n
-
-
-def add_vec(u: Sequence, v: Sequence) -> tuple:
-    if len(u) != len(v):
-        raise ShapeError(f"vector lengths {len(u)} != {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def sub_vec(u: Sequence, v: Sequence) -> tuple:
-    if len(u) != len(v):
-        raise ShapeError(f"vector lengths {len(u)} != {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def scale_vec(c, v: Sequence) -> tuple:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
 
 
 def is_zero_vec(v: Sequence) -> bool:
@@ -144,6 +125,13 @@ class Matrix:
     def columns(self) -> list:
         return [self.column(j) for j in range(self.cols)]
 
+    def by_column(self) -> dict:
+        """Sparse column view: col -> [(row, value), ...] over the nonzero entries."""
+        view: dict = {}
+        for (i, j), v in self.entries.items():
+            view.setdefault(j, []).append((i, v))
+        return view
+
     def dense(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -191,10 +179,7 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            # group left entries by column to walk the sparse product
-            by_col: dict = {}
-            for (i, k), v in self.entries.items():
-                by_col.setdefault(k, []).append((i, v))
+            by_col = self.by_column()
             ents: dict = {}
             for (k, j), w in other.entries.items():
                 for i, v in by_col.get(k, ()):
@@ -233,21 +218,6 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
             ents[(i + off, j)] = v
         off += m.rows
     return Matrix(off, cols, ents)
-
-
-def hstack(mats: Sequence[Matrix]) -> Matrix:
-    if not mats:
-        raise ShapeError("hstack of nothing")
-    rows = mats[0].rows
-    ents = {}
-    off = 0
-    for m in mats:
-        if m.rows != rows:
-            raise ShapeError("hstack row mismatch")
-        for (i, j), v in m.entries.items():
-            ents[(i, j + off)] = v
-        off += m.cols
-    return Matrix(rows, off, ents)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +387,6 @@ class IncrementalSpan:
 
     def contains(self, v: Sequence) -> bool:
         return not self.residual(v)
-
-
-def span_rank(vectors: Sequence[Sequence], dim: Optional[int] = None) -> int:
-    span = IncrementalSpan()
-    for v in vectors:
-        span.add(v)
-    return span.rank
 
 
 def complement_basis(U: Sequence[Sequence], V: Sequence[Sequence], dim: Optional[int] = None) -> list:

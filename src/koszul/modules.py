@@ -16,7 +16,7 @@ Sign conventions (fixed here once, used by every other module):
   the arbiter and rejects it.)
 * "Structural deletion" -- plus deletion, i.e. minus the module's own
   contraction -- is what enters cross-module formulas: the middle Weil
-  term, the Cartan差 differential term, and the twist generator.
+  term, the Cartan differential term, and the twist generator.
 
 Everything is exact over Q and deterministic.
 """
@@ -29,9 +29,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .complexes import Complex, GradedSpace, LinMap
+from .complexes import Complex, GradedSpace, LinMap, TensorSpace
 from .lie import LieAlgebra, RepMatrices, certify_reductive, invariant_vectors
-from .linalg import Matrix, qparse, qstr, vec
+from .linalg import Matrix, qparse, qstr
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -467,80 +467,22 @@ def tensor_module(M: KgModule, N: KgModule, max_total: Optional[int] = None,
         raise ValueError("tensor factors live over different Lie algebras")
     g = M.g
     natural_top = M.space.hi + N.space.hi
-    lo = M.space.lo + N.space.lo
     top = natural_top if max_total is None else min(max_total, natural_top)
     complete = M.complete and N.complete and top == natural_top
+    product = TensorSpace(M.space, N.space, top)
 
-    basis: dict = {}
-    labels: dict = {}
-    for total in range(lo, top + 1):
-        entries = []
-        labs = []
-        for q in M.space.degrees():
-            r = total - q
-            if N.space.dim(r) == 0 or M.space.dim(q) == 0:
-                continue
-            for iM, lM in enumerate(M.space.labels(q)):
-                for iN, lN in enumerate(N.space.labels(r)):
-                    entries.append((q, iM, r, iN))
-                    labs.append(f"{lM}⊗{lN}")
-        if entries:
-            basis[total] = entries
-            labels[total] = tuple(labs)
-    space = GradedSpace(labels, lo=lo, hi=top)
-    index = {
-        total: {ent: i for i, ent in enumerate(ents)} for total, ents in basis.items()
-    }
+    def leibniz(opM: LinMap, opN: LinMap) -> LinMap:
+        return product.lift(opM, None).add(product.lift(None, opN))
 
-    def by_column(op: LinMap, degrees):
-        view: dict = {}
-        for q in degrees:
-            cm: dict = {}
-            for (row, c0), v in op.block(q).entries.items():
-                cm.setdefault(c0, []).append((row, v))
-            view[q] = cm
-        return view
-
-    def assemble(shift: int, opM: LinMap, opN: LinMap) -> LinMap:
-        viewM = by_column(opM, M.space.degrees())
-        viewN = by_column(opN, N.space.degrees())
-        blocks = {}
-        for total, ents in basis.items():
-            tgt_total = total + shift
-            tgt_index = index.get(tgt_total, {})
-            mat_ents: dict = {}
-
-            def put(row, col, v):
-                s = mat_ents.get((row, col), Q0) + v
-                if s:
-                    mat_ents[(row, col)] = s
-                else:
-                    mat_ents.pop((row, col), None)
-
-            for col, (q, iM, r, iN) in enumerate(ents):
-                for rowM, v in viewM.get(q, {}).get(iM, ()):
-                    row = tgt_index.get((q + shift, rowM, r, iN))
-                    if row is not None:
-                        put(row, col, v)
-                sign = -1 if q % 2 else 1
-                for rowN, v in viewN.get(r, {}).get(iN, ()):
-                    row = tgt_index.get((q, iM, r + shift, rowN))
-                    if row is not None:
-                        put(row, col, sign * v)
-            m = Matrix(space.dim(tgt_total), len(ents), mat_ents)
-            if not m.is_zero():
-                blocks[total] = m
-        return LinMap(space, space, shift, blocks)
-
-    d = assemble(1, M.d, N.d)
-    i_ops = [assemble(-1, M.i_ops[k], N.i_ops[k]) for k in range(g.dim)]
+    d = leibniz(M.d, N.d)
+    i_ops = [leibniz(M.i_ops[k], N.i_ops[k]) for k in range(g.dim)]
     label = name or f"{M.name}⊗{N.name}"
     return KgModule(
         g,
-        Complex(space, d, complete=complete, check=False),
+        Complex(product.space, d, complete=complete, check=False),
         i_ops,
         name=label,
-        meta={"basis": basis, "factors": (M, N)},
+        meta={"tensor": product, "basis": product.entries, "factors": (M, N)},
     )
 
 

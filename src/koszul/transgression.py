@@ -109,7 +109,8 @@ def primitive_basis(g: LieAlgebra, trunc: Truncation) -> PrimitiveSpace:
     Decomposables in degree m are spanned by products of positive-degree
     invariants; the primitive complement is chosen greedily over the
     invariant basis. The exterior algebra generated by the result must
-    reproduce the invariant dimensions in every degree up to dim g.
+    reproduce the invariant dimensions in every searched degree, up to
+    min(dim g, N).
     """
     n = g.dim
     top = min(n, trunc.max_degree)
@@ -142,19 +143,20 @@ def primitive_basis(g: LieAlgebra, trunc: Truncation) -> PrimitiveSpace:
     space = PrimitiveSpace(
         g, {p: len(inv[p]) for p in range(n + 1)}, primitives
     )
-    _verify_freeness(space, inv, n)
+    _verify_freeness(space, inv, n, top)
     return space
 
 
-def _verify_freeness(space: PrimitiveSpace, inv: dict, n: int) -> None:
+def _verify_freeness(space: PrimitiveSpace, inv: dict, n: int, top: int) -> None:
+    """Products of the primitives must form a basis of the invariants up to `top`."""
     prims = space.primitives
     if any(p.degree % 2 == 0 for p in prims):
         raise TransgressionError("even-degree primitive found; not reductive input?")
-    products: dict = {m: [] for m in range(n + 1)}
+    products: dict = {m: [] for m in range(top + 1)}
     for r in range(len(prims) + 1):
         for subset in combinations(range(len(prims)), r):
             deg = sum(prims[i].degree for i in subset)
-            if deg > n:
+            if deg > top:
                 continue
             v = (Q1,)
             d_so_far = 0
@@ -162,7 +164,7 @@ def _verify_freeness(space: PrimitiveSpace, inv: dict, n: int) -> None:
                 v = wedge_vectors(v, d_so_far, prims[i].coeffs, prims[i].degree, n)
                 d_so_far += prims[i].degree
             products[deg].append(v)
-    for m in range(n + 1):
+    for m in range(top + 1):
         want = len(inv[m])
         got = products[m]
         if len(got) != want:

@@ -37,13 +37,11 @@ from .complexes import (
     LinMap,
     SubcomplexError,
     Truncation,
-    check_chain_map,
-    induced_map,
     subcomplex,
 )
 from .equivariant import CartanModel, cartan_model, sym_invariant_complex
-from .lie import LieAlgebra, adjoint_matrices, certify_reductive
-from .linalg import Matrix, express_in_span, kernel_basis, vec, vstack
+from .lie import LieAlgebra, certify_reductive
+from .linalg import Matrix, express_in_span, kernel_basis, vstack
 from .modules import (
     KgModule,
     delete_index,
@@ -54,6 +52,7 @@ from .modules import (
     sym_monomials,
     sym_multiply,
     tensor_module,
+    wedge_by_generator,
     wedge_concat,
     wedge_normalize,
 )
@@ -334,42 +333,18 @@ def twist_operators(M: KgModule, trunc: Truncation) -> TwistData:
 
     𝐢(ξ⊗m) = −sum_k ξ∧y^k ⊗ i_k m: the structural-deletion reading of the
     contraction, which is what makes the interchange identities below hold
-    with T = exp(−𝐢) (the module's own i would flip T to exp(+𝐢)).
+    with T = exp(−𝐢) (the module's own i would flip T to exp(+𝐢)).  The
+    lift of (y^k ∧ ·) ⊗ i_k carries the Koszul sign (−1)^|ξ|, which turns
+    the left wedge y^k∧ξ into ξ∧y^k.
     """
     g = M.g
     n = g.dim
     ext = exterior_model(g)
     TM = tensor_module(ext, M, max_total=trunc.max_degree, name=f"Λ⊗{M.name}")
-    monos = ext.meta["monomials"]
-    lam_index = {p: {m: i for i, m in enumerate(monos[p])} for p in monos}
-    basis = TM.meta["basis"]
-    index = {deg: {e: i for i, e in enumerate(ents)} for deg, ents in basis.items()}
-
-    blocks = {}
-    for deg, ents in basis.items():
-        tgt_index = index.get(deg)
-        mat: dict = {}
-        for col, (p, il, r, im) in enumerate(ents):
-            mono = monos[p][il]
-            for k in range(n):
-                sign, wedged = wedge_concat(mono, (k,))
-                if not sign:
-                    continue
-                for (row_m, col_m), v in M.i_ops[k].block(r).entries.items():
-                    if col_m != im:
-                        continue
-                    key = (p + 1, lam_index[p + 1][wedged], r - 1, row_m)
-                    row = tgt_index.get(key)
-                    if row is not None:
-                        s = mat.get((row, col), Q0) - sign * v
-                        if s:
-                            mat[(row, col)] = s
-                        else:
-                            mat.pop((row, col), None)
-        m = Matrix(len(ents), len(ents), mat)
-        if not m.is_zero():
-            blocks[deg] = m
-    gen = LinMap(TM.space, TM.space, 0, blocks)
+    product = TM.meta["tensor"]
+    gen = LinMap.zero(TM.space, TM.space, 0)
+    for k in range(n):
+        gen = gen.sub(product.lift(wedge_by_generator(ext, k), M.i_ops[k]))
 
     twist = LinMap.identity(TM.space)
     twist_inv = LinMap.identity(TM.space)
@@ -386,63 +361,34 @@ def twist_closed_form(data: TwistData) -> LinMap:
     """Direct assembly of T(ξ⊗m) = sum_I (−1)^{q(q+1)/2} ξ∧y^I ⊗ ĵ_I m.
 
     ĵ_I is the composite of structural deletions ĵ = −i over I, rightmost
-    index applied first.  Must equal the exponential series exactly.
+    index applied first.  Must equal the exponential series exactly.  The
+    term for I is the lift of (y^I ∧ ·) ⊗ ĵ_I, whose Koszul sign (−1)^{q|ξ|}
+    turns y^I∧ξ into ξ∧y^I.
     """
-    M = data.module
-    ext = data.exterior
-    TM = data.tensor
+    M, ext = data.module, data.exterior
+    product = data.tensor.meta["tensor"]
     n = M.g.dim
-    monos = ext.meta["monomials"]
-    lam_index = {p: {m: i for i, m in enumerate(monos[p])} for p in monos}
-    basis = TM.meta["basis"]
-    index = {deg: {e: i for i, e in enumerate(ents)} for deg, ents in basis.items()}
-
-    # per-q composite operators on M, indexed by increasing tuples
-    composites: dict = {(): LinMap.identity(M.space)}
-    for q in range(1, n + 1):
+    # (y^I ∧ ·, ĵ_I) per increasing tuple I, built from the right
+    factors: dict = {(): (LinMap.identity(ext.space), LinMap.identity(M.space))}
+    closed = LinMap.zero(product.space, product.space, 0)
+    for q in range(0, n + 1):
         for I in lambda_monomials(n, q):
-            rest = composites[I[1:]]
-            composites[I] = M.i_ops[I[0]].scale(-1).compose(rest)
-
-    blocks: dict = {}
-    for deg, ents in basis.items():
-        mat: dict = {}
-        tgt_index = index[deg]
-        for col, (p, il, r, im) in enumerate(ents):
-            mono = monos[p][il]
-            for q in range(0, n + 1):
-                sign_q = (-1) ** (q * (q + 1) // 2)
-                for I in lambda_monomials(n, q):
-                    sign_w, wedged = wedge_concat(mono, I)
-                    if not sign_w:
-                        continue
-                    op = composites[I]
-                    for (row_m, col_m), v in op.block(r).entries.items():
-                        if col_m != im:
-                            continue
-                        key = (p + q, lam_index[p + q][wedged], r - q, row_m)
-                        row = tgt_index.get(key)
-                        if row is not None:
-                            s = mat.get((row, col), Q0) + sign_q * sign_w * v
-                            if s:
-                                mat[(row, col)] = s
-                            else:
-                                mat.pop((row, col), None)
-        m = Matrix(len(ents), len(ents), mat)
-        if not m.is_zero():
-            blocks[deg] = m
-    return LinMap(TM.space, TM.space, 0, blocks)
+            if I:
+                wedge, composite = factors[I[1:]]
+                factors[I] = (wedge_by_generator(ext, I[0]).compose(wedge),
+                              M.i_ops[I[0]].scale(-1).compose(composite))
+            term = product.lift(*factors[I])
+            closed = closed.add(term.scale((-1) ** (q * (q + 1) // 2)))
+    return closed
 
 
 def twist_identity_contraction(data: TwistData) -> bool:
     """i_k ∘ T = T ∘ (i_k ⊗ 1): contraction on the product versus the factor."""
     TM, ext = data.tensor, data.exterior
     M = data.module
-    basis = TM.meta["basis"]
-    index = {deg: {e: i for i, e in enumerate(ents)} for deg, ents in basis.items()}
     degrees = [d for d in TM.space.degrees() if TM.complete or d <= TM.max_usable]
     for k in range(M.g.dim):
-        lam_only = _factor_operator(TM, ext.i_ops[k], on_exterior=True, signed=False)
+        lam_only = TM.meta["tensor"].lift(ext.i_ops[k], None)
         lhs = TM.i_ops[k].compose(data.twist)
         rhs = data.twist.compose(lam_only)
         # comparing at degree d uses blocks landing at d-1: always materialized
@@ -456,72 +402,17 @@ def twist_identity_differential(data: TwistData) -> bool:
 
     The action term enters with a minus sign relative to the classical
     display; this is the same structural-flavor flip as everywhere else.
+    L_k is even, so its lift carries no Koszul sign.
     """
     TM, ext, M = data.tensor, data.exterior, data.module
     twisted_d = TM.d
     for k in range(M.g.dim):
-        cross = _wedge_tensor_action(TM, ext, M, k)
+        cross = TM.meta["tensor"].lift(wedge_by_generator(ext, k), M.L_ops[k])
         twisted_d = twisted_d.sub(cross)
     lhs = TM.d.compose(data.twist)
     rhs = data.twist.compose(twisted_d)
     degrees = [d for d in TM.space.degrees() if TM.complete or d <= TM.max_usable]
     return lhs.equal_on(rhs, degrees)
-
-
-def _factor_operator(TM: KgModule, op: LinMap, on_exterior: bool, signed: bool) -> LinMap:
-    """Lift an operator on one tensor factor to Λ⊗M, without Koszul signs."""
-    basis = TM.meta["basis"]
-    index = {deg: {e: i for i, e in enumerate(ents)} for deg, ents in basis.items()}
-    blocks = {}
-    for deg, ents in basis.items():
-        tgt_index = index.get(deg + op.shift, {})
-        mat: dict = {}
-        for col, (p, il, r, im) in enumerate(ents):
-            if on_exterior:
-                for (row_l, col_l), v in op.block(p).entries.items():
-                    if col_l != il:
-                        continue
-                    row = tgt_index.get((p + op.shift, row_l, r, im))
-                    if row is not None:
-                        mat[(row, col)] = mat.get((row, col), Q0) + v
-            else:
-                sign = -1 if (signed and p % 2) else 1
-                for (row_m, col_m), v in op.block(r).entries.items():
-                    if col_m != im:
-                        continue
-                    row = tgt_index.get((p, il, r + op.shift, row_m))
-                    if row is not None:
-                        mat[(row, col)] = mat.get((row, col), Q0) + sign * v
-        m = Matrix(TM.space.dim(deg + op.shift), len(ents), mat)
-        if not m.is_zero():
-            blocks[deg] = m
-    return LinMap(TM.space, TM.space, op.shift, blocks)
-
-
-def _wedge_tensor_action(TM: KgModule, ext: KgModule, M: KgModule, k: int) -> LinMap:
-    """(y^k ∧ ·) ⊗ L_k on Λ⊗M, no interchange sign (L_k is even)."""
-    monos = ext.meta["monomials"]
-    lam_index = {p: {m: i for i, m in enumerate(monos[p])} for p in monos}
-    basis = TM.meta["basis"]
-    index = {deg: {e: i for i, e in enumerate(ents)} for deg, ents in basis.items()}
-    blocks = {}
-    for deg, ents in basis.items():
-        tgt_index = index.get(deg + 1, {})
-        mat: dict = {}
-        for col, (p, il, r, im) in enumerate(ents):
-            sign, wedged = wedge_normalize((k,) + monos[p][il])
-            if not sign:
-                continue
-            for (row_m, col_m), v in M.L_ops[k].block(r).entries.items():
-                if col_m != im:
-                    continue
-                row = tgt_index.get((p + 1, lam_index[p + 1][wedged], r, row_m))
-                if row is not None:
-                    mat[(row, col)] = mat.get((row, col), Q0) + sign * v
-        m = Matrix(TM.space.dim(deg + 1), len(ents), mat)
-        if not m.is_zero():
-            blocks[deg] = m
-    return LinMap(TM.space, TM.space, 1, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -554,21 +445,12 @@ def horizontal_basic(M: KgModule) -> HorizontalBasic:
                 + [op.block(deg + 1) @ M.d.block(deg) for op in M.i_ops]
             )
             basic_vectors[deg] = kernel_basis(id_stack)
-    ambient = _cut_complex(M, top)
+    ambient = M.complex.truncated(top)
     basic, incl = subcomplex(
         ambient, {d: v for d, v in basic_vectors.items() if v},
         label_prefix=f"({M.name})_bas",
     )
     return HorizontalBasic(horizontal, basic, basic_vectors, incl)
-
-
-def _cut_complex(M: KgModule, top: int) -> Complex:
-    if M.complete or top >= M.space.hi:
-        return M.complex
-    labels = {d: M.space.labels(d) for d in M.space.degrees() if d <= top}
-    space = GradedSpace(labels, lo=M.space.lo, hi=top)
-    blocks = {d: m for d, m in M.d.blocks.items() if d <= top - 1}
-    return Complex(space, LinMap(space, space, 1, blocks), complete=False, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +482,41 @@ class TwistEmbedding:
         return True
 
 
+def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: KgModule, data: TwistData):
+    """The assembly x = sum a⊗m  ->  ω · sum a·T(1⊗m) in W⊗M coordinates.
+
+    Returns image(adeg, x, omega, deg): x is a vector of A's ambient space
+    S(g*)⊗M at degree adeg, omega a homogeneous Weil element (dict) and deg
+    = adeg + |omega| the degree of the result.
+    """
+    alg = W.algebra
+    ext_monos = data.exterior.meta["monomials"]
+    twist_tensor = data.tensor.meta["tensor"]
+    wm_index = WM.meta["tensor"].index
+    twist_cols = {q: m.by_column() for q, m in data.twist.blocks.items()}
+
+    def image(adeg: int, x: Sequence, omega: dict, deg: int) -> tuple:
+        img = [Q0] * WM.space.dim(deg)
+        for coeff, (sdeg, si, q, mi) in zip(x, A.ambient.entries[adeg]):
+            if not coeff:
+                continue
+            exps = A.sym_basis[sdeg][si]
+            # T(1 ⊗ m_mi): one column of the twist at tensor degree q
+            src = twist_tensor.index[q][(0, 0, q, mi)]
+            for pos, tval in twist_cols.get(q, {}).get(src, ()):
+                p, il, r, im = twist_tensor.entries[q][pos]
+                prod = alg.multiply(omega, {(exps, ext_monos[p][il]): Q1})
+                for (w_exps, w_mono), wv in prod.items():
+                    w_deg = 2 * sum(w_exps) + len(w_mono)
+                    row = wm_index[deg].get((w_deg, alg.index[w_deg][(w_exps, w_mono)], r, im))
+                    if row is None:
+                        raise AssertionError("twist image escaped the window")
+                    img[row] += coeff * tval * wv
+        return tuple(img)
+
+    return image
+
+
 def twist_embedding(
     M: KgModule,
     trunc: Truncation,
@@ -611,46 +528,22 @@ def twist_embedding(
     g = M.g
     N = trunc.max_degree
     W = weil or weil_model(g, trunc)
-    alg = W.algebra
     A = cartan or cartan_model(M, trunc)
     WM = product if product is not None else tensor_module(W, M, max_total=N, name=f"W⊗{M.name}")
     data = twist_operators(M, trunc)
     basic = horizontal_basic(WM)
-
-    ext_monos = data.exterior.meta["monomials"]
-    tm_basis = data.tensor.meta["basis"]
-    tm_index = {deg: {e: i for i, e in enumerate(ents)} for deg, ents in tm_basis.items()}
-    wm_basis = WM.meta["basis"]
-    wm_index = {deg: {e: i for i, e in enumerate(ents)} for deg, ents in wm_basis.items()}
+    image = twisted_cartan_image(A, W, WM, data)
+    unit = {(tuple([0] * g.dim), ()): Q1}
 
     ambient_blocks: dict = {}
     map_blocks: dict = {}
     for deg, vecs in A.vectors.items():
         if deg > basic.basic.space.hi:
             continue
-        amb_ents = A.ambient[deg]
         cols_ambient = []
         cols_basic = []
         for v in vecs:
-            img = [Q0] * WM.space.dim(deg)
-            for coeff, (exps, q, mi) in zip(v, amb_ents):
-                if not coeff:
-                    continue
-                a_deg = 2 * sum(exps)
-                # T(1 ⊗ m_mi): column of the twist at tensor degree q
-                src_idx = tm_index[q][(0, 0, q, mi)]
-                tcol = data.twist.block(q).column(src_idx)
-                for pos, tval in enumerate(tcol):
-                    if not tval:
-                        continue
-                    p, il, r, im = tm_basis[q][pos]
-                    w_key = (exps, ext_monos[p][il])
-                    w_deg = a_deg + p
-                    wm_row = wm_index[deg].get((w_deg, alg.index[w_deg][w_key], r, im))
-                    if wm_row is None:
-                        raise AssertionError("twist image escaped the window")
-                    img[wm_row] += coeff * tval
-            img = tuple(img)
+            img = image(deg, v, unit, deg)
             cols_ambient.append(img)
             coords = express_in_span(
                 basic.basic_vectors.get(deg, []), img, dim=WM.space.dim(deg)
@@ -676,45 +569,37 @@ def twist_embedding(
 def embedding_s_linearity(emb: TwistEmbedding) -> bool:
     """a' · Ψ(x) = Ψ(a' · x) for every invariant symmetric generator a'."""
     A = emb.cartan
-    WM = emb.product
-    alg = emb.weil.algebra
-    wm_basis = WM.meta["basis"]
-    wm_index = {deg: {e: i for i, e in enumerate(ents)} for deg, ents in wm_basis.items()}
-    n = A.g.dim
+    W = emb.weil
+    product = emb.product.meta["tensor"]
     for s_deg, inv_vectors in sorted(A.s_invariants.items()):
         a = s_deg // 2
         if a == 0:
             continue
-        monos = sym_monomials(n, a)
         for coeffs in inv_vectors:
             mult = A.s_action(a, coeffs)
+            # multiply ambient images by the invariant polynomial on the W factor
+            lifted = product.lift(_weil_multiplication(W, a, coeffs), None)
             for deg, blk in emb.ambient_blocks.items():
                 tgt_deg = deg + s_deg
                 if tgt_deg not in emb.ambient_blocks:
                     continue
-                # multiply ambient images by the invariant polynomial
-                lifted_cols = []
-                for cidx in range(blk.cols):
-                    col = blk.column(cidx)
-                    out = [Q0] * WM.space.dim(tgt_deg)
-                    for pos, v in enumerate(col):
-                        if not v:
-                            continue
-                        w_deg, w_idx, r, im = wm_basis[deg][pos]
-                        exps, lmono = alg.basis[w_deg][w_idx]
-                        for smono, c in zip(monos, coeffs):
-                            if not c:
-                                continue
-                            key = (sym_multiply(exps, smono), lmono)
-                            row = wm_index[tgt_deg].get(
-                                (w_deg + s_deg, alg.index[w_deg + s_deg][key], r, im)
-                            )
-                            if row is None:
-                                raise AssertionError("multiplication escaped window")
-                            out[row] += v * c
-                    lifted_cols.append(tuple(out))
-                lhs = Matrix.from_columns(lifted_cols, nrows=WM.space.dim(tgt_deg))
+                lhs = lifted.block(deg) @ blk
                 rhs = emb.ambient_blocks[tgt_deg] @ mult.block(deg)
                 if lhs != rhs:
                     return False
     return True
+
+
+def _weil_multiplication(W: WeilModule, a: int, coeffs: Sequence) -> LinMap:
+    """Multiplication by the S^a element `coeffs` on W(g) (shift 2a)."""
+    alg = W.algebra
+    poly = {(smono, ()): c for smono, c in zip(sym_monomials(W.g.dim, a), coeffs) if c}
+    blocks = {}
+    for m in range(W.space.hi - 2 * a + 1):
+        target = alg.index[m + 2 * a]
+        blocks[m] = Matrix(len(target), len(alg.basis[m]), {
+            (target[key2], col): c
+            for col, key in enumerate(alg.basis[m])
+            for key2, c in alg.multiply({key: Q1}, poly).items()
+        })
+    return LinMap(W.space, W.space, 2 * a, blocks)

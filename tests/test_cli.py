@@ -3,6 +3,7 @@ import json
 import pytest
 
 from koszul.cli import main
+from koszul.lie import BUILTIN_NAMES
 
 
 def run(capsys, *argv):
@@ -155,3 +156,24 @@ def test_module_file_loading(capsys, tmp_path):
     code, out, _ = run(capsys, "validate", "--algebra", "su2",
                        "--module", f"file:{p}")
     assert code == 0
+
+
+SWEEP = [
+    (cmd, alg, mod, N)
+    for alg in BUILTIN_NAMES
+    for N in (1, 2, 3)
+    for cmd, mod in [("duality", "trivial"), ("duality", "exterior"),
+                     ("duality", "forms:coadjoint:1"), ("transgress", None)]
+]
+
+
+@pytest.mark.parametrize("cmd,alg,mod,N", SWEEP)
+def test_small_window_sweep(capsys, cmd, alg, mod, N):
+    """Small windows never crash or exit 1; a completed duality run passes."""
+    argv = [cmd, "--algebra", alg, "--max-degree", str(N), "--format", "json"]
+    if mod:
+        argv += ["--module", mod]
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 2)
+    if code == 0 and cmd == "duality":
+        assert json.loads(out)["verdict"] == "pass"

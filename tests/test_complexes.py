@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszul.complexes import (
     ChainMap,
@@ -9,6 +12,7 @@ from koszul.complexes import (
     GradedSpace,
     LinMap,
     SubcomplexError,
+    TensorSpace,
     Truncation,
     check_chain_map,
     cohomology,
@@ -138,3 +142,76 @@ def test_subcomplex_rejects_unclosed_subspace():
     C = Complex(space, d)
     with pytest.raises(SubcomplexError):
         subcomplex(C, {0: [vec([1])], 1: [vec([0, 1])]})
+
+
+# ---------------------------------------------------------------------------
+# TensorSpace.lift against a dense Kronecker product
+# ---------------------------------------------------------------------------
+
+
+def _draw_space(data, name):
+    dims = data.draw(st.dictionaries(st.integers(-1, 3), st.integers(0, 2), max_size=4))
+    return GradedSpace({d: tuple(f"{name}{d}_{i}" for i in range(k)) for d, k in dims.items()})
+
+
+def _draw_op(data, space):
+    """None (the identity) or a random rational map of random shift."""
+    if data.draw(st.booleans()):
+        return None
+    shift = data.draw(st.integers(-2, 2))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    blocks = {}
+    for d in space.degrees():
+        rows, cols = space.dim(d + shift), space.dim(d)
+        if rows:
+            values = data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+            blocks[d] = Matrix(rows, cols, {(i, j): values[i * cols + j]
+                                            for i in range(rows) for j in range(cols)})
+    return LinMap(space, space, shift, blocks)
+
+
+def _dense_factor(op, space, d):
+    """Dense block of op at degree d, the identity standing in for None."""
+    if op is None:
+        return Matrix.identity(space.dim(d)).dense()
+    return op.block(d).dense()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lift_matches_signed_kronecker_product(data):
+    A, B = _draw_space(data, "a"), _draw_space(data, "b")
+    opA, opB = _draw_op(data, A), _draw_op(data, B)
+    lo = A.lo + B.lo
+    top = data.draw(st.integers(lo, A.hi + B.hi))
+    ts = TensorSpace(A, B, top)
+    lifted = ts.lift(opA, opB)
+    sA = 0 if opA is None else opA.shift
+    sB = 0 if opB is None else opB.shift
+    assert lifted.shift == sA + sB
+
+    def size(t):
+        return sum(A.dim(q) * B.dim(t - q) for q in range(A.lo, A.hi + 1)) if lo <= t <= top else 0
+
+    def offset(t, q):
+        # the (A^q ⊗ B^{t-q}) stratum starts after all strata of lower A-degree
+        return sum(A.dim(p) * B.dim(t - p) for p in range(A.lo, q))
+
+    for t in range(lo, top + 1):
+        assert ts.space.dim(t) == size(t)
+        u = t + sA + sB
+        expected = [[Fraction(0)] * size(t) for _ in range(size(u))]
+        for q in range(A.lo, A.hi + 1):
+            r = t - q
+            if not A.dim(q) * B.dim(r) or not size(u):
+                continue
+            FA, FB = _dense_factor(opA, A, q), _dense_factor(opB, B, r)
+            sign = -1 if sB * q % 2 else 1
+            row0, col0 = offset(u, q + sA), offset(t, q)
+            nB_src, nB_tgt = B.dim(r), B.dim(r + sB)
+            for ra, fa in enumerate(FA):
+                for a, va in enumerate(fa):
+                    for rb, fb in enumerate(FB):
+                        for b, vb in enumerate(fb):
+                            expected[row0 + ra * nB_tgt + rb][col0 + a * nB_src + b] += sign * va * vb
+        assert lifted.block(t).dense() == expected

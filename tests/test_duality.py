@@ -119,6 +119,13 @@ def test_duality_abelian2_exterior():
     assert [report.betti_invariants[d] for d in range(4)] == [1, 2, 1, 0]
 
 
+def test_duality_su2xsu2_exterior_window_5():
+    # the inclusion leg stops at the top of the truncated (W⊗M)^g window
+    g = builtin_algebra("su2xsu2")
+    report, _ = verify_duality(exterior_model(g), Truncation(5))
+    assert report.verdict
+
+
 def test_duality_sl2_trivial():
     g = builtin_algebra("sl2")
     report, _ = verify_duality(trivial_module(g), N8)
