@@ -21,8 +21,8 @@ from .linalg import (
     Matrix,
     RowReduction,
     ShapeError,
+    Subspace,
     complement_basis,
-    express_in_span,
     image_rank,
     kernel_basis,
     qstr,
@@ -364,7 +364,7 @@ def _cocycle_and_boundary_bases(C: Complex, deg: int):
 def cohomology_representatives(C: Complex, deg: int):
     """(representative vectors, boundary basis) for H^deg, deterministically."""
     cocycles, boundaries = _cocycle_and_boundary_bases(C, deg)
-    reps = complement_basis(boundaries, cocycles, dim=C.space.dim(deg))
+    reps = complement_basis(boundaries, cocycles)
     return reps, boundaries
 
 
@@ -428,12 +428,12 @@ def quasi_iso_check(f: ChainMap, trunc: Truncation) -> QuasiIsoReport:
     for deg in range(lo, N):
         reps_C, _ = cohomology_representatives(C, deg)
         reps_D, bdry_D = cohomology_representatives(D, deg)
-        span = list(reps_D) + list(bdry_D)
+        span = Subspace(list(reps_D) + list(bdry_D))
         induced_cols = []
         solvable = True
         for r in reps_C:
             img = f.map.apply(deg, r)
-            coeffs = express_in_span(span, img, dim=D.space.dim(deg))
+            coeffs = span.coords(img)
             if coeffs is None:
                 solvable = False
                 break
@@ -486,10 +486,11 @@ def induced_map(
         if not vecs or not op.target.dim(d + op.shift):
             continue
         tgt = tgt_vectors.get(d + op.shift, [])
+        span = Subspace(tgt)
         cols = []
         for v in vecs:
             img = op.apply(d, v)
-            coeffs = express_in_span(tgt, img, dim=op.target.dim(d + op.shift))
+            coeffs = span.coords(img)
             if coeffs is None:
                 raise SubcomplexError(
                     f"operator image leaves the subspace at degree {d}"

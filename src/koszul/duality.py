@@ -35,7 +35,7 @@ from .complexes import (
 )
 from .equivariant import CartanModel, cartan_model, invariant_subcomplex
 from .lie import LieAlgebra
-from .linalg import Matrix, express_in_span
+from .linalg import Matrix, Subspace
 from .modules import (
     KgModule,
     exterior_model,
@@ -133,8 +133,8 @@ class DualityComputation:
     inclusion: ChainMap
 
 
-def _invariant_coords(inv_model, deg: int, ambient_vec, dim: int):
-    coords = express_in_span(inv_model.vectors.get(deg, []), ambient_vec, dim=dim)
+def _invariant_coords(inv_model, deg: int, ambient_vec):
+    coords = inv_model.coords(deg, ambient_vec)
     if coords is None:
         raise ValueError(f"vector is not invariant at degree {deg}")
     return coords
@@ -158,7 +158,7 @@ def inclusion_map(M: KgModule, WM: KgModule, inv_model, inv_M) -> ChainMap:
                     if row is None:
                         raise AssertionError("inclusion escaped the window")
                     amb[row] = c
-            cols.append(_invariant_coords(inv_model, deg, tuple(amb), WM.space.dim(deg)))
+            cols.append(_invariant_coords(inv_model, deg, tuple(amb)))
         blk = Matrix.from_columns(cols, nrows=inv_model.complex.space.dim(deg))
         if not blk.is_zero():
             blocks[deg] = blk
@@ -220,7 +220,7 @@ def build_psi(
         cols = []
         for (q, ji, adeg, ai) in ents:
             img = image(adeg, A.vectors[adeg][ai], omega_product(h.subsets[q][ji]), deg)
-            cols.append(_invariant_coords(inv_model, deg, img, WM.space.dim(deg)))
+            cols.append(_invariant_coords(inv_model, deg, img))
         blk = Matrix.from_columns(cols, nrows=inv_model.complex.space.dim(deg))
         if not blk.is_zero():
             blocks[deg] = blk
@@ -432,10 +432,11 @@ def _h_side_contraction(comp: DualityComputation, ext: KgModule, mv) -> LinMap:
     blocks = {}
     for deg, vs in forms.items():
         tgt = forms.get(deg - mv.degree, [])
+        span = Subspace(tgt)
         cols = []
         for v in vs:
             img = op.apply(deg, v)
-            coords = express_in_span(tgt, img, dim=len(img))
+            coords = span.coords(img)
             if coords is None:
                 raise AssertionError("contraction left the primitive algebra")
             cols.append(coords)

@@ -14,9 +14,9 @@ twist embedding into the basic Weil subcomplex is a chain map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .complexes import (
     ChainMap,
@@ -30,7 +30,7 @@ from .complexes import (
     subcomplex,
 )
 from .lie import LieAlgebra, adjoint_matrices
-from .linalg import Matrix, kernel_basis, vec, vstack
+from .linalg import Matrix, Subspace, kernel_basis, vec, vstack
 from .modules import (
     KgModule,
     derivation_on_lambda,
@@ -132,9 +132,18 @@ class InvariantModel:
     vectors: dict  # degree -> ambient coordinate vectors
     multivectors: list  # MultivectorElement, positive degrees
     actions: list  # LinMap on the subcomplex, one per multivector
+    # degree -> Subspace of `vectors`, factored on first use
+    spans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def action_of(self, idx: int) -> LinMap:
         return self.actions[idx]
+
+    def coords(self, deg: int, ambient_vec) -> Optional[tuple]:
+        """Coordinates of an ambient vector in the invariant basis, or None."""
+        span = self.spans.get(deg)
+        if span is None:
+            span = self.spans[deg] = Subspace(self.vectors.get(deg, []))
+        return span.coords(ambient_vec)
 
 
 def invariant_subcomplex(M: KgModule, with_actions: bool = True) -> InvariantModel:
@@ -281,16 +290,15 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
 def induced_action_on_cohomology(M: KgModule, deg: int):
     """Matrices of the Lie derivatives on H^deg(M) (they vanish: L = [d, i])."""
     from .complexes import cohomology_representatives
-    from .linalg import express_in_span
 
     reps, boundaries = cohomology_representatives(M.complex, deg)
-    span = list(reps) + list(boundaries)
+    span = Subspace(list(reps) + list(boundaries))
     out = []
     for L in M.L_ops:
         cols = []
         for r in reps:
             img = L.apply(deg, r)
-            co = express_in_span(span, img, dim=M.space.dim(deg))
+            co = span.coords(img)
             if co is None:
                 raise ValueError("Lie derivative does not preserve cocycles")
             cols.append(vec(co[: len(reps)]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from importlib import resources
 from typing import Optional, Sequence
@@ -75,9 +76,22 @@ class LieAlgebra:
             out[k] += sign * c
         return tuple(out)
 
+    @cached_property
+    def _constants(self) -> dict:
+        """(k, i, j) -> c^k_ij over the nonzero constants, both orders of (i, j)."""
+        out: dict = {}
+        for (i, j), terms in self.structure.items():
+            for k, c in terms:
+                if c:
+                    out[(k, i, j)] = out.get((k, i, j), Q0) + c
+                    out[(k, j, i)] = out.get((k, j, i), Q0) - c
+        return out
+
     def c(self, k: int, i: int, j: int) -> Fraction:
         """Structure constant c^k_ij."""
-        return self.bracket(i, j)[k]
+        if not (0 <= i < self.dim and 0 <= j < self.dim and 0 <= k < self.dim):
+            raise BadIndex(f"basis index out of range: c^{k}_({i},{j})")
+        return self._constants.get((k, i, j), Q0)
 
     def bracket_vectors(self, u: Sequence, v: Sequence) -> tuple:
         out = [Q0] * self.dim
@@ -292,7 +306,7 @@ def certify_reductive(g: LieAlgebra) -> ReductiveDecomposition:
         return ReductiveDecomposition((), (), Matrix.zero(0, 0))
     center = kernel_basis(vstack(list(ad.matrices)))
     brackets = [g.bracket(i, j) for i in range(n) for j in range(i + 1, n)]
-    derived = independent_subset([v for v in brackets if any(v)], dim=n)
+    derived = independent_subset([v for v in brackets if any(v)])
     if len(center) + len(derived) != n:
         raise NotReductive(
             f"dim z(g) + dim [g,g] = {len(center)} + {len(derived)} != {n}"

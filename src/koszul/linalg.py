@@ -1,10 +1,13 @@
 """Exact rational linear algebra on sparse matrices.
 
 Everything runs over ``fractions.Fraction``: results are exact and every
-computation is bit-for-bit reproducible.  Pivoting is deterministic
-(leftmost nonzero column, first usable row), so kernel bases, solutions
-and complements are stable across runs -- which is what makes golden-file
-tests possible downstream.
+computation is bit-for-bit reproducible.  One echelon engine inserts sparse
+rows one at a time; ``RowReduction`` back-substitutes them to the reduced
+row echelon form, and ``IncrementalSpan`` and ``Subspace`` keep them as
+they are.  The RREF of a matrix is unique, so kernel bases, solutions with
+free variables zero and complements do not depend on the elimination
+order and are stable across runs -- which is what makes golden-file tests
+possible downstream.
 
 Vectors are plain tuples of Fractions (column vectors).  Matrices store a
 dict of (row, col) -> nonzero entry.
@@ -38,15 +41,11 @@ def qparse(text) -> Fraction:
 
 
 def vec(values: Iterable) -> tuple:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def zero_vec(n: int) -> tuple:
     return (Q0,) * n
-
-
-def is_zero_vec(v: Sequence) -> bool:
-    return all(a == 0 for a in v)
 
 
 class Matrix:
@@ -65,9 +64,8 @@ class Matrix:
             for (r, c), v in items:
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ShapeError(f"entry ({r},{c}) outside {rows}x{cols} matrix")
-                v = Fraction(v)
                 if v:
-                    ents[(r, c)] = v
+                    ents[(r, c)] = v if type(v) is Fraction else Fraction(v)
         self.entries = ents
 
     # -- constructors ------------------------------------------------------
@@ -81,9 +79,8 @@ class Matrix:
             if len(row) != nc:
                 raise ShapeError("ragged rows")
             for j, v in enumerate(row):
-                v = Fraction(v)
                 if v:
-                    ents[(i, j)] = v
+                    ents[(i, j)] = v if type(v) is Fraction else Fraction(v)
         return cls(nr, nc, ents)
 
     @classmethod
@@ -98,9 +95,8 @@ class Matrix:
             if len(col) != nrows:
                 raise ShapeError("ragged columns")
             for i, v in enumerate(col):
-                v = Fraction(v)
                 if v:
-                    ents[(i, j)] = v
+                    ents[(i, j)] = v if type(v) is Fraction else Fraction(v)
         return cls(nrows, nc, ents)
 
     @classmethod
@@ -221,8 +217,14 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Row reduction.  Rows are kept as sparse dicts col -> value.
+# The echelon engine.  Rows are sparse dicts col -> value.  A pivot table
+# maps each pivot column to its normalized row (unit entry there, nothing
+# to its left) and the row's tracked combination, or None when untracked.
 # ---------------------------------------------------------------------------
+
+
+def _sparse(v: Sequence) -> dict:
+    return {i: x if type(x) is Fraction else Fraction(x) for i, x in enumerate(v) if x}
 
 
 def _rows_as_dicts(A: Matrix) -> list:
@@ -242,54 +244,73 @@ def _axpy(dst: dict, c: Fraction, src: dict) -> None:
             dst.pop(j, None)
 
 
+def _reduce(pivots: dict, row: dict, comb: Optional[dict]) -> None:
+    """Clear the leading entry of `row` against `pivots`, in place, until
+    `row` is zero or leads in a non-pivot column; `comb` follows each step."""
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            return
+        f = -row[lead]
+        _axpy(row, f, piv[0])
+        if comb is not None:
+            _axpy(comb, f, piv[1])
+
+
+def _insert(pivots: dict, row: dict, comb: Optional[dict]) -> bool:
+    """Reduce `row` and store it under its leading column with a unit pivot.
+
+    False when it reduces to zero, i.e. it lies in the span already; `comb`
+    is then the vanishing combination."""
+    _reduce(pivots, row, comb)
+    if not row:
+        return False
+    lead = min(row)
+    f = row[lead]
+    if f != 1:
+        inv = Q1 / f
+        row = {j: inv * x for j, x in row.items()}
+        if comb is not None:
+            comb = {j: inv * x for j, x in comb.items()}
+    pivots[lead] = (row, comb)
+    return True
+
+
 class RowReduction:
     """Reduced row echelon factorization R = E @ A, computed once.
 
     ``pivots`` lists the pivot columns in order; row i of R (i < rank) has a
-    unit pivot in column pivots[i] and zeros in every other pivot column.
-    With track=True, E is maintained so that consistency of A x = b can be
-    read off from E @ b; kernel/rank queries skip that extra work.
+    unit pivot in column pivots[i] and zeros in every other pivot column,
+    and the rows after the rank are empty.  With track=True, E is kept so
+    that consistency of A x = b can be read off from E @ b: its rows after
+    the rank combine the rows of A to zero.  kernel/rank queries skip that
+    extra work.
     """
 
     def __init__(self, A: Matrix, track: bool = True):
         self.rows = A.rows
         self.cols = A.cols
-        R = _rows_as_dicts(A)
-        E: Optional[list] = [{i: Q1} for i in range(A.rows)] if track else None
-        pivots: list = []
-        r = 0
-        for c in range(A.cols):
-            piv = None
-            for i in range(r, A.rows):
-                if c in R[i]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            if piv != r:
-                R[r], R[piv] = R[piv], R[r]
-                if E is not None:
-                    E[r], E[piv] = E[piv], E[r]
-            f = R[r][c]
-            if f != 1:
-                inv = Q1 / f
-                R[r] = {j: inv * v for j, v in R[r].items()}
-                if E is not None:
-                    E[r] = {j: inv * v for j, v in E[r].items()}
-            for i in range(A.rows):
-                if i != r and c in R[i]:
-                    g = -R[i][c]
-                    _axpy(R[i], g, R[r])
-                    if E is not None:
-                        _axpy(E[i], g, E[r])
-            pivots.append(c)
-            r += 1
-            if r == A.rows:
-                break
-        self.R = R
-        self.E = E
-        self.pivots = pivots
-        self.rank = len(pivots)
+        table: dict = {}
+        null: list = []
+        for i, row in enumerate(_rows_as_dicts(A)):
+            comb = {i: Q1} if track else None
+            if not _insert(table, row, comb) and track:
+                null.append(comb)
+        order = sorted(table)
+        # back-substitution, highest pivot first: the rows used are reduced already
+        for c in reversed(order):
+            row, comb = table[c]
+            for p in [j for j in row if j != c and j in table]:
+                f = -row[p]
+                prow, pcomb = table[p]
+                _axpy(row, f, prow)
+                if track:
+                    _axpy(comb, f, pcomb)
+        self.pivots = order
+        self.rank = len(order)
+        self.R = [table[c][0] for c in order] + [{} for _ in range(A.rows - self.rank)]
+        self.E = [table[c][1] for c in order] + null if track else None
 
     def transform(self, b: Sequence) -> list:
         if self.E is None:
@@ -319,17 +340,14 @@ class RowReduction:
     def kernel(self) -> list:
         """Basis of the null space, one vector per free column, in reduced form."""
         pivset = set(self.pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
-        basis = []
-        for f in free:
-            v = [Q0] * self.cols
+        free = {c: [Q0] * self.cols for c in range(self.cols) if c not in pivset}
+        for f, v in free.items():
             v[f] = Q1
-            for i, pc in enumerate(self.pivots):
-                coeff = self.R[i].get(f)
-                if coeff:
-                    v[pc] = -coeff
-            basis.append(tuple(v))
-        return basis
+        for i, pc in enumerate(self.pivots):
+            for f, coeff in self.R[i].items():
+                if f != pc:
+                    free[f][pc] = -coeff
+        return [tuple(v) for v in free.values()]
 
 
 def kernel_basis(A: Matrix) -> list:
@@ -356,40 +374,61 @@ class IncrementalSpan:
     """Growing echelonized span of vectors, for cheap membership/rank queries."""
 
     def __init__(self):
-        self.rows: dict = {}  # pivot column -> normalized sparse row
+        self.pivots: dict = {}
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def residual(self, v: Sequence) -> dict:
-        work = {i: Fraction(x) for i, x in enumerate(v) if x}
-        while work:
-            lead = min(work)
-            row = self.rows.get(lead)
-            if row is None:
-                return work
-            _axpy(work, -work[lead], row)
-        return work
+        row = _sparse(v)
+        _reduce(self.pivots, row, None)
+        return row
 
     def add(self, v: Sequence) -> bool:
         """Insert v; True when it enlarges the span."""
-        res = self.residual(v)
-        if not res:
-            return False
-        lead = min(res)
-        f = res[lead]
-        if f != 1:
-            inv = Q1 / f
-            res = {j: inv * x for j, x in res.items()}
-        self.rows[lead] = res
-        return True
+        return _insert(self.pivots, _sparse(v), None)
 
     def contains(self, v: Sequence) -> bool:
         return not self.residual(v)
 
 
-def complement_basis(U: Sequence[Sequence], V: Sequence[Sequence], dim: Optional[int] = None) -> list:
+class Subspace:
+    """The span of a fixed family of vectors, factored once for coordinate queries.
+
+    Each echelon row tracks its combination of the family, so ``coords`` is
+    one reduction of the target, with no elimination of the family.
+    """
+
+    def __init__(self, vectors: Sequence[Sequence]):
+        self.size = len(vectors)
+        self.dim = len(vectors[0]) if vectors else None
+        self.pivots: dict = {}
+        for i, v in enumerate(vectors):
+            if len(v) != self.dim:
+                raise ShapeError("ragged spanning family")
+            _insert(self.pivots, _sparse(v), {i: Q1})
+
+    def coords(self, target: Sequence) -> Optional[tuple]:
+        """Coordinates of target in the family, or None when it lies outside.
+
+        Members that depend on earlier members get coordinate 0, as the
+        free variables of ``solve_affine`` on the columns do.
+        """
+        if self.dim is not None and len(target) != self.dim:
+            raise ShapeError(f"vector length {len(target)} != {self.dim}")
+        row = _sparse(target)
+        comb: dict = {}
+        _reduce(self.pivots, row, comb)
+        if row:
+            return None
+        x = [Q0] * self.size
+        for i, c in comb.items():
+            x[i] = -c
+        return tuple(x)
+
+
+def complement_basis(U: Sequence[Sequence], V: Sequence[Sequence]) -> list:
     """Extend the independent family U to a basis of span(V), greedily over V.
 
     Raises SpanError when U is dependent or escapes span(V).
@@ -415,7 +454,7 @@ def complement_basis(U: Sequence[Sequence], V: Sequence[Sequence], dim: Optional
     return chosen
 
 
-def independent_subset(vectors: Sequence[Sequence], dim: Optional[int] = None) -> list:
+def independent_subset(vectors: Sequence[Sequence]) -> list:
     """Greedy maximal independent subfamily, preserving input order."""
     span = IncrementalSpan()
     out: list = []
@@ -426,8 +465,8 @@ def independent_subset(vectors: Sequence[Sequence], dim: Optional[int] = None) -
     return out
 
 
-def express_in_span(basis: Sequence[Sequence], target: Sequence, dim: Optional[int] = None) -> Optional[tuple]:
-    """Coordinates of target in the given spanning family, or None."""
-    if not basis:
-        return () if is_zero_vec(target) else None
-    return solve_affine(Matrix.from_columns(list(basis), nrows=dim), target)
+def express_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[tuple]:
+    """Coordinates of target in the given spanning family, or None.
+
+    For many targets against one family, build the ``Subspace`` once."""
+    return Subspace(basis).coords(target)

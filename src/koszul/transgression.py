@@ -119,7 +119,6 @@ def primitive_basis(g: LieAlgebra, trunc: Truncation) -> PrimitiveSpace:
     for m in range(1, top + 1):
         if not inv[m]:
             continue
-        dim_m = len(lambda_monomials(n, m))
         decomp = []
         for a in range(1, m):
             b = m - a
@@ -130,8 +129,8 @@ def primitive_basis(g: LieAlgebra, trunc: Truncation) -> PrimitiveSpace:
                     w = wedge_vectors(u, a, v, b, n)
                     if any(w):
                         decomp.append(w)
-        decomp_basis = independent_subset(decomp, dim=dim_m)
-        prim_vectors = complement_basis(decomp_basis, inv[m], dim=dim_m)
+        decomp_basis = independent_subset(decomp)
+        prim_vectors = complement_basis(decomp_basis, inv[m])
         monos = lambda_monomials(n, m)
         for v in prim_vectors:
             terms = " + ".join(
@@ -173,8 +172,7 @@ def _verify_freeness(space: PrimitiveSpace, inv: dict, n: int, top: int) -> None
                 f"invariants have dimension {want}"
             )
         if want:
-            dim_m = len(lambda_monomials(n, m))
-            if len(independent_subset(got, dim=dim_m)) != want:
+            if len(independent_subset(got)) != want:
                 raise TransgressionError(
                     f"products of primitives are dependent in degree {m}"
                 )
@@ -417,8 +415,7 @@ def generation_check(g: LieAlgebra, data: TransgressionData, trunc: Truncation) 
         if len(prods) != dim_target:
             return False
         if dim_target:
-            dim_amb = len(sym_monomials(n, a))
-            if len(independent_subset(prods, dim=dim_amb)) != dim_target:
+            if len(independent_subset(prods)) != dim_target:
                 return False
     return True
 

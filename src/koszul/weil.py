@@ -41,7 +41,7 @@ from .complexes import (
 )
 from .equivariant import CartanModel, cartan_model, sym_invariant_complex
 from .lie import LieAlgebra, certify_reductive
-from .linalg import Matrix, express_in_span, kernel_basis, vstack
+from .linalg import Matrix, Subspace, kernel_basis, vstack
 from .modules import (
     KgModule,
     delete_index,
@@ -540,14 +540,13 @@ def twist_embedding(
     for deg, vecs in A.vectors.items():
         if deg > basic.basic.space.hi:
             continue
+        span = Subspace(basic.basic_vectors.get(deg, []))
         cols_ambient = []
         cols_basic = []
         for v in vecs:
             img = image(deg, v, unit, deg)
             cols_ambient.append(img)
-            coords = express_in_span(
-                basic.basic_vectors.get(deg, []), img, dim=WM.space.dim(deg)
-            )
+            coords = span.coords(img)
             if coords is None:
                 raise SubcomplexError(
                     f"twist embedding image is not basic at degree {deg}"

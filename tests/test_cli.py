@@ -161,7 +161,7 @@ def test_module_file_loading(capsys, tmp_path):
 SWEEP = [
     (cmd, alg, mod, N)
     for alg in BUILTIN_NAMES
-    for N in (1, 2, 3)
+    for N in range(1, 7)
     for cmd, mod in [("duality", "trivial"), ("duality", "exterior"),
                      ("duality", "forms:coadjoint:1"), ("transgress", None)]
 ]

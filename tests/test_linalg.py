@@ -9,6 +9,7 @@ from koszul.linalg import (
     RowReduction,
     ShapeError,
     SpanError,
+    Subspace,
     complement_basis,
     express_in_span,
     image_rank,
@@ -154,3 +155,95 @@ def test_reduction_deterministic(A):
     r2 = RowReduction(A)
     assert r1.pivots == r2.pivots
     assert r1.R == r2.R
+
+
+# -- oracles: sympy's exact rref / nullspace / rank ---------------------------
+
+sparse_fracs = st.one_of(st.just(Q(0)), small_fracs)
+
+
+@st.composite
+def deficient_matrix(draw, max_dim=6):
+    """A random r x c matrix, or a product of r x k and k x c (rank <= k)."""
+    r = draw(st.integers(1, max_dim))
+    c = draw(st.integers(1, max_dim))
+    entries = st.lists(sparse_fracs, min_size=c, max_size=c)
+    if draw(st.booleans()):
+        return Matrix.from_rows(draw(st.lists(entries, min_size=r, max_size=r)))
+    k = draw(st.integers(0, min(r, c)))
+    left = Matrix.from_rows(
+        draw(st.lists(st.lists(sparse_fracs, min_size=k, max_size=k), min_size=r, max_size=r))
+    ) if k else Matrix.zero(r, 0)
+    right = Matrix.from_rows(
+        draw(st.lists(entries, min_size=k, max_size=k))
+    ) if k else Matrix.zero(0, c)
+    return left @ right
+
+
+def _to_sympy(sp, A: Matrix):
+    return sp.Matrix(A.rows, A.cols, lambda i, j: sp.Rational(A[i, j].numerator, A[i, j].denominator))
+
+
+def _from_sympy(x) -> Fraction:
+    return Q(int(x.p), int(x.q))
+
+
+@given(deficient_matrix(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_rref_matches_sympy(A, track):
+    sp = pytest.importorskip("sympy")
+    red = RowReduction(A, track=track)
+    want, pivots = _to_sympy(sp, A).rref()
+    assert red.pivots == list(pivots)
+    assert red.rank == len(pivots)
+    for i in range(A.rows):
+        got = [red.R[i].get(j, Q(0)) for j in range(A.cols)]
+        assert got == [_from_sympy(x) for x in want.row(i)]
+    if track:
+        E = Matrix(A.rows, A.rows, {(i, j): v for i, row in enumerate(red.E) for j, v in row.items()})
+        R = Matrix(A.rows, A.cols, {(i, j): v for i, row in enumerate(red.R) for j, v in row.items()})
+        assert E @ A == R
+
+
+@given(deficient_matrix())
+@settings(max_examples=80, deadline=None)
+def test_kernel_spans_sympy_nullspace(A):
+    sp = pytest.importorskip("sympy")
+    K = kernel_basis(A)
+    null = _to_sympy(sp, A).nullspace()
+    assert len(K) == len(null)
+    if K:
+        ours = _to_sympy(sp, Matrix.from_columns(K))
+        assert ours.rank() == len(K)
+        assert ours.row_join(sp.Matrix.hstack(*null)).rank() == len(K)
+
+
+@given(deficient_matrix(), st.lists(sparse_fracs, min_size=6, max_size=6), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_subspace_coords_match_solve(B, xs, in_span):
+    """Columns of B form a (possibly dependent) family; the target lies in
+    their span or is arbitrary.  Coordinates are zero at members that depend
+    on earlier ones, and the others solve the pivot-column system exactly."""
+    sp = pytest.importorskip("sympy")
+    family = B.columns()
+    target = B @ vec(xs[: B.cols]) if in_span else vec(xs[: B.rows])
+    got = Subspace(family).coords(target)
+    assert got == solve_affine(Matrix.from_columns(family), target)
+    assert got == express_in_span(family, target)
+    SB = _to_sympy(sp, B)
+    St = sp.Matrix([[sp.Rational(t.numerator, t.denominator)] for t in target])
+    if SB.row_join(St).rank() > SB.rank():
+        assert got is None
+        return
+    _, pivots = SB.rref()
+    assert all(got[j] == 0 for j in range(B.cols) if j not in pivots)
+    x = SB.extract(list(range(B.rows)), list(pivots)).solve(St) if pivots else []
+    assert [got[j] for j in pivots] == [_from_sympy(v) for v in x]
+
+
+def test_subspace_rejects_length_mismatch():
+    span = Subspace([vec([1, 0, 0])])
+    with pytest.raises(ShapeError):
+        span.coords(vec([1, 0]))
+    with pytest.raises(ShapeError):
+        Subspace([vec([1, 0]), vec([1, 0, 0])])
