@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__

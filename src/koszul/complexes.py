@@ -189,11 +189,13 @@ class TensorSpace:
         self.space = GradedSpace(labels, lo=lo, hi=top)
         self.index = {t: {e: i for i, e in enumerate(ents)} for t, ents in self.entries.items()}
 
-    def lift(self, opA: Optional[LinMap], opB: Optional[LinMap]) -> LinMap:
+    def lift(self, opA: Optional[LinMap], opB: Optional[LinMap],
+             top: Optional[int] = None) -> LinMap:
         """opA ⊗ opB on the product; None stands for the identity.
 
         Koszul sign rule: (f⊗g)(x⊗y) = (-1)^{|g|·|x|} f(x)⊗g(y), with |g| the
-        parity of opB's shift.  Images outside the window are dropped.
+        parity of opB's shift.  Images outside the window are dropped, and
+        so are source degrees above ``top`` when it is given.
         """
         shiftA = 0 if opA is None else opA.shift
         shiftB = 0 if opB is None else opB.shift
@@ -202,7 +204,7 @@ class TensorSpace:
         blocks = {}
         for t, ents in self.entries.items():
             tgt = self.index.get(t + shiftA + shiftB)
-            if tgt is None:
+            if tgt is None or (top is not None and t > top):
                 continue
             mat: dict = {}
             for col, (q, a, r, b) in enumerate(ents):

@@ -38,6 +38,7 @@ from .lie import LieAlgebra
 from .linalg import Matrix, Subspace
 from .modules import (
     KgModule,
+    ModuleValidationError,
     exterior_model,
     lambda_monomials,
     tensor_module,
@@ -324,10 +325,16 @@ def verify_duality(
     """Run the full zig-zag verification for one module.
 
     Quasi-isomorphisms are certified for degrees <= trunc.max_degree - 1;
-    all internal objects are materialized one degree beyond.
+    all internal objects are materialized one degree beyond.  M must live
+    in degrees >= 0 (ModuleValidationError otherwise): the zig-zag is
+    built on windows that start at degree 0.
     """
     g = M.g
     N = trunc.max_degree
+    if M.space.lo < 0:
+        raise ModuleValidationError(
+            f"duality needs a module in degrees >= 0; {M.name} starts in degree {M.space.lo}"
+        )
     W = weil_model(g, Truncation(N + 1))
     WM = tensor_module(W, M, max_total=N + 1, name=f"W⊗{M.name}")
     inv_WM = invariant_subcomplex(WM, with_actions=False)

@@ -162,7 +162,8 @@ def invariant_subcomplex(M: KgModule, with_actions: bool = True) -> InvariantMod
         if deg > top:
             continue
         n_dim = M.space.dim(deg)
-        stacked = vstack([op.block(deg) for op in M.L_ops])
+        # zero rows when g = 0: every vector is invariant
+        stacked = vstack([op.block(deg) for op in M.L_ops] or [Matrix.zero(0, n_dim)])
         vectors[deg] = kernel_basis(stacked) if n_dim else []
     sub, incl = subcomplex(
         M.complex.truncated(top), {d: v for d, v in vectors.items() if v},
@@ -253,8 +254,9 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
         .add(ambient.lift(None, M.L_ops[k]))
         for k in range(n)
     ]
-    vectors = {deg: kernel_basis(vstack([L.block(deg) for L in diagonal]))
-               for deg in ambient.entries}
+    vectors = {deg: kernel_basis(vstack([L.block(deg) for L in diagonal]
+                                        or [Matrix.zero(0, len(ents))]))
+               for deg, ents in ambient.entries.items()}
 
     # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs)
     amb_d = ambient.lift(None, M.d)

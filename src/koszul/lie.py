@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .linalg import (
     Matrix,
@@ -26,7 +26,6 @@ from .linalg import (
     rank,
     vec,
     vstack,
-    zero_vec,
 )
 
 Q0 = Fraction(0)

@@ -433,24 +433,25 @@ def complement_basis(U: Sequence[Sequence], V: Sequence[Sequence]) -> list:
 
     Raises SpanError when U is dependent or escapes span(V).
     """
-    U = [vec(u) for u in U]
-    V = [vec(v) for v in V]
-    span_V = IncrementalSpan()
-    for v in V:
-        span_V.add(v)
-    span = IncrementalSpan()
+    rows_V = [_sparse(v) for v in V]
+    span_V: dict = {}
+    for row in rows_V:
+        _insert(span_V, dict(row), None)
+    span: dict = {}
     for u in U:
-        if not span_V.contains(u):
+        row = _sparse(u)
+        left = dict(row)
+        _reduce(span_V, left, None)
+        if left:
             raise SpanError("U is not contained in span(V)")
-        if not span.add(u):
+        if not _insert(span, row, None):
             raise SpanError("U is linearly dependent")
     chosen: list = []
-    target = span_V.rank
-    for v in V:
-        if span.rank == target:
+    for v, row in zip(V, rows_V):
+        if len(span) == len(span_V):
             break
-        if span.add(v):
-            chosen.append(v)
+        if _insert(span, row, None):
+            chosen.append(vec(v))
     return chosen
 
 

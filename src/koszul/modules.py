@@ -180,7 +180,7 @@ def derivation_on_sym(matrices: Sequence[Matrix], total: int) -> list:
 
 
 class KgModule:
-    """A complex with contractions i_k; Lie derivatives are always derived."""
+    """A complex with contractions i_k; the Lie derivatives follow (see L_ops)."""
 
     def __init__(self, g: LieAlgebra, complex_: Complex, i_ops: Sequence[LinMap],
                  name: str = "module", meta: Optional[dict] = None):
@@ -214,19 +214,25 @@ class KgModule:
 
     @property
     def L_ops(self) -> tuple:
-        """L_k = d i_k + i_k d, cached; blocks only on trustworthy degrees."""
+        """The Lie derivatives L_k, cached; blocks only on degrees <= max_usable.
+
+        On a tensor_module product L_k = L_k⊗1 + 1⊗L_k, lifted from the
+        factors' own L_ops (degree 0, so no Koszul sign); on any other
+        module L_k = d i_k + i_k d.
+        """
         if self._L_ops is None:
-            ops = []
             top = self.max_usable
-            for ik in self.i_ops:
-                blocks = {}
-                for deg in self.space.degrees():
-                    if deg > top:
-                        continue
-                    m = self.d.block(deg - 1) @ ik.block(deg) + ik.block(deg + 1) @ self.d.block(deg)
-                    if not m.is_zero():
-                        blocks[deg] = m
-                ops.append(LinMap(self.space, self.space, 0, blocks))
+            if "factors" in self.meta:
+                A, B = self.meta["factors"]
+                lift = self.meta["tensor"].lift
+                ops = [lift(LA, None, top).add(lift(None, LB, top))
+                       for LA, LB in zip(A.L_ops, B.L_ops)]
+            else:
+                d = self.d
+                ops = [LinMap(self.space, self.space, 0, {
+                    deg: d.block(deg - 1) @ ik.block(deg) + ik.block(deg + 1) @ d.block(deg)
+                    for deg in self.space.degrees() if deg <= top
+                }) for ik in self.i_ops]
             self._L_ops = tuple(ops)
         return self._L_ops
 
@@ -461,7 +467,15 @@ def tensor_module(M: KgModule, N: KgModule, max_total: Optional[int] = None,
                   name: Optional[str] = None) -> KgModule:
     """Tensor product with Koszul-sign Leibniz differential and contractions.
 
-    d(m⊗n) = dm⊗n + (-1)^|m| m⊗dn and likewise for each i_k.
+    d(m⊗n) = dm⊗n + (-1)^|m| m⊗dn and likewise for each i_k.  The Lie
+    derivatives are lifted from the factors, L_k = L_k⊗1 + 1⊗L_k (see
+    KgModule.L_ops).  A factor holds L only up to its own max_usable, so
+    the lift equals d∘i_k + i_k∘d on every product degree up to the
+    product's max_usable P as long as every factor degree met there is
+    usable: P - N.space.lo <= M.max_usable and P - M.space.lo <=
+    N.max_usable.  Complete factors satisfy this at any max_total, and so
+    does W(g) built to degree N+1 tensored with a module of degrees >= 0
+    at max_total=N+1, which is how verify_duality builds W⊗M.
     """
     if M.g is not N.g and M.g != N.g:
         raise ValueError("tensor factors live over different Lie algebras")

@@ -229,7 +229,12 @@ def distinguished_transgression(
 
     `unknown_permutation` reorders the solver's unknowns (used to certify
     that ξ~ does not depend on free-variable choices); it permutes the
-    combined (ω, ξ~) coefficient vector.
+    combined (ω, ξ~) coefficient vector.  One sequence serves every
+    primitive, whose systems have different sizes n, so a sequence that is
+    not a permutation of range(n) is reduced to one: each entry is taken
+    mod n, repeats are dropped keeping the first, and the missing indices
+    follow in increasing order.  A reversed range(500) thus gives every
+    system of up to 500 unknowns a rotation of its reversed order.
     """
     needed = max((p.degree + 1 for p in P.primitives), default=0)
     W = weil or weil_model(g, Truncation(max(trunc.max_degree, needed)))

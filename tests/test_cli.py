@@ -158,9 +158,36 @@ def test_module_file_loading(capsys, tmp_path):
     assert code == 0
 
 
+def test_duality_rejects_negative_degrees(capsys, tmp_path):
+    p = tmp_path / "neg.json"
+    p.write_text(json.dumps({
+        "degrees": {"-1": ["a"], "0": ["b"]},
+        "d": [],
+        "i": {},
+    }))
+    for N in (1, 3, 5):
+        code, _, err = run(capsys, "duality", "--algebra", "su2",
+                           "--module", f"file:{p}", "--max-degree", str(N))
+        assert code == 2
+        assert "degree -1" in err
+    for model in ("invariant", "cartan"):
+        code, _, _ = run(capsys, "cohomology", "--algebra", "su2", "--module",
+                         f"file:{p}", "--model", model, "--max-degree", "3")
+        assert code == 0
+
+
+@pytest.mark.parametrize("model", ["invariant", "cartan"])
+def test_cohomology_zero_lie_algebra(capsys, model):
+    # g = 0: every vector is invariant, so both models are Λ(0) = Q
+    code, out, _ = run(capsys, "cohomology", "--algebra", "abelian:0",
+                       "--model", model, "--max-degree", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["betti"] == {"0": 1, "1": 0, "2": 0}
+
+
 SWEEP = [
     (cmd, alg, mod, N)
-    for alg in BUILTIN_NAMES
+    for alg in (*BUILTIN_NAMES, "abelian:0")
     for N in range(1, 7)
     for cmd, mod in [("duality", "trivial"), ("duality", "exterior"),
                      ("duality", "forms:coadjoint:1"), ("transgress", None)]

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszul.complexes import Complex, LinMap
-from koszul.lie import adjoint_matrices, builtin_algebra
+from koszul.complexes import Complex, LinMap, Truncation
+from koszul.lie import BUILTIN_NAMES, adjoint_matrices, builtin_algebra
 from koszul.linalg import Matrix, vec
 from koszul.modules import (
     KgModule,
@@ -25,6 +25,7 @@ from koszul.modules import (
     wedge_by_generator,
     wedge_normalize,
 )
+from koszul.weil import weil_model
 
 Q = Fraction
 
@@ -220,6 +221,44 @@ def test_tensor_associativity_under_relabeling(su2):
                 perms[d - 1] @ left.i_ops[k].block(d)
                 == right.i_ops[k].block(d) @ perms[d]
             )
+
+
+
+def assert_L_lifted_from_factors(M):
+    """M.L_ops of a tensor product equal d∘i_k + i_k∘d on every degree up to
+    max_usable, recomputed here from the product's own d and i_k."""
+    assert "factors" in M.meta
+    top = M.max_usable
+    for L, ik in zip(M.L_ops, M.i_ops):
+        assert all(deg <= top for deg in L.blocks)
+        for deg in M.space.degrees():
+            if deg <= top:
+                derived = M.d.block(deg - 1) @ ik.block(deg) + ik.block(deg + 1) @ M.d.block(deg)
+                assert L.block(deg) == derived, (M.name, deg)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("kind", ["trivial", "exterior"])
+def test_lifted_L_on_weil_product(name, kind):
+    # W⊗M as verify_duality builds it: W one degree beyond the product window
+    g = builtin_algebra(name)
+    M = trivial_module(g) if kind == "trivial" else exterior_model(g)
+    N = 3
+    WM = tensor_module(weil_model(g, Truncation(N + 1)), M, max_total=N + 1)
+    assert_L_lifted_from_factors(WM)
+    report = validate_kg(WM)
+    assert report.ok, report.describe()
+
+
+def test_lifted_L_on_exterior_products(su2, ext_su2):
+    full = tensor_module(ext_su2, ext_su2)
+    truncated = tensor_module(ext_su2, ext_su2, max_total=3)
+    left = tensor_module(tensor_module(ext_su2, ext_su2), ext_su2, max_total=4)
+    right = tensor_module(ext_su2, tensor_module(ext_su2, ext_su2), max_total=4)
+    for M in (full, truncated, left, right):
+        assert_L_lifted_from_factors(M)
+    assert full.complete and not truncated.complete
+    assert validate_kg(truncated).ok
 
 
 # -- polynomial forms -------------------------------------------------------
