@@ -136,18 +136,36 @@ class LinMap:
         return LinMap(other.source, self.target, self.shift + other.shift, blocks)
 
     def add(self, other: "LinMap") -> "LinMap":
-        if self.shift != other.shift:
-            raise ShapeError("adding maps of different shifts")
-        degrees = set(self.blocks) | set(other.blocks)
-        blocks = {}
-        for d in degrees:
-            b = self.block(d) + other.block(d)
-            if not b.is_zero():
-                blocks[d] = b
-        return LinMap(self.source, self.target, self.shift, blocks)
+        return LinMap.combination([(1, self), (1, other)])
 
     def sub(self, other: "LinMap") -> "LinMap":
-        return self.add(other.scale(-1))
+        return LinMap.combination([(1, self), (-1, other)])
+
+    @staticmethod
+    def combination(terms: Sequence) -> "LinMap":
+        """Sum of c·op over terms [(c, op), ...], maps of one shift between the same spaces.
+
+        All terms accumulate into one entry dict per degree, so each block
+        is built once; entries that cancel and empty blocks are not stored.
+        """
+        first = terms[0][1]
+        if any(op.shift != first.shift for _, op in terms):
+            raise ShapeError("adding maps of different shifts")
+        scaled = [(Fraction(c), op) for c, op in terms]
+        blocks = {}
+        for d in sorted({d for _, op in scaled for d in op.blocks}):
+            ents: dict = {}
+            for c, op in scaled:
+                m = op.blocks.get(d)
+                if m is None:
+                    continue
+                unit = c == 1
+                for rc, v in m.entries.items():
+                    w = v if unit else c * v
+                    old = ents.get(rc)
+                    ents[rc] = w if old is None else old + w
+            blocks[d] = Matrix(first.target.dim(d + first.shift), first.source.dim(d), ents)
+        return LinMap(first.source, first.target, first.shift, blocks)
 
     def scale(self, c) -> "LinMap":
         return LinMap(self.source, self.target, self.shift,
@@ -169,58 +187,114 @@ class TensorSpace:
     ``entries[t]`` lists the basis of total degree t as tuples (q, a, r, b):
     basis vector a of A in degree q times basis vector b of B in degree
     r = t - q, ordered by q, then a, then b.  ``index[t]`` maps each tuple to
-    its position and ``space`` is the product, labelled "a⊗b".  ``lo``
-    defaults to A.lo + B.lo.
+    its position (built on first use) and ``space`` is the product,
+    labelled "a⊗b".  The entries with one q form a contiguous stratum
+    starting at ``offsets[t][q]``, in which (a, b) sits at a·dim B^r + b.
+    ``lo`` defaults to A.lo + B.lo.
     """
 
-    __slots__ = ("A", "B", "space", "entries", "index")
+    __slots__ = ("A", "B", "space", "entries", "offsets", "_index")
 
     def __init__(self, A: GradedSpace, B: GradedSpace, top: int, lo: Optional[int] = None):
         lo = A.lo + B.lo if lo is None else lo
         self.A, self.B = A, B
         self.entries: dict = {}
+        self.offsets: dict = {}
         labels: dict = {}
         for t in range(lo, top + 1):
-            ents = [(q, a, t - q, b) for q in A.degrees()
-                    for a in range(A.dim(q)) for b in range(B.dim(t - q))]
+            ents = []
+            starts = {}
+            for q in A.degrees():
+                if B.dim(t - q):
+                    starts[q] = len(ents)
+                    ents.extend((q, a, t - q, b) for a in range(A.dim(q)) for b in range(B.dim(t - q)))
             if ents:
                 self.entries[t] = ents
+                self.offsets[t] = starts
                 labels[t] = tuple(f"{A.labels(q)[a]}⊗{B.labels(r)[b]}" for q, a, r, b in ents)
         self.space = GradedSpace(labels, lo=lo, hi=top)
-        self.index = {t: {e: i for i, e in enumerate(ents)} for t, ents in self.entries.items()}
+        self._index = None
+
+    @property
+    def index(self) -> dict:
+        """Position of each entry tuple per degree, built on first use."""
+        if self._index is None:
+            self._index = {t: {e: i for i, e in enumerate(ents)} for t, ents in self.entries.items()}
+        return self._index
 
     def lift(self, opA: Optional[LinMap], opB: Optional[LinMap],
              top: Optional[int] = None) -> LinMap:
-        """opA ⊗ opB on the product; None stands for the identity.
+        """opA ⊗ opB on the product: the one-term case of lift_sum."""
+        shift = (0 if opA is None else opA.shift) + (0 if opB is None else opB.shift)
+        return self.lift_sum([(opA, opB)], shift, top)
 
-        Koszul sign rule: (f⊗g)(x⊗y) = (-1)^{|g|·|x|} f(x)⊗g(y), with |g| the
-        parity of opB's shift.  Images outside the window are dropped, and
-        so are source degrees above ``top`` when it is given.
+    def lift_sum(self, terms: Sequence, shift: int, top: Optional[int] = None) -> LinMap:
+        """Sum of opA ⊗ opB over terms [(opA, opB), ...]; None stands for the identity.
+
+        Every term must have total shift ``shift``.  Koszul sign rule:
+        (f⊗g)(x⊗y) = (-1)^{|g|·|x|} f(x)⊗g(y), with |g| the parity of opB's
+        shift.  All terms accumulate into one entry dict per degree, so each
+        block is built once; entries that cancel and empty blocks are not
+        stored.  Images outside the window are dropped, and so are source
+        degrees above ``top`` when it is given.
         """
-        shiftA = 0 if opA is None else opA.shift
-        shiftB = 0 if opB is None else opB.shift
-        colsA = None if opA is None else {q: m.by_column() for q, m in opA.blocks.items()}
-        colsB = None if opB is None else {r: m.by_column() for r, m in opB.blocks.items()}
+        A, B = self.A, self.B
+        identity: dict = {}  # dim -> identity columns {i: ((i, Q1),)}
+
+        def columns(op, deg, dim):
+            if op is None:
+                if dim not in identity:
+                    identity[dim] = {i: ((i, Q1),) for i in range(dim)}
+                return identity[dim]
+            m = op.blocks.get(deg)
+            return m.by_column() if m is not None else None
+
+        prepared = []  # (opA, opB, shift of opA, shift of opB, column views of each)
+        for opA, opB in terms:
+            sA = 0 if opA is None else opA.shift
+            sB = 0 if opB is None else opB.shift
+            if sA + sB != shift:
+                raise ShapeError(f"lifted term of shift {sA + sB} in a sum of shift {shift}")
+            prepared.append((opA, opB, sA, sB, {}, {}))
+        # one int object per position, shared by all the keys that hold it
+        pos = list(range(max(map(len, self.entries.values()), default=0)))
         blocks = {}
-        for t, ents in self.entries.items():
-            tgt = self.index.get(t + shiftA + shiftB)
+        for t, starts in self.offsets.items():
+            tgt = self.offsets.get(t + shift)
             if tgt is None or (top is not None and t > top):
                 continue
-            mat: dict = {}
-            for col, (q, a, r, b) in enumerate(ents):
-                imA = ((a, Q1),) if colsA is None else colsA.get(q, {}).get(a, ())
-                imB = ((b, Q1),) if colsB is None else colsB.get(r, {}).get(b, ())
-                negate = shiftB % 2 and q % 2
-                for rowA, vA in imA:
-                    for rowB, vB in imB:
-                        row = tgt.get((q + shiftA, rowA, r + shiftB, rowB))
-                        if row is not None:
-                            # an identity factor contributes Q1 itself: skip the product
-                            v = vB if vA is Q1 else vA if vB is Q1 else vA * vB
-                            mat[(row, col)] = -v if negate else v
-            if mat:
-                blocks[t] = Matrix(len(tgt), len(ents), mat)
-        return LinMap(self.space, self.space, shiftA + shiftB, blocks)
+            ents: dict = {}
+            for opA, opB, sA, sB, colsA, colsB in prepared:
+                for q, col0 in starts.items():
+                    row0 = tgt.get(q + sA)
+                    if row0 is None:
+                        continue
+                    r = t - q
+                    if q not in colsA:
+                        colsA[q] = columns(opA, q, A.dim(q))
+                    if r not in colsB:
+                        colsB[r] = columns(opB, r, B.dim(r))
+                    imA, imB = colsA[q], colsB[r]
+                    if not imA or not imB:
+                        continue
+                    n_src, n_tgt = B.dim(r), B.dim(r + sB)
+                    negate = sB % 2 and q % 2
+                    for a, colA in imA.items():
+                        for b, colB in imB.items():
+                            col = pos[col0 + a * n_src + b]
+                            for rowA, vA in colA:
+                                base = row0 + rowA * n_tgt
+                                for rowB, vB in colB:
+                                    # an identity factor contributes Q1 itself: skip the product
+                                    v = vB if vA is Q1 else vA if vB is Q1 else vA * vB
+                                    if negate:
+                                        v = -v
+                                    key = (pos[base + rowB], col)
+                                    old = ents.get(key)
+                                    ents[key] = v if old is None else old + v
+            if ents:
+                blocks[t] = Matrix(self.space.dim(t + shift), self.space.dim(t), ents)
+        return LinMap(self.space, self.space, shift, blocks)
 
 
 class Complex:

@@ -103,10 +103,10 @@ def h_of(A: CartanModel, T: TransgressionData, trunc: Truncation) -> KoszulDualC
         return LinMap(lam_P, lam_P, -weights[j], blocks)
 
     product = TensorSpace(lam_P, A.complex.space, N, lo=0)
-    d = product.lift(None, A.complex.d)
-    for j, entry in enumerate(T.entries):
-        mult = A.s_action(T.xi_tilde_sym_degree(j), entry.xi_tilde)
-        d = d.add(product.lift(delete(j), mult))
+    d = product.lift_sum(
+        [(None, A.complex.d)]
+        + [(delete(j), A.s_action(T.xi_tilde_sym_degree(j), entry.xi_tilde))
+           for j, entry in enumerate(T.entries)], 1)
     cx = Complex(product.space, d, complete=False, check=True)
     return KoszulDualComplex(cx, product, subsets, weights, A)
 

@@ -212,13 +212,36 @@ class CartanModel:
         if len(coeffs) != len(sym_monomials(self.g.dim, sym_degree)):
             raise ValueError("coefficient vector does not match the monomial basis")
         factor = dict(zip(sym_monomials(self.g.dim, sym_degree), coeffs))
-        mult = _sym_multiplication(self.ambient.A, self.sym_basis, sym_degree, factor)
+        mult = sym_multiplication(self.ambient.A, self.sym_basis, sym_degree, factor)
         space = self.complex.space
         return induced_map(self.ambient.lift(mult, None), self.vectors, self.vectors,
                            space, space)
 
 
-def _sym_multiplication(S: GradedSpace, sym_basis: dict, a: int, factor: dict) -> LinMap:
+def symmetric_algebra(g: LieAlgebra, max_a: int):
+    """S(g*) with generators in degree 2, up to S^max_a.
+
+    Returns (S, sym_basis, action): the graded space labelled by monomials,
+    degree 2a -> the S^a monomials, and the coadjoint action L_k on S as
+    derivations (shift 0), one LinMap per basis vector of g.
+    """
+    n = g.dim
+    _, coad = adjoint_matrices(g)
+    sym_basis = {2 * a: sym_monomials(n, a) for a in range(max_a + 1)}
+    S = GradedSpace({deg: tuple(sym_label(e, g.basis_labels) for e in monos)
+                     for deg, monos in sym_basis.items()})
+    per_a = [derivation_on_sym(list(coad.matrices), a) for a in range(max_a + 1)]
+    action = [LinMap(S, S, 0, {2 * a: per_a[a][k] for a in range(max_a + 1)})
+              for k in range(n)]
+    return S, sym_basis, action
+
+
+def sym_generator(n: int, k: int) -> dict:
+    """The generator u^k of S(g*) as {monomial: coefficient}."""
+    return {tuple(int(i == k) for i in range(n)): 1}
+
+
+def sym_multiplication(S: GradedSpace, sym_basis: dict, a: int, factor: dict) -> LinMap:
     """Multiplication by the S^a element {monomial: coefficient} on S(g*) (shift 2a)."""
     blocks = {}
     for deg, monos in sym_basis.items():
@@ -240,29 +263,22 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
     N = trunc.max_degree
     if not M.complete:
         raise ValueError("the equivariant model needs a complete (untruncated) module")
-    _, coad = adjoint_matrices(g)
     max_a = max(0, (N - M.space.lo) // 2)
-    sym_basis = {2 * a: sym_monomials(n, a) for a in range(max_a + 1)}
-    S = GradedSpace({deg: tuple(sym_label(e, g.basis_labels) for e in monos)
-                     for deg, monos in sym_basis.items()})
+    S, sym_basis, sym_action = symmetric_algebra(g, max_a)
     ambient = TensorSpace(S, M.space, N)
 
     # invariants of the diagonal action per total degree
-    coad_sym = [derivation_on_sym(list(coad.matrices), a) for a in range(max_a + 1)]
-    diagonal = [
-        ambient.lift(LinMap(S, S, 0, {2 * a: coad_sym[a][k] for a in range(max_a + 1)}), None)
-        .add(ambient.lift(None, M.L_ops[k]))
-        for k in range(n)
-    ]
+    diagonal = [ambient.lift_sum([(LS, None), (None, LM)], 0)
+                for LS, LM in zip(sym_action, M.L_ops)]
     vectors = {deg: kernel_basis(vstack([L.block(deg) for L in diagonal]
                                         or [Matrix.zero(0, len(ents))]))
                for deg, ents in ambient.entries.items()}
 
     # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs)
-    amb_d = ambient.lift(None, M.d)
-    for k in range(n):
-        u_k = {tuple(int(i == k) for i in range(n)): 1}
-        amb_d = amb_d.add(ambient.lift(_sym_multiplication(S, sym_basis, 1, u_k), M.i_ops[k]))
+    amb_d = ambient.lift_sum(
+        [(None, M.d)]
+        + [(sym_multiplication(S, sym_basis, 1, sym_generator(n, k)), M.i_ops[k])
+           for k in range(n)], 1)
     amb_complex = Complex(ambient.space, amb_d, complete=False, check=False)
 
     sub, _ = subcomplex(amb_complex, {d: v for d, v in vectors.items() if v},

@@ -217,15 +217,16 @@ class KgModule:
         """The Lie derivatives L_k, cached; blocks only on degrees <= max_usable.
 
         On a tensor_module product L_k = L_k⊗1 + 1⊗L_k, lifted from the
-        factors' own L_ops (degree 0, so no Koszul sign); on any other
-        module L_k = d i_k + i_k d.
+        factors' own L_ops in one summed lift (degree 0, so no Koszul sign;
+        the Weil model lifts its own the same way); on any other module
+        L_k = d i_k + i_k d.
         """
         if self._L_ops is None:
             top = self.max_usable
             if "factors" in self.meta:
                 A, B = self.meta["factors"]
-                lift = self.meta["tensor"].lift
-                ops = [lift(LA, None, top).add(lift(None, LB, top))
+                lift_sum = self.meta["tensor"].lift_sum
+                ops = [lift_sum([(LA, None), (None, LB)], 0, top)
                        for LA, LB in zip(A.L_ops, B.L_ops)]
             else:
                 d = self.d
@@ -467,7 +468,8 @@ def tensor_module(M: KgModule, N: KgModule, max_total: Optional[int] = None,
                   name: Optional[str] = None) -> KgModule:
     """Tensor product with Koszul-sign Leibniz differential and contractions.
 
-    d(m⊗n) = dm⊗n + (-1)^|m| m⊗dn and likewise for each i_k.  The Lie
+    d(m⊗n) = dm⊗n + (-1)^|m| m⊗dn and likewise for each i_k, each one
+    summed lift of the two factor operators.  The Lie
     derivatives are lifted from the factors, L_k = L_k⊗1 + 1⊗L_k (see
     KgModule.L_ops).  A factor holds L only up to its own max_usable, so
     the lift equals d∘i_k + i_k∘d on every product degree up to the
@@ -484,12 +486,9 @@ def tensor_module(M: KgModule, N: KgModule, max_total: Optional[int] = None,
     top = natural_top if max_total is None else min(max_total, natural_top)
     complete = M.complete and N.complete and top == natural_top
     product = TensorSpace(M.space, N.space, top)
-
-    def leibniz(opM: LinMap, opN: LinMap) -> LinMap:
-        return product.lift(opM, None).add(product.lift(None, opN))
-
-    d = leibniz(M.d, N.d)
-    i_ops = [leibniz(M.i_ops[k], N.i_ops[k]) for k in range(g.dim)]
+    d = product.lift_sum([(M.d, None), (None, N.d)], 1)
+    i_ops = [product.lift_sum([(iM, None), (None, iN)], -1)
+             for iM, iN in zip(M.i_ops, N.i_ops)]
     label = name or f"{M.name}⊗{N.name}"
     return KgModule(
         g,

@@ -244,7 +244,11 @@ def distinguished_transgression(
         )
     alg = W.algebra
     n = g.dim
-    multis = invariant_multivector_basis(g)
+    # the contraction operators do not depend on the primitive: build them once
+    contraction_ops = [
+        (mv, W.contraction_of_multivector(mv.coeffs, lambda_monomials(n, mv.degree)))
+        for mv in invariant_multivector_basis(g)
+    ]
     entries = []
     for prim in P.primitives:
         p = prim.degree
@@ -263,12 +267,6 @@ def distinguished_transgression(
         xi_vec = _lambda_inclusion_vector(W, prim.coeffs, p)
 
         rows_restrict = len(lambda_monomials(n, p))
-        contraction_ops = []
-        for mv in multis:
-            monos = lambda_monomials(n, mv.degree)
-            contraction_ops.append(
-                (mv, W.contraction_of_multivector(mv.coeffs, monos))
-            )
         rows_contr = [W.space.dim(p - mv.degree) for mv, _ in contraction_ops]
         rows_d = W.space.dim(p + 1)
 

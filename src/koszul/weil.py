@@ -1,14 +1,17 @@
 """The Weil algebra, the twist automorphism, and the basic-subcomplex model.
 
-W(g) = S(g*) ⊗ Λ(g*) with symmetric generators in degree 2 and exterior
-generators in degree 1.  The differential is the sum of three terms
+W(g) = S(g*) ⊗ Λ(g*) with symmetric generators u^k in degree 2 and
+exterior generators y^k in degree 1, built as a TensorSpace.  Every
+operator on it is a sum of lifted factor operators; the differential is
+the sum of three lifted terms
 
-    d_W(a⊗b) = a ⊗ d_Λ b  +  sum_k (u^k a) ⊗ del_k b  +  sum_k Θ_k a ⊗ y^k ∧ b
+    d_W = 1 ⊗ d_Λ  +  sum_k u^k· ⊗ del_k  +  sum_k Θ_k ⊗ y^k∧
 
-where del_k is plus index deletion (structural flavor, the opposite sign
-of the contraction operators carried by the module) and Θ_k is the
-transpose of ad_k extended as a derivation (minus the coadjoint action).
-These signs are pinned by the su(2) regression identities
+where del_k = −i_k^Λ is plus index deletion (structural flavor, the
+opposite sign of the contraction operators carried by the module) and Θ_k
+is the transpose of ad_k extended as a derivation (minus the coadjoint
+action).  The left factor is even, so no Koszul sign enters.  These signs
+are pinned by the su(2) regression identities
 
     d_W(1⊗i*) = 1⊗2 j*∧k* + i*⊗1,   d_W(i*⊗1) = 2(k*⊗j* − j*⊗k*),
 
@@ -33,28 +36,32 @@ from typing import Optional, Sequence
 from .complexes import (
     ChainMap,
     Complex,
-    GradedSpace,
     LinMap,
     SubcomplexError,
+    TensorSpace,
     Truncation,
+    WindowError,
     subcomplex,
 )
-from .equivariant import CartanModel, cartan_model, sym_invariant_complex
-from .lie import LieAlgebra, certify_reductive
+from .equivariant import (
+    CartanModel,
+    cartan_model,
+    sym_generator,
+    sym_invariant_complex,
+    sym_multiplication,
+    symmetric_algebra,
+)
+from .lie import LieAlgebra
 from .linalg import Matrix, Subspace, kernel_basis, vstack
 from .modules import (
     KgModule,
-    delete_index,
     exterior_model,
-    lambda_label,
     lambda_monomials,
-    sym_label,
     sym_monomials,
     sym_multiply,
     tensor_module,
     wedge_by_generator,
     wedge_concat,
-    wedge_normalize,
 )
 
 Q0 = Fraction(0)
@@ -62,30 +69,27 @@ Q1 = Fraction(1)
 
 
 class WeilAlgebra:
-    """Monomial calculus for W(g), materialized up to a total degree."""
+    """Monomial calculus on W(g) = S(g*) ⊗ Λ(g*), materialized up to a total degree.
 
-    def __init__(self, g: LieAlgebra, max_degree: int):
+    ``product`` is the TensorSpace(S, Λ(g*)), ``sym_basis`` the S monomials
+    per degree 2a and ``d`` the lifted d_W.
+    ``basis[m]`` lists the degree-m basis as keys (symmetric exponents, Λ
+    monomial) in the product's order, ``index[m]`` their positions and
+    ``labels[m]`` the product's labels "s⊗λ".
+    """
+
+    def __init__(self, g: LieAlgebra, product: TensorSpace, sym_basis: dict,
+                 lambda_basis: dict, d: LinMap):
         self.g = g
-        self.N = max_degree
-        n = g.dim
-        self.basis: dict = {}
-        self.index: dict = {}
-        self.labels: dict = {}
-        for m in range(max_degree + 1):
-            ents = []
-            labs = []
-            for a in range(m // 2 + 1):
-                p = m - 2 * a
-                if p > n:
-                    continue
-                for exps in sym_monomials(n, a):
-                    s_lbl = sym_label(exps, g.basis_labels)
-                    for lmono in lambda_monomials(n, p):
-                        ents.append((exps, lmono))
-                        labs.append(f"{s_lbl}⊗{lambda_label(lmono, g.basis_labels)}")
-            self.basis[m] = ents
-            self.index[m] = {e: i for i, e in enumerate(ents)}
-            self.labels[m] = tuple(labs)
+        self.N = max_degree = product.space.hi
+        self.product = product
+        self.sym_basis = sym_basis
+        self.d = d
+        self.basis = {m: [(sym_basis[q][a], lambda_basis[r][b])
+                          for q, a, r, b in product.entries.get(m, ())]
+                      for m in range(max_degree + 1)}
+        self.index = {m: {e: i for i, e in enumerate(ents)} for m, ents in self.basis.items()}
+        self.labels = {m: product.space.labels(m) for m in range(max_degree + 1)}
 
     @staticmethod
     def degree_of(key) -> int:
@@ -119,126 +123,68 @@ class WeilAlgebra:
                     out.pop(key, None)
         return out
 
-    def differential_of_key(self, key) -> list:
-        """d_W of a basis monomial, as [(key', coeff)] one degree up."""
-        g = self.g
-        n = g.dim
-        exps, lmono = key
-        out: dict = {}
-
-        def put(k, c):
-            s = out.get(k, Q0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-
-        # term 1: exterior Chevalley-Eilenberg part
-        for t, gen in enumerate(lmono):
-            for a in range(n):
-                for b in range(a + 1, n):
-                    c = g.c(gen, a, b)
-                    if not c:
-                        continue
-                    sign, new = wedge_normalize(lmono[:t] + (a, b) + lmono[t + 1 :])
-                    if sign:
-                        put((exps, new), ((-1) ** t) * sign * c)
-        # term 2: u^k times plus-deletion
-        for k in range(n):
-            hit = delete_index(lmono, k)
-            if hit:
-                sign, sub = hit
-                bumped = list(exps)
-                bumped[k] += 1
-                put((tuple(bumped), sub), Fraction(sign))
-        # term 3: transpose-of-ad derivation on the symmetric part, wedge y^k
-        for k in range(n):
-            sign_w, wedged = wedge_normalize((k,) + lmono)
-            if not sign_w:
-                continue
-            for gen, e in enumerate(exps):
-                if not e:
-                    continue
-                for j in range(n):
-                    c = g.c(gen, k, j)  # Θ_k u^gen = sum_j c^gen_kj u^j
-                    if not c:
-                        continue
-                    moved = list(exps)
-                    moved[gen] -= 1
-                    moved[j] += 1
-                    put((tuple(moved), wedged), sign_w * e * c)
-        return list(out.items())
-
     def differential_element(self, element: dict) -> dict:
-        out: dict = {}
+        """d_W of an element below the top degree, read off the lifted d_W."""
+        parts: dict = {}
         for key, c in element.items():
-            for k2, v in self.differential_of_key(key):
-                s = out.get(k2, Q0) + c * v
-                if s:
-                    out[k2] = s
-                else:
-                    out.pop(k2, None)
+            parts.setdefault(self.degree_of(key), {})[key] = c
+        out: dict = {}
+        for m, part in parts.items():
+            if m >= self.N:
+                raise WindowError(f"d_W out of degree {m} leaves the window 0..{self.N}")
+            out.update(self.vector_to_element(self.d.apply(m, self.element_to_vector(part, m)), m + 1))
         return out
-
-    def restrict_to_exterior(self, element: dict) -> dict:
-        """Kill all positive symmetric powers; result lives in Λ(g*)."""
-        out = {}
-        for (exps, lmono), c in element.items():
-            if not any(exps):
-                out[lmono] = out.get(lmono, Q0) + c
-        return {k: v for k, v in out.items() if v}
 
 
 class WeilModule(KgModule):
-    """W(g) as a module with contractions; keeps the monomial calculus around."""
+    """W(g) as a module with contractions; keeps the monomial calculus around.
+
+    L_k is lifted from the factors, L_k^S ⊗ 1 + 1 ⊗ L_k^Λ (the coadjoint
+    action on both; degree 0, so no Koszul sign), cut at max_usable.
+    """
 
     def __init__(self, g: LieAlgebra, algebra: WeilAlgebra, complex_: Complex,
-                 i_ops, name: str):
+                 i_ops, factor_L: Sequence, name: str):
         super().__init__(g, complex_, i_ops, name=name,
                          meta={"weil": algebra})
         self.algebra = algebra
+        self._factor_L = factor_L  # [(L_k on S, L_k on Λ(g*))]
+
+    @property
+    def L_ops(self) -> tuple:
+        if self._L_ops is None:
+            lift_sum = self.algebra.product.lift_sum
+            self._L_ops = tuple(lift_sum([(LS, None), (None, LL)], 0, self.max_usable)
+                                for LS, LL in self._factor_L)
+        return self._L_ops
 
 
 def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
-    """Build W(g) up to total degree trunc.max_degree (truncated module)."""
-    certify_reductive(g)
+    """Build W(g) = S(g*) ⊗ Λ(g*) up to total degree N = trunc.max_degree.
+
+    W is TensorSpace(S, Λ(g*)) with S in even degrees, and every operator
+    is one summed lift of factor operators (see the module docstring):
+
+        d_W = lift [(1, d_Λ)] + [(u^k·, −i_k^Λ)]_k + [(Θ_k, y^k∧)]_k
+        i_k = lift(1, i_k^Λ)
+        L_k = lift [(−Θ_k, 1), (1, L_k^Λ)], cut at max_usable = N − 1
+
+    d_W² = 0 is checked on the result (a truncated module).
+    """
     N = trunc.max_degree
     n = g.dim
-    alg = WeilAlgebra(g, N)
-    space = GradedSpace(alg.labels, lo=0, hi=N)
-
-    d_blocks = {}
-    for m in range(N):
-        ents: dict = {}
-        for col, key in enumerate(alg.basis[m]):
-            for key2, c in alg.differential_of_key(key):
-                row = alg.index[m + 1].get(key2)
-                if row is None:
-                    raise AssertionError("differential escaped the window")
-                ents[(row, col)] = ents.get((row, col), Q0) + c
-        mat = Matrix(len(alg.basis[m + 1]), len(alg.basis[m]), ents)
-        if not mat.is_zero():
-            d_blocks[m] = mat
-    d = LinMap(space, space, 1, d_blocks)
-
-    i_ops = []
-    for k in range(n):
-        blocks = {}
-        for m in range(1, N + 1):
-            ents = {}
-            for col, (exps, lmono) in enumerate(alg.basis[m]):
-                hit = delete_index(lmono, k)
-                if hit:
-                    sign, sub = hit
-                    row = alg.index[m - 1][(exps, sub)]
-                    ents[(row, col)] = -Fraction(sign)
-            mat = Matrix(len(alg.basis[m - 1]), len(alg.basis[m]), ents)
-            if not mat.is_zero():
-                blocks[m] = mat
-        i_ops.append(LinMap(space, space, -1, blocks))
-
-    cx = Complex(space, d, complete=False, check=True)
-    return WeilModule(g, alg, cx, i_ops, name=f"W({g.name})")
+    ext = exterior_model(g)  # certifies that g is reductive
+    S, sym_basis, sym_action = symmetric_algebra(g, N // 2)
+    product = TensorSpace(S, ext.space, N)
+    d = product.lift_sum(
+        [(None, ext.d)]
+        + [(sym_multiplication(S, sym_basis, 1, sym_generator(n, k)), ext.i_ops[k].scale(-1))
+           for k in range(n)]
+        + [(sym_action[k].scale(-1), wedge_by_generator(ext, k)) for k in range(n)], 1)
+    i_ops = [product.lift(None, ik) for ik in ext.i_ops]
+    alg = WeilAlgebra(g, product, sym_basis, ext.meta["monomials"], d)
+    cx = Complex(product.space, d, complete=False, check=True)
+    return WeilModule(g, alg, cx, i_ops, list(zip(sym_action, ext.L_ops)), name=f"W({g.name})")
 
 
 def maurer_cartan_residuals(W: WeilModule) -> list:
@@ -342,18 +288,15 @@ def twist_operators(M: KgModule, trunc: Truncation) -> TwistData:
     ext = exterior_model(g)
     TM = tensor_module(ext, M, max_total=trunc.max_degree, name=f"Λ⊗{M.name}")
     product = TM.meta["tensor"]
-    gen = LinMap.zero(TM.space, TM.space, 0)
-    for k in range(n):
-        gen = gen.sub(product.lift(wedge_by_generator(ext, k), M.i_ops[k]))
-
-    twist = LinMap.identity(TM.space)
-    twist_inv = LinMap.identity(TM.space)
-    power = LinMap.identity(TM.space)
+    gen = product.lift_sum([(wedge_by_generator(ext, k).scale(-1), M.i_ops[k])
+                            for k in range(n)], 0)
+    powers = [LinMap.identity(TM.space)]
     for q in range(1, n + 1):
-        power = gen.compose(power)
-        coeff = Fraction(1, factorial(q))
-        twist = twist.add(power.scale(coeff * (-1) ** q))
-        twist_inv = twist_inv.add(power.scale(coeff))
+        powers.append(gen.compose(powers[-1]))
+    twist = LinMap.combination([(Fraction((-1) ** q, factorial(q)), power)
+                                for q, power in enumerate(powers)])
+    twist_inv = LinMap.combination([(Fraction(1, factorial(q)), power)
+                                    for q, power in enumerate(powers)])
     return TwistData(TM, ext, M, gen, twist, twist_inv)
 
 
@@ -370,16 +313,17 @@ def twist_closed_form(data: TwistData) -> LinMap:
     n = M.g.dim
     # (y^I ∧ ·, ĵ_I) per increasing tuple I, built from the right
     factors: dict = {(): (LinMap.identity(ext.space), LinMap.identity(M.space))}
-    closed = LinMap.zero(product.space, product.space, 0)
+    terms = []
     for q in range(0, n + 1):
+        sign = (-1) ** (q * (q + 1) // 2)
         for I in lambda_monomials(n, q):
             if I:
                 wedge, composite = factors[I[1:]]
                 factors[I] = (wedge_by_generator(ext, I[0]).compose(wedge),
                               M.i_ops[I[0]].scale(-1).compose(composite))
-            term = product.lift(*factors[I])
-            closed = closed.add(term.scale((-1) ** (q * (q + 1) // 2)))
-    return closed
+            wedge, composite = factors[I]
+            terms.append((wedge.scale(sign), composite))
+    return product.lift_sum(terms, 0)
 
 
 def twist_identity_contraction(data: TwistData) -> bool:
@@ -590,15 +534,7 @@ def embedding_s_linearity(emb: TwistEmbedding) -> bool:
 
 
 def _weil_multiplication(W: WeilModule, a: int, coeffs: Sequence) -> LinMap:
-    """Multiplication by the S^a element `coeffs` on W(g) (shift 2a)."""
+    """Multiplication by the S^a element `coeffs` on W(g) (shift 2a): S is even, so a lift."""
     alg = W.algebra
-    poly = {(smono, ()): c for smono, c in zip(sym_monomials(W.g.dim, a), coeffs) if c}
-    blocks = {}
-    for m in range(W.space.hi - 2 * a + 1):
-        target = alg.index[m + 2 * a]
-        blocks[m] = Matrix(len(target), len(alg.basis[m]), {
-            (target[key2], col): c
-            for col, key in enumerate(alg.basis[m])
-            for key2, c in alg.multiply({key: Q1}, poly).items()
-        })
-    return LinMap(W.space, W.space, 2 * a, blocks)
+    factor = dict(zip(sym_monomials(W.g.dim, a), coeffs))
+    return alg.product.lift(sym_multiplication(alg.product.A, alg.sym_basis, a, factor), None)

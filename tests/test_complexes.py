@@ -154,11 +154,13 @@ def _draw_space(data, name):
     return GradedSpace({d: tuple(f"{name}{d}_{i}" for i in range(k)) for d, k in dims.items()})
 
 
-def _draw_op(data, space):
-    """None (the identity) or a random rational map of random shift."""
-    if data.draw(st.booleans()):
+def _draw_op(data, space, shift=None):
+    """A random rational map of the given shift (random when None), or None (the
+    identity) when the shift allows it."""
+    if not shift and data.draw(st.booleans()):
         return None
-    shift = data.draw(st.integers(-2, 2))
+    if shift is None:
+        shift = data.draw(st.integers(-2, 2))
     entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     blocks = {}
     for d in space.degrees():
@@ -177,6 +179,45 @@ def _dense_factor(op, space, d):
     return op.block(d).dense()
 
 
+def _kronecker_sum(A, B, top, terms, shift):
+    """Dense blocks {t: rows} of the sum of signed Kronecker products opA ⊗ opB."""
+    lo = A.lo + B.lo
+
+    def size(t):
+        return sum(A.dim(q) * B.dim(t - q) for q in range(A.lo, A.hi + 1)) if lo <= t <= top else 0
+
+    def offset(t, q):
+        # the (A^q ⊗ B^{t-q}) stratum starts after all strata of lower A-degree
+        return sum(A.dim(p) * B.dim(t - p) for p in range(A.lo, q))
+
+    blocks = {}
+    for t in range(lo, top + 1):
+        u = t + shift
+        expected = [[Fraction(0)] * size(t) for _ in range(size(u))]
+        for opA, opB in terms:
+            sA = 0 if opA is None else opA.shift
+            sB = 0 if opB is None else opB.shift
+            for q in range(A.lo, A.hi + 1):
+                r = t - q
+                if not A.dim(q) * B.dim(r) or not size(u):
+                    continue
+                FA, FB = _dense_factor(opA, A, q), _dense_factor(opB, B, r)
+                sign = -1 if sB * q % 2 else 1
+                row0, col0 = offset(u, q + sA), offset(t, q)
+                nB_src, nB_tgt = B.dim(r), B.dim(r + sB)
+                for ra, fa in enumerate(FA):
+                    for a, va in enumerate(fa):
+                        for rb, fb in enumerate(FB):
+                            for b, vb in enumerate(fb):
+                                expected[row0 + ra * nB_tgt + rb][col0 + a * nB_src + b] += sign * va * vb
+        blocks[t] = expected
+    return blocks
+
+
+def _negated(op, space):
+    return (LinMap.identity(space) if op is None else op).scale(-1)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_lift_matches_signed_kronecker_product(data):
@@ -189,29 +230,30 @@ def test_lift_matches_signed_kronecker_product(data):
     sA = 0 if opA is None else opA.shift
     sB = 0 if opB is None else opB.shift
     assert lifted.shift == sA + sB
-
-    def size(t):
-        return sum(A.dim(q) * B.dim(t - q) for q in range(A.lo, A.hi + 1)) if lo <= t <= top else 0
-
-    def offset(t, q):
-        # the (A^q ⊗ B^{t-q}) stratum starts after all strata of lower A-degree
-        return sum(A.dim(p) * B.dim(t - p) for p in range(A.lo, q))
-
-    for t in range(lo, top + 1):
-        assert ts.space.dim(t) == size(t)
-        u = t + sA + sB
-        expected = [[Fraction(0)] * size(t) for _ in range(size(u))]
-        for q in range(A.lo, A.hi + 1):
-            r = t - q
-            if not A.dim(q) * B.dim(r) or not size(u):
-                continue
-            FA, FB = _dense_factor(opA, A, q), _dense_factor(opB, B, r)
-            sign = -1 if sB * q % 2 else 1
-            row0, col0 = offset(u, q + sA), offset(t, q)
-            nB_src, nB_tgt = B.dim(r), B.dim(r + sB)
-            for ra, fa in enumerate(FA):
-                for a, va in enumerate(fa):
-                    for rb, fb in enumerate(FB):
-                        for b, vb in enumerate(fb):
-                            expected[row0 + ra * nB_tgt + rb][col0 + a * nB_src + b] += sign * va * vb
+    for t, expected in _kronecker_sum(A, B, top, [(opA, opB)], sA + sB).items():
+        assert ts.space.dim(t) == sum(A.dim(q) * B.dim(t - q) for q in A.degrees())
         assert lifted.block(t).dense() == expected
+
+    # a random list of terms of one total shift, summed in one pass
+    shift = data.draw(st.integers(-2, 2))
+    terms = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        sA = data.draw(st.integers(-2, 2))
+        terms.append((_draw_op(data, A, sA), _draw_op(data, B, shift - sA)))
+    summed = ts.lift_sum(terms, shift)
+    assert summed.shift == shift
+    for t, expected in _kronecker_sum(A, B, top, terms, shift).items():
+        assert summed.block(t).dense() == expected
+    if not terms:
+        assert not summed.blocks
+
+    # an exactly cancelling pair changes nothing: no stored zero, no empty block
+    if terms:
+        fA, fB = terms[0]
+        cancelled = ts.lift_sum([(fA, fB), (fA, _negated(fB, B))], shift)
+        assert not cancelled.blocks
+        padded = ts.lift_sum(terms + [(fA, _negated(fB, B)), (fA, fB)], shift)
+        assert padded.equal_on(summed, ts.space.degrees())
+        assert set(padded.blocks) == set(summed.blocks)
+        for m in padded.blocks.values():
+            assert m.entries and all(m.entries.values())

@@ -2,10 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from koszul.complexes import Truncation, check_chain_map, cohomology, quasi_iso_check
-from koszul.lie import builtin_algebra
+from koszul.complexes import LinMap, Truncation, check_chain_map, cohomology, quasi_iso_check
+from koszul.lie import BUILTIN_NAMES, builtin_algebra
 from koszul.linalg import Matrix, vec
-from koszul.modules import exterior_model, trivial_module, validate_kg
+from koszul.modules import (
+    delete_index,
+    exterior_model,
+    lambda_label,
+    lambda_monomials,
+    sym_label,
+    sym_monomials,
+    trivial_module,
+    validate_kg,
+    wedge_normalize,
+)
 from koszul.weil import (
     WeilAlgebra,
     embedding_s_linearity,
@@ -92,6 +102,99 @@ def test_weil_L_is_diagonal_coadjoint(W_su2, su2):
         assert col[3:] == coad.matrices[0].column(j)
         assert not any(col[:3])
         assert not any(blk.column(j)[3:])
+
+
+def _per_key_weil(g, N):
+    """d_W, i_k and L_k = d∘i_k + i_k∘d of W(g) built monomial by monomial.
+
+    The reference formula: d_W(a⊗b) = a ⊗ d_Λ b + sum_k (u^k a) ⊗ del_k b
+    + sum_k Θ_k a ⊗ y^k ∧ b with del_k plus deletion and Θ_k u^j =
+    sum_m c^j_km u^m, and i_k = minus deletion on the exterior factor.
+    """
+    n = g.dim
+    basis = {m: [(exps, lmono)
+                 for a in range(m // 2 + 1) if m - 2 * a <= n
+                 for exps in sym_monomials(n, a)
+                 for lmono in lambda_monomials(n, m - 2 * a)]
+             for m in range(N + 1)}
+    index = {m: {key: i for i, key in enumerate(keys)} for m, keys in basis.items()}
+
+    def differential_of_key(exps, lmono):
+        out = {}
+
+        def put(key, c):
+            out[key] = out.get(key, 0) + c
+
+        for t, gen in enumerate(lmono):
+            for a in range(n):
+                for b in range(a + 1, n):
+                    c = g.c(gen, a, b)
+                    sign, new = wedge_normalize(lmono[:t] + (a, b) + lmono[t + 1:])
+                    if c and sign:
+                        put((exps, new), (-1) ** t * sign * c)
+        for k in range(n):
+            hit = delete_index(lmono, k)
+            if hit:
+                bumped = list(exps)
+                bumped[k] += 1
+                put((tuple(bumped), hit[1]), hit[0])
+        for k in range(n):
+            sign_w, wedged = wedge_normalize((k,) + lmono)
+            if not sign_w:
+                continue
+            for gen, e in enumerate(exps):
+                for j in range(n):
+                    c = g.c(gen, k, j)
+                    if e and c:
+                        moved = list(exps)
+                        moved[gen] -= 1
+                        moved[j] += 1
+                        put((tuple(moved), wedged), sign_w * e * c)
+        return out
+
+    space = weil_model(g, Truncation(N)).space
+    d = LinMap(space, space, 1, {
+        m: Matrix(len(basis[m + 1]), len(basis[m]), {
+            (index[m + 1][key2], col): c
+            for col, key in enumerate(basis[m])
+            for key2, c in differential_of_key(*key).items()})
+        for m in range(N)})
+    i_ops = []
+    for k in range(n):
+        blocks = {}
+        for m in range(1, N + 1):
+            ents = {}
+            for col, (exps, lmono) in enumerate(basis[m]):
+                hit = delete_index(lmono, k)
+                if hit:
+                    ents[(index[m - 1][(exps, hit[1])], col)] = -hit[0]
+            blocks[m] = Matrix(len(basis[m - 1]), len(basis[m]), ents)
+        i_ops.append(LinMap(space, space, -1, blocks))
+    L_ops = [LinMap(space, space, 0, {
+        m: d.block(m - 1) @ ik.block(m) + ik.block(m + 1) @ d.block(m) for m in range(N)})
+        for ik in i_ops]
+    return basis, d, i_ops, L_ops
+
+
+@pytest.mark.parametrize("name,top", [(name, 5) for name in (*BUILTIN_NAMES, "abelian:0")]
+                         + [("su2xsu2", 7)])
+def test_lifted_weil_matches_per_key_formula(name, top):
+    g = builtin_algebra(name)
+    W = weil_model(g, Truncation(top))
+    basis, d, i_ops, L_ops = _per_key_weil(g, top)
+    degrees = range(top + 1)
+    assert W.algebra.basis == basis
+    names = g.basis_labels
+    for m in degrees:
+        assert W.space.labels(m) == tuple(
+            f"{sym_label(exps, names)}⊗{lambda_label(lmono, names)}" for exps, lmono in basis[m])
+    assert W.d.equal_on(d, degrees) and set(W.d.blocks) == set(d.blocks)
+    for k in range(g.dim):
+        assert W.i_ops[k].equal_on(i_ops[k], degrees)
+        assert W.L_ops[k].equal_on(L_ops[k], degrees)
+        assert set(W.L_ops[k].blocks) == set(L_ops[k].blocks)
+    report = validate_kg(W)
+    assert report.ok, report.describe()
 
 
 @pytest.mark.parametrize("name,top", [
