@@ -147,13 +147,21 @@ class LinMap:
 
         All terms accumulate into one entry dict per degree, so each block
         is built once; entries that cancel and empty blocks are not stored.
+        Maps whose dimensions differ at a degree where any term has a block
+        raise ShapeError.
         """
         first = terms[0][1]
         if any(op.shift != first.shift for _, op in terms):
             raise ShapeError("adding maps of different shifts")
+        degrees = sorted({d for _, op in terms for d in op.blocks})
+        for d in degrees:
+            shape = (first.target.dim(d + first.shift), first.source.dim(d))
+            for _, op in terms:
+                if (op.target.dim(d + op.shift), op.source.dim(d)) != shape:
+                    raise ShapeError(f"adding maps of different shapes at degree {d}")
         scaled = [(Fraction(c), op) for c, op in terms]
         blocks = {}
-        for d in sorted({d for _, op in scaled for d in op.blocks}):
+        for d in degrees:
             ents: dict = {}
             for c, op in scaled:
                 m = op.blocks.get(d)
@@ -256,8 +264,6 @@ class TensorSpace:
             if sA + sB != shift:
                 raise ShapeError(f"lifted term of shift {sA + sB} in a sum of shift {shift}")
             prepared.append((opA, opB, sA, sB, {}, {}))
-        # one int object per position, shared by all the keys that hold it
-        pos = list(range(max(map(len, self.entries.values()), default=0)))
         blocks = {}
         for t, starts in self.offsets.items():
             tgt = self.offsets.get(t + shift)
@@ -281,7 +287,7 @@ class TensorSpace:
                     negate = sB % 2 and q % 2
                     for a, colA in imA.items():
                         for b, colB in imB.items():
-                            col = pos[col0 + a * n_src + b]
+                            col = col0 + a * n_src + b
                             for rowA, vA in colA:
                                 base = row0 + rowA * n_tgt
                                 for rowB, vB in colB:
@@ -289,7 +295,7 @@ class TensorSpace:
                                     v = vB if vA is Q1 else vA if vB is Q1 else vA * vB
                                     if negate:
                                         v = -v
-                                    key = (pos[base + rowB], col)
+                                    key = (base + rowB, col)
                                     old = ents.get(key)
                                     ents[key] = v if old is None else old + v
             if ents:

@@ -216,18 +216,17 @@ class KgModule:
     def L_ops(self) -> tuple:
         """The Lie derivatives L_k, cached; blocks only on degrees <= max_usable.
 
-        On a tensor_module product L_k = L_k⊗1 + 1⊗L_k, lifted from the
-        factors' own L_ops in one summed lift (degree 0, so no Koszul sign;
-        the Weil model lifts its own the same way); on any other module
-        L_k = d i_k + i_k d.
+        On a tensor product (tensor_module, the Weil model) L_k = L_k⊗1 +
+        1⊗L_k, lifted in one summed lift from the factor L_k pairs that
+        meta["L_factors"]() yields (degree 0, so no Koszul sign); on any
+        other module L_k = d i_k + i_k d.
         """
         if self._L_ops is None:
             top = self.max_usable
-            if "factors" in self.meta:
-                A, B = self.meta["factors"]
+            if "L_factors" in self.meta:
                 lift_sum = self.meta["tensor"].lift_sum
                 ops = [lift_sum([(LA, None), (None, LB)], 0, top)
-                       for LA, LB in zip(A.L_ops, B.L_ops)]
+                       for LA, LB in self.meta["L_factors"]()]
             else:
                 d = self.d
                 ops = [LinMap(self.space, self.space, 0, {
@@ -495,7 +494,8 @@ def tensor_module(M: KgModule, N: KgModule, max_total: Optional[int] = None,
         Complex(product.space, d, complete=complete, check=False),
         i_ops,
         name=label,
-        meta={"tensor": product, "basis": product.entries, "factors": (M, N)},
+        meta={"tensor": product, "basis": product.entries, "factors": (M, N),
+              "L_factors": lambda: zip(M.L_ops, N.L_ops)},
     )
 
 

@@ -40,7 +40,6 @@ from .complexes import (
     SubcomplexError,
     TensorSpace,
     Truncation,
-    WindowError,
     subcomplex,
 )
 from .equivariant import (
@@ -78,18 +77,21 @@ class WeilAlgebra:
     ``labels[m]`` the product's labels "s⊗λ".
     """
 
-    def __init__(self, g: LieAlgebra, product: TensorSpace, sym_basis: dict,
-                 lambda_basis: dict, d: LinMap):
+    def __init__(self, g: LieAlgebra, ext: KgModule, product: TensorSpace,
+                 sym_basis: dict, d: LinMap):
         self.g = g
         self.N = max_degree = product.space.hi
+        self.ext = ext
         self.product = product
         self.sym_basis = sym_basis
         self.d = d
+        lambda_basis = ext.meta["monomials"]
         self.basis = {m: [(sym_basis[q][a], lambda_basis[r][b])
                           for q, a, r, b in product.entries.get(m, ())]
                       for m in range(max_degree + 1)}
         self.index = {m: {e: i for i, e in enumerate(ents)} for m, ents in self.basis.items()}
         self.labels = {m: product.space.labels(m) for m in range(max_degree + 1)}
+        self._wider: Optional[WeilAlgebra] = None
 
     @staticmethod
     def degree_of(key) -> int:
@@ -124,14 +126,22 @@ class WeilAlgebra:
         return out
 
     def differential_element(self, element: dict) -> dict:
-        """d_W of an element below the top degree, read off the lifted d_W."""
+        """d_W of an element, read off the lifted d_W.
+
+        d_W out of the top degree N leaves the window, so an element with a
+        part there is differentiated in W built one degree further, which is
+        kept for later calls.
+        """
         parts: dict = {}
         for key, c in element.items():
             parts.setdefault(self.degree_of(key), {})[key] = c
+        top = max(parts, default=-1)
+        if top >= self.N:
+            if self._wider is None or self._wider.N <= top:
+                self._wider = weil_algebra(self.g, self.ext, top + 1)[0]
+            return self._wider.differential_element(element)
         out: dict = {}
         for m, part in parts.items():
-            if m >= self.N:
-                raise WindowError(f"d_W out of degree {m} leaves the window 0..{self.N}")
             out.update(self.vector_to_element(self.d.apply(m, self.element_to_vector(part, m)), m + 1))
         return out
 
@@ -140,23 +150,26 @@ class WeilModule(KgModule):
     """W(g) as a module with contractions; keeps the monomial calculus around.
 
     L_k is lifted from the factors, L_k^S ⊗ 1 + 1 ⊗ L_k^Λ (the coadjoint
-    action on both; degree 0, so no Koszul sign), cut at max_usable.
+    action on both; see KgModule.L_ops).
     """
 
     def __init__(self, g: LieAlgebra, algebra: WeilAlgebra, complex_: Complex,
-                 i_ops, factor_L: Sequence, name: str):
-        super().__init__(g, complex_, i_ops, name=name,
-                         meta={"weil": algebra})
+                 i_ops, meta: dict, name: str):
+        super().__init__(g, complex_, i_ops, name=name, meta={"weil": algebra, **meta})
         self.algebra = algebra
-        self._factor_L = factor_L  # [(L_k on S, L_k on Λ(g*))]
 
-    @property
-    def L_ops(self) -> tuple:
-        if self._L_ops is None:
-            lift_sum = self.algebra.product.lift_sum
-            self._L_ops = tuple(lift_sum([(LS, None), (None, LL)], 0, self.max_usable)
-                                for LS, LL in self._factor_L)
-        return self._L_ops
+
+def weil_algebra(g: LieAlgebra, ext: KgModule, N: int):
+    """(W(g) to total degree N with its lifted d_W, the L_k on S) from ext = Λ(g*)."""
+    n = g.dim
+    S, sym_basis, sym_action = symmetric_algebra(g, N // 2)
+    product = TensorSpace(S, ext.space, N)
+    d = product.lift_sum(
+        [(None, ext.d)]
+        + [(sym_multiplication(S, sym_basis, 1, sym_generator(n, k)), ext.i_ops[k].scale(-1))
+           for k in range(n)]
+        + [(sym_action[k].scale(-1), wedge_by_generator(ext, k)) for k in range(n)], 1)
+    return WeilAlgebra(g, ext, product, sym_basis, d), sym_action
 
 
 def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
@@ -171,20 +184,13 @@ def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
 
     d_W² = 0 is checked on the result (a truncated module).
     """
-    N = trunc.max_degree
-    n = g.dim
     ext = exterior_model(g)  # certifies that g is reductive
-    S, sym_basis, sym_action = symmetric_algebra(g, N // 2)
-    product = TensorSpace(S, ext.space, N)
-    d = product.lift_sum(
-        [(None, ext.d)]
-        + [(sym_multiplication(S, sym_basis, 1, sym_generator(n, k)), ext.i_ops[k].scale(-1))
-           for k in range(n)]
-        + [(sym_action[k].scale(-1), wedge_by_generator(ext, k)) for k in range(n)], 1)
+    alg, sym_action = weil_algebra(g, ext, trunc.max_degree)
+    product = alg.product
     i_ops = [product.lift(None, ik) for ik in ext.i_ops]
-    alg = WeilAlgebra(g, product, sym_basis, ext.meta["monomials"], d)
-    cx = Complex(product.space, d, complete=False, check=True)
-    return WeilModule(g, alg, cx, i_ops, list(zip(sym_action, ext.L_ops)), name=f"W({g.name})")
+    cx = Complex(product.space, alg.d, complete=False, check=True)
+    meta = {"tensor": product, "L_factors": lambda: zip(sym_action, ext.L_ops)}
+    return WeilModule(g, alg, cx, i_ops, meta, name=f"W({g.name})")
 
 
 def maurer_cartan_residuals(W: WeilModule) -> list:

@@ -1,25 +1,33 @@
 """The committed bench records (BENCH_*.json at the repository root).
 
 Each record is one run of ``perfbench/run.py`` in its ``out/run-*.json``
-schema.  Every operation of every pass must have ended as its workload
-expects and reproduced the output digest in ``perfbench/digests.json``;
+schema.  Every operation of every pass must have succeeded as the
+benchmark itself judges it (``run.judge`` against the workload's
+``expectations`` and the output digests in ``perfbench/digests.json``);
 a record that fails this was taken on code that gave different answers.
 This test only reads those files.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
-DIGESTS = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+DIGESTS = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
 
-
-def expected_exit(key: str) -> int:
-    """The negative control exits 1 with a witness; every other operation exits 0."""
-    return 1 if "--corrupt-transgression" in key else 0
+# perfbench's modules import each other by bare name; write no bytecode there
+sys.path.insert(0, str(PERFBENCH))
+_dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+try:
+    from run import judge
+    from workloads import expectations
+finally:
+    sys.dont_write_bytecode = _dont_write
+    sys.path.remove(str(PERFBENCH))
 
 
 def test_records_exist():
@@ -29,13 +37,10 @@ def test_records_exist():
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
 def test_bench_record_reproduces_digests(path):
     record = json.loads(path.read_text(encoding="utf-8"))
-    digests = DIGESTS[record["workload"]]
+    workload = record["workload"]
+    expect, digests = expectations(workload), DIGESTS[workload]
     assert record["passes"]
     for run in record["passes"]:
-        assert set(run["ops"]) == set(run["order"])
+        assert set(run["ops"]) == set(run["order"]) == set(expect)
         for key, outcome in run["ops"].items():
-            assert outcome["exit"] == expected_exit(key), (path.name, key)
-            # only the cli window-edge calls have no recorded output
-            assert key in digests or record["workload"] == "cli", (path.name, key)
-            if key in digests:
-                assert outcome["digest"] == digests[key], (path.name, key)
+            assert judge(expect[key], outcome, digests.get(key)), (path.name, key)

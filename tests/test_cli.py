@@ -190,7 +190,8 @@ SWEEP = [
     for alg in (*BUILTIN_NAMES, "abelian:0")
     for N in range(1, 7)
     for cmd, mod in [("duality", "trivial"), ("duality", "exterior"),
-                     ("duality", "forms:coadjoint:1"), ("transgress", None)]
+                     ("duality", "forms:coadjoint:1"), ("transgress", None),
+                     ("weil-check", None)]
 ]
 
 

@@ -20,7 +20,7 @@ from koszul.complexes import (
     quasi_iso_check,
     subcomplex,
 )
-from koszul.linalg import Matrix, vec
+from koszul.linalg import Matrix, ShapeError, vec
 
 
 def two_term_complex():
@@ -142,6 +142,22 @@ def test_subcomplex_rejects_unclosed_subspace():
     C = Complex(space, d)
     with pytest.raises(SubcomplexError):
         subcomplex(C, {0: [vec([1])], 1: [vec([0, 1])]})
+
+
+def test_combination_rejects_mismatched_shapes():
+    small = GradedSpace({0: ("a",), 1: ("b",)})
+    large = GradedSpace({0: ("a",), 1: ("b", "c")})
+    f = LinMap(small, small, 1, {0: Matrix.identity(1)})
+    g = LinMap(large, large, 1, {0: Matrix.from_rows([[1], [0]])})
+    zero = LinMap.zero(large, large, 1)
+    for bad in ((f, g), (g, f), (f, zero), (zero, f)):
+        with pytest.raises(ShapeError):
+            bad[0].add(bad[1])
+    with pytest.raises(ShapeError):
+        LinMap.combination([(1, f), (2, f), (-1, g)])
+    with pytest.raises(ShapeError):
+        f.sub(LinMap.zero(small, small, 0))
+    assert f.sub(f).blocks == {}
 
 
 # ---------------------------------------------------------------------------
