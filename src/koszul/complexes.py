@@ -19,14 +19,13 @@ from typing import Optional, Sequence
 from .linalg import (
     Q1,
     Matrix,
-    RowReduction,
     ShapeError,
     Subspace,
     complement_basis,
     image_rank,
     kernel_basis,
     qstr,
-    vec,
+    rank,
 )
 
 
@@ -453,6 +452,18 @@ def cohomology_representatives(C: Complex, deg: int):
     return reps, boundaries
 
 
+def cohomology_classes(reps: Sequence, boundaries: Sequence, images) -> Optional[Matrix]:
+    """Classes of cocycles over the representatives `reps`, as columns.
+
+    Each image is written in reps + boundaries and its boundary part is
+    dropped.  None as soon as an image is not a cocycle.
+    """
+    m = Subspace(list(reps) + list(boundaries)).restrict(images)
+    if m is None:
+        return None
+    return Matrix(len(reps), m.cols, {rc: v for rc, v in m.entries.items() if rc[0] < len(reps)})
+
+
 def cohomology(C: Complex, trunc: Truncation) -> CohomologyReport:
     """H^m = ker(d_m) / im(d_{m-1}) for m <= N, certified for m <= N - 1."""
     N = trunc.max_degree
@@ -513,26 +524,9 @@ def quasi_iso_check(f: ChainMap, trunc: Truncation) -> QuasiIsoReport:
     for deg in range(lo, N):
         reps_C, _ = cohomology_representatives(C, deg)
         reps_D, bdry_D = cohomology_representatives(D, deg)
-        span = Subspace(list(reps_D) + list(bdry_D))
-        induced_cols = []
-        solvable = True
-        for r in reps_C:
-            img = f.map.apply(deg, r)
-            coeffs = span.coords(img)
-            if coeffs is None:
-                solvable = False
-                break
-            induced_cols.append(vec(coeffs[: len(reps_D)]))
-        if not solvable:
-            ok_here = False
-            rank_ind = -1
-        else:
-            if induced_cols:
-                M = Matrix.from_columns(induced_cols, nrows=len(reps_D))
-                rank_ind = RowReduction(M).rank
-            else:
-                rank_ind = 0
-            ok_here = len(reps_C) == len(reps_D) == rank_ind
+        induced = cohomology_classes(reps_D, bdry_D, (f.map.apply(deg, r) for r in reps_C))
+        rank_ind = -1 if induced is None else rank(induced)
+        ok_here = len(reps_C) == len(reps_D) == rank_ind
         degrees[deg] = {
             "source_betti": len(reps_C),
             "target_betti": len(reps_D),
@@ -570,20 +564,10 @@ def induced_map(
         vecs = src_vectors.get(d, [])
         if not vecs or not op.target.dim(d + op.shift):
             continue
-        tgt = tgt_vectors.get(d + op.shift, [])
-        span = Subspace(tgt)
-        cols = []
-        for v in vecs:
-            img = op.apply(d, v)
-            coeffs = span.coords(img)
-            if coeffs is None:
-                raise SubcomplexError(
-                    f"operator image leaves the subspace at degree {d}"
-                )
-            cols.append(coeffs)
-        m = Matrix.from_columns(cols, nrows=len(tgt))
-        if not m.is_zero():
-            blocks[d] = m
+        m = Subspace(tgt_vectors.get(d + op.shift, [])).restrict(op.apply(d, v) for v in vecs)
+        if m is None:
+            raise SubcomplexError(f"operator image leaves the subspace at degree {d}")
+        blocks[d] = m
     return LinMap(src_space, tgt_space, op.shift, blocks)
 
 

@@ -31,11 +31,12 @@ from .complexes import (
     Truncation,
     check_chain_map,
     cohomology,
+    induced_map,
     quasi_iso_check,
 )
 from .equivariant import CartanModel, cartan_model, invariant_subcomplex
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace
+from .linalg import Matrix
 from .modules import (
     KgModule,
     ModuleValidationError,
@@ -134,35 +135,30 @@ class DualityComputation:
     inclusion: ChainMap
 
 
-def _invariant_coords(inv_model, deg: int, ambient_vec):
-    coords = inv_model.coords(deg, ambient_vec)
-    if coords is None:
-        raise ValueError(f"vector is not invariant at degree {deg}")
-    return coords
-
-
 def inclusion_map(M: KgModule, WM: KgModule, inv_model, inv_M) -> ChainMap:
     """(M)^g -> (W⊗M)^g, m -> 1⊗1⊗m."""
     wm_index = WM.meta["tensor"].index
+
+    def one_tensor(deg: int, v) -> tuple:
+        amb = [Q0] * WM.space.dim(deg)
+        for mi, c in enumerate(v):
+            if c:
+                row = wm_index[deg].get((0, 0, deg, mi))
+                if row is None:
+                    raise AssertionError("inclusion escaped the window")
+                amb[row] = c
+        return tuple(amb)
+
     blocks = {}
     src = inv_M.complex.space
     for deg in src.degrees():
         vecs = inv_M.vectors.get(deg, [])
         if not vecs or deg > inv_model.complex.space.hi:
             continue
-        cols = []
-        for v in vecs:
-            amb = [Q0] * WM.space.dim(deg)
-            for mi, c in enumerate(v):
-                if c:
-                    row = wm_index[deg].get((0, 0, deg, mi))
-                    if row is None:
-                        raise AssertionError("inclusion escaped the window")
-                    amb[row] = c
-            cols.append(_invariant_coords(inv_model, deg, tuple(amb)))
-        blk = Matrix.from_columns(cols, nrows=inv_model.complex.space.dim(deg))
-        if not blk.is_zero():
-            blocks[deg] = blk
+        blk = inv_model.span(deg).restrict(one_tensor(deg, v) for v in vecs)
+        if blk is None:
+            raise ValueError(f"vector is not invariant at degree {deg}")
+        blocks[deg] = blk
     return ChainMap(
         inv_M.complex, inv_model.complex,
         LinMap(src, inv_model.complex.space, 0, blocks),
@@ -218,13 +214,12 @@ def build_psi(
     for deg, ents in h.tensor.entries.items():
         if deg > inv_model.complex.space.hi:
             continue
-        cols = []
-        for (q, ji, adeg, ai) in ents:
-            img = image(adeg, A.vectors[adeg][ai], omega_product(h.subsets[q][ji]), deg)
-            cols.append(_invariant_coords(inv_model, deg, img))
-        blk = Matrix.from_columns(cols, nrows=inv_model.complex.space.dim(deg))
-        if not blk.is_zero():
-            blocks[deg] = blk
+        blk = inv_model.span(deg).restrict(
+            image(adeg, A.vectors[adeg][ai], omega_product(h.subsets[q][ji]), deg)
+            for (q, ji, adeg, ai) in ents)
+        if blk is None:
+            raise ValueError(f"vector is not invariant at degree {deg}")
+        blocks[deg] = blk
     return ChainMap(
         h.complex, inv_model.complex,
         LinMap(h.complex.space, inv_model.complex.space, 0, blocks),
@@ -435,18 +430,6 @@ def _h_side_contraction(comp: DualityComputation, ext: KgModule, mv) -> LinMap:
                 d_so_far += prims[j].degree
             forms.setdefault(deg, []).append(v)
 
-    # coordinates of i_mv(form_J) over the forms of lower degree
-    blocks = {}
-    for deg, vs in forms.items():
-        tgt = forms.get(deg - mv.degree, [])
-        span = Subspace(tgt)
-        cols = []
-        for v in vs:
-            img = op.apply(deg, v)
-            coords = span.coords(img)
-            if coords is None:
-                raise AssertionError("contraction left the primitive algebra")
-            cols.append(coords)
-        blocks[deg] = Matrix.from_columns(cols, nrows=len(tgt))
+    # i_mv restricted to the forms: coordinates of i_mv(form_J) over lower ones
     lam_P = comp.h.tensor.A
-    return comp.h.tensor.lift(LinMap(lam_P, lam_P, -mv.degree, blocks), None)
+    return comp.h.tensor.lift(induced_map(op, forms, forms, lam_P, lam_P), None)

@@ -15,8 +15,7 @@ twist embedding into the basic Weil subcomplex is a chain map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .complexes import (
     ChainMap,
@@ -26,11 +25,13 @@ from .complexes import (
     SubcomplexError,
     TensorSpace,
     Truncation,
+    cohomology_classes,
+    cohomology_representatives,
     induced_map,
     subcomplex,
 )
 from .lie import LieAlgebra, adjoint_matrices
-from .linalg import Matrix, Subspace, kernel_basis, vec, vstack
+from .linalg import Matrix, Subspace, joint_kernel
 from .modules import (
     KgModule,
     derivation_on_lambda,
@@ -42,8 +43,6 @@ from .modules import (
     sym_multiply,
 )
 
-Q0 = Fraction(0)
-
 
 # ---------------------------------------------------------------------------
 # Invariants of the standard auxiliary representations
@@ -53,27 +52,15 @@ Q0 = Fraction(0)
 def invariant_multivectors(g: LieAlgebra, p: int) -> list:
     """Basis of the adjoint invariants of the p-th exterior power of g."""
     ad, _ = adjoint_matrices(g)
-    mats = derivation_on_lambda(list(ad.matrices), p)
-    monos = lambda_monomials(g.dim, p)
-    if not monos:
-        return []
-    if not mats or all(m.is_zero() for m in mats):
-        return [tuple(Q0 if i != j else Fraction(1) for i in range(len(monos)))
-                for j in range(len(monos))]
-    return kernel_basis(vstack(mats))
+    return joint_kernel(derivation_on_lambda(list(ad.matrices), p),
+                        len(lambda_monomials(g.dim, p)))
 
 
 def sym_invariants(g: LieAlgebra, a: int) -> list:
     """Basis of coadjoint invariants of S^a(g*)."""
     _, coad = adjoint_matrices(g)
-    mats = derivation_on_sym(list(coad.matrices), a)
-    monos = sym_monomials(g.dim, a)
-    if not monos:
-        return []
-    if not mats or all(m.is_zero() for m in mats):
-        return [tuple(Q0 if i != j else Fraction(1) for i in range(len(monos)))
-                for j in range(len(monos))]
-    return kernel_basis(vstack(mats))
+    return joint_kernel(derivation_on_sym(list(coad.matrices), a),
+                        len(sym_monomials(g.dim, a)))
 
 
 @dataclass(frozen=True)
@@ -135,15 +122,11 @@ class InvariantModel:
     # degree -> Subspace of `vectors`, factored on first use
     spans: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def action_of(self, idx: int) -> LinMap:
-        return self.actions[idx]
-
-    def coords(self, deg: int, ambient_vec) -> Optional[tuple]:
-        """Coordinates of an ambient vector in the invariant basis, or None."""
-        span = self.spans.get(deg)
-        if span is None:
-            span = self.spans[deg] = Subspace(self.vectors.get(deg, []))
-        return span.coords(ambient_vec)
+    def span(self, deg: int) -> Subspace:
+        """The invariant vectors of degree deg, for restricting maps into (M)^g."""
+        if deg not in self.spans:
+            self.spans[deg] = Subspace(self.vectors.get(deg, []))
+        return self.spans[deg]
 
 
 def invariant_subcomplex(M: KgModule, with_actions: bool = True) -> InvariantModel:
@@ -161,10 +144,7 @@ def invariant_subcomplex(M: KgModule, with_actions: bool = True) -> InvariantMod
     for deg in M.space.degrees():
         if deg > top:
             continue
-        n_dim = M.space.dim(deg)
-        # zero rows when g = 0: every vector is invariant
-        stacked = vstack([op.block(deg) for op in M.L_ops] or [Matrix.zero(0, n_dim)])
-        vectors[deg] = kernel_basis(stacked) if n_dim else []
+        vectors[deg] = joint_kernel([op.block(deg) for op in M.L_ops], M.space.dim(deg))
     sub, incl = subcomplex(
         M.complex.truncated(top), {d: v for d, v in vectors.items() if v},
         label_prefix=f"({M.name})^g",
@@ -270,8 +250,7 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
     # invariants of the diagonal action per total degree
     diagonal = [ambient.lift_sum([(LS, None), (None, LM)], 0)
                 for LS, LM in zip(sym_action, M.L_ops)]
-    vectors = {deg: kernel_basis(vstack([L.block(deg) for L in diagonal]
-                                        or [Matrix.zero(0, len(ents))]))
+    vectors = {deg: joint_kernel([L.block(deg) for L in diagonal], len(ents))
                for deg, ents in ambient.entries.items()}
 
     # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs)
@@ -307,18 +286,11 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
 
 def induced_action_on_cohomology(M: KgModule, deg: int):
     """Matrices of the Lie derivatives on H^deg(M) (they vanish: L = [d, i])."""
-    from .complexes import cohomology_representatives
-
     reps, boundaries = cohomology_representatives(M.complex, deg)
-    span = Subspace(list(reps) + list(boundaries))
     out = []
     for L in M.L_ops:
-        cols = []
-        for r in reps:
-            img = L.apply(deg, r)
-            co = span.coords(img)
-            if co is None:
-                raise ValueError("Lie derivative does not preserve cocycles")
-            cols.append(vec(co[: len(reps)]))
-        out.append(Matrix.from_columns(cols, nrows=len(reps)))
+        m = cohomology_classes(reps, boundaries, (L.apply(deg, r) for r in reps))
+        if m is None:
+            raise ValueError("Lie derivative does not preserve cocycles")
+        out.append(m)
     return out

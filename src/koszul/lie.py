@@ -15,17 +15,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from importlib import resources
-from typing import Sequence
 
 from .linalg import (
     Matrix,
     independent_subset,
-    kernel_basis,
+    joint_kernel,
     qparse,
     qstr,
     rank,
-    vec,
-    vstack,
 )
 
 Q0 = Fraction(0)
@@ -91,19 +88,6 @@ class LieAlgebra:
         if not (0 <= i < self.dim and 0 <= j < self.dim and 0 <= k < self.dim):
             raise BadIndex(f"basis index out of range: c^{k}_({i},{j})")
         return self._constants.get((k, i, j), Q0)
-
-    def bracket_vectors(self, u: Sequence, v: Sequence) -> tuple:
-        out = [Q0] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                w = self.bracket(i, j)
-                for k in range(self.dim):
-                    out[k] += a * b * w[k]
-        return tuple(out)
 
 
 def _check_jacobi(g: LieAlgebra) -> None:
@@ -262,13 +246,7 @@ def adjoint_matrices(g: LieAlgebra):
 def invariant_vectors(rep: RepMatrices) -> list:
     """Basis of the simultaneous kernel of all action matrices."""
     rep.check()
-    d = rep.space_dim
-    if d == 0:
-        return []
-    if not rep.matrices:
-        return [tuple(vec(row)) for row in Matrix.identity(d).dense()]
-    stacked = vstack(list(rep.matrices))
-    return kernel_basis(stacked)
+    return joint_kernel(list(rep.matrices), rep.space_dim)
 
 
 def killing_form(g: LieAlgebra) -> Matrix:
@@ -301,9 +279,7 @@ def certify_reductive(g: LieAlgebra) -> ReductiveDecomposition:
     """
     n = g.dim
     ad, _ = adjoint_matrices(g)
-    if n == 0:
-        return ReductiveDecomposition((), (), Matrix.zero(0, 0))
-    center = kernel_basis(vstack(list(ad.matrices)))
+    center = joint_kernel(list(ad.matrices), n)
     brackets = [g.bracket(i, j) for i in range(n) for j in range(i + 1, n)]
     derived = independent_subset([v for v in brackets if any(v)])
     if len(center) + len(derived) != n:

@@ -9,6 +9,11 @@ free variables zero and complements do not depend on the elimination
 order and are stable across runs -- which is what makes golden-file tests
 possible downstream.
 
+Subspaces enter in two ways, each through one call: ``joint_kernel``
+cuts one out as the common kernel of a family of operator blocks, and
+``Subspace.restrict`` writes images in the coordinates of a spanning
+family, which is how every restricted operator is built.
+
 Vectors are plain tuples of Fractions (column vectors).  Matrices store a
 dict of (row, col) -> nonzero entry.
 """
@@ -42,10 +47,6 @@ def qparse(text) -> Fraction:
 
 def vec(values: Iterable) -> tuple:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-
-
-def zero_vec(n: int) -> tuple:
-    return (Q0,) * n
 
 
 class Matrix:
@@ -201,21 +202,6 @@ class Matrix:
         return Matrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
 
 
-def vstack(mats: Sequence[Matrix]) -> Matrix:
-    if not mats:
-        raise ShapeError("vstack of nothing")
-    cols = mats[0].cols
-    ents = {}
-    off = 0
-    for m in mats:
-        if m.cols != cols:
-            raise ShapeError("vstack column mismatch")
-        for (i, j), v in m.entries.items():
-            ents[(i + off, j)] = v
-        off += m.rows
-    return Matrix(off, cols, ents)
-
-
 # ---------------------------------------------------------------------------
 # The echelon engine.  Rows are sparse dicts col -> value.  A pivot table
 # maps each pivot column to its normalized row (unit entry there, nothing
@@ -355,6 +341,23 @@ def kernel_basis(A: Matrix) -> list:
     return RowReduction(A, track=False).kernel()
 
 
+def joint_kernel(mats: Sequence[Matrix], cols: int) -> list:
+    """Common kernel of blocks of width cols: ``kernel_basis`` of their stack.
+
+    An empty family leaves all of Q^cols, as the unit basis."""
+    ents: dict = {}
+    off = 0
+    for m in mats:
+        if m.cols != cols:
+            raise ShapeError(f"block of width {m.cols} in a joint kernel of width {cols}")
+        for (i, j), v in m.entries.items():
+            ents[(i + off, j)] = v
+        off += m.rows
+    stacked = Matrix(off, cols, ents)
+    del ents  # the stack holds its own copy; do not keep both through the elimination
+    return kernel_basis(stacked)
+
+
 def image_rank(A: Matrix):
     """(rank, basis of the column space).  The basis is the pivot columns of A."""
     red = RowReduction(A, track=False)
@@ -426,6 +429,17 @@ class Subspace:
         for i, c in comb.items():
             x[i] = -c
         return tuple(x)
+
+    def restrict(self, images: Iterable[Sequence]) -> Optional[Matrix]:
+        """Coordinates of each image as the columns of one Matrix, or None
+        as soon as an image lies outside; images are read one at a time."""
+        cols = []
+        for img in images:
+            x = self.coords(img)
+            if x is None:
+                return None
+            cols.append(x)
+        return Matrix.from_columns(cols, nrows=self.size)
 
 
 def complement_basis(U: Sequence[Sequence], V: Sequence[Sequence]) -> list:

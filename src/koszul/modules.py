@@ -236,32 +236,24 @@ class KgModule:
             self._L_ops = tuple(ops)
         return self._L_ops
 
-    def contraction_of_vector(self, coeffs: Sequence) -> LinMap:
-        """i_x for x = sum coeffs_k x_k in g."""
-        op = LinMap.zero(self.space, self.space, -1)
-        for k, c in enumerate(coeffs):
-            if c:
-                op = op.add(self.i_ops[k].scale(c))
-        return op
-
     def contraction_of_multivector(self, coeffs: Sequence, monos: Sequence[tuple]) -> LinMap:
         """Composite contraction for a multivector given in a monomial basis.
 
         A monomial (k_1 < ... < k_p) acts by i_{k_1} o ... o i_{k_p},
         left-to-right composition (i_{k_p} is applied first).
         """
-        p = len(monos[0]) if monos else 0
-        op = LinMap.zero(self.space, self.space, -p)
+        terms = []
         for c, mono in zip(coeffs, monos):
             if not c:
                 continue
-            term = LinMap.identity(self.space)
-            for k in mono:
+            term = self.i_ops[mono[0]] if mono else LinMap.identity(self.space)
+            for k in mono[1:]:
                 term = term.compose(self.i_ops[k])
-
-            # `term` is i_{k_1} ... i_{k_p} applied right-to-left over the tuple
-            op = op.add(term.scale(c))
-        return op
+            terms.append((c, term))
+        if not terms:
+            p = len(monos[0]) if monos else 0
+            return LinMap.zero(self.space, self.space, -p)
+        return LinMap.combination(terms)
 
     def __repr__(self):
         return f"KgModule({self.name}, dims={self.complex.dims()})"
@@ -322,8 +314,9 @@ def validate_kg(M: KgModule) -> KgValidationReport:
     ok = True
     wit = None
     for k in range(n):
-        derived = M.d.compose(M.i_ops[k]).add(M.i_ops[k].compose(M.d))
-        defect = _first_defect(derived.sub(L[k]), safe, space)
+        derived = LinMap.combination(
+            [(1, M.d.compose(M.i_ops[k])), (1, M.i_ops[k].compose(M.d)), (-1, L[k])])
+        defect = _first_defect(derived, safe, space)
         if defect is not None:
             ok, wit = False, defect
             break
@@ -344,12 +337,10 @@ def validate_kg(M: KgModule) -> KgValidationReport:
     ok, wit = True, None
     for j in range(n):
         for k in range(n):
-            comm = L[j].compose(M.i_ops[k]).sub(M.i_ops[k].compose(L[j]))
-            expected = LinMap.zero(space, space, -1)
-            for m_idx, c in enumerate(g.bracket(j, k)):
-                if c:
-                    expected = expected.add(M.i_ops[m_idx].scale(c))
-            defect = _first_defect(comm.sub(expected), safe, space)
+            comm = LinMap.combination(
+                [(1, L[j].compose(M.i_ops[k])), (-1, M.i_ops[k].compose(L[j]))]
+                + [(-c, M.i_ops[m]) for m, c in enumerate(g.bracket(j, k)) if c])
+            defect = _first_defect(comm, safe, space)
             if defect is not None:
                 ok, wit = False, defect
                 break
@@ -360,13 +351,11 @@ def validate_kg(M: KgModule) -> KgValidationReport:
     ok, wit = True, None
     for j in range(n):
         for k in range(j + 1, n):
-            comm = L[j].compose(L[k]).sub(L[k].compose(L[j]))
-            expected = LinMap.zero(space, space, 0)
-            for m_idx, c in enumerate(g.bracket(j, k)):
-                if c:
-                    expected = expected.add(L[m_idx].scale(c))
+            comm = LinMap.combination(
+                [(1, L[j].compose(L[k])), (-1, L[k].compose(L[j]))]
+                + [(-c, L[m]) for m, c in enumerate(g.bracket(j, k)) if c])
             safe_LL = [d for d in safe if M.complete or d <= top - 1]
-            defect = _first_defect(comm.sub(expected), safe_LL, space)
+            defect = _first_defect(comm, safe_LL, space)
             if defect is not None:
                 ok, wit = False, defect
                 break
@@ -637,10 +626,10 @@ def doubled_differential_identity(ext: KgModule) -> bool:
     the su(2) regression data the action enters through -L (the transpose
     of ad), not through L itself.
     """
-    total = LinMap.zero(ext.space, ext.space, 1)
-    for k in range(ext.g.dim):
-        total = total.add(wedge_by_generator(ext, k).compose(ext.L_ops[k].scale(-1)))
-    return total.equal_on(ext.d.scale(2), ext.space.degrees())
+    defect = LinMap.combination(
+        [(-1, wedge_by_generator(ext, k).compose(ext.L_ops[k])) for k in range(ext.g.dim)]
+        + [(-2, ext.d)])
+    return defect.is_zero_on(ext.space.degrees())
 
 
 # ---------------------------------------------------------------------------

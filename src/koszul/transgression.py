@@ -29,9 +29,8 @@ from .linalg import (
     RowReduction,
     complement_basis,
     independent_subset,
-    kernel_basis,
+    joint_kernel,
     vec,
-    vstack,
 )
 from .modules import (
     derivation_on_lambda,
@@ -55,14 +54,8 @@ class TransgressionError(ValueError):
 def exterior_invariants(g: LieAlgebra, p: int) -> list:
     """Coadjoint invariants of Λ^p(g*)."""
     _, coad = adjoint_matrices(g)
-    mats = derivation_on_lambda(list(coad.matrices), p)
-    monos = lambda_monomials(g.dim, p)
-    if not monos:
-        return []
-    if not mats or all(m.is_zero() for m in mats):
-        return [tuple(Q1 if i == j else Q0 for i in range(len(monos)))
-                for j in range(len(monos))]
-    return kernel_basis(vstack(mats))
+    return joint_kernel(derivation_on_lambda(list(coad.matrices), p),
+                        len(lambda_monomials(g.dim, p)))
 
 
 def wedge_vectors(u: Sequence, p: int, v: Sequence, q: int, n: int) -> tuple:
@@ -98,9 +91,6 @@ class PrimitiveSpace:
     g: LieAlgebra
     invariant_dims: dict  # degree -> dim of the invariant forms
     primitives: list  # Primitive, ordered by (degree, greedy index)
-
-    def by_degree(self, p: int) -> list:
-        return [x for x in self.primitives if x.degree == p]
 
 
 def primitive_basis(g: LieAlgebra, trunc: Truncation) -> PrimitiveSpace:
@@ -202,8 +192,7 @@ class TransgressionData:
 
 
 def _weil_invariant_basis(W: WeilModule, degree: int) -> list:
-    stacked = vstack([op.block(degree) for op in W.L_ops])
-    return kernel_basis(stacked)
+    return joint_kernel([op.block(degree) for op in W.L_ops], W.space.dim(degree))
 
 
 def _lambda_inclusion_vector(W: WeilModule, coeffs: Sequence, p: int) -> tuple:

@@ -51,7 +51,7 @@ from .equivariant import (
     symmetric_algebra,
 )
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, kernel_basis, vstack
+from .linalg import Matrix, Subspace, joint_kernel, kernel_basis
 from .modules import (
     KgModule,
     exterior_model,
@@ -355,10 +355,9 @@ def twist_identity_differential(data: TwistData) -> bool:
     L_k is even, so its lift carries no Koszul sign.
     """
     TM, ext, M = data.tensor, data.exterior, data.module
-    twisted_d = TM.d
-    for k in range(M.g.dim):
-        cross = TM.meta["tensor"].lift(wedge_by_generator(ext, k), M.L_ops[k])
-        twisted_d = twisted_d.sub(cross)
+    action = TM.meta["tensor"].lift_sum(
+        [(wedge_by_generator(ext, k), M.L_ops[k]) for k in range(M.g.dim)], 1)
+    twisted_d = TM.d.sub(action)
     lhs = TM.d.compose(data.twist)
     rhs = data.twist.compose(twisted_d)
     degrees = [d for d in TM.space.degrees() if TM.complete or d <= TM.max_usable]
@@ -385,16 +384,11 @@ def horizontal_basic(M: KgModule) -> HorizontalBasic:
     basic_vectors = {}
     for deg in M.space.degrees():
         dim = M.space.dim(deg)
-        if dim == 0:
-            continue
-        i_stack = vstack([op.block(deg) for op in M.i_ops])
-        horizontal[deg] = kernel_basis(i_stack)
+        i_blocks = [op.block(deg) for op in M.i_ops]
+        horizontal[deg] = joint_kernel(i_blocks, dim)
         if deg <= top:
-            id_stack = vstack(
-                [op.block(deg) for op in M.i_ops]
-                + [op.block(deg + 1) @ M.d.block(deg) for op in M.i_ops]
-            )
-            basic_vectors[deg] = kernel_basis(id_stack)
+            basic_vectors[deg] = joint_kernel(
+                i_blocks + [op.block(deg + 1) @ M.d.block(deg) for op in M.i_ops], dim)
     ambient = M.complex.truncated(top)
     basic, incl = subcomplex(
         ambient, {d: v for d, v in basic_vectors.items() if v},
@@ -490,22 +484,12 @@ def twist_embedding(
     for deg, vecs in A.vectors.items():
         if deg > basic.basic.space.hi:
             continue
-        span = Subspace(basic.basic_vectors.get(deg, []))
-        cols_ambient = []
-        cols_basic = []
-        for v in vecs:
-            img = image(deg, v, unit, deg)
-            cols_ambient.append(img)
-            coords = span.coords(img)
-            if coords is None:
-                raise SubcomplexError(
-                    f"twist embedding image is not basic at degree {deg}"
-                )
-            cols_basic.append(coords)
+        cols_ambient = [image(deg, v, unit, deg) for v in vecs]
         ambient_blocks[deg] = Matrix.from_columns(cols_ambient, nrows=WM.space.dim(deg))
-        blk = Matrix.from_columns(cols_basic, nrows=basic.basic.space.dim(deg))
-        if not blk.is_zero():
-            map_blocks[deg] = blk
+        blk = Subspace(basic.basic_vectors.get(deg, [])).restrict(cols_ambient)
+        if blk is None:
+            raise SubcomplexError(f"twist embedding image is not basic at degree {deg}")
+        map_blocks[deg] = blk
 
     src_space = A.complex.space
     chain = ChainMap(

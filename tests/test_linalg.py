@@ -14,6 +14,7 @@ from koszul.linalg import (
     express_in_span,
     image_rank,
     independent_subset,
+    joint_kernel,
     kernel_basis,
     qparse,
     qstr,
@@ -247,3 +248,65 @@ def test_subspace_rejects_length_mismatch():
         span.coords(vec([1, 0]))
     with pytest.raises(ShapeError):
         Subspace([vec([1, 0]), vec([1, 0, 0])])
+
+
+@st.composite
+def block_family(draw):
+    """A random matrix and its rows cut into consecutive blocks, empty ones included."""
+    A = draw(deficient_matrix())
+    cuts = sorted(draw(st.lists(st.integers(0, A.rows), max_size=3)))
+    bounds = [0] + cuts + [A.rows]
+    blocks = [
+        Matrix(hi - lo, A.cols, {(i - lo, j): v for (i, j), v in A.entries.items() if lo <= i < hi})
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return A, blocks
+
+
+@given(block_family())
+@settings(max_examples=80, deadline=None)
+def test_joint_kernel_is_kernel_of_stack(family):
+    sp = pytest.importorskip("sympy")
+    A, blocks = family
+    K = joint_kernel(blocks, A.cols)
+    assert K == kernel_basis(A)
+    null = _to_sympy(sp, A).nullspace()
+    assert len(K) == len(null)
+    if K:
+        ours = _to_sympy(sp, Matrix.from_columns(K))
+        assert ours.row_join(sp.Matrix.hstack(*null)).rank() == len(K)
+
+
+def test_joint_kernel_empty_family_and_width_mismatch():
+    assert joint_kernel([], 3) == [vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])]
+    assert joint_kernel([], 0) == []
+    with pytest.raises(ShapeError):
+        joint_kernel([Matrix.identity(2), Matrix.identity(1)], 2)
+
+
+@given(deficient_matrix(), st.lists(st.lists(sparse_fracs, min_size=6, max_size=6), max_size=4),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_subspace_restrict_matches_coords(B, coefficients, in_span):
+    family = B.columns()
+    span = Subspace(family)
+    images = [B @ vec(xs[: B.cols]) if in_span else vec(xs[: B.rows]) for xs in coefficients]
+    coords = [span.coords(v) for v in images]
+    got = span.restrict(images)
+    if any(c is None for c in coords):
+        assert got is None
+    else:
+        assert got == Matrix.from_columns(coords, nrows=B.cols)
+
+
+def test_subspace_restrict_stops_at_first_escape():
+    span = Subspace([vec([1, 0, 0]), vec([0, 1, 0])])
+
+    def images():
+        yield vec([2, 3, 0])
+        yield vec([0, 0, 1])
+        raise AssertionError("read past the escaping image")
+
+    assert span.restrict(images()) is None
+    assert span.restrict([vec([2, 3, 0]), vec([0, 1, 0])]) == Matrix.from_rows([[2, 0], [3, 1]])
+    assert Subspace([]).restrict([]) == Matrix.zero(0, 0)

@@ -332,6 +332,15 @@ def test_twist_embedding_su2(su2, module):
     assert embedding_s_linearity(emb)
 
 
+@pytest.mark.parametrize("module", ["trivial", "exterior"])
+def test_twist_embedding_zero_lie_algebra(module):
+    g = builtin_algebra("abelian:0")
+    M = trivial_module(g) if module == "trivial" else exterior_model(g)
+    emb = twist_embedding(M, Truncation(3))
+    assert emb.is_bijective()
+    assert check_chain_map(emb.map).ok
+
+
 def test_twist_embedding_trivial_is_identity_on_s_invariants(su2):
     emb = twist_embedding(trivial_module(su2), Truncation(8))
     for deg, blk in emb.map.map.blocks.items():
