@@ -1,13 +1,16 @@
 """Exact rational linear algebra on sparse matrices.
 
-Everything runs over ``fractions.Fraction``: results are exact and every
-computation is bit-for-bit reproducible.  One echelon engine inserts sparse
-rows one at a time; ``RowReduction`` back-substitutes them to the reduced
-row echelon form, and ``IncrementalSpan`` and ``Subspace`` keep them as
-they are.  The RREF of a matrix is unique, so kernel bases, solutions with
-free variables zero and complements do not depend on the elimination
-order and are stable across runs -- which is what makes golden-file tests
-possible downstream.
+Results are exact rationals (``fractions.Fraction``) and every computation
+is bit-for-bit reproducible.  One echelon engine inserts sparse rows one at
+a time; ``RowReduction`` back-substitutes them to the reduced row echelon
+form, and ``IncrementalSpan`` and ``Subspace`` keep them as they are.
+Inside the engine the rows are fraction-free: each is scaled to integers
+and updated by cross-multiplication (``row <- a*row - b*pivot``, as in
+Bareiss elimination), and ``Fraction``s are built only when R, E, kernels,
+solutions, coordinates and complements are read out.  The RREF of a
+matrix is unique, so kernel bases, solutions with free variables zero and
+complements do not depend on the elimination order and are stable across
+runs -- which is what makes golden-file tests possible downstream.
 
 Subspaces enter in two ways, each through one call: ``joint_kernel``
 cuts one out as the common kernel of a family of operator blocks, and
@@ -21,6 +24,7 @@ dict of (row, col) -> nonzero entry.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Q0 = Fraction(0)
@@ -203,14 +207,29 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# The echelon engine.  Rows are sparse dicts col -> value.  A pivot table
-# maps each pivot column to its normalized row (unit entry there, nothing
+# The echelon engine.  Rows are sparse dicts col -> int.  A rational row
+# enters scaled by the lcm of its denominators.  A pivot table maps each
+# pivot column to its primitive integer row (positive entry there, nothing
 # to its left) and the row's tracked combination, or None when untracked.
+# A tracked row equals the combination of the input rows, so the two share
+# one content gcd.  Fractions are made only when results are read out.
 # ---------------------------------------------------------------------------
 
 
-def _sparse(v: Sequence) -> dict:
-    return {i: x if type(x) is Fraction else Fraction(x) for i, x in enumerate(v) if x}
+def _integer_row(items) -> tuple:
+    """(row, d): the nonzero (index, rational) pairs scaled by the lcm d of
+    their denominators, as an integer row."""
+    items = list(items)
+    d = lcm(*[x.denominator for _, x in items])
+    if d == 1:
+        return {j: x.numerator for j, x in items}, 1
+    return {j: x.numerator * (d // x.denominator) for j, x in items}, d
+
+
+def _sparse(v: Sequence) -> tuple:
+    # `is not Q0` first: dense vectors are mostly the shared zero, and the
+    # identity test skips a Python-level Fraction.__bool__ call per entry
+    return _integer_row((i, x) for i, x in enumerate(v) if x is not Q0 and x)
 
 
 def _rows_as_dicts(A: Matrix) -> list:
@@ -220,32 +239,71 @@ def _rows_as_dicts(A: Matrix) -> list:
     return rows
 
 
-def _axpy(dst: dict, c: Fraction, src: dict) -> None:
-    # dst += c * src, dropping zeros
+def _over(row: dict, den: int) -> dict:
+    """The rational row row / den."""
+    if den == 1:
+        return {j: Fraction(v) for j, v in row.items()}
+    return {j: Fraction(v, den) for j, v in row.items()}
+
+
+def _axpby(dst: dict, a: int, b: int, src: dict) -> None:
+    # dst <- a * dst - b * src, dropping zeros
+    if a != 1:
+        for j in dst:
+            dst[j] *= a
+    get = dst.get
     for j, v in src.items():
-        w = dst.get(j, Q0) + c * v
+        w = get(j, 0) - b * v
         if w:
             dst[j] = w
         else:
-            dst.pop(j, None)
+            del dst[j]
+
+
+def _eliminate(row: dict, comb: Optional[dict], col: int, piv: tuple) -> None:
+    """Clear row[col] against the pivot row piv = (prow, pcomb) leading there:
+    row <- (a/g) row - (b/g) prow, with a = prow[col], b = row[col] and
+    g = gcd(a, b); comb follows."""
+    prow, pcomb = piv
+    a, b = prow[col], row[col]
+    if a != 1:
+        g = gcd(a, b)
+        a //= g
+        b //= g
+    _axpby(row, a, b, prow)
+    if comb is not None:
+        _axpby(comb, a, b, pcomb)
+
+
+def _primitive(row: dict, comb: Optional[dict], lead: int) -> tuple:
+    """row and comb divided by their joint content gcd, signed so that
+    row[lead] is positive."""
+    g = gcd(*row.values(), *comb.values()) if comb is not None else gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        row = {j: x // g for j, x in row.items()}
+        if comb is not None:
+            comb = {j: x // g for j, x in comb.items()}
+    return row, comb
 
 
 def _reduce(pivots: dict, row: dict, comb: Optional[dict]) -> None:
-    """Clear the leading entry of `row` against `pivots`, in place, until
-    `row` is zero or leads in a non-pivot column; `comb` follows each step."""
+    """Clear the leading entry of the integer `row` against `pivots`, in
+    place, until `row` is zero or leads in a non-pivot column.  Each step
+    scales `row` by a nonzero integer and subtracts a multiple of a pivot
+    row; `comb` follows each step."""
     while row:
         lead = min(row)
         piv = pivots.get(lead)
         if piv is None:
             return
-        f = -row[lead]
-        _axpy(row, f, piv[0])
-        if comb is not None:
-            _axpy(comb, f, piv[1])
+        _eliminate(row, comb, lead, piv)
 
 
 def _insert(pivots: dict, row: dict, comb: Optional[dict]) -> bool:
-    """Reduce `row` and store it under its leading column with a unit pivot.
+    """Reduce `row` and store it, primitive with a positive lead, under its
+    leading column.
 
     False when it reduces to zero, i.e. it lies in the span already; `comb`
     is then the vanishing combination."""
@@ -253,13 +311,7 @@ def _insert(pivots: dict, row: dict, comb: Optional[dict]) -> bool:
     if not row:
         return False
     lead = min(row)
-    f = row[lead]
-    if f != 1:
-        inv = Q1 / f
-        row = {j: inv * x for j, x in row.items()}
-        if comb is not None:
-            comb = {j: inv * x for j, x in comb.items()}
-    pivots[lead] = (row, comb)
+    pivots[lead] = _primitive(row, comb, lead)
     return True
 
 
@@ -280,23 +332,26 @@ class RowReduction:
         table: dict = {}
         null: list = []
         for i, row in enumerate(_rows_as_dicts(A)):
-            comb = {i: Q1} if track else None
+            row, d = _integer_row(row.items())
+            comb = {i: d} if track else None
             if not _insert(table, row, comb) and track:
-                null.append(comb)
+                # the vanishing combination, scaled to coefficient 1 at row i
+                null.append(_over(comb, comb[i]))
         order = sorted(table)
         # back-substitution, highest pivot first: the rows used are reduced already
         for c in reversed(order):
             row, comb = table[c]
-            for p in [j for j in row if j != c and j in table]:
-                f = -row[p]
-                prow, pcomb = table[p]
-                _axpy(row, f, prow)
-                if track:
-                    _axpy(comb, f, pcomb)
+            hits = [j for j in row if j != c and j in table]
+            for p in hits:
+                _eliminate(row, comb, p, table[p])
+            if hits:
+                table[c] = _primitive(row, comb, c)
         self.pivots = order
         self.rank = len(order)
-        self.R = [table[c][0] for c in order] + [{} for _ in range(A.rows - self.rank)]
-        self.E = [table[c][1] for c in order] + null if track else None
+        leads = [table[c][0][c] for c in order]
+        self.R = [_over(table[c][0], a) for c, a in zip(order, leads)]
+        self.R += [{} for _ in range(A.rows - self.rank)]
+        self.E = [_over(table[c][1], a) for c, a in zip(order, leads)] + null if track else None
 
     def transform(self, b: Sequence) -> list:
         if self.E is None:
@@ -361,7 +416,11 @@ def joint_kernel(mats: Sequence[Matrix], cols: int) -> list:
 def image_rank(A: Matrix):
     """(rank, basis of the column space).  The basis is the pivot columns of A."""
     red = RowReduction(A, track=False)
-    return red.rank, [A.column(j) for j in red.pivots]
+    cols = {j: [Q0] * A.rows for j in red.pivots}
+    for (i, j), v in A.entries.items():
+        if j in cols:
+            cols[j][i] = v
+    return red.rank, [tuple(cols[j]) for j in red.pivots]
 
 
 def rank(A: Matrix) -> int:
@@ -383,17 +442,14 @@ class IncrementalSpan:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def residual(self, v: Sequence) -> dict:
-        row = _sparse(v)
-        _reduce(self.pivots, row, None)
-        return row
-
     def add(self, v: Sequence) -> bool:
         """Insert v; True when it enlarges the span."""
-        return _insert(self.pivots, _sparse(v), None)
+        return _insert(self.pivots, _sparse(v)[0], None)
 
     def contains(self, v: Sequence) -> bool:
-        return not self.residual(v)
+        row = _sparse(v)[0]
+        _reduce(self.pivots, row, None)
+        return not row
 
 
 class Subspace:
@@ -410,24 +466,28 @@ class Subspace:
         for i, v in enumerate(vectors):
             if len(v) != self.dim:
                 raise ShapeError("ragged spanning family")
-            _insert(self.pivots, _sparse(v), {i: Q1})
+            row, d = _sparse(v)
+            _insert(self.pivots, row, {i: d})
 
     def coords(self, target: Sequence) -> Optional[tuple]:
         """Coordinates of target in the family, or None when it lies outside.
 
         Members that depend on earlier members get coordinate 0, as the
-        free variables of ``solve_affine`` on the columns do.
+        free variables of ``solve_affine`` on the columns do.  The target
+        is reduced as member ``size`` of the family: once it reduces to
+        zero, its coefficient is the common denominator of the coordinates.
         """
         if self.dim is not None and len(target) != self.dim:
             raise ShapeError(f"vector length {len(target)} != {self.dim}")
-        row = _sparse(target)
-        comb: dict = {}
+        row, d = _sparse(target)
+        comb = {self.size: d}
         _reduce(self.pivots, row, comb)
         if row:
             return None
+        den = -comb.pop(self.size)
         x = [Q0] * self.size
         for i, c in comb.items():
-            x[i] = -c
+            x[i] = Fraction(c, den)
         return tuple(x)
 
     def restrict(self, images: Iterable[Sequence]) -> Optional[Matrix]:
@@ -447,13 +507,13 @@ def complement_basis(U: Sequence[Sequence], V: Sequence[Sequence]) -> list:
 
     Raises SpanError when U is dependent or escapes span(V).
     """
-    rows_V = [_sparse(v) for v in V]
+    rows_V = [_sparse(v)[0] for v in V]
     span_V: dict = {}
     for row in rows_V:
         _insert(span_V, dict(row), None)
     span: dict = {}
     for u in U:
-        row = _sparse(u)
+        row = _sparse(u)[0]
         left = dict(row)
         _reduce(span_V, left, None)
         if left:

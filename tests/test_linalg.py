@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -310,3 +311,98 @@ def test_subspace_restrict_stops_at_first_escape():
     assert span.restrict(images()) is None
     assert span.restrict([vec([2, 3, 0]), vec([0, 1, 0])]) == Matrix.from_rows([[2, 0], [3, 1]])
     assert Subspace([]).restrict([]) == Matrix.zero(0, 0)
+
+
+# -- the same oracles on entries with large coprime denominators ---------------
+# The engine keeps integer rows scaled by the lcm of their denominators; these
+# entries make that lcm, and every cross-multiplication, large.
+
+LARGE_DENOMINATORS = (10007, 65537, 2**61 - 1)
+
+large_fracs = st.one_of(
+    st.just(Q(0)),
+    st.builds(Q, st.integers(-(10**6), 10**6), st.sampled_from((1,) + LARGE_DENOMINATORS)),
+)
+
+
+@st.composite
+def large_denominator_matrix(draw, max_dim=6):
+    """A random r x c matrix of large_fracs, or a product of r x k and k x c."""
+    r = draw(st.integers(1, max_dim))
+    c = draw(st.integers(1, max_dim))
+
+    def block(rows, cols):
+        return Matrix.from_rows(draw(st.lists(
+            st.lists(large_fracs, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+
+    if draw(st.booleans()):
+        return block(r, c)
+    k = draw(st.integers(1, min(r, c)))
+    return block(r, k) @ block(k, c)
+
+
+@given(large_denominator_matrix(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_rref_matches_sympy_large_denominators(A, track):
+    test_rref_matches_sympy.hypothesis.inner_test(A, track)
+
+
+@given(large_denominator_matrix())
+@settings(max_examples=60, deadline=None)
+def test_kernel_spans_sympy_nullspace_large_denominators(A):
+    test_kernel_spans_sympy_nullspace.hypothesis.inner_test(A)
+
+
+@given(large_denominator_matrix(), st.lists(large_fracs, min_size=6, max_size=6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_subspace_coords_match_solve_large_denominators(B, xs, in_span):
+    test_subspace_coords_match_solve.hypothesis.inner_test(B, xs, in_span)
+
+
+@given(large_denominator_matrix(),
+       st.lists(st.lists(large_fracs, min_size=6, max_size=6), max_size=4), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_subspace_restrict_matches_coords_large_denominators(B, coefficients, in_span):
+    test_subspace_restrict_matches_coords.hypothesis.inner_test(B, coefficients, in_span)
+
+
+def test_dense_rational_rref_matches_sympy():
+    """A dense 30 x 35 matrix of p/q entries: coefficient growth over a
+    full elimination, against sympy's rref."""
+    rng = random.Random(30)
+    A = Matrix.from_rows(
+        [[Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(35)] for _ in range(30)]
+    )
+    for track in (False, True):
+        test_rref_matches_sympy.hypothesis.inner_test(A, track)
+    test_kernel_spans_sympy_nullspace.hypothesis.inner_test(A)
+
+
+# -- read-out type: every rational the engine hands out is a Fraction ----------
+
+def _all_fractions(values) -> bool:
+    return all(type(x) is Fraction for x in values)
+
+
+int_rows = st.integers(1, 5).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=1, max_size=5))
+
+
+@given(int_rows, st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_read_out_values_are_fractions(rows, xs):
+    """Integer inputs come back as Fractions, never ints: qstr, the JSON
+    reports and the golden values downstream rely on the type."""
+    A = Matrix.from_rows(rows)
+    for track in (False, True):
+        red = RowReduction(A, track=track)
+        assert all(_all_fractions(row.values()) for row in red.R)
+        if track:
+            assert all(_all_fractions(row.values()) for row in red.E)
+    assert all(_all_fractions(v) for v in kernel_basis(A))
+    b = [sum(a * x for a, x in zip(row, xs)) for row in rows]
+    assert _all_fractions(solve_affine(A, b))
+    family = [list(col) for col in zip(*rows)]
+    assert _all_fractions(Subspace(family).coords(b))
+    assert _all_fractions(express_in_span(family, b))
+    assert all(_all_fractions(v) for v in complement_basis([], family))
