@@ -14,13 +14,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .linalg import (
-    Q1,
     Matrix,
     ShapeError,
     Subspace,
+    _integer_columns,
+    _integer_row,
+    _over,
     complement_basis,
     image_rank,
     kernel_basis,
@@ -161,17 +164,21 @@ class LinMap:
         scaled = [(Fraction(c), op) for c, op in terms]
         blocks = {}
         for d in degrees:
-            ents: dict = {}
+            # c·m = (p/q)·(integer block / e): accumulate p·(D/(q·e))·block over D = lcm(q·e)
+            parts = []
             for c, op in scaled:
                 m = op.blocks.get(d)
-                if m is None:
-                    continue
-                unit = c == 1
-                for rc, v in m.entries.items():
-                    w = v if unit else c * v
-                    old = ents.get(rc)
-                    ents[rc] = w if old is None else old + w
-            blocks[d] = Matrix(first.target.dim(d + first.shift), first.source.dim(d), ents)
+                if m is not None:
+                    ents, e = _integer_row(m.entries.items())
+                    parts.append((c.numerator, c.denominator * e, ents))
+            den = lcm(*[q for _, q, _ in parts])
+            acc: dict = {}
+            get = acc.get
+            for p, q, ents in parts:
+                k = p * (den // q)
+                for rc, v in ents.items():
+                    acc[rc] = get(rc, 0) + k * v
+            blocks[d] = Matrix(first.target.dim(d + first.shift), first.source.dim(d), _over(acc, den))
         return LinMap(first.source, first.target, first.shift, blocks)
 
     def scale(self, c) -> "LinMap":
@@ -246,15 +253,16 @@ class TensorSpace:
         degrees above ``top`` when it is given.
         """
         A, B = self.A, self.B
-        identity: dict = {}  # dim -> identity columns {i: ((i, Q1),)}
+        identity: dict = {}  # dim -> integer identity columns ({i: ((i, 1),)}, 1)
 
         def columns(op, deg, dim):
+            # (integer column view, its denominator), or None without a block
             if op is None:
                 if dim not in identity:
-                    identity[dim] = {i: ((i, Q1),) for i in range(dim)}
+                    identity[dim] = ({i: ((i, 1),) for i in range(dim)}, 1)
                 return identity[dim]
             m = op.blocks.get(deg)
-            return m.by_column() if m is not None else None
+            return _integer_columns(m) if m is not None else None
 
         prepared = []  # (opA, opB, shift of opA, shift of opB, column views of each)
         for opA, opB in terms:
@@ -271,7 +279,7 @@ class TensorSpace:
             tgt = self.offsets.get(t + shift)
             if tgt is None or (top is not None and t > top):
                 continue
-            ents: dict = {}
+            parts = []  # one per (term, stratum q) with both factor blocks present
             for opA, opB, sA, sB, colsA, colsB in prepared:
                 for q, col0 in starts.items():
                     row0 = tgt.get(q + sA)
@@ -282,26 +290,29 @@ class TensorSpace:
                         colsA[q] = columns(opA, q, A.dim(q))
                     if r not in colsB:
                         colsB[r] = columns(opB, r, B.dim(r))
-                    imA, imB = colsA[q], colsB[r]
-                    if not imA or not imB:
-                        continue
-                    n_src, n_tgt = B.dim(r), B.dim(r + sB)
-                    negate = sB % 2 and q % 2
-                    for a, colA in imA.items():
-                        for b, colB in imB.items():
-                            col = pos[col0 + a * n_src + b]
-                            for rowA, vA in colA:
-                                base = row0 + rowA * n_tgt
-                                for rowB, vB in colB:
-                                    # an identity factor contributes Q1 itself: skip the product
-                                    v = vB if vA is Q1 else vA if vB is Q1 else vA * vB
-                                    if negate:
-                                        v = -v
-                                    key = (pos[base + rowB], col)
-                                    old = ents.get(key)
-                                    ents[key] = v if old is None else old + v
-            if ents:
-                blocks[t] = Matrix(self.space.dim(t + shift), self.space.dim(t), ents)
+                    fA, fB = colsA[q], colsB[r]
+                    if fA and fB and fA[0] and fB[0]:
+                        parts.append((fA, fB, row0, col0, B.dim(r), B.dim(r + sB),
+                                      sB % 2 and q % 2))
+            if not parts:
+                continue
+            den = lcm(*[dA * dB for (_, dA), (_, dB), *_ in parts])
+            ents: dict = {}
+            get = ents.get
+            for (imA, dA), (imB, dB), row0, col0, n_src, n_tgt, negate in parts:
+                k = den // (dA * dB)
+                if negate:
+                    k = -k
+                for a, colA in imA.items():
+                    for b, colB in imB.items():
+                        col = pos[col0 + a * n_src + b]
+                        for rowA, vA in colA:
+                            base = row0 + rowA * n_tgt
+                            kA = k * vA
+                            for rowB, vB in colB:
+                                key = (pos[base + rowB], col)
+                                ents[key] = get(key, 0) + kA * vB
+            blocks[t] = Matrix(self.space.dim(t + shift), self.space.dim(t), _over(ents, den))
         return LinMap(self.space, self.space, shift, blocks)
 
 
@@ -464,32 +475,33 @@ def cohomology_classes(reps: Sequence, boundaries: Sequence, images) -> Optional
     return Matrix(len(reps), m.cols, {rc: v for rc, v in m.entries.items() if rc[0] < len(reps)})
 
 
+def _betti_by_rank(C: Complex, deg: int) -> int:
+    """dim H^deg as dim - rank d_deg - rank d_{deg-1}, with no representatives."""
+    blocks = (C.d.block(deg), C.d.block(deg - 1))
+    return C.space.dim(deg) - sum(rank(m) for m in blocks if not m.is_zero())
+
+
 def cohomology(C: Complex, trunc: Truncation) -> CohomologyReport:
-    """H^m = ker(d_m) / im(d_{m-1}) for m <= N, certified for m <= N - 1."""
+    """H^m = ker(d_m) / im(d_{m-1}) for m <= N, certified for m <= N - 1.
+
+    Representatives are computed at certified degrees only; an uncertified
+    degree reports just its count.
+    """
     N = trunc.max_degree
     if not C.complete and C.space.hi < N:
         raise WindowError(f"window tops out at {C.space.hi}, need degree {N}")
     betti: dict = {}
     reps_out: dict = {}
     uncertified: dict = {}
-    lo = C.space.lo
-    for deg in range(lo, N + 1):
-        if deg > C.space.hi:
-            b, reps = 0, []
-            trustworthy = True
-        else:
-            reps, _ = cohomology_representatives(C, deg)
-            b = len(reps)
-            trustworthy = C.complete or deg <= C.max_usable
+    for deg in range(C.space.lo, N + 1):
+        inside = deg <= C.space.hi
+        if deg > N - 1 or not (C.complete or deg <= C.max_usable or not inside):
+            uncertified[deg] = _betti_by_rank(C, deg)
+            continue
+        reps = cohomology_representatives(C, deg)[0] if inside else []
         labels = C.space.labels(deg)
-        rep_dicts = [
-            {labels[i]: v for i, v in enumerate(r) if v} for r in reps
-        ]
-        if trustworthy and deg <= N - 1:
-            betti[deg] = b
-            reps_out[deg] = rep_dicts
-        else:
-            uncertified[deg] = b
+        betti[deg] = len(reps)
+        reps_out[deg] = [{labels[i]: v for i, v in enumerate(r) if v} for r in reps]
     return CohomologyReport(betti=betti, representatives=reps_out, uncertified=uncertified)
 
 

@@ -4,10 +4,15 @@ Results are exact rationals (``fractions.Fraction``) and every computation
 is bit-for-bit reproducible.  One echelon engine inserts sparse rows one at
 a time; ``RowReduction`` back-substitutes them to the reduced row echelon
 form, and ``IncrementalSpan`` and ``Subspace`` keep them as they are.
-Inside the engine the rows are fraction-free: each is scaled to integers
-and updated by cross-multiplication (``row <- a*row - b*pivot``, as in
-Bareiss elimination), and ``Fraction``s are built only when R, E, kernels,
-solutions, coordinates and complements are read out.  The RREF of a
+One integer kernel serves elimination and the operator calculus alike:
+every operand (an echelon row, a matrix block) is scaled once to integers
+over the lcm of its denominators, all arithmetic is on plain ints, and a
+``Fraction`` is built only for each nonzero value read out.  Elimination
+updates rows by cross-multiplication (``row <- a*row - b*pivot``, as in
+Bareiss elimination) and reads out R, E, kernels, solutions, coordinates
+and complements; products (``Matrix.__matmul__``), lifts onto a tensor
+basis and scalar combinations of operators (in ``complexes``) multiply and
+accumulate over one common denominator per output block.  The RREF of a
 matrix is unique, so kernel bases, solutions with free variables zero and
 complements do not depend on the elimination order and are stable across
 runs -- which is what makes golden-file tests possible downstream.
@@ -180,17 +185,15 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            by_col = self.by_column()
+            left, dA = _integer_columns(self)
+            right, dB = _integer_row(other.entries.items())
             ents: dict = {}
-            for (k, j), w in other.entries.items():
-                for i, v in by_col.get(k, ()):
+            get = ents.get
+            for (k, j), w in right.items():
+                for i, v in left.get(k, ()):
                     rc = (i, j)
-                    s = ents.get(rc, Q0) + v * w
-                    if s:
-                        ents[rc] = s
-                    else:
-                        ents.pop(rc, None)
-            return Matrix(self.rows, other.cols, ents)
+                    ents[rc] = get(rc, 0) + v * w
+            return Matrix(self.rows, other.cols, _over(ents, dA * dB))
         return self.apply(other)
 
     def apply(self, v: Sequence) -> tuple:
@@ -207,12 +210,17 @@ class Matrix:
 
 
 # ---------------------------------------------------------------------------
-# The echelon engine.  Rows are sparse dicts col -> int.  A rational row
-# enters scaled by the lcm of its denominators.  A pivot table maps each
-# pivot column to its primitive integer row (positive entry there, nothing
-# to its left) and the row's tracked combination, or None when untracked.
-# A tracked row equals the combination of the input rows, so the two share
-# one content gcd.  Fractions are made only when results are read out.
+# The integer kernel.  A rational operand -- an echelon row, or the entries
+# of a matrix block -- enters once, scaled by the lcm of its denominators
+# (`_integer_row`, `_integer_columns`); sums of products over several
+# operands take one common denominator per output block, and `_over` reads
+# the nonzero results out as Fractions.
+#
+# The echelon engine on top of it: rows are sparse dicts col -> int.  A
+# pivot table maps each pivot column to its primitive integer row (positive
+# entry there, nothing to its left) and the row's tracked combination, or
+# None when untracked.  A tracked row equals the combination of the input
+# rows, so the two share one content gcd.
 # ---------------------------------------------------------------------------
 
 
@@ -224,6 +232,16 @@ def _integer_row(items) -> tuple:
     if d == 1:
         return {j: x.numerator for j, x in items}, 1
     return {j: x.numerator * (d // x.denominator) for j, x in items}, d
+
+
+def _integer_columns(m: Matrix) -> tuple:
+    """(view, d): the sparse column view col -> [(row, int), ...] of m scaled
+    by the lcm d of its denominators."""
+    ents, d = _integer_row(m.entries.items())
+    view: dict = {}
+    for (i, j), v in ents.items():
+        view.setdefault(j, []).append((i, v))
+    return view, d
 
 
 def _sparse(v: Sequence) -> tuple:
@@ -240,10 +258,10 @@ def _rows_as_dicts(A: Matrix) -> list:
 
 
 def _over(row: dict, den: int) -> dict:
-    """The rational row row / den."""
-    if den == 1:
-        return {j: Fraction(v) for j, v in row.items()}
-    return {j: Fraction(v, den) for j, v in row.items()}
+    """The rational row row / den, without its zero entries.  Equal entries
+    share one Fraction: operator blocks hold few distinct values."""
+    value = {v: Fraction(v, den) for v in set(row.values()) if v}
+    return {j: value[v] for j, v in row.items() if v}
 
 
 def _axpby(dst: dict, a: int, b: int, src: dict) -> None:

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,19 @@ from koszul.complexes import (
     SubcomplexError,
     TensorSpace,
     Truncation,
+    WindowError,
     check_chain_map,
     cohomology,
+    cohomology_representatives,
     induced_map,
     quasi_iso_check,
     subcomplex,
 )
-from koszul.linalg import Matrix, ShapeError, vec
+from koszul.cli import resolve_algebra, resolve_module
+from koszul.equivariant import cartan_model, invariant_subcomplex
+from koszul.lie import BUILTIN_NAMES
+from koszul.linalg import Matrix, ShapeError, kernel_basis, vec
+from koszul.weil import weil_model
 
 
 def two_term_complex():
@@ -170,18 +178,30 @@ def _draw_space(data, name):
     return GradedSpace({d: tuple(f"{name}{d}_{i}" for i in range(k)) for d, k in dims.items()})
 
 
-def _draw_op(data, space, shift=None):
+SMALL_ENTRIES = (st.fractions(min_value=-3, max_value=3, max_denominator=3),)
+# integral blocks beside blocks with large coprime denominators, whose lcm and
+# every product of numerators grow large in the integer kernel
+LARGE_DENOMINATORS = (10007, 65537, 2**61 - 1)
+MIXED_ENTRIES = (
+    st.integers(-9, 9).map(Fraction),
+    st.one_of(st.just(Fraction(0)), st.builds(
+        Fraction, st.integers(-(10**6), 10**6), st.sampled_from((1,) + LARGE_DENOMINATORS))),
+)
+
+
+def _draw_op(data, space, shift=None, entries=SMALL_ENTRIES):
     """A random rational map of the given shift (random when None), or None (the
-    identity) when the shift allows it."""
+    identity) when the shift allows it.  Each block draws its entries from one
+    of the `entries` strategies."""
     if not shift and data.draw(st.booleans()):
         return None
     if shift is None:
         shift = data.draw(st.integers(-2, 2))
-    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     blocks = {}
     for d in space.degrees():
         rows, cols = space.dim(d + shift), space.dim(d)
         if rows:
+            entry = data.draw(st.sampled_from(entries))
             values = data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
             blocks[d] = Matrix(rows, cols, {(i, j): values[i * cols + j]
                                             for i in range(rows) for j in range(cols)})
@@ -273,3 +293,210 @@ def test_lift_matches_signed_kronecker_product(data):
         assert set(padded.blocks) == set(summed.blocks)
         for m in padded.blocks.values():
             assert m.entries and all(m.entries.values())
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel behind combination, lift_sum and @, against dense
+# Fraction references, on integral and large-denominator blocks
+# ---------------------------------------------------------------------------
+
+
+def _stored_as_fractions(op: LinMap) -> bool:
+    """No empty block, and every stored entry a nonzero Fraction (no int, no zero)."""
+    return all(m.entries and all(type(v) is Fraction and v for v in m.entries.values())
+               for m in op.blocks.values())
+
+
+COEFFICIENTS = st.one_of(
+    st.integers(-3, 3),
+    MIXED_ENTRIES[1],
+    st.sampled_from([Fraction((-1) ** q, factorial(q)) for q in range(7)]),  # the twist's
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_combination_matches_dense_sum(data):
+    space = _draw_space(data, "a")
+    shift = data.draw(st.integers(-2, 2))
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = _draw_op(data, space, shift, MIXED_ENTRIES) or LinMap.identity(space)
+        terms.append((data.draw(COEFFICIENTS), op))
+    combined = LinMap.combination(terms)
+    assert combined.shift == shift
+    for d in space.degrees():
+        expected = [[sum((Fraction(c) * op.block(d)[i, j] for c, op in terms), Fraction(0))
+                     for j in range(space.dim(d))] for i in range(space.dim(d + shift))]
+        assert combined.block(d).dense() == expected
+    assert _stored_as_fractions(combined)
+    c, op = terms[0]
+    assert not LinMap.combination([(c, op), (-Fraction(c), op)]).blocks
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lift_sum_matches_kronecker_sum_large_denominators(data):
+    A, B = _draw_space(data, "a"), _draw_space(data, "b")
+    top = data.draw(st.integers(A.lo + B.lo, A.hi + B.hi))
+    ts = TensorSpace(A, B, top)
+    shift = data.draw(st.integers(-2, 2))
+    terms = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        sA = data.draw(st.integers(-2, 2))
+        terms.append((_draw_op(data, A, sA, MIXED_ENTRIES),
+                      _draw_op(data, B, shift - sA, MIXED_ENTRIES)))
+    summed = ts.lift_sum(terms, shift)
+    for t, expected in _kronecker_sum(A, B, top, terms, shift).items():
+        assert summed.block(t).dense() == expected
+    assert _stored_as_fractions(summed)
+
+
+# ---------------------------------------------------------------------------
+# Witnesses of the d² and chain-map checks, against dense Fraction products
+# ---------------------------------------------------------------------------
+
+
+def _dense_product(X: Matrix, Y: Matrix) -> list:
+    return [[sum((X[i, k] * Y[k, j] for k in range(X.cols)), Fraction(0)) for j in range(Y.cols)]
+            for i in range(X.rows)]
+
+
+def _first_nonzero_column(rows: list):
+    cols = [j for row in rows for j, v in enumerate(row) if v]
+    return min(cols) if cols else None
+
+
+def _dense_d2_witness(C: Complex):
+    """(degree, label) where the d² check of Complex must fail first, or None."""
+    top = C.space.hi if C.complete else C.space.hi - 2
+    for deg in C.space.degrees():
+        if deg <= top:
+            col = _first_nonzero_column(_dense_product(C.d.block(deg + 1), C.d.block(deg)))
+            if col is not None:
+                return deg, C.space.labels(deg)[col]
+    return None
+
+
+def _dense_chain_witness(f: ChainMap):
+    """(degree, label, defect column) of the first chain-map defect, or None."""
+    C, D = f.source, f.target
+    for deg in C.space.degrees():
+        lhs = _dense_product(D.d.block(deg), f.map.block(deg))
+        rhs = _dense_product(f.map.block(deg + 1), C.d.block(deg))
+        diff = [[x - y for x, y in zip(a, b)] for a, b in zip(lhs, rhs)]
+        col = _first_nonzero_column(diff)
+        if col is not None:
+            return deg, C.space.labels(deg)[col], tuple(row[col] for row in diff)
+    return None
+
+
+def _draw_mixed_block(data, rows, cols):
+    entry = data.draw(st.sampled_from(MIXED_ENTRIES))
+    values = data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return Matrix(rows, cols, {(i, j): values[i * cols + j] for i in range(rows) for j in range(cols)})
+
+
+def _draw_fractional_complex_data(data):
+    """(space, d) of degrees 0..2 with rational d; d₁ is drawn from the left
+    kernel of d₀ when `data` says so, making d² = 0 by exact cancellation."""
+    n0, n1 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    d0 = _draw_mixed_block(data, n1, n0)
+    left = kernel_basis(d0.transpose())  # rows v with v·d₀ = 0
+    if left and data.draw(st.booleans()):
+        c = data.draw(MIXED_ENTRIES[1].filter(bool))
+        d1 = Matrix.from_rows(left).scale(c)
+    else:
+        d1 = _draw_mixed_block(data, data.draw(st.integers(1, 3)), n1)
+    space = GradedSpace({0: tuple(f"a{i}" for i in range(n0)), 1: tuple(f"b{i}" for i in range(n1)),
+                         2: tuple(f"c{i}" for i in range(d1.rows))})
+    return space, LinMap(space, space, 1, {0: d0, 1: d1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_d_squared_witness_matches_dense_reference(data):
+    space, d = _draw_fractional_complex_data(data)
+    expected = _dense_d2_witness(Complex(space, d, check=False))
+    if expected is None:
+        assert Complex(space, d).d_squared_defect() is None
+    else:
+        deg, lbl = expected
+        with pytest.raises(ValueError, match=re.escape(f"d^2 != 0 at degree {deg} on basis vector {lbl!r}")):
+            Complex(space, d)
+
+
+def test_d_squared_fractional_witness_and_exact_cancellation():
+    p, q = LARGE_DENOMINATORS[0], LARGE_DENOMINATORS[2]
+    space = GradedSpace({0: ("a", "b"), 1: ("c", "e"), 2: ("f",)})
+    d0 = Matrix.from_rows([[0, Fraction(1, p)], [0, Fraction(1, q)]])
+    bad = LinMap(space, space, 1, {0: d0, 1: Matrix.from_rows([[Fraction(3, q), Fraction(1, p)]])})
+    with pytest.raises(ValueError, match=re.escape("d^2 != 0 at degree 0 on basis vector 'b'")):
+        Complex(space, bad)
+    # 1/(pq) - 1/(qp): the product cancels exactly and the complex is accepted
+    good = LinMap(space, space, 1, {0: d0, 1: Matrix.from_rows([[Fraction(1, q), Fraction(-1, p)]])})
+    assert Complex(space, good).d_squared_defect() is None
+
+
+def test_chain_map_fractional_witness():
+    p, q = LARGE_DENOMINATORS[0], LARGE_DENOMINATORS[1]
+    space = GradedSpace({0: ("a", "b"), 1: ("c",)})
+    C = Complex(space, LinMap(space, space, 1, {0: Matrix.from_rows([[Fraction(1, p), Fraction(1, q)]])}))
+    corrupted = LinMap(space, space, 0, {0: Matrix.identity(2), 1: Matrix.from_rows([[Fraction(3, 2)]])})
+    rep = check_chain_map(ChainMap(C, C, corrupted))
+    assert not rep.ok
+    assert rep.witness == (0, "a", (Fraction(-1, 2 * p),))
+    assert type(rep.witness[2][0]) is Fraction
+    assert "chain-map defect at degree 0 on 'a': {0: '-1/20014'}" == rep.describe()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_chain_map_witness_matches_dense_reference(data):
+    space, d = _draw_fractional_complex_data(data)
+    C = Complex(space, d, check=False)
+    blocks = {deg: _draw_mixed_block(data, space.dim(deg), space.dim(deg)) for deg in space.degrees()}
+    f = ChainMap(C, C, LinMap(space, space, 0, blocks))
+    rep = check_chain_map(f)
+    expected = _dense_chain_witness(f)
+    assert rep.ok == (expected is None)
+    assert rep.witness == expected
+    if expected is not None:
+        assert all(type(v) is Fraction for v in rep.witness[2])
+
+
+# ---------------------------------------------------------------------------
+# Uncertified degrees are counted by ranks: the count the representatives gave
+# ---------------------------------------------------------------------------
+
+
+def _counts_from_representatives(C: Complex, N: int) -> dict:
+    """dim H^deg at every degree of the window as the number of representatives
+    (none above the space), as cohomology once computed it at every degree."""
+    return {deg: len(cohomology_representatives(C, deg)[0]) if deg <= C.space.hi else 0
+            for deg in range(C.space.lo, N + 1)}
+
+
+@pytest.mark.parametrize("alg", (*BUILTIN_NAMES, "abelian:0"))
+def test_uncertified_counts_match_representatives(alg):
+    g = resolve_algebra(alg)
+    uncertified = 0
+    for N in range(1, 5):
+        trunc = Truncation(N)
+        complexes = [weil_model(g, trunc).complex]
+        for mod in ("trivial", "exterior", "forms:coadjoint:1"):
+            M = resolve_module(mod, g)
+            complexes += [M.complex, invariant_subcomplex(M, with_actions=False).complex]
+            try:
+                complexes.append(cartan_model(M, trunc).complex)
+            except WindowError:
+                pass
+        for C in complexes:
+            try:
+                rep = cohomology(C, trunc)
+            except WindowError:
+                continue
+            assert {**rep.betti, **rep.uncertified} == _counts_from_representatives(C, N)
+            assert {d: len(r) for d, r in rep.representatives.items()} == rep.betti
+            uncertified += len(rep.uncertified)
+    assert uncertified

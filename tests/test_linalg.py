@@ -406,3 +406,59 @@ def test_read_out_values_are_fractions(rows, xs):
     assert _all_fractions(Subspace(family).coords(b))
     assert _all_fractions(express_in_span(family, b))
     assert all(_all_fractions(v) for v in complement_basis([], family))
+
+
+# -- the integer kernel behind @: dense Fraction products as the oracle ---------
+# Operands are scaled to integers over the lcm of their denominators and the
+# product is read out over dA·dB; integral and large-denominator blocks mix.
+
+integral_entries = st.integers(-9, 9).map(Q)
+
+
+def _stored_as_fractions(m: Matrix) -> bool:
+    """Every stored entry is a nonzero Fraction: no int, no stored zero."""
+    return all(type(v) is Fraction and v for v in m.entries.values())
+
+
+@st.composite
+def mixed_block(draw, rows, cols):
+    entry = draw(st.sampled_from((integral_entries, large_fracs)))
+    values = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return Matrix(rows, cols, {(i, j): values[i * cols + j]
+                               for i in range(rows) for j in range(cols)})
+
+
+def _dense_product(A: Matrix, B: Matrix) -> list:
+    return [[sum((A[i, k] * B[k, j] for k in range(A.cols)), Q(0)) for j in range(B.cols)]
+            for i in range(A.rows)]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_matmul_matches_dense_product(data):
+    r, k, c = (data.draw(st.integers(0, 6)) for _ in range(3))
+    A, B = data.draw(mixed_block(r, k)), data.draw(mixed_block(k, c))
+    P = A @ B
+    assert (P.rows, P.cols) == (r, c)
+    assert P.dense() == _dense_product(A, B)
+    assert _stored_as_fractions(P)
+    # the product of three, either way round: read-outs feed the next product
+    C = data.draw(mixed_block(c, 3))
+    assert (P @ C) == A @ (B @ C)
+
+
+def test_matmul_exact_cancellation_reads_out_nothing():
+    p, q = LARGE_DENOMINATORS[0], LARGE_DENOMINATORS[2]
+    A = Matrix.from_rows([[Q(1, p), Q(1, q)], [Q(3), Q(5, q)]])
+    B = Matrix.from_rows([[Q(1, q)], [Q(-1, p)]])
+    P = A @ B
+    assert P.entries.keys() == {(1, 0)}
+    assert P[1, 0] == Q(3, q) - Q(5, p * q)
+    assert _stored_as_fractions(P)
+    assert (Matrix.from_rows([[Q(1, p), Q(1, q)]]) @ B).is_zero()
+
+
+def test_matmul_of_integer_matrices_stores_fractions():
+    P = Matrix.from_rows([[1, 2], [0, -1]]) @ Matrix.from_rows([[2, 0], [1, 0]])
+    assert P.entries == {(0, 0): Q(4), (1, 0): Q(-1)}
+    assert _stored_as_fractions(P)
