@@ -291,7 +291,7 @@ class TensorSpace:
                     if r not in colsB:
                         colsB[r] = columns(opB, r, B.dim(r))
                     fA, fB = colsA[q], colsB[r]
-                    if fA and fB and fA[0] and fB[0]:
+                    if fA and fB:
                         parts.append((fA, fB, row0, col0, B.dim(r), B.dim(r + sB),
                                       sB % 2 and q % 2))
             if not parts:
