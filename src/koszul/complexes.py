@@ -21,9 +21,7 @@ from .linalg import (
     Matrix,
     ShapeError,
     Subspace,
-    _integer_columns,
-    _integer_row,
-    _over,
+    _ratio,
     complement_basis,
     image_rank,
     kernel_basis,
@@ -130,11 +128,7 @@ class LinMap:
         """self after other."""
         if other.target is not self.source and other.target != self.source:
             raise ShapeError("composition space mismatch")
-        blocks = {}
-        for d in other.source.degrees():
-            b = self.block(d + other.shift) @ other.block(d)
-            if not b.is_zero():
-                blocks[d] = b
+        blocks = {d: self.block(d + other.shift) @ other.block(d) for d in other.source.degrees()}
         return LinMap(other.source, self.target, self.shift + other.shift, blocks)
 
     def add(self, other: "LinMap") -> "LinMap":
@@ -161,16 +155,15 @@ class LinMap:
             for _, op in terms:
                 if (op.target.dim(d + op.shift), op.source.dim(d)) != shape:
                     raise ShapeError(f"adding maps of different shapes at degree {d}")
-        scaled = [(Fraction(c), op) for c, op in terms]
+        scaled = [(_ratio(c), op) for c, op in terms]
         blocks = {}
         for d in degrees:
-            # c·m = (p/q)·(integer block / e): accumulate p·(D/(q·e))·block over D = lcm(q·e)
+            # c·m = (p/q)·(m.num / m.den): accumulate p·(D/(q·m.den))·m.num over D = lcm(q·m.den)
             parts = []
-            for c, op in scaled:
+            for (p, q), op in scaled:
                 m = op.blocks.get(d)
                 if m is not None:
-                    ents, e = _integer_row(m.entries.items())
-                    parts.append((c.numerator, c.denominator * e, ents))
+                    parts.append((p, q * m.den, m.num))
             den = lcm(*[q for _, q, _ in parts])
             acc: dict = {}
             get = acc.get
@@ -178,7 +171,7 @@ class LinMap:
                 k = p * (den // q)
                 for rc, v in ents.items():
                     acc[rc] = get(rc, 0) + k * v
-            blocks[d] = Matrix(first.target.dim(d + first.shift), first.source.dim(d), _over(acc, den))
+            blocks[d] = Matrix._from_ints(first.target.dim(d + first.shift), first.source.dim(d), acc, den)
         return LinMap(first.source, first.target, first.shift, blocks)
 
     def scale(self, c) -> "LinMap":
@@ -262,7 +255,7 @@ class TensorSpace:
                     identity[dim] = ({i: ((i, 1),) for i in range(dim)}, 1)
                 return identity[dim]
             m = op.blocks.get(deg)
-            return _integer_columns(m) if m is not None else None
+            return (m.int_columns(), m.den) if m is not None else None
 
         prepared = []  # (opA, opB, shift of opA, shift of opB, column views of each)
         for opA, opB in terms:
@@ -312,7 +305,7 @@ class TensorSpace:
                             for rowB, vB in colB:
                                 key = (pos[base + rowB], col)
                                 ents[key] = get(key, 0) + kA * vB
-            blocks[t] = Matrix(self.space.dim(t + shift), self.space.dim(t), _over(ents, den))
+            blocks[t] = Matrix._from_ints(self.space.dim(t + shift), self.space.dim(t), ents, den)
         return LinMap(self.space, self.space, shift, blocks)
 
 
@@ -343,7 +336,7 @@ class Complex:
                 continue
             prod = self.d.block(deg + 1) @ self.d.block(deg)
             if not prod.is_zero():
-                col = min(j for (_, j) in prod.entries)
+                col = min(j for (_, j) in prod.num)
                 return deg, self.space.labels(deg)[col]
         return None
 
@@ -405,7 +398,7 @@ def check_chain_map(f: ChainMap) -> ChainMapReport:
         rhs = f.map.block(deg + 1) @ C.d.block(deg)
         if lhs != rhs:
             diff = lhs - rhs
-            col = min(j for (_, j) in diff.entries)
+            col = min(j for (_, j) in diff.num)
             return ChainMapReport(False, (deg, C.space.labels(deg)[col], diff.column(col)))
     return ChainMapReport(True)
 
@@ -472,7 +465,7 @@ def cohomology_classes(reps: Sequence, boundaries: Sequence, images) -> Optional
     m = Subspace(list(reps) + list(boundaries)).restrict(images)
     if m is None:
         return None
-    return Matrix(len(reps), m.cols, {rc: v for rc, v in m.entries.items() if rc[0] < len(reps)})
+    return Matrix._from_ints(len(reps), m.cols, {rc: v for rc, v in m.num.items() if rc[0] < len(reps)}, m.den)
 
 
 def _betti_by_rank(C: Complex, deg: int) -> int:

@@ -170,7 +170,7 @@ def load_lie_algebra(path_or_name: str) -> LieAlgebra:
     return lie_algebra_from_dict(data)
 
 
-BUILTIN_NAMES = ("su2", "sl2", "abelian1", "abelian2", "su2xsu2")
+BUILTIN_NAMES = ("su2", "sl2", "abelian1", "abelian2", "su2xsu2", "sl3", "u2")
 
 
 def builtin_algebra(name: str) -> LieAlgebra:

@@ -1,33 +1,31 @@
 """Exact rational linear algebra on sparse matrices.
 
-Results are exact rationals (``fractions.Fraction``) and every computation
-is bit-for-bit reproducible.  One echelon engine inserts sparse rows one at
-a time; ``RowReduction`` back-substitutes them to the reduced row echelon
-form, and ``IncrementalSpan`` and ``Subspace`` keep them as they are.
-One integer kernel serves elimination and the operator calculus alike:
-every operand (an echelon row, a matrix block) is scaled once to integers
-over the lcm of its denominators, all arithmetic is on plain ints, and a
-``Fraction`` is built only for each nonzero value read out.  Elimination
-updates rows by cross-multiplication (``row <- a*row - b*pivot``, as in
-Bareiss elimination) and reads out R, E, kernels, solutions, coordinates
-and complements; products (``Matrix.__matmul__``), lifts onto a tensor
-basis and scalar combinations of operators (in ``complexes``) multiply and
-accumulate over one common denominator per output block.  The RREF of a
-matrix is unique, so kernel bases, solutions with free variables zero and
-complements do not depend on the elimination order and are stable across
-runs -- which is what makes golden-file tests possible downstream.
+Results are exact rationals and every computation is bit-for-bit
+reproducible.  A ``Matrix`` stores integer numerators over one positive
+denominator, in lowest terms, and all arithmetic runs on plain ints:
+products, sums, lifts onto a tensor basis and scalar combinations of
+operators (in ``complexes``) accumulate numerators over one denominator
+per output block.  A ``Fraction`` is built only where a value is read out.
+
+One echelon engine inserts sparse integer rows one at a time, updating
+them by cross-multiplication (``row <- a*row - b*pivot``, as in Bareiss
+elimination); ``RowReduction`` back-substitutes them to the reduced row
+echelon form, and ``IncrementalSpan`` and ``Subspace`` keep them as they
+are.  The RREF of a matrix is unique, so kernel bases, solutions with free
+variables zero and complements do not depend on the elimination order and
+are stable across runs -- which is what makes golden-file tests possible.
 
 Subspaces enter in two ways, each through one call: ``joint_kernel``
 cuts one out as the common kernel of a family of operator blocks, and
 ``Subspace.restrict`` writes images in the coordinates of a spanning
 family, which is how every restricted operator is built.
 
-Vectors are plain tuples of Fractions (column vectors).  Matrices store a
-dict of (row, col) -> nonzero entry.
+Vectors are plain tuples of Fractions (column vectors).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -58,25 +56,70 @@ def vec(values: Iterable) -> tuple:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
-class Matrix:
-    """Sparse rational matrix.  Immutable by convention once constructed."""
+def _ratio(c) -> tuple:
+    """(numerator, positive denominator) of a rational scalar."""
+    c = c if isinstance(c, (int, Fraction)) else Fraction(c)
+    return c.numerator, c.denominator
 
-    __slots__ = ("rows", "cols", "entries")
+
+class _Entries(Mapping):
+    """The nonzero entries of a Matrix as a read-only (row, col) -> Fraction map."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict, den: int):
+        self._num, self._den = num, den
+
+    def __getitem__(self, rc) -> Fraction:
+        return Fraction(self._num[rc], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+
+class Matrix:
+    """Sparse rational matrix.  Immutable by convention once constructed.
+
+    ``num`` maps (row, col) to the nonzero integer numerators over the one
+    positive denominator ``den``, in lowest terms: gcd(den, *num) == 1, so
+    den == 1 for an integer (or zero) matrix.  The form is canonical, so
+    equal matrices store equal data.  ``entries``, indexing, ``column``,
+    ``row`` and ``by_column`` read the values out as Fractions.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ShapeError("negative matrix shape")
         self.rows = rows
         self.cols = cols
-        ents: dict = {}
+        vals: dict = {}
         if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for (r, c), v in items:
+            for (r, c), v in entries.items() if isinstance(entries, dict) else entries:
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ShapeError(f"entry ({r},{c}) outside {rows}x{cols} matrix")
                 if v:
-                    ents[(r, c)] = v if type(v) is Fraction else Fraction(v)
-        self.entries = ents
+                    vals[(r, c)] = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        # over the lcm of the reduced denominators, no prime divides every numerator
+        self.num, self.den = _integer_row(vals.items())
+
+    @classmethod
+    def _from_ints(cls, rows: int, cols: int, num: dict, den: int) -> "Matrix":
+        """The matrix num / den from integer numerators (in range, not
+        checked) over a positive den: zeros are dropped and the common
+        factor gcd(den, *num) is divided out."""
+        m = object.__new__(cls)
+        m.rows, m.cols = rows, cols
+        if 0 in num.values():
+            num = {rc: v for rc, v in num.items() if v}
+        g = gcd(den, *num.values())
+        m.num = {rc: v // g for rc, v in num.items()} if g != 1 else num
+        m.den = den // g
+        return m
 
     # -- constructors ------------------------------------------------------
 
@@ -89,8 +132,8 @@ class Matrix:
             if len(row) != nc:
                 raise ShapeError("ragged rows")
             for j, v in enumerate(row):
-                if v:
-                    ents[(i, j)] = v if type(v) is Fraction else Fraction(v)
+                if v is not Q0 and v:
+                    ents[(i, j)] = v
         return cls(nr, nc, ents)
 
     @classmethod
@@ -105,122 +148,132 @@ class Matrix:
             if len(col) != nrows:
                 raise ShapeError("ragged columns")
             for i, v in enumerate(col):
-                if v:
-                    ents[(i, j)] = v if type(v) is Fraction else Fraction(v)
+                if v is not Q0 and v:  # as in _sparse
+                    ents[(i, j)] = v
         return cls(nrows, nc, ents)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, {(i, i): Q1 for i in range(n)})
+        return cls._from_ints(n, n, {(i, i): 1 for i in range(n)}, 1)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
         return cls(rows, cols)
 
-    # -- accessors ---------------------------------------------------------
+    # -- read-outs ---------------------------------------------------------
+
+    @property
+    def entries(self) -> Mapping:
+        """The nonzero entries, read out as a (row, col) -> Fraction map."""
+        return _Entries(self.num, self.den)
 
     def __getitem__(self, rc) -> Fraction:
-        return self.entries.get(rc, Q0)
+        v = self.num.get(rc)
+        return Fraction(v, self.den) if v else Q0
 
     def column(self, j: int) -> tuple:
-        return tuple(self.entries.get((i, j), Q0) for i in range(self.rows))
+        return tuple(self[i, j] for i in range(self.rows))
 
     def row(self, i: int) -> tuple:
-        return tuple(self.entries.get((i, j), Q0) for j in range(self.cols))
+        return tuple(self[i, j] for j in range(self.cols))
 
     def columns(self) -> list:
         return [self.column(j) for j in range(self.cols)]
 
-    def by_column(self) -> dict:
-        """Sparse column view: col -> [(row, value), ...] over the nonzero entries."""
+    def int_columns(self) -> dict:
+        """Sparse integer column view: col -> [(row, numerator), ...]."""
         view: dict = {}
-        for (i, j), v in self.entries.items():
+        for (i, j), v in self.num.items():
             view.setdefault(j, []).append((i, v))
         return view
+
+    def by_column(self) -> dict:
+        """Sparse column view: col -> [(row, value), ...] over the nonzero entries."""
+        den = self.den
+        return {j: [(i, Fraction(v, den)) for i, v in col] for j, col in self.int_columns().items()}
 
     def dense(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.num
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+        return hash((self.rows, self.cols, self.den, frozenset(self.num.items())))
 
     def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+        return f"Matrix({self.rows}x{self.cols}, {len(self.num)} entries)"
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("matrix addition shape mismatch")
-        ents = dict(self.entries)
-        for rc, v in other.entries.items():
-            w = ents.get(rc, Q0) + v
-            if w:
-                ents[rc] = w
-            else:
-                ents.pop(rc, None)
-        return Matrix(self.rows, self.cols, ents)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        ents = {rc: a * v for rc, v in self.num.items()}
+        get = ents.get
+        for rc, v in other.num.items():
+            ents[rc] = get(rc, 0) + b * v
+        return Matrix._from_ints(self.rows, self.cols, ents, den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + other.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        if not c:
-            return Matrix(self.rows, self.cols)
-        return Matrix(self.rows, self.cols, {rc: c * v for rc, v in self.entries.items()})
+        p, q = _ratio(c)
+        return Matrix._from_ints(self.rows, self.cols,
+                                 {rc: p * v for rc, v in self.num.items()}, q * self.den)
 
     def __matmul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            left, dA = _integer_columns(self)
-            right, dB = _integer_row(other.entries.items())
+            left = self.int_columns()
             ents: dict = {}
             get = ents.get
-            for (k, j), w in right.items():
+            for (k, j), w in other.num.items():
                 for i, v in left.get(k, ()):
                     rc = (i, j)
                     ents[rc] = get(rc, 0) + v * w
-            return Matrix(self.rows, other.cols, _over(ents, dA * dB))
+            return Matrix._from_ints(self.rows, other.cols, ents, self.den * other.den)
         return self.apply(other)
 
     def apply(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise ShapeError(f"vector length {len(v)} != cols {self.cols}")
-        out = [Q0] * self.rows
-        for (i, j), a in self.entries.items():
-            if v[j]:
-                out[i] += a * v[j]
-        return tuple(out)
+        x, d = _sparse(v)
+        out = [0] * self.rows
+        get = x.get
+        for (i, j), a in self.num.items():
+            b = get(j)
+            if b:
+                out[i] += a * b
+        d *= self.den
+        return tuple(Fraction(s, d) if s else Q0 for s in out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()})
+        return Matrix._from_ints(self.cols, self.rows,
+                                 {(j, i): v for (i, j), v in self.num.items()}, self.den)
 
 
 # ---------------------------------------------------------------------------
-# The integer kernel.  A rational operand -- an echelon row, or the entries
-# of a matrix block -- enters once, scaled by the lcm of its denominators
-# (`_integer_row`, `_integer_columns`); sums of products over several
-# operands take one common denominator per output block, and `_over` reads
-# the nonzero results out as Fractions.
-#
-# The echelon engine on top of it: rows are sparse dicts col -> int.  A
-# pivot table maps each pivot column to its primitive integer row (positive
-# entry there, nothing to its left) and the row's tracked combination, or
-# None when untracked.  A tracked row equals the combination of the input
-# rows, so the two share one content gcd.
+# The echelon engine.  A vector enters once, scaled by the lcm of its
+# denominators (`_integer_row`); a matrix hands over its numerators as
+# they are.  Rows are sparse dicts col -> int.  A pivot table maps each
+# pivot column to its primitive integer row (positive entry there, nothing
+# to its left) and the row's tracked combination, or None when untracked.
+# A tracked row equals the combination of the input rows, so the two share
+# one content gcd.  `_over` reads a row out as Fractions.
 # ---------------------------------------------------------------------------
 
 
@@ -234,34 +287,15 @@ def _integer_row(items) -> tuple:
     return {j: x.numerator * (d // x.denominator) for j, x in items}, d
 
 
-def _integer_columns(m: Matrix) -> tuple:
-    """(view, d): the sparse column view col -> [(row, int), ...] of m scaled
-    by the lcm d of its denominators."""
-    ents, d = _integer_row(m.entries.items())
-    view: dict = {}
-    for (i, j), v in ents.items():
-        view.setdefault(j, []).append((i, v))
-    return view, d
-
-
 def _sparse(v: Sequence) -> tuple:
     # `is not Q0` first: dense vectors are mostly the shared zero, and the
     # identity test skips a Python-level Fraction.__bool__ call per entry
     return _integer_row((i, x) for i, x in enumerate(v) if x is not Q0 and x)
 
 
-def _rows_as_dicts(A: Matrix) -> list:
-    rows: list = [dict() for _ in range(A.rows)]
-    for (i, j), v in A.entries.items():
-        rows[i][j] = v
-    return rows
-
-
 def _over(row: dict, den: int) -> dict:
-    """The rational row row / den, without its zero entries.  Equal entries
-    share one Fraction: operator blocks hold few distinct values."""
-    value = {v: Fraction(v, den) for v in set(row.values()) if v}
-    return {j: value[v] for j, v in row.items() if v}
+    """The rational row row / den."""
+    return {j: Fraction(v, den) for j, v in row.items()}
 
 
 def _axpby(dst: dict, a: int, b: int, src: dict) -> None:
@@ -333,6 +367,8 @@ def _insert(pivots: dict, row: dict, comb: Optional[dict]) -> bool:
     return True
 
 
+
+
 class RowReduction:
     """Reduced row echelon factorization R = E @ A, computed once.
 
@@ -341,20 +377,23 @@ class RowReduction:
     and the rows after the rank are empty.  With track=True, E is kept so
     that consistency of A x = b can be read off from E @ b: its rows after
     the rank combine the rows of A to zero.  kernel/rank queries skip that
-    extra work.
+    extra work.  The factorization is held as primitive integer rows; R and
+    E are read out as Fractions on access.
     """
 
     def __init__(self, A: Matrix, track: bool = True):
-        self.rows = A.rows
-        self.cols = A.cols
+        self.rows, self.cols = A.rows, A.cols
+        rows: dict = {}
+        for (i, j), v in A.num.items():
+            rows.setdefault(i, {})[j] = v
         table: dict = {}
         null: list = []
-        for i, row in enumerate(_rows_as_dicts(A)):
-            row, d = _integer_row(row.items())
-            comb = {i: d} if track else None
-            if not _insert(table, row, comb) and track:
-                # the vanishing combination, scaled to coefficient 1 at row i
-                null.append(_over(comb, comb[i]))
+        for i in range(A.rows):
+            # the integer row is den times row i of A; popped, so that a row
+            # reduced to zero is freed at once (most rows of a joint-kernel stack)
+            comb = {i: A.den} if track else None
+            if not _insert(table, rows.pop(i, {}), comb) and track:
+                null.append((comb, comb[i]))
         order = sorted(table)
         # back-substitution, highest pivot first: the rows used are reduced already
         for c in reversed(order):
@@ -366,46 +405,52 @@ class RowReduction:
                 table[c] = _primitive(row, comb, c)
         self.pivots = order
         self.rank = len(order)
-        leads = [table[c][0][c] for c in order]
-        self.R = [_over(table[c][0], a) for c, a in zip(order, leads)]
-        self.R += [{} for _ in range(A.rows - self.rank)]
-        self.E = [_over(table[c][1], a) for c, a in zip(order, leads)] + null if track else None
+        self._table = table
+        self._null = null if track else None
 
-    def transform(self, b: Sequence) -> list:
-        if self.E is None:
-            raise ValueError("RowReduction built with track=False cannot solve")
-        if len(b) != self.rows:
-            raise ShapeError(f"rhs length {len(b)} != rows {self.rows}")
-        out = []
-        for i in range(self.rows):
-            s = Q0
-            for j, v in self.E[i].items():
-                if b[j]:
-                    s += v * b[j]
-            out.append(s)
-        return out
+    @property
+    def R(self) -> list:
+        """Rows of the reduced echelon form, as dicts col -> Fraction."""
+        table = self._table
+        return ([_over(table[c][0], table[c][0][c]) for c in self.pivots]
+                + [{} for _ in range(self.rows - self.rank)])
+
+    @property
+    def E(self) -> Optional[list]:
+        """Rows of E, as dicts row -> Fraction; None when untracked."""
+        if self._null is None:
+            return None
+        table = self._table
+        return ([_over(table[c][1], table[c][0][c]) for c in self.pivots]
+                + [_over(comb, lead) for comb, lead in self._null])
 
     def solve(self, b: Sequence) -> Optional[tuple]:
         """One solution of A x = b with free variables set to 0, else None."""
-        c = self.transform(b)
-        for i in range(self.rank, self.rows):
-            if c[i]:
-                return None
+        if self._null is None:
+            raise ValueError("RowReduction built with track=False cannot solve")
+        if len(b) != self.rows:
+            raise ShapeError(f"rhs length {len(b)} != rows {self.rows}")
+        y, d = _sparse(b)
+        if any(sum(v * y.get(j, 0) for j, v in comb.items()) for comb, _ in self._null):
+            return None
         x = [Q0] * self.cols
-        for i, pc in enumerate(self.pivots):
-            x[pc] = c[i]
+        for c, (row, comb) in self._table.items():
+            s = sum(v * y.get(j, 0) for j, v in comb.items())
+            if s:
+                x[c] = Fraction(s, row[c] * d)
         return tuple(x)
 
     def kernel(self) -> list:
         """Basis of the null space, one vector per free column, in reduced form."""
-        pivset = set(self.pivots)
-        free = {c: [Q0] * self.cols for c in range(self.cols) if c not in pivset}
+        table = self._table
+        free = {c: [Q0] * self.cols for c in range(self.cols) if c not in table}
         for f, v in free.items():
             v[f] = Q1
-        for i, pc in enumerate(self.pivots):
-            for f, coeff in self.R[i].items():
-                if f != pc:
-                    free[f][pc] = -coeff
+        for c, (row, _) in table.items():
+            lead = row[c]
+            for f, x in row.items():
+                if f != c:
+                    free[f][c] = Fraction(-x, lead)
         return [tuple(v) for v in free.values()]
 
 
@@ -418,26 +463,26 @@ def joint_kernel(mats: Sequence[Matrix], cols: int) -> list:
     """Common kernel of blocks of width cols: ``kernel_basis`` of their stack.
 
     An empty family leaves all of Q^cols, as the unit basis."""
-    ents: dict = {}
+    den = lcm(*[m.den for m in mats])
+    num: dict = {}
     off = 0
     for m in mats:
         if m.cols != cols:
             raise ShapeError(f"block of width {m.cols} in a joint kernel of width {cols}")
-        for (i, j), v in m.entries.items():
-            ents[(i + off, j)] = v
+        k = den // m.den
+        for (i, j), v in m.num.items():
+            num[(i + off, j)] = k * v
         off += m.rows
-    stacked = Matrix(off, cols, ents)
-    del ents  # the stack holds its own copy; do not keep both through the elimination
-    return kernel_basis(stacked)
+    return kernel_basis(Matrix._from_ints(off, cols, num, den))
 
 
 def image_rank(A: Matrix):
     """(rank, basis of the column space).  The basis is the pivot columns of A."""
     red = RowReduction(A, track=False)
     cols = {j: [Q0] * A.rows for j in red.pivots}
-    for (i, j), v in A.entries.items():
+    for (i, j), v in A.num.items():
         if j in cols:
-            cols[j][i] = v
+            cols[j][i] = Fraction(v, A.den)
     return red.rank, [tuple(cols[j]) for j in red.pivots]
 
 
@@ -491,33 +536,33 @@ class Subspace:
         """Coordinates of target in the family, or None when it lies outside.
 
         Members that depend on earlier members get coordinate 0, as the
-        free variables of ``solve_affine`` on the columns do.  The target
-        is reduced as member ``size`` of the family: once it reduces to
-        zero, its coefficient is the common denominator of the coordinates.
+        free variables of ``solve_affine`` on the columns do.
         """
-        if self.dim is not None and len(target) != self.dim:
-            raise ShapeError(f"vector length {len(target)} != {self.dim}")
-        row, d = _sparse(target)
-        comb = {self.size: d}
-        _reduce(self.pivots, row, comb)
-        if row:
-            return None
-        den = -comb.pop(self.size)
-        x = [Q0] * self.size
-        for i, c in comb.items():
-            x[i] = Fraction(c, den)
-        return tuple(x)
+        m = self.restrict([target])
+        return None if m is None else m.column(0)
 
     def restrict(self, images: Iterable[Sequence]) -> Optional[Matrix]:
         """Coordinates of each image as the columns of one Matrix, or None
-        as soon as an image lies outside; images are read one at a time."""
+        as soon as an image lies outside; images are read one at a time.
+
+        An image is reduced as member ``size`` of the family: once it
+        reduces to zero, its coefficient is the common denominator of its
+        coordinates.
+        """
         cols = []
         for img in images:
-            x = self.coords(img)
-            if x is None:
+            if self.dim is not None and len(img) != self.dim:
+                raise ShapeError(f"vector length {len(img)} != {self.dim}")
+            row, d = _sparse(img)
+            comb = {self.size: d}
+            _reduce(self.pivots, row, comb)
+            if row:
                 return None
-            cols.append(x)
-        return Matrix.from_columns(cols, nrows=self.size)
+            e = comb.pop(self.size)
+            cols.append((comb, e))
+        den = lcm(*[e for _, e in cols])
+        num = {(i, j): -c * (den // e) for j, (comb, e) in enumerate(cols) for i, c in comb.items()}
+        return Matrix._from_ints(self.size, len(cols), num, den)
 
 
 def complement_basis(U: Sequence[Sequence], V: Sequence[Sequence]) -> list:

@@ -25,16 +25,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .complexes import Complex, GradedSpace, LinMap, TensorSpace
 from .lie import LieAlgebra, RepMatrices, certify_reductive, invariant_vectors
 from .linalg import Matrix, qparse, qstr
-
-Q0 = Fraction(0)
-Q1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,22 +120,16 @@ def derivation_on_lambda(matrices: Sequence[Matrix], p: int) -> list:
     index = {m: i for i, m in enumerate(monos)}
     out = []
     for A in matrices:
+        gens = A.int_columns()
         ents: dict = {}
         for col, mono in enumerate(monos):
             for t, gen in enumerate(mono):
-                for row_gen in range(n):
-                    coeff = A[(row_gen, gen)]
-                    if not coeff:
-                        continue
+                for row_gen, coeff in gens.get(gen, ()):
                     sign, new = wedge_normalize(mono[:t] + (row_gen,) + mono[t + 1 :])
                     if sign:
                         rc = (index[new], col)
-                        s = ents.get(rc, Q0) + sign * coeff
-                        if s:
-                            ents[rc] = s
-                        else:
-                            ents.pop(rc, None)
-        out.append(Matrix(len(monos), len(monos), ents))
+                        ents[rc] = ents.get(rc, 0) + sign * coeff
+        out.append(Matrix._from_ints(len(monos), len(monos), ents, A.den))
     return out
 
 
@@ -152,25 +142,19 @@ def derivation_on_sym(matrices: Sequence[Matrix], total: int) -> list:
     index = {m: i for i, m in enumerate(monos)}
     out = []
     for A in matrices:
+        gens = A.int_columns()
         ents: dict = {}
         for col, mono in enumerate(monos):
             for gen, e in enumerate(mono):
                 if not e:
                     continue
-                for row_gen in range(n):
-                    coeff = A[(row_gen, gen)]
-                    if not coeff:
-                        continue
+                for row_gen, coeff in gens.get(gen, ()):
                     new = list(mono)
                     new[gen] -= 1
                     new[row_gen] += 1
                     rc = (index[tuple(new)], col)
-                    s = ents.get(rc, Q0) + e * coeff
-                    if s:
-                        ents[rc] = s
-                    else:
-                        ents.pop(rc, None)
-        out.append(Matrix(len(monos), len(monos), ents))
+                    ents[rc] = ents.get(rc, 0) + e * coeff
+        out.append(Matrix._from_ints(len(monos), len(monos), ents, A.den))
     return out
 
 
@@ -291,7 +275,7 @@ def _first_defect(diff: LinMap, degrees, space: GradedSpace):
     for deg in degrees:
         m = diff.block(deg)
         if not m.is_zero():
-            col = min(j for (_, j) in m.entries)
+            col = min(j for (_, j) in m.num)
             return deg, space.labels(deg)[col], m.column(col)
     return None
 
@@ -400,14 +384,8 @@ def exterior_model(g: LieAlgebra) -> KgModule:
                         sign, new = wedge_normalize(mono[:t] + (a, b) + mono[t + 1 :])
                         if sign:
                             rc = (index[p + 1][new], col)
-                            s = ents.get(rc, Q0) + ((-1) ** t) * sign * c
-                            if s:
-                                ents[rc] = s
-                            else:
-                                ents.pop(rc, None)
-        m = Matrix(len(monos[p + 1]), len(monos[p]), ents)
-        if not m.is_zero():
-            d_blocks[p] = m
+                            ents[rc] = ents.get(rc, 0) + (-1) ** t * sign * c
+        d_blocks[p] = Matrix(len(monos[p + 1]), len(monos[p]), ents)
     d = LinMap(space, space, 1, d_blocks)
 
     i_ops = []
@@ -419,10 +397,8 @@ def exterior_model(g: LieAlgebra) -> KgModule:
                 hit = delete_index(mono, k)
                 if hit:
                     sign, new = hit
-                    ents[(index[p - 1][new], col)] = -Fraction(sign)
-            m = Matrix(len(monos[p - 1]), len(monos[p]), ents)
-            if not m.is_zero():
-                blocks[p] = m
+                    ents[(index[p - 1][new], col)] = -sign
+            blocks[p] = Matrix(len(monos[p - 1]), len(monos[p]), ents)
         i_ops.append(LinMap(space, space, -1, blocks))
 
     return KgModule(g, Complex(space, d), i_ops, name=f"Λ({g.name})",
@@ -537,11 +513,7 @@ def polynomial_forms_module(
         row = index[p_target].get(row_key)
         if row is None:
             return
-        s = ents_dict.get((row, col), Q0) + coeff
-        if s:
-            ents_dict[(row, col)] = s
-        else:
-            ents_dict.pop((row, col), None)
+        ents_dict[(row, col)] = ents_dict.get((row, col), 0) + coeff
 
     d_blocks = {}
     for p in sorted(basis):
@@ -558,15 +530,13 @@ def polynomial_forms_module(
                     continue
                 newexps = list(exps)
                 newexps[v] -= 1
-                bump(mat, (tuple(newexps), newJ), col, Fraction(sign * e), p + 1)
-        m = Matrix(space.dim(p + 1), space.dim(p), mat)
-        if not m.is_zero():
-            d_blocks[p] = m
+                bump(mat, (tuple(newexps), newJ), col, sign * e, p + 1)
+        d_blocks[p] = Matrix(space.dim(p + 1), space.dim(p), mat)
     d = LinMap(space, space, 1, d_blocks)
 
     i_ops = []
     for k in range(g.dim):
-        A = action.matrices[k]
+        x_k = action.matrices[k].by_column()
         blocks = {}
         for p in sorted(basis):
             if p == 0:
@@ -576,17 +546,11 @@ def polynomial_forms_module(
                 for t, jvar in enumerate(J):
                     subJ = J[:t] + J[t + 1 :]
                     # i_k(dx_j) = action of x_k on x_j, a linear polynomial
-                    for ivar in range(r):
-                        coeff = A[(ivar, jvar)]
-                        if not coeff:
-                            continue
+                    for ivar, coeff in x_k.get(jvar, ()):
                         newexps = list(exps)
                         newexps[ivar] += 1
-                        bump(mat, (tuple(newexps), subJ), col,
-                             Fraction((-1) ** t) * coeff, p - 1)
-            m = Matrix(space.dim(p - 1), space.dim(p), mat)
-            if not m.is_zero():
-                blocks[p] = m
+                        bump(mat, (tuple(newexps), subJ), col, (-1) ** t * coeff, p - 1)
+            blocks[p] = Matrix(space.dim(p - 1), space.dim(p), mat)
         i_ops.append(LinMap(space, space, -1, blocks))
 
     return KgModule(
@@ -611,10 +575,8 @@ def wedge_by_generator(ext: KgModule, k: int) -> LinMap:
         for col, mono in enumerate(plist):
             sign, new = wedge_normalize((k,) + mono)
             if sign:
-                ents[(index[p + 1][new], col)] = Fraction(sign)
-        m = Matrix(space.dim(p + 1), space.dim(p), ents)
-        if not m.is_zero():
-            blocks[p] = m
+                ents[(index[p + 1][new], col)] = sign
+        blocks[p] = Matrix(space.dim(p + 1), space.dim(p), ents)
     return LinMap(space, space, 1, blocks)
 
 

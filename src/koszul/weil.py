@@ -253,9 +253,7 @@ def weil_structure_maps(W: WeilModule):
         for col, (exps, lmono) in enumerate(alg.basis[m]):
             if not any(exps):
                 ents[(lam_index[lmono], col)] = Q1
-        mat = Matrix(ext.space.dim(m), W.space.dim(m), ents)
-        if not mat.is_zero():
-            restr_blocks[m] = mat
+        restr_blocks[m] = Matrix(ext.space.dim(m), W.space.dim(m), ents)
     restriction = ChainMap(
         W.complex, ext.complex,
         LinMap(W.space, ext.space, 0, restr_blocks),

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ from koszul.complexes import (
     WindowError,
     check_chain_map,
     cohomology,
+    cohomology_classes,
     cohomology_representatives,
     induced_map,
     quasi_iso_check,
@@ -291,8 +292,7 @@ def test_lift_matches_signed_kronecker_product(data):
         padded = ts.lift_sum(terms + [(fA, _negated(fB, B)), (fA, fB)], shift)
         assert padded.equal_on(summed, ts.space.degrees())
         assert set(padded.blocks) == set(summed.blocks)
-        for m in padded.blocks.values():
-            assert m.entries and all(m.entries.values())
+        assert _stored_canonically(padded)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +301,17 @@ def test_lift_matches_signed_kronecker_product(data):
 # ---------------------------------------------------------------------------
 
 
-def _stored_as_fractions(op: LinMap) -> bool:
-    """No empty block, and every stored entry a nonzero Fraction (no int, no zero)."""
-    return all(m.entries and all(type(v) is Fraction and v for v in m.entries.values())
-               for m in op.blocks.values())
+def _canonical_block(m: Matrix) -> bool:
+    """Every stored numerator a nonzero int over a positive int denominator,
+    in lowest terms: gcd(den, *num) == 1."""
+    return (type(m.den) is int and m.den > 0
+            and all(type(v) is int and v for v in m.num.values())
+            and gcd(m.den, *m.num.values()) == 1)
+
+
+def _stored_canonically(op: LinMap) -> bool:
+    """No empty block, and every block stored in lowest terms."""
+    return all(m.num and _canonical_block(m) for m in op.blocks.values())
 
 
 COEFFICIENTS = st.one_of(
@@ -329,7 +336,7 @@ def test_combination_matches_dense_sum(data):
         expected = [[sum((Fraction(c) * op.block(d)[i, j] for c, op in terms), Fraction(0))
                      for j in range(space.dim(d))] for i in range(space.dim(d + shift))]
         assert combined.block(d).dense() == expected
-    assert _stored_as_fractions(combined)
+    assert _stored_canonically(combined)
     c, op = terms[0]
     assert not LinMap.combination([(c, op), (-Fraction(c), op)]).blocks
 
@@ -349,7 +356,7 @@ def test_lift_sum_matches_kronecker_sum_large_denominators(data):
     summed = ts.lift_sum(terms, shift)
     for t, expected in _kronecker_sum(A, B, top, terms, shift).items():
         assert summed.block(t).dense() == expected
-    assert _stored_as_fractions(summed)
+    assert _stored_canonically(summed)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +455,41 @@ def test_chain_map_fractional_witness():
     assert rep.witness == (0, "a", (Fraction(-1, 2 * p),))
     assert type(rep.witness[2][0]) is Fraction
     assert "chain-map defect at degree 0 on 'a': {0: '-1/20014'}" == rep.describe()
+
+
+def test_fractional_chain_map_exact_and_corrupted():
+    """f₀ = λ·1 + u·wᵀ with d·u = 0 and f₁ = λ commutes with d = (1/p, 1/q)
+    only through exact cancellation over large denominators; f₁ = λ + 1/r
+    leaves the defect -d/r, first nonzero in column 'a'."""
+    p, q, r = LARGE_DENOMINATORS
+    space = GradedSpace({0: ("a", "b"), 1: ("c",)})
+    C = Complex(space, LinMap(space, space, 1, {0: Matrix.from_rows([[Fraction(1, p), Fraction(1, q)]])}))
+    lam, u, w = Fraction(5, 7), (p, -q), (Fraction(1, q), Fraction(3, r))
+    f0 = Matrix.from_rows([[lam * (i == j) + u[i] * w[j] for j in range(2)] for i in range(2)])
+    good = ChainMap(C, C, LinMap(space, space, 0, {0: f0, 1: Matrix.from_rows([[lam]])}))
+    assert check_chain_map(good).ok
+    bad = ChainMap(C, C, LinMap(space, space, 0, {0: f0, 1: Matrix.from_rows([[lam + Fraction(1, r)]])}))
+    rep = check_chain_map(bad)
+    assert not rep.ok
+    assert rep.witness == (0, "a", (Fraction(-1, p * r),))
+    assert type(rep.witness[2][0]) is Fraction
+    assert rep.witness == _dense_chain_witness(bad)
+
+
+def test_cohomology_classes_stored_in_lowest_terms():
+    """Classes keep only the representative rows of the coordinates, which
+    can leave a common factor with the denominator: it is divided out."""
+    p = LARGE_DENOMINATORS[0]
+    space = GradedSpace({0: ("a", "b"), 1: ("c", "e")})
+    C = Complex(space, LinMap(space, space, 1, {0: Matrix.from_rows([[Fraction(1, p), 0], [0, 0]])}))
+    reps, boundaries = cohomology_representatives(C, 1)
+    assert len(reps) == len(boundaries) == 1
+    images = [tuple(Fraction(2, 3) * x + Fraction(1, 2 * p) * y for x, y in zip(reps[0], boundaries[0]))]
+    m = cohomology_classes(reps, boundaries, images)
+    assert _canonical_block(m)
+    assert m == Matrix.from_rows([[Fraction(2, 3)]])
+    assert cohomology_classes(reps, boundaries, [vec([1, 1])]) is not None
+    assert cohomology_classes(reps, [], [vec([1, 1])]) is None
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -172,3 +174,21 @@ def test_su2xsu2_certifies():
     g = builtin_algebra("su2xsu2")
     dec = certify_reductive(g)
     assert len(dec.derived) == 6 and dec.center == ()
+
+
+def test_matrix_algebra_data_files_are_current():
+    """sl3.json and u2.json are exactly what scripts/matrix_algebras.py writes
+    from matrix commutators."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "matrix_algebras.py"
+    spec = importlib.util.spec_from_file_location("matrix_algebras", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--check"]) == 0
+
+
+@pytest.mark.parametrize("name,center,derived", [("sl3", 0, 8), ("u2", 1, 3)])
+def test_matrix_algebras_certify(name, center, derived):
+    g = builtin_algebra(name)
+    dec = certify_reductive(g)
+    assert (len(dec.center), len(dec.derived)) == (center, derived)
+    assert len(invariant_vectors(adjoint_matrices(g)[0])) == center

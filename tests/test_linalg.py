@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koszul.complexes import GradedSpace, LinMap, TensorSpace
 from koszul.linalg import (
     Matrix,
     RowReduction,
@@ -408,16 +410,20 @@ def test_read_out_values_are_fractions(rows, xs):
     assert all(_all_fractions(v) for v in complement_basis([], family))
 
 
-# -- the integer kernel behind @: dense Fraction products as the oracle ---------
-# Operands are scaled to integers over the lcm of their denominators and the
-# product is read out over dA·dB; integral and large-denominator blocks mix.
+# -- integer-native blocks: dense Fraction references as the oracle -------------
+# A Matrix stores integer numerators over one positive denominator in lowest
+# terms; every operation accumulates numerators over one denominator per
+# output block.  Integral and large-denominator blocks mix.
 
 integral_entries = st.integers(-9, 9).map(Q)
 
 
-def _stored_as_fractions(m: Matrix) -> bool:
-    """Every stored entry is a nonzero Fraction: no int, no stored zero."""
-    return all(type(v) is Fraction and v for v in m.entries.values())
+def _stored_canonically(m: Matrix) -> bool:
+    """Every stored numerator a nonzero int, the denominator a positive int,
+    and gcd(den, *num) == 1: the lowest-terms form that == and hash rely on."""
+    return (type(m.den) is int and m.den > 0
+            and all(type(v) is int and v for v in m.num.values())
+            and gcd(m.den, *m.num.values()) == 1)
 
 
 @st.composite
@@ -441,7 +447,7 @@ def test_matmul_matches_dense_product(data):
     P = A @ B
     assert (P.rows, P.cols) == (r, c)
     assert P.dense() == _dense_product(A, B)
-    assert _stored_as_fractions(P)
+    assert _stored_canonically(P)
     # the product of three, either way round: read-outs feed the next product
     C = data.draw(mixed_block(c, 3))
     assert (P @ C) == A @ (B @ C)
@@ -454,11 +460,91 @@ def test_matmul_exact_cancellation_reads_out_nothing():
     P = A @ B
     assert P.entries.keys() == {(1, 0)}
     assert P[1, 0] == Q(3, q) - Q(5, p * q)
-    assert _stored_as_fractions(P)
-    assert (Matrix.from_rows([[Q(1, p), Q(1, q)]]) @ B).is_zero()
+    assert _stored_canonically(P)
+    zero = Matrix.from_rows([[Q(1, p), Q(1, q)]]) @ B
+    assert zero.is_zero() and zero.den == 1 and _stored_canonically(zero)
 
 
-def test_matmul_of_integer_matrices_stores_fractions():
+def test_matmul_of_integer_matrices_reads_out_fractions():
     P = Matrix.from_rows([[1, 2], [0, -1]]) @ Matrix.from_rows([[2, 0], [1, 0]])
     assert P.entries == {(0, 0): Q(4), (1, 0): Q(-1)}
-    assert _stored_as_fractions(P)
+    assert all(type(v) is Fraction for v in P.entries.values())
+    assert (P.num, P.den) == ({(0, 0): 4, (1, 0): -1}, 1)
+    assert _stored_canonically(P)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_sum_scale_transpose_apply_match_dense_references(data):
+    r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    A, B = data.draw(mixed_block(r, c)), data.draw(mixed_block(r, c))
+    k = data.draw(st.one_of(integral_entries, large_fracs))
+    v = data.draw(st.lists(st.one_of(integral_entries, large_fracs), min_size=c, max_size=c))
+    dA, dB = A.dense(), B.dense()
+    assert _stored_canonically(A) and _stored_canonically(B)
+    S, D, K, T = A + B, A - B, A.scale(k), A.transpose()
+    assert S.dense() == [[x + y for x, y in zip(a, b)] for a, b in zip(dA, dB)]
+    assert D.dense() == [[x - y for x, y in zip(a, b)] for a, b in zip(dA, dB)]
+    assert K.dense() == [[k * x for x in a] for a in dA]
+    assert T.dense() == [[dA[i][j] for i in range(r)] for j in range(c)]
+    assert all(_stored_canonically(m) for m in (S, D, K, T))
+    assert A.apply(v) == tuple(sum((x * y for x, y in zip(a, v)), Q(0)) for a in dA)
+    assert all(type(x) is Fraction for x in A.apply(v))
+
+
+def test_public_constructor_stores_lowest_terms():
+    p, q = LARGE_DENOMINATORS[0], LARGE_DENOMINATORS[1]
+    A = Matrix(2, 2, {(0, 0): Q(1, p), (0, 1): 2, (1, 1): Q(3, p * q), (1, 0): 0})
+    assert A.den == p * q and A.num == {(0, 0): q, (0, 1): 2 * p * q, (1, 1): 3}
+    assert _stored_canonically(A)
+    assert Matrix(1, 2, [((0, 0), "1/2"), ((0, 1), 0.25)]).num == {(0, 0): 2, (0, 1): 1}
+    assert (Matrix.identity(3).den, Matrix.zero(2, 3).den) == (1, 1)
+    with pytest.raises(ShapeError):
+        Matrix(2, 2, {(2, 0): Q(1, p)})
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_equal_blocks_by_different_routes_compare_and_hash_equal(data):
+    """The lowest-terms form is canonical: one rational block reached by the
+    public constructor, a scaling there and back, a product with the identity
+    and a lift against the identity factor stores the same (den, num)."""
+    r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    A = data.draw(mixed_block(r, c))
+    S = GradedSpace({0: tuple(f"s{i}" for i in range(c)), 1: tuple(f"t{i}" for i in range(r))})
+    one = GradedSpace({0: ("1",)})
+    lifted = TensorSpace(S, one, 1).lift(LinMap(S, S, 1, {0: A}), None).block(0)
+    routes = [Matrix(r, c, dict(A.entries)), A.scale(3).scale(Q(1, 3)),
+              Matrix.identity(r) @ A, A @ Matrix.identity(c), lifted,
+              A.scale(Q(7, LARGE_DENOMINATORS[2])).scale(Q(LARGE_DENOMINATORS[2], 7))]
+    for m in routes:
+        assert _stored_canonically(m)
+        assert (m.rows, m.cols, m.den, m.num) == (A.rows, A.cols, A.den, A.num)
+        assert m == A and hash(m) == hash(A)
+
+
+def test_operations_build_no_fraction(monkeypatch):
+    """@, +, scale, transpose, lift_sum, combination, joint_kernel and the
+    elimination run on ints: no Fraction is built before a read-out."""
+    p, q = LARGE_DENOMINATORS[:2]
+    A = Matrix.from_rows([[Q(1, p), 2, 0], [0, Q(3, q), Q(-1, 7)], [1, 1, Q(5, 3)]])
+    S = GradedSpace({0: ("a", "b", "c")})
+    op, half = LinMap(S, S, 0, {0: A}), Q(1, 2)
+    ts = TensorSpace(S, S, 0)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(RowReduction, "kernel", lambda red: [])  # the read-out
+    P = A @ A + A.scale(half) - A.transpose()
+    ts.lift_sum([(op, op), (op, None)], 0)
+    LinMap.combination([(half, op), (3, op)])
+    joint_kernel([A, P], 3)
+    RowReduction(P)
+    assert built == []
+    monkeypatch.undo()
+    assert P[0, 0] == Q(1, p * p) + Q(1, 2 * p) - Q(1, p)

@@ -2,8 +2,9 @@
 
 The primitive degrees come from each algebra's known type, not from
 primitive_basis: su(2) and sl(2) are of type A1 with one primitive of
-degree 3, su(2)⊕su(2) has two, and the abelian algebra of dimension n has
-n primitives of degree 1.  A primitive of degree p = 2m - 1 transgresses to
+degree 3, su(2)⊕su(2) has two, sl(3) (type A2) has primitives of degrees 3
+and 5, u(2) = u(1)⊕su(2) has one of degree 1 and one of degree 3, and the
+abelian algebra of dimension n has n primitives of degree 1.  A primitive of degree p = 2m - 1 transgresses to
 an invariant polynomial generator of degree 2m, so
 
     H((Λg*)^g)              = ∏ (1 + t^{p_i}),
@@ -22,6 +23,8 @@ PRIMITIVE_DEGREES = {
     "su2": (3,),
     "sl2": (3,),
     "su2xsu2": (3, 3),
+    "sl3": (3, 5),
+    "u2": (1, 3),
     "abelian:1": (1,),
     "abelian:2": (1, 1),
     "abelian:3": (1, 1, 1),
@@ -51,6 +54,7 @@ def test_invariant_exterior_poincare_polynomial(name):
 
 @pytest.mark.parametrize("name,N", [
     ("su2", 9), ("sl2", 9), ("su2xsu2", 9), ("abelian:0", 4), ("abelian:1", 7), ("abelian:2", 7), ("abelian:3", 6),
+    ("sl3", 8), ("u2", 8),
 ])
 def test_cartan_trivial_poincare_series(name, N):
     g = builtin_algebra(name)
