@@ -89,6 +89,8 @@ def resolve_algebra(spec: str) -> LieAlgebra:
         return load_lie_algebra(spec)
     except FileNotFoundError as exc:
         raise InputError(f"algebra file not found: {spec}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read algebra file {spec}: {exc.strerror}") from exc
     except LieAlgebraError as exc:
         raise InputError(str(exc)) from exc
 
@@ -114,6 +116,10 @@ def resolve_module(spec: str, g: LieAlgebra) -> KgModule:
             return polynomial_forms_module(g, action, int(deg))
         if spec.startswith("file:"):
             return load_kg_module(spec[5:], g)
+    except FileNotFoundError as exc:
+        raise InputError(f"module file not found: {spec[5:]}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read module file {spec[5:]}: {exc.strerror}") from exc
     except (ModuleValidationError, ValueError) as exc:
         if isinstance(exc, InputError):
             raise

@@ -40,7 +40,6 @@ from .linalg import Matrix
 from .modules import (
     KgModule,
     ModuleValidationError,
-    exterior_model,
     lambda_monomials,
     tensor_module,
 )
@@ -337,7 +336,7 @@ def verify_duality(
     A = cartan_model(M, Truncation(N))
     P = primitive_basis(g, Truncation(N))
     T = distinguished_transgression(g, P, Truncation(N), weil=W)
-    twist = twist_operators(M, Truncation(N + 1))
+    twist = twist_operators(M, Truncation(N + 1), weil=W)
     h = h_of(A, T, Truncation(N))
     psi = build_psi(g, M, T, A, h, WM, inv_WM, twist,
                     corrupt_transgression=corrupt_transgression)
@@ -390,7 +389,7 @@ def psi_contraction_compatibility(comp: DualityComputation) -> bool:
     from .equivariant import invariant_multivector_basis
 
     g = comp.g
-    ext = exterior_model(g)
+    ext = comp.weil.algebra.ext
     inv_WM_full = invariant_subcomplex(comp.product, with_actions=True)
     psi = build_psi(
         g, comp.module, comp.transgression, comp.cartan, comp.h,

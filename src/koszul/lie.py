@@ -176,7 +176,12 @@ BUILTIN_NAMES = ("su2", "sl2", "abelian1", "abelian2", "su2xsu2", "sl3", "u2")
 def builtin_algebra(name: str) -> LieAlgebra:
     base = name.split(":", 1)
     if base[0] == "abelian" and len(base) == 2:
-        n = int(base[1])
+        try:
+            n = int(base[1])
+        except ValueError:
+            n = -1
+        if n < 0:
+            raise LieAlgebraError(f"bad algebra spec {name!r}: use abelian:n with an integer n >= 0")
         return lie_algebra_from_dict(
             {"name": f"abelian{n}", "dim": n, "basis": [f"t{i+1}" for i in range(n)], "brackets": []}
         )

@@ -164,18 +164,24 @@ def derivation_on_sym(matrices: Sequence[Matrix], total: int) -> list:
 
 
 class KgModule:
-    """A complex with contractions i_k; the Lie derivatives follow (see L_ops)."""
+    """A complex with contractions i_k; the Lie derivatives follow (see L_ops).
 
-    def __init__(self, g: LieAlgebra, complex_: Complex, i_ops: Sequence[LinMap],
+    Pass i_ops=None on a tensor product whose meta holds "i_factors" (see
+    i_ops); given i_ops are checked for count and shift here.
+    """
+
+    def __init__(self, g: LieAlgebra, complex_: Complex, i_ops: Optional[Sequence[LinMap]],
                  name: str = "module", meta: Optional[dict] = None):
-        if len(i_ops) != g.dim:
-            raise ValueError(f"need {g.dim} contraction operators, got {len(i_ops)}")
-        for op in i_ops:
-            if op.shift != -1:
-                raise ValueError("contractions must have shift -1")
+        if i_ops is not None:
+            if len(i_ops) != g.dim:
+                raise ValueError(f"need {g.dim} contraction operators, got {len(i_ops)}")
+            for op in i_ops:
+                if op.shift != -1:
+                    raise ValueError("contractions must have shift -1")
+            i_ops = tuple(i_ops)
         self.g = g
         self.complex = complex_
-        self.i_ops = tuple(i_ops)
+        self._i_ops = i_ops
         self.name = name
         self.meta = meta or {}
         self._L_ops = None
@@ -196,6 +202,25 @@ class KgModule:
     def max_usable(self) -> int:
         return self.complex.max_usable
 
+    def _lift_factors(self, key: str, shift: int, top: Optional[int] = None) -> tuple:
+        """opA⊗1 + 1⊗opB per factor pair that meta[key]() yields, as one summed lift."""
+        lift_sum = self.meta["tensor"].lift_sum
+        return tuple(lift_sum([(A, None), (None, B)], shift, top)
+                     for A, B in self.meta[key]())
+
+    @property
+    def i_ops(self) -> tuple:
+        """The contractions i_k.
+
+        On a tensor product (tensor_module, the Weil model) they are lifted
+        on first read from the factor pairs that meta["i_factors"]() yields,
+        i_k = i_k⊗1 + 1⊗i_k with the Koszul sign, and cached: the duality
+        verifier never reads them on W⊗M.
+        """
+        if self._i_ops is None:
+            self._i_ops = self._lift_factors("i_factors", -1)
+        return self._i_ops
+
     @property
     def L_ops(self) -> tuple:
         """The Lie derivatives L_k, cached; blocks only on degrees <= max_usable.
@@ -208,9 +233,7 @@ class KgModule:
         if self._L_ops is None:
             top = self.max_usable
             if "L_factors" in self.meta:
-                lift_sum = self.meta["tensor"].lift_sum
-                ops = [lift_sum([(LA, None), (None, LB)], 0, top)
-                       for LA, LB in self.meta["L_factors"]()]
+                ops = self._lift_factors("L_factors", 0, top)
             else:
                 d = self.d
                 ops = [LinMap(self.space, self.space, 0, {
@@ -433,15 +456,16 @@ def tensor_module(M: KgModule, N: KgModule, max_total: Optional[int] = None,
     """Tensor product with Koszul-sign Leibniz differential and contractions.
 
     d(m⊗n) = dm⊗n + (-1)^|m| m⊗dn and likewise for each i_k, each one
-    summed lift of the two factor operators.  The Lie
-    derivatives are lifted from the factors, L_k = L_k⊗1 + 1⊗L_k (see
-    KgModule.L_ops).  A factor holds L only up to its own max_usable, so
-    the lift equals d∘i_k + i_k∘d on every product degree up to the
-    product's max_usable P as long as every factor degree met there is
-    usable: P - N.space.lo <= M.max_usable and P - M.space.lo <=
-    N.max_usable.  Complete factors satisfy this at any max_total, and so
-    does W(g) built to degree N+1 tensored with a module of degrees >= 0
-    at max_total=N+1, which is how verify_duality builds W⊗M.
+    summed lift of the two factor operators.  d is lifted here; the i_k
+    and the Lie derivatives L_k = L_k⊗1 + 1⊗L_k are lifted from the
+    factors on first read (see KgModule.i_ops and KgModule.L_ops).  A
+    factor holds L only up to its own max_usable, so the lift equals
+    d∘i_k + i_k∘d on every product degree up to the product's max_usable
+    P as long as every factor degree met there is usable: P - N.space.lo
+    <= M.max_usable and P - M.space.lo <= N.max_usable.  Complete factors
+    satisfy this at any max_total, and so does W(g) built to degree N+1
+    tensored with a module of degrees >= 0 at max_total=N+1, which is how
+    verify_duality builds W⊗M.
     """
     if M.g is not N.g and M.g != N.g:
         raise ValueError("tensor factors live over different Lie algebras")
@@ -451,15 +475,14 @@ def tensor_module(M: KgModule, N: KgModule, max_total: Optional[int] = None,
     complete = M.complete and N.complete and top == natural_top
     product = TensorSpace(M.space, N.space, top)
     d = product.lift_sum([(M.d, None), (None, N.d)], 1)
-    i_ops = [product.lift_sum([(iM, None), (None, iN)], -1)
-             for iM, iN in zip(M.i_ops, N.i_ops)]
     label = name or f"{M.name}⊗{N.name}"
     return KgModule(
         g,
         Complex(product.space, d, complete=complete, check=False),
-        i_ops,
+        None,
         name=label,
         meta={"tensor": product, "basis": product.entries, "factors": (M, N),
+              "i_factors": lambda: zip(M.i_ops, N.i_ops),
               "L_factors": lambda: zip(M.L_ops, N.L_ops)},
     )
 

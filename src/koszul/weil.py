@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from math import factorial, lcm
 from typing import Optional, Sequence
 
 from .complexes import (
@@ -149,13 +150,14 @@ class WeilAlgebra:
 class WeilModule(KgModule):
     """W(g) as a module with contractions; keeps the monomial calculus around.
 
-    L_k is lifted from the factors, L_k^S ⊗ 1 + 1 ⊗ L_k^Λ (the coadjoint
-    action on both; see KgModule.L_ops).
+    i_k = 1 ⊗ i_k^Λ and L_k = L_k^S ⊗ 1 + 1 ⊗ L_k^Λ (the coadjoint action
+    on both) are lifted from the factors on first read (see KgModule.i_ops
+    and KgModule.L_ops).
     """
 
     def __init__(self, g: LieAlgebra, algebra: WeilAlgebra, complex_: Complex,
-                 i_ops, meta: dict, name: str):
-        super().__init__(g, complex_, i_ops, name=name, meta={"weil": algebra, **meta})
+                 meta: dict, name: str):
+        super().__init__(g, complex_, None, name=name, meta={"weil": algebra, **meta})
         self.algebra = algebra
 
 
@@ -182,15 +184,19 @@ def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
         i_k = lift(1, i_k^Λ)
         L_k = lift [(−Θ_k, 1), (1, L_k^Λ)], cut at max_usable = N − 1
 
-    d_W² = 0 is checked on the result (a truncated module).
+    d_W is lifted here; i_k and L_k are lifted on first read (see
+    KgModule.i_ops).  d_W² = 0 is checked on the result (a truncated
+    module).
     """
     ext = exterior_model(g)  # certifies that g is reductive
     alg, sym_action = weil_algebra(g, ext, trunc.max_degree)
     product = alg.product
-    i_ops = [product.lift(None, ik) for ik in ext.i_ops]
+    no_contraction = LinMap.zero(product.A, product.A, -1)
     cx = Complex(product.space, alg.d, complete=False, check=True)
-    meta = {"tensor": product, "L_factors": lambda: zip(sym_action, ext.L_ops)}
-    return WeilModule(g, alg, cx, i_ops, meta, name=f"W({g.name})")
+    meta = {"tensor": product,
+            "i_factors": lambda: ((no_contraction, ik) for ik in ext.i_ops),
+            "L_factors": lambda: zip(sym_action, ext.L_ops)}
+    return WeilModule(g, alg, cx, meta, name=f"W({g.name})")
 
 
 def maurer_cartan_residuals(W: WeilModule) -> list:
@@ -245,7 +251,7 @@ def weil_structure_maps(W: WeilModule):
         LinMap(s_complex.space, W.space, 0, incl_blocks),
     )
 
-    ext = exterior_model(g)
+    ext = alg.ext
     restr_blocks = {}
     for m in range(min(N, n) + 1):
         ents = {}
@@ -266,68 +272,133 @@ def weil_structure_maps(W: WeilModule):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TwistData:
-    """Twist package on Λ(g*) ⊗ M: nilpotent generator and T = exp(−𝐢)."""
+    """Twist package on Λ(g*) ⊗ M, cut at total degree ``top``.
 
-    tensor: KgModule  # Λ(g*) ⊗ M
-    exterior: KgModule
-    module: KgModule
-    generator: LinMap  # 𝐢, degree 0
-    twist: LinMap  # T
-    twist_inv: LinMap  # exp(+𝐢)
+    ``unit`` is T = exp(−𝐢) on the columns 1⊗m, a degree-0 map from M into
+    Λ(g*)⊗M written on ``space`` = TensorSpace(Λ(g*), M); it is built at
+    construction and is all the duality verifier reads.  The module
+    ``tensor`` (Λ⊗M with its d and i_k), the nilpotent ``generator`` 𝐢,
+    ``twist`` T and ``twist_inv`` exp(+𝐢) on all of Λ⊗M are built on first
+    access and cached.
+    """
+
+    def __init__(self, exterior: KgModule, module: KgModule, top: int):
+        self.exterior = exterior
+        self.module = module
+        self.top = top
+        self.space = TensorSpace(exterior.space, module.space, top)
+        self.unit = _twist_on_unit(module, self.space)
+
+    @cached_property
+    def tensor(self) -> KgModule:
+        return tensor_module(self.exterior, self.module, max_total=self.top,
+                             name=f"Λ⊗{self.module.name}")
+
+    @cached_property
+    def generator(self) -> LinMap:
+        """𝐢, degree 0."""
+        ext, M = self.exterior, self.module
+        return self.tensor.meta["tensor"].lift_sum(
+            [(wedge_by_generator(ext, k).scale(-1), M.i_ops[k]) for k in range(M.g.dim)], 0)
+
+    @cached_property
+    def _powers(self) -> list:
+        powers = [LinMap.identity(self.tensor.space)]
+        for _ in range(self.module.g.dim):
+            powers.append(self.generator.compose(powers[-1]))
+        return powers
+
+    @cached_property
+    def twist(self) -> LinMap:
+        """T = exp(−𝐢) on all of Λ⊗M."""
+        return LinMap.combination([(Fraction((-1) ** q, factorial(q)), power)
+                                   for q, power in enumerate(self._powers)])
+
+    @cached_property
+    def twist_inv(self) -> LinMap:
+        """exp(+𝐢)."""
+        return LinMap.combination([(Fraction(1, factorial(q)), power)
+                                   for q, power in enumerate(self._powers)])
 
 
-def twist_operators(M: KgModule, trunc: Truncation) -> TwistData:
-    """𝐢, T = exp(−𝐢) and its inverse on Λ(g*) ⊗ M.
+def _deletion_composites(M: KgModule) -> dict:
+    """ĵ_I per increasing tuple I: the composite of structural deletions
+    ĵ = −i over I, rightmost index applied first, built from the right.
+
+    An I whose composite vanishes is left out, and so is every tuple that
+    ends with it.  Keys are ordered by length, then as lambda_monomials.
+    """
+    n = M.g.dim
+    composites = {(): LinMap.identity(M.space)}
+    for q in range(1, n + 1):
+        for I in lambda_monomials(n, q):
+            if I[1:] in composites:
+                composite = M.i_ops[I[0]].scale(-1).compose(composites[I[1:]])
+                if composite.blocks:
+                    composites[I] = composite
+    return composites
+
+
+def _twist_sign(q: int) -> int:
+    return (-1) ** (q * (q + 1) // 2)
+
+
+def _twist_on_unit(M: KgModule, space: TensorSpace) -> LinMap:
+    """T(1⊗m) = sum_I (−1)^{q(q+1)/2} y^I ⊗ ĵ_I m as a map M -> Λ(g*)⊗M.
+
+    The ξ = 1 slice of twist_closed_form (no Koszul sign at |ξ| = 0), with
+    y^I basis vector I of Λ^q(g*): one composite ĵ_I of M per I, written
+    straight into the rows (q, I, ·) of ``space``.
+    """
+    n = M.g.dim
+    position = {I: il for q in range(n + 1) for il, I in enumerate(lambda_monomials(n, q))}
+    composites = _deletion_composites(M)
+    blocks = {}
+    for r, starts in space.offsets.items():
+        parts = [(starts[len(I)] + position[I] * M.space.dim(r - len(I)), _twist_sign(len(I)),
+                  composite.blocks[r])
+                 for I, composite in composites.items() if r in composite.blocks]
+        den = lcm(*[blk.den for _, _, blk in parts])
+        # distinct (I, row of ĵ_I m) land on distinct rows: nothing accumulates
+        blocks[r] = Matrix._from_ints(space.space.dim(r), M.space.dim(r), {
+            (row0 + row, col): sign * (den // blk.den) * v
+            for row0, sign, blk in parts for (row, col), v in blk.num.items()}, den)
+    return LinMap(M.space, space.space, 0, blocks)
+
+
+def twist_operators(M: KgModule, trunc: Truncation,
+                    weil: Optional[WeilModule] = None) -> TwistData:
+    """T = exp(−𝐢) on Λ(g*) ⊗ M, built on 1⊗M (see TwistData).
 
     𝐢(ξ⊗m) = −sum_k ξ∧y^k ⊗ i_k m: the structural-deletion reading of the
     contraction, which is what makes the interchange identities below hold
     with T = exp(−𝐢) (the module's own i would flip T to exp(+𝐢)).  The
     lift of (y^k ∧ ·) ⊗ i_k carries the Koszul sign (−1)^|ξ|, which turns
-    the left wedge y^k∧ξ into ξ∧y^k.
+    the left wedge y^k∧ξ into ξ∧y^k.  Λ(g*) is taken from ``weil`` when
+    given, so it is not built (and g not certified) twice.
     """
-    g = M.g
-    n = g.dim
-    ext = exterior_model(g)
-    TM = tensor_module(ext, M, max_total=trunc.max_degree, name=f"Λ⊗{M.name}")
-    product = TM.meta["tensor"]
-    gen = product.lift_sum([(wedge_by_generator(ext, k).scale(-1), M.i_ops[k])
-                            for k in range(n)], 0)
-    powers = [LinMap.identity(TM.space)]
-    for q in range(1, n + 1):
-        powers.append(gen.compose(powers[-1]))
-    twist = LinMap.combination([(Fraction((-1) ** q, factorial(q)), power)
-                                for q, power in enumerate(powers)])
-    twist_inv = LinMap.combination([(Fraction(1, factorial(q)), power)
-                                    for q, power in enumerate(powers)])
-    return TwistData(TM, ext, M, gen, twist, twist_inv)
+    ext = weil.algebra.ext if weil is not None else exterior_model(M.g)
+    top = min(trunc.max_degree, ext.space.hi + M.space.hi)
+    return TwistData(ext, M, top)
 
 
 def twist_closed_form(data: TwistData) -> LinMap:
     """Direct assembly of T(ξ⊗m) = sum_I (−1)^{q(q+1)/2} ξ∧y^I ⊗ ĵ_I m.
 
     ĵ_I is the composite of structural deletions ĵ = −i over I, rightmost
-    index applied first.  Must equal the exponential series exactly.  The
-    term for I is the lift of (y^I ∧ ·) ⊗ ĵ_I, whose Koszul sign (−1)^{q|ξ|}
-    turns y^I∧ξ into ξ∧y^I.
+    index applied first (see _deletion_composites).  Must equal the
+    exponential series exactly.  The term for I is the lift of
+    (y^I ∧ ·) ⊗ ĵ_I, whose Koszul sign (−1)^{q|ξ|} turns y^I∧ξ into ξ∧y^I.
     """
     M, ext = data.module, data.exterior
-    product = data.tensor.meta["tensor"]
-    n = M.g.dim
-    # (y^I ∧ ·, ĵ_I) per increasing tuple I, built from the right
-    factors: dict = {(): (LinMap.identity(ext.space), LinMap.identity(M.space))}
+    wedges = {(): LinMap.identity(ext.space)}  # y^I ∧ ·, built from the right
     terms = []
-    for q in range(0, n + 1):
-        sign = (-1) ** (q * (q + 1) // 2)
-        for I in lambda_monomials(n, q):
-            if I:
-                wedge, composite = factors[I[1:]]
-                factors[I] = (wedge_by_generator(ext, I[0]).compose(wedge),
-                              M.i_ops[I[0]].scale(-1).compose(composite))
-            wedge, composite = factors[I]
-            terms.append((wedge.scale(sign), composite))
-    return product.lift_sum(terms, 0)
+    for I, composite in _deletion_composites(M).items():
+        if I:
+            wedges[I] = wedge_by_generator(ext, I[0]).compose(wedges[I[1:]])
+        terms.append((wedges[I].scale(_twist_sign(len(I))), composite))
+    return data.tensor.meta["tensor"].lift_sum(terms, 0)
 
 
 def twist_identity_contraction(data: TwistData) -> bool:
@@ -433,9 +504,9 @@ def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: KgModule, data: Twis
     """
     alg = W.algebra
     ext_monos = data.exterior.meta["monomials"]
-    twist_tensor = data.tensor.meta["tensor"]
+    twist_entries = data.space.entries
     wm_index = WM.meta["tensor"].index
-    twist_cols = {q: m.by_column() for q, m in data.twist.blocks.items()}
+    unit_cols = {q: m.by_column() for q, m in data.unit.blocks.items()}
 
     def image(adeg: int, x: Sequence, omega: dict, deg: int) -> tuple:
         img = [Q0] * WM.space.dim(deg)
@@ -443,10 +514,9 @@ def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: KgModule, data: Twis
             if not coeff:
                 continue
             exps = A.sym_basis[sdeg][si]
-            # T(1 ⊗ m_mi): one column of the twist at tensor degree q
-            src = twist_tensor.index[q][(0, 0, q, mi)]
-            for pos, tval in twist_cols.get(q, {}).get(src, ()):
-                p, il, r, im = twist_tensor.entries[q][pos]
+            # T(1 ⊗ m_mi): column mi of the twist on 1⊗M at degree q
+            for pos, tval in unit_cols[q][mi]:
+                p, il, r, im = twist_entries[q][pos]
                 prod = alg.multiply(omega, {(exps, ext_monos[p][il]): Q1})
                 for (w_exps, w_mono), wv in prod.items():
                     w_deg = 2 * sum(w_exps) + len(w_mono)
@@ -472,7 +542,7 @@ def twist_embedding(
     W = weil or weil_model(g, trunc)
     A = cartan or cartan_model(M, trunc)
     WM = product if product is not None else tensor_module(W, M, max_total=N, name=f"W⊗{M.name}")
-    data = twist_operators(M, trunc)
+    data = twist_operators(M, trunc, weil=W)
     basic = horizontal_basic(WM)
     image = twisted_cartan_image(A, W, WM, data)
     unit = {(tuple([0] * g.dim), ()): Q1}

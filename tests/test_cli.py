@@ -123,6 +123,25 @@ def test_unknown_module_spec(capsys):
     assert "module spec" in err
 
 
+@pytest.mark.parametrize("spec", ["abelian:x", "abelian:", "abelian:2:3", "abelian:-1"])
+def test_bad_abelian_spec(capsys, spec):
+    code, _, err = run(capsys, "validate", "--algebra", spec)
+    assert code == 2
+    assert err.startswith("input error:") and repr(spec) in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--algebra", "{dir}"),
+    ("--algebra", "su2", "--module", "file:{missing}"),
+    ("--algebra", "su2", "--module", "file:{dir}"),
+], ids=["algebra-directory", "module-missing", "module-directory"])
+def test_unreadable_input_paths(capsys, tmp_path, flags):
+    argv = [f.format(dir=tmp_path, missing=tmp_path / "missing.json") for f in flags]
+    code, _, err = run(capsys, "validate", *argv)
+    assert code == 2
+    assert err.startswith("input error:") and str(tmp_path) in err
+
+
 def test_bad_max_degree(capsys):
     code, _, err = run(capsys, "validate", "--algebra", "su2",
                        "--max-degree", "0")

@@ -126,6 +126,17 @@ def test_duality_su2xsu2_exterior_window_5():
     assert report.verdict
 
 
+def test_duality_builds_only_what_it_reads():
+    # the verifier reads T only on the columns 1⊗m and never reads the
+    # contractions of W⊗M: neither may be built
+    g = builtin_algebra("su2xsu2")
+    report, comp = verify_duality(exterior_model(g), Truncation(4))
+    assert report.verdict
+    assert comp.product._i_ops is None
+    assert not {"tensor", "generator", "twist", "twist_inv"} & set(vars(comp.twist))
+    assert comp.twist.exterior is comp.weil.algebra.ext
+
+
 def test_duality_sl2_trivial():
     g = builtin_algebra("sl2")
     report, _ = verify_duality(trivial_module(g), N8)

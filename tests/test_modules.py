@@ -237,6 +237,19 @@ def assert_L_lifted_from_factors(M):
                 assert L.block(deg) == derived, (M.name, deg)
 
 
+def assert_i_lifted_from_factors(M, eager_left=None):
+    """M.i_ops of a tensor product, lifted on first read, equal block by block
+    the eager summed lift of the factors' contractions, i_k⊗1 + 1⊗i_k.
+    eager_left replaces the left factor's own (lazily lifted) i_k."""
+    A, B = M.meta["factors"]
+    lift_sum = M.meta["tensor"].lift_sum
+    for ik, iA, iB in zip(M.i_ops, eager_left or A.i_ops, B.i_ops):
+        eager = lift_sum([(iA, None), (None, iB)], -1)
+        assert ik.shift == -1 and set(ik.blocks) == set(eager.blocks), M.name
+        for deg in M.space.degrees():
+            assert ik.block(deg) == eager.block(deg), (M.name, deg)
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 @pytest.mark.parametrize("kind", ["trivial", "exterior"])
 def test_lifted_L_on_weil_product(name, kind):
@@ -244,7 +257,12 @@ def test_lifted_L_on_weil_product(name, kind):
     g = builtin_algebra(name)
     M = trivial_module(g) if kind == "trivial" else exterior_model(g)
     N = 3
-    WM = tensor_module(weil_model(g, Truncation(N + 1)), M, max_total=N + 1)
+    W = weil_model(g, Truncation(N + 1))
+    WM = tensor_module(W, M, max_total=N + 1)
+    # W's own i_k = 1⊗i_k^Λ, lifted eagerly here
+    eager_W = [W.meta["tensor"].lift(None, ik) for ik in W.algebra.ext.i_ops]
+    assert_i_lifted_from_factors(WM, eager_left=eager_W)
+    assert all(lazy.equal_on(eager, W.space.degrees()) for lazy, eager in zip(W.i_ops, eager_W))
     assert_L_lifted_from_factors(WM)
     report = validate_kg(WM)
     assert report.ok, report.describe()
@@ -256,9 +274,10 @@ def test_lifted_L_on_exterior_products(su2, ext_su2):
     left = tensor_module(tensor_module(ext_su2, ext_su2), ext_su2, max_total=4)
     right = tensor_module(ext_su2, tensor_module(ext_su2, ext_su2), max_total=4)
     for M in (full, truncated, left, right):
+        assert_i_lifted_from_factors(M)
         assert_L_lifted_from_factors(M)
+        assert validate_kg(M).ok, M.name
     assert full.complete and not truncated.complete
-    assert validate_kg(truncated).ok
 
 
 # -- polynomial forms -------------------------------------------------------

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from koszul.complexes import LinMap, Truncation, check_chain_map, cohomology, quasi_iso_check
-from koszul.lie import BUILTIN_NAMES, builtin_algebra
+from koszul.complexes import Complex, LinMap, Truncation, check_chain_map, cohomology, quasi_iso_check
+from koszul.lie import BUILTIN_NAMES, adjoint_matrices, builtin_algebra
 from koszul.linalg import Matrix, vec
 from koszul.modules import (
+    KgModule,
     delete_index,
     exterior_model,
     lambda_label,
     lambda_monomials,
+    polynomial_forms_module,
     sym_label,
     sym_monomials,
     trivial_module,
@@ -298,6 +300,53 @@ def test_twist_closed_form_matches_series(su2):
     data = twist_operators(M, Truncation(6))
     closed = twist_closed_form(data)
     assert closed.equal_on(data.twist, data.tensor.space.degrees())
+
+
+def _rescaled_exterior(g):
+    """Λ(g*) in the basis s·e with s = p + j + 2 for basis vector j of degree p:
+    the same module, conjugated by a rational diagonal basis change, so its
+    d and i_k have non-integer entries."""
+    ext = exterior_model(g)
+    scale = {p: [Q(p + j + 2) for j in range(ext.space.dim(p))] for p in ext.space.degrees()}
+
+    def conjugate(op):
+        return LinMap(ext.space, ext.space, op.shift, {
+            p: Matrix(m.rows, m.cols, {(r, c): v * scale[p][c] / scale[p + op.shift][r]
+                                       for (r, c), v in m.entries.items()})
+            for p, m in op.blocks.items()})
+
+    return KgModule(g, Complex(ext.space, conjugate(ext.d)), [conjugate(ik) for ik in ext.i_ops],
+                    name=f"{ext.name} rescaled")
+
+
+def _twist_test_modules():
+    for name in BUILTIN_NAMES:
+        g = builtin_algebra(name)
+        _, coad = adjoint_matrices(g)
+        yield pytest.param(trivial_module(g), id=f"{name}-trivial")
+        yield pytest.param(exterior_model(g), id=f"{name}-exterior")
+        yield pytest.param(polynomial_forms_module(g, coad, poly_degree=1), id=f"{name}-forms")
+    yield pytest.param(_rescaled_exterior(builtin_algebra("su2")), id="su2-exterior-rescaled")
+
+
+@pytest.mark.parametrize("M", list(_twist_test_modules()))
+def test_twist_on_unit_matches_series(M):
+    """T built directly on the columns 1⊗m equals those columns of exp(−𝐢)."""
+    data = twist_operators(M, Truncation(M.space.hi + 1))
+    product = data.tensor.meta["tensor"]
+    assert data.space.entries == product.entries
+    for r in M.space.degrees():
+        series, unit = data.twist.block(r), data.unit.block(r)
+        assert (unit.rows, unit.cols) == (series.rows, M.space.dim(r))
+        for m in range(M.space.dim(r)):
+            assert unit.column(m) == series.column(product.index[r][(0, 0, r, m)]), (r, m)
+
+
+def test_twist_on_unit_covers_fractional_blocks(su2):
+    M = _rescaled_exterior(su2)
+    assert validate_kg(M).ok
+    assert any(blk.den != 1 for ik in M.i_ops for blk in ik.blocks.values())
+    assert any(blk.den != 1 for blk in twist_operators(M, Truncation(4)).unit.blocks.values())
 
 
 # -- horizontal / basic ------------------------------------------------------
