@@ -12,6 +12,7 @@ composites stay inside the window.
 from __future__ import annotations
 
 import json
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -19,12 +20,13 @@ from typing import Optional, Sequence
 
 from .linalg import (
     Matrix,
+    RowReduction,
     ShapeError,
     Subspace,
     _ratio,
     complement_basis,
+    hstack,
     image_rank,
-    kernel_basis,
     qstr,
     rank,
 )
@@ -48,43 +50,84 @@ class Truncation:
 class GradedSpace:
     """Finitely supported graded vector space with labelled bases."""
 
-    __slots__ = ("_labels", "lo", "hi")
+    __slots__ = ("_dims", "_labels", "lo", "hi")
 
     def __init__(self, labels: dict, lo: Optional[int] = None, hi: Optional[int] = None):
         cleaned = {}
         for d, names in labels.items():
             names = tuple(names)
-            if len(set(names)) != len(names):
-                raise ValueError(f"duplicate basis labels in degree {d}")
+            _check_distinct(names, d)
             if names:
                 cleaned[int(d)] = names
-        if cleaned:
-            keys = sorted(cleaned)
+        self._labels = cleaned
+        self._window({d: len(names) for d, names in cleaned.items()}, lo, hi)
+
+    def _window(self, dims: dict, lo: Optional[int], hi: Optional[int]) -> None:
+        self._dims = dims
+        if dims:
+            keys = sorted(dims)
             self.lo = keys[0] if lo is None else min(lo, keys[0])
             self.hi = keys[-1] if hi is None else max(hi, keys[-1])
         else:
             self.lo = 0 if lo is None else lo
             self.hi = 0 if hi is None else hi
-        self._labels = cleaned
 
     def dim(self, d: int) -> int:
-        return len(self._labels.get(d, ()))
+        return self._dims.get(d, 0)
 
     def labels(self, d: int) -> tuple:
         return self._labels.get(d, ())
 
     def degrees(self):
-        return sorted(self._labels)
+        return sorted(self._dims)
 
     def total_dim(self) -> int:
-        return sum(len(v) for v in self._labels.values())
+        return sum(self._dims.values())
+
+    def truncated(self, top: int) -> "GradedSpace":
+        """The degrees up to top, on the window lo..top; labels not read yet
+        stay unread."""
+        cut = copy(self)
+        cut._dims = {d: n for d, n in self._dims.items() if d <= top}
+        cut._labels = {d: names for d, names in self._labels.items() if d <= top}
+        cut.hi = top
+        return cut
 
     def __eq__(self, other):
-        return isinstance(other, GradedSpace) and self._labels == other._labels
+        return (isinstance(other, GradedSpace) and self._dims == other._dims
+                and all(self.labels(d) == other.labels(d) for d in self._dims))
 
     def __repr__(self):
         dims = {d: self.dim(d) for d in self.degrees()}
         return f"GradedSpace({dims})"
+
+
+def _check_distinct(names: tuple, d: int) -> None:
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate basis labels in degree {d}")
+
+
+class _ProductSpace(GradedSpace):
+    """The graded space of a TensorSpace: its dims at once, the labels "a⊗b"
+    of a degree (checked for duplicates) on first read."""
+
+    __slots__ = ("_factors",)
+
+    def __init__(self, A: GradedSpace, B: GradedSpace, entries: dict, lo: int, hi: int):
+        self._factors = (A, B, entries)
+        self._labels = {}
+        self._window({t: len(ents) for t, ents in entries.items()}, lo, hi)
+
+    def labels(self, d: int) -> tuple:
+        names = self._labels.get(d)
+        if names is None:
+            if d not in self._dims:
+                return ()
+            A, B, entries = self._factors
+            names = tuple(f"{A.labels(q)[a]}⊗{B.labels(r)[b]}" for q, a, r, b in entries[d])
+            _check_distinct(names, d)
+            self._labels[d] = names
+        return names
 
 
 class LinMap:
@@ -195,8 +238,9 @@ class TensorSpace:
     basis vector a of A in degree q times basis vector b of B in degree
     r = t - q, ordered by q, then a, then b.  ``index[t]`` maps each tuple to
     its position (built on first use) and ``space`` is the product,
-    labelled "a⊗b".  The entries with one q form a contiguous stratum
-    starting at ``offsets[t][q]``, in which (a, b) sits at a·dim B^r + b.
+    labelled "a⊗b" (a degree's labels are built on first read).  The
+    entries with one q form a contiguous stratum starting at
+    ``offsets[t][q]``, in which (a, b) sits at a·dim B^r + b.
     ``lo`` defaults to A.lo + B.lo.
     """
 
@@ -207,7 +251,6 @@ class TensorSpace:
         self.A, self.B = A, B
         self.entries: dict = {}
         self.offsets: dict = {}
-        labels: dict = {}
         for t in range(lo, top + 1):
             ents = []
             starts = {}
@@ -218,8 +261,7 @@ class TensorSpace:
             if ents:
                 self.entries[t] = ents
                 self.offsets[t] = starts
-                labels[t] = tuple(f"{A.labels(q)[a]}⊗{B.labels(r)[b]}" for q, a, r, b in ents)
-        self.space = GradedSpace(labels, lo=lo, hi=top)
+        self.space = _ProductSpace(A, B, self.entries, lo, top)
         self._index = None
 
     @property
@@ -318,6 +360,7 @@ class Complex:
         self.space = space
         self.d = d
         self.complete = complete
+        self._cohomology_bases: dict = {}  # degree -> (representatives, boundaries)
         if check:
             bad = self.d_squared_defect()
             if bad is not None:
@@ -347,8 +390,7 @@ class Complex:
         """The complex cut at degree top (itself when top reaches the window's end)."""
         if top >= self.space.hi:
             return self
-        labels = {d: self.space.labels(d) for d in self.space.degrees() if d <= top}
-        space = GradedSpace(labels, lo=self.space.lo, hi=top)
+        space = self.space.truncated(top)
         blocks = {d: m for d, m in self.d.blocks.items() if d <= top - 1}
         return Complex(space, LinMap(space, space, 1, blocks), complete=False, check=False)
 
@@ -441,31 +483,30 @@ class CohomologyReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _cocycle_and_boundary_bases(C: Complex, deg: int):
-    n = C.space.dim(deg)
-    cocycles = kernel_basis(C.d.block(deg)) if n else []
-    prev = C.d.block(deg - 1)
-    _, boundaries = image_rank(prev)
-    return cocycles, boundaries
+def cohomology_representatives(C: Complex, deg: int) -> tuple:
+    """(representatives, boundary basis) for H^deg as column blocks,
+    deterministically; computed once per complex and degree."""
+    bases = C._cohomology_bases.get(deg)
+    if bases is None:
+        n = C.space.dim(deg)
+        cocycles = RowReduction(C.d.block(deg), track=False).kernel() if n else Matrix.zero(0, 0)
+        _, boundaries = image_rank(C.d.block(deg - 1))
+        bases = C._cohomology_bases[deg] = (complement_basis(boundaries, cocycles), boundaries)
+    return bases
 
 
-def cohomology_representatives(C: Complex, deg: int):
-    """(representative vectors, boundary basis) for H^deg, deterministically."""
-    cocycles, boundaries = _cocycle_and_boundary_bases(C, deg)
-    reps = complement_basis(boundaries, cocycles)
-    return reps, boundaries
-
-
-def cohomology_classes(reps: Sequence, boundaries: Sequence, images) -> Optional[Matrix]:
-    """Classes of cocycles over the representatives `reps`, as columns.
+def cohomology_classes(reps: Matrix, boundaries: Matrix, images: Matrix) -> Optional[Matrix]:
+    """Classes of the cocycles `images` (columns) over the representatives
+    `reps`, as columns.
 
     Each image is written in reps + boundaries and its boundary part is
     dropped.  None as soon as an image is not a cocycle.
     """
-    m = Subspace(list(reps) + list(boundaries)).restrict(images)
+    m = Subspace(hstack([reps, boundaries], reps.rows)).restrict(images)
     if m is None:
         return None
-    return Matrix._from_ints(len(reps), m.cols, {rc: v for rc, v in m.num.items() if rc[0] < len(reps)}, m.den)
+    return Matrix._from_ints(reps.cols, m.cols,
+                             {rc: v for rc, v in m.num.items() if rc[0] < reps.cols}, m.den)
 
 
 def _betti_by_rank(C: Complex, deg: int) -> int:
@@ -491,10 +532,10 @@ def cohomology(C: Complex, trunc: Truncation) -> CohomologyReport:
         if deg > N - 1 or not (C.complete or deg <= C.max_usable or not inside):
             uncertified[deg] = _betti_by_rank(C, deg)
             continue
-        reps = cohomology_representatives(C, deg)[0] if inside else []
+        reps = cohomology_representatives(C, deg)[0] if inside else Matrix.zero(0, 0)
         labels = C.space.labels(deg)
-        betti[deg] = len(reps)
-        reps_out[deg] = [{labels[i]: v for i, v in enumerate(r) if v} for r in reps]
+        betti[deg] = reps.cols
+        reps_out[deg] = [{labels[i]: v for i, v in enumerate(r) if v} for r in reps.columns()]
     return CohomologyReport(betti=betti, representatives=reps_out, uncertified=uncertified)
 
 
@@ -529,12 +570,12 @@ def quasi_iso_check(f: ChainMap, trunc: Truncation) -> QuasiIsoReport:
     for deg in range(lo, N):
         reps_C, _ = cohomology_representatives(C, deg)
         reps_D, bdry_D = cohomology_representatives(D, deg)
-        induced = cohomology_classes(reps_D, bdry_D, (f.map.apply(deg, r) for r in reps_C))
+        induced = cohomology_classes(reps_D, bdry_D, f.map.block(deg) @ reps_C)
         rank_ind = -1 if induced is None else rank(induced)
-        ok_here = len(reps_C) == len(reps_D) == rank_ind
+        ok_here = reps_C.cols == reps_D.cols == rank_ind
         degrees[deg] = {
-            "source_betti": len(reps_C),
-            "target_betti": len(reps_D),
+            "source_betti": reps_C.cols,
+            "target_betti": reps_D.cols,
             "induced_rank": rank_ind,
             "ok": ok_here,
         }
@@ -558,18 +599,21 @@ def induced_map(
     src_space: GradedSpace,
     tgt_space: GradedSpace,
 ) -> LinMap:
-    """Restrict `op` to subspaces given by per-degree coordinate vectors.
+    """Restrict `op` to subspaces given per degree by column blocks.
 
-    src_vectors / tgt_vectors: degree -> list of vectors in the ambient
-    coordinates of op.source / op.target.  Raises SubcomplexError when the
-    image of a sub-basis vector leaves the target subspace.
+    src_vectors / tgt_vectors: degree -> Matrix whose columns span the
+    subspace in the ambient coordinates of op.source / op.target.  Raises
+    SubcomplexError when the image of a sub-basis vector leaves the target
+    subspace.
     """
     blocks = {}
     for d in src_space.degrees():
-        vecs = src_vectors.get(d, [])
-        if not vecs or not op.target.dim(d + op.shift):
+        V = src_vectors.get(d)
+        rows = op.target.dim(d + op.shift)
+        if V is None or not V.cols or not rows:
             continue
-        m = Subspace(tgt_vectors.get(d + op.shift, [])).restrict(op.apply(d, v) for v in vecs)
+        W = tgt_vectors.get(d + op.shift, Matrix.zero(rows, 0))
+        m = Subspace(W).restrict(op.block(d) @ V)
         if m is None:
             raise SubcomplexError(f"operator image leaves the subspace at degree {d}")
         blocks[d] = m
@@ -583,19 +627,13 @@ def subcomplex(
 ) -> "tuple[Complex, ChainMap]":
     """Complex structure on per-degree subspaces, plus the inclusion map.
 
-    `vectors`: degree -> list of independent coordinate vectors in C.
+    `vectors`: degree -> Matrix of independent columns in the coordinates
+    of C; each block is also the inclusion at its degree.
     """
-    labels = {
-        d: tuple(f"{label_prefix}[{d},{i}]" for i in range(len(vs)))
-        for d, vs in vectors.items()
-        if vs
-    }
+    vectors = {d: V for d, V in vectors.items() if V.cols}
+    labels = {d: tuple(f"{label_prefix}[{d},{i}]" for i in range(V.cols)) for d, V in vectors.items()}
     space = GradedSpace(labels, lo=C.space.lo, hi=C.space.hi)
     d_map = induced_map(C.d, vectors, vectors, space, space)
     sub = Complex(space, d_map, complete=C.complete, check=False)
-    incl_blocks = {}
-    for d, vs in vectors.items():
-        if vs:
-            incl_blocks[d] = Matrix.from_columns(list(vs), nrows=C.space.dim(d))
-    incl = ChainMap(sub, C, LinMap(space, C.space, 0, incl_blocks))
+    incl = ChainMap(sub, C, LinMap(space, C.space, 0, vectors))
     return sub, incl

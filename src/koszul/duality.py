@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
@@ -36,7 +35,7 @@ from .complexes import (
 )
 from .equivariant import CartanModel, cartan_model, invariant_subcomplex
 from .lie import LieAlgebra
-from .linalg import Matrix
+from .linalg import Matrix, _integer_row, hstack
 from .modules import (
     KgModule,
     ModuleValidationError,
@@ -49,10 +48,6 @@ from .transgression import (
     primitive_basis,
 )
 from .weil import TwistData, WeilModule, twist_operators, twisted_cartan_image, weil_model
-
-Q0 = Fraction(0)
-Q1 = Fraction(1)
-
 
 # ---------------------------------------------------------------------------
 # The functor h
@@ -138,23 +133,24 @@ def inclusion_map(M: KgModule, WM: KgModule, inv_model, inv_M) -> ChainMap:
     """(M)^g -> (W⊗M)^g, m -> 1⊗1⊗m."""
     wm_index = WM.meta["tensor"].index
 
-    def one_tensor(deg: int, v) -> tuple:
-        amb = [Q0] * WM.space.dim(deg)
-        for mi, c in enumerate(v):
-            if c:
-                row = wm_index[deg].get((0, 0, deg, mi))
-                if row is None:
-                    raise AssertionError("inclusion escaped the window")
-                amb[row] = c
-        return tuple(amb)
+    def one_tensor(deg: int, V: Matrix) -> Matrix:
+        # the columns of V moved to the rows 1⊗1⊗m of W⊗M
+        index = wm_index[deg]
+        num = {}
+        for (mi, j), v in V.num.items():
+            row = index.get((0, 0, deg, mi))
+            if row is None:
+                raise AssertionError("inclusion escaped the window")
+            num[(row, j)] = v
+        return Matrix._from_ints(WM.space.dim(deg), V.cols, num, V.den)
 
     blocks = {}
     src = inv_M.complex.space
     for deg in src.degrees():
-        vecs = inv_M.vectors.get(deg, [])
-        if not vecs or deg > inv_model.complex.space.hi:
+        V = inv_M.vectors.get(deg)
+        if V is None or not V.cols or deg > inv_model.complex.space.hi:
             continue
-        blk = inv_model.span(deg).restrict(one_tensor(deg, v) for v in vecs)
+        blk = inv_model.span(deg).restrict(one_tensor(deg, V))
         if blk is None:
             raise ValueError(f"vector is not invariant at degree {deg}")
         blocks[deg] = blk
@@ -186,7 +182,7 @@ def build_psi(
     n = comp_g.dim
     zero_exps = tuple([0] * n)
 
-    omegas = []
+    omegas = []  # (integer element, its denominator)
     for entry in T.entries:
         if corrupt_transgression:
             elt = {
@@ -198,24 +194,28 @@ def build_psi(
             }
         else:
             elt = entry.omega
-        omegas.append(elt)
+        omegas.append(_integer_row(elt.items()))
 
-    products: dict = {(): {(zero_exps, ()): Q1}}
+    products: dict = {(): ({(zero_exps, ()): 1}, 1)}
 
-    def omega_product(J: tuple) -> dict:
+    def omega_product(J: tuple) -> tuple:
         if J not in products:
-            head, rest = J[0], J[1:]
-            products[J] = alg.multiply(omegas[head], omega_product(rest))
+            (head, d_head), (rest, d_rest) = omegas[J[0]], omega_product(J[1:])
+            products[J] = (alg.multiply(head, rest), d_head * d_rest)
         return products[J]
 
-    image = twisted_cartan_image(A, T.weil, WM, twist)
+    image, unit_den = twisted_cartan_image(A, T.weil, WM, twist)
+    a_columns = {adeg: (V.int_columns(), V.den * unit_den) for adeg, V in A.vectors.items()}
     blocks = {}
     for deg, ents in h.tensor.entries.items():
         if deg > inv_model.complex.space.hi:
             continue
-        blk = inv_model.span(deg).restrict(
-            image(adeg, A.vectors[adeg][ai], omega_product(h.subsets[q][ji]), deg)
-            for (q, ji, adeg, ai) in ents)
+        images = []
+        for q, ji, adeg, ai in ents:
+            cols, den = a_columns[adeg]
+            omega, d_omega = omega_product(h.subsets[q][ji])
+            images.append((image(adeg, cols[ai], omega, deg), den * d_omega))
+        blk = inv_model.span(deg).restrict(Matrix._from_int_columns(WM.space.dim(deg), images))
         if blk is None:
             raise ValueError(f"vector is not invariant at degree {deg}")
         blocks[deg] = blk
@@ -412,22 +412,15 @@ def psi_contraction_compatibility(comp: DualityComputation) -> bool:
 
 def _h_side_contraction(comp: DualityComputation, ext: KgModule, mv) -> LinMap:
     """Contraction by an invariant multivector on the exterior factor of h."""
-    from .transgression import wedge_vectors
+    from .transgression import wedge_product
 
     n = comp.g.dim
     prims = [e.primitive for e in comp.transgression.entries]
     op = ext.contraction_of_multivector(mv.coeffs, lambda_monomials(n, mv.degree))
 
     # expand each primitive subset into an exterior form
-    forms: dict = {}
-    for deg, Js in comp.h.subsets.items():
-        for J in Js:
-            v = (Q1,)
-            d_so_far = 0
-            for j in J:
-                v = wedge_vectors(v, d_so_far, prims[j].coeffs, prims[j].degree, n)
-                d_so_far += prims[j].degree
-            forms.setdefault(deg, []).append(v)
+    forms = {deg: hstack([wedge_product([prims[j] for j in J], n) for J in Js], ext.space.dim(deg))
+             for deg, Js in comp.h.subsets.items()}
 
     # i_mv restricted to the forms: coordinates of i_mv(form_J) over lower ones
     lam_P = comp.h.tensor.A

@@ -53,14 +53,18 @@ def invariant_multivectors(g: LieAlgebra, p: int) -> list:
     """Basis of the adjoint invariants of the p-th exterior power of g."""
     ad, _ = adjoint_matrices(g)
     return joint_kernel(derivation_on_lambda(list(ad.matrices), p),
-                        len(lambda_monomials(g.dim, p)))
+                        len(lambda_monomials(g.dim, p))).columns()
+
+
+def sym_invariant_block(g: LieAlgebra, a: int) -> Matrix:
+    """Coadjoint invariants of S^a(g*) as the columns of a Matrix."""
+    _, coad = adjoint_matrices(g)
+    return joint_kernel(derivation_on_sym(list(coad.matrices), a), len(sym_monomials(g.dim, a)))
 
 
 def sym_invariants(g: LieAlgebra, a: int) -> list:
-    """Basis of coadjoint invariants of S^a(g*)."""
-    _, coad = adjoint_matrices(g)
-    return joint_kernel(derivation_on_sym(list(coad.matrices), a),
-                        len(sym_monomials(g.dim, a)))
+    """Basis of coadjoint invariants of S^a(g*), read out as dense vectors."""
+    return sym_invariant_block(g, a).columns()
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ class InvariantModel:
     module: KgModule
     complex: Complex
     inclusion: ChainMap
-    vectors: dict  # degree -> ambient coordinate vectors
+    vectors: dict  # degree -> Matrix whose columns are the invariant vectors
     multivectors: list  # MultivectorElement, positive degrees
     actions: list  # LinMap on the subcomplex, one per multivector
     # degree -> Subspace of `vectors`, factored on first use
@@ -125,7 +129,8 @@ class InvariantModel:
     def span(self, deg: int) -> Subspace:
         """The invariant vectors of degree deg, for restricting maps into (M)^g."""
         if deg not in self.spans:
-            self.spans[deg] = Subspace(self.vectors.get(deg, []))
+            empty = Matrix.zero(self.module.space.dim(deg), 0)
+            self.spans[deg] = Subspace(self.vectors.get(deg, empty))
         return self.spans[deg]
 
 
@@ -145,10 +150,7 @@ def invariant_subcomplex(M: KgModule, with_actions: bool = True) -> InvariantMod
         if deg > top:
             continue
         vectors[deg] = joint_kernel([op.block(deg) for op in M.L_ops], M.space.dim(deg))
-    sub, incl = subcomplex(
-        M.complex.truncated(top), {d: v for d, v in vectors.items() if v},
-        label_prefix=f"({M.name})^g",
-    )
+    sub, incl = subcomplex(M.complex.truncated(top), vectors, label_prefix=f"({M.name})^g")
     multis = invariant_multivector_basis(g) if with_actions else []
     actions = []
     for mv in multis:
@@ -184,7 +186,7 @@ class CartanModel:
     complex: Complex
     ambient: TensorSpace  # S(g*) ⊗ M cut at degree N
     sym_basis: dict  # degree 2a -> the S^a monomials, basis of ambient.A
-    vectors: dict  # degree -> invariant vectors in ambient coordinates
+    vectors: dict  # degree -> Matrix of the invariant vectors in ambient coordinates
     s_invariants: dict  # cohomological degree 2a -> list of S^a coefficient vectors
 
     def s_action(self, sym_degree: int, coeffs: Sequence) -> LinMap:
@@ -260,8 +262,8 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
            for k in range(n)], 1)
     amb_complex = Complex(ambient.space, amb_d, complete=False, check=False)
 
-    sub, _ = subcomplex(amb_complex, {d: v for d, v in vectors.items() if v},
-                        label_prefix=f"({M.name})_g")
+    vectors = {d: v for d, v in vectors.items() if v.cols}
+    sub, _ = subcomplex(amb_complex, vectors, label_prefix=f"({M.name})_g")
     bad = sub.d_squared_defect()
     if bad is not None:
         raise SubcomplexError(f"equivariant differential fails d^2 = 0 at {bad}")
@@ -279,7 +281,7 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
         complex=sub,
         ambient=ambient,
         sym_basis=sym_basis,
-        vectors={d: v for d, v in vectors.items() if v},
+        vectors=vectors,
         s_invariants=s_inv,
     )
 
@@ -289,7 +291,7 @@ def induced_action_on_cohomology(M: KgModule, deg: int):
     reps, boundaries = cohomology_representatives(M.complex, deg)
     out = []
     for L in M.L_ops:
-        m = cohomology_classes(reps, boundaries, (L.apply(deg, r) for r in reps))
+        m = cohomology_classes(reps, boundaries, L.block(deg) @ reps)
         if m is None:
             raise ValueError("Lie derivative does not preserve cocycles")
         out.append(m)

@@ -18,7 +18,8 @@ from importlib import resources
 
 from .linalg import (
     Matrix,
-    independent_subset,
+    complement_basis,
+    hstack,
     joint_kernel,
     qparse,
     qstr,
@@ -251,7 +252,7 @@ def adjoint_matrices(g: LieAlgebra):
 def invariant_vectors(rep: RepMatrices) -> list:
     """Basis of the simultaneous kernel of all action matrices."""
     rep.check()
-    return joint_kernel(list(rep.matrices), rep.space_dim)
+    return joint_kernel(list(rep.matrices), rep.space_dim).columns()
 
 
 def killing_form(g: LieAlgebra) -> Matrix:
@@ -285,18 +286,18 @@ def certify_reductive(g: LieAlgebra) -> ReductiveDecomposition:
     n = g.dim
     ad, _ = adjoint_matrices(g)
     center = joint_kernel(list(ad.matrices), n)
-    brackets = [g.bracket(i, j) for i in range(n) for j in range(i + 1, n)]
-    derived = independent_subset([v for v in brackets if any(v)])
-    if len(center) + len(derived) != n:
+    # the brackets [i, j], i < j, are the columns j > i of ad_i
+    brackets = hstack([m.take(range(i + 1, n)) for i, m in enumerate(ad.matrices)], n)
+    derived = complement_basis(Matrix.zero(n, 0), brackets)
+    if center.cols + derived.cols != n:
         raise NotReductive(
-            f"dim z(g) + dim [g,g] = {len(center)} + {len(derived)} != {n}"
+            f"dim z(g) + dim [g,g] = {center.cols} + {derived.cols} != {n}"
         )
-    if derived:
-        B = Matrix.from_columns(derived, nrows=n)
-        K_restricted = B.transpose() @ killing_form(g) @ B
-        if rank(K_restricted) != len(derived):
+    if derived.cols:
+        K_restricted = derived.transpose() @ killing_form(g) @ derived
+        if rank(K_restricted) != derived.cols:
             raise NotReductive("Killing form is degenerate on the derived subalgebra")
-    if center and derived:
-        if rank(Matrix.from_columns(list(center) + list(derived), nrows=n)) != n:
+    if center.cols and derived.cols:
+        if rank(hstack([center, derived], n)) != n:
             raise NotReductive("center and derived subalgebra do not span g directly")
-    return ReductiveDecomposition(tuple(center), tuple(derived), killing_form(g))
+    return ReductiveDecomposition(tuple(center.columns()), tuple(derived.columns()), killing_form(g))

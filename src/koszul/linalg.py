@@ -15,12 +15,18 @@ are.  The RREF of a matrix is unique, so kernel bases, solutions with free
 variables zero and complements do not depend on the elimination order and
 are stable across runs -- which is what makes golden-file tests possible.
 
-Subspaces enter in two ways, each through one call: ``joint_kernel``
-cuts one out as the common kernel of a family of operator blocks, and
-``Subspace.restrict`` writes images in the coordinates of a spanning
-family, which is how every restricted operator is built.
+A family of vectors is one ``Matrix`` whose columns are the vectors, so
+it stays integer numerators over one denominator from the kernel that cuts
+it out to the restriction that reads coordinates in it.  Subspaces enter
+in two ways, each through one call: ``joint_kernel`` cuts one out as the
+common kernel of a family of operator blocks, and ``Subspace.restrict``
+writes a block of images in the coordinates of a spanning family, which is
+how every restricted operator is built.
 
-Vectors are plain tuples of Fractions (column vectors).
+Dense vectors, tuples of Fractions, are read-outs: ``Matrix.columns``,
+``kernel_basis``, ``Subspace.coords`` and ``express_in_span`` produce
+them, and ``solve_affine``, ``independent_subset`` and ``IncrementalSpan``
+take them.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Q0 = Fraction(0)
-Q1 = Fraction(1)
 
 
 class ShapeError(ValueError):
@@ -121,6 +126,14 @@ class Matrix:
         m.den = den // g
         return m
 
+    @classmethod
+    def _from_int_columns(cls, rows: int, cols: Sequence) -> "Matrix":
+        """The matrix whose column j is the sparse integer column
+        {row: numerator} over the positive denominator d, for cols[j] = (column, d)."""
+        den = lcm(*[d for _, d in cols])
+        return cls._from_ints(rows, len(cols), {
+            (i, j): v * (den // d) for j, (col, d) in enumerate(cols) for i, v in col.items()}, den)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -172,13 +185,28 @@ class Matrix:
         return Fraction(v, self.den) if v else Q0
 
     def column(self, j: int) -> tuple:
-        return tuple(self[i, j] for i in range(self.rows))
+        return self.take([j]).columns()[0]
 
     def row(self, i: int) -> tuple:
         return tuple(self[i, j] for j in range(self.cols))
 
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
+        """The columns as dense tuples of Fractions, filled from ``num`` into
+        lists of the shared zero; equal values share one Fraction."""
+        cols = [[Q0] * self.rows for _ in range(self.cols)]
+        den, vals = self.den, {}
+        for (i, j), v in self.num.items():
+            f = vals.get(v)
+            if f is None:
+                f = vals[v] = Fraction(v, den)
+            cols[j][i] = f
+        return [tuple(c) for c in cols]
+
+    def take(self, cols: Sequence[int]) -> "Matrix":
+        """The matrix of the given columns, in that order."""
+        slot = {j: k for k, j in enumerate(cols)}
+        return Matrix._from_ints(self.rows, len(slot), {
+            (i, slot[j]): v for (i, j), v in self.num.items() if j in slot}, self.den)
 
     def int_columns(self) -> dict:
         """Sparse integer column view: col -> [(row, numerator), ...]."""
@@ -440,50 +468,70 @@ class RowReduction:
                 x[c] = Fraction(s, row[c] * d)
         return tuple(x)
 
-    def kernel(self) -> list:
-        """Basis of the null space, one vector per free column, in reduced form."""
+    def kernel(self) -> Matrix:
+        """Basis of the null space in reduced form, as the columns of a
+        Matrix: one per free column, in increasing order, with entry 1 there.
+
+        Built straight from the pivot table over the lcm of the pivot leads."""
         table = self._table
-        free = {c: [Q0] * self.cols for c in range(self.cols) if c not in table}
-        for f, v in free.items():
-            v[f] = Q1
+        free = {c: k for k, c in enumerate(c for c in range(self.cols) if c not in table)}
+        den = lcm(*[row[c] for c, (row, _) in table.items()])
+        num = {(f, k): den for f, k in free.items()}
         for c, (row, _) in table.items():
-            lead = row[c]
+            s = den // row[c]
             for f, x in row.items():
                 if f != c:
-                    free[f][c] = Fraction(-x, lead)
-        return [tuple(v) for v in free.values()]
+                    num[(c, free[f])] = -x * s
+        return Matrix._from_ints(self.cols, len(free), num, den)
 
 
 def kernel_basis(A: Matrix) -> list:
-    """Basis of {v : A v = 0} in reduced echelon form (deterministic)."""
-    return RowReduction(A, track=False).kernel()
+    """Basis of {v : A v = 0} in reduced echelon form (deterministic), read
+    out as dense vectors."""
+    return RowReduction(A, track=False).kernel().columns()
 
 
-def joint_kernel(mats: Sequence[Matrix], cols: int) -> list:
-    """Common kernel of blocks of width cols: ``kernel_basis`` of their stack.
-
-    An empty family leaves all of Q^cols, as the unit basis."""
+def _stack(mats: Sequence[Matrix], width: int, vertical: bool) -> Matrix:
+    """The blocks over one another (vertical, all `width` columns wide) or
+    side by side (all `width` rows high), over the lcm of their denominators."""
     den = lcm(*[m.den for m in mats])
     num: dict = {}
     off = 0
     for m in mats:
-        if m.cols != cols:
-            raise ShapeError(f"block of width {m.cols} in a joint kernel of width {cols}")
+        side, length = (m.cols, m.rows) if vertical else (m.rows, m.cols)
+        if side != width:
+            raise ShapeError(f"block of side {side} in a stack of side {width}")
+        di, dj = (off, 0) if vertical else (0, off)
         k = den // m.den
         for (i, j), v in m.num.items():
-            num[(i + off, j)] = k * v
-        off += m.rows
-    return kernel_basis(Matrix._from_ints(off, cols, num, den))
+            num[(i + di, j + dj)] = k * v
+        off += length
+    rows, cols = (off, width) if vertical else (width, off)
+    return Matrix._from_ints(rows, cols, num, den)
 
 
-def image_rank(A: Matrix):
-    """(rank, basis of the column space).  The basis is the pivot columns of A."""
+def hstack(mats: Sequence[Matrix], rows: int) -> Matrix:
+    """The columns of the blocks, all of height rows, side by side in order."""
+    return _stack(mats, rows, vertical=False)
+
+
+def vstack(mats: Sequence[Matrix], cols: int) -> Matrix:
+    """The rows of the blocks, all of width cols, over one another in order."""
+    return _stack(mats, cols, vertical=True)
+
+
+def joint_kernel(mats: Sequence[Matrix], cols: int) -> Matrix:
+    """Common kernel of blocks of width cols: the kernel of their stack, as
+    the columns of a Matrix (see ``RowReduction.kernel``).
+
+    An empty family leaves all of Q^cols, as the unit basis."""
+    return RowReduction(vstack(mats, cols), track=False).kernel()
+
+
+def image_rank(A: Matrix) -> tuple:
+    """(rank, basis of the column space): the basis is the pivot columns of A."""
     red = RowReduction(A, track=False)
-    cols = {j: [Q0] * A.rows for j in red.pivots}
-    for (i, j), v in A.num.items():
-        if j in cols:
-            cols[j][i] = Fraction(v, A.den)
-    return red.rank, [tuple(cols[j]) for j in red.pivots]
+    return red.rank, A.take(red.pivots)
 
 
 def rank(A: Matrix) -> int:
@@ -515,68 +563,80 @@ class IncrementalSpan:
         return not row
 
 
-class Subspace:
-    """The span of a fixed family of vectors, factored once for coordinate queries.
+def _column_rows(A: Matrix) -> list:
+    """The integer columns of A (numerators over A.den) as sparse rows, in order."""
+    rows: list = [{} for _ in range(A.cols)]
+    for (i, j), v in A.num.items():
+        rows[j][i] = v
+    return rows
 
-    Each echelon row tracks its combination of the family, so ``coords`` is
-    one reduction of the target, with no elimination of the family.
+
+class Subspace:
+    """The span of the columns of a Matrix V, factored once for coordinate queries.
+
+    Each echelon row tracks its combination of the columns, so ``restrict``
+    is one reduction per image, with no elimination of the family.
     """
 
-    def __init__(self, vectors: Sequence[Sequence]):
-        self.size = len(vectors)
-        self.dim = len(vectors[0]) if vectors else None
+    def __init__(self, V: Matrix):
+        self.size, self.dim, self.den = V.cols, V.rows, V.den
         self.pivots: dict = {}
-        for i, v in enumerate(vectors):
-            if len(v) != self.dim:
-                raise ShapeError("ragged spanning family")
-            row, d = _sparse(v)
-            _insert(self.pivots, row, {i: d})
+        for j, row in enumerate(_column_rows(V)):
+            if row:
+                _insert(self.pivots, row, {j: 1})
 
     def coords(self, target: Sequence) -> Optional[tuple]:
-        """Coordinates of target in the family, or None when it lies outside.
+        """Coordinates of a dense target over the columns, or None when it
+        lies outside: a read-out of ``restrict``.
 
         Members that depend on earlier members get coordinate 0, as the
         free variables of ``solve_affine`` on the columns do.
         """
-        m = self.restrict([target])
-        return None if m is None else m.column(0)
+        if len(target) != self.dim:
+            raise ShapeError(f"vector length {len(target)} != {self.dim}")
+        m = self.restrict(Matrix(self.dim, 1, {(i, 0): x for i, x in enumerate(target) if x}))
+        return None if m is None else m.columns()[0]
 
-    def restrict(self, images: Iterable[Sequence]) -> Optional[Matrix]:
-        """Coordinates of each image as the columns of one Matrix, or None
-        as soon as an image lies outside; images are read one at a time.
+    def restrict(self, X: Matrix) -> Optional[Matrix]:
+        """Coordinates of each column of X as the columns of one Matrix, or
+        None as soon as a column lies outside.
 
-        An image is reduced as member ``size`` of the family: once it
+        A column is reduced as member ``size`` of the family: once it
         reduces to zero, its coefficient is the common denominator of its
-        coordinates.
+        coordinates over the integer columns of V.
         """
+        if X.rows != self.dim:
+            raise ShapeError(f"images of length {X.rows} in a subspace of Q^{self.dim}")
+        size = self.size
         cols = []
-        for img in images:
-            if self.dim is not None and len(img) != self.dim:
-                raise ShapeError(f"vector length {len(img)} != {self.dim}")
-            row, d = _sparse(img)
-            comb = {self.size: d}
+        for row in _column_rows(X):
+            comb = {size: 1}
             _reduce(self.pivots, row, comb)
             if row:
                 return None
-            e = comb.pop(self.size)
+            e = comb.pop(size)
             cols.append((comb, e))
+        # X[:, j] = -sum_i c_i/(e·X.den) V.num[:, i] and V.num = V.den·V
         den = lcm(*[e for _, e in cols])
-        num = {(i, j): -c * (den // e) for j, (comb, e) in enumerate(cols) for i, c in comb.items()}
-        return Matrix._from_ints(self.size, len(cols), num, den)
+        k = -self.den
+        num = {(i, j): k * c * (den // e) for j, (comb, e) in enumerate(cols) for i, c in comb.items()}
+        return Matrix._from_ints(size, X.cols, num, den * X.den)
 
 
-def complement_basis(U: Sequence[Sequence], V: Sequence[Sequence]) -> list:
-    """Extend the independent family U to a basis of span(V), greedily over V.
+def complement_basis(U: Matrix, V: Matrix) -> Matrix:
+    """Extend the independent columns of U to a basis of the column span of
+    V, greedily over the columns of V: the chosen columns, in order.
 
     Raises SpanError when U is dependent or escapes span(V).
     """
-    rows_V = [_sparse(v)[0] for v in V]
+    if U.rows != V.rows:
+        raise ShapeError(f"columns of length {U.rows} and {V.rows}")
+    rows_V = _column_rows(V)
     span_V: dict = {}
     for row in rows_V:
         _insert(span_V, dict(row), None)
     span: dict = {}
-    for u in U:
-        row = _sparse(u)[0]
+    for row in _column_rows(U):
         left = dict(row)
         _reduce(span_V, left, None)
         if left:
@@ -584,12 +644,12 @@ def complement_basis(U: Sequence[Sequence], V: Sequence[Sequence]) -> list:
         if not _insert(span, row, None):
             raise SpanError("U is linearly dependent")
     chosen: list = []
-    for v, row in zip(V, rows_V):
+    for j, row in enumerate(rows_V):
         if len(span) == len(span_V):
             break
         if _insert(span, row, None):
-            chosen.append(vec(v))
-    return chosen
+            chosen.append(j)
+    return V.take(chosen)
 
 
 def independent_subset(vectors: Sequence[Sequence]) -> list:
@@ -607,4 +667,4 @@ def express_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[tup
     """Coordinates of target in the given spanning family, or None.
 
     For many targets against one family, build the ``Subspace`` once."""
-    return Subspace(basis).coords(target)
+    return Subspace(Matrix.from_columns(basis, nrows=len(target))).coords(target)

@@ -22,15 +22,18 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .complexes import Truncation
-from .equivariant import invariant_multivector_basis, sym_invariants
+from .equivariant import invariant_multivector_basis, sym_invariant_block, sym_invariants
 from .lie import LieAlgebra, adjoint_matrices
 from .linalg import (
     Matrix,
     RowReduction,
+    Subspace,
     complement_basis,
+    hstack,
     independent_subset,
     joint_kernel,
     vec,
+    vstack,
 )
 from .modules import (
     derivation_on_lambda,
@@ -51,37 +54,69 @@ class TransgressionError(ValueError):
     pass
 
 
-def exterior_invariants(g: LieAlgebra, p: int) -> list:
-    """Coadjoint invariants of Λ^p(g*)."""
+def exterior_invariant_block(g: LieAlgebra, p: int) -> Matrix:
+    """Coadjoint invariants of Λ^p(g*) as the columns of a Matrix."""
     _, coad = adjoint_matrices(g)
     return joint_kernel(derivation_on_lambda(list(coad.matrices), p),
                         len(lambda_monomials(g.dim, p)))
 
 
-def wedge_vectors(u: Sequence, p: int, v: Sequence, q: int, n: int) -> tuple:
-    """Wedge product of coefficient vectors over monomial bases."""
+def exterior_invariants(g: LieAlgebra, p: int) -> list:
+    """Coadjoint invariants of Λ^p(g*), read out as dense vectors."""
+    return exterior_invariant_block(g, p).columns()
+
+
+def wedge_columns(U: Matrix, p: int, V: Matrix, q: int, n: int) -> Matrix:
+    """u∧v for every column u of U (over the Λ^p monomials) and v of V (over
+    the Λ^q monomials), u-major, as the columns of one Matrix over the
+    Λ^{p+q} monomials."""
     mp = lambda_monomials(n, p)
     mq = lambda_monomials(n, q)
-    target = lambda_monomials(n, p + q)
-    index = {m: i for i, m in enumerate(target)}
-    out = [Q0] * len(target)
-    for a, ca in zip(mp, u):
-        if not ca:
-            continue
-        for b, cb in zip(mq, v):
-            if not cb:
-                continue
-            sign, mono = wedge_concat(a, b)
-            if sign:
-                out[index[mono]] += sign * ca * cb
-    return tuple(out)
+    index = {m: i for i, m in enumerate(lambda_monomials(n, p + q))}
+    ucols, vcols = U.int_columns(), V.int_columns()
+    num: dict = {}
+    for a, ucol in ucols.items():
+        for b, vcol in vcols.items():
+            j = a * V.cols + b
+            for i, x in ucol:
+                for k, y in vcol:
+                    sign, mono = wedge_concat(mp[i], mq[k])
+                    if sign:
+                        rc = (index[mono], j)
+                        num[rc] = num.get(rc, 0) + sign * x * y
+    return Matrix._from_ints(len(index), U.cols * V.cols, num, U.den * V.den)
+
+
+def _coefficient_column(coeffs: Sequence) -> Matrix:
+    """A coefficient tuple read back as a one-column Matrix."""
+    return Matrix(len(coeffs), 1, {(i, 0): c for i, c in enumerate(coeffs) if c})
+
+
+def wedge_product(prims: Sequence, n: int) -> Matrix:
+    """The wedge product of primitives, left to right, as one column (1 for
+    the empty product)."""
+    v, deg = Matrix.identity(1), 0
+    for prim in prims:
+        v = wedge_columns(v, deg, prim.column, prim.degree, n)
+        deg += prim.degree
+    return v
+
+
+def _independent_columns(V: Matrix) -> Matrix:
+    """The greedy maximal independent subfamily of the columns of V."""
+    return complement_basis(Matrix.zero(V.rows, 0), V)
 
 
 @dataclass(frozen=True)
 class Primitive:
     degree: int
-    coeffs: tuple  # over the degree-p exterior monomial basis
+    column: Matrix  # one column over the degree-p exterior monomial basis
     label: str
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients, read out as a dense tuple."""
+        return self.column.columns()[0]
 
 
 @dataclass
@@ -104,33 +139,24 @@ def primitive_basis(g: LieAlgebra, trunc: Truncation) -> PrimitiveSpace:
     """
     n = g.dim
     top = min(n, trunc.max_degree)
-    inv = {p: exterior_invariants(g, p) for p in range(0, n + 1)}
+    inv = {p: exterior_invariant_block(g, p) for p in range(0, n + 1)}
     primitives: list = []
     for m in range(1, top + 1):
-        if not inv[m]:
+        if not inv[m].cols:
             continue
-        decomp = []
-        for a in range(1, m):
-            b = m - a
-            if a > b:
-                break
-            for u in inv[a]:
-                for v in inv[b]:
-                    w = wedge_vectors(u, a, v, b, n)
-                    if any(w):
-                        decomp.append(w)
-        decomp_basis = independent_subset(decomp)
-        prim_vectors = complement_basis(decomp_basis, inv[m])
+        decomp = hstack([wedge_columns(inv[a], a, inv[m - a], m - a, n)
+                         for a in range(1, m // 2 + 1)], inv[m].rows)
+        prims = complement_basis(_independent_columns(decomp), inv[m])
         monos = lambda_monomials(n, m)
-        for v in prim_vectors:
+        for j, v in enumerate(prims.columns()):
             terms = " + ".join(
                 f"{c}·{lambda_label(mono, g.basis_labels)}"
                 for c, mono in zip(v, monos) if c
             )
-            primitives.append(Primitive(m, tuple(v), terms))
+            primitives.append(Primitive(m, prims.take([j]), terms))
 
     space = PrimitiveSpace(
-        g, {p: len(inv[p]) for p in range(n + 1)}, primitives
+        g, {p: inv[p].cols for p in range(n + 1)}, primitives
     )
     _verify_freeness(space, inv, n, top)
     return space
@@ -147,14 +173,9 @@ def _verify_freeness(space: PrimitiveSpace, inv: dict, n: int, top: int) -> None
             deg = sum(prims[i].degree for i in subset)
             if deg > top:
                 continue
-            v = (Q1,)
-            d_so_far = 0
-            for i in subset:
-                v = wedge_vectors(v, d_so_far, prims[i].coeffs, prims[i].degree, n)
-                d_so_far += prims[i].degree
-            products[deg].append(v)
+            products[deg].append(wedge_product([prims[i] for i in subset], n))
     for m in range(top + 1):
-        want = len(inv[m])
+        want = inv[m].cols
         got = products[m]
         if len(got) != want:
             raise TransgressionError(
@@ -162,7 +183,7 @@ def _verify_freeness(space: PrimitiveSpace, inv: dict, n: int, top: int) -> None
                 f"invariants have dimension {want}"
             )
         if want:
-            if len(independent_subset(got)) != want:
+            if _independent_columns(hstack(got, inv[m].rows)).cols != want:
                 raise TransgressionError(
                     f"products of primitives are dependent in degree {m}"
                 )
@@ -191,20 +212,27 @@ class TransgressionData:
         return (self.entries[idx].primitive.degree + 1) // 2
 
 
-def _weil_invariant_basis(W: WeilModule, degree: int) -> list:
-    return joint_kernel([op.block(degree) for op in W.L_ops], W.space.dim(degree))
-
-
-def _lambda_inclusion_vector(W: WeilModule, coeffs: Sequence, p: int) -> tuple:
-    """1 ⊗ ξ as a coordinate vector of W at degree p."""
+def _lambda_inclusion(W: WeilModule, p: int) -> Matrix:
+    """ξ -> 1 ⊗ ξ from Λ^p(g*) into W at degree p; its transpose restricts
+    W to the exterior factor."""
     alg = W.algebra
     n = W.g.dim
     zero = tuple([0] * n)
-    out = [Q0] * W.space.dim(p)
-    for mono, c in zip(lambda_monomials(n, p), coeffs):
-        if c:
-            out[alg.index[p][(zero, mono)]] = c
-    return tuple(out)
+    return Matrix._from_ints(W.space.dim(p), len(lambda_monomials(n, p)), {
+        (alg.index[p][(zero, mono)], i): 1 for i, mono in enumerate(lambda_monomials(n, p))}, 1)
+
+
+def _sym_inclusion(W: WeilModule, a: int) -> Matrix:
+    """s -> s ⊗ 1 from S^a(g*) into W at degree 2a."""
+    alg = W.algebra
+    monos = sym_monomials(W.g.dim, a)
+    return Matrix._from_ints(W.space.dim(2 * a), len(monos), {
+        (alg.index[2 * a][(mono, ())], i): 1 for i, mono in enumerate(monos)}, 1)
+
+
+def _lambda_inclusion_vector(W: WeilModule, coeffs: Sequence, p: int) -> Matrix:
+    """1 ⊗ ξ as a column of W at degree p."""
+    return _lambda_inclusion(W, p) @ _coefficient_column(coeffs)
 
 
 def distinguished_transgression(
@@ -243,45 +271,25 @@ def distinguished_transgression(
         p = prim.degree
         if p % 2 == 0:
             raise TransgressionError("primitive of even degree cannot transgress")
-        w_inv = _weil_invariant_basis(W, p)
+        w_inv = joint_kernel([op.block(p) for op in W.L_ops], W.space.dim(p))
         s_deg = (p + 1) // 2
-        s_inv = sym_invariants(g, s_deg)
-        if not s_inv:
+        s_inv = sym_invariant_block(g, s_deg)
+        if not s_inv.cols:
             raise TransgressionError(
                 f"no invariant polynomials of degree {s_deg} to transgress into"
             )
         s_monos = sym_monomials(n, s_deg)
-        n_alpha, n_beta = len(w_inv), len(s_inv)
+        n_alpha, n_beta = w_inv.cols, s_inv.cols
 
-        xi_vec = _lambda_inclusion_vector(W, prim.coeffs, p)
-
-        rows_restrict = len(lambda_monomials(n, p))
-        rows_contr = [W.space.dim(p - mv.degree) for mv, _ in contraction_ops]
-        rows_d = W.space.dim(p + 1)
-
-        restr_of = lambda v: _restrict_vector(W, v, p)
-
-        cols = []
-        for v in w_inv:
-            col = list(restr_of(v))
-            for (mv, op) in contraction_ops:
-                col.extend(op.apply(p, v))
-            col.extend(W.d.apply(p, v))
-            cols.append(vec(col))
-        for sv in s_inv:
-            col = [Q0] * (rows_restrict + sum(rows_contr))
-            incl = [Q0] * rows_d
-            for mono, c in zip(s_monos, sv):
-                if c:
-                    incl[alg.index[p + 1][(mono, ())]] = -c
-            col.extend(incl)
-            cols.append(vec(col))
-
-        rhs = list(prim.coeffs)
-        for (mv, op) in contraction_ops:
-            rhs.extend(op.apply(p, xi_vec))
-        rhs.extend([Q0] * rows_d)
-        rhs = vec(rhs)
+        # unknowns (ω over w_inv, ξ~ over s_inv); equations (a), (b), (c) stacked
+        incl = _lambda_inclusion(W, p)
+        xi_vec = incl @ prim.column
+        top = [incl.transpose()] + [op.block(p) for _, op in contraction_ops]
+        rows_top = sum(m.rows for m in top)
+        omega_part = vstack([m @ w_inv for m in top] + [W.d.block(p) @ w_inv], n_alpha)
+        xi_part = vstack([Matrix.zero(rows_top, n_beta), (_sym_inclusion(W, s_deg) @ s_inv).scale(-1)],
+                         n_beta)
+        rhs = vstack([m @ xi_vec for m in top] + [Matrix.zero(W.space.dim(p + 1), 1)], 1)
 
         total_unknowns = n_alpha + n_beta
         perm = list(unknown_permutation) if unknown_permutation else list(range(total_unknowns))
@@ -290,41 +298,29 @@ def distinguished_transgression(
             seen = []
             perm = [x for x in perm if not (x in seen or seen.append(x))]
             perm += [i for i in range(total_unknowns) if i not in perm]
-        A = Matrix.from_columns([cols[j] for j in perm], nrows=len(rhs))
-        red = RowReduction(A)
-        sol_perm = red.solve(rhs)
-        if sol_perm is None:
+        A = hstack([omega_part, xi_part], rhs.rows).take(perm)
+        # coordinates of rhs over the columns of A: free unknowns are 0
+        sol = Subspace(A).restrict(rhs)
+        if sol is None:
             raise TransgressionError(
                 f"transgression system inconsistent for {prim.label}; "
                 "this indicates a sign-convention defect"
             )
-        sol = [Q0] * total_unknowns
-        for pos, j in enumerate(perm):
-            sol[j] = sol_perm[pos]
-        alpha, beta = sol[:n_alpha], sol[n_alpha:]
-
-        for kvec in red.kernel():
-            hom = [Q0] * total_unknowns
-            for pos, j in enumerate(perm):
-                hom[j] = kvec[pos]
-            if any(hom[n_alpha:]):
-                raise TransgressionError(
-                    f"ξ~ is not unique for {prim.label}: homogeneous solution "
-                    "has a nonzero polynomial part"
-                )
-
-        omega_vec = [Q0] * W.space.dim(p)
-        for c, v in zip(alpha, w_inv):
-            if c:
-                for i, x in enumerate(v):
-                    omega_vec[i] += c * x
-        omega = alg.vector_to_element(tuple(omega_vec), p)
-        xi_tilde = [Q0] * len(s_monos)
-        for c, sv in zip(beta, s_inv):
-            if c:
-                for i, x in enumerate(sv):
-                    xi_tilde[i] += c * x
-        xi_tilde = tuple(xi_tilde)
+        if any(perm[pos] >= n_alpha for pos, _ in RowReduction(A, track=False).kernel().num):
+            raise TransgressionError(
+                f"ξ~ is not unique for {prim.label}: homogeneous solution "
+                "has a nonzero polynomial part"
+            )
+        alpha, beta = {}, {}
+        for (pos, _), v in sol.num.items():
+            j = perm[pos]
+            if j < n_alpha:
+                alpha[(j, 0)] = v
+            else:
+                beta[(j - n_alpha, 0)] = v
+        omega_col = w_inv @ Matrix._from_ints(n_alpha, 1, alpha, sol.den)
+        omega = {alg.basis[p][i]: Fraction(v, omega_col.den) for (i, _), v in sorted(omega_col.num.items())}
+        xi_tilde = (s_inv @ Matrix._from_ints(n_beta, 1, beta, sol.den)).columns()[0]
 
         _verify_entry(W, prim, omega, xi_tilde, contraction_ops, xi_vec)
         label = " + ".join(
@@ -335,44 +331,23 @@ def distinguished_transgression(
     return TransgressionData(g, W, entries)
 
 
-def _restrict_vector(W: WeilModule, v: Sequence, degree: int) -> tuple:
-    n = W.g.dim
-    monos = lambda_monomials(n, degree)
-    index = {m: i for i, m in enumerate(monos)}
-    out = [Q0] * len(monos)
-    for i, c in enumerate(v):
-        if not c:
-            continue
-        exps, lmono = W.algebra.basis[degree][i]
-        if not any(exps):
-            out[index[lmono]] += c
-    return tuple(out)
-
-
 def _verify_entry(W, prim, omega, xi_tilde, contraction_ops, xi_vec) -> None:
-    """Re-check the three conditions by direct application."""
+    """Re-check the three conditions on the returned lift by direct application."""
     alg = W.algebra
-    n = W.g.dim
     p = prim.degree
-    ov = alg.element_to_vector(omega, p)
-    if _restrict_vector(W, ov, p) != tuple(prim.coeffs):
+    ov = Matrix(W.space.dim(p), 1, {(alg.index[p][key], 0): c for key, c in omega.items()})
+    if _lambda_inclusion(W, p).transpose() @ ov != prim.column:
         raise TransgressionError("condition (a) fails on the returned lift")
     for mv, op in contraction_ops:
-        if op.apply(p, ov) != op.apply(p, xi_vec):
+        if op.block(p) @ ov != op.block(p) @ xi_vec:
             raise TransgressionError(
                 f"condition (b) fails against multivector {mv.label}"
             )
-    d_omega = W.d.apply(p, ov)
-    expected = [Q0] * W.space.dim(p + 1)
-    for mono, c in zip(sym_monomials(n, (p + 1) // 2), xi_tilde):
-        if c:
-            expected[alg.index[p + 1][(mono, ())]] = c
-    if tuple(d_omega) != tuple(expected):
+    if W.d.block(p) @ ov != _sym_inclusion(W, (p + 1) // 2) @ _coefficient_column(xi_tilde):
         raise TransgressionError("condition (c) fails on the returned lift")
     # invariance of the lift itself
-    for L in W.L_ops:
-        if any(L.apply(p, ov)):
-            raise TransgressionError("returned lift is not invariant")
+    if not all((L.block(p) @ ov).is_zero() for L in W.L_ops):
+        raise TransgressionError("returned lift is not invariant")
     # the polynomial part must be nonzero of the right degree
     if not any(xi_tilde):
         raise TransgressionError("transgressed polynomial is zero")

@@ -52,7 +52,7 @@ from .equivariant import (
     symmetric_algebra,
 )
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, joint_kernel, kernel_basis
+from .linalg import Matrix, Subspace, joint_kernel, rank
 from .modules import (
     KgModule,
     exterior_model,
@@ -74,8 +74,7 @@ class WeilAlgebra:
     ``product`` is the TensorSpace(S, Λ(g*)), ``sym_basis`` the S monomials
     per degree 2a and ``d`` the lifted d_W.
     ``basis[m]`` lists the degree-m basis as keys (symmetric exponents, Λ
-    monomial) in the product's order, ``index[m]`` their positions and
-    ``labels[m]`` the product's labels "s⊗λ".
+    monomial) in the product's order and ``index[m]`` their positions.
     """
 
     def __init__(self, g: LieAlgebra, ext: KgModule, product: TensorSpace,
@@ -91,7 +90,6 @@ class WeilAlgebra:
                           for q, a, r, b in product.entries.get(m, ())]
                       for m in range(max_degree + 1)}
         self.index = {m: {e: i for i, e in enumerate(ents)} for m, ents in self.basis.items()}
-        self.labels = {m: product.space.labels(m) for m in range(max_degree + 1)}
         self._wider: Optional[WeilAlgebra] = None
 
     @staticmethod
@@ -111,7 +109,8 @@ class WeilAlgebra:
         return {self.basis[degree][i]: c for i, c in enumerate(v) if c}
 
     def multiply(self, e1: dict, e2: dict) -> dict:
-        """Product in W(g); exterior parts pick up the shuffle sign."""
+        """Product in W(g); exterior parts pick up the shuffle sign.  Integer
+        coefficients give integer coefficients."""
         out: dict = {}
         for (x1, l1), c1 in e1.items():
             for (x2, l2), c2 in e2.items():
@@ -119,7 +118,7 @@ class WeilAlgebra:
                 if not sign:
                     continue
                 key = (sym_multiply(x1, x2), lmono)
-                s = out.get(key, Q0) + sign * c1 * c2
+                s = out.get(key, 0) + sign * c1 * c2
                 if s:
                     out[key] = s
                 else:
@@ -440,9 +439,9 @@ def twist_identity_differential(data: TwistData) -> bool:
 
 @dataclass
 class HorizontalBasic:
-    horizontal: dict  # degree -> vectors killed by every contraction
+    horizontal: dict  # degree -> Matrix of the vectors killed by every contraction
     basic: Complex  # elements killed by i_k and i_k d, as a complex
-    basic_vectors: dict
+    basic_vectors: dict  # degree -> Matrix, the basic elements
     inclusion: ChainMap
 
 
@@ -458,11 +457,8 @@ def horizontal_basic(M: KgModule) -> HorizontalBasic:
         if deg <= top:
             basic_vectors[deg] = joint_kernel(
                 i_blocks + [op.block(deg + 1) @ M.d.block(deg) for op in M.i_ops], dim)
-    ambient = M.complex.truncated(top)
-    basic, incl = subcomplex(
-        ambient, {d: v for d, v in basic_vectors.items() if v},
-        label_prefix=f"({M.name})_bas",
-    )
+    basic, incl = subcomplex(M.complex.truncated(top), basic_vectors,
+                             label_prefix=f"({M.name})_bas")
     return HorizontalBasic(horizontal, basic, basic_vectors, incl)
 
 
@@ -490,43 +486,51 @@ class TwistEmbedding:
             blk = self.map.map.block(deg)
             if blk.rows != blk.cols:
                 return False
-            if blk.rows and len(kernel_basis(blk)) != 0:
+            if blk.rows and rank(blk) != blk.cols:
                 return False
         return True
 
 
 def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: KgModule, data: TwistData):
-    """The assembly x = sum a⊗m  ->  ω · sum a·T(1⊗m) in W⊗M coordinates.
+    """The assembly x = sum a⊗m  ->  ω · sum a·T(1⊗m) in W⊗M coordinates, on integers.
 
-    Returns image(adeg, x, omega, deg): x is a vector of A's ambient space
-    S(g*)⊗M at degree adeg, omega a homogeneous Weil element (dict) and deg
-    = adeg + |omega| the degree of the result.
+    Returns (image, den).  image(adeg, x, omega, deg) is the sparse integer
+    column {row: value} of den · ω · sum a·T(1⊗m): x is a sparse integer
+    column [(position, value), ...] of A's ambient space S(g*)⊗M at degree
+    adeg, omega a homogeneous Weil element with integer coefficients and deg
+    = adeg + |omega| the degree of the result.  den is the common
+    denominator of T on 1⊗M.
     """
     alg = W.algebra
     ext_monos = data.exterior.meta["monomials"]
     twist_entries = data.space.entries
     wm_index = WM.meta["tensor"].index
-    unit_cols = {q: m.by_column() for q, m in data.unit.blocks.items()}
+    den = lcm(*[m.den for m in data.unit.blocks.values()])
+    unit_cols = {q: {mi: [(pos, v * (den // m.den)) for pos, v in col]
+                     for mi, col in m.int_columns().items()}
+                 for q, m in data.unit.blocks.items()}
 
-    def image(adeg: int, x: Sequence, omega: dict, deg: int) -> tuple:
-        img = [Q0] * WM.space.dim(deg)
-        for coeff, (sdeg, si, q, mi) in zip(x, A.ambient.entries[adeg]):
-            if not coeff:
-                continue
+    def image(adeg: int, x: Sequence, omega: dict, deg: int) -> dict:
+        img: dict = {}
+        index = wm_index[deg]
+        entries = A.ambient.entries[adeg]
+        for at, coeff in x:
+            sdeg, si, q, mi = entries[at]
             exps = A.sym_basis[sdeg][si]
             # T(1 ⊗ m_mi): column mi of the twist on 1⊗M at degree q
             for pos, tval in unit_cols[q][mi]:
                 p, il, r, im = twist_entries[q][pos]
-                prod = alg.multiply(omega, {(exps, ext_monos[p][il]): Q1})
+                prod = alg.multiply(omega, {(exps, ext_monos[p][il]): 1})
+                c = coeff * tval
                 for (w_exps, w_mono), wv in prod.items():
                     w_deg = 2 * sum(w_exps) + len(w_mono)
-                    row = wm_index[deg].get((w_deg, alg.index[w_deg][(w_exps, w_mono)], r, im))
+                    row = index.get((w_deg, alg.index[w_deg][(w_exps, w_mono)], r, im))
                     if row is None:
                         raise AssertionError("twist image escaped the window")
-                    img[row] += coeff * tval * wv
-        return tuple(img)
+                    img[row] = img.get(row, 0) + c * wv
+        return img
 
-    return image
+    return image, den
 
 
 def twist_embedding(
@@ -544,17 +548,19 @@ def twist_embedding(
     WM = product if product is not None else tensor_module(W, M, max_total=N, name=f"W⊗{M.name}")
     data = twist_operators(M, trunc, weil=W)
     basic = horizontal_basic(WM)
-    image = twisted_cartan_image(A, W, WM, data)
-    unit = {(tuple([0] * g.dim), ()): Q1}
+    image, unit_den = twisted_cartan_image(A, W, WM, data)
+    unit = {(tuple([0] * g.dim), ()): 1}
 
     ambient_blocks: dict = {}
     map_blocks: dict = {}
-    for deg, vecs in A.vectors.items():
+    for deg, V in A.vectors.items():
         if deg > basic.basic.space.hi:
             continue
-        cols_ambient = [image(deg, v, unit, deg) for v in vecs]
-        ambient_blocks[deg] = Matrix.from_columns(cols_ambient, nrows=WM.space.dim(deg))
-        blk = Subspace(basic.basic_vectors.get(deg, [])).restrict(cols_ambient)
+        rows, cols = WM.space.dim(deg), V.int_columns()
+        ambient = Matrix._from_int_columns(rows, [
+            (image(deg, cols[j], unit, deg), V.den * unit_den) for j in range(V.cols)])
+        ambient_blocks[deg] = ambient
+        blk = Subspace(basic.basic_vectors.get(deg, Matrix.zero(rows, 0))).restrict(ambient)
         if blk is None:
             raise SubcomplexError(f"twist embedding image is not basic at degree {deg}")
         map_blocks[deg] = blk

@@ -26,9 +26,15 @@ from koszul.complexes import (
     subcomplex,
 )
 from koszul.cli import resolve_algebra, resolve_module
-from koszul.equivariant import cartan_model, invariant_subcomplex
+from koszul.equivariant import (
+    cartan_model,
+    invariant_subcomplex,
+    sym_generator,
+    sym_multiplication,
+)
 from koszul.lie import BUILTIN_NAMES
-from koszul.linalg import Matrix, ShapeError, kernel_basis, vec
+from koszul.linalg import Matrix, ShapeError, kernel_basis, solve_affine, vec
+from koszul.modules import exterior_model, lambda_monomials
 from koszul.weil import weil_model
 
 
@@ -139,7 +145,8 @@ def test_subcomplex_induced_differential():
     space = GradedSpace({0: ("a", "b"), 1: ("c", "d")})
     d = LinMap(space, space, 1, {0: Matrix.from_rows([[1, 0], [0, 0]])})
     C = Complex(space, d)
-    sub, incl = subcomplex(C, {0: [vec([1, 0])], 1: [vec([1, 0]), vec([0, 1])]})
+    sub, incl = subcomplex(C, {0: Matrix.from_columns([vec([1, 0])]),
+                               1: Matrix.from_columns([vec([1, 0]), vec([0, 1])])})
     assert sub.space.dim(0) == 1 and sub.space.dim(1) == 2
     assert check_chain_map(incl).ok
     assert sub.d.block(0).column(0) == vec([1, 0])
@@ -150,7 +157,7 @@ def test_subcomplex_rejects_unclosed_subspace():
     d = LinMap(space, space, 1, {0: Matrix.from_rows([[1], [0]])})
     C = Complex(space, d)
     with pytest.raises(SubcomplexError):
-        subcomplex(C, {0: [vec([1])], 1: [vec([0, 1])]})
+        subcomplex(C, {0: Matrix.from_columns([vec([1])]), 1: Matrix.from_columns([vec([0, 1])])})
 
 
 def test_combination_rejects_mismatched_shapes():
@@ -483,13 +490,13 @@ def test_cohomology_classes_stored_in_lowest_terms():
     space = GradedSpace({0: ("a", "b"), 1: ("c", "e")})
     C = Complex(space, LinMap(space, space, 1, {0: Matrix.from_rows([[Fraction(1, p), 0], [0, 0]])}))
     reps, boundaries = cohomology_representatives(C, 1)
-    assert len(reps) == len(boundaries) == 1
-    images = [tuple(Fraction(2, 3) * x + Fraction(1, 2 * p) * y for x, y in zip(reps[0], boundaries[0]))]
+    assert reps.cols == boundaries.cols == 1
+    images = reps.scale(Fraction(2, 3)) + boundaries.scale(Fraction(1, 2 * p))
     m = cohomology_classes(reps, boundaries, images)
     assert _canonical_block(m)
     assert m == Matrix.from_rows([[Fraction(2, 3)]])
-    assert cohomology_classes(reps, boundaries, [vec([1, 1])]) is not None
-    assert cohomology_classes(reps, [], [vec([1, 1])]) is None
+    assert cohomology_classes(reps, boundaries, Matrix.from_columns([vec([1, 1])])) is not None
+    assert cohomology_classes(reps, Matrix.zero(2, 0), Matrix.from_columns([vec([1, 1])])) is None
 
 
 @settings(max_examples=100, deadline=None)
@@ -515,7 +522,7 @@ def test_chain_map_witness_matches_dense_reference(data):
 def _counts_from_representatives(C: Complex, N: int) -> dict:
     """dim H^deg at every degree of the window as the number of representatives
     (none above the space), as cohomology once computed it at every degree."""
-    return {deg: len(cohomology_representatives(C, deg)[0]) if deg <= C.space.hi else 0
+    return {deg: cohomology_representatives(C, deg)[0].cols if deg <= C.space.hi else 0
             for deg in range(C.space.lo, N + 1)}
 
 
@@ -542,3 +549,109 @@ def test_uncertified_counts_match_representatives(alg):
             assert {d: len(r) for d, r in rep.representatives.items()} == rep.betti
             uncertified += len(rep.uncertified)
     assert uncertified
+
+
+# ---------------------------------------------------------------------------
+# Restriction on column blocks against a per-vector dense reference
+# ---------------------------------------------------------------------------
+
+
+def _dense_induced_block(op_block: Matrix, V: Matrix, W: Matrix) -> Matrix:
+    """Reference restriction, one vector at a time: each column of V is
+    applied densely and its image solved for over the columns of W."""
+    family = W.columns()
+    cols = []
+    for v in V.columns():
+        image = op_block.apply(v)
+        coords = solve_affine(Matrix.from_columns(family, nrows=len(image)), image)
+        assert coords is not None
+        cols.append(coords)
+    return Matrix.from_columns(cols, nrows=W.cols)
+
+
+def _assert_induced_matches_reference(op: LinMap, restricted: LinMap, vectors: dict) -> int:
+    """Compare every block; the number of nonzero ones is returned."""
+    nonzero = 0
+    for deg, V in vectors.items():
+        rows = op.target.dim(deg + op.shift)
+        if not V.cols or not rows:
+            continue
+        W = vectors.get(deg + op.shift, Matrix.zero(rows, 0))
+        want = _dense_induced_block(op.block(deg), V, W)
+        assert restricted.block(deg) == want, deg
+        nonzero += not want.is_zero()
+    return nonzero
+
+
+@pytest.mark.parametrize("alg", BUILTIN_NAMES)
+def test_induced_map_matches_dense_reference(alg):
+    """induced_map on column blocks (the invariant differential, the
+    multivector actions, the Cartan differential) equals the per-vector
+    reference on every built-in algebra."""
+    g = resolve_algebra(alg)
+    n = g.dim
+    nonzero = 0
+    for mod in ("trivial", "exterior", "forms:coadjoint:1"):
+        M = resolve_module(mod, g)
+        inv = invariant_subcomplex(M, with_actions=True)
+        top = M.complex.truncated(M.max_usable)
+        nonzero += _assert_induced_matches_reference(top.d, inv.complex.d, inv.vectors)
+        for mv, act in zip(inv.multivectors, inv.actions):
+            ambient = M.contraction_of_multivector(mv.coeffs, lambda_monomials(n, mv.degree))
+            nonzero += _assert_induced_matches_reference(ambient, act, inv.vectors)
+        A = cartan_model(M, Truncation(4))
+        S, sym_basis = A.ambient.A, A.sym_basis
+        amb_d = A.ambient.lift_sum(
+            [(None, M.d)] + [(sym_multiplication(S, sym_basis, 1, sym_generator(n, k)), M.i_ops[k])
+                             for k in range(n)], 1)
+        nonzero += _assert_induced_matches_reference(amb_d, A.complex.d, A.vectors)
+    assert nonzero  # the comparison saw restricted maps that do not vanish
+
+
+def test_subcomplex_rejects_one_corrupted_column():
+    """The invariants of Λ(su2xsu2)* span a subcomplex; adding to one column
+    a vector whose differential leaves that span must be caught."""
+    M = exterior_model(resolve_algebra("su2xsu2"))
+    vectors = invariant_subcomplex(M, with_actions=False).vectors
+    subcomplex(M.complex, vectors)  # the family as computed is d-stable
+    V, d3 = vectors[3], M.d.block(3)
+    leaving = min(j for (_, j) in d3.num)  # d of this basis vector is nonzero, and d = 0 on V
+    bad = V + Matrix(V.rows, V.cols, {(leaving, 0): 1})
+    with pytest.raises(SubcomplexError):
+        subcomplex(M.complex, {**vectors, 3: bad})
+
+
+def test_tensor_labels_built_on_first_read():
+    """Product labels "a⊗b" are built per degree on first read, where a
+    duplicate is still rejected; dims and truncation need none."""
+    A = GradedSpace({0: ("x", "x⊗"), 1: ("u",)})
+    B = GradedSpace({0: ("y", "⊗y"), 1: ("v",)})
+    T = TensorSpace(A, B, 2)
+    cut = T.space.truncated(1)
+    assert {d: T.space.dim(d) for d in T.space.degrees()} == {0: 4, 1: 4, 2: 1}
+    assert (cut.lo, cut.hi, cut.degrees()) == (0, 1, [0, 1])
+    assert T.space._labels == cut._labels == {}
+    assert T.space.labels(1) == cut.labels(1) == ("x⊗v", "x⊗⊗v", "u⊗y", "u⊗⊗y")
+    assert cut.labels(2) == ()
+    with pytest.raises(ValueError, match="duplicate basis labels in degree 0"):
+        T.space.labels(0)  # "x⊗" ⊗ "y" and "x" ⊗ "⊗y" collide
+    clean = GradedSpace({0: ("a",), 1: ("b", "c")})
+    eager = GradedSpace({0: ("a⊗a",), 1: ("a⊗b", "a⊗c", "b⊗a", "c⊗a"), 2: ("b⊗b", "b⊗c", "c⊗b", "c⊗c")})
+    assert TensorSpace(clean, clean, 2).space == eager
+
+
+def test_cocycle_bases_computed_once(monkeypatch):
+    """cohomology and quasi_iso_check on one complex share its cocycle and
+    boundary bases: the second asks for no new elimination of them."""
+    from koszul import complexes
+
+    C = exterior_model(resolve_algebra("su2")).complex
+    trunc = Truncation(3)
+    betti = cohomology(C, trunc).betti
+    calls = []
+    image_rank = complexes.image_rank
+    monkeypatch.setattr(complexes, "image_rank", lambda A: calls.append(A) or image_rank(A))
+    rep = quasi_iso_check(ChainMap(C, C, LinMap.identity(C.space)), trunc)
+    assert rep.ok and {d: info["source_betti"] for d, info in rep.degrees.items()} == betti
+    assert calls == []
+    assert cohomology_representatives(C, 1) is cohomology_representatives(C, 1)

@@ -98,7 +98,7 @@ def test_psi_zero_stratum_is_twist_embedding(su2_exterior_run):
     )
     # compare ambient images on the degree-0 stratum
     psi_col = comp.psi.map.block(0).column(0)
-    inv_vectors = comp.invariants.vectors[0]
+    inv_vectors = comp.invariants.vectors[0].columns()
     amb = [sum((c * v[i] for c, v in zip(psi_col, inv_vectors)),
                start=psi_col[0] * 0) for i in range(comp.product.space.dim(0))]
     emb_col = emb.ambient_blocks[0].column(0)
@@ -184,3 +184,74 @@ def test_report_json_roundtrip(su2_trivial_run):
     assert data["verdict"] == "pass"
     assert data["betti"]["h_of_equivariant"]["0"] == 1
     assert "psi_chain" in data and data["psi_chain"]["ok"]
+
+
+# -- the verifier's invariant bases stay integer column blocks ------------------
+
+
+def test_invariant_path_builds_no_fraction(monkeypatch):
+    """The invariant subcomplex of W⊗M, the inclusion and ψ run on integer
+    column blocks: no Fraction is built (su2xsu2 exterior, N = 4)."""
+    from fractions import Fraction
+
+    from koszul.duality import build_psi, inclusion_map
+    from koszul.equivariant import invariant_subcomplex
+    from koszul.modules import tensor_module
+    from koszul.weil import twist_operators, weil_model
+
+    g = builtin_algebra("su2xsu2")
+    M, N = exterior_model(g), 4
+    W = weil_model(g, Truncation(N + 1))
+    WM = tensor_module(W, M, max_total=N + 1, name="W⊗M")
+    WM.L_ops  # the lifted operators are inputs here, built before counting
+    inv_M = invariant_subcomplex(M, with_actions=False)
+    A = cartan_model(M, Truncation(N))
+    T = distinguished_transgression(g, primitive_basis(g, Truncation(N)), Truncation(N), weil=W)
+    twist = twist_operators(M, Truncation(N + 1), weil=W)
+    h = h_of(A, T, Truncation(N))
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    inv_WM = invariant_subcomplex(WM, with_actions=False)
+    incl = inclusion_map(M, WM, inv_WM, inv_M)
+    psi = build_psi(g, M, T, A, h, WM, inv_WM, twist)
+    assert built == []
+    monkeypatch.undo()
+    assert inv_WM.vectors[4].cols and incl.map.blocks and psi.map.blocks
+
+
+@pytest.mark.parametrize("alg, module, N, corrupt", [
+    ("su2", "trivial", 5, True),
+    ("su2xsu2", "exterior", 4, False),
+    ("u2", "exterior", 4, False),
+])
+def test_verifier_reads_no_dense_vectors(monkeypatch, alg, module, N, corrupt):
+    """No dense vector is turned back into a sparse one anywhere in
+    verify_duality: _sparse, Matrix.apply and Matrix.from_columns are not called."""
+    from koszul import linalg
+
+    g = builtin_algebra(alg)
+    M = exterior_model(g) if module == "exterior" else trivial_module(g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense vector read back on the verifier path")
+
+    monkeypatch.setattr(linalg, "_sparse", refuse)
+    monkeypatch.setattr(linalg.Matrix, "apply", refuse)
+    monkeypatch.setattr(linalg.Matrix, "from_columns", refuse)
+    report, _ = verify_duality(M, Truncation(N), corrupt_transgression=corrupt)
+    assert report.verdict != corrupt
+
+
+def test_verifier_reads_no_product_labels():
+    """W⊗M, the Cartan ambient, the twist space and W itself are never
+    labelled by the verifier: their labels are built only on first read."""
+    g = builtin_algebra("su2xsu2")
+    _, comp = verify_duality(exterior_model(g), Truncation(4))
+    for space in (comp.product.space, comp.cartan.ambient.space, comp.twist.space.space, comp.weil.space):
+        assert space._labels == {}

@@ -85,7 +85,7 @@ def test_negative_control_exact_defect():
     deg, label, defect = report.psi_chain.witness
     assert deg == 3
     # map the defect back to ambient W⊗M coordinates
-    inv_vectors = comp.invariants.vectors[4]
+    inv_vectors = comp.invariants.vectors[4].columns()
     dim = comp.product.space.dim(4)
     ambient = [Q(0)] * dim
     for c, v in zip(defect, inv_vectors):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koszul import linalg
 from koszul.complexes import GradedSpace, LinMap, TensorSpace
 from koszul.linalg import (
     Matrix,
@@ -45,10 +46,10 @@ def test_kernel_rank_one_matrix():
 
 def test_image_rank_examples():
     assert image_rank(Matrix.identity(3))[0] == 3
-    assert image_rank(Matrix.zero(3, 3)) == (0, [])
+    assert image_rank(Matrix.zero(3, 3)) == (0, Matrix.zero(3, 0))
     r, basis = image_rank(Matrix.from_rows([[1, 2], [2, 4]]))
     assert r == 1
-    assert basis == [vec([1, 2])]
+    assert basis.columns() == [vec([1, 2])]
 
 
 def test_solve_identity():
@@ -71,22 +72,22 @@ def test_solve_shape_mismatch():
 
 
 def test_complement_trivial_cases():
-    e = [vec([1, 0]), vec([0, 1])]
-    assert complement_basis([], e) == e
-    assert complement_basis(e, e) == []
+    e = Matrix.identity(2)
+    assert complement_basis(Matrix.zero(2, 0), e) == e
+    assert complement_basis(e, e) == Matrix.zero(2, 0)
 
 
 def test_complement_greedy_choice():
-    got = complement_basis([vec([1, 1])], [vec([1, 0]), vec([0, 1])])
-    assert got == [vec([1, 0])]
+    got = complement_basis(Matrix.from_columns([vec([1, 1])]), Matrix.identity(2))
+    assert got.columns() == [vec([1, 0])]
 
 
 def test_complement_rejects_bad_U():
-    e = [vec([1, 0, 0]), vec([0, 1, 0])]
+    e = Matrix.from_columns([vec([1, 0, 0]), vec([0, 1, 0])])
     with pytest.raises(SpanError):
-        complement_basis([vec([1, 0, 0]), vec([2, 0, 0])], e)
+        complement_basis(Matrix.from_columns([vec([1, 0, 0]), vec([2, 0, 0])]), e)
     with pytest.raises(SpanError):
-        complement_basis([vec([0, 0, 1])], e)
+        complement_basis(Matrix.from_columns([vec([0, 0, 1])]), e)
 
 
 def test_qstr_roundtrip():
@@ -192,6 +193,12 @@ def _from_sympy(x) -> Fraction:
     return Q(int(x.p), int(x.q))
 
 
+def _sympy_nullspace(sp, A: Matrix) -> list:
+    """sympy's nullspace, read off its own rref: one vector per free column
+    with a 1 there, the same reduced form the kernel's columns must have."""
+    return [tuple(_from_sympy(x) for x in v) for v in _to_sympy(sp, A).nullspace()]
+
+
 @given(deficient_matrix(), st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_rref_matches_sympy(A, track):
@@ -214,6 +221,7 @@ def test_rref_matches_sympy(A, track):
 def test_kernel_spans_sympy_nullspace(A):
     sp = pytest.importorskip("sympy")
     K = kernel_basis(A)
+    assert K == _sympy_nullspace(sp, A)
     null = _to_sympy(sp, A).nullspace()
     assert len(K) == len(null)
     if K:
@@ -231,7 +239,7 @@ def test_subspace_coords_match_solve(B, xs, in_span):
     sp = pytest.importorskip("sympy")
     family = B.columns()
     target = B @ vec(xs[: B.cols]) if in_span else vec(xs[: B.rows])
-    got = Subspace(family).coords(target)
+    got = Subspace(B).coords(target)
     assert got == solve_affine(Matrix.from_columns(family), target)
     assert got == express_in_span(family, target)
     SB = _to_sympy(sp, B)
@@ -246,11 +254,11 @@ def test_subspace_coords_match_solve(B, xs, in_span):
 
 
 def test_subspace_rejects_length_mismatch():
-    span = Subspace([vec([1, 0, 0])])
+    span = Subspace(Matrix.from_columns([vec([1, 0, 0])]))
     with pytest.raises(ShapeError):
         span.coords(vec([1, 0]))
     with pytest.raises(ShapeError):
-        Subspace([vec([1, 0]), vec([1, 0, 0])])
+        span.restrict(Matrix.zero(2, 1))
 
 
 @st.composite
@@ -272,17 +280,17 @@ def test_joint_kernel_is_kernel_of_stack(family):
     sp = pytest.importorskip("sympy")
     A, blocks = family
     K = joint_kernel(blocks, A.cols)
-    assert K == kernel_basis(A)
+    assert K.columns() == kernel_basis(A) == _sympy_nullspace(sp, A)
     null = _to_sympy(sp, A).nullspace()
-    assert len(K) == len(null)
-    if K:
-        ours = _to_sympy(sp, Matrix.from_columns(K))
-        assert ours.row_join(sp.Matrix.hstack(*null)).rank() == len(K)
+    assert K.cols == len(null)
+    if K.cols:
+        ours = _to_sympy(sp, K)
+        assert ours.row_join(sp.Matrix.hstack(*null)).rank() == K.cols
 
 
 def test_joint_kernel_empty_family_and_width_mismatch():
-    assert joint_kernel([], 3) == [vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])]
-    assert joint_kernel([], 0) == []
+    assert joint_kernel([], 3) == Matrix.identity(3)
+    assert joint_kernel([], 0) == Matrix.zero(0, 0)
     with pytest.raises(ShapeError):
         joint_kernel([Matrix.identity(2), Matrix.identity(1)], 2)
 
@@ -291,28 +299,33 @@ def test_joint_kernel_empty_family_and_width_mismatch():
        st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_subspace_restrict_matches_coords(B, coefficients, in_span):
-    family = B.columns()
-    span = Subspace(family)
+    span = Subspace(B)
     images = [B @ vec(xs[: B.cols]) if in_span else vec(xs[: B.rows]) for xs in coefficients]
     coords = [span.coords(v) for v in images]
-    got = span.restrict(images)
+    got = span.restrict(Matrix.from_columns(images, nrows=B.rows))
     if any(c is None for c in coords):
         assert got is None
     else:
         assert got == Matrix.from_columns(coords, nrows=B.cols)
 
 
-def test_subspace_restrict_stops_at_first_escape():
-    span = Subspace([vec([1, 0, 0]), vec([0, 1, 0])])
+def test_subspace_restrict_stops_at_first_escape(monkeypatch):
+    span = Subspace(Matrix.from_columns([vec([1, 0, 0]), vec([0, 1, 0])]))
+    reduced = []
+    reduce = linalg._reduce
 
-    def images():
-        yield vec([2, 3, 0])
-        yield vec([0, 0, 1])
-        raise AssertionError("read past the escaping image")
+    def counting_reduce(pivots, row, comb):
+        reduced.append(dict(row))
+        return reduce(pivots, row, comb)
 
-    assert span.restrict(images()) is None
-    assert span.restrict([vec([2, 3, 0]), vec([0, 1, 0])]) == Matrix.from_rows([[2, 0], [3, 1]])
-    assert Subspace([]).restrict([]) == Matrix.zero(0, 0)
+    monkeypatch.setattr(linalg, "_reduce", counting_reduce)
+    images = Matrix.from_columns([vec([2, 3, 0]), vec([0, 0, 1]), vec([0, 1, 0])])
+    assert span.restrict(images) is None
+    assert len(reduced) == 2  # the column after the escaping one is not reduced
+    monkeypatch.undo()
+    inside = Matrix.from_columns([vec([2, 3, 0]), vec([0, 1, 0])])
+    assert span.restrict(inside) == Matrix.from_rows([[2, 0], [3, 1]])
+    assert Subspace(Matrix.zero(0, 0)).restrict(Matrix.zero(0, 0)) == Matrix.zero(0, 0)
 
 
 # -- the same oracles on entries with large coprime denominators ---------------
@@ -405,9 +418,9 @@ def test_read_out_values_are_fractions(rows, xs):
     b = [sum(a * x for a, x in zip(row, xs)) for row in rows]
     assert _all_fractions(solve_affine(A, b))
     family = [list(col) for col in zip(*rows)]
-    assert _all_fractions(Subspace(family).coords(b))
+    assert _all_fractions(Subspace(A).coords(b))
     assert _all_fractions(express_in_span(family, b))
-    assert all(_all_fractions(v) for v in complement_basis([], family))
+    assert all(_all_fractions(v) for v in complement_basis(Matrix.zero(A.rows, 0), A).columns())
 
 
 # -- integer-native blocks: dense Fraction references as the oracle -------------

@@ -367,7 +367,7 @@ def test_weil_basic_low_degrees(W_su2):
 def test_exterior_horizontal_only_degree_zero(su2):
     ext = exterior_model(su2)
     hb = horizontal_basic(ext)
-    assert {d: len(v) for d, v in hb.horizontal.items() if v} == {0: 1}
+    assert {d: v.cols for d, v in hb.horizontal.items() if v.cols} == {0: 1}
 
 
 # -- twist embedding (Cartan model -> basic subcomplex) ----------------------
