@@ -5,8 +5,13 @@ A complex may be `complete` (the window genuinely contains all nonzero
 degrees, e.g. an exterior algebra) or truncated (e.g. a Weil algebra cut
 at some total degree).  For a truncated complex the differential out of
 the top window degree is missing, so cohomology there is reported as
-uncertified and operator identities are only checked on degrees where all
-composites stay inside the window.
+uncertified.
+
+The window rule: an identity whose composites apply k differentials in
+succession is exact at degree deg when deg <= Complex.usable_top(k),
+which is space.hi on a complete complex and space.hi - k on a truncated
+one; max_usable is the case k = 1.  Every operator-identity check reads
+its degrees from this rule and reports its witness through first_defect.
 """
 
 from __future__ import annotations
@@ -367,21 +372,25 @@ class Complex:
                 deg, lbl = bad
                 raise ValueError(f"d^2 != 0 at degree {deg} on basis vector {lbl!r}")
 
+    def usable_top(self, k: int) -> int:
+        """Top degree from which k successive differentials stay inside the window."""
+        return self.space.hi if self.complete else self.space.hi - k
+
     @property
     def max_usable(self) -> int:
         """Top degree at which the outgoing differential is trustworthy."""
-        return self.space.hi if self.complete else self.space.hi - 1
+        return self.usable_top(1)
+
+    def usable_degrees(self, k: int) -> list:
+        """The nonzero degrees up to usable_top(k)."""
+        top = self.usable_top(k)
+        return [deg for deg in self.space.degrees() if deg <= top]
 
     def d_squared_defect(self):
-        top = self.space.hi if self.complete else self.space.hi - 2
-        for deg in self.space.degrees():
-            if deg > top:
-                continue
-            prod = self.d.block(deg + 1) @ self.d.block(deg)
-            if not prod.is_zero():
-                col = min(j for (_, j) in prod.num)
-                return deg, self.space.labels(deg)[col]
-        return None
+        """(degree, label) of the first basis vector with d(d v) != 0, or None."""
+        bad = first_defect(self.space, self.usable_degrees(2),
+                           lambda deg: self.d.block(deg + 1) @ self.d.block(deg))
+        return None if bad is None else bad[:2]
 
     def dims(self) -> dict:
         return {d: self.space.dim(d) for d in self.space.degrees()}
@@ -421,28 +430,31 @@ class ChainMapReport:
         return f"chain-map defect at degree {deg} on {lbl!r}: {nz}"
 
 
+def first_defect(space: GradedSpace, degrees, block_of) -> Optional[tuple]:
+    """(degree, basis label, defect column) of the first nonzero column of
+    block_of(deg) at the first listed degree where that block is nonzero;
+    None when every block vanishes.  Blocks are built one degree at a time."""
+    for deg in degrees:
+        m = block_of(deg)
+        if not m.is_zero():
+            col = min(j for (_, j) in m.num)
+            return deg, space.labels(deg)[col], m.column(col)
+    return None
+
+
 def check_chain_map(f: ChainMap) -> ChainMapReport:
     """Verify d_target . f = f . d_source degreewise; report first defect.
 
     Degrees whose outgoing differential is lost to truncation (on either
-    side) are skipped: there is nothing exact to compare there.
+    side) are skipped: there is nothing exact to compare there.  Past a
+    complete side's window both sides' blocks have no rows.
     """
     C, D = f.source, f.target
-    top = None
-    if not C.complete:
-        top = C.max_usable
-    if not D.complete:
-        top = D.max_usable if top is None else min(top, D.max_usable)
-    for deg in C.space.degrees():
-        if top is not None and deg > top:
-            continue
-        lhs = D.d.block(deg) @ f.map.block(deg)
-        rhs = f.map.block(deg + 1) @ C.d.block(deg)
-        if lhs != rhs:
-            diff = lhs - rhs
-            col = min(j for (_, j) in diff.num)
-            return ChainMapReport(False, (deg, C.space.labels(deg)[col], diff.column(col)))
-    return ChainMapReport(True)
+    top = min(C.max_usable, D.max_usable)
+    defect = first_defect(
+        C.space, [deg for deg in C.space.degrees() if deg <= top],
+        lambda deg: D.d.block(deg) @ f.map.block(deg) - f.map.block(deg + 1) @ C.d.block(deg))
+    return ChainMapReport(defect is None, defect)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +541,7 @@ def cohomology(C: Complex, trunc: Truncation) -> CohomologyReport:
     uncertified: dict = {}
     for deg in range(C.space.lo, N + 1):
         inside = deg <= C.space.hi
-        if deg > N - 1 or not (C.complete or deg <= C.max_usable or not inside):
+        if deg > N - 1 or C.max_usable < deg <= C.space.hi:
             uncertified[deg] = _betti_by_rank(C, deg)
             continue
         reps = cohomology_representatives(C, deg)[0] if inside else Matrix.zero(0, 0)

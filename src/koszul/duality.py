@@ -28,7 +28,6 @@ from .complexes import (
     QuasiIsoReport,
     TensorSpace,
     Truncation,
-    check_chain_map,
     cohomology,
     induced_map,
     quasi_iso_check,
@@ -342,10 +341,8 @@ def verify_duality(
                     corrupt_transgression=corrupt_transgression)
     incl = inclusion_map(M, WM, inv_WM, inv_M)
 
-    psi_chain = check_chain_map(psi)
-    incl_chain = check_chain_map(incl)
-    psi_qi = quasi_iso_check(psi, trunc) if psi_chain.ok else None
-    incl_qi = quasi_iso_check(incl, trunc) if incl_chain.ok else None
+    psi_qi = quasi_iso_check(psi, trunc)
+    incl_qi = quasi_iso_check(incl, trunc)
 
     betti_h = cohomology(h.complex, trunc).betti
     betti_prod = cohomology(inv_WM.complex, trunc).betti
@@ -355,27 +352,20 @@ def verify_duality(
         betti_h.get(d, 0) == betti_inv.get(d, 0) for d in degs
     )
 
-    verdict = (
-        psi_chain.ok
-        and incl_chain.ok
-        and psi_qi is not None
-        and psi_qi.ok
-        and incl_qi is not None
-        and incl_qi.ok
-    )
     report = DualityReport(
         algebra=g.name,
         module=M.name,
         max_degree=N,
-        psi_chain=psi_chain,
-        inclusion_chain=incl_chain,
-        psi_quasi_iso=psi_qi,
-        inclusion_quasi_iso=incl_qi,
+        psi_chain=psi_qi.chain,
+        inclusion_chain=incl_qi.chain,
+        # a failed chain check leaves no quasi-isomorphism to report
+        psi_quasi_iso=psi_qi if psi_qi.chain.ok else None,
+        inclusion_quasi_iso=incl_qi if incl_qi.chain.ok else None,
         betti_h={d: betti_h.get(d, 0) for d in degs},
         betti_product_invariants={d: betti_prod.get(d, 0) for d in degs},
         betti_invariants={d: betti_inv.get(d, 0) for d in degs},
         betti_match=betti_match,
-        verdict=verdict,
+        verdict=psi_qi.ok and incl_qi.ok,
     )
     comp = DualityComputation(
         g=g, module=M, N=N, weil=W, product=WM, invariants=inv_WM,

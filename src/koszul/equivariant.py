@@ -76,10 +76,10 @@ class MultivectorElement:
     label: str
 
 
-def invariant_multivector_basis(g: LieAlgebra, min_degree: int = 1) -> list:
-    """All invariant multivectors of degree >= min_degree, by degree then index."""
+def invariant_multivector_basis(g: LieAlgebra) -> list:
+    """All invariant multivectors of degree >= 1, by degree then index."""
     out = []
-    for p in range(min_degree, g.dim + 1):
+    for p in range(1, g.dim + 1):
         monos = lambda_monomials(g.dim, p)
         for i, v in enumerate(invariant_multivectors(g, p)):
             terms = " + ".join(
@@ -144,13 +144,9 @@ def invariant_subcomplex(M: KgModule, with_actions: bool = True) -> InvariantMod
     to skip building the contraction action (cheaper for large modules).
     """
     g = M.g
-    vectors: dict = {}
-    top = M.max_usable
-    for deg in M.space.degrees():
-        if deg > top:
-            continue
-        vectors[deg] = joint_kernel([op.block(deg) for op in M.L_ops], M.space.dim(deg))
-    sub, incl = subcomplex(M.complex.truncated(top), vectors, label_prefix=f"({M.name})^g")
+    vectors = {deg: joint_kernel([op.block(deg) for op in M.L_ops], M.space.dim(deg))
+               for deg in M.complex.usable_degrees(1)}
+    sub, incl = subcomplex(M.complex.truncated(M.max_usable), vectors, label_prefix=f"({M.name})^g")
     multis = invariant_multivector_basis(g) if with_actions else []
     actions = []
     for mv in multis:
@@ -160,9 +156,7 @@ def invariant_subcomplex(M: KgModule, with_actions: bool = True) -> InvariantMod
         sign = -1 if mv.degree % 2 else 1
         lhs = sub.d.compose(act)
         rhs = act.compose(sub.d).scale(sign)
-        check_degs = [d for d in sub.space.degrees()
-                      if M.complete or d <= top - 1]
-        if not lhs.equal_on(rhs, check_degs):
+        if not lhs.equal_on(rhs, M.complex.usable_degrees(2)):
             raise SubcomplexError(
                 f"invariant multivector action fails graded commutation with d "
                 f"for {mv.label}"

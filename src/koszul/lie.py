@@ -118,12 +118,18 @@ def lie_algebra_from_dict(data: dict) -> LieAlgebra:
     consistent with antisymmetry.
     """
     try:
-        name = str(data["name"])
-        n = int(data["dim"])
-        labels = tuple(str(x) for x in data["basis"])
-        bracket_list = data.get("brackets", [])
-    except (KeyError, TypeError) as exc:
+        return _lie_algebra_from_dict(data)
+    except LieAlgebraError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise LieAlgebraError(f"malformed algebra description: {exc}") from exc
+
+
+def _lie_algebra_from_dict(data: dict) -> LieAlgebra:
+    name = str(data["name"])
+    n = int(data["dim"])
+    labels = tuple(str(x) for x in data["basis"])
+    bracket_list = data.get("brackets", [])
     if n < 0 or len(labels) != n:
         raise LieAlgebraError(f"dim {n} does not match {len(labels)} basis labels")
     structure: dict = {}

@@ -544,7 +544,7 @@ def solve_affine(A: Matrix, b: Sequence) -> Optional[tuple]:
 
 
 class IncrementalSpan:
-    """Growing echelonized span of vectors, for cheap membership/rank queries."""
+    """Growing echelonized span of vectors, for cheap independence/rank queries."""
 
     def __init__(self):
         self.pivots: dict = {}
@@ -556,11 +556,6 @@ class IncrementalSpan:
     def add(self, v: Sequence) -> bool:
         """Insert v; True when it enlarges the span."""
         return _insert(self.pivots, _sparse(v)[0], None)
-
-    def contains(self, v: Sequence) -> bool:
-        row = _sparse(v)[0]
-        _reduce(self.pivots, row, None)
-        return not row
 
 
 def _column_rows(A: Matrix) -> list:

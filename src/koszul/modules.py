@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .complexes import Complex, GradedSpace, LinMap, TensorSpace
+from .complexes import Complex, GradedSpace, LinMap, TensorSpace, first_defect
 from .lie import LieAlgebra, RepMatrices, certify_reductive, invariant_vectors
 from .linalg import Matrix, qparse, qstr
 
@@ -231,14 +231,13 @@ class KgModule:
         other module L_k = d i_k + i_k d.
         """
         if self._L_ops is None:
-            top = self.max_usable
             if "L_factors" in self.meta:
-                ops = self._lift_factors("L_factors", 0, top)
+                ops = self._lift_factors("L_factors", 0, self.max_usable)
             else:
-                d = self.d
+                d, degrees = self.d, self.complex.usable_degrees(1)
                 ops = [LinMap(self.space, self.space, 0, {
                     deg: d.block(deg - 1) @ ik.block(deg) + ik.block(deg + 1) @ d.block(deg)
-                    for deg in self.space.degrees() if deg <= top
+                    for deg in degrees
                 }) for ik in self.i_ops]
             self._L_ops = tuple(ops)
         return self._L_ops
@@ -294,82 +293,39 @@ class KgValidationReport:
         return "\n".join([head] + ["  " + c.describe() for c in self.checks])
 
 
-def _first_defect(diff: LinMap, degrees, space: GradedSpace):
-    for deg in degrees:
-        m = diff.block(deg)
-        if not m.is_zero():
-            col = min(j for (_, j) in m.num)
-            return deg, space.labels(deg)[col], m.column(col)
-    return None
-
-
 def validate_kg(M: KgModule) -> KgValidationReport:
-    """Check all five operator identity families on every basis vector."""
+    """Check all five operator identity families on every basis vector.
+
+    Each family is a lazily built sequence of difference maps, checked on
+    the degrees where its composites apply k differentials inside the
+    window; it fails at the first map with a nonzero block.
+    """
     g = M.g
     n = g.dim
-    space = M.space
-    degs = space.degrees()
-    top = space.hi if M.complete else M.max_usable
-    safe = [d for d in degs if d <= top]
-    safe_d2 = [d for d in degs if d <= (space.hi if M.complete else space.hi - 2)]
+    d, i = M.d, M.i_ops
+
+    def bracket_defect(A, B, j, k):
+        """[A_j, B_k] - B_[x_j,x_k]."""
+        return LinMap.combination([(1, A[j].compose(B[k])), (-1, B[k].compose(A[j]))]
+                                  + [(-c, B[m]) for m, c in enumerate(g.bracket(j, k)) if c])
+
+    families = [
+        ("d∘d = 0", 2, [d.compose(d)]),
+        ("L_k = d∘i_k + i_k∘d", 1,
+         (LinMap.combination([(1, d.compose(i[k])), (1, i[k].compose(d)), (-1, M.L_ops[k])])
+          for k in range(n))),
+        ("i_j∘i_k + i_k∘i_j = 0", 0,
+         (i[j].compose(i[k]).add(i[k].compose(i[j])) for j in range(n) for k in range(j, n))),
+        ("[L_j, i_k] = i_[x_j,x_k]", 1,
+         (bracket_defect(M.L_ops, i, j, k) for j in range(n) for k in range(n))),
+        ("[L_j, L_k] = L_[x_j,x_k]", 2,
+         (bracket_defect(M.L_ops, M.L_ops, j, k) for j in range(n) for k in range(j + 1, n))),
+    ]
     checks = []
-
-    defect = _first_defect(M.d.compose(M.d), safe_d2, space)
-    checks.append(IdentityCheck("d∘d = 0", defect is None, defect))
-
-    L = M.L_ops
-    ok = True
-    wit = None
-    for k in range(n):
-        derived = LinMap.combination(
-            [(1, M.d.compose(M.i_ops[k])), (1, M.i_ops[k].compose(M.d)), (-1, L[k])])
-        defect = _first_defect(derived, safe, space)
-        if defect is not None:
-            ok, wit = False, defect
-            break
-    checks.append(IdentityCheck("L_k = d∘i_k + i_k∘d", ok, wit))
-
-    ok, wit = True, None
-    for j in range(n):
-        for k in range(j, n):
-            anti = M.i_ops[j].compose(M.i_ops[k]).add(M.i_ops[k].compose(M.i_ops[j]))
-            defect = _first_defect(anti, degs, space)
-            if defect is not None:
-                ok, wit = False, defect
-                break
-        if not ok:
-            break
-    checks.append(IdentityCheck("i_j∘i_k + i_k∘i_j = 0", ok, wit))
-
-    ok, wit = True, None
-    for j in range(n):
-        for k in range(n):
-            comm = LinMap.combination(
-                [(1, L[j].compose(M.i_ops[k])), (-1, M.i_ops[k].compose(L[j]))]
-                + [(-c, M.i_ops[m]) for m, c in enumerate(g.bracket(j, k)) if c])
-            defect = _first_defect(comm, safe, space)
-            if defect is not None:
-                ok, wit = False, defect
-                break
-        if not ok:
-            break
-    checks.append(IdentityCheck("[L_j, i_k] = i_[x_j,x_k]", ok, wit))
-
-    ok, wit = True, None
-    for j in range(n):
-        for k in range(j + 1, n):
-            comm = LinMap.combination(
-                [(1, L[j].compose(L[k])), (-1, L[k].compose(L[j]))]
-                + [(-c, L[m]) for m, c in enumerate(g.bracket(j, k)) if c])
-            safe_LL = [d for d in safe if M.complete or d <= top - 1]
-            defect = _first_defect(comm, safe_LL, space)
-            if defect is not None:
-                ok, wit = False, defect
-                break
-        if not ok:
-            break
-    checks.append(IdentityCheck("[L_j, L_k] = L_[x_j,x_k]", ok, wit))
-
+    for identity, k, diffs in families:
+        degrees = M.complex.usable_degrees(k)
+        defect = next(filter(None, (first_defect(M.space, degrees, diff.block) for diff in diffs)), None)
+        checks.append(IdentityCheck(identity, defect is None, defect))
     return KgValidationReport(M.name, checks)
 
 
@@ -444,7 +400,7 @@ def invariant_rep_module(g: LieAlgebra, rep: RepMatrices, grade: int = 0) -> KgM
     d = LinMap.zero(space, space, 1)
     i_ops = [LinMap.zero(space, space, -1) for _ in range(g.dim)]
     return KgModule(g, Complex(space, d), i_ops, name=f"({rep_name(rep)})^g",
-                    meta={"vectors": inv, "grade": grade})
+                    meta={"vectors": inv})
 
 
 def rep_name(rep: RepMatrices) -> str:
@@ -481,7 +437,7 @@ def tensor_module(M: KgModule, N: KgModule, max_total: Optional[int] = None,
         Complex(product.space, d, complete=complete, check=False),
         None,
         name=label,
-        meta={"tensor": product, "basis": product.entries, "factors": (M, N),
+        meta={"tensor": product, "factors": (M, N),
               "i_factors": lambda: zip(M.i_ops, N.i_ops),
               "L_factors": lambda: zip(M.L_ops, N.L_ops)},
     )
@@ -581,7 +537,6 @@ def polynomial_forms_module(
         Complex(space, d, check=False),
         i_ops,
         name=f"Ω({g.name};deg {D})",
-        meta={"basis": basis, "variables": tuple(names)},
     )
 
 
@@ -634,11 +589,6 @@ def kg_module_from_dict(g: LieAlgebra, data: dict, name: str = "file-module") ->
              "i": {"k": [entries like d], ...}}
     Rows index the basis of the target degree, columns the source degree.
     """
-    try:
-        degree_labels = {int(k): tuple(v) for k, v in data["degrees"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModuleValidationError(f"malformed degrees table: {exc}") from exc
-    space = GradedSpace(degree_labels)
 
     def build(entries, shift):
         blocks: dict = {}
@@ -657,11 +607,15 @@ def kg_module_from_dict(g: LieAlgebra, data: dict, name: str = "file-module") ->
              for deg, ents in blocks.items()},
         )
 
-    d = build(data.get("d", []), 1)
-    i_entries = data.get("i", {})
-    i_ops = []
-    for k in range(g.dim):
-        i_ops.append(build(i_entries.get(str(k), []), -1))
+    try:
+        space = GradedSpace({int(k): tuple(v) for k, v in data["degrees"].items()})
+        d = build(data.get("d", []), 1)
+        i_entries = data.get("i", {})
+        i_ops = [build(i_entries.get(str(k), []), -1) for k in range(g.dim)]
+    except ModuleValidationError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ModuleValidationError(f"malformed module description: {exc}") from exc
     try:
         module = KgModule(g, Complex(space, d), i_ops, name=name)
     except ValueError as exc:

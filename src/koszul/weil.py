@@ -156,7 +156,7 @@ class WeilModule(KgModule):
 
     def __init__(self, g: LieAlgebra, algebra: WeilAlgebra, complex_: Complex,
                  meta: dict, name: str):
-        super().__init__(g, complex_, None, name=name, meta={"weil": algebra, **meta})
+        super().__init__(g, complex_, None, name=name, meta=meta)
         self.algebra = algebra
 
 
@@ -404,7 +404,7 @@ def twist_identity_contraction(data: TwistData) -> bool:
     """i_k ∘ T = T ∘ (i_k ⊗ 1): contraction on the product versus the factor."""
     TM, ext = data.tensor, data.exterior
     M = data.module
-    degrees = [d for d in TM.space.degrees() if TM.complete or d <= TM.max_usable]
+    degrees = TM.complex.usable_degrees(1)
     for k in range(M.g.dim):
         lam_only = TM.meta["tensor"].lift(ext.i_ops[k], None)
         lhs = TM.i_ops[k].compose(data.twist)
@@ -428,7 +428,7 @@ def twist_identity_differential(data: TwistData) -> bool:
     twisted_d = TM.d.sub(action)
     lhs = TM.d.compose(data.twist)
     rhs = data.twist.compose(twisted_d)
-    degrees = [d for d in TM.space.degrees() if TM.complete or d <= TM.max_usable]
+    degrees = TM.complex.usable_degrees(1)
     return lhs.equal_on(rhs, degrees)
 
 
@@ -447,7 +447,7 @@ class HorizontalBasic:
 
 def horizontal_basic(M: KgModule) -> HorizontalBasic:
     """Horizontal and basic subspaces of a module, the latter as a complex."""
-    top = M.space.hi if M.complete else M.max_usable
+    top = M.max_usable
     horizontal = {}
     basic_vectors = {}
     for deg in M.space.degrees():

@@ -142,6 +142,40 @@ def test_unreadable_input_paths(capsys, tmp_path, flags):
     assert err.startswith("input error:") and str(tmp_path) in err
 
 
+def _algebra(entry=None, **fields):
+    """aff1 with its one bracket entry replaced by `entry` and `fields` overridden."""
+    entry = entry or {"i": 0, "j": 1, "terms": [{"k": 1, "c": "1"}]}
+    return {"name": "aff1", "dim": 2, "basis": ["x", "y"], "brackets": [entry], **fields}
+
+
+def _module(**fields):
+    """A two-degree module file with `fields` overridden."""
+    return {"degrees": {"0": ["a"], "1": ["b"]},
+            "d": [{"degree": 0, "row": 0, "col": 0, "c": "1"}], "i": {}, **fields}
+
+
+@pytest.mark.parametrize("flag,data", [
+    ("--algebra", _algebra({"i": 0, "j": 1})),
+    ("--algebra", _algebra({"i": 0, "j": 1, "terms": [{"c": "1"}]})),
+    ("--algebra", _algebra({"i": "q", "j": 1, "terms": []})),
+    ("--algebra", _algebra(dim="two")),
+    ("--algebra", _algebra({"i": 0, "j": 1, "terms": [{"k": 1, "c": "1/0"}]})),
+    ("--module", _module(d=[{"degree": 0, "row": 0, "c": "1"}])),
+    ("--module", _module(i=[])),
+    ("--module", _module(degrees=["a", "b"])),
+    ("--module", _module(d=[{"degree": 0, "row": 0, "col": 0, "c": "1/0"}])),
+], ids=["bracket-without-terms", "term-without-k", "index-not-int", "dim-not-int",
+        "algebra-zero-denominator", "entry-without-col", "i-as-list", "degrees-as-list",
+        "module-zero-denominator"])
+def test_malformed_json_is_an_input_error(capsys, tmp_path, flag, data):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    argv = ["--algebra", str(p)] if flag == "--algebra" else ["--algebra", "su2", "--module", f"file:{p}"]
+    code, _, err = run(capsys, "validate", *argv)
+    assert code == 2
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_bad_max_degree(capsys):
     code, _, err = run(capsys, "validate", "--algebra", "su2",
                        "--max-degree", "0")

@@ -255,3 +255,31 @@ def test_verifier_reads_no_product_labels():
     _, comp = verify_duality(exterior_model(g), Truncation(4))
     for space in (comp.product.space, comp.cartan.ambient.space, comp.twist.space.space, comp.weil.space):
         assert space._labels == {}
+
+
+@pytest.mark.parametrize("corrupt, digest", [
+    (False, "60661a7e749c06d56148196c545ea8627154fa3ea2e5f86e8a2497d9f7ce657d"),
+    (True, "df26db11658f4485c18c29e680c8ae851ff6600847a91b7b435781ed85f30ee8"),
+])
+def test_each_chain_check_runs_once(monkeypatch, su2, corrupt, digest):
+    """verify_duality checks each leg's chain map once, inside quasi_iso_check,
+    and its su(2) exterior N=4 report stays byte for byte the same."""
+    import hashlib
+    import sys
+
+    from koszul.complexes import check_chain_map
+
+    checked = []
+
+    def counted(f):
+        checked.append(f)
+        return check_chain_map(f)
+
+    # every name a koszul module binds it under, so no call goes uncounted
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("koszul") and getattr(mod, "check_chain_map", None) is check_chain_map:
+            monkeypatch.setattr(mod, "check_chain_map", counted)
+    report, comp = verify_duality(exterior_model(su2), Truncation(4), corrupt_transgression=corrupt)
+    assert checked == [comp.psi, comp.inclusion]
+    assert (report.psi_quasi_iso is None) == corrupt and report.inclusion_quasi_iso is not None
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest

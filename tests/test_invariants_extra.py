@@ -93,7 +93,7 @@ def test_negative_control_exact_defect():
             for i, x in enumerate(v):
                 ambient[i] += c * x
     alg = comp.weil.algebra
-    wm_basis = comp.product.meta["basis"]
+    wm_basis = comp.product.meta["tensor"].entries
     got = {}
     for i, c in enumerate(ambient):
         if c:

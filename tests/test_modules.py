@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszul.complexes import Complex, LinMap, Truncation
+from koszul.complexes import Complex, GradedSpace, LinMap, Truncation
 from koszul.lie import BUILTIN_NAMES, adjoint_matrices, builtin_algebra
 from koszul.linalg import Matrix, vec
 from koszul.modules import (
@@ -113,9 +113,41 @@ def test_corrupted_contraction_caught(su2, ext_su2):
         name="corrupted",
     )
     report = validate_kg(corrupted)
-    assert not report.ok
-    failed = [c for c in report.checks if not c.ok]
-    assert failed and failed[0].witness is not None
+    assert [c.describe() for c in report.checks] == [
+        "d∘d = 0: ok",
+        "L_k = d∘i_k + i_k∘d: ok",
+        "i_j∘i_k + i_k∘i_j = 0: FAIL at degree 2 on 'i*∧k*', defect {0: '-2'}",
+        "[L_j, i_k] = i_[x_j,x_k]: FAIL at degree 1 on 'j*', defect {0: '-2'}",
+        "[L_j, L_k] = L_[x_j,x_k]: ok",
+    ]
+
+
+def test_one_contraction_file_module_witnesses(su2):
+    data = {"degrees": {"0": ["a"], "1": ["b"]},
+            "d": [{"degree": 0, "row": 0, "col": 0, "c": "1"}],
+            "i": {"0": [{"degree": 1, "row": 0, "col": 0, "c": "1"}]}}
+    with pytest.raises(ModuleValidationError) as exc:
+        kg_module_from_dict(su2, data, name="one")
+    assert str(exc.value).splitlines() == [
+        "validate_kg(one): FAIL",
+        "  d∘d = 0: ok",
+        "  L_k = d∘i_k + i_k∘d: ok",
+        "  i_j∘i_k + i_k∘i_j = 0: ok",
+        "  [L_j, i_k] = i_[x_j,x_k]: FAIL at degree 1 on 'b', defect {0: '-2'}",
+        "  [L_j, L_k] = L_[x_j,x_k]: FAIL at degree 0 on 'a', defect {0: '-2'}",
+    ]
+
+
+def test_d_squared_witness(su2):
+    space = GradedSpace({0: ("a",), 1: ("b",), 2: ("c",)})
+    d = LinMap(space, space, 1, {0: Matrix(1, 1, {(0, 0): Q(1)}), 1: Matrix(1, 1, {(0, 0): Q(3)})})
+    cx = Complex(space, d, check=False)
+    assert cx.d_squared_defect() == (0, "a")
+    with pytest.raises(ValueError, match="d\\^2 != 0 at degree 0 on basis vector 'a'"):
+        Complex(space, d)
+    report = validate_kg(KgModule(su2, cx, [LinMap.zero(space, space, -1)] * 3, name="d2"))
+    assert [c.describe() for c in report.checks][0] == "d∘d = 0: FAIL at degree 0 on 'a', defect {0: '3'}"
+    assert [c.ok for c in report.checks] == [False, True, True, True, True]
 
 
 def test_doubled_differential_identity_all_builtins():

@@ -417,7 +417,7 @@ def test_embedding_expansion_golden(su2):
     M = exterior_model(su2)
     data = twist_operators(M, Truncation(6))
     TM = data.tensor
-    basis = TM.meta["basis"]
+    basis = TM.meta["tensor"].entries
     idx = {e: i for i, e in enumerate(basis[2])}
     src = idx[(0, 0, 2, 2)]  # 1 ⊗ j*∧k*
     col = data.twist.block(2).column(src)
