@@ -21,7 +21,7 @@ from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .linalg import (
     Matrix,
@@ -281,6 +281,58 @@ class TensorSpace:
         """opA ⊗ opB on the product: the one-term case of lift_sum."""
         shift = (0 if opA is None else opA.shift) + (0 if opB is None else opB.shift)
         return self.lift_sum([(opA, opB)], shift, top)
+
+    def diagonal_rows(self, pairs: Sequence) -> Callable[[int], Iterator[dict]]:
+        """The rows of opA⊗1 + 1⊗opB for degree-0 factor pairs [(opA, opB), ...],
+        as a function of the total degree t that yields them as integer rows
+        (dicts col -> int), with no block of the product built.
+
+        Row (a', b') of stratum q holds opA[a', a] at column (a, b') and
+        opB[b', b] at column (a', b), scaled by the lcm of the two block
+        denominators; entries that cancel and empty rows are dropped, and a
+        missing factor block counts as zero, as in lift_sum.  The rows come
+        pair by pair, then stratum by stratum, then by target index: the
+        order of the lifted blocks' rows stacked pair after pair.  Each
+        factor block's row view is built once, here, for all degrees t.
+        """
+        A, B = self.A, self.B
+        views: dict = {}  # (op, degree) -> ({row: [(col, numerator)]}, den)
+        for op in {op for pair in pairs for op in pair}:
+            for deg, m in op.blocks.items():
+                rows: dict = {}
+                for (i, j), v in m.num.items():
+                    rows.setdefault(i, []).append((j, v))
+                views[op, deg] = rows, m.den
+
+        def rows_at(t: int) -> Iterator[dict]:
+            starts = self.offsets.get(t, {})
+            for opA, opB in pairs:
+                for q, col0 in starts.items():
+                    r = t - q
+                    fA, fB = views.get((opA, q)), views.get((opB, r))
+                    if fA is None and fB is None:
+                        continue
+                    rowsA, dA = fA or ({}, 1)
+                    rowsB, dB = fB or ({}, 1)
+                    den = lcm(dA, dB)
+                    kA, kB = den // dA, den // dB
+                    n, keysB = B.dim(r), sorted(rowsB)
+                    for a2 in range(A.dim(q)):
+                        base = col0 + a2 * n
+                        partA = [(col0 + a * n, kA * v) for a, v in rowsA.get(a2, ())]
+                        for b2 in (range(n) if partA else keysB):
+                            row = {c + b2: v for c, v in partA}
+                            for b, w in rowsB.get(b2, ()):
+                                c = base + b
+                                v = row.get(c, 0) + kB * w
+                                if v:
+                                    row[c] = v
+                                else:
+                                    del row[c]
+                            if row:
+                                yield row
+
+        return rows_at
 
     def lift_sum(self, terms: Sequence, shift: int, top: Optional[int] = None) -> LinMap:
         """Sum of opA ⊗ opB over terms [(opA, opB), ...]; None stands for the identity.

@@ -31,7 +31,7 @@ from .complexes import (
     subcomplex,
 )
 from .lie import LieAlgebra, adjoint_matrices
-from .linalg import Matrix, Subspace, joint_kernel
+from .linalg import Matrix, Subspace, joint_kernel, row_kernel
 from .modules import (
     KgModule,
     derivation_on_lambda,
@@ -144,8 +144,7 @@ def invariant_subcomplex(M: KgModule, with_actions: bool = True) -> InvariantMod
     to skip building the contraction action (cheaper for large modules).
     """
     g = M.g
-    vectors = {deg: joint_kernel([op.block(deg) for op in M.L_ops], M.space.dim(deg))
-               for deg in M.complex.usable_degrees(1)}
+    vectors = M.invariant_blocks(M.complex.usable_degrees(1))
     sub, incl = subcomplex(M.complex.truncated(M.max_usable), vectors, label_prefix=f"({M.name})^g")
     multis = invariant_multivector_basis(g) if with_actions else []
     actions = []
@@ -244,10 +243,8 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
     ambient = TensorSpace(S, M.space, N)
 
     # invariants of the diagonal action per total degree
-    diagonal = [ambient.lift_sum([(LS, None), (None, LM)], 0)
-                for LS, LM in zip(sym_action, M.L_ops)]
-    vectors = {deg: joint_kernel([L.block(deg) for L in diagonal], len(ents))
-               for deg, ents in ambient.entries.items()}
+    diagonal = ambient.diagonal_rows(list(zip(sym_action, M.L_ops)))
+    vectors = {deg: row_kernel(diagonal(deg), len(ents)) for deg, ents in ambient.entries.items()}
 
     # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs)
     amb_d = ambient.lift_sum(

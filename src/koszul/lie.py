@@ -20,6 +20,7 @@ from .linalg import (
     Matrix,
     complement_basis,
     hstack,
+    iparse,
     joint_kernel,
     qparse,
     qstr,
@@ -127,14 +128,14 @@ def lie_algebra_from_dict(data: dict) -> LieAlgebra:
 
 def _lie_algebra_from_dict(data: dict) -> LieAlgebra:
     name = str(data["name"])
-    n = int(data["dim"])
+    n = iparse(data["dim"])
     labels = tuple(str(x) for x in data["basis"])
     bracket_list = data.get("brackets", [])
     if n < 0 or len(labels) != n:
         raise LieAlgebraError(f"dim {n} does not match {len(labels)} basis labels")
     structure: dict = {}
     for ent in bracket_list:
-        i, j = int(ent["i"]), int(ent["j"])
+        i, j = iparse(ent["i"]), iparse(ent["j"])
         if not (0 <= i < n and 0 <= j < n):
             raise BadIndex(f"bracket index ({i},{j}) outside 0..{n - 1}")
         if i == j:
@@ -143,7 +144,7 @@ def _lie_algebra_from_dict(data: dict) -> LieAlgebra:
             continue
         terms = []
         for t in ent["terms"]:
-            k = int(t["k"])
+            k = iparse(t["k"])
             if not (0 <= k < n):
                 raise BadIndex(f"bracket target index {k} outside 0..{n - 1}")
             c = qparse(t["c"])

@@ -9,19 +9,24 @@ per output block.  A ``Fraction`` is built only where a value is read out.
 
 One echelon engine inserts sparse integer rows one at a time, updating
 them by cross-multiplication (``row <- a*row - b*pivot``, as in Bareiss
-elimination); ``RowReduction`` back-substitutes them to the reduced row
-echelon form, and ``IncrementalSpan`` and ``Subspace`` keep them as they
-are.  The RREF of a matrix is unique, so kernel bases, solutions with free
+elimination).  ``_echelon`` feeds it a stream of rows and back-substitutes
+the result to the reduced row echelon form: ``RowReduction`` splits a
+Matrix into that stream, and ``row_kernel`` takes rows built elsewhere.
+``IncrementalSpan`` and ``Subspace`` keep the inserted rows as they are.
+The RREF of a matrix is unique, so kernel bases, solutions with free
 variables zero and complements do not depend on the elimination order and
 are stable across runs -- which is what makes golden-file tests possible.
 
 A family of vectors is one ``Matrix`` whose columns are the vectors, so
 it stays integer numerators over one denominator from the kernel that cuts
 it out to the restriction that reads coordinates in it.  Subspaces enter
-in two ways, each through one call: ``joint_kernel`` cuts one out as the
-common kernel of a family of operator blocks, and ``Subspace.restrict``
-writes a block of images in the coordinates of a spanning family, which is
-how every restricted operator is built.
+in two ways.  A common kernel is cut out by ``row_kernel`` from a stream
+of integer rows, fed by one of exactly two sources: ``joint_kernel`` (the
+rows of a family of operator blocks) or ``TensorSpace.diagonal_rows`` (in
+``complexes``: the rows of L⊗1 + 1⊗L on a tensor product, read straight
+from the factor blocks, with no block of the product built).
+``Subspace.restrict`` writes a block of images in the coordinates of a
+spanning family, which is how every restricted operator is built.
 
 Dense vectors, tuples of Fractions, are read-outs: ``Matrix.columns``,
 ``kernel_basis``, ``Subspace.coords`` and ``express_in_span`` produce
@@ -55,6 +60,14 @@ def qstr(x: Fraction) -> str:
 def qparse(text) -> Fraction:
     """Parse the ``p/q`` wire format (also accepts plain integers)."""
     return Fraction(text)
+
+
+def iparse(x) -> int:
+    """Parse an integer field of the wire format: an int (not a bool) or a
+    decimal integer string.  Anything else, a float included, is rejected."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return int(x)
 
 
 def vec(values: Iterable) -> tuple:
@@ -395,6 +408,54 @@ def _insert(pivots: dict, row: dict, comb: Optional[dict]) -> bool:
     return True
 
 
+def _echelon(rows: Iterable) -> tuple:
+    """The one elimination: (table, null) from a stream of (integer row,
+    comb) pairs, comb None when untracked.
+
+    Each row is inserted in turn; the pivot table is then back-substituted,
+    highest pivot first, so that each pivot row is zero in every other pivot
+    column.  null lists the combs of the tracked rows that reduced to zero,
+    in order.
+    """
+    table: dict = {}
+    null: list = []
+    for row, comb in rows:
+        if not _insert(table, row, comb) and comb is not None:
+            null.append(comb)
+    # highest pivot first: the rows used are reduced already
+    for c in sorted(table, reverse=True):
+        row, comb = table[c]
+        hits = [j for j in row if j != c and j in table]
+        for p in hits:
+            _eliminate(row, comb, p, table[p])
+        if hits:
+            table[c] = _primitive(row, comb, c)
+    return table, null
+
+
+def _kernel(table: dict, cols: int) -> Matrix:
+    """The null space of a reduced pivot table of width cols, one column per
+    free column in increasing order with entry 1 there, built over the lcm
+    of the pivot leads."""
+    free = {c: k for k, c in enumerate(c for c in range(cols) if c not in table)}
+    den = lcm(*[row[c] for c, (row, _) in table.items()])
+    num = {(f, k): den for f, k in free.items()}
+    for c, (row, _) in table.items():
+        s = den // row[c]
+        for f, x in row.items():
+            if f != c:
+                num[(c, free[f])] = -x * s
+    return Matrix._from_ints(cols, len(free), num, den)
+
+
+def _matrix_rows(A: Matrix) -> dict:
+    """The nonzero integer rows of A (numerators over A.den): row -> {col: int}."""
+    rows: dict = {}
+    for (i, j), v in A.num.items():
+        rows.setdefault(i, {})[j] = v
+    return rows
+
+
 
 
 class RowReduction:
@@ -411,28 +472,13 @@ class RowReduction:
 
     def __init__(self, A: Matrix, track: bool = True):
         self.rows, self.cols = A.rows, A.cols
-        rows: dict = {}
-        for (i, j), v in A.num.items():
-            rows.setdefault(i, {})[j] = v
-        table: dict = {}
-        null: list = []
-        for i in range(A.rows):
-            # the integer row is den times row i of A; popped, so that a row
-            # reduced to zero is freed at once (most rows of a joint-kernel stack)
-            comb = {i: A.den} if track else None
-            if not _insert(table, rows.pop(i, {}), comb) and track:
-                null.append((comb, comb[i]))
-        order = sorted(table)
-        # back-substitution, highest pivot first: the rows used are reduced already
-        for c in reversed(order):
-            row, comb = table[c]
-            hits = [j for j in row if j != c and j in table]
-            for p in hits:
-                _eliminate(row, comb, p, table[p])
-            if hits:
-                table[c] = _primitive(row, comb, c)
-        self.pivots = order
-        self.rank = len(order)
+        rows = _matrix_rows(A)
+        # the integer row i is den times row i of A; popped, so that a row
+        # reduced to zero is freed at once
+        table, null = _echelon((rows.pop(i, {}), {i: A.den} if track else None)
+                               for i in range(A.rows))
+        self.pivots = sorted(table)
+        self.rank = len(table)
         self._table = table
         self._null = null if track else None
 
@@ -449,8 +495,9 @@ class RowReduction:
         if self._null is None:
             return None
         table = self._table
+        # the comb of input row i holds rows <= i only, with comb[i] != 0
         return ([_over(table[c][1], table[c][0][c]) for c in self.pivots]
-                + [_over(comb, lead) for comb, lead in self._null])
+                + [_over(comb, comb[max(comb)]) for comb in self._null])
 
     def solve(self, b: Sequence) -> Optional[tuple]:
         """One solution of A x = b with free variables set to 0, else None."""
@@ -459,7 +506,7 @@ class RowReduction:
         if len(b) != self.rows:
             raise ShapeError(f"rhs length {len(b)} != rows {self.rows}")
         y, d = _sparse(b)
-        if any(sum(v * y.get(j, 0) for j, v in comb.items()) for comb, _ in self._null):
+        if any(sum(v * y.get(j, 0) for j, v in comb.items()) for comb in self._null):
             return None
         x = [Q0] * self.cols
         for c, (row, comb) in self._table.items():
@@ -470,19 +517,8 @@ class RowReduction:
 
     def kernel(self) -> Matrix:
         """Basis of the null space in reduced form, as the columns of a
-        Matrix: one per free column, in increasing order, with entry 1 there.
-
-        Built straight from the pivot table over the lcm of the pivot leads."""
-        table = self._table
-        free = {c: k for k, c in enumerate(c for c in range(self.cols) if c not in table)}
-        den = lcm(*[row[c] for c, (row, _) in table.items()])
-        num = {(f, k): den for f, k in free.items()}
-        for c, (row, _) in table.items():
-            s = den // row[c]
-            for f, x in row.items():
-                if f != c:
-                    num[(c, free[f])] = -x * s
-        return Matrix._from_ints(self.cols, len(free), num, den)
+        Matrix: one per free column, in increasing order, with entry 1 there."""
+        return _kernel(self._table, self.cols)
 
 
 def kernel_basis(A: Matrix) -> list:
@@ -520,12 +556,24 @@ def vstack(mats: Sequence[Matrix], cols: int) -> Matrix:
     return _stack(mats, cols, vertical=True)
 
 
+def row_kernel(rows: Iterable[dict], cols: int) -> Matrix:
+    """Common kernel of a stream of integer rows (dicts col -> int) of width
+    cols, as the columns of a Matrix (see ``RowReduction.kernel``).
+
+    Rows are consumed one at a time and a row that reduces to zero is freed
+    at once, so a stream built on demand is never held whole."""
+    return _kernel(_echelon((row, None) for row in rows)[0], cols)
+
+
 def joint_kernel(mats: Sequence[Matrix], cols: int) -> Matrix:
-    """Common kernel of blocks of width cols: the kernel of their stack, as
-    the columns of a Matrix (see ``RowReduction.kernel``).
+    """Common kernel of blocks of width cols: ``row_kernel`` of their rows,
+    block by block, each in order.
 
     An empty family leaves all of Q^cols, as the unit basis."""
-    return RowReduction(vstack(mats, cols), track=False).kernel()
+    for m in mats:
+        if m.cols != cols:
+            raise ShapeError(f"block of width {m.cols} in a family of width {cols}")
+    return row_kernel((row for m in mats for _, row in sorted(_matrix_rows(m).items())), cols)
 
 
 def image_rank(A: Matrix) -> tuple:

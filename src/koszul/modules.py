@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .complexes import Complex, GradedSpace, LinMap, TensorSpace, first_defect
 from .lie import LieAlgebra, RepMatrices, certify_reductive, invariant_vectors
-from .linalg import Matrix, qparse, qstr
+from .linalg import Matrix, iparse, joint_kernel, qparse, qstr, row_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,10 @@ class KgModule:
         On a tensor product (tensor_module, the Weil model) L_k = L_k⊗1 +
         1⊗L_k, lifted in one summed lift from the factor L_k pairs that
         meta["L_factors"]() yields (degree 0, so no Koszul sign); on any
-        other module L_k = d i_k + i_k d.
+        other module L_k = d i_k + i_k d.  They are lifted only when read
+        (validate_kg, the action on cohomology, tests): the verifier cuts a
+        product's invariants from the factor rows instead, and checks
+        invariance on them (see invariant_blocks and is_invariant).
         """
         if self._L_ops is None:
             if "L_factors" in self.meta:
@@ -241,6 +244,36 @@ class KgModule:
                 }) for ik in self.i_ops]
             self._L_ops = tuple(ops)
         return self._L_ops
+
+    def invariant_blocks(self, degrees) -> dict:
+        """deg -> the common kernel of the L_k at deg, as the columns of a
+        Matrix, for the given degrees (each <= max_usable).
+
+        On a tensor product it is cut straight from the rows of L_k⊗1 +
+        1⊗L_k over the factor blocks (TensorSpace.diagonal_rows, one row view
+        per factor block for all the degrees), so L_ops is not lifted; on any
+        other module it is the joint kernel of the L_ops blocks.
+        """
+        if "L_factors" not in self.meta:
+            return {deg: joint_kernel([op.block(deg) for op in self.L_ops], self.space.dim(deg))
+                    for deg in degrees}
+        rows_at = self._factor_L_rows()
+        return {deg: row_kernel(rows_at(deg), self.space.dim(deg)) for deg in degrees}
+
+    def is_invariant(self, deg: int, X: Matrix) -> bool:
+        """Whether every L_k kills each column of X, a block of degree-deg
+        vectors, by direct application; on a tensor product the rows of
+        L_k⊗1 + 1⊗L_k are applied, so L_ops is not lifted."""
+        if "L_factors" not in self.meta:
+            return all((op.block(deg) @ X).is_zero() for op in self.L_ops)
+        rows = list(self._factor_L_rows()(deg))
+        R = Matrix._from_ints(len(rows), X.rows, {
+            (k, c): v for k, row in enumerate(rows) for c, v in row.items()}, 1)
+        return (R @ X).is_zero()
+
+    def _factor_L_rows(self):
+        """TensorSpace.diagonal_rows of the factor L_k pairs of a tensor product."""
+        return self.meta["tensor"].diagonal_rows(list(self.meta["L_factors"]()))
 
     def contraction_of_multivector(self, coeffs: Sequence, monos: Sequence[tuple]) -> LinMap:
         """Composite contraction for a multivector given in a monomial basis.
@@ -593,8 +626,8 @@ def kg_module_from_dict(g: LieAlgebra, data: dict, name: str = "file-module") ->
     def build(entries, shift):
         blocks: dict = {}
         for ent in entries:
-            deg = int(ent["degree"])
-            r_, c_ = int(ent["row"]), int(ent["col"])
+            deg = iparse(ent["degree"])
+            r_, c_ = iparse(ent["row"]), iparse(ent["col"])
             val = qparse(ent["c"])
             if not (0 <= c_ < space.dim(deg) and 0 <= r_ < space.dim(deg + shift)):
                 raise ModuleValidationError(
@@ -608,7 +641,7 @@ def kg_module_from_dict(g: LieAlgebra, data: dict, name: str = "file-module") ->
         )
 
     try:
-        space = GradedSpace({int(k): tuple(v) for k, v in data["degrees"].items()})
+        space = GradedSpace({iparse(k): tuple(v) for k, v in data["degrees"].items()})
         d = build(data.get("d", []), 1)
         i_entries = data.get("i", {})
         i_ops = [build(i_entries.get(str(k), []), -1) for k in range(g.dim)]

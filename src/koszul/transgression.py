@@ -271,7 +271,7 @@ def distinguished_transgression(
         p = prim.degree
         if p % 2 == 0:
             raise TransgressionError("primitive of even degree cannot transgress")
-        w_inv = joint_kernel([op.block(p) for op in W.L_ops], W.space.dim(p))
+        w_inv = W.invariant_blocks([p])[p]
         s_deg = (p + 1) // 2
         s_inv = sym_invariant_block(g, s_deg)
         if not s_inv.cols:
@@ -346,7 +346,7 @@ def _verify_entry(W, prim, omega, xi_tilde, contraction_ops, xi_vec) -> None:
     if W.d.block(p) @ ov != _sym_inclusion(W, (p + 1) // 2) @ _coefficient_column(xi_tilde):
         raise TransgressionError("condition (c) fails on the returned lift")
     # invariance of the lift itself
-    if not all((L.block(p) @ ov).is_zero() for L in W.L_ops):
+    if not W.is_invariant(p, ov):
         raise TransgressionError("returned lift is not invariant")
     # the polynomial part must be nonzero of the right degree
     if not any(xi_tilde):

@@ -164,9 +164,13 @@ def _module(**fields):
     ("--module", _module(i=[])),
     ("--module", _module(degrees=["a", "b"])),
     ("--module", _module(d=[{"degree": 0, "row": 0, "col": 0, "c": "1/0"}])),
+    ("--algebra", _algebra(dim=1.5, basis=["t"], brackets=[])),
+    ("--algebra", _algebra({"i": False, "j": 1, "terms": [{"k": 1, "c": "1"}]})),
+    ("--module", _module(d=[{"degree": 0.7, "row": 0, "col": 0, "c": "1"}])),
+    ("--module", _module(d=[{"degree": 0, "row": 0.0, "col": 0, "c": "1"}])),
 ], ids=["bracket-without-terms", "term-without-k", "index-not-int", "dim-not-int",
         "algebra-zero-denominator", "entry-without-col", "i-as-list", "degrees-as-list",
-        "module-zero-denominator"])
+        "module-zero-denominator", "dim-float", "index-bool", "degree-float", "row-float"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, flag, data):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(data))

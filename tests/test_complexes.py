@@ -33,8 +33,8 @@ from koszul.equivariant import (
     sym_multiplication,
 )
 from koszul.lie import BUILTIN_NAMES
-from koszul.linalg import Matrix, ShapeError, kernel_basis, solve_affine, vec
-from koszul.modules import exterior_model, lambda_monomials
+from koszul.linalg import Matrix, ShapeError, kernel_basis, solve_affine, vec, vstack
+from koszul.modules import exterior_model, lambda_monomials, tensor_module
 from koszul.weil import weil_model
 
 
@@ -300,6 +300,68 @@ def test_lift_matches_signed_kronecker_product(data):
         assert padded.equal_on(summed, ts.space.degrees())
         assert set(padded.blocks) == set(summed.blocks)
         assert _stored_canonically(padded)
+
+
+# ---------------------------------------------------------------------------
+# The rows of opA⊗1 + 1⊗opB, read straight from the factor blocks, against
+# the rows of the stacked lifted blocks
+# ---------------------------------------------------------------------------
+
+
+def _primitive_rows(rows):
+    """Each nonzero integer row divided by its content gcd, in order."""
+    return [{c: v // gcd(*row.values()) for c, v in row.items()} for row in rows if row]
+
+
+def _stacked_rows(blocks, width):
+    """The rows of the stacked blocks, top to bottom, as integer dicts."""
+    S = vstack(blocks, width)
+    rows = [{} for _ in range(S.rows)]
+    for (i, j), v in S.num.items():
+        rows[i][j] = v
+    return rows
+
+
+def _draw_factor(data, space):
+    """A random degree-0 map with rational entries, some of its blocks dropped."""
+    op = _draw_op(data, space, 0, MIXED_ENTRIES) or LinMap.identity(space)
+    kept = [d for d in op.blocks if data.draw(st.booleans())]
+    return LinMap(space, space, 0, {d: op.blocks[d] for d in kept})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_diagonal_rows_match_stacked_lift_random(data):
+    A, B = _draw_space(data, "a"), _draw_space(data, "b")
+    top = data.draw(st.integers(A.lo + B.lo, A.hi + B.hi))
+    ts = TensorSpace(A, B, top)
+    pairs = [(_draw_factor(data, A), _draw_factor(data, B)) for _ in range(data.draw(st.integers(0, 3)))]
+    # (opA + c, -c): the diagonal entries cancel, leaving the rows of opA⊗1
+    if pairs and data.draw(st.booleans()):
+        c = data.draw(COEFFICIENTS)
+        pairs.append((pairs[0][0].add(LinMap.identity(A).scale(c)), LinMap.identity(B).scale(-c)))
+    lifted = [ts.lift_sum([(fA, None), (None, fB)], 0) for fA, fB in pairs]
+    rows_at = ts.diagonal_rows(pairs)
+    for t in ts.space.degrees():
+        got = list(rows_at(t))
+        want = _stacked_rows([L.block(t) for L in lifted], ts.space.dim(t))
+        assert all(got) and all(type(v) is int and v for row in got for v in row.values())
+        assert _primitive_rows(got) == _primitive_rows(want)
+
+
+def test_diagonal_rows_are_the_stacked_lift_rows():
+    """Each row TensorSpace.diagonal_rows yields is, up to its content, the
+    next nonzero row of the stacked lifted L_k blocks: on W⊗Λ(su2)*, on W
+    itself and on Λ(su2)*⊗Λ(su2)* at N = 4."""
+    g = resolve_algebra("su2")
+    ext, N = exterior_model(g), 4
+    W = weil_model(g, Truncation(N + 1))
+    for module in (tensor_module(W, ext, max_total=N + 1), W, tensor_module(ext, ext)):
+        rows_at = module.meta["tensor"].diagonal_rows(list(module.meta["L_factors"]()))
+        for t in module.complex.usable_degrees(1):
+            got = list(rows_at(t))
+            want = _stacked_rows([L.block(t) for L in module.L_ops], module.space.dim(t))
+            assert all(got) and _primitive_rows(got) == _primitive_rows(want), (module.name, t)
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ def test_invariant_path_builds_no_fraction(monkeypatch):
     M, N = exterior_model(g), 4
     W = weil_model(g, Truncation(N + 1))
     WM = tensor_module(W, M, max_total=N + 1, name="W⊗M")
-    WM.L_ops  # the lifted operators are inputs here, built before counting
+    W.L_ops  # the factor L_k are inputs here, built before counting
     inv_M = invariant_subcomplex(M, with_actions=False)
     A = cartan_model(M, Truncation(N))
     T = distinguished_transgression(g, primitive_basis(g, Truncation(N)), Truncation(N), weil=W)
@@ -283,3 +283,28 @@ def test_each_chain_check_runs_once(monkeypatch, su2, corrupt, digest):
     assert checked == [comp.psi, comp.inclusion]
     assert (report.psi_quasi_iso is None) == corrupt and report.inclusion_quasi_iso is not None
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_product_invariants_lift_no_operator(monkeypatch, su2):
+    """verify_duality cuts the invariants of W⊗M from the factor rows, so the
+    product's L_k stay unlifted, and cartan_model makes no shift-0 lift_sum
+    (the diagonal action); the su(2) exterior N=4 report is unchanged."""
+    import hashlib
+
+    from koszul.complexes import TensorSpace
+
+    M = exterior_model(su2)
+    report, comp = verify_duality(M, Truncation(4))
+    assert comp.product._L_ops is None
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "60661a7e749c06d56148196c545ea8627154fa3ea2e5f86e8a2497d9f7ce657d")
+    shifts = []
+    lift_sum = TensorSpace.lift_sum
+
+    def counted(ts, terms, shift, top=None):
+        shifts.append(shift)
+        return lift_sum(ts, terms, shift, top)
+
+    monkeypatch.setattr(TensorSpace, "lift_sum", counted)
+    cartan_model(M, Truncation(4))
+    assert shifts and 0 not in shifts

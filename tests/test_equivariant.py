@@ -153,3 +153,52 @@ def test_abelian_cartan_of_trivial():
     rep = cohomology(model.complex, Truncation(5))
     # Q[u], one generator in degree 2
     assert rep.betti == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
+
+
+# -- invariants of a product are cut from the factors' L_k rows -----------------
+# (the rows themselves are checked in test_complexes)
+
+
+def _perfbench_survey():
+    """The survey cases and their module builder, read from perfbench/."""
+    import sys
+    from pathlib import Path
+
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    # perfbench's modules import each other by bare name; write no bytecode there
+    sys.path.insert(0, perfbench)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        from child import build_module
+        from workloads import SURVEY
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(perfbench)
+    return SURVEY, build_module
+
+
+SURVEY, build_module = _perfbench_survey()
+
+
+@pytest.mark.parametrize("alg, kind, N", SURVEY)
+def test_product_invariants_equal_kernel_of_lifted_blocks(alg, kind, N):
+    """On every survey case the invariant vectors of W⊗M and of the Cartan
+    ambient S(g*)⊗M, cut from the factor rows, equal joint_kernel of the
+    lifted L_k blocks (the reference)."""
+    from koszul.duality import verify_duality
+    from koszul.equivariant import symmetric_algebra
+    from koszul.linalg import joint_kernel
+
+    g = builtin_algebra(alg)
+    M = build_module(kind, g)
+    _, comp = verify_duality(M, Truncation(N))
+    WM = comp.product
+    for t in WM.complex.usable_degrees(1):
+        assert comp.invariants.vectors[t] == joint_kernel(
+            [L.block(t) for L in WM.L_ops], WM.space.dim(t)), t
+    ambient = comp.cartan.ambient
+    _, _, sym_action = symmetric_algebra(g, max(0, (N - M.space.lo) // 2))
+    lifted = [ambient.lift_sum([(LS, None), (None, LM)], 0) for LS, LM in zip(sym_action, M.L_ops)]
+    for t, ents in ambient.entries.items():
+        K = joint_kernel([L.block(t) for L in lifted], len(ents))
+        assert comp.cartan.vectors.get(t, K.take([])) == K, t

@@ -151,3 +151,30 @@ def test_exterior_invariants_su2(su2):
     assert exterior_invariants(su2, 1) == []
     assert exterior_invariants(su2, 2) == []
     assert len(exterior_invariants(su2, 3)) == 1
+
+
+def test_transgression_lifts_no_weil_operator(su2, P_su2):
+    """distinguished_transgression cuts W's invariants and re-checks the
+    lift's invariance on the factor rows: W's L_k stay unlifted."""
+    T = distinguished_transgression(su2, P_su2, Truncation(8))
+    assert T.entries and T.weil._L_ops is None
+
+
+@pytest.mark.parametrize("alg", ["su2", "su2xsu2"])
+def test_is_invariant_matches_lifted_operators(alg):
+    """On W(g) (a tensor product) and on Λ(g*) (not one), is_invariant of the
+    invariant block and of each unit vector agrees with applying the lifted
+    L_k blocks."""
+    from koszul.linalg import Matrix
+    from koszul.modules import exterior_model
+
+    g = builtin_algebra(alg)
+    for module in (weil_model(g, Truncation(5)), exterior_model(g)):
+        for p in module.complex.usable_degrees(1):
+            dim = module.space.dim(p)
+            K = module.invariant_blocks([p])[p]
+            assert module.is_invariant(p, K)
+            for i in range(dim):
+                e = Matrix._from_ints(dim, 1, {(i, 0): 1}, 1)
+                want = all((L.block(p) @ e).is_zero() for L in module.L_ops)
+                assert module.is_invariant(p, e) == want, (module.name, p, i)
