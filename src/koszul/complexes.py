@@ -25,13 +25,13 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .linalg import (
     Matrix,
-    RowReduction,
     ShapeError,
     Subspace,
     _ratio,
     complement_basis,
     hstack,
     image_rank,
+    joint_kernel,
     qstr,
     rank,
 )
@@ -552,8 +552,7 @@ def cohomology_representatives(C: Complex, deg: int) -> tuple:
     deterministically; computed once per complex and degree."""
     bases = C._cohomology_bases.get(deg)
     if bases is None:
-        n = C.space.dim(deg)
-        cocycles = RowReduction(C.d.block(deg), track=False).kernel() if n else Matrix.zero(0, 0)
+        cocycles = joint_kernel([C.d.block(deg)], C.space.dim(deg))
         _, boundaries = image_rank(C.d.block(deg - 1))
         bases = C._cohomology_bases[deg] = (complement_basis(boundaries, cocycles), boundaries)
     return bases

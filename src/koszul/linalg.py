@@ -20,18 +20,20 @@ are stable across runs -- which is what makes golden-file tests possible.
 A family of vectors is one ``Matrix`` whose columns are the vectors, so
 it stays integer numerators over one denominator from the kernel that cuts
 it out to the restriction that reads coordinates in it.  Subspaces enter
-in two ways.  A common kernel is cut out by ``row_kernel`` from a stream
-of integer rows, fed by one of exactly two sources: ``joint_kernel`` (the
-rows of a family of operator blocks) or ``TensorSpace.diagonal_rows`` (in
-``complexes``: the rows of L⊗1 + 1⊗L on a tensor product, read straight
-from the factor blocks, with no block of the product built).
+in two ways.  Every untracked kernel is cut out by ``row_kernel`` from a
+stream of integer rows, fed by one of exactly two sources: ``joint_kernel``
+(the rows of a family of operator blocks) or ``TensorSpace.diagonal_rows``
+(in ``complexes``: the rows of L⊗1 + 1⊗L on a tensor product, read
+straight from the factor blocks, with no block of the product built).
+``row_kernel`` first drops each column that a one-entry row forces to zero
+(a pivot column of the full RREF, so the reduced kernel basis is the same)
+and eliminates the rest; its rows must hold nonzero entries only.
 ``Subspace.restrict`` writes a block of images in the coordinates of a
 spanning family, which is how every restricted operator is built.
 
 Dense vectors, tuples of Fractions, are read-outs: ``Matrix.columns``,
 ``kernel_basis``, ``Subspace.coords`` and ``express_in_span`` produce
-them, and ``solve_affine``, ``independent_subset`` and ``IncrementalSpan``
-take them.
+them, and ``solve_affine`` and ``IncrementalSpan`` take them.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Q0 = Fraction(0)
 
@@ -433,11 +435,12 @@ def _echelon(rows: Iterable) -> tuple:
     return table, null
 
 
-def _kernel(table: dict, cols: int) -> Matrix:
+def _kernel(table: dict, cols: int, dead=()) -> Matrix:
     """The null space of a reduced pivot table of width cols, one column per
     free column in increasing order with entry 1 there, built over the lcm
-    of the pivot leads."""
-    free = {c: k for k, c in enumerate(c for c in range(cols) if c not in table)}
+    of the pivot leads.  Columns in `dead` (in no row of the table) are
+    zero in every kernel vector."""
+    free = {c: k for k, c in enumerate(c for c in range(cols) if c not in table and c not in dead)}
     den = lcm(*[row[c] for c, (row, _) in table.items()])
     num = {(f, k): den for f, k in free.items()}
     for c, (row, _) in table.items():
@@ -524,7 +527,7 @@ class RowReduction:
 def kernel_basis(A: Matrix) -> list:
     """Basis of {v : A v = 0} in reduced echelon form (deterministic), read
     out as dense vectors."""
-    return RowReduction(A, track=False).kernel().columns()
+    return joint_kernel([A], A.cols).columns()
 
 
 def _stack(mats: Sequence[Matrix], width: int, vertical: bool) -> Matrix:
@@ -556,13 +559,35 @@ def vstack(mats: Sequence[Matrix], cols: int) -> Matrix:
     return _stack(mats, cols, vertical=True)
 
 
-def row_kernel(rows: Iterable[dict], cols: int) -> Matrix:
-    """Common kernel of a stream of integer rows (dicts col -> int) of width
-    cols, as the columns of a Matrix (see ``RowReduction.kernel``).
+def _prune(rows: Iterable[dict], dead: set) -> Iterator[dict]:
+    """The rows cut to their live columns that keep two or more entries; a
+    row left with one entry adds its column to `dead` at once."""
+    for row in rows:
+        if len(row) > 1 and not dead.isdisjoint(row):
+            row = {c: v for c, v in row.items() if c not in dead}
+        if len(row) == 1:
+            dead.update(row)
+        elif row:
+            yield row
 
-    Rows are consumed one at a time and a row that reduces to zero is freed
-    at once, so a stream built on demand is never held whole."""
-    return _kernel(_echelon((row, None) for row in rows)[0], cols)
+
+def row_kernel(rows: Iterable[dict], cols: int) -> Matrix:
+    """Common kernel of a stream of integer rows (dicts col -> int, nonzero
+    entries only: a stored zero {c: 0} would wrongly kill column c) of
+    width cols, as the columns of a Matrix (see ``RowReduction.kernel``).
+
+    Singleton presolve: a one-entry row kills its column, which is dropped
+    from the other rows, and that can leave new one-entry rows.  The stream
+    is read once, each row cut against the columns dead so far; re-cuts of
+    the kept rows repeat until no column dies, and only the survivors are
+    eliminated.  A dead column is a pivot column of the full RREF, so the
+    free columns and the reduced basis are those of the whole stream."""
+    dead: set = set()
+    live, n = rows, None
+    while n != len(dead):
+        n = len(dead)
+        live = list(_prune(live, dead))
+    return _kernel(_echelon((row, None) for row in live)[0], cols, dead)
 
 
 def joint_kernel(mats: Sequence[Matrix], cols: int) -> Matrix:
@@ -693,17 +718,6 @@ def complement_basis(U: Matrix, V: Matrix) -> Matrix:
         if _insert(span, row, None):
             chosen.append(j)
     return V.take(chosen)
-
-
-def independent_subset(vectors: Sequence[Sequence]) -> list:
-    """Greedy maximal independent subfamily, preserving input order."""
-    span = IncrementalSpan()
-    out: list = []
-    for v in vectors:
-        v = vec(v)
-        if span.add(v):
-            out.append(v)
-    return out
 
 
 def express_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[tuple]:

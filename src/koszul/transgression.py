@@ -26,12 +26,11 @@ from .equivariant import invariant_multivector_basis, sym_invariant_block, sym_i
 from .lie import LieAlgebra, adjoint_matrices
 from .linalg import (
     Matrix,
-    RowReduction,
     Subspace,
     complement_basis,
     hstack,
-    independent_subset,
     joint_kernel,
+    rank,
     vec,
     vstack,
 )
@@ -306,7 +305,7 @@ def distinguished_transgression(
                 f"transgression system inconsistent for {prim.label}; "
                 "this indicates a sign-convention defect"
             )
-        if any(perm[pos] >= n_alpha for pos, _ in RowReduction(A, track=False).kernel().num):
+        if any(perm[pos] >= n_alpha for pos, _ in joint_kernel([A], A.cols).num):
             raise TransgressionError(
                 f"ξ~ is not unique for {prim.label}: homogeneous solution "
                 "has a nonzero polynomial part"
@@ -381,9 +380,8 @@ def generation_check(g: LieAlgebra, data: TransgressionData, trunc: Truncation) 
             prods.append(vec([v.get(m, Q0) for m in monos]))
         if len(prods) != dim_target:
             return False
-        if dim_target:
-            if len(independent_subset(prods)) != dim_target:
-                return False
+        if dim_target and rank(Matrix.from_columns(prods)) != dim_target:
+            return False
     return True
 
 

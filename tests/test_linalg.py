@@ -17,12 +17,12 @@ from koszul.linalg import (
     complement_basis,
     express_in_span,
     image_rank,
-    independent_subset,
     joint_kernel,
     kernel_basis,
     qparse,
     qstr,
     rank,
+    row_kernel,
     solve_affine,
     vec,
 )
@@ -110,11 +110,6 @@ def test_express_in_span():
     assert express_in_span(basis, vec([0, 0, 1])) is None
     assert express_in_span([], vec([0, 0])) == ()
     assert express_in_span([], vec([1, 0])) is None
-
-
-def test_independent_subset_keeps_order():
-    fam = [vec([1, 0]), vec([2, 0]), vec([1, 1])]
-    assert independent_subset(fam) == [vec([1, 0]), vec([1, 1])]
 
 
 small_fracs = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
@@ -293,6 +288,90 @@ def test_joint_kernel_empty_family_and_width_mismatch():
     assert joint_kernel([], 0) == Matrix.zero(0, 0)
     with pytest.raises(ShapeError):
         joint_kernel([Matrix.identity(2), Matrix.identity(1)], 2)
+
+
+class _OnePass:
+    """A stream of copies of integer rows that counts how often it is iterated."""
+
+    def __init__(self, rows):
+        self.rows, self.passes = rows, 0
+
+    def __iter__(self):
+        self.passes += 1
+        return (dict(row) for row in self.rows)
+
+
+def _rows_matrix(rows: list, cols: int) -> Matrix:
+    return Matrix(len(rows), cols, {(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
+
+
+def _check_row_kernel(rows: list, cols: int, sp=None) -> Matrix:
+    """row_kernel of the rows, read once, equals the kernel of their stack
+    (and sympy's nullspace when sp is given)."""
+    stream = _OnePass(rows)
+    K = row_kernel(stream, cols)
+    A = _rows_matrix(rows, cols)
+    assert stream.passes == 1
+    assert K == RowReduction(A, track=False).kernel()
+    assert (K.rows, K.cols) == (cols, cols - rank(A))
+    if sp is not None and rows:
+        assert K.columns() == _sympy_nullspace(sp, A)
+    return K
+
+
+@pytest.mark.parametrize("rows, cols, kernel", [
+    # a cascade four levels deep: {4: 7} kills 4, then 3, 2 and 1 die in turn
+    ([{1: 1, 2: 1}, {2: 5, 3: -1}, {0: 1, 1: 1, 5: 1}, {3: 2, 4: 3}, {4: 7}], 6,
+     [(-1, 0, 0, 0, 0, 1)]),
+    # negative and repeated singletons
+    ([{1: -3}, {2: 5, 1: 4}, {1: -3}, {1: 7}, {0: 2, 1: 1, 2: 2}], 3, []),
+    ([{3: -1}, {3: -1}, {0: 1, 2: -2, 3: 4}], 4, [(0, 1, 0, 0), (2, 0, 1, 0)]),
+    # rows emptied by the cut, a singleton after the row it empties
+    ([{0: 1, 1: 4}, {0: 2}, {1: -1}, {0: 3, 1: 1}, {2: 1, 3: -1}], 4, [(0, 0, 1, 1)]),
+    # every column dead: a cols x 0 kernel
+    ([{0: 1, 2: 1}, {2: -2}, {1: 3, 0: 1}], 3, []),
+    # an empty stream leaves the unit basis; no columns at all
+    ([], 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    ([], 0, []),
+])
+def test_row_kernel_presolve_cases(rows, cols, kernel):
+    sp = pytest.importorskip("sympy")
+    K = _check_row_kernel(rows, cols, sp)
+    assert K.columns() == [vec(v) for v in kernel]
+    assert K.rows == cols
+
+
+sparse_int_row = st.dictionaries(st.integers(0, 6), st.integers(-4, 4).filter(bool), max_size=3)
+
+
+@given(st.integers(1, 7).flatmap(
+    lambda c: st.tuples(st.lists(sparse_int_row.map(lambda r: {j % c: v for j, v in r.items()}),
+                                 max_size=9), st.just(c))))
+@settings(max_examples=150, deadline=None)
+def test_row_kernel_random_sparse_streams(case):
+    """Sparse integer rows, many with one entry, so that cascades, repeated
+    singletons and rows emptied by the cut come up often."""
+    sp = pytest.importorskip("sympy")
+    rows, cols = case
+    _check_row_kernel(rows, cols, sp)
+
+
+def test_row_kernel_on_the_tensor_stream():
+    """The L rows of W⊗M for su2xsu2 exterior N=4, at every degree: the
+    presolved kernel is the kernel of the whole stacked stream."""
+    from koszul.complexes import Truncation
+    from koszul.lie import builtin_algebra
+    from koszul.modules import exterior_model, tensor_module
+    from koszul.weil import weil_model
+
+    M = exterior_model(builtin_algebra("su2xsu2"))
+    W = weil_model(M.g, Truncation(5))
+    WM = tensor_module(W, M, max_total=5)
+    rows_at = WM._factor_L_rows()
+    degrees = WM.complex.usable_degrees(1)
+    assert list(degrees) == [0, 1, 2, 3, 4]
+    for deg in degrees:
+        _check_row_kernel(list(rows_at(deg)), WM.space.dim(deg))
 
 
 @given(deficient_matrix(), st.lists(st.lists(sparse_fracs, min_size=6, max_size=6), max_size=4),
