@@ -30,6 +30,7 @@ from .lie import (
 from .linalg import Matrix, complement_basis, image_rank, kernel_basis, solve_affine
 from .modules import (
     KgModule,
+    TensorModule,
     exterior_model,
     invariant_rep_module,
     load_kg_module,

@@ -32,12 +32,13 @@ from .complexes import (
     induced_map,
     quasi_iso_check,
 )
-from .equivariant import CartanModel, cartan_model, invariant_subcomplex
+from .equivariant import CartanModel, InvariantModel, cartan_model, invariant_subcomplex
 from .lie import LieAlgebra
 from .linalg import Matrix, _integer_row, hstack
 from .modules import (
     KgModule,
     ModuleValidationError,
+    TensorModule,
     lambda_monomials,
     tensor_module,
 )
@@ -118,8 +119,8 @@ class DualityComputation:
     module: KgModule
     N: int
     weil: WeilModule
-    product: KgModule  # W ⊗ M
-    invariants: "object"  # InvariantModel of W ⊗ M
+    product: TensorModule  # W ⊗ M
+    invariants: InvariantModel  # of W ⊗ M
     cartan: CartanModel
     transgression: TransgressionData
     twist: TwistData
@@ -128,9 +129,9 @@ class DualityComputation:
     inclusion: ChainMap
 
 
-def inclusion_map(M: KgModule, WM: KgModule, inv_model, inv_M) -> ChainMap:
+def inclusion_map(WM: TensorModule, inv_model: InvariantModel, inv_M: InvariantModel) -> ChainMap:
     """(M)^g -> (W⊗M)^g, m -> 1⊗1⊗m."""
-    wm_index = WM.meta["tensor"].index
+    wm_index = WM.tensor.index
 
     def one_tensor(deg: int, V: Matrix) -> Matrix:
         # the columns of V moved to the rows 1⊗1⊗m of W⊗M
@@ -160,13 +161,11 @@ def inclusion_map(M: KgModule, WM: KgModule, inv_model, inv_M) -> ChainMap:
 
 
 def build_psi(
-    comp_g: LieAlgebra,
-    M: KgModule,
     T: TransgressionData,
     A: CartanModel,
     h: KoszulDualComplex,
-    WM: KgModule,
-    inv_model,
+    WM: TensorModule,
+    inv_model: InvariantModel,
     twist: TwistData,
     corrupt_transgression: bool = False,
 ) -> ChainMap:
@@ -178,7 +177,7 @@ def build_psi(
     abelian case.
     """
     alg = T.weil.algebra
-    n = comp_g.dim
+    n = T.g.dim
     zero_exps = tuple([0] * n)
 
     omegas = []  # (integer element, its denominator)
@@ -337,9 +336,8 @@ def verify_duality(
     T = distinguished_transgression(g, P, Truncation(N), weil=W)
     twist = twist_operators(M, Truncation(N + 1), weil=W)
     h = h_of(A, T, Truncation(N))
-    psi = build_psi(g, M, T, A, h, WM, inv_WM, twist,
-                    corrupt_transgression=corrupt_transgression)
-    incl = inclusion_map(M, WM, inv_WM, inv_M)
+    psi = build_psi(T, A, h, WM, inv_WM, twist, corrupt_transgression=corrupt_transgression)
+    incl = inclusion_map(WM, inv_WM, inv_M)
 
     psi_qi = quasi_iso_check(psi, trunc)
     incl_qi = quasi_iso_check(incl, trunc)
@@ -381,10 +379,7 @@ def psi_contraction_compatibility(comp: DualityComputation) -> bool:
     g = comp.g
     ext = comp.weil.algebra.ext
     inv_WM_full = invariant_subcomplex(comp.product, with_actions=True)
-    psi = build_psi(
-        g, comp.module, comp.transgression, comp.cartan, comp.h,
-        comp.product, inv_WM_full, comp.twist,
-    )
+    psi = build_psi(comp.transgression, comp.cartan, comp.h, comp.product, inv_WM_full, comp.twist)
     multis = invariant_multivector_basis(g)
     for mv_idx, mv in enumerate(multis):
         # action on the h side: contract the primitive-product forms

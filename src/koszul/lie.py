@@ -85,6 +85,22 @@ class LieAlgebra:
                     out[(k, j, i)] = out.get((k, j, i), Q0) - c
         return out
 
+    @cached_property
+    def _adjoint(self) -> tuple:
+        """(ad, coad), built once; see adjoint_matrices."""
+        n = self.dim
+        ad = []
+        for k in range(n):
+            ents = {}
+            for j in range(n):
+                w = self.bracket(k, j)
+                for m in range(n):
+                    if w[m]:
+                        ents[(m, j)] = w[m]
+            ad.append(Matrix(n, n, ents))
+        coad = [m.transpose().scale(-1) for m in ad]
+        return RepMatrices(self, tuple(ad)), RepMatrices(self, tuple(coad))
+
     def c(self, k: int, i: int, j: int) -> Fraction:
         """Structure constant c^k_ij."""
         if not (0 <= i < self.dim and 0 <= j < self.dim and 0 <= k < self.dim):
@@ -240,20 +256,10 @@ def adjoint_matrices(g: LieAlgebra):
     """(ad, coad): the adjoint action on g and the coadjoint action on g*.
 
     coad_k = -(ad_k)^T, the convention under which the Lie derivative
-    induced on degree-1 exterior generators coincides with coad.
+    induced on degree-1 exterior generators coincides with coad.  Built
+    once per algebra and shared by every caller.
     """
-    n = g.dim
-    ad = []
-    for k in range(n):
-        ents = {}
-        for j in range(n):
-            w = g.bracket(k, j)
-            for m in range(n):
-                if w[m]:
-                    ents[(m, j)] = w[m]
-        ad.append(Matrix(n, n, ents))
-    coad = [m.transpose().scale(-1) for m in ad]
-    return RepMatrices(g, tuple(ad)), RepMatrices(g, tuple(coad))
+    return g._adjoint
 
 
 def invariant_vectors(rep: RepMatrices) -> list:

@@ -12,7 +12,10 @@ them by cross-multiplication (``row <- a*row - b*pivot``, as in Bareiss
 elimination).  ``_echelon`` feeds it a stream of rows and back-substitutes
 the result to the reduced row echelon form: ``RowReduction`` splits a
 Matrix into that stream, and ``row_kernel`` takes rows built elsewhere.
-``IncrementalSpan`` and ``Subspace`` keep the inserted rows as they are.
+``Subspace`` keeps the inserted rows as they are, and so does
+``IncrementalSpan``; no code in this package calls ``IncrementalSpan``,
+which stays only because the benchmark's tracer (``perfbench/spans.py``)
+binds ``IncrementalSpan.add``.
 The RREF of a matrix is unique, so kernel bases, solutions with free
 variables zero and complements do not depend on the elimination order and
 are stable across runs -- which is what makes golden-file tests possible.
@@ -33,7 +36,7 @@ spanning family, which is how every restricted operator is built.
 
 Dense vectors, tuples of Fractions, are read-outs: ``Matrix.columns``,
 ``kernel_basis``, ``Subspace.coords`` and ``express_in_span`` produce
-them, and ``solve_affine`` and ``IncrementalSpan`` take them.
+them, and ``solve_affine`` (and the unused ``IncrementalSpan``) take them.
 """
 
 from __future__ import annotations

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import Complex, GradedSpace, LinMap, TensorSpace, first_defect
 from .lie import LieAlgebra, RepMatrices, certify_reductive, invariant_vectors
@@ -164,27 +165,21 @@ def derivation_on_sym(matrices: Sequence[Matrix], total: int) -> list:
 
 
 class KgModule:
-    """A complex with contractions i_k; the Lie derivatives follow (see L_ops).
+    """A complex with contractions i_k, checked here for count and shift;
+    the Lie derivatives follow (see L_ops)."""
 
-    Pass i_ops=None on a tensor product whose meta holds "i_factors" (see
-    i_ops); given i_ops are checked for count and shift here.
-    """
-
-    def __init__(self, g: LieAlgebra, complex_: Complex, i_ops: Optional[Sequence[LinMap]],
-                 name: str = "module", meta: Optional[dict] = None):
-        if i_ops is not None:
-            if len(i_ops) != g.dim:
-                raise ValueError(f"need {g.dim} contraction operators, got {len(i_ops)}")
-            for op in i_ops:
-                if op.shift != -1:
-                    raise ValueError("contractions must have shift -1")
-            i_ops = tuple(i_ops)
+    def __init__(self, g: LieAlgebra, complex_: Complex, i_ops: Sequence[LinMap],
+                 name: str = "module"):
+        i_ops = tuple(i_ops)
+        if len(i_ops) != g.dim:
+            raise ValueError(f"need {g.dim} contraction operators, got {len(i_ops)}")
+        for op in i_ops:
+            if op.shift != -1:
+                raise ValueError("contractions must have shift -1")
         self.g = g
         self.complex = complex_
-        self._i_ops = i_ops
+        self.i_ops = i_ops
         self.name = name
-        self.meta = meta or {}
-        self._L_ops = None
 
     @property
     def space(self) -> GradedSpace:
@@ -202,78 +197,26 @@ class KgModule:
     def max_usable(self) -> int:
         return self.complex.max_usable
 
-    def _lift_factors(self, key: str, shift: int, top: Optional[int] = None) -> tuple:
-        """opA⊗1 + 1⊗opB per factor pair that meta[key]() yields, as one summed lift."""
-        lift_sum = self.meta["tensor"].lift_sum
-        return tuple(lift_sum([(A, None), (None, B)], shift, top)
-                     for A, B in self.meta[key]())
-
-    @property
-    def i_ops(self) -> tuple:
-        """The contractions i_k.
-
-        On a tensor product (tensor_module, the Weil model) they are lifted
-        on first read from the factor pairs that meta["i_factors"]() yields,
-        i_k = i_k⊗1 + 1⊗i_k with the Koszul sign, and cached: the duality
-        verifier never reads them on W⊗M.
-        """
-        if self._i_ops is None:
-            self._i_ops = self._lift_factors("i_factors", -1)
-        return self._i_ops
-
-    @property
+    @cached_property
     def L_ops(self) -> tuple:
-        """The Lie derivatives L_k, cached; blocks only on degrees <= max_usable.
-
-        On a tensor product (tensor_module, the Weil model) L_k = L_k⊗1 +
-        1⊗L_k, lifted in one summed lift from the factor L_k pairs that
-        meta["L_factors"]() yields (degree 0, so no Koszul sign); on any
-        other module L_k = d i_k + i_k d.  They are lifted only when read
-        (validate_kg, the action on cohomology, tests): the verifier cuts a
-        product's invariants from the factor rows instead, and checks
-        invariance on them (see invariant_blocks and is_invariant).
-        """
-        if self._L_ops is None:
-            if "L_factors" in self.meta:
-                ops = self._lift_factors("L_factors", 0, self.max_usable)
-            else:
-                d, degrees = self.d, self.complex.usable_degrees(1)
-                ops = [LinMap(self.space, self.space, 0, {
-                    deg: d.block(deg - 1) @ ik.block(deg) + ik.block(deg + 1) @ d.block(deg)
-                    for deg in degrees
-                }) for ik in self.i_ops]
-            self._L_ops = tuple(ops)
-        return self._L_ops
+        """The Lie derivatives L_k = d i_k + i_k d, built on first read;
+        blocks only on degrees <= max_usable."""
+        d, degrees = self.d, self.complex.usable_degrees(1)
+        return tuple(LinMap(self.space, self.space, 0, {
+            deg: d.block(deg - 1) @ ik.block(deg) + ik.block(deg + 1) @ d.block(deg)
+            for deg in degrees
+        }) for ik in self.i_ops)
 
     def invariant_blocks(self, degrees) -> dict:
         """deg -> the common kernel of the L_k at deg, as the columns of a
-        Matrix, for the given degrees (each <= max_usable).
-
-        On a tensor product it is cut straight from the rows of L_k⊗1 +
-        1⊗L_k over the factor blocks (TensorSpace.diagonal_rows, one row view
-        per factor block for all the degrees), so L_ops is not lifted; on any
-        other module it is the joint kernel of the L_ops blocks.
-        """
-        if "L_factors" not in self.meta:
-            return {deg: joint_kernel([op.block(deg) for op in self.L_ops], self.space.dim(deg))
-                    for deg in degrees}
-        rows_at = self._factor_L_rows()
-        return {deg: row_kernel(rows_at(deg), self.space.dim(deg)) for deg in degrees}
+        Matrix, for the given degrees (each <= max_usable)."""
+        return {deg: joint_kernel([op.block(deg) for op in self.L_ops], self.space.dim(deg))
+                for deg in degrees}
 
     def is_invariant(self, deg: int, X: Matrix) -> bool:
         """Whether every L_k kills each column of X, a block of degree-deg
-        vectors, by direct application; on a tensor product the rows of
-        L_k⊗1 + 1⊗L_k are applied, so L_ops is not lifted."""
-        if "L_factors" not in self.meta:
-            return all((op.block(deg) @ X).is_zero() for op in self.L_ops)
-        rows = list(self._factor_L_rows()(deg))
-        R = Matrix._from_ints(len(rows), X.rows, {
-            (k, c): v for k, row in enumerate(rows) for c, v in row.items()}, 1)
-        return (R @ X).is_zero()
-
-    def _factor_L_rows(self):
-        """TensorSpace.diagonal_rows of the factor L_k pairs of a tensor product."""
-        return self.meta["tensor"].diagonal_rows(list(self.meta["L_factors"]()))
+        vectors, by direct application."""
+        return all((op.block(deg) @ X).is_zero() for op in self.L_ops)
 
     def contraction_of_multivector(self, coeffs: Sequence, monos: Sequence[tuple]) -> LinMap:
         """Composite contraction for a multivector given in a monomial basis.
@@ -296,6 +239,58 @@ class KgModule:
 
     def __repr__(self):
         return f"KgModule({self.name}, dims={self.complex.dims()})"
+
+
+class TensorModule(KgModule):
+    """A module on a TensorSpace whose i_k and L_k are Leibniz lifts of
+    factor operator pairs: i_k = iA_k⊗1 + 1⊗iB_k with the Koszul sign, and
+    L_k = LA_k⊗1 + 1⊗LB_k (degree 0, so no sign).
+
+    i_pairs() and L_pairs() yield the (A-side, B-side) pairs, one per k.
+    They are separate sources so that reading one lifts nothing the other
+    needs: i_ops and L_ops are each lifted in one summed lift on first
+    read, and the duality verifier reads neither on W⊗M.  Invariants are
+    cut straight from the rows of the L pairs (see L_rows), so L_ops is
+    not lifted for them either.
+    """
+
+    def __init__(self, g: LieAlgebra, complex_: Complex, tensor: TensorSpace,
+                 i_pairs: Callable[[], Iterable], L_pairs: Callable[[], Iterable], name: str):
+        # not KgModule.__init__: the contractions are lifted on first read
+        self.g = g
+        self.complex = complex_
+        self.tensor = tensor
+        self.name = name
+        self._i_pairs = i_pairs
+        self._L_pairs = L_pairs
+
+    def _lift_pairs(self, pairs: Iterable, shift: int, top: Optional[int] = None) -> tuple:
+        return tuple(self.tensor.lift_sum([(A, None), (None, B)], shift, top) for A, B in pairs)
+
+    @cached_property
+    def i_ops(self) -> tuple:
+        return self._lift_pairs(self._i_pairs(), -1)
+
+    @cached_property
+    def L_ops(self) -> tuple:
+        """Lifted up to max_usable only: a factor holds L only up to its own
+        max_usable (see tensor_module)."""
+        return self._lift_pairs(self._L_pairs(), 0, self.max_usable)
+
+    def L_rows(self):
+        """deg -> the rows of the stacked L_k blocks at deg, from the factor
+        blocks (TensorSpace.diagonal_rows), without lifting L_ops."""
+        return self.tensor.diagonal_rows(list(self._L_pairs()))
+
+    def invariant_blocks(self, degrees) -> dict:
+        rows_at = self.L_rows()
+        return {deg: row_kernel(rows_at(deg), self.space.dim(deg)) for deg in degrees}
+
+    def is_invariant(self, deg: int, X: Matrix) -> bool:
+        rows = list(self.L_rows()(deg))
+        R = Matrix._from_ints(len(rows), X.rows, {
+            (k, c): v for k, row in enumerate(rows) for c, v in row.items()}, 1)
+        return (R @ X).is_zero()
 
 
 @dataclass
@@ -413,8 +408,7 @@ def exterior_model(g: LieAlgebra) -> KgModule:
             blocks[p] = Matrix(len(monos[p - 1]), len(monos[p]), ents)
         i_ops.append(LinMap(space, space, -1, blocks))
 
-    return KgModule(g, Complex(space, d), i_ops, name=f"Λ({g.name})",
-                    meta={"monomials": monos})
+    return KgModule(g, Complex(space, d), i_ops, name=f"Λ({g.name})")
 
 
 def trivial_module(g: LieAlgebra) -> KgModule:
@@ -432,8 +426,7 @@ def invariant_rep_module(g: LieAlgebra, rep: RepMatrices, grade: int = 0) -> KgM
     space = GradedSpace(labels) if inv else GradedSpace({}, lo=grade, hi=grade)
     d = LinMap.zero(space, space, 1)
     i_ops = [LinMap.zero(space, space, -1) for _ in range(g.dim)]
-    return KgModule(g, Complex(space, d), i_ops, name=f"({rep_name(rep)})^g",
-                    meta={"vectors": inv})
+    return KgModule(g, Complex(space, d), i_ops, name=f"({rep_name(rep)})^g")
 
 
 def rep_name(rep: RepMatrices) -> str:
@@ -441,20 +434,20 @@ def rep_name(rep: RepMatrices) -> str:
 
 
 def tensor_module(M: KgModule, N: KgModule, max_total: Optional[int] = None,
-                  name: Optional[str] = None) -> KgModule:
+                  name: Optional[str] = None) -> TensorModule:
     """Tensor product with Koszul-sign Leibniz differential and contractions.
 
     d(m⊗n) = dm⊗n + (-1)^|m| m⊗dn and likewise for each i_k, each one
     summed lift of the two factor operators.  d is lifted here; the i_k
     and the Lie derivatives L_k = L_k⊗1 + 1⊗L_k are lifted from the
-    factors on first read (see KgModule.i_ops and KgModule.L_ops).  A
-    factor holds L only up to its own max_usable, so the lift equals
-    d∘i_k + i_k∘d on every product degree up to the product's max_usable
-    P as long as every factor degree met there is usable: P - N.space.lo
-    <= M.max_usable and P - M.space.lo <= N.max_usable.  Complete factors
-    satisfy this at any max_total, and so does W(g) built to degree N+1
-    tensored with a module of degrees >= 0 at max_total=N+1, which is how
-    verify_duality builds W⊗M.
+    factors on first read (see TensorModule).  A factor holds L only up
+    to its own max_usable, so the lift equals d∘i_k + i_k∘d on every
+    product degree up to the product's max_usable P as long as every
+    factor degree met there is usable: P - N.space.lo <= M.max_usable and
+    P - M.space.lo <= N.max_usable.  Complete factors satisfy this at any
+    max_total, and so does W(g) built to degree N+1 tensored with a module
+    of degrees >= 0 at max_total=N+1, which is how verify_duality builds
+    W⊗M.
     """
     if M.g is not N.g and M.g != N.g:
         raise ValueError("tensor factors live over different Lie algebras")
@@ -464,16 +457,9 @@ def tensor_module(M: KgModule, N: KgModule, max_total: Optional[int] = None,
     complete = M.complete and N.complete and top == natural_top
     product = TensorSpace(M.space, N.space, top)
     d = product.lift_sum([(M.d, None), (None, N.d)], 1)
-    label = name or f"{M.name}⊗{N.name}"
-    return KgModule(
-        g,
-        Complex(product.space, d, complete=complete, check=False),
-        None,
-        name=label,
-        meta={"tensor": product, "factors": (M, N),
-              "i_factors": lambda: zip(M.i_ops, N.i_ops),
-              "L_factors": lambda: zip(M.L_ops, N.L_ops)},
-    )
+    return TensorModule(g, Complex(product.space, d, complete=complete, check=False), product,
+                        lambda: zip(M.i_ops, N.i_ops), lambda: zip(M.L_ops, N.L_ops),
+                        name or f"{M.name}⊗{N.name}")
 
 
 def polynomial_forms_module(
@@ -575,8 +561,8 @@ def polynomial_forms_module(
 
 def wedge_by_generator(ext: KgModule, k: int) -> LinMap:
     """Left wedge multiplication y^k ∧ (·) on an exterior_model module."""
-    monos = ext.meta["monomials"]
     space = ext.space
+    monos = {p: lambda_monomials(ext.g.dim, p) for p in space.degrees()}
     index = {p: {m: i for i, m in enumerate(monos[p])} for p in monos}
     blocks = {}
     for p, plist in monos.items():

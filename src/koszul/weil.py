@@ -55,6 +55,7 @@ from .lie import LieAlgebra
 from .linalg import Matrix, Subspace, joint_kernel, rank
 from .modules import (
     KgModule,
+    TensorModule,
     exterior_model,
     lambda_monomials,
     sym_monomials,
@@ -85,7 +86,7 @@ class WeilAlgebra:
         self.product = product
         self.sym_basis = sym_basis
         self.d = d
-        lambda_basis = ext.meta["monomials"]
+        lambda_basis = {r: lambda_monomials(g.dim, r) for r in range(min(max_degree, g.dim) + 1)}
         self.basis = {m: [(sym_basis[q][a], lambda_basis[r][b])
                           for q, a, r, b in product.entries.get(m, ())]
                       for m in range(max_degree + 1)}
@@ -146,17 +147,15 @@ class WeilAlgebra:
         return out
 
 
-class WeilModule(KgModule):
+class WeilModule(TensorModule):
     """W(g) as a module with contractions; keeps the monomial calculus around.
 
     i_k = 1 ⊗ i_k^Λ and L_k = L_k^S ⊗ 1 + 1 ⊗ L_k^Λ (the coadjoint action
-    on both) are lifted from the factors on first read (see KgModule.i_ops
-    and KgModule.L_ops).
+    on both) are lifted from the factors on first read (see TensorModule).
     """
 
-    def __init__(self, g: LieAlgebra, algebra: WeilAlgebra, complex_: Complex,
-                 meta: dict, name: str):
-        super().__init__(g, complex_, None, name=name, meta=meta)
+    def __init__(self, algebra: WeilAlgebra, complex_: Complex, i_pairs, L_pairs, name: str):
+        super().__init__(algebra.g, complex_, algebra.product, i_pairs, L_pairs, name)
         self.algebra = algebra
 
 
@@ -184,7 +183,7 @@ def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
         L_k = lift [(−Θ_k, 1), (1, L_k^Λ)], cut at max_usable = N − 1
 
     d_W is lifted here; i_k and L_k are lifted on first read (see
-    KgModule.i_ops).  d_W² = 0 is checked on the result (a truncated
+    TensorModule).  d_W² = 0 is checked on the result (a truncated
     module).
     """
     ext = exterior_model(g)  # certifies that g is reductive
@@ -192,10 +191,8 @@ def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
     product = alg.product
     no_contraction = LinMap.zero(product.A, product.A, -1)
     cx = Complex(product.space, alg.d, complete=False, check=True)
-    meta = {"tensor": product,
-            "i_factors": lambda: ((no_contraction, ik) for ik in ext.i_ops),
-            "L_factors": lambda: zip(sym_action, ext.L_ops)}
-    return WeilModule(g, alg, cx, meta, name=f"W({g.name})")
+    return WeilModule(alg, cx, lambda: ((no_contraction, ik) for ik in ext.i_ops),
+                      lambda: zip(sym_action, ext.L_ops), f"W({g.name})")
 
 
 def maurer_cartan_residuals(W: WeilModule) -> list:
@@ -290,7 +287,7 @@ class TwistData:
         self.unit = _twist_on_unit(module, self.space)
 
     @cached_property
-    def tensor(self) -> KgModule:
+    def tensor(self) -> TensorModule:
         return tensor_module(self.exterior, self.module, max_total=self.top,
                              name=f"Λ⊗{self.module.name}")
 
@@ -298,7 +295,7 @@ class TwistData:
     def generator(self) -> LinMap:
         """𝐢, degree 0."""
         ext, M = self.exterior, self.module
-        return self.tensor.meta["tensor"].lift_sum(
+        return self.tensor.tensor.lift_sum(
             [(wedge_by_generator(ext, k).scale(-1), M.i_ops[k]) for k in range(M.g.dim)], 0)
 
     @cached_property
@@ -397,7 +394,7 @@ def twist_closed_form(data: TwistData) -> LinMap:
         if I:
             wedges[I] = wedge_by_generator(ext, I[0]).compose(wedges[I[1:]])
         terms.append((wedges[I].scale(_twist_sign(len(I))), composite))
-    return data.tensor.meta["tensor"].lift_sum(terms, 0)
+    return data.tensor.tensor.lift_sum(terms, 0)
 
 
 def twist_identity_contraction(data: TwistData) -> bool:
@@ -406,7 +403,7 @@ def twist_identity_contraction(data: TwistData) -> bool:
     M = data.module
     degrees = TM.complex.usable_degrees(1)
     for k in range(M.g.dim):
-        lam_only = TM.meta["tensor"].lift(ext.i_ops[k], None)
+        lam_only = TM.tensor.lift(ext.i_ops[k], None)
         lhs = TM.i_ops[k].compose(data.twist)
         rhs = data.twist.compose(lam_only)
         # comparing at degree d uses blocks landing at d-1: always materialized
@@ -423,7 +420,7 @@ def twist_identity_differential(data: TwistData) -> bool:
     L_k is even, so its lift carries no Koszul sign.
     """
     TM, ext, M = data.tensor, data.exterior, data.module
-    action = TM.meta["tensor"].lift_sum(
+    action = TM.tensor.lift_sum(
         [(wedge_by_generator(ext, k), M.L_ops[k]) for k in range(M.g.dim)], 1)
     twisted_d = TM.d.sub(action)
     lhs = TM.d.compose(data.twist)
@@ -473,7 +470,7 @@ class TwistEmbedding:
 
     cartan: CartanModel
     weil: WeilModule
-    product: KgModule  # W(g) ⊗ M
+    product: TensorModule  # W(g) ⊗ M
     twist: TwistData
     basic: HorizontalBasic
     map: ChainMap  # Cartan -> basic complex
@@ -491,7 +488,7 @@ class TwistEmbedding:
         return True
 
 
-def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: KgModule, data: TwistData):
+def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: TensorModule, data: TwistData):
     """The assembly x = sum a⊗m  ->  ω · sum a·T(1⊗m) in W⊗M coordinates, on integers.
 
     Returns (image, den).  image(adeg, x, omega, deg) is the sparse integer
@@ -502,9 +499,9 @@ def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: KgModule, data: Twis
     denominator of T on 1⊗M.
     """
     alg = W.algebra
-    ext_monos = data.exterior.meta["monomials"]
+    ext_monos = {p: lambda_monomials(W.g.dim, p) for p in data.exterior.space.degrees()}
     twist_entries = data.space.entries
-    wm_index = WM.meta["tensor"].index
+    wm_index = WM.tensor.index
     den = lcm(*[m.den for m in data.unit.blocks.values()])
     unit_cols = {q: {mi: [(pos, v * (den // m.den)) for pos, v in col]
                      for mi, col in m.int_columns().items()}
@@ -538,7 +535,7 @@ def twist_embedding(
     trunc: Truncation,
     weil: Optional[WeilModule] = None,
     cartan: Optional[CartanModel] = None,
-    product: Optional[KgModule] = None,
+    product: Optional[TensorModule] = None,
 ) -> TwistEmbedding:
     """Build the embedding of the Cartan model into (W(g)⊗M) basic elements."""
     g = M.g
@@ -577,7 +574,7 @@ def embedding_s_linearity(emb: TwistEmbedding) -> bool:
     """a' · Ψ(x) = Ψ(a' · x) for every invariant symmetric generator a'."""
     A = emb.cartan
     W = emb.weil
-    product = emb.product.meta["tensor"]
+    product = emb.product.tensor
     for s_deg, inv_vectors in sorted(A.s_invariants.items()):
         a = s_deg // 2
         if a == 0:

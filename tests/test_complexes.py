@@ -357,7 +357,7 @@ def test_diagonal_rows_are_the_stacked_lift_rows():
     ext, N = exterior_model(g), 4
     W = weil_model(g, Truncation(N + 1))
     for module in (tensor_module(W, ext, max_total=N + 1), W, tensor_module(ext, ext)):
-        rows_at = module.meta["tensor"].diagonal_rows(list(module.meta["L_factors"]()))
+        rows_at = module.L_rows()
         for t in module.complex.usable_degrees(1):
             got = list(rows_at(t))
             want = _stacked_rows([L.block(t) for L in module.L_ops], module.space.dim(t))

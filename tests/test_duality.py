@@ -132,9 +132,21 @@ def test_duality_builds_only_what_it_reads():
     g = builtin_algebra("su2xsu2")
     report, comp = verify_duality(exterior_model(g), Truncation(4))
     assert report.verdict
-    assert comp.product._i_ops is None
+    assert "i_ops" not in vars(comp.product)
     assert not {"tensor", "generator", "twist", "twist_inv"} & set(vars(comp.twist))
     assert comp.twist.exterior is comp.weil.algebra.ext
+
+
+def test_product_invariants_leave_weil_contractions_unlifted(su2):
+    # the i and L pairs of W⊗M are separate sources: cutting its invariants
+    # reads the L_k of W, never its i_k
+    from koszul.equivariant import invariant_subcomplex
+    from koszul.modules import tensor_module
+    from koszul.weil import weil_model
+
+    W = weil_model(su2, Truncation(5))
+    invariant_subcomplex(tensor_module(W, exterior_model(su2), max_total=5), with_actions=False)
+    assert "L_ops" in vars(W) and "i_ops" not in vars(W)
 
 
 def test_duality_sl2_trivial():
@@ -218,8 +230,8 @@ def test_invariant_path_builds_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     inv_WM = invariant_subcomplex(WM, with_actions=False)
-    incl = inclusion_map(M, WM, inv_WM, inv_M)
-    psi = build_psi(g, M, T, A, h, WM, inv_WM, twist)
+    incl = inclusion_map(WM, inv_WM, inv_M)
+    psi = build_psi(T, A, h, WM, inv_WM, twist)
     assert built == []
     monkeypatch.undo()
     assert inv_WM.vectors[4].cols and incl.map.blocks and psi.map.blocks
@@ -295,7 +307,7 @@ def test_product_invariants_lift_no_operator(monkeypatch, su2):
 
     M = exterior_model(su2)
     report, comp = verify_duality(M, Truncation(4))
-    assert comp.product._L_ops is None
+    assert "L_ops" not in vars(comp.product)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
         "60661a7e749c06d56148196c545ea8627154fa3ea2e5f86e8a2497d9f7ce657d")
     shifts = []

@@ -114,6 +114,8 @@ def test_adjoint_matrices_su2():
     assert ad.matrices[0].column(2) == vec([0, -2, 0])
     ad.check()
     coad.check()
+    # built once per algebra
+    assert adjoint_matrices(g) is adjoint_matrices(g)
 
 
 def test_adjoint_matrices_sl2():

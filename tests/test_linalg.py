@@ -367,7 +367,7 @@ def test_row_kernel_on_the_tensor_stream():
     M = exterior_model(builtin_algebra("su2xsu2"))
     W = weil_model(M.g, Truncation(5))
     WM = tensor_module(W, M, max_total=5)
-    rows_at = WM._factor_L_rows()
+    rows_at = WM.L_rows()
     degrees = WM.complex.usable_degrees(1)
     assert list(degrees) == [0, 1, 2, 3, 4]
     for deg in degrees:

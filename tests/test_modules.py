@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koszul.complexes import Complex, GradedSpace, LinMap, Truncation
-from koszul.lie import BUILTIN_NAMES, adjoint_matrices, builtin_algebra
+from koszul.lie import BUILTIN_NAMES, adjoint_matrices, builtin_algebra, invariant_vectors
 from koszul.linalg import Matrix, vec
 from koszul.modules import (
     KgModule,
     ModuleValidationError,
+    TensorModule,
     delete_index,
     derivation_on_sym,
     doubled_differential_identity,
@@ -122,6 +123,12 @@ def test_corrupted_contraction_caught(su2, ext_su2):
     ]
 
 
+def test_module_without_contractions_fails_at_construction(su2, ext_su2):
+    # only a TensorModule lifts its contractions later; a KgModule needs them now
+    with pytest.raises(TypeError):
+        KgModule(su2, ext_su2.complex, None)
+
+
 def test_one_contraction_file_module_witnesses(su2):
     data = {"degrees": {"0": ["a"], "1": ["b"]},
             "d": [{"degree": 0, "row": 0, "col": 0, "c": "1"}],
@@ -179,7 +186,7 @@ def test_invariant_rep_sym2_coadjoint(su2):
     mod = invariant_rep_module(su2, sym2, grade=0)
     # one invariant: the Killing-dual quadratic i*^2 + j*^2 + k*^2
     assert mod.space.dim(0) == 1
-    v = mod.meta["vectors"][0]
+    v = invariant_vectors(sym2)[0]
     monos = sym_monomials(3, 2)
     nonzero = {monos[i]: c for i, c in enumerate(v) if c}
     assert set(nonzero) == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
@@ -259,7 +266,7 @@ def test_tensor_associativity_under_relabeling(su2):
 def assert_L_lifted_from_factors(M):
     """M.L_ops of a tensor product equal d∘i_k + i_k∘d on every degree up to
     max_usable, recomputed here from the product's own d and i_k."""
-    assert "factors" in M.meta
+    assert isinstance(M, TensorModule)
     top = M.max_usable
     for L, ik in zip(M.L_ops, M.i_ops):
         assert all(deg <= top for deg in L.blocks)
@@ -269,12 +276,11 @@ def assert_L_lifted_from_factors(M):
                 assert L.block(deg) == derived, (M.name, deg)
 
 
-def assert_i_lifted_from_factors(M, eager_left=None):
-    """M.i_ops of a tensor product, lifted on first read, equal block by block
-    the eager summed lift of the factors' contractions, i_k⊗1 + 1⊗i_k.
-    eager_left replaces the left factor's own (lazily lifted) i_k."""
-    A, B = M.meta["factors"]
-    lift_sum = M.meta["tensor"].lift_sum
+def assert_i_lifted_from_factors(M, A, B, eager_left=None):
+    """M.i_ops of the tensor product M = A⊗B, lifted on first read, equal
+    block by block the eager summed lift of the factors' contractions,
+    i_k⊗1 + 1⊗i_k.  eager_left replaces A's own (lazily lifted) i_k."""
+    lift_sum = M.tensor.lift_sum
     for ik, iA, iB in zip(M.i_ops, eager_left or A.i_ops, B.i_ops):
         eager = lift_sum([(iA, None), (None, iB)], -1)
         assert ik.shift == -1 and set(ik.blocks) == set(eager.blocks), M.name
@@ -292,8 +298,8 @@ def test_lifted_L_on_weil_product(name, kind):
     W = weil_model(g, Truncation(N + 1))
     WM = tensor_module(W, M, max_total=N + 1)
     # W's own i_k = 1⊗i_k^Λ, lifted eagerly here
-    eager_W = [W.meta["tensor"].lift(None, ik) for ik in W.algebra.ext.i_ops]
-    assert_i_lifted_from_factors(WM, eager_left=eager_W)
+    eager_W = [W.tensor.lift(None, ik) for ik in W.algebra.ext.i_ops]
+    assert_i_lifted_from_factors(WM, W, M, eager_left=eager_W)
     assert all(lazy.equal_on(eager, W.space.degrees()) for lazy, eager in zip(W.i_ops, eager_W))
     assert_L_lifted_from_factors(WM)
     report = validate_kg(WM)
@@ -303,10 +309,11 @@ def test_lifted_L_on_weil_product(name, kind):
 def test_lifted_L_on_exterior_products(su2, ext_su2):
     full = tensor_module(ext_su2, ext_su2)
     truncated = tensor_module(ext_su2, ext_su2, max_total=3)
-    left = tensor_module(tensor_module(ext_su2, ext_su2), ext_su2, max_total=4)
-    right = tensor_module(ext_su2, tensor_module(ext_su2, ext_su2), max_total=4)
-    for M in (full, truncated, left, right):
-        assert_i_lifted_from_factors(M)
+    left = tensor_module(full, ext_su2, max_total=4)
+    right = tensor_module(ext_su2, full, max_total=4)
+    for M, A, B in ((full, ext_su2, ext_su2), (truncated, ext_su2, ext_su2),
+                    (left, full, ext_su2), (right, ext_su2, full)):
+        assert_i_lifted_from_factors(M, A, B)
         assert_L_lifted_from_factors(M)
         assert validate_kg(M).ok, M.name
     assert full.complete and not truncated.complete

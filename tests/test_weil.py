@@ -333,7 +333,7 @@ def _twist_test_modules():
 def test_twist_on_unit_matches_series(M):
     """T built directly on the columns 1⊗m equals those columns of exp(−𝐢)."""
     data = twist_operators(M, Truncation(M.space.hi + 1))
-    product = data.tensor.meta["tensor"]
+    product = data.tensor.tensor
     assert data.space.entries == product.entries
     for r in M.space.degrees():
         series, unit = data.twist.block(r), data.unit.block(r)
@@ -417,7 +417,7 @@ def test_embedding_expansion_golden(su2):
     M = exterior_model(su2)
     data = twist_operators(M, Truncation(6))
     TM = data.tensor
-    basis = TM.meta["tensor"].entries
+    basis = TM.tensor.entries
     idx = {e: i for i, e in enumerate(basis[2])}
     src = idx[(0, 0, 2, 2)]  # 1 ⊗ j*∧k*
     col = data.twist.block(2).column(src)
