@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from copy import copy
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
@@ -334,16 +335,13 @@ class TensorSpace:
 
         return rows_at
 
-    def lift_sum(self, terms: Sequence, shift: int, top: Optional[int] = None) -> LinMap:
-        """Sum of opA ⊗ opB over terms [(opA, opB), ...]; None stands for the identity.
-
-        Every term must have total shift ``shift``.  Koszul sign rule:
-        (f⊗g)(x⊗y) = (-1)^{|g|·|x|} f(x)⊗g(y), with |g| the parity of opB's
-        shift.  All terms accumulate into one entry dict per degree, so each
-        block is built once; entries that cancel and empty blocks are not
-        stored.  Images outside the window are dropped, and so are source
-        degrees above ``top`` when it is given.
-        """
+    def _parts(self, terms: Sequence, shift: int) -> Callable[[int], Optional[tuple]]:
+        """The sign, window and denominator rule of lift_sum and apply_sum:
+        parts_at(t) is None when no term maps degree t into the window, else
+        (parts, den), a part (imA, imB, row0, col0, n_src, n_tgt, k) per term
+        and stratum q with both factor blocks: their column views (built once
+        for all t), the stratum's first target row and column, dim B^(t-q),
+        dim B^(t-q+|opB|), k = (-1)^(|opB|·q)·den/(dA·dB); den = lcm of dA·dB."""
         A, B = self.A, self.B
         identity: dict = {}  # dim -> integer identity columns ({i: ((i, 1),)}, 1)
 
@@ -363,16 +361,11 @@ class TensorSpace:
             if sA + sB != shift:
                 raise ShapeError(f"lifted term of shift {sA + sB} in a sum of shift {shift}")
             prepared.append((opA, opB, sA, sB, {}, {}))
-        # one int object per position, shared by all the keys that hold it;
-        # fresh ints in every key raise peak memory on large products by 5-10%
-        pos = list(range(max(map(len, self.entries.values()), default=0)))
-        blocks = {}
-        for t, starts in self.offsets.items():
-            tgt = self.offsets.get(t + shift)
-            if tgt is None or (top is not None and t > top):
-                continue
-            parts = []  # one per (term, stratum q) with both factor blocks present
-            for opA, opB, sA, sB, colsA, colsB in prepared:
+
+        def parts_at(t: int) -> Optional[tuple]:
+            starts, tgt = self.offsets.get(t), self.offsets.get(t + shift)
+            found = []
+            for opA, opB, sA, sB, colsA, colsB in prepared if starts and tgt else ():
                 for q, col0 in starts.items():
                     row0 = tgt.get(q + sA)
                     if row0 is None:
@@ -384,17 +377,39 @@ class TensorSpace:
                         colsB[r] = columns(opB, r, B.dim(r))
                     fA, fB = colsA[q], colsB[r]
                     if fA and fB:
-                        parts.append((fA, fB, row0, col0, B.dim(r), B.dim(r + sB),
-                                      sB % 2 and q % 2))
-            if not parts:
+                        found.append((fA, fB, row0, col0, B.dim(r), B.dim(r + sB),
+                                      -1 if sB % 2 and q % 2 else 1))
+            if not found:
+                return None
+            den = lcm(*[dA * dB for (_, dA), (_, dB), *_ in found])
+            return [(imA, imB, row0, col0, n_src, n_tgt, sign * (den // (dA * dB)))
+                    for (imA, dA), (imB, dB), row0, col0, n_src, n_tgt, sign in found], den
+
+        return parts_at
+
+    def lift_sum(self, terms: Sequence, shift: int, top: Optional[int] = None) -> LinMap:
+        """Sum of opA ⊗ opB over terms [(opA, opB), ...]; None stands for the identity.
+
+        Every term must have total shift ``shift``.  Koszul sign rule:
+        (f⊗g)(x⊗y) = (-1)^{|g|·|x|} f(x)⊗g(y), with |g| the parity of opB's
+        shift.  All terms accumulate into one entry dict per degree, so each
+        block is built once; entries that cancel and empty blocks are not
+        stored.  Images outside the window are dropped, and so are source
+        degrees above ``top`` when it is given.
+        """
+        parts_at = self._parts(terms, shift)
+        # one int object per position, shared by all the keys that hold it;
+        # fresh ints in every key raise peak memory on large products by 5-10%
+        pos = list(range(max(map(len, self.entries.values()), default=0)))
+        blocks = {}
+        for t in self.offsets:
+            found = None if top is not None and t > top else parts_at(t)
+            if found is None:
                 continue
-            den = lcm(*[dA * dB for (_, dA), (_, dB), *_ in parts])
+            parts, den = found
             ents: dict = {}
             get = ents.get
-            for (imA, dA), (imB, dB), row0, col0, n_src, n_tgt, negate in parts:
-                k = den // (dA * dB)
-                if negate:
-                    k = -k
+            for imA, imB, row0, col0, n_src, n_tgt, k in parts:
                 for a, colA in imA.items():
                     for b, colB in imB.items():
                         col = pos[col0 + a * n_src + b]
@@ -406,6 +421,32 @@ class TensorSpace:
                                 ents[key] = get(key, 0) + kA * vB
             blocks[t] = Matrix._from_ints(self.space.dim(t + shift), self.space.dim(t), ents, den)
         return LinMap(self.space, self.space, shift, blocks)
+
+    def apply_sum(self, terms: Sequence, shift: int, t: int, V: Matrix) -> Matrix:
+        """lift_sum(terms, shift).block(t) @ V for a block V of degree-t
+        columns, its entries in the same order, with no block of the sum
+        built: each basis vector in the support of V is lifted once to its
+        image column, straight from the factor blocks (see _parts)."""
+        if V.rows != self.space.dim(t):
+            raise ShapeError(f"{V.rows} rows applied at degree {t} of dim {self.space.dim(t)}")
+        parts, den = self._parts(terms, shift)(t) or ((), 1)
+        lifted, ents = {}, {}  # source position -> its image [(row, numerator)]; the product
+        get = ents.get
+        for (i, j), w in V.num.items():
+            if i not in lifted:
+                q, a, _, b = self.entries[t][i]
+                acc: dict = {}
+                for imA, imB, row0, col0, _, n_tgt, k in parts:
+                    if col0 == self.offsets[t][q] and a in imA and b in imB:
+                        for rowA, vA in imA[a]:
+                            base = row0 + rowA * n_tgt
+                            for rowB, vB in imB[b]:
+                                acc[base + rowB] = acc.get(base + rowB, 0) + k * vA * vB
+                lifted[i] = [(row, v) for row, v in acc.items() if v]
+            for row, v in lifted[i]:
+                rc = (row, j)
+                ents[rc] = get(rc, 0) + v * w
+        return Matrix._from_ints(self.space.dim(t + shift), V.cols, ents, den * V.den)
 
 
 class Complex:
@@ -447,6 +488,10 @@ class Complex:
     def dims(self) -> dict:
         return {d: self.space.dim(d) for d in self.space.degrees()}
 
+    def image(self, deg: int, V: Matrix) -> Matrix:
+        """d·V for a block V of degree-deg columns."""
+        return self.d.block(deg) @ V
+
     def truncated(self, top: int) -> "Complex":
         """The complex cut at degree top (itself when top reaches the window's end)."""
         if top >= self.space.hi:
@@ -454,6 +499,29 @@ class Complex:
         space = self.space.truncated(top)
         blocks = {d: m for d, m in self.d.blocks.items() if d <= top - 1}
         return Complex(space, LinMap(space, space, 1, blocks), complete=False, check=False)
+
+
+class TensorComplex(Complex):
+    """A complex on a TensorSpace, cut at degree top + 1 when top is given,
+    whose d is tensor.lift_sum(terms, 1, top), lifted on first read; image
+    and truncated build no block of it.  d² is not checked."""
+
+    def __init__(self, tensor: TensorSpace, terms: Sequence, complete: bool, top: Optional[int] = None):
+        self.tensor, self.terms, self.top, self.complete = tensor, terms, top, complete
+        self.space = tensor.space if top is None else tensor.space.truncated(top + 1)
+        self._cohomology_bases = {}
+
+    @cached_property
+    def d(self) -> LinMap:
+        return LinMap(self.space, self.space, 1, self.tensor.lift_sum(self.terms, 1, self.top).blocks)
+
+    def image(self, deg: int, V: Matrix) -> Matrix:
+        if self.top is not None and deg > self.top:
+            return Matrix.zero(self.space.dim(deg + 1), V.cols)
+        return self.tensor.apply_sum(self.terms, 1, deg, V)
+
+    def truncated(self, top: int) -> "Complex":
+        return self if top >= self.space.hi else TensorComplex(self.tensor, self.terms, False, top - 1)
 
 
 @dataclass
@@ -669,18 +737,26 @@ def induced_map(
     SubcomplexError when the image of a sub-basis vector leaves the target
     subspace.
     """
+    return _restricted(lambda d, V: op.block(d) @ V, op.shift,
+                       src_vectors, tgt_vectors, src_space, tgt_space)
+
+
+def _restricted(image: Callable[[int, Matrix], Matrix], shift: int, src_vectors: dict,
+                tgt_vectors: dict, src_space: GradedSpace, tgt_space: GradedSpace) -> LinMap:
+    """induced_map of the map of the given shift whose d·V is image(d, V)."""
     blocks = {}
     for d in src_space.degrees():
         V = src_vectors.get(d)
-        rows = op.target.dim(d + op.shift)
-        if V is None or not V.cols or not rows:
+        if V is None or not V.cols:
             continue
-        W = tgt_vectors.get(d + op.shift, Matrix.zero(rows, 0))
-        m = Subspace(W).restrict(op.block(d) @ V)
+        X = image(d, V)
+        if not X.rows:
+            continue
+        m = Subspace(tgt_vectors.get(d + shift, Matrix.zero(X.rows, 0))).restrict(X)
         if m is None:
             raise SubcomplexError(f"operator image leaves the subspace at degree {d}")
         blocks[d] = m
-    return LinMap(src_space, tgt_space, op.shift, blocks)
+    return LinMap(src_space, tgt_space, shift, blocks)
 
 
 def subcomplex(
@@ -691,12 +767,13 @@ def subcomplex(
     """Complex structure on per-degree subspaces, plus the inclusion map.
 
     `vectors`: degree -> Matrix of independent columns in the coordinates
-    of C; each block is also the inclusion at its degree.
+    of C; each block is also the inclusion at its degree.  The restricted
+    differential reads d only as the images C.image(deg, V).
     """
     vectors = {d: V for d, V in vectors.items() if V.cols}
     labels = {d: tuple(f"{label_prefix}[{d},{i}]" for i in range(V.cols)) for d, V in vectors.items()}
     space = GradedSpace(labels, lo=C.space.lo, hi=C.space.hi)
-    d_map = induced_map(C.d, vectors, vectors, space, space)
+    d_map = _restricted(C.image, 1, vectors, vectors, space, space)
     sub = Complex(space, d_map, complete=C.complete, check=False)
     incl = ChainMap(sub, C, LinMap(space, C.space, 0, vectors))
     return sub, incl

@@ -23,6 +23,7 @@ from .complexes import (
     GradedSpace,
     LinMap,
     SubcomplexError,
+    TensorComplex,
     TensorSpace,
     Truncation,
     cohomology_classes,
@@ -244,37 +245,22 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
 
     # invariants of the diagonal action per total degree
     diagonal = ambient.diagonal_rows(list(zip(sym_action, M.L_ops)))
-    vectors = {deg: row_kernel(diagonal(deg), len(ents)) for deg, ents in ambient.entries.items()}
+    vectors = {deg: V for deg, ents in ambient.entries.items()
+               if (V := row_kernel(diagonal(deg), len(ents))).cols}
 
-    # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs)
-    amb_d = ambient.lift_sum(
-        [(None, M.d)]
-        + [(sym_multiplication(S, sym_basis, 1, sym_generator(n, k)), M.i_ops[k])
-           for k in range(n)], 1)
-    amb_complex = Complex(ambient.space, amb_d, complete=False, check=False)
-
-    vectors = {d: v for d, v in vectors.items() if v.cols}
+    # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs),
+    # read only as its images of the invariant columns: none of it is lifted
+    amb_complex = TensorComplex(ambient, [(None, M.d)] + [
+        (sym_multiplication(S, sym_basis, 1, sym_generator(n, k)), M.i_ops[k])
+        for k in range(n)], complete=False)
     sub, _ = subcomplex(amb_complex, vectors, label_prefix=f"({M.name})_g")
     bad = sub.d_squared_defect()
     if bad is not None:
         raise SubcomplexError(f"equivariant differential fails d^2 = 0 at {bad}")
 
-    s_inv = {}
-    for a in range(max_a + 1):
-        inv = sym_invariants(g, a)
-        if inv:
-            s_inv[2 * a] = inv
-
-    return CartanModel(
-        module=M,
-        g=g,
-        N=N,
-        complex=sub,
-        ambient=ambient,
-        sym_basis=sym_basis,
-        vectors=vectors,
-        s_invariants=s_inv,
-    )
+    s_inv = {2 * a: inv for a in range(max_a + 1) if (inv := sym_invariants(g, a))}
+    return CartanModel(module=M, g=g, N=N, complex=sub, ambient=ambient, sym_basis=sym_basis,
+                       vectors=vectors, s_invariants=s_inv)
 
 
 def induced_action_on_cohomology(M: KgModule, deg: int):

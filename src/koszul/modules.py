@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .complexes import Complex, GradedSpace, LinMap, TensorSpace, first_defect
+from .complexes import Complex, GradedSpace, LinMap, TensorComplex, TensorSpace, first_defect
 from .lie import LieAlgebra, RepMatrices, certify_reductive, invariant_vectors
 from .linalg import Matrix, iparse, joint_kernel, qparse, qstr, row_kernel
 
@@ -251,7 +251,7 @@ class TensorModule(KgModule):
     needs: i_ops and L_ops are each lifted in one summed lift on first
     read, and the duality verifier reads neither on W⊗M.  Invariants are
     cut straight from the rows of the L pairs (see L_rows), so L_ops is
-    not lifted for them either.
+    not lifted for them either, nor d (a TensorComplex, see tensor_module).
     """
 
     def __init__(self, g: LieAlgebra, complex_: Complex, tensor: TensorSpace,
@@ -377,21 +377,19 @@ def exterior_model(g: LieAlgebra) -> KgModule:
     labels = {p: tuple(lambda_label(m, names) for m in monos[p]) for p in range(n + 1)}
     space = GradedSpace(labels)
 
+    # the nonzero c^m_ab of each generator m, a < b in order, read once
+    brackets = [[(a, b, c) for a in range(n) for b in range(a + 1, n) if (c := g.c(m, a, b))]
+                for m in range(n)]
     d_blocks = {}
     for p in range(n):
         ents: dict = {}
         for col, mono in enumerate(monos[p]):
             for t in range(p):
-                gen = mono[t]
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        c = g.c(gen, a, b)
-                        if not c:
-                            continue
-                        sign, new = wedge_normalize(mono[:t] + (a, b) + mono[t + 1 :])
-                        if sign:
-                            rc = (index[p + 1][new], col)
-                            ents[rc] = ents.get(rc, 0) + (-1) ** t * sign * c
+                for a, b, c in brackets[mono[t]]:
+                    sign, new = wedge_normalize(mono[:t] + (a, b) + mono[t + 1 :])
+                    if sign:
+                        rc = (index[p + 1][new], col)
+                        ents[rc] = ents.get(rc, 0) + (-1) ** t * sign * c
         d_blocks[p] = Matrix(len(monos[p + 1]), len(monos[p]), ents)
     d = LinMap(space, space, 1, d_blocks)
 
@@ -438,16 +436,16 @@ def tensor_module(M: KgModule, N: KgModule, max_total: Optional[int] = None,
     """Tensor product with Koszul-sign Leibniz differential and contractions.
 
     d(m⊗n) = dm⊗n + (-1)^|m| m⊗dn and likewise for each i_k, each one
-    summed lift of the two factor operators.  d is lifted here; the i_k
-    and the Lie derivatives L_k = L_k⊗1 + 1⊗L_k are lifted from the
-    factors on first read (see TensorModule).  A factor holds L only up
-    to its own max_usable, so the lift equals d∘i_k + i_k∘d on every
-    product degree up to the product's max_usable P as long as every
-    factor degree met there is usable: P - N.space.lo <= M.max_usable and
-    P - M.space.lo <= N.max_usable.  Complete factors satisfy this at any
-    max_total, and so does W(g) built to degree N+1 tensored with a module
-    of degrees >= 0 at max_total=N+1, which is how verify_duality builds
-    W⊗M.
+    summed lift of the two factor operators, lifted on first read: d (a
+    TensorComplex, applied to columns d·V from the factor blocks), the i_k
+    and the Lie derivatives L_k = L_k⊗1 + 1⊗L_k (see TensorModule).  A
+    factor holds L only up to its own max_usable, so the lift equals
+    d∘i_k + i_k∘d on every product degree up to the product's max_usable P
+    as long as every factor degree met there is usable: P - N.space.lo <=
+    M.max_usable and P - M.space.lo <= N.max_usable.  Complete factors
+    satisfy this at any max_total, and so does W(g) built to degree N+1
+    tensored with a module of degrees >= 0 at max_total=N+1, which is how
+    verify_duality builds W⊗M.
     """
     if M.g is not N.g and M.g != N.g:
         raise ValueError("tensor factors live over different Lie algebras")
@@ -456,8 +454,7 @@ def tensor_module(M: KgModule, N: KgModule, max_total: Optional[int] = None,
     top = natural_top if max_total is None else min(max_total, natural_top)
     complete = M.complete and N.complete and top == natural_top
     product = TensorSpace(M.space, N.space, top)
-    d = product.lift_sum([(M.d, None), (None, N.d)], 1)
-    return TensorModule(g, Complex(product.space, d, complete=complete, check=False), product,
+    return TensorModule(g, TensorComplex(product, [(M.d, None), (None, N.d)], complete), product,
                         lambda: zip(M.i_ops, N.i_ops), lambda: zip(M.L_ops, N.L_ops),
                         name or f"{M.name}⊗{N.name}")
 

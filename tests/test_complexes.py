@@ -429,6 +429,66 @@ def test_lift_sum_matches_kronecker_sum_large_denominators(data):
 
 
 # ---------------------------------------------------------------------------
+# TensorSpace.apply_sum, the lifted sum applied to a block of columns straight
+# from the factor blocks, against the dense Kronecker sum and the lifted block
+# ---------------------------------------------------------------------------
+
+
+def _draw_full_space(data, name):
+    """A space with 1 or 2 basis vectors in each of 2 or 3 consecutive
+    degrees from -1, 0 or 1 on: the lifted sums on it are rarely empty."""
+    lo = data.draw(st.integers(-1, 1))
+    dims = data.draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    return GradedSpace({lo + i: tuple(f"{name}{lo + i}_{k}" for k in range(n)) for i, n in enumerate(dims)})
+
+
+def _thinned(data, op):
+    """op with a random subset of its blocks dropped; None stays the identity."""
+    if op is None or not data.draw(st.booleans()):
+        return op
+    return LinMap(op.source, op.target, op.shift,
+                  {d: m for d, m in op.blocks.items() if data.draw(st.booleans())})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_apply_sum_matches_kronecker_sum_times_columns(data):
+    """Odd factor degrees and shifts (the Koszul sign), rational factor blocks
+    with large denominators, missing factor blocks, source degrees whose image
+    leaves the window, empty V and V over a non-unit denominator."""
+    A, B = _draw_full_space(data, "a"), _draw_full_space(data, "b")
+    top = data.draw(st.one_of(st.just(A.hi + B.hi), st.integers(A.lo + B.lo, A.hi + B.hi)))
+    ts = TensorSpace(A, B, top)
+    shift = data.draw(st.integers(-1, 2))
+    terms = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        sA = data.draw(st.integers(-1, 1))
+        terms.append((_thinned(data, _draw_op(data, A, sA, MIXED_ENTRIES)),
+                      _thinned(data, _draw_op(data, B, shift - sA, MIXED_ENTRIES))))
+    # mostly a degree whose image lands in the window, sometimes any degree
+    inside = [d for d in ts.space.degrees() if ts.space.dim(d + shift)] or [top + 1]
+    anywhere = st.integers(ts.space.lo - 1, top + 1)
+    t = data.draw(st.sampled_from(inside) if data.draw(st.integers(0, 3)) else anywhere)
+    cols = data.draw(st.integers(1, 3))
+    values = data.draw(st.lists(SMALL_ENTRIES[0].filter(bool), min_size=ts.space.dim(t) * cols,
+                                max_size=ts.space.dim(t) * cols))
+    V = Matrix(ts.space.dim(t), cols, {(i, j): values[i * cols + j]
+                                       for i in range(ts.space.dim(t)) for j in range(cols)})
+    V = V.scale(data.draw(st.sampled_from([1, Fraction(1, 6), Fraction(-5, 65537)])))
+    got = ts.apply_sum(terms, shift, t, V)
+    rows = ts.space.dim(t + shift)
+    block = _kronecker_sum(A, B, top, terms, shift).get(t, [[Fraction(0)] * V.rows] * rows)
+    assert got.dense() == [[sum((row[k] * V[k, j] for k in range(V.rows)), Fraction(0))
+                            for j in range(V.cols)] for row in block]
+    assert _canonical_block(got)
+    want = ts.lift_sum(terms, shift).block(t) @ V
+    assert got == want and list(got.num) == list(want.num)  # the same entries, in the same order
+    assert ts.apply_sum(terms, shift, t, V.take([])) == Matrix.zero(rows, 0)
+    with pytest.raises(ShapeError):
+        ts.apply_sum(terms, shift, t, Matrix.zero(V.rows + 1, 1))
+
+
+# ---------------------------------------------------------------------------
 # Witnesses of the d² and chain-map checks, against dense Fraction products
 # ---------------------------------------------------------------------------
 

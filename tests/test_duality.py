@@ -299,8 +299,9 @@ def test_each_chain_check_runs_once(monkeypatch, su2, corrupt, digest):
 
 def test_product_invariants_lift_no_operator(monkeypatch, su2):
     """verify_duality cuts the invariants of W⊗M from the factor rows, so the
-    product's L_k stay unlifted, and cartan_model makes no shift-0 lift_sum
-    (the diagonal action); the su(2) exterior N=4 report is unchanged."""
+    product's L_k stay unlifted, and cartan_model calls no lift_sum at all
+    (neither the diagonal action nor the ambient differential); the su(2)
+    exterior N=4 report is unchanged."""
     import hashlib
 
     from koszul.complexes import TensorSpace
@@ -319,4 +320,42 @@ def test_product_invariants_lift_no_operator(monkeypatch, su2):
 
     monkeypatch.setattr(TensorSpace, "lift_sum", counted)
     cartan_model(M, Truncation(4))
-    assert shifts and 0 not in shifts
+    assert not shifts
+
+
+def test_verifier_builds_no_product_differential(monkeypatch):
+    """verify_duality reads the differentials of W⊗M and of the Cartan
+    ambient S(g*)⊗M only as d·V on invariant columns, so it lifts no block
+    of either; the d of W⊗M, lifted when read, still makes the inclusion of
+    its invariants a chain map and restricts to the same differential."""
+    from koszul.complexes import TensorSpace, check_chain_map, induced_map
+
+    lifted = []
+    lift_sum = TensorSpace.lift_sum
+
+    def recorded(ts, terms, shift, top=None):
+        lifted.append((ts, shift))
+        return lift_sum(ts, terms, shift, top)
+
+    monkeypatch.setattr(TensorSpace, "lift_sum", recorded)
+    report, comp = verify_duality(exterior_model(builtin_algebra("su2xsu2")), Truncation(4))
+    assert report.verdict
+    assert "d" not in vars(comp.product.complex)
+    assert not [ts for ts, shift in lifted if shift == 1 and ts in (comp.product.tensor, comp.cartan.ambient)]
+    inv = comp.invariants
+    assert check_chain_map(inv.inclusion).ok
+    assert "d" in vars(inv.inclusion.target)
+    ambient_d = inv.inclusion.target.d
+    assert induced_map(ambient_d, inv.vectors, inv.vectors, inv.complex.space, inv.complex.space).equal_on(
+        inv.complex.d, inv.complex.space.degrees())
+
+
+def test_su2xsu2_exterior_n8_report_golden():
+    """Byte-identical su2xsu2 exterior N=8 report: W⊗M reaches degree 9 here,
+    so d·V runs on more strata of the product than any bench case."""
+    import hashlib
+
+    report, _ = verify_duality(exterior_model(builtin_algebra("su2xsu2")), N8)
+    assert report.verdict
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "6aa89bd4e0a001d52d31f6ce18de960e1496f9d87336dca04e8d6d362e227480")
