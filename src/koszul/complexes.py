@@ -242,21 +242,20 @@ class TensorSpace:
 
     ``entries[t]`` lists the basis of total degree t as tuples (q, a, r, b):
     basis vector a of A in degree q times basis vector b of B in degree
-    r = t - q, ordered by q, then a, then b.  ``index[t]`` maps each tuple to
-    its position (built on first use) and ``space`` is the product,
-    labelled "a⊗b" (a degree's labels are built on first read).  The
-    entries with one q form a contiguous stratum starting at
-    ``offsets[t][q]``, in which (a, b) sits at a·dim B^r + b.
-    ``lo`` defaults to A.lo + B.lo.
+    r = t - q, ordered by q, then a, then b, and ``space`` is the product,
+    labelled "a⊗b" (a degree's labels are built on first read).  Only this
+    class knows where a⊗b sits: position(q, a, r, b) is its index and
+    embed(X, deg, left) gives the columns x⊗1 or 1⊗x.  ``lo`` defaults to
+    A.lo + B.lo.
     """
 
-    __slots__ = ("A", "B", "space", "entries", "offsets", "_index")
+    __slots__ = ("A", "B", "space", "entries", "_offsets")
 
     def __init__(self, A: GradedSpace, B: GradedSpace, top: int, lo: Optional[int] = None):
         lo = A.lo + B.lo if lo is None else lo
         self.A, self.B = A, B
         self.entries: dict = {}
-        self.offsets: dict = {}
+        self._offsets: dict = {}  # t -> {q: start of the stratum A^q ⊗ B^(t-q)}
         for t in range(lo, top + 1):
             ents = []
             starts = {}
@@ -266,16 +265,24 @@ class TensorSpace:
                     ents.extend((q, a, t - q, b) for a in range(A.dim(q)) for b in range(B.dim(t - q)))
             if ents:
                 self.entries[t] = ents
-                self.offsets[t] = starts
+                self._offsets[t] = starts
         self.space = _ProductSpace(A, B, self.entries, lo, top)
-        self._index = None
 
-    @property
-    def index(self) -> dict:
-        """Position of each entry tuple per degree, built on first use."""
-        if self._index is None:
-            self._index = {t: {e: i for i, e in enumerate(ents)} for t, ents in self.entries.items()}
-        return self._index
+    def position(self, q: int, a: int, r: int, b: int) -> int:
+        """The index of a⊗b, basis vector a of A^q times b of B^r, in degree
+        q + r: in the stratum of q, (a, b) sits at a·dim B^r + b."""
+        start = self._offsets.get(q + r, {}).get(q)
+        if start is None:
+            raise WindowError(f"A^{q}⊗B^{r} is not in the window {self.space.lo}..{self.space.hi}")
+        return start + a * self.B.dim(r) + b
+
+    def embed(self, X: Matrix, deg: int, left: bool) -> Matrix:
+        """The columns x⊗1 (left) or 1⊗x for a block X of degree-deg columns
+        of A (left) or of B, where 1 is basis vector 0 of the other
+        factor's degree 0."""
+        at = (lambda i: self.position(deg, i, 0, 0)) if left else (lambda i: self.position(0, 0, deg, i))
+        return Matrix._from_ints(self.space.dim(deg), X.cols,
+                                 {(at(i), j): v for (i, j), v in X.num.items()}, X.den)
 
     def lift(self, opA: Optional[LinMap], opB: Optional[LinMap],
              top: Optional[int] = None) -> LinMap:
@@ -306,7 +313,7 @@ class TensorSpace:
                 views[op, deg] = rows, m.den
 
         def rows_at(t: int) -> Iterator[dict]:
-            starts = self.offsets.get(t, {})
+            starts = self._offsets.get(t, {})
             for opA, opB in pairs:
                 for q, col0 in starts.items():
                     r = t - q
@@ -363,7 +370,7 @@ class TensorSpace:
             prepared.append((opA, opB, sA, sB, {}, {}))
 
         def parts_at(t: int) -> Optional[tuple]:
-            starts, tgt = self.offsets.get(t), self.offsets.get(t + shift)
+            starts, tgt = self._offsets.get(t), self._offsets.get(t + shift)
             found = []
             for opA, opB, sA, sB, colsA, colsB in prepared if starts and tgt else ():
                 for q, col0 in starts.items():
@@ -402,7 +409,7 @@ class TensorSpace:
         # fresh ints in every key raise peak memory on large products by 5-10%
         pos = list(range(max(map(len, self.entries.values()), default=0)))
         blocks = {}
-        for t in self.offsets:
+        for t in self._offsets:
             found = None if top is not None and t > top else parts_at(t)
             if found is None:
                 continue
@@ -437,7 +444,7 @@ class TensorSpace:
                 q, a, _, b = self.entries[t][i]
                 acc: dict = {}
                 for imA, imB, row0, col0, _, n_tgt, k in parts:
-                    if col0 == self.offsets[t][q] and a in imA and b in imB:
+                    if col0 == self._offsets[t][q] and a in imA and b in imB:
                         for rowA, vA in imA[a]:
                             base = row0 + rowA * n_tgt
                             for rowB, vB in imB[b]:
@@ -737,12 +744,12 @@ def induced_map(
     SubcomplexError when the image of a sub-basis vector leaves the target
     subspace.
     """
-    return _restricted(lambda d, V: op.block(d) @ V, op.shift,
-                       src_vectors, tgt_vectors, src_space, tgt_space)
+    return restricted(lambda d, V: op.block(d) @ V, op.shift,
+                      src_vectors, tgt_vectors, src_space, tgt_space)
 
 
-def _restricted(image: Callable[[int, Matrix], Matrix], shift: int, src_vectors: dict,
-                tgt_vectors: dict, src_space: GradedSpace, tgt_space: GradedSpace) -> LinMap:
+def restricted(image: Callable[[int, Matrix], Matrix], shift: int, src_vectors: dict,
+               tgt_vectors: dict, src_space: GradedSpace, tgt_space: GradedSpace) -> LinMap:
     """induced_map of the map of the given shift whose d·V is image(d, V)."""
     blocks = {}
     for d in src_space.degrees():
@@ -773,7 +780,7 @@ def subcomplex(
     vectors = {d: V for d, V in vectors.items() if V.cols}
     labels = {d: tuple(f"{label_prefix}[{d},{i}]" for i in range(V.cols)) for d, V in vectors.items()}
     space = GradedSpace(labels, lo=C.space.lo, hi=C.space.hi)
-    d_map = _restricted(C.image, 1, vectors, vectors, space, space)
+    d_map = restricted(C.image, 1, vectors, vectors, space, space)
     sub = Complex(space, d_map, complete=C.complete, check=False)
     incl = ChainMap(sub, C, LinMap(space, C.space, 0, vectors))
     return sub, incl

@@ -131,26 +131,13 @@ class DualityComputation:
 
 def inclusion_map(WM: TensorModule, inv_model: InvariantModel, inv_M: InvariantModel) -> ChainMap:
     """(M)^g -> (W⊗M)^g, m -> 1⊗1⊗m."""
-    wm_index = WM.tensor.index
-
-    def one_tensor(deg: int, V: Matrix) -> Matrix:
-        # the columns of V moved to the rows 1⊗1⊗m of W⊗M
-        index = wm_index[deg]
-        num = {}
-        for (mi, j), v in V.num.items():
-            row = index.get((0, 0, deg, mi))
-            if row is None:
-                raise AssertionError("inclusion escaped the window")
-            num[(row, j)] = v
-        return Matrix._from_ints(WM.space.dim(deg), V.cols, num, V.den)
-
     blocks = {}
     src = inv_M.complex.space
     for deg in src.degrees():
         V = inv_M.vectors.get(deg)
         if V is None or not V.cols or deg > inv_model.complex.space.hi:
             continue
-        blk = inv_model.span(deg).restrict(one_tensor(deg, V))
+        blk = inv_model.span(deg).restrict(WM.tensor.embed(V, deg, left=False))
         if blk is None:
             raise ValueError(f"vector is not invariant at degree {deg}")
         blocks[deg] = blk

@@ -29,6 +29,7 @@ from .complexes import (
     cohomology_classes,
     cohomology_representatives,
     induced_map,
+    restricted,
     subcomplex,
 )
 from .lie import LieAlgebra, adjoint_matrices
@@ -189,9 +190,9 @@ class CartanModel:
             raise ValueError("coefficient vector does not match the monomial basis")
         factor = dict(zip(sym_monomials(self.g.dim, sym_degree), coeffs))
         mult = sym_multiplication(self.ambient.A, self.sym_basis, sym_degree, factor)
-        space = self.complex.space
-        return induced_map(self.ambient.lift(mult, None), self.vectors, self.vectors,
-                           space, space)
+        shift, space = 2 * sym_degree, self.complex.space
+        return restricted(lambda d, V: self.ambient.apply_sum([(mult, None)], shift, d, V), shift,
+                          self.vectors, self.vectors, space, space)
 
 
 def symmetric_algebra(g: LieAlgebra, max_a: int):

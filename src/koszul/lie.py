@@ -22,6 +22,7 @@ from .linalg import (
     hstack,
     iparse,
     joint_kernel,
+    lparse,
     qparse,
     qstr,
     rank,
@@ -145,7 +146,7 @@ def lie_algebra_from_dict(data: dict) -> LieAlgebra:
 def _lie_algebra_from_dict(data: dict) -> LieAlgebra:
     name = str(data["name"])
     n = iparse(data["dim"])
-    labels = tuple(str(x) for x in data["basis"])
+    labels = tuple(str(x) for x in lparse(data["basis"]))
     bracket_list = data.get("brackets", [])
     if n < 0 or len(labels) != n:
         raise LieAlgebraError(f"dim {n} does not match {len(labels)} basis labels")

@@ -75,6 +75,14 @@ def iparse(x) -> int:
     return int(x)
 
 
+def lparse(x) -> tuple:
+    """Parse a list field of the wire format; a string is rejected, not
+    split into one-character labels."""
+    if not isinstance(x, list):
+        raise TypeError(f"expected a list, got {x!r}")
+    return tuple(x)
+
+
 def vec(values: Iterable) -> tuple:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 

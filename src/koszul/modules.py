@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import Complex, GradedSpace, LinMap, TensorComplex, TensorSpace, first_defect
 from .lie import LieAlgebra, RepMatrices, certify_reductive, invariant_vectors
-from .linalg import Matrix, iparse, joint_kernel, qparse, qstr, row_kernel
+from .linalg import Matrix, iparse, joint_kernel, lparse, qparse, qstr, row_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +624,15 @@ def kg_module_from_dict(g: LieAlgebra, data: dict, name: str = "file-module") ->
         )
 
     try:
-        space = GradedSpace({iparse(k): tuple(v) for k, v in data["degrees"].items()})
+        labels = {iparse(k): lparse(v) for k, v in data["degrees"].items()}
+        if len(labels) != len(data["degrees"]):
+            raise ModuleValidationError(f"two degree keys name one degree: {sorted(data['degrees'])}")
+        space = GradedSpace(labels)
         d = build(data.get("d", []), 1)
         i_entries = data.get("i", {})
+        if set(i_entries) - {str(k) for k in range(g.dim)}:
+            raise ModuleValidationError(
+                f"contraction keys must be among '0'..'{g.dim - 1}', got {sorted(i_entries)}")
         i_ops = [build(i_entries.get(str(k), []), -1) for k in range(g.dim)]
     except ModuleValidationError:
         raise

@@ -214,19 +214,12 @@ class TransgressionData:
 def _lambda_inclusion(W: WeilModule, p: int) -> Matrix:
     """ξ -> 1 ⊗ ξ from Λ^p(g*) into W at degree p; its transpose restricts
     W to the exterior factor."""
-    alg = W.algebra
-    n = W.g.dim
-    zero = tuple([0] * n)
-    return Matrix._from_ints(W.space.dim(p), len(lambda_monomials(n, p)), {
-        (alg.index[p][(zero, mono)], i): 1 for i, mono in enumerate(lambda_monomials(n, p))}, 1)
+    return W.tensor.embed(Matrix.identity(W.tensor.B.dim(p)), p, left=False)
 
 
 def _sym_inclusion(W: WeilModule, a: int) -> Matrix:
     """s -> s ⊗ 1 from S^a(g*) into W at degree 2a."""
-    alg = W.algebra
-    monos = sym_monomials(W.g.dim, a)
-    return Matrix._from_ints(W.space.dim(2 * a), len(monos), {
-        (alg.index[2 * a][(mono, ())], i): 1 for i, mono in enumerate(monos)}, 1)
+    return W.tensor.embed(Matrix.identity(W.tensor.A.dim(2 * a)), 2 * a, left=True)
 
 
 def _lambda_inclusion_vector(W: WeilModule, coeffs: Sequence, p: int) -> Matrix:
@@ -260,11 +253,11 @@ def distinguished_transgression(
         )
     alg = W.algebra
     n = g.dim
-    # the contraction operators do not depend on the primitive: build them once
-    contraction_ops = [
-        (mv, W.contraction_of_multivector(mv.coeffs, lambda_monomials(n, mv.degree)))
-        for mv in invariant_multivector_basis(g)
-    ]
+    # the contraction operators do not depend on the primitive: build them once.
+    # W's i_k is 1⊗i_k^Λ and S(g*) is even, so a composite of them is the
+    # lift of the composite on Λ(g*), with no sign
+    contraction_ops = [(mv, W.tensor.lift(None, alg.ext.contraction_of_multivector(
+        mv.coeffs, lambda_monomials(n, mv.degree)))) for mv in invariant_multivector_basis(g)]
     entries = []
     for prim in P.primitives:
         p = prim.degree

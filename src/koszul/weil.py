@@ -225,41 +225,15 @@ def maurer_cartan_residuals(W: WeilModule) -> list:
 
 def weil_structure_maps(W: WeilModule):
     """(inclusion (S)^g -> W(g), restriction W(g) ->> Λ(g*)) as chain maps."""
-    g = W.g
-    alg = W.algebra
-    N = W.space.hi
-    n = g.dim
-    s_complex, s_vectors = sym_invariant_complex(g, N)
-    incl_blocks = {}
-    for deg, vecs in s_vectors.items():
-        a = deg // 2
-        monos = sym_monomials(n, a)
-        cols = []
-        for v in vecs:
-            img = [Q0] * W.space.dim(deg)
-            for exps, c in zip(monos, v):
-                if c:
-                    img[alg.index[deg][(exps, ())]] = c
-            cols.append(tuple(img))
-        incl_blocks[deg] = Matrix.from_columns(cols, nrows=W.space.dim(deg))
-    inclusion = ChainMap(
-        s_complex, W.complex,
-        LinMap(s_complex.space, W.space, 0, incl_blocks),
-    )
-
-    ext = alg.ext
-    restr_blocks = {}
-    for m in range(min(N, n) + 1):
-        ents = {}
-        lam_index = {mono: i for i, mono in enumerate(lambda_monomials(n, m))}
-        for col, (exps, lmono) in enumerate(alg.basis[m]):
-            if not any(exps):
-                ents[(lam_index[lmono], col)] = Q1
-        restr_blocks[m] = Matrix(ext.space.dim(m), W.space.dim(m), ents)
-    restriction = ChainMap(
-        W.complex, ext.complex,
-        LinMap(W.space, ext.space, 0, restr_blocks),
-    )
+    product, N = W.algebra.product, W.space.hi
+    s_complex, s_vectors = sym_invariant_complex(W.g, N)
+    inclusion = ChainMap(s_complex, W.complex, LinMap(s_complex.space, W.space, 0, {
+        deg: product.embed(Matrix.from_columns(vecs, nrows=product.A.dim(deg)), deg, left=True)
+        for deg, vecs in s_vectors.items()}))
+    ext = W.algebra.ext
+    restriction = ChainMap(W.complex, ext.complex, LinMap(W.space, ext.space, 0, {
+        m: product.embed(Matrix.identity(ext.space.dim(m)), m, left=False).transpose()
+        for m in range(min(N, W.g.dim) + 1)}))
     return inclusion, restriction
 
 
@@ -348,12 +322,11 @@ def _twist_on_unit(M: KgModule, space: TensorSpace) -> LinMap:
     straight into the rows (q, I, ·) of ``space``.
     """
     n = M.g.dim
-    position = {I: il for q in range(n + 1) for il, I in enumerate(lambda_monomials(n, q))}
+    index = {I: il for q in range(n + 1) for il, I in enumerate(lambda_monomials(n, q))}
     composites = _deletion_composites(M)
     blocks = {}
-    for r, starts in space.offsets.items():
-        parts = [(starts[len(I)] + position[I] * M.space.dim(r - len(I)), _twist_sign(len(I)),
-                  composite.blocks[r])
+    for r in space.space.degrees():
+        parts = [(space.position(len(I), index[I], r - len(I), 0), _twist_sign(len(I)), composite.blocks[r])
                  for I, composite in composites.items() if r in composite.blocks]
         den = lcm(*[blk.den for _, _, blk in parts])
         # distinct (I, row of ĵ_I m) land on distinct rows: nothing accumulates
@@ -501,7 +474,6 @@ def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: TensorModule, data: 
     alg = W.algebra
     ext_monos = {p: lambda_monomials(W.g.dim, p) for p in data.exterior.space.degrees()}
     twist_entries = data.space.entries
-    wm_index = WM.tensor.index
     den = lcm(*[m.den for m in data.unit.blocks.values()])
     unit_cols = {q: {mi: [(pos, v * (den // m.den)) for pos, v in col]
                      for mi, col in m.int_columns().items()}
@@ -509,7 +481,6 @@ def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: TensorModule, data: 
 
     def image(adeg: int, x: Sequence, omega: dict, deg: int) -> dict:
         img: dict = {}
-        index = wm_index[deg]
         entries = A.ambient.entries[adeg]
         for at, coeff in x:
             sdeg, si, q, mi = entries[at]
@@ -521,9 +492,7 @@ def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: TensorModule, data: 
                 c = coeff * tval
                 for (w_exps, w_mono), wv in prod.items():
                     w_deg = 2 * sum(w_exps) + len(w_mono)
-                    row = index.get((w_deg, alg.index[w_deg][(w_exps, w_mono)], r, im))
-                    if row is None:
-                        raise AssertionError("twist image escaped the window")
+                    row = WM.tensor.position(w_deg, alg.index[w_deg][(w_exps, w_mono)], r, im)
                     img[row] = img.get(row, 0) + c * wv
         return img
 

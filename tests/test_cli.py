@@ -168,9 +168,17 @@ def _module(**fields):
     ("--algebra", _algebra({"i": False, "j": 1, "terms": [{"k": 1, "c": "1"}]})),
     ("--module", _module(d=[{"degree": 0.7, "row": 0, "col": 0, "c": "1"}])),
     ("--module", _module(d=[{"degree": 0, "row": 0.0, "col": 0, "c": "1"}])),
+    ("--module", _module(degrees={"0": ["a"], "00": ["b"]}, d=[])),
+    ("--module", _module(i={"-1": [{"degree": 1, "row": 0, "col": 0, "c": "1"}]})),
+    ("--module", _module(i={"3": []})),
+    ("--module", _module(i={"01": []})),
+    ("--algebra", _algebra(basis="xy")),
+    ("--module", _module(degrees={"0": "ab", "1": ["c"]})),
 ], ids=["bracket-without-terms", "term-without-k", "index-not-int", "dim-not-int",
         "algebra-zero-denominator", "entry-without-col", "i-as-list", "degrees-as-list",
-        "module-zero-denominator", "dim-float", "index-bool", "degree-float", "row-float"])
+        "module-zero-denominator", "dim-float", "index-bool", "degree-float", "row-float",
+        "degree-keys-collide", "i-key-negative", "i-key-past-dim", "i-key-leading-zero",
+        "basis-as-string", "labels-as-string"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, flag, data):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(data))

@@ -186,6 +186,14 @@ def _draw_space(data, name):
     return GradedSpace({d: tuple(f"{name}{d}_{i}" for i in range(k)) for d, k in dims.items()})
 
 
+def _draw_full_space(data, name):
+    """A space with 1 or 2 basis vectors in each of 2 or 3 consecutive
+    degrees from -1, 0 or 1 on: the lifted sums on it are rarely empty."""
+    lo = data.draw(st.integers(-1, 1))
+    dims = data.draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    return GradedSpace({lo + i: tuple(f"{name}{lo + i}_{k}" for k in range(n)) for i, n in enumerate(dims)})
+
+
 SMALL_ENTRIES = (st.fractions(min_value=-3, max_value=3, max_denominator=3),)
 # integral blocks beside blocks with large coprime denominators, whose lcm and
 # every product of numerators grow large in the integer kernel
@@ -223,16 +231,17 @@ def _dense_factor(op, space, d):
     return op.block(d).dense()
 
 
+def _offset(A, B, t, q):
+    """Where the (A^q ⊗ B^(t-q)) stratum starts: after all strata of lower A-degree."""
+    return sum(A.dim(p) * B.dim(t - p) for p in range(A.lo, q))
+
+
 def _kronecker_sum(A, B, top, terms, shift):
     """Dense blocks {t: rows} of the sum of signed Kronecker products opA ⊗ opB."""
     lo = A.lo + B.lo
 
     def size(t):
         return sum(A.dim(q) * B.dim(t - q) for q in range(A.lo, A.hi + 1)) if lo <= t <= top else 0
-
-    def offset(t, q):
-        # the (A^q ⊗ B^{t-q}) stratum starts after all strata of lower A-degree
-        return sum(A.dim(p) * B.dim(t - p) for p in range(A.lo, q))
 
     blocks = {}
     for t in range(lo, top + 1):
@@ -247,7 +256,7 @@ def _kronecker_sum(A, B, top, terms, shift):
                     continue
                 FA, FB = _dense_factor(opA, A, q), _dense_factor(opB, B, r)
                 sign = -1 if sB * q % 2 else 1
-                row0, col0 = offset(u, q + sA), offset(t, q)
+                row0, col0 = _offset(A, B, u, q + sA), _offset(A, B, t, q)
                 nB_src, nB_tgt = B.dim(r), B.dim(r + sB)
                 for ra, fa in enumerate(FA):
                     for a, va in enumerate(fa):
@@ -265,7 +274,7 @@ def _negated(op, space):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_lift_matches_signed_kronecker_product(data):
-    A, B = _draw_space(data, "a"), _draw_space(data, "b")
+    A, B = _draw_full_space(data, "a"), _draw_full_space(data, "b")
     opA, opB = _draw_op(data, A), _draw_op(data, B)
     lo = A.lo + B.lo
     top = data.draw(st.integers(lo, A.hi + B.hi))
@@ -302,6 +311,45 @@ def test_lift_matches_signed_kronecker_product(data):
         assert _stored_canonically(padded)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_position_and_embed_match_the_entries(data):
+    """position(q, a, r, b) is the index of (q, a, r, b) in entries[q + r] and
+    raises WindowError, naming the degrees, for a stratum outside the window;
+    embed(X, deg, left) is the dense X⊗e₀ (left) or e₀⊗X in its stratum."""
+    A, B = _draw_full_space(data, "a"), _draw_full_space(data, "b")
+    lo = data.draw(st.integers(A.lo + B.lo, A.hi + B.hi))
+    top = data.draw(st.integers(lo, A.hi + B.hi))
+    ts = TensorSpace(A, B, top, lo)
+    for ents in ts.entries.values():
+        assert [ts.position(*e) for e in ents] == list(range(len(ents)))
+    for q in range(A.lo - 1, A.hi + 2):
+        for r in range(B.lo - 1, B.hi + 2):
+            if not (lo <= q + r <= top and A.dim(q) and B.dim(r)):
+                with pytest.raises(WindowError, match=f"A\\^{q}⊗B\\^{r} "):
+                    ts.position(q, 0, r, 0)
+
+    left = data.draw(st.booleans())
+    F, G = (A, B) if left else (B, A)  # X lives in F, e₀ in G^0
+    deg = data.draw(st.sampled_from(F.degrees()))
+    cols = data.draw(st.integers(1, 3))
+    values = data.draw(st.lists(SMALL_ENTRIES[0].filter(bool), min_size=F.dim(deg) * cols,
+                                max_size=F.dim(deg) * cols))
+    X = Matrix(F.dim(deg), cols, {(i, j): values[i * cols + j]
+                                  for i in range(F.dim(deg)) for j in range(cols)})
+    if not (lo <= deg <= top and G.dim(0)):
+        with pytest.raises(WindowError):
+            ts.embed(X, deg, left)
+        return
+    e0 = [[Fraction(int(i == 0))] for i in range(G.dim(0))]
+    factors = (X.dense(), e0) if left else (e0, X.dense())
+    kron = [[x * y for x in row_x for y in row_y] for row_x in factors[0] for row_y in factors[1]]
+    start = _offset(A, B, deg, deg if left else 0)
+    want = [[Fraction(0)] * cols for _ in range(ts.space.dim(deg))]
+    want[start:start + len(kron)] = kron
+    assert ts.embed(X, deg, left).dense() == want
+
+
 # ---------------------------------------------------------------------------
 # The rows of opA⊗1 + 1⊗opB, read straight from the factor blocks, against
 # the rows of the stacked lifted blocks
@@ -332,7 +380,7 @@ def _draw_factor(data, space):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_diagonal_rows_match_stacked_lift_random(data):
-    A, B = _draw_space(data, "a"), _draw_space(data, "b")
+    A, B = _draw_full_space(data, "a"), _draw_full_space(data, "b")
     top = data.draw(st.integers(A.lo + B.lo, A.hi + B.hi))
     ts = TensorSpace(A, B, top)
     pairs = [(_draw_factor(data, A), _draw_factor(data, B)) for _ in range(data.draw(st.integers(0, 3)))]
@@ -413,13 +461,13 @@ def test_combination_matches_dense_sum(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_lift_sum_matches_kronecker_sum_large_denominators(data):
-    A, B = _draw_space(data, "a"), _draw_space(data, "b")
+    A, B = _draw_full_space(data, "a"), _draw_full_space(data, "b")
     top = data.draw(st.integers(A.lo + B.lo, A.hi + B.hi))
     ts = TensorSpace(A, B, top)
-    shift = data.draw(st.integers(-2, 2))
+    shift = data.draw(st.integers(-1, 2))
     terms = []
     for _ in range(data.draw(st.integers(1, 3))):
-        sA = data.draw(st.integers(-2, 2))
+        sA = data.draw(st.integers(-1, 1))
         terms.append((_draw_op(data, A, sA, MIXED_ENTRIES),
                       _draw_op(data, B, shift - sA, MIXED_ENTRIES)))
     summed = ts.lift_sum(terms, shift)
@@ -432,14 +480,6 @@ def test_lift_sum_matches_kronecker_sum_large_denominators(data):
 # TensorSpace.apply_sum, the lifted sum applied to a block of columns straight
 # from the factor blocks, against the dense Kronecker sum and the lifted block
 # ---------------------------------------------------------------------------
-
-
-def _draw_full_space(data, name):
-    """A space with 1 or 2 basis vectors in each of 2 or 3 consecutive
-    degrees from -1, 0 or 1 on: the lifted sums on it are rarely empty."""
-    lo = data.draw(st.integers(-1, 1))
-    dims = data.draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
-    return GradedSpace({lo + i: tuple(f"{name}{lo + i}_{k}" for k in range(n)) for i, n in enumerate(dims)})
 
 
 def _thinned(data, op):

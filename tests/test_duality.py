@@ -324,10 +324,14 @@ def test_product_invariants_lift_no_operator(monkeypatch, su2):
 
 
 def test_verifier_builds_no_product_differential(monkeypatch):
-    """verify_duality reads the differentials of W⊗M and of the Cartan
-    ambient S(g*)⊗M only as d·V on invariant columns, so it lifts no block
-    of either; the d of W⊗M, lifted when read, still makes the inclusion of
-    its invariants a chain map and restricts to the same differential."""
+    """verify_duality reads the differential of W⊗M only as d·V on
+    invariant columns, and every operator on the Cartan ambient S(g*)⊗M
+    (its d and the S-action h(A) multiplies by) the same way, so it lifts
+    no block of d on W⊗M and nothing at all on S(g*)⊗M; the multivector
+    contractions of the transgression are lifted from Λ(g*), so W's i_k
+    stay unlifted too.  The d of W⊗M, lifted when read, still makes the
+    inclusion of its invariants a chain map and restricts to the same
+    differential."""
     from koszul.complexes import TensorSpace, check_chain_map, induced_map
 
     lifted = []
@@ -341,7 +345,9 @@ def test_verifier_builds_no_product_differential(monkeypatch):
     report, comp = verify_duality(exterior_model(builtin_algebra("su2xsu2")), Truncation(4))
     assert report.verdict
     assert "d" not in vars(comp.product.complex)
-    assert not [ts for ts, shift in lifted if shift == 1 and ts in (comp.product.tensor, comp.cartan.ambient)]
+    assert "i_ops" not in vars(comp.weil)
+    assert not [ts for ts, shift in lifted
+                if ts is comp.cartan.ambient or shift == 1 and ts is comp.product.tensor]
     inv = comp.invariants
     assert check_chain_map(inv.inclusion).ok
     assert "d" in vars(inv.inclusion.target)

@@ -339,7 +339,7 @@ def test_twist_on_unit_matches_series(M):
         series, unit = data.twist.block(r), data.unit.block(r)
         assert (unit.rows, unit.cols) == (series.rows, M.space.dim(r))
         for m in range(M.space.dim(r)):
-            assert unit.column(m) == series.column(product.index[r][(0, 0, r, m)]), (r, m)
+            assert unit.column(m) == series.column(product.position(0, 0, r, m)), (r, m)
 
 
 def test_twist_on_unit_covers_fractional_blocks(su2):
