@@ -17,6 +17,7 @@ its degrees from this rule and reports its witness through first_defect.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
@@ -237,6 +238,38 @@ class LinMap:
         return f"LinMap(shift={self.shift}, blocks at {sorted(self.blocks)})"
 
 
+class _IdentityColumns(Mapping):
+    """The integer column view {i: ((i, 1),)} of the dim x dim identity
+    block, as Matrix.int_columns gives it.  Nothing is stored for lookups
+    (apply_sum reads the columns in the support of V only); the items are
+    built once, on first walk, as lift_sum walks them once per column of
+    the other factor."""
+
+    __slots__ = ("dim", "_items")
+
+    def __init__(self, dim: int):
+        self.dim, self._items = dim, None
+
+    def __getitem__(self, i) -> tuple:
+        if not 0 <= i < self.dim:
+            raise KeyError(i)
+        return ((i, 1),)
+
+    def __contains__(self, i) -> bool:
+        return 0 <= i < self.dim
+
+    def __iter__(self):
+        return iter(range(self.dim))
+
+    def __len__(self) -> int:
+        return self.dim
+
+    def items(self) -> tuple:
+        if self._items is None:
+            self._items = tuple((i, ((i, 1),)) for i in range(self.dim))
+        return self._items
+
+
 class TensorSpace:
     """Graded tensor product A ⊗ B, cut to total degrees lo..top.
 
@@ -290,10 +323,11 @@ class TensorSpace:
         shift = (0 if opA is None else opA.shift) + (0 if opB is None else opB.shift)
         return self.lift_sum([(opA, opB)], shift, top)
 
-    def diagonal_rows(self, pairs: Sequence) -> Callable[[int], Iterator[dict]]:
+    def diagonal_rows(self, pairs: Sequence) -> Callable[..., Iterator[dict]]:
         """The rows of opA⊗1 + 1⊗opB for degree-0 factor pairs [(opA, opB), ...],
-        as a function of the total degree t that yields them as integer rows
-        (dicts col -> int), with no block of the product built.
+        as a function rows_at(t, ks=None) of the total degree t that yields
+        them as integer rows (dicts col -> int) for the pairs pairs[k], k in
+        ks (all pairs by default), with no block of the product built.
 
         Row (a', b') of stratum q holds opA[a', a] at column (a, b') and
         opB[b', b] at column (a', b), scaled by the lcm of the two block
@@ -301,23 +335,30 @@ class TensorSpace:
         missing factor block counts as zero, as in lift_sum.  The rows come
         pair by pair, then stratum by stratum, then by target index: the
         order of the lifted blocks' rows stacked pair after pair.  Each
-        factor block's row view is built once, here, for all degrees t.
+        factor block's row view is built once, on first use, for all calls.
         """
         A, B = self.A, self.B
-        views: dict = {}  # (op, degree) -> ({row: [(col, numerator)]}, den)
-        for op in {op for pair in pairs for op in pair}:
-            for deg, m in op.blocks.items():
-                rows: dict = {}
-                for (i, j), v in m.num.items():
-                    rows.setdefault(i, []).append((j, v))
-                views[op, deg] = rows, m.den
+        views: dict = {}  # (op, degree) -> ({row: [(col, numerator)]}, den), or None
 
-        def rows_at(t: int) -> Iterator[dict]:
+        def view(op, deg):
+            key = (op, deg)
+            if key not in views:
+                m = op.blocks.get(deg)
+                if m is None:
+                    views[key] = None
+                else:
+                    rows: dict = {}
+                    for (i, j), v in m.num.items():
+                        rows.setdefault(i, []).append((j, v))
+                    views[key] = rows, m.den
+            return views[key]
+
+        def rows_at(t: int, ks: Optional[Sequence[int]] = None) -> Iterator[dict]:
             starts = self._offsets.get(t, {})
-            for opA, opB in pairs:
+            for opA, opB in pairs if ks is None else [pairs[k] for k in ks]:
                 for q, col0 in starts.items():
                     r = t - q
-                    fA, fB = views.get((opA, q)), views.get((opB, r))
+                    fA, fB = view(opA, q), view(opB, r)
                     if fA is None and fB is None:
                         continue
                     rowsA, dA = fA or ({}, 1)
@@ -350,14 +391,11 @@ class TensorSpace:
         for all t), the stratum's first target row and column, dim B^(t-q),
         dim B^(t-q+|opB|), k = (-1)^(|opB|·q)·den/(dA·dB); den = lcm of dA·dB."""
         A, B = self.A, self.B
-        identity: dict = {}  # dim -> integer identity columns ({i: ((i, 1),)}, 1)
 
         def columns(op, deg, dim):
             # (integer column view, its denominator), or None without a block
             if op is None:
-                if dim not in identity:
-                    identity[dim] = ({i: ((i, 1),) for i in range(dim)}, 1)
-                return identity[dim]
+                return _IdentityColumns(dim), 1
             m = op.blocks.get(deg)
             return (m.int_columns(), m.den) if m is not None else None
 
@@ -429,31 +467,39 @@ class TensorSpace:
             blocks[t] = Matrix._from_ints(self.space.dim(t + shift), self.space.dim(t), ents, den)
         return LinMap(self.space, self.space, shift, blocks)
 
-    def apply_sum(self, terms: Sequence, shift: int, t: int, V: Matrix) -> Matrix:
-        """lift_sum(terms, shift).block(t) @ V for a block V of degree-t
+    def apply_sum(self, terms: Sequence, shift: int) -> Callable[[int, Matrix], Matrix]:
+        """The sum prepared for application: apply(t, V) is
+        lift_sum(terms, shift).block(t) @ V for a block V of degree-t
         columns, its entries in the same order, with no block of the sum
         built: each basis vector in the support of V is lifted once to its
-        image column, straight from the factor blocks (see _parts)."""
-        if V.rows != self.space.dim(t):
-            raise ShapeError(f"{V.rows} rows applied at degree {t} of dim {self.space.dim(t)}")
-        parts, den = self._parts(terms, shift)(t) or ((), 1)
-        lifted, ents = {}, {}  # source position -> its image [(row, numerator)]; the product
-        get = ents.get
-        for (i, j), w in V.num.items():
-            if i not in lifted:
-                q, a, _, b = self.entries[t][i]
-                acc: dict = {}
-                for imA, imB, row0, col0, _, n_tgt, k in parts:
-                    if col0 == self._offsets[t][q] and a in imA and b in imB:
-                        for rowA, vA in imA[a]:
-                            base = row0 + rowA * n_tgt
-                            for rowB, vB in imB[b]:
-                                acc[base + rowB] = acc.get(base + rowB, 0) + k * vA * vB
-                lifted[i] = [(row, v) for row, v in acc.items() if v]
-            for row, v in lifted[i]:
-                rc = (row, j)
-                ents[rc] = get(rc, 0) + v * w
-        return Matrix._from_ints(self.space.dim(t + shift), V.cols, ents, den * V.den)
+        image column, straight from the factor blocks.  One preparation
+        (see _parts) serves every call, so each factor block's column view
+        is built once for all of them."""
+        parts_at = self._parts(terms, shift)
+
+        def apply(t: int, V: Matrix) -> Matrix:
+            if V.rows != self.space.dim(t):
+                raise ShapeError(f"{V.rows} rows applied at degree {t} of dim {self.space.dim(t)}")
+            parts, den = parts_at(t) or ((), 1)
+            lifted, ents = {}, {}  # source position -> its image [(row, numerator)]; the product
+            get = ents.get
+            for (i, j), w in V.num.items():
+                if i not in lifted:
+                    q, a, _, b = self.entries[t][i]
+                    acc: dict = {}
+                    for imA, imB, row0, col0, _, n_tgt, k in parts:
+                        if col0 == self._offsets[t][q] and a in imA and b in imB:
+                            for rowA, vA in imA[a]:
+                                base = row0 + rowA * n_tgt
+                                for rowB, vB in imB[b]:
+                                    acc[base + rowB] = acc.get(base + rowB, 0) + k * vA * vB
+                    lifted[i] = [(row, v) for row, v in acc.items() if v]
+                for row, v in lifted[i]:
+                    rc = (row, j)
+                    ents[rc] = get(rc, 0) + v * w
+            return Matrix._from_ints(self.space.dim(t + shift), V.cols, ents, den * V.den)
+
+        return apply
 
 
 class Complex:
@@ -495,9 +541,9 @@ class Complex:
     def dims(self) -> dict:
         return {d: self.space.dim(d) for d in self.space.degrees()}
 
-    def image(self, deg: int, V: Matrix) -> Matrix:
-        """d·V for a block V of degree-deg columns."""
-        return self.d.block(deg) @ V
+    def images(self) -> Callable[[int, Matrix], Matrix]:
+        """image(deg, V) = d·V for a block V of degree-deg columns."""
+        return lambda deg, V: self.d.block(deg) @ V
 
     def truncated(self, top: int) -> "Complex":
         """The complex cut at degree top (itself when top reaches the window's end)."""
@@ -510,7 +556,7 @@ class Complex:
 
 class TensorComplex(Complex):
     """A complex on a TensorSpace, cut at degree top + 1 when top is given,
-    whose d is tensor.lift_sum(terms, 1, top), lifted on first read; image
+    whose d is tensor.lift_sum(terms, 1, top), lifted on first read; images
     and truncated build no block of it.  d² is not checked."""
 
     def __init__(self, tensor: TensorSpace, terms: Sequence, complete: bool, top: Optional[int] = None):
@@ -522,10 +568,17 @@ class TensorComplex(Complex):
     def d(self) -> LinMap:
         return LinMap(self.space, self.space, 1, self.tensor.lift_sum(self.terms, 1, self.top).blocks)
 
-    def image(self, deg: int, V: Matrix) -> Matrix:
-        if self.top is not None and deg > self.top:
-            return Matrix.zero(self.space.dim(deg + 1), V.cols)
-        return self.tensor.apply_sum(self.terms, 1, deg, V)
+    def images(self) -> Callable[[int, Matrix], Matrix]:
+        """One prepared tensor.apply_sum: the factor column views it builds
+        serve every degree it is called on, and go with it."""
+        apply = self.tensor.apply_sum(self.terms, 1)
+
+        def image(deg: int, V: Matrix) -> Matrix:
+            if self.top is not None and deg > self.top:
+                return Matrix.zero(self.space.dim(deg + 1), V.cols)
+            return apply(deg, V)
+
+        return image
 
     def truncated(self, top: int) -> "Complex":
         return self if top >= self.space.hi else TensorComplex(self.tensor, self.terms, False, top - 1)
@@ -775,12 +828,12 @@ def subcomplex(
 
     `vectors`: degree -> Matrix of independent columns in the coordinates
     of C; each block is also the inclusion at its degree.  The restricted
-    differential reads d only as the images C.image(deg, V).
+    differential reads d only through C.images(), as the images d·V.
     """
     vectors = {d: V for d, V in vectors.items() if V.cols}
     labels = {d: tuple(f"{label_prefix}[{d},{i}]" for i in range(V.cols)) for d, V in vectors.items()}
     space = GradedSpace(labels, lo=C.space.lo, hi=C.space.hi)
-    d_map = restricted(C.image, 1, vectors, vectors, space, space)
+    d_map = restricted(C.images(), 1, vectors, vectors, space, space)
     sub = Complex(space, d_map, complete=C.complete, check=False)
     incl = ChainMap(sub, C, LinMap(space, C.space, 0, vectors))
     return sub, incl

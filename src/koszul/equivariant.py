@@ -32,9 +32,10 @@ from .complexes import (
     restricted,
     subcomplex,
 )
-from .lie import LieAlgebra, adjoint_matrices
-from .linalg import Matrix, Subspace, joint_kernel, row_kernel
+from .lie import LieAlgebra, adjoint_matrices, block_action_kernel
+from .linalg import Matrix, Subspace
 from .modules import (
+    DiagonalAction,
     KgModule,
     derivation_on_lambda,
     derivation_on_sym,
@@ -54,14 +55,15 @@ from .modules import (
 def invariant_multivectors(g: LieAlgebra, p: int) -> list:
     """Basis of the adjoint invariants of the p-th exterior power of g."""
     ad, _ = adjoint_matrices(g)
-    return joint_kernel(derivation_on_lambda(list(ad.matrices), p),
-                        len(lambda_monomials(g.dim, p))).columns()
+    return block_action_kernel(g, derivation_on_lambda(list(ad.matrices), p),
+                               len(lambda_monomials(g.dim, p))).columns()
 
 
 def sym_invariant_block(g: LieAlgebra, a: int) -> Matrix:
     """Coadjoint invariants of S^a(g*) as the columns of a Matrix."""
     _, coad = adjoint_matrices(g)
-    return joint_kernel(derivation_on_sym(list(coad.matrices), a), len(sym_monomials(g.dim, a)))
+    return block_action_kernel(g, derivation_on_sym(list(coad.matrices), a),
+                               len(sym_monomials(g.dim, a)))
 
 
 def sym_invariants(g: LieAlgebra, a: int) -> list:
@@ -191,7 +193,7 @@ class CartanModel:
         factor = dict(zip(sym_monomials(self.g.dim, sym_degree), coeffs))
         mult = sym_multiplication(self.ambient.A, self.sym_basis, sym_degree, factor)
         shift, space = 2 * sym_degree, self.complex.space
-        return restricted(lambda d, V: self.ambient.apply_sum([(mult, None)], shift, d, V), shift,
+        return restricted(self.ambient.apply_sum([(mult, None)], shift), shift,
                           self.vectors, self.vectors, space, space)
 
 
@@ -245,9 +247,8 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
     ambient = TensorSpace(S, M.space, N)
 
     # invariants of the diagonal action per total degree
-    diagonal = ambient.diagonal_rows(list(zip(sym_action, M.L_ops)))
-    vectors = {deg: V for deg, ents in ambient.entries.items()
-               if (V := row_kernel(diagonal(deg), len(ents))).cols}
+    diagonal = DiagonalAction(g, ambient, zip(sym_action, M.L_ops))
+    vectors = {deg: V for deg in ambient.entries if (V := diagonal.invariants(deg)).cols}
 
     # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs),
     # read only as its images of the invariant columns: none of it is lifted

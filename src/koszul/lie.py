@@ -15,9 +15,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
+from typing import Callable, Sequence
 
 from .linalg import (
     Matrix,
+    closure_rank,
     complement_basis,
     hstack,
     iparse,
@@ -101,6 +104,26 @@ class LieAlgebra:
             ad.append(Matrix(n, n, ents))
         coad = [m.transpose().scale(-1) for m in ad]
         return RepMatrices(self, tuple(ad)), RepMatrices(self, tuple(coad))
+
+    @cached_property
+    def generators(self) -> tuple:
+        """Basis indices that generate g as a Lie algebra, in increasing order.
+
+        Every k whose ad_k is diagonal in the basis is kept: on the monomial
+        bases built from the basis of g its L_k is diagonal too, and the
+        one-entry rows cost almost nothing in an invariant kernel, as the
+        presolve of row_kernel turns them into dead columns.  They are
+        joined by the lexicographically first smallest set of the other
+        indices that generates g together with them.  Built once, on the
+        integer echelon engine (closure_rank)."""
+        n = self.dim
+        ad = self._adjoint[0].matrices
+        diagonal = [k for k in range(n) if all(i == j for i, j in ad[k].num)]
+        others = [k for k in range(n) if k not in diagonal]
+        candidates = (sorted(diagonal + list(extra))
+                      for size in range(len(others) + 1) for extra in combinations(others, size))
+        return next(tuple(ks) for ks in candidates
+                    if closure_rank([{k: 1} for k in ks], [ad[k] for k in ks]) == n)
 
     def c(self, k: int, i: int, j: int) -> Fraction:
         """Structure constant c^k_ij."""
@@ -263,10 +286,41 @@ def adjoint_matrices(g: LieAlgebra):
     return g._adjoint
 
 
+def _certify(g: LieAlgebra, K: Matrix, kills: Callable[[int, Matrix], bool]) -> bool:
+    """Whether kills(k, K) holds for every k outside g.generators."""
+    gens = set(g.generators)
+    return all(kills(k, K) for k in range(g.dim) if k not in gens)
+
+
+def action_kernel(g: LieAlgebra, kernel: Callable[[Sequence[int]], Matrix],
+                  kills: Callable[[int, Matrix], bool]) -> Matrix:
+    """The common kernel of an action L_0, ..., L_{n-1} of g, one operator
+    per basis vector, with [L_j, L_k] = L_[x_j,x_k].
+
+    kernel(ks) is the common kernel of the L_k for k in ks, as the columns
+    of a Matrix in reduced form, and kills(k, K) says whether L_k kills
+    every column of K.  On an action the kernel of the generators' L_k is
+    the common kernel of all of them, so K is cut from g.generators only.
+    The certificate then checks that every other L_k kills K; only when it
+    fails (the L_k are not an action) is K cut again from every index.  K
+    contains the full kernel and a passed certificate proves equality, so
+    the reduced basis is the same either way.  Contractions are not an
+    action: their kernels keep every operator (see horizontal_basic)."""
+    K = kernel(g.generators)
+    return K if _certify(g, K, kills) else kernel(range(g.dim))
+
+
+def block_action_kernel(g: LieAlgebra, blocks: Sequence[Matrix], cols: int) -> Matrix:
+    """action_kernel of the action L_k = blocks[k] on Q^cols: joint_kernel
+    of the blocks, certified by blocks[k] @ K."""
+    return action_kernel(g, lambda ks: joint_kernel([blocks[k] for k in ks], cols),
+                         lambda k, K: (blocks[k] @ K).is_zero())
+
+
 def invariant_vectors(rep: RepMatrices) -> list:
     """Basis of the simultaneous kernel of all action matrices."""
     rep.check()
-    return joint_kernel(list(rep.matrices), rep.space_dim).columns()
+    return block_action_kernel(rep.g, rep.matrices, rep.space_dim).columns()
 
 
 def killing_form(g: LieAlgebra) -> Matrix:
@@ -299,7 +353,7 @@ def certify_reductive(g: LieAlgebra) -> ReductiveDecomposition:
     """
     n = g.dim
     ad, _ = adjoint_matrices(g)
-    center = joint_kernel(list(ad.matrices), n)
+    center = block_action_kernel(g, ad.matrices, n)
     # the brackets [i, j], i < j, are the columns j > i of ad_i
     brackets = hstack([m.take(range(i + 1, n)) for i, m in enumerate(ad.matrices)], n)
     derived = complement_basis(Matrix.zero(n, 0), brackets)

@@ -28,6 +28,15 @@ stream of integer rows, fed by one of exactly two sources: ``joint_kernel``
 (the rows of a family of operator blocks) or ``TensorSpace.diagonal_rows``
 (in ``complexes``: the rows of L⊗1 + 1⊗L on a tensor product, read
 straight from the factor blocks, with no block of the product built).
+The kernel of an action L_k of g (invariants) goes through
+``lie.action_kernel``: since [L_x, L_y] = L_[x,y], it is the kernel of
+the L_k for k in ``LieAlgebra.generators``, so only their rows are
+streamed.  A certificate then checks that every other L_k kills that
+kernel (``block @ K``, or on a product ``TensorSpace.apply_sum`` on the
+factor pair); if one does not, the L_k are not an action and the kernel
+is cut again from the rows of every L_k.  The kernels of the contractions
+(horizontal and basic subspaces) are not kernels of an action and keep
+the rows of every i_k.  ``closure_rank`` runs the generation search.
 ``row_kernel`` first drops each column that a one-entry row forces to zero
 (a pivot column of the full RREF, so the reduced kernel basis is the same)
 and eliminates the rest; its rows must hold nonzero entries only.
@@ -610,6 +619,30 @@ def joint_kernel(mats: Sequence[Matrix], cols: int) -> Matrix:
         if m.cols != cols:
             raise ShapeError(f"block of width {m.cols} in a family of width {cols}")
     return row_kernel((row for m in mats for _, row in sorted(_matrix_rows(m).items())), cols)
+
+
+def closure_rank(seeds: Iterable[dict], ops: Sequence[Matrix]) -> int:
+    """Dimension of the smallest subspace that holds the sparse integer
+    vectors ``seeds`` (dicts index -> int) and is mapped into itself by
+    every square block in ``ops``: each vector that enlarges the span is
+    sent through every block in turn (numerators only, as the scale of a
+    vector does not change its span)."""
+    table: dict = {}
+    queue = [dict(v) for v in seeds]
+    while queue:
+        v = queue.pop()
+        if not _insert(table, dict(v), None):
+            continue
+        for op in ops:
+            w: dict = {}
+            for (i, j), a in op.num.items():
+                x = v.get(j)
+                if x:
+                    w[i] = w.get(i, 0) + a * x
+            w = {i: x for i, x in w.items() if x}
+            if w:
+                queue.append(w)
+    return len(table)
 
 
 def image_rank(A: Matrix) -> tuple:

@@ -30,8 +30,15 @@ from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import Complex, GradedSpace, LinMap, TensorComplex, TensorSpace, first_defect
-from .lie import LieAlgebra, RepMatrices, certify_reductive, invariant_vectors
-from .linalg import Matrix, iparse, joint_kernel, lparse, qparse, qstr, row_kernel
+from .lie import (
+    LieAlgebra,
+    RepMatrices,
+    action_kernel,
+    block_action_kernel,
+    certify_reductive,
+    invariant_vectors,
+)
+from .linalg import Matrix, iparse, lparse, qparse, qstr, row_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +216,10 @@ class KgModule:
 
     def invariant_blocks(self, degrees) -> dict:
         """deg -> the common kernel of the L_k at deg, as the columns of a
-        Matrix, for the given degrees (each <= max_usable)."""
-        return {deg: joint_kernel([op.block(deg) for op in self.L_ops], self.space.dim(deg))
+        Matrix, for the given degrees (each <= max_usable): cut from the
+        generators' blocks and certified on the rest (block_action_kernel)."""
+        return {deg: block_action_kernel(self.g, [op.block(deg) for op in self.L_ops],
+                                         self.space.dim(deg))
                 for deg in degrees}
 
     def is_invariant(self, deg: int, X: Matrix) -> bool:
@@ -241,6 +250,32 @@ class KgModule:
         return f"KgModule({self.name}, dims={self.complex.dims()})"
 
 
+class DiagonalAction:
+    """The action L_k = LA_k⊗1 + 1⊗LB_k of g on a TensorSpace, for factor
+    pairs [(LA_k, LB_k), ...] of degree-0 operators, one per basis vector,
+    with no block of the product built: its rows come from
+    TensorSpace.diagonal_rows, and ``apply[k]`` is L_k prepared for
+    application to columns (one TensorSpace.apply_sum per pair)."""
+
+    def __init__(self, g: LieAlgebra, tensor: TensorSpace, pairs: Iterable):
+        pairs = list(pairs)
+        self.g, self.tensor = g, tensor
+        self.rows_at = tensor.diagonal_rows(pairs)
+        self.apply = [tensor.apply_sum([(A, None), (None, B)], 0) for A, B in pairs]
+
+    def invariants(self, t: int) -> Matrix:
+        """The common kernel of the L_k at total degree t (lie.action_kernel):
+        cut from the generators' rows, certified by applying the other L_k."""
+        dim = self.tensor.space.dim(t)
+        return action_kernel(self.g, lambda ks: row_kernel(self.rows_at(t, ks), dim),
+                             lambda k, K: self.apply[k](t, K).is_zero())
+
+    def kills(self, t: int, X: Matrix) -> bool:
+        """Whether every L_k, not only the generators', kills each column of
+        X, a block of degree-t vectors."""
+        return all(apply(t, X).is_zero() for apply in self.apply)
+
+
 class TensorModule(KgModule):
     """A module on a TensorSpace whose i_k and L_k are Leibniz lifts of
     factor operator pairs: i_k = iA_k⊗1 + 1⊗iB_k with the Koszul sign, and
@@ -250,8 +285,9 @@ class TensorModule(KgModule):
     They are separate sources so that reading one lifts nothing the other
     needs: i_ops and L_ops are each lifted in one summed lift on first
     read, and the duality verifier reads neither on W⊗M.  Invariants are
-    cut straight from the rows of the L pairs (see L_rows), so L_ops is
-    not lifted for them either, nor d (a TensorComplex, see tensor_module).
+    cut straight from the rows of the L pairs and certified by applying
+    the L pairs to columns (see DiagonalAction), so L_ops is not lifted
+    for them either, nor d (a TensorComplex, see tensor_module).
     """
 
     def __init__(self, g: LieAlgebra, complex_: Complex, tensor: TensorSpace,
@@ -283,14 +319,11 @@ class TensorModule(KgModule):
         return self.tensor.diagonal_rows(list(self._L_pairs()))
 
     def invariant_blocks(self, degrees) -> dict:
-        rows_at = self.L_rows()
-        return {deg: row_kernel(rows_at(deg), self.space.dim(deg)) for deg in degrees}
+        action = DiagonalAction(self.g, self.tensor, self._L_pairs())
+        return {deg: action.invariants(deg) for deg in degrees}
 
     def is_invariant(self, deg: int, X: Matrix) -> bool:
-        rows = list(self.L_rows()(deg))
-        R = Matrix._from_ints(len(rows), X.rows, {
-            (k, c): v for k, row in enumerate(rows) for c, v in row.items()}, 1)
-        return (R @ X).is_zero()
+        return DiagonalAction(self.g, self.tensor, self._L_pairs()).kills(deg, X)
 
 
 @dataclass
@@ -606,7 +639,7 @@ def kg_module_from_dict(g: LieAlgebra, data: dict, name: str = "file-module") ->
     Rows index the basis of the target degree, columns the source degree.
     """
 
-    def build(entries, shift):
+    def build(entries, shift, name):
         blocks: dict = {}
         for ent in entries:
             deg = iparse(ent["degree"])
@@ -616,7 +649,12 @@ def kg_module_from_dict(g: LieAlgebra, data: dict, name: str = "file-module") ->
                 raise ModuleValidationError(
                     f"operator entry out of range at degree {deg}: ({r_},{c_})"
                 )
-            blocks.setdefault(deg, {})[(r_, c_)] = val
+            ents = blocks.setdefault(deg, {})
+            if ents.get((r_, c_), val) != val:
+                raise ModuleValidationError(
+                    f"{name} is given twice at degree {deg}, position ({r_},{c_}), "
+                    f"with different values {qstr(ents[(r_, c_)])} and {qstr(val)}")
+            ents[(r_, c_)] = val
         return LinMap(
             space, space, shift,
             {deg: Matrix(space.dim(deg + shift), space.dim(deg), ents)
@@ -628,12 +666,12 @@ def kg_module_from_dict(g: LieAlgebra, data: dict, name: str = "file-module") ->
         if len(labels) != len(data["degrees"]):
             raise ModuleValidationError(f"two degree keys name one degree: {sorted(data['degrees'])}")
         space = GradedSpace(labels)
-        d = build(data.get("d", []), 1)
+        d = build(data.get("d", []), 1, "d")
         i_entries = data.get("i", {})
         if set(i_entries) - {str(k) for k in range(g.dim)}:
             raise ModuleValidationError(
                 f"contraction keys must be among '0'..'{g.dim - 1}', got {sorted(i_entries)}")
-        i_ops = [build(i_entries.get(str(k), []), -1) for k in range(g.dim)]
+        i_ops = [build(i_entries.get(str(k), []), -1, f"i_{k}") for k in range(g.dim)]
     except ModuleValidationError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .complexes import Truncation
 from .equivariant import invariant_multivector_basis, sym_invariant_block, sym_invariants
-from .lie import LieAlgebra, adjoint_matrices
+from .lie import LieAlgebra, adjoint_matrices, block_action_kernel
 from .linalg import (
     Matrix,
     Subspace,
@@ -56,8 +56,8 @@ class TransgressionError(ValueError):
 def exterior_invariant_block(g: LieAlgebra, p: int) -> Matrix:
     """Coadjoint invariants of Λ^p(g*) as the columns of a Matrix."""
     _, coad = adjoint_matrices(g)
-    return joint_kernel(derivation_on_lambda(list(coad.matrices), p),
-                        len(lambda_monomials(g.dim, p)))
+    return block_action_kernel(g, derivation_on_lambda(list(coad.matrices), p),
+                               len(lambda_monomials(g.dim, p)))
 
 
 def exterior_invariants(g: LieAlgebra, p: int) -> list:

@@ -174,11 +174,13 @@ def _module(**fields):
     ("--module", _module(i={"01": []})),
     ("--algebra", _algebra(basis="xy")),
     ("--module", _module(degrees={"0": "ab", "1": ["c"]})),
+    ("--module", _module(d=[{"degree": 0, "row": 0, "col": 0, "c": "1"},
+                            {"degree": 0, "row": 0, "col": 0, "c": "5"}])),
 ], ids=["bracket-without-terms", "term-without-k", "index-not-int", "dim-not-int",
         "algebra-zero-denominator", "entry-without-col", "i-as-list", "degrees-as-list",
         "module-zero-denominator", "dim-float", "index-bool", "degree-float", "row-float",
         "degree-keys-collide", "i-key-negative", "i-key-past-dim", "i-key-leading-zero",
-        "basis-as-string", "labels-as-string"])
+        "basis-as-string", "labels-as-string", "entry-given-twice"])
 def test_malformed_json_is_an_input_error(capsys, tmp_path, flag, data):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(data))

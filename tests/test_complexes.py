@@ -515,7 +515,8 @@ def test_apply_sum_matches_kronecker_sum_times_columns(data):
     V = Matrix(ts.space.dim(t), cols, {(i, j): values[i * cols + j]
                                        for i in range(ts.space.dim(t)) for j in range(cols)})
     V = V.scale(data.draw(st.sampled_from([1, Fraction(1, 6), Fraction(-5, 65537)])))
-    got = ts.apply_sum(terms, shift, t, V)
+    apply = ts.apply_sum(terms, shift)
+    got = apply(t, V)
     rows = ts.space.dim(t + shift)
     block = _kronecker_sum(A, B, top, terms, shift).get(t, [[Fraction(0)] * V.rows] * rows)
     assert got.dense() == [[sum((row[k] * V[k, j] for k in range(V.rows)), Fraction(0))
@@ -523,9 +524,15 @@ def test_apply_sum_matches_kronecker_sum_times_columns(data):
     assert _canonical_block(got)
     want = ts.lift_sum(terms, shift).block(t) @ V
     assert got == want and list(got.num) == list(want.num)  # the same entries, in the same order
-    assert ts.apply_sum(terms, shift, t, V.take([])) == Matrix.zero(rows, 0)
+    assert apply(t, V.take([])) == Matrix.zero(rows, 0)
     with pytest.raises(ShapeError):
-        ts.apply_sum(terms, shift, t, Matrix.zero(V.rows + 1, 1))
+        apply(t, Matrix.zero(V.rows + 1, 1))
+    # one preparation serves every degree: the factor column views it built
+    # at t are reused, not rebuilt
+    lifted = ts.lift_sum(terms, shift)
+    for u in ts.space.degrees():
+        unit = Matrix.identity(ts.space.dim(u))
+        assert apply(u, unit) == lifted.block(u) @ unit
 
 
 # ---------------------------------------------------------------------------

@@ -365,3 +365,43 @@ def test_su2xsu2_exterior_n8_report_golden():
     assert report.verdict
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
         "6aa89bd4e0a001d52d31f6ce18de960e1496f9d87336dca04e8d6d362e227480")
+
+
+def test_invariant_kernels_are_certified_and_never_fall_back(monkeypatch, capsys):
+    """Every invariant kernel of the benchmark's operations (the 14 survey
+    cases, heavy and the cli calls) is cut from the generators' L_k and
+    certified on exactly the other indices, and no certificate fails, so no
+    kernel is cut again from every L_k."""
+    import sys
+    from pathlib import Path
+
+    import koszul.cli
+    import koszul.lie
+
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    from child import build_module
+    from workloads import operations
+
+    certified = []
+    certify = koszul.lie._certify
+
+    def recorded(g, K, kills):
+        seen = []
+        ok = certify(g, K, lambda k, K: seen.append(k) or kills(k, K))
+        certified.append((g, seen, ok))
+        return ok
+
+    monkeypatch.setattr(koszul.lie, "_certify", recorded)
+    for algebra, kind, window in operations("survey") + operations("heavy"):
+        M = build_module(kind, builtin_algebra(algebra))
+        assert verify_duality(M, Truncation(window))[0].verdict, (algebra, kind, window)
+    for argv, _ in operations("cli"):
+        koszul.cli.main(list(argv))
+    capsys.readouterr()
+    assert {g.name for g, _, _ in certified} == {
+        "abelian1", "abelian2", "su2", "sl2", "su2xsu2"}
+    for g, seen, ok in certified:
+        assert ok, g.name
+        assert seen == [k for k in range(g.dim) if k not in g.generators], g.name

@@ -194,3 +194,47 @@ def test_matrix_algebras_certify(name, center, derived):
     dec = certify_reductive(g)
     assert (len(dec.center), len(dec.derived)) == (center, derived)
     assert len(invariant_vectors(adjoint_matrices(g)[0])) == center
+
+
+# -- generators: the basis indices whose L_k cut every invariant kernel ------
+
+GENERATORS = {
+    "su2": ("i", "j"),
+    "sl2": ("h", "e", "f"),
+    "abelian1": ("t",),
+    "abelian2": ("t1", "t2"),
+    "su2xsu2": ("i1", "j1", "i2", "j2"),
+    "sl3": ("h1", "h2", "e12", "e23", "f31"),
+    "u2": ("z", "i", "j"),
+    "abelian:4": ("t1", "t2", "t3", "t4"),
+}
+
+
+def _generated_dim(g, ks) -> int:
+    """dim of the subalgebra generated by the basis vectors ks: brackets of
+    independent spanning columns with the generators, until sympy's column
+    space stops growing (no koszul linear algebra)."""
+    import sympy
+
+    span = sympy.Matrix(g.dim, len(ks), lambda i, j: int(i == ks[j]))
+    while True:
+        grown = span.row_join(sympy.Matrix(g.dim, len(ks) * span.cols, lambda m, c: sum(
+            x * g.bracket(ks[c // span.cols], j)[m] for j, x in enumerate(span[:, c % span.cols]))))
+        basis = grown.columnspace()
+        if len(basis) == span.cols:
+            return span.cols
+        span = sympy.Matrix.hstack(*basis)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_generators_pinned_generate_g_and_keep_every_diagonal_index(name):
+    g = builtin_algebra(name)
+    assert tuple(g.basis_labels[k] for k in g.generators) == GENERATORS[name]
+    assert list(g.generators) == sorted(set(g.generators))
+    assert _generated_dim(g, g.generators) == g.dim
+    diagonal = [k for k in range(g.dim)
+                if all(not c for j in range(g.dim) for m, c in enumerate(g.bracket(k, j)) if m != j)]
+    assert set(diagonal) <= set(g.generators)
+    # smallest: no generator outside the diagonal ones can be dropped
+    for k in set(g.generators) - set(diagonal):
+        assert _generated_dim(g, [j for j in g.generators if j != k]) < g.dim

@@ -400,3 +400,63 @@ def test_sym_monomial_count(n, total):
     from math import comb
 
     assert len(sym_monomials(n, total)) == comb(n + total - 1, n - 1)
+
+
+# -- invariants cut from the generators' L_k, certified on the rest -----------
+
+
+def _broken_su2_module():
+    """Q·a in degree 0, Q·b in degree 1, d a = b, i_k b = a for k = 2 only
+    (k*): L_2 is the identity and L_0 = L_1 = 0, so [L_0, L_1] = 0 while
+    L_[x_0,x_1] = 2 L_2 -- not an action.  The generators of su2 are 0 and
+    1, whose L_k kill everything; L_2 kills nothing."""
+    su2 = builtin_algebra("su2")
+    space = GradedSpace({0: ("a",), 1: ("b",)})
+    d = LinMap(space, space, 1, {0: Matrix(1, 1, {(0, 0): 1})})
+    zero = LinMap.zero(space, space, -1)
+    i2 = LinMap(space, space, -1, {1: Matrix(1, 1, {(0, 0): 1})})
+    return su2, KgModule(su2, Complex(space, d), [zero, zero, i2], name="broken")
+
+
+def test_invariants_of_a_non_action_fall_back_to_every_L_k():
+    """On a module whose L_k break [L_j, L_k] = L_[x_j,x_k], the kernel of
+    the generators' L_k is too large; the certificate fails and the
+    invariants of the module, of W⊗it and of its Cartan ambient S(g*)⊗it
+    are the joint kernel of every lifted L_k."""
+    from koszul.equivariant import cartan_model, symmetric_algebra
+    from koszul.linalg import joint_kernel
+
+    su2, M = _broken_su2_module()
+    assert su2.generators == (0, 1)
+    assert not validate_kg(M).ok
+    gens_only = []
+    for module in (M, tensor_module(weil_model(su2, Truncation(4)), M, max_total=4)):
+        degrees = module.complex.usable_degrees(1)
+        got = module.invariant_blocks(degrees)
+        for deg in degrees:
+            blocks = [L.block(deg) for L in module.L_ops]
+            assert got[deg] == joint_kernel(blocks, module.space.dim(deg)), (module.name, deg)
+            gens_only.append(joint_kernel(blocks[:2], module.space.dim(deg)) != got[deg])
+    assert any(gens_only)  # the generators alone would have kept too much
+
+    cartan = cartan_model(M, Truncation(3))
+    S, _, sym_action = symmetric_algebra(su2, 1)
+    lifted = [cartan.ambient.lift_sum([(A, None), (None, B)], 0) for A, B in zip(sym_action, M.L_ops)]
+    for t, ents in cartan.ambient.entries.items():
+        K = joint_kernel([L.block(t) for L in lifted], len(ents))
+        assert cartan.vectors.get(t, K) == K and (t in cartan.vectors) == bool(K.cols)
+
+
+def test_operator_entry_given_twice(su2):
+    """Two entries of one operator at one (degree, row, col) must agree: a
+    repeat with the same value loads, different values are rejected with a
+    message naming the operator, the degree and the position."""
+    ent = {"degree": 0, "row": 0, "col": 0, "c": "1"}
+    data = {"degrees": {"0": ["a"], "1": ["b"]}, "d": [ent, dict(ent, c="2/2")], "i": {}}
+    assert kg_module_from_dict(su2, data).d.block(0) == Matrix(1, 1, {(0, 0): 1})
+    with pytest.raises(ModuleValidationError, match=r"d is given twice at degree 0, "
+                                                    r"position \(0,0\), with different values 1 and 5"):
+        kg_module_from_dict(su2, dict(data, d=[ent, dict(ent, c="5")]))
+    ent = {"degree": 1, "row": 0, "col": 0, "c": "1"}
+    with pytest.raises(ModuleValidationError, match=r"i_2 is given twice at degree 1, position \(0,0\)"):
+        kg_module_from_dict(su2, dict(data, i={"2": [ent, dict(ent, c="-1")]}))

@@ -370,6 +370,28 @@ def test_exterior_horizontal_only_degree_zero(su2):
     assert {d: v.cols for d, v in hb.horizontal.items() if v.cols} == {0: 1}
 
 
+def test_horizontal_basic_reads_every_contraction(monkeypatch, su2):
+    """The i_k are not an action ([i_j, i_k] = 0, not i_[x_j,x_k]), so the
+    horizontal and basic kernels keep the rows of every i_k (and i_k d),
+    not the generators' only: the generators' i_0, i_1 alone would keep
+    k* in degree 1."""
+    import koszul.weil
+    from koszul.linalg import joint_kernel
+
+    widths = []
+
+    def recorded(blocks, cols):
+        widths.append(len(blocks))
+        return joint_kernel(blocks, cols)
+
+    monkeypatch.setattr(koszul.weil, "joint_kernel", recorded)
+    ext = exterior_model(su2)
+    hb = horizontal_basic(ext)
+    assert widths and set(widths) == {su2.dim, 2 * su2.dim}
+    assert hb.horizontal[1].cols == 0
+    assert joint_kernel([ext.i_ops[k].block(1) for k in su2.generators], 3).cols == 1
+
+
 # -- twist embedding (Cartan model -> basic subcomplex) ----------------------
 
 
