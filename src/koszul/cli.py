@@ -106,6 +106,13 @@ def resolve_module(spec: str, g: LieAlgebra) -> KgModule:
             if len(parts) != 3:
                 raise InputError("forms spec is forms:{coadjoint|adjoint}:DEGREE")
             which, deg = parts[1], parts[2]
+            try:
+                D = int(deg)
+            except ValueError:
+                D = -1
+            if D < 0:
+                raise InputError(
+                    f"bad module spec {spec!r}: use forms:{{coadjoint|adjoint}}:D with an integer D >= 0")
             ad, coad = adjoint_matrices(g)
             if which == "coadjoint":
                 action = coad
@@ -113,7 +120,7 @@ def resolve_module(spec: str, g: LieAlgebra) -> KgModule:
                 action = ad
             else:
                 raise InputError(f"unknown forms action {which!r}")
-            return polynomial_forms_module(g, action, int(deg))
+            return polynomial_forms_module(g, action, D)
         if spec.startswith("file:"):
             return load_kg_module(spec[5:], g)
     except FileNotFoundError as exc:

@@ -20,13 +20,15 @@ import json
 from collections.abc import Mapping
 from copy import copy
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .linalg import (
     Matrix,
+    Q0,
     ShapeError,
     Subspace,
     _ratio,
@@ -174,6 +176,24 @@ class LinMap:
     def apply(self, d: int, v: Sequence) -> tuple:
         return self.block(d).apply(v)
 
+    def row_view(self, d: int) -> Optional[tuple]:
+        """({row: [(col, numerator)]}, den) of the block at d, or None
+        without one: how a factor hands its rows to TensorSpace.diagonal_rows."""
+        m = self.blocks.get(d)
+        if m is None:
+            return None
+        rows: dict = {}
+        for (i, j), v in m.num.items():
+            rows.setdefault(i, []).append((j, v))
+        return rows, m.den
+
+    def column_view(self, d: int) -> Optional[tuple]:
+        """(integer column view col -> [(row, numerator)], den) of the block
+        at d, or None without one: how a factor hands its columns to the
+        lifts of a TensorSpace (see TensorSpace._parts)."""
+        m = self.blocks.get(d)
+        return None if m is None else (m.int_columns(), m.den)
+
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other."""
         if other.target is not self.source and other.target != self.source:
@@ -238,22 +258,26 @@ class LinMap:
         return f"LinMap(shift={self.shift}, blocks at {sorted(self.blocks)})"
 
 
-class _IdentityColumns(Mapping):
-    """The integer column view {i: ((i, 1),)} of the dim x dim identity
-    block, as Matrix.int_columns gives it.  Nothing is stored for lookups
-    (apply_sum reads the columns in the support of V only); the items are
-    built once, on first walk, as lift_sum walks them once per column of
-    the other factor."""
+class _Columns(Mapping):
+    """An integer column view {i: ((row, numerator), ...)} of a block with
+    dim columns, as Matrix.int_columns gives it, whose column i is
+    column(i), built on first read and kept: the identity's, and the lifted
+    columns of a DiagonalSum.  A lookup builds only its column (apply_sum
+    reads the columns in the support of V only); items() builds them all
+    once, as lift_sum walks them once per column of the other factor."""
 
-    __slots__ = ("dim", "_items")
+    __slots__ = ("dim", "_column", "_built", "_items")
 
-    def __init__(self, dim: int):
-        self.dim, self._items = dim, None
+    def __init__(self, dim: int, column: Callable[[int], Sequence]):
+        self.dim, self._column, self._built, self._items = dim, column, {}, None
 
-    def __getitem__(self, i) -> tuple:
-        if not 0 <= i < self.dim:
-            raise KeyError(i)
-        return ((i, 1),)
+    def __getitem__(self, i) -> Sequence:
+        col = self._built.get(i)
+        if col is None:
+            if not 0 <= i < self.dim:
+                raise KeyError(i)
+            col = self._built[i] = self._column(i)
+        return col
 
     def __contains__(self, i) -> bool:
         return 0 <= i < self.dim
@@ -266,8 +290,12 @@ class _IdentityColumns(Mapping):
 
     def items(self) -> tuple:
         if self._items is None:
-            self._items = tuple((i, ((i, 1),)) for i in range(self.dim))
+            self._items = tuple((i, self[i]) for i in range(self.dim))
         return self._items
+
+
+def _unit_column(i: int) -> tuple:
+    return ((i, 1),)
 
 
 class TensorSpace:
@@ -329,59 +357,59 @@ class TensorSpace:
         them as integer rows (dicts col -> int) for the pairs pairs[k], k in
         ks (all pairs by default), with no block of the product built.
 
-        Row (a', b') of stratum q holds opA[a', a] at column (a, b') and
-        opB[b', b] at column (a', b), scaled by the lcm of the two block
-        denominators; entries that cancel and empty rows are dropped, and a
-        missing factor block counts as zero, as in lift_sum.  The rows come
-        pair by pair, then stratum by stratum, then by target index: the
-        order of the lifted blocks' rows stacked pair after pair.  Each
-        factor block's row view is built once, on first use, for all calls.
+        A factor is a LinMap or a DiagonalSum, read through its row_view,
+        which is built once per degree, on first use, for all calls.  The
+        rows come pair by pair, then by target index (see _pair_rows): the
+        order of the lifted blocks' rows stacked pair after pair.
         """
-        A, B = self.A, self.B
-        views: dict = {}  # (op, degree) -> ({row: [(col, numerator)]}, den), or None
-
-        def view(op, deg):
-            key = (op, deg)
-            if key not in views:
-                m = op.blocks.get(deg)
-                if m is None:
-                    views[key] = None
-                else:
-                    rows: dict = {}
-                    for (i, j), v in m.num.items():
-                        rows.setdefault(i, []).append((j, v))
-                    views[key] = rows, m.den
-            return views[key]
+        view = cache(lambda op, deg: op.row_view(deg))
 
         def rows_at(t: int, ks: Optional[Sequence[int]] = None) -> Iterator[dict]:
-            starts = self._offsets.get(t, {})
-            for opA, opB in pairs if ks is None else [pairs[k] for k in ks]:
-                for q, col0 in starts.items():
-                    r = t - q
-                    fA, fB = view(opA, q), view(opB, r)
-                    if fA is None and fB is None:
-                        continue
-                    rowsA, dA = fA or ({}, 1)
-                    rowsB, dB = fB or ({}, 1)
-                    den = lcm(dA, dB)
-                    kA, kB = den // dA, den // dB
-                    n, keysB = B.dim(r), sorted(rowsB)
-                    for a2 in range(A.dim(q)):
-                        base = col0 + a2 * n
-                        partA = [(col0 + a * n, kA * v) for a, v in rowsA.get(a2, ())]
-                        for b2 in (range(n) if partA else keysB):
-                            row = {c + b2: v for c, v in partA}
-                            for b, w in rowsB.get(b2, ()):
-                                c = base + b
-                                v = row.get(c, 0) + kB * w
-                                if v:
-                                    row[c] = v
-                                else:
-                                    del row[c]
-                            if row:
-                                yield row
+            chosen = pairs if ks is None else [pairs[k] for k in ks]
+            return chain.from_iterable(self._pair_rows(t, view, opA, opB)[1] for opA, opB in chosen)
 
         return rows_at
+
+    def _pair_rows(self, t: int, view: Callable, opA: LinMap, opB: LinMap,
+                   indexed: bool = False) -> tuple:
+        """(den, rows): the nonzero rows of opA⊗1 + 1⊗opB at total degree t
+        in index order, as integer rows (dicts col -> int) over den, or as
+        (target index, row) pairs when indexed, from the factors' row views
+        view(op, degree).
+
+        Row (a', b') of stratum q holds opA[a', a] at column (a, b') and
+        opB[b', b] at column (a', b); den is the lcm of the factor views'
+        denominators, entries that cancel are dropped, and a missing factor
+        block counts as zero, as in lift_sum.
+        """
+        A, B = self.A, self.B
+        strata = []
+        for q, col0 in self._offsets.get(t, {}).items():
+            fA, fB = view(opA, q), view(opB, t - q)
+            if fA is not None or fB is not None:
+                strata.append((q, col0, fA or ({}, 1), fB or ({}, 1)))
+        den = lcm(*[lcm(dA, dB) for _, _, (_, dA), (_, dB) in strata])
+
+        def rows() -> Iterator[tuple]:
+            for q, col0, (rowsA, dA), (rowsB, dB) in strata:
+                kA, kB = den // dA, den // dB
+                n, keysB = B.dim(t - q), sorted(rowsB)
+                for a2 in range(A.dim(q)):
+                    base = col0 + a2 * n
+                    partA = [(col0 + a * n, kA * v) for a, v in rowsA.get(a2, ())]
+                    for b2 in (range(n) if partA else keysB):
+                        row = {c + b2: v for c, v in partA}
+                        for b, w in rowsB.get(b2, ()):
+                            c = base + b
+                            v = row.get(c, 0) + kB * w
+                            if v:
+                                row[c] = v
+                            else:
+                                del row[c]
+                        if row:
+                            yield (base + b2, row) if indexed else row
+
+        return den, rows()
 
     def _parts(self, terms: Sequence, shift: int) -> Callable[[int], Optional[tuple]]:
         """The sign, window and denominator rule of lift_sum and apply_sum:
@@ -394,10 +422,7 @@ class TensorSpace:
 
         def columns(op, deg, dim):
             # (integer column view, its denominator), or None without a block
-            if op is None:
-                return _IdentityColumns(dim), 1
-            m = op.blocks.get(deg)
-            return (m.int_columns(), m.den) if m is not None else None
+            return (_Columns(dim, _unit_column), 1) if op is None else op.column_view(deg)
 
         prepared = []  # (opA, opB, shift of opA, shift of opB, column views of each)
         for opA, opB in terms:
@@ -481,25 +506,75 @@ class TensorSpace:
             if V.rows != self.space.dim(t):
                 raise ShapeError(f"{V.rows} rows applied at degree {t} of dim {self.space.dim(t)}")
             parts, den = parts_at(t) or ((), 1)
-            lifted, ents = {}, {}  # source position -> its image [(row, numerator)]; the product
+            lifted, ents = {}, {}  # source position -> its image column; the product
             get = ents.get
             for (i, j), w in V.num.items():
-                if i not in lifted:
-                    q, a, _, b = self.entries[t][i]
-                    acc: dict = {}
-                    for imA, imB, row0, col0, _, n_tgt, k in parts:
-                        if col0 == self._offsets[t][q] and a in imA and b in imB:
-                            for rowA, vA in imA[a]:
-                                base = row0 + rowA * n_tgt
-                                for rowB, vB in imB[b]:
-                                    acc[base + rowB] = acc.get(base + rowB, 0) + k * vA * vB
-                    lifted[i] = [(row, v) for row, v in acc.items() if v]
-                for row, v in lifted[i]:
+                col = lifted.get(i)
+                if col is None:
+                    col = lifted[i] = self._image_column(t, parts, i)
+                for row, v in col:
                     rc = (row, j)
                     ents[rc] = get(rc, 0) + v * w
             return Matrix._from_ints(self.space.dim(t + shift), V.cols, ents, den * V.den)
 
         return apply
+
+    def _image_column(self, t: int, parts: Sequence, i: int) -> list:
+        """[(row, numerator)]: the image of basis vector i of degree t under
+        a sum prepared as parts_at(t) = (parts, den) (see _parts), over den."""
+        q, a, _, b = self.entries[t][i]
+        col0, acc = self._offsets[t][q], {}
+        for imA, imB, row0, start, _, n_tgt, k in parts:
+            if start == col0 and a in imA and b in imB:
+                for rowA, vA in imA[a]:
+                    base = row0 + rowA * n_tgt
+                    for rowB, vB in imB[b]:
+                        acc[base + rowB] = acc.get(base + rowB, 0) + k * vA * vB
+        return [(row, v) for row, v in acc.items() if v]
+
+
+class DiagonalSum(LinMap):
+    """opA⊗1 + 1⊗opB on a TensorSpace for degree-0 factors (no Koszul
+    sign), with no block at total degrees above top when top is given: the
+    L_k of a tensor product.  Its blocks are lifted on first read
+    (lift_sum), so every LinMap reader works.  As a factor of a further
+    TensorSpace it lifts nothing: row_view builds a degree's rows from the
+    factors' rows, and column_view hands over columns that are each built
+    from the factors' columns when first read."""
+
+    __slots__ = ("tensor", "pair", "top", "_parts_at", "_views", "_lifted")
+
+    def __init__(self, tensor: TensorSpace, opA: LinMap, opB: LinMap, top: Optional[int] = None):
+        self.source = self.target = tensor.space
+        self.shift = 0
+        self.tensor, self.pair, self.top = tensor, (opA, opB), top
+        self._parts_at = tensor._parts([(opA, None), (None, opB)], 0)
+        self._views = cache(lambda op, deg: op.row_view(deg))  # the factors' row views
+        self._lifted = None
+
+    @property
+    def blocks(self) -> dict:
+        if self._lifted is None:
+            opA, opB = self.pair
+            self._lifted = self.tensor.lift_sum([(opA, None), (None, opB)], 0, self.top).blocks
+        return self._lifted
+
+    def row_view(self, d: int) -> Optional[tuple]:
+        if self.top is not None and d > self.top:
+            return None
+        den, rows = self.tensor._pair_rows(d, self._views, *self.pair, indexed=True)
+        view = {i: list(row.items()) for i, row in rows}
+        return (view, den) if view else None
+
+    def column_view(self, d: int) -> Optional[tuple]:
+        found = None if self.top is not None and d > self.top else self._parts_at(d)
+        if found is None:
+            return None
+        parts, den = found
+        return _Columns(self.tensor.space.dim(d), partial(self.tensor._image_column, d, parts)), den
+
+    def __repr__(self):
+        return f"DiagonalSum(top={self.top}, lifted={self._lifted is not None})"
 
 
 class Complex:
@@ -535,7 +610,7 @@ class Complex:
     def d_squared_defect(self):
         """(degree, label) of the first basis vector with d(d v) != 0, or None."""
         bad = first_defect(self.space, self.usable_degrees(2),
-                           lambda deg: self.d.block(deg + 1) @ self.d.block(deg))
+                           lambda deg: [(1, self.d.block(deg + 1), self.d.block(deg))])
         return None if bad is None else bad[:2]
 
     def dims(self) -> dict:
@@ -610,15 +685,41 @@ class ChainMapReport:
         return f"chain-map defect at degree {deg} on {lbl!r}: {nz}"
 
 
-def first_defect(space: GradedSpace, degrees, block_of) -> Optional[tuple]:
+def first_defect(space: GradedSpace, degrees, products: Callable[[int], Sequence]) -> Optional[tuple]:
     """(degree, basis label, defect column) of the first nonzero column of
-    block_of(deg) at the first listed degree where that block is nonzero;
-    None when every block vanishes.  Blocks are built one degree at a time."""
+    the sum of c·L·R over products(deg) = [(c, L, R), ...] (integers c,
+    blocks L and R) at the first listed degree where that sum is nonzero;
+    None when it vanishes at every degree.
+
+    No product block is built: the columns that some R reaches are walked
+    in increasing order, each product column is formed alone, and the walk
+    stops at the first nonzero one.  A block's integer column view is built
+    once and dropped at the first degree that does not read it, so a block
+    read as L at one degree and as R at the next (d in d², f in a chain
+    map) is viewed once for both roles.
+    """
+    views: dict = {}  # id(block) -> (block, its integer column view)
     for deg in degrees:
-        m = block_of(deg)
-        if not m.is_zero():
-            col = min(j for (_, j) in m.num)
-            return deg, space.labels(deg)[col], m.column(col)
+        terms, kept = products(deg), {}
+        if not terms:
+            continue
+        for _, L, R in terms:
+            for m in (L, R):
+                kept[id(m)] = kept.get(id(m)) or views.get(id(m)) or (m, m.int_columns())
+        views = kept
+        den = lcm(*[L.den * R.den for _, L, R in terms])
+        parts = [(c * den // (L.den * R.den), views[id(L)][1], views[id(R)][1]) for c, L, R in terms]
+        for j in sorted({j for _, _, right in parts for j in right}):
+            acc: dict = {}
+            for k, left, right in parts:
+                for i, w in right.get(j, ()):
+                    for row, v in left.get(i, ()):
+                        acc[row] = acc.get(row, 0) + k * v * w
+            if any(acc.values()):
+                column = [Q0] * terms[0][1].rows
+                for row, v in acc.items():
+                    column[row] = Fraction(v, den) if v else Q0
+                return deg, space.labels(deg)[j], tuple(column)
     return None
 
 
@@ -633,7 +734,7 @@ def check_chain_map(f: ChainMap) -> ChainMapReport:
     top = min(C.max_usable, D.max_usable)
     defect = first_defect(
         C.space, [deg for deg in C.space.degrees() if deg <= top],
-        lambda deg: D.d.block(deg) @ f.map.block(deg) - f.map.block(deg + 1) @ C.d.block(deg))
+        lambda deg: [(1, D.d.block(deg), f.map.block(deg)), (-1, f.map.block(deg + 1), C.d.block(deg))])
     return ChainMapReport(defect is None, defect)
 
 

@@ -29,7 +29,15 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from .complexes import Complex, GradedSpace, LinMap, TensorComplex, TensorSpace, first_defect
+from .complexes import (
+    Complex,
+    DiagonalSum,
+    GradedSpace,
+    LinMap,
+    TensorComplex,
+    TensorSpace,
+    first_defect,
+)
 from .lie import (
     LieAlgebra,
     RepMatrices,
@@ -252,8 +260,9 @@ class KgModule:
 
 class DiagonalAction:
     """The action L_k = LA_k⊗1 + 1⊗LB_k of g on a TensorSpace, for factor
-    pairs [(LA_k, LB_k), ...] of degree-0 operators, one per basis vector,
-    with no block of the product built: its rows come from
+    pairs [(LA_k, LB_k), ...] of degree-0 operators (LinMaps or
+    DiagonalSums), one per basis vector, with no block of the product or
+    of a DiagonalSum factor built: its rows come from
     TensorSpace.diagonal_rows, and ``apply[k]`` is L_k prepared for
     application to columns (one TensorSpace.apply_sum per pair)."""
 
@@ -282,12 +291,15 @@ class TensorModule(KgModule):
     L_k = LA_k⊗1 + 1⊗LB_k (degree 0, so no sign).
 
     i_pairs() and L_pairs() yield the (A-side, B-side) pairs, one per k.
-    They are separate sources so that reading one lifts nothing the other
-    needs: i_ops and L_ops are each lifted in one summed lift on first
-    read, and the duality verifier reads neither on W⊗M.  Invariants are
-    cut straight from the rows of the L pairs and certified by applying
-    the L pairs to columns (see DiagonalAction), so L_ops is not lifted
-    for them either, nor d (a TensorComplex, see tensor_module).
+    They are separate sources so that reading one builds nothing the other
+    needs.  i_ops is one summed lift per k on first read, which the duality
+    verifier never makes on W⊗M.  L_ops are DiagonalSums, whose blocks are
+    lifted only where read: as the factors of a further product (the L of
+    W in W⊗M) they hand over rows and columns straight from their own
+    factors.  Invariants are cut from the rows of the L pairs and certified
+    by applying the L pairs to columns (see DiagonalAction), so no L block
+    is lifted for them, nor any block of d (a TensorComplex, see
+    tensor_module).
     """
 
     def __init__(self, g: LieAlgebra, complex_: Complex, tensor: TensorSpace,
@@ -300,23 +312,16 @@ class TensorModule(KgModule):
         self._i_pairs = i_pairs
         self._L_pairs = L_pairs
 
-    def _lift_pairs(self, pairs: Iterable, shift: int, top: Optional[int] = None) -> tuple:
-        return tuple(self.tensor.lift_sum([(A, None), (None, B)], shift, top) for A, B in pairs)
-
     @cached_property
     def i_ops(self) -> tuple:
-        return self._lift_pairs(self._i_pairs(), -1)
+        return tuple(self.tensor.lift_sum([(A, None), (None, B)], -1) for A, B in self._i_pairs())
 
     @cached_property
     def L_ops(self) -> tuple:
-        """Lifted up to max_usable only: a factor holds L only up to its own
-        max_usable (see tensor_module)."""
-        return self._lift_pairs(self._L_pairs(), 0, self.max_usable)
-
-    def L_rows(self):
-        """deg -> the rows of the stacked L_k blocks at deg, from the factor
-        blocks (TensorSpace.diagonal_rows), without lifting L_ops."""
-        return self.tensor.diagonal_rows(list(self._L_pairs()))
+        """DiagonalSums of the L pairs, with no block above max_usable: a
+        factor holds L only up to its own max_usable (see tensor_module).
+        A block is lifted only where it is read."""
+        return tuple(DiagonalSum(self.tensor, A, B, self.max_usable) for A, B in self._L_pairs())
 
     def invariant_blocks(self, degrees) -> dict:
         action = DiagonalAction(self.g, self.tensor, self._L_pairs())
@@ -382,10 +387,18 @@ def validate_kg(M: KgModule) -> KgValidationReport:
         ("[L_j, L_k] = L_[x_j,x_k]", 2,
          (bracket_defect(M.L_ops, M.L_ops, j, k) for j in range(n) for k in range(j + 1, n))),
     ]
+
+    def blocks(diff: LinMap) -> Callable:
+        """diff's nonzero blocks as the products 1·blk for first_defect."""
+        def at(deg: int) -> list:
+            blk = diff.block(deg)
+            return [(1, Matrix.identity(blk.rows), blk)] if blk.num else []
+        return at
+
     checks = []
     for identity, k, diffs in families:
         degrees = M.complex.usable_degrees(k)
-        defect = next(filter(None, (first_defect(M.space, degrees, diff.block) for diff in diffs)), None)
+        defect = next(filter(None, (first_defect(M.space, degrees, blocks(diff)) for diff in diffs)), None)
         checks.append(IdentityCheck(identity, defect is None, defect))
     return KgValidationReport(M.name, checks)
 

@@ -151,7 +151,8 @@ class WeilModule(TensorModule):
     """W(g) as a module with contractions; keeps the monomial calculus around.
 
     i_k = 1 ⊗ i_k^Λ and L_k = L_k^S ⊗ 1 + 1 ⊗ L_k^Λ (the coadjoint action
-    on both) are lifted from the factors on first read (see TensorModule).
+    on both) come from the factors (see TensorModule): i_k is lifted on
+    first read, L_k only where a block of it is read.
     """
 
     def __init__(self, algebra: WeilAlgebra, complex_: Complex, i_pairs, L_pairs, name: str):
@@ -182,9 +183,9 @@ def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
         i_k = lift(1, i_k^Λ)
         L_k = lift [(−Θ_k, 1), (1, L_k^Λ)], cut at max_usable = N − 1
 
-    d_W is lifted here; i_k and L_k are lifted on first read (see
-    TensorModule).  d_W² = 0 is checked on the result (a truncated
-    module).
+    d_W is lifted here; i_k is lifted on first read and L_k only where a
+    block of it is read (see TensorModule).  d_W² = 0 is checked on the
+    result (a truncated module), one product column at a time.
     """
     ext = exterior_model(g)  # certifies that g is reductive
     alg, sym_action = weil_algebra(g, ext, trunc.max_degree)

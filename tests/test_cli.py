@@ -130,6 +130,14 @@ def test_bad_abelian_spec(capsys, spec):
     assert err.startswith("input error:") and repr(spec) in err
 
 
+@pytest.mark.parametrize("spec", ["forms:coadjoint:x", "forms:coadjoint:", "forms:adjoint:-1"])
+def test_bad_forms_degree(capsys, spec):
+    code, _, err = run(capsys, "validate", "--algebra", "su2", "--module", spec)
+    assert code == 2
+    assert err.startswith("input error:") and repr(spec) in err
+    assert "integer D >= 0" in err and "invalid literal" not in err
+
+
 @pytest.mark.parametrize("flags", [
     ("--algebra", "{dir}"),
     ("--algebra", "su2", "--module", "file:{missing}"),

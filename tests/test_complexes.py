@@ -21,6 +21,7 @@ from koszul.complexes import (
     cohomology,
     cohomology_classes,
     cohomology_representatives,
+    first_defect,
     induced_map,
     quasi_iso_check,
     subcomplex,
@@ -405,7 +406,7 @@ def test_diagonal_rows_are_the_stacked_lift_rows():
     ext, N = exterior_model(g), 4
     W = weil_model(g, Truncation(N + 1))
     for module in (tensor_module(W, ext, max_total=N + 1), W, tensor_module(ext, ext)):
-        rows_at = module.L_rows()
+        rows_at = module.tensor.diagonal_rows([L.pair for L in module.L_ops])
         for t in module.complex.usable_degrees(1):
             got = list(rows_at(t))
             want = _stacked_rows([L.block(t) for L in module.L_ops], module.space.dim(t))
@@ -607,6 +608,61 @@ def test_d_squared_witness_matches_dense_reference(data):
         deg, lbl = expected
         with pytest.raises(ValueError, match=re.escape(f"d^2 != 0 at degree {deg} on basis vector {lbl!r}")):
             Complex(space, d)
+
+
+def _block_product_defect(space, degrees, products):
+    """first_defect by whole blocks: the first nonzero column of the summed
+    product block c·L@R at the first degree where it is nonzero."""
+    for deg in degrees:
+        m = None
+        for c, L, R in products(deg):
+            p = (L @ R).scale(c)
+            m = p if m is None else m + p
+        if m is not None and not m.is_zero():
+            col = min(j for _, j in m.num)
+            return deg, space.labels(deg)[col], m.column(col)
+    return None
+
+
+def _draw_blocks(data, dims):
+    """Blocks B_t of shape dims[t+1] x dims[t]: one complex-shaped chain."""
+    return [_draw_mixed_block(data, dims[t + 1], dims[t]) for t in range(len(dims) - 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_first_defect_streams_the_block_product(data):
+    """first_defect walks the columns one product column at a time and gives
+    the same (degree, label, column) as the whole block product: for d²-like
+    products C_{t+1}·C_t, blocks alone (1·C_t), and chain-map differences
+    D_t·f_t − f_{t+1}·C_t, where D_t equals C_t on a drawn set of columns and
+    f = s·1, so the two products cancel exactly in those columns."""
+    dims = data.draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+    space = GradedSpace({t: tuple(f"e{t}_{i}" for i in range(n)) for t, n in enumerate(dims)})
+    C = _draw_blocks(data, dims)
+    kind = data.draw(st.sampled_from(["d2", "identity", "chain", "cancel"]))
+    if kind == "d2":
+        degrees, products = [0, 1], lambda t: [(1, C[t + 1], C[t])]
+    elif kind == "identity":
+        degrees, products = [0, 1, 2], lambda t: [(1, Matrix.identity(C[t].rows), C[t])]
+    else:
+        E = _draw_blocks(data, dims)
+        if kind == "chain":
+            f = [_draw_mixed_block(data, n, n) for n in dims]
+            D = E
+        else:
+            s = data.draw(MIXED_ENTRIES[1].filter(bool))
+            f = [Matrix.identity(n).scale(s) for n in dims]
+            keep = [data.draw(st.lists(st.booleans(), min_size=m.cols, max_size=m.cols)) for m in C]
+            D = [Matrix(c.rows, c.cols, {(i, j): (c if keep[t][j] else e)[i, j]
+                                         for i in range(c.rows) for j in range(c.cols)})
+                 for t, (c, e) in enumerate(zip(C, E))]
+        degrees, products = [0, 1, 2], lambda t: [(1, D[t], f[t]), (-1, f[t + 1], C[t])]
+    want = _block_product_defect(space, degrees, products)
+    got = first_defect(space, degrees, products)
+    assert got == want
+    if got is not None:
+        assert all(type(v) is Fraction for v in got[2])
 
 
 def test_d_squared_fractional_witness_and_exact_cancellation():

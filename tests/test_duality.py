@@ -139,7 +139,8 @@ def test_duality_builds_only_what_it_reads():
 
 def test_product_invariants_leave_weil_contractions_unlifted(su2):
     # the i and L pairs of W⊗M are separate sources: cutting its invariants
-    # reads the L_k of W, never its i_k
+    # reads the L_k of W, never its i_k, and reads the L_k of W from S(g*)
+    # and Λ(g*) without lifting a block of them
     from koszul.equivariant import invariant_subcomplex
     from koszul.modules import tensor_module
     from koszul.weil import weil_model
@@ -147,6 +148,70 @@ def test_product_invariants_leave_weil_contractions_unlifted(su2):
     W = weil_model(su2, Truncation(5))
     invariant_subcomplex(tensor_module(W, exterior_model(su2), max_total=5), with_actions=False)
     assert "L_ops" in vars(W) and "i_ops" not in vars(W)
+    assert all(L._lifted is None for L in W.L_ops)
+
+
+@pytest.mark.parametrize("module", ["trivial", "exterior⊗exterior"])
+def test_verifier_lifts_no_L_block_of_a_tensor_factor(monkeypatch, module):
+    """verify_duality cuts and certifies the invariants of W⊗M, and of
+    S(g*)⊗M in the Cartan model, from the factors' L rows and columns: no
+    block of W's L_k is built, and for M = Λ⊗Λ none of M's L_k either.
+    Neither a lift_sum of degree 0 on W or on M runs nor a block of their
+    L_k is read."""
+    from koszul.complexes import DiagonalSum, TensorSpace
+    from koszul.modules import TensorModule, tensor_module
+
+    lifted, read = [], []
+    lift_sum, blocks = TensorSpace.lift_sum, DiagonalSum.blocks
+
+    def recorded(ts, terms, shift, top=None):
+        lifted.append((ts, shift))
+        return lift_sum(ts, terms, shift, top)
+
+    monkeypatch.setattr(TensorSpace, "lift_sum", recorded)
+    monkeypatch.setattr(DiagonalSum, "blocks", property(lambda L: read.append(L) or blocks.fget(L)))
+    g = builtin_algebra("su2")
+    ext = exterior_model(g)
+    M = trivial_module(g) if module == "trivial" else tensor_module(ext, ext)
+    report, comp = verify_duality(M, Truncation(6))
+    assert report.verdict
+    factors = [comp.weil] + [M] * isinstance(M, TensorModule)
+    assert all(isinstance(L, DiagonalSum) for F in factors for L in F.L_ops)
+    assert not read
+    assert not [ts for ts, shift in lifted if shift == 0 and any(ts is F.tensor for F in factors)]
+    # a block read still lifts it, from the same factor pairs
+    L = comp.weil.L_ops[0]
+    assert L.block(2) == lift_sum(L.tensor, [(L.pair[0], None), (None, L.pair[1])], 0).block(2)
+    assert read == [L]
+
+
+def test_certificate_builds_only_the_reached_columns_of_weil_L(monkeypatch):
+    """The certificate of an invariant kernel of W⊗Q builds the columns of
+    W's L_k that the kernel's support reaches, each once per certified L_k,
+    and no other: su2xsu2 trivial N=8 at degree 8, where W^8 has 1287 basis
+    vectors and the kernel 8 columns over 66 of them."""
+    from koszul.complexes import TensorSpace
+    from koszul.modules import tensor_module
+    from koszul.weil import weil_model
+
+    g = builtin_algebra("su2xsu2")
+    W = weil_model(g, Truncation(9))
+    WM = tensor_module(W, trivial_module(g), max_total=9)
+    built = []
+    image_column = TensorSpace._image_column
+
+    def recorded(ts, t, parts, i):
+        if ts is W.tensor:
+            built.append((t, i))
+        return image_column(ts, t, parts, i)
+
+    monkeypatch.setattr(TensorSpace, "_image_column", recorded)
+    K = WM.invariant_blocks([8])[8]
+    support = {i for i, _ in K.num}  # W^8⊗Q^0 sits in W^8's order
+    assert (K.cols, len(support), W.space.dim(8)) == (8, 66, 1287)
+    certified = g.dim - len(g.generators)
+    assert certified == 2
+    assert sorted(built) == sorted((8, i) for i in support for _ in range(certified))
 
 
 def test_duality_sl2_trivial():
@@ -365,6 +430,17 @@ def test_su2xsu2_exterior_n8_report_golden():
     assert report.verdict
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
         "6aa89bd4e0a001d52d31f6ce18de960e1496f9d87336dca04e8d6d362e227480")
+
+
+def test_sl3_trivial_n8_report_golden():
+    """Byte-identical sl3 trivial N=8 report, off the bench: W(sl3) is built
+    to degree 9, where its L_k and its d² check weigh most."""
+    import hashlib
+
+    report, _ = verify_duality(trivial_module(builtin_algebra("sl3")), N8)
+    assert report.verdict
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "9a4cc7ca246aa08dfea5c6d953ae7e520f879b932557c2297aa43f4f221a8c52")
 
 
 def test_invariant_kernels_are_certified_and_never_fall_back(monkeypatch, capsys):

@@ -452,3 +452,27 @@ def test_embedding_expansion_golden(su2):
         (1, 2, 1, 1): Q(1),    # +k*⊗j*: del_k(j*∧k*) = -j*
         (2, 2, 0, 0): Q(1),    # -(j*∧k*)⊗ del_j del_k(j*∧k*) = -(-1) = +1
     }
+
+
+@pytest.mark.parametrize("name, N, message", [
+    ("su2", 5, "d^2 != 0 at degree 3 on basis vector 'k*⊗k*'"),
+    ("su2xsu2", 6, "d^2 != 0 at degree 4 on basis vector 'k2*⊗j2*∧k2*'"),
+])
+def test_weil_d_squared_gate_catches_one_corrupted_entry(name, N, message):
+    """One entry of the lifted d_W changed in the top block the d² check
+    reads (d out of degree usable_top(2) + 1, the left factor at the top
+    checked degree) makes the check raise, with the witness pinned."""
+    import re
+
+    W = weil_model(builtin_algebra(name), Truncation(N))
+    d, top = W.d, W.complex.usable_top(2)
+    assert top == N - 2
+    c = max(i for i, _ in d.block(top).num)  # a basis vector of degree top + 1 that d_top reaches
+    blk = d.block(top + 1)
+    num = dict(blk.num)
+    num[(0, c)] = num.get((0, c), 0) + blk.den
+    corrupted = LinMap(d.source, d.target, 1,
+                       {**d.blocks, top + 1: Matrix._from_ints(blk.rows, blk.cols, num, blk.den)})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Complex(W.space, corrupted, complete=False)
+    assert Complex(W.space, d, complete=False).d_squared_defect() is None
