@@ -30,12 +30,13 @@ from .linalg import (
     Matrix,
     Q0,
     ShapeError,
+    SpanError,
     Subspace,
     _ratio,
     complement_basis,
     hstack,
-    image_rank,
     joint_kernel,
+    pivot_columns,
     qstr,
     rank,
 )
@@ -587,6 +588,7 @@ class Complex:
         self.d = d
         self.complete = complete
         self._cohomology_bases: dict = {}  # degree -> (representatives, boundaries)
+        self._d_pivots: dict = {}  # degree -> pivot columns of d_degree
         if check:
             bad = self.d_squared_defect()
             if bad is not None:
@@ -637,7 +639,7 @@ class TensorComplex(Complex):
     def __init__(self, tensor: TensorSpace, terms: Sequence, complete: bool, top: Optional[int] = None):
         self.tensor, self.terms, self.top, self.complete = tensor, terms, top, complete
         self.space = tensor.space if top is None else tensor.space.truncated(top + 1)
-        self._cohomology_bases = {}
+        self._cohomology_bases, self._d_pivots = {}, {}
 
     @cached_property
     def d(self) -> LinMap:
@@ -776,14 +778,49 @@ class CohomologyReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+def _d_pivots(C: Complex, deg: int) -> list:
+    """The pivot columns of d_deg (see linalg.pivot_columns): their images
+    are a basis of im d_deg, and there are rank d_deg of them.  One forward
+    elimination of the block's rows per complex and degree."""
+    pivots = C._d_pivots.get(deg)
+    if pivots is None:
+        block = C.d.block(deg)
+        pivots = C._d_pivots[deg] = [] if block.is_zero() else pivot_columns(block)
+    return pivots
+
+
+def _betti_by_rank(C: Complex, deg: int) -> int:
+    """dim H^deg as dim - rank d_deg - rank d_{deg-1}, with no representatives."""
+    return C.space.dim(deg) - len(_d_pivots(C, deg)) - len(_d_pivots(C, deg - 1))
+
+
+def _cocycle_boundaries(C: Complex, deg: int) -> Matrix:
+    """A basis of im d_{deg-1}, the images of the pivot columns of
+    d_{deg-1}, checked to be cocycles: SpanError, as complement_basis
+    raises it, when one is not, i.e. when d² != 0 at deg on a complex built
+    unchecked."""
+    boundaries = C.d.block(deg - 1).take(_d_pivots(C, deg - 1))
+    if not (C.d.block(deg) @ boundaries).is_zero():
+        raise SpanError("U is not contained in span(V)")
+    return boundaries
+
+
 def cohomology_representatives(C: Complex, deg: int) -> tuple:
     """(representatives, boundary basis) for H^deg as column blocks,
-    deterministically; computed once per complex and degree."""
+    deterministically; computed once per complex and degree.
+
+    The boundaries are checked to be cocycles, and dim H^deg is read from
+    the ranks.  Only where it is positive is the cocycle kernel cut and a
+    complement of the boundaries taken in it; elsewhere the representatives
+    are empty."""
     bases = C._cohomology_bases.get(deg)
     if bases is None:
-        cocycles = joint_kernel([C.d.block(deg)], C.space.dim(deg))
-        _, boundaries = image_rank(C.d.block(deg - 1))
-        bases = C._cohomology_bases[deg] = (complement_basis(boundaries, cocycles), boundaries)
+        boundaries = _cocycle_boundaries(C, deg)
+        if _betti_by_rank(C, deg) > 0:
+            reps = complement_basis(boundaries, joint_kernel([C.d.block(deg)], C.space.dim(deg)))
+        else:
+            reps = Matrix.zero(C.space.dim(deg), 0)
+        bases = C._cohomology_bases[deg] = (reps, boundaries)
     return bases
 
 
@@ -801,17 +838,14 @@ def cohomology_classes(reps: Matrix, boundaries: Matrix, images: Matrix) -> Opti
                              {rc: v for rc, v in m.num.items() if rc[0] < reps.cols}, m.den)
 
 
-def _betti_by_rank(C: Complex, deg: int) -> int:
-    """dim H^deg as dim - rank d_deg - rank d_{deg-1}, with no representatives."""
-    blocks = (C.d.block(deg), C.d.block(deg - 1))
-    return C.space.dim(deg) - sum(rank(m) for m in blocks if not m.is_zero())
-
-
 def cohomology(C: Complex, trunc: Truncation) -> CohomologyReport:
     """H^m = ker(d_m) / im(d_{m-1}) for m <= N, certified for m <= N - 1.
 
-    Representatives are computed at certified degrees only; an uncertified
-    degree reports just its count.
+    Each block d_m is eliminated once, forward only, for its rank and pivot
+    columns, and every Betti number is dim - rank d_m - rank d_{m-1}.
+    Representatives are computed at certified degrees where H^m != 0 only
+    (see cohomology_representatives); an uncertified degree reports just
+    its count.
     """
     N = trunc.max_degree
     if not C.complete and C.space.hi < N:
@@ -850,7 +884,13 @@ class QuasiIsoReport:
 
 
 def quasi_iso_check(f: ChainMap, trunc: Truncation) -> QuasiIsoReport:
-    """Check that f induces isomorphisms on H^m for m <= N - 1."""
+    """Check that f induces isomorphisms on H^m for m <= N - 1.
+
+    The Betti numbers on both sides come from the ranks of the
+    differentials (see cohomology).  Where the source has a class, f is
+    applied to its representatives and their classes are read in the
+    target's; where it has none, the induced rank is 0, the target's count
+    stands alone and no representative is computed on either side."""
     chain = check_chain_map(f)
     if not chain.ok:
         return QuasiIsoReport(False, chain, {})
@@ -861,13 +901,17 @@ def quasi_iso_check(f: ChainMap, trunc: Truncation) -> QuasiIsoReport:
     lo = min(C.space.lo, D.space.lo)
     for deg in range(lo, N):
         reps_C, _ = cohomology_representatives(C, deg)
-        reps_D, bdry_D = cohomology_representatives(D, deg)
-        induced = cohomology_classes(reps_D, bdry_D, f.map.block(deg) @ reps_C)
-        rank_ind = -1 if induced is None else rank(induced)
-        ok_here = reps_C.cols == reps_D.cols == rank_ind
+        if reps_C.cols:
+            reps_D, bdry_D = cohomology_representatives(D, deg)
+            induced = cohomology_classes(reps_D, bdry_D, f.map.block(deg) @ reps_C)
+            betti_D, rank_ind = reps_D.cols, -1 if induced is None else rank(induced)
+        else:
+            _cocycle_boundaries(D, deg)  # the check of the target's representatives
+            betti_D, rank_ind = _betti_by_rank(D, deg), 0
+        ok_here = reps_C.cols == betti_D == rank_ind
         degrees[deg] = {
             "source_betti": reps_C.cols,
-            "target_betti": reps_D.cols,
+            "target_betti": betti_D,
             "induced_rank": rank_ind,
             "ok": ok_here,
         }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from importlib import resources
 from itertools import combinations
@@ -221,7 +221,13 @@ def load_lie_algebra(path_or_name: str) -> LieAlgebra:
 BUILTIN_NAMES = ("su2", "sl2", "abelian1", "abelian2", "su2xsu2", "sl3", "u2")
 
 
+@cache
 def builtin_algebra(name: str) -> LieAlgebra:
+    """The built-in algebra of a name in BUILTIN_NAMES or of an abelian:n
+    spec, one per name for the life of the process, so that its cached
+    constants, adjoint matrices and generators are built once.  The algebra
+    is shared by every caller and never mutated; a bad name raises, and is
+    not cached."""
     base = name.split(":", 1)
     if base[0] == "abelian" and len(base) == 2:
         try:
@@ -361,11 +367,12 @@ def certify_reductive(g: LieAlgebra) -> ReductiveDecomposition:
         raise NotReductive(
             f"dim z(g) + dim [g,g] = {center.cols} + {derived.cols} != {n}"
         )
+    killing = killing_form(g)
     if derived.cols:
-        K_restricted = derived.transpose() @ killing_form(g) @ derived
+        K_restricted = derived.transpose() @ killing @ derived
         if rank(K_restricted) != derived.cols:
             raise NotReductive("Killing form is degenerate on the derived subalgebra")
     if center.cols and derived.cols:
         if rank(hstack([center, derived], n)) != n:
             raise NotReductive("center and derived subalgebra do not span g directly")
-    return ReductiveDecomposition(tuple(center.columns()), tuple(derived.columns()), killing_form(g))
+    return ReductiveDecomposition(tuple(center.columns()), tuple(derived.columns()), killing)

@@ -12,6 +12,9 @@ them by cross-multiplication (``row <- a*row - b*pivot``, as in Bareiss
 elimination).  ``_echelon`` feeds it a stream of rows and back-substitutes
 the result to the reduced row echelon form: ``RowReduction`` splits a
 Matrix into that stream, and ``row_kernel`` takes rows built elsewhere.
+``rank`` and ``image_rank`` need only the pivot columns, which
+``pivot_columns`` reads from the presolve of ``row_kernel`` and a forward
+elimination, with no back-substitution.
 ``Subspace`` keeps the inserted rows as they are, and so does
 ``IncrementalSpan``; no code in this package calls ``IncrementalSpan``,
 which stays only because the benchmark's tracer (``perfbench/spans.py``)
@@ -591,23 +594,50 @@ def _prune(rows: Iterable[dict], dead: set) -> Iterator[dict]:
             yield row
 
 
-def row_kernel(rows: Iterable[dict], cols: int) -> Matrix:
-    """Common kernel of a stream of integer rows (dicts col -> int, nonzero
-    entries only: a stored zero {c: 0} would wrongly kill column c) of
-    width cols, as the columns of a Matrix (see ``RowReduction.kernel``).
+def _presolve(rows: Iterable[dict], dead: set) -> list:
+    """The singleton presolve of a stream of integer rows (dicts col -> int,
+    nonzero entries only: a stored zero {c: 0} would wrongly kill column c):
+    the surviving rows, cut to the columns left live, with every killed
+    column added to `dead`.
 
-    Singleton presolve: a one-entry row kills its column, which is dropped
-    from the other rows, and that can leave new one-entry rows.  The stream
-    is read once, each row cut against the columns dead so far; re-cuts of
-    the kept rows repeat until no column dies, and only the survivors are
-    eliminated.  A dead column is a pivot column of the full RREF, so the
-    free columns and the reduced basis are those of the whole stream."""
-    dead: set = set()
+    A one-entry row kills its column, which is dropped from the other rows,
+    and that can leave new one-entry rows.  The stream is read once, each
+    row cut against the columns dead so far; re-cuts of the kept rows repeat
+    until no column dies.  A dead column is a unit vector of the row space,
+    so it is a pivot column of the full RREF, and the survivors span the
+    rest of the row space on the live columns."""
     live, n = rows, None
     while n != len(dead):
         n = len(dead)
         live = list(_prune(live, dead))
+    return live
+
+
+def row_kernel(rows: Iterable[dict], cols: int) -> Matrix:
+    """Common kernel of a stream of integer rows of width cols, as the
+    columns of a Matrix (see ``RowReduction.kernel``): only the survivors
+    of the presolve (``_presolve``) are eliminated, so the free columns and
+    the reduced basis are those of the whole stream."""
+    dead: set = set()
+    live = _presolve(rows, dead)
     return _kernel(_echelon((row, None) for row in live)[0], cols, dead)
+
+
+def pivot_columns(A: Matrix) -> list:
+    """The pivot columns of the RREF of A, in increasing order: the columns
+    whose images form a basis of A's column space, and as many as its rank.
+
+    The rows of A go through the presolve of ``row_kernel`` and the
+    survivors through forward elimination only, with no back-substitution:
+    the set of leading columns depends only on the row space, and the row
+    space is the span of the dead unit vectors plus that of the survivors,
+    which live off the dead columns.  So the pivots are the dead columns
+    and the survivors' leads."""
+    dead: set = set()
+    table: dict = {}
+    for row in _presolve((row for _, row in sorted(_matrix_rows(A).items())), dead):
+        _insert(table, row, None)
+    return sorted(dead.union(table))
 
 
 def joint_kernel(mats: Sequence[Matrix], cols: int) -> Matrix:
@@ -647,12 +677,12 @@ def closure_rank(seeds: Iterable[dict], ops: Sequence[Matrix]) -> int:
 
 def image_rank(A: Matrix) -> tuple:
     """(rank, basis of the column space): the basis is the pivot columns of A."""
-    red = RowReduction(A, track=False)
-    return red.rank, A.take(red.pivots)
+    pivots = pivot_columns(A)
+    return len(pivots), A.take(pivots)
 
 
 def rank(A: Matrix) -> int:
-    return RowReduction(A, track=False).rank
+    return len(pivot_columns(A))
 
 
 def solve_affine(A: Matrix, b: Sequence) -> Optional[tuple]:

@@ -874,9 +874,184 @@ def test_cocycle_bases_computed_once(monkeypatch):
     trunc = Truncation(3)
     betti = cohomology(C, trunc).betti
     calls = []
-    image_rank = complexes.image_rank
-    monkeypatch.setattr(complexes, "image_rank", lambda A: calls.append(A) or image_rank(A))
+    for name in ("pivot_columns", "joint_kernel"):
+        fn = getattr(complexes, name)
+        monkeypatch.setattr(complexes, name, lambda *args, fn=fn: calls.append(args) or fn(*args))
     rep = quasi_iso_check(ChainMap(C, C, LinMap.identity(C.space)), trunc)
     assert rep.ok and {d: info["source_betti"] for d, info in rep.degrees.items()} == betti
     assert calls == []
     assert cohomology_representatives(C, 1) is cohomology_representatives(C, 1)
+
+
+# -- the rank path: Betti numbers from ranks, representatives where a class lives
+
+def _old_bases(C, deg):
+    """(representatives, boundaries) as cohomology computed them before the
+    rank path, at every degree: the cocycle kernel, the boundaries as the
+    pivot columns of d_{deg-1} from a RowReduction, and a complement."""
+    from koszul.linalg import RowReduction, complement_basis, joint_kernel
+
+    before = C.d.block(deg - 1)
+    boundaries = before.take(RowReduction(before, track=False).pivots)
+    cocycles = joint_kernel([C.d.block(deg)], C.space.dim(deg))
+    return complement_basis(boundaries, cocycles), boundaries
+
+
+def _old_quasi_iso_degrees(f, trunc):
+    """The degree dicts of quasi_iso_check, computed the old way (_old_bases
+    on both sides at every degree, the induced rank from a RowReduction)."""
+    from koszul.linalg import RowReduction
+
+    C, D = f.source, f.target
+    degrees = {}
+    for deg in range(min(C.space.lo, D.space.lo), trunc.max_degree):
+        reps_C, _ = _old_bases(C, deg)
+        reps_D, bdry_D = _old_bases(D, deg)
+        induced = cohomology_classes(reps_D, bdry_D, f.map.block(deg) @ reps_C)
+        rank_ind = -1 if induced is None else RowReduction(induced, track=False).rank
+        degrees[deg] = {"source_betti": reps_C.cols, "target_betti": reps_D.cols,
+                        "induced_rank": rank_ind, "ok": reps_C.cols == reps_D.cols == rank_ind}
+    return degrees
+
+
+@st.composite
+def shaped_complex(draw):
+    """A complex on degrees 0..k with d² = 0 and every shape of cohomology:
+    C^m = H^m ⊕ B^m ⊕ E^m, where d sends E^m onto B^{m+1} by the identity
+    and is zero elsewhere, written in a random basis per degree (a unit
+    triangular integer change of basis) and scaled by a random rational."""
+    sp = pytest.importorskip("sympy")
+    rnd = draw(st.randoms(use_true_random=False))
+    k = draw(st.integers(1, 4))
+    hom = [draw(st.integers(0, 2)) for _ in range(k + 1)]
+    exact = [draw(st.integers(0, 2)) for _ in range(k)] + [0]
+    bound = [0] + exact[:-1]
+    dims = [h + b + e for h, b, e in zip(hom, bound, exact)]
+
+    def basis(n):
+        low = sp.Matrix(n, n, lambda i, j: 1 if i == j else rnd.randint(-2, 2) if i > j else 0)
+        up = sp.Matrix(n, n, lambda i, j: 1 if i == j else rnd.randint(-2, 2) if i < j else 0)
+        return low * up
+
+    S = [basis(n) for n in dims]
+    blocks = {}
+    for m in range(k):
+        std = sp.zeros(dims[m + 1], dims[m])
+        for i in range(exact[m]):
+            std[hom[m + 1] + i, hom[m] + bound[m] + i] = 1
+        scale = sp.Rational(rnd.choice([-3, -1, 1, 2, 5]), rnd.choice([1, 2, 3]))
+        d = S[m + 1] * std * S[m].inv() * scale
+        blocks[m] = Matrix(d.rows, d.cols, {(i, j): Fraction(int(d[i, j].p), int(d[i, j].q))
+                                            for i in range(d.rows) for j in range(d.cols) if d[i, j]})
+    space = GradedSpace({m: tuple(f"c{m}_{i}" for i in range(n)) for m, n in enumerate(dims)},
+                        lo=0, hi=k)
+    complete = draw(st.booleans())
+    N = draw(st.integers(1, k + 2 if complete else k))
+    # check=True: d² = 0 is verified here, at every degree the window rule reaches
+    return Complex(space, LinMap(space, space, 1, blocks), complete=complete), N, hom
+
+
+@given(shaped_complex())
+@settings(max_examples=80, deadline=None)
+def test_rank_path_matches_the_old_bases_and_sympy(case):
+    """Betti numbers, representatives and quasi-isomorphism degree dicts
+    are those of the old path (kernel, boundaries and complement at every
+    degree), and every rank read from the elimination record is sympy's."""
+    import sympy as sp
+    from koszul import complexes
+
+    C, N, hom = case
+    trunc = Truncation(N)
+    rep = cohomology(C, trunc)
+    for deg in rep.betti:
+        reps = _old_bases(C, deg)[0] if deg <= C.space.hi else Matrix.zero(0, 0)
+        labels = C.space.labels(deg)
+        assert rep.betti[deg] == reps.cols == (hom[deg] if deg <= C.space.hi else 0)
+        assert rep.representatives[deg] == [{labels[i]: v for i, v in enumerate(r) if v}
+                                            for r in reps.columns()]
+    for deg in range(C.space.lo - 1, N + 1):
+        block = C.d.block(deg)
+        want = sp.Matrix(block.rows, block.cols, lambda i, j: sp.Rational(
+            block[i, j].numerator, block[i, j].denominator)).rank() if block.rows and block.cols else 0
+        assert len(complexes._d_pivots(C, deg)) == want
+    for deg, count in rep.uncertified.items():
+        assert count == C.space.dim(deg) - len(complexes._d_pivots(C, deg)) - len(
+            complexes._d_pivots(C, deg - 1))
+    for f in (ChainMap(C, C, LinMap.identity(C.space)),
+              ChainMap(C, C, LinMap.identity(C.space).scale(Fraction(-2, 3)))):
+        assert quasi_iso_check(f, trunc).degrees == _old_quasi_iso_degrees(f, trunc)
+
+
+def _skewed_complex():
+    """Q -> Q² -> Q with d_0 = e_1 and d_1 = (1, 0), built unchecked: d² != 0
+    at degree 1, where the ranks still give dim H^1 = 2 - 1 - 1 = 0."""
+    space = GradedSpace({0: ("a",), 1: ("b", "c"), 2: ("e",)})
+    d = LinMap(space, space, 1, {0: Matrix(2, 1, {(0, 0): 1}), 1: Matrix(1, 2, {(0, 0): 1})})
+    return Complex(space, d, check=False)
+
+
+def test_d_squared_defect_at_a_betti_zero_degree_still_raises():
+    """Boundaries that leave the cocycles raise SpanError at a degree where
+    the ranks give no class, in cohomology and on either side of
+    quasi_iso_check, as complement_basis raised it when every degree took
+    a complement."""
+    from koszul.linalg import SpanError
+
+    C = _skewed_complex()
+    with pytest.raises(SpanError, match=r"^U is not contained in span\(V\)$"):
+        cohomology(C, Truncation(3))
+    C = _skewed_complex()
+    with pytest.raises(SpanError, match=r"^U is not contained in span\(V\)$"):
+        quasi_iso_check(ChainMap(C, C, LinMap.identity(C.space)), Truncation(3))
+    D, empty = _skewed_complex(), GradedSpace({})
+    zero = Complex(empty, LinMap.zero(empty, empty, 1))
+    with pytest.raises(SpanError, match=r"^U is not contained in span\(V\)$"):
+        quasi_iso_check(ChainMap(zero, D, LinMap.zero(empty, D.space, 0)), Truncation(3))
+
+
+def test_weil_cohomology_eliminates_each_block_once_and_cuts_one_kernel(monkeypatch):
+    """cohomology of the acyclic W(su2xsu2) to degree 8 eliminates each
+    nonzero block of d once, for its rank and pivots, and cuts a cocycle
+    kernel only at degree 0, where H^0 = Q lives."""
+    from koszul import complexes
+
+    C = weil_model(resolve_algebra("su2xsu2"), Truncation(8)).complex
+    eliminated, cut = [], []
+    pivot_columns, joint_kernel = complexes.pivot_columns, complexes.joint_kernel
+    monkeypatch.setattr(complexes, "pivot_columns", lambda A: eliminated.append(A) or pivot_columns(A))
+    monkeypatch.setattr(complexes, "joint_kernel",
+                        lambda mats, cols: cut.append(list(mats)) or joint_kernel(mats, cols))
+    rep = cohomology(C, Truncation(8))
+    assert rep.betti == {0: 1, **{m: 0 for m in range(1, 8)}}
+    assert [id(A) for A in eliminated] == [id(C.d.blocks[m]) for m in sorted(C.d.blocks)]
+    assert cut == [[C.d.block(0)]] and C.space.dim(0) == 1
+
+
+def test_survey_quasi_iso_degrees_match_the_old_path(monkeypatch):
+    """On the 14 duality-survey cases, both quasi-isomorphism checks of the
+    zig-zag (ψ and the inclusion) give the degree dicts of the old path,
+    and every complement taken in the verification holds a class: none is
+    taken at a degree whose Betti number is 0."""
+    import sys
+    from pathlib import Path
+
+    from koszul import complexes
+    from koszul.duality import verify_duality
+
+    found = []
+    complement_basis = complexes.complement_basis
+    monkeypatch.setattr(complexes, "complement_basis",
+                        lambda U, V: found.append(complement_basis(U, V)) or found[-1])
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    from child import build_module
+    from workloads import operations
+
+    for algebra, kind, window in operations("survey"):
+        trunc = Truncation(window)
+        report, comp = verify_duality(build_module(kind, resolve_algebra(algebra)), trunc)
+        assert report.verdict, (algebra, kind, window)
+        for qi, f in ((report.psi_quasi_iso, comp.psi), (report.inclusion_quasi_iso, comp.inclusion)):
+            assert qi.degrees == _old_quasi_iso_degrees(f, trunc), (algebra, kind, window)
+    assert found and all(reps.cols for reps in found)

@@ -32,6 +32,22 @@ def test_su2_loads_and_brackets():
     assert g.bracket(1, 0) == vec([0, 0, -2])
 
 
+def test_builtin_algebra_is_built_once_per_name():
+    """One LieAlgebra per built-in name and per abelian:n spec, so its
+    cached constants, adjoint matrices and generators are built once; a bad
+    spec still raises on every call."""
+    g = builtin_algebra("su2")
+    assert builtin_algebra("su2") is g and load_lie_algebra("su2") is g
+    assert g.generators is builtin_algebra("su2").generators
+    assert builtin_algebra("abelian:3") is builtin_algebra("abelian:3")
+    assert builtin_algebra("abelian:3").name == "abelian3"
+    for _ in range(2):
+        with pytest.raises(LieAlgebraError):
+            builtin_algebra("abelian:-1")
+        with pytest.raises(LieAlgebraError):
+            builtin_algebra("nope")
+
+
 def test_abelian_accepted():
     g = builtin_algebra("abelian2")
     assert all(not any(g.bracket(i, j)) for i in range(2) for j in range(2))
@@ -81,12 +97,17 @@ def test_inconsistent_antisymmetry_rejected():
         lie_algebra_from_dict(data)
 
 
-def test_certify_su2():
+def test_certify_su2(monkeypatch):
+    import koszul.lie
+
     g = builtin_algebra("su2")
+    built = []
+    monkeypatch.setattr(koszul.lie, "killing_form", lambda g: built.append(g) or killing_form(g))
     dec = certify_reductive(g)
     assert dec.center == ()
     assert len(dec.derived) == 3
-    assert killing_form(g) == Matrix.identity(3).scale(-8)
+    assert killing_form(g) == Matrix.identity(3).scale(-8) == dec.killing
+    assert built == [g]  # one Killing form for the check and the decomposition
 
 
 def test_certify_abelian():

@@ -19,6 +19,7 @@ from koszul.linalg import (
     image_rank,
     joint_kernel,
     kernel_basis,
+    pivot_columns,
     qparse,
     qstr,
     rank,
@@ -200,8 +201,9 @@ def test_rref_matches_sympy(A, track):
     sp = pytest.importorskip("sympy")
     red = RowReduction(A, track=track)
     want, pivots = _to_sympy(sp, A).rref()
-    assert red.pivots == list(pivots)
-    assert red.rank == len(pivots)
+    assert red.pivots == list(pivots) == pivot_columns(A)
+    assert red.rank == len(pivots) == rank(A)
+    assert image_rank(A) == (len(pivots), A.take(pivots))
     for i in range(A.rows):
         got = [red.R[i].get(j, Q(0)) for j in range(A.cols)]
         assert got == [_from_sympy(x) for x in want.row(i)]
