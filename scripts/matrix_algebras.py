@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from koszul.linalg import express_in_span, qstr
+from koszul.linalg import Matrix, Subspace, qstr
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "koszul" / "data"
 
@@ -76,13 +76,13 @@ def u2():
 def brackets(basis: dict) -> list:
     """[x_i, x_j] for i < j as {"i", "j", "terms"} entries, zero brackets left out."""
     mats = list(basis.values())
-    flat = [[v for row in X for v in row] for X in mats]
+    span = Subspace(Matrix.from_columns([[v for row in X for v in row] for X in mats]))
     out = []
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             XY, YX = product(mats[i], mats[j]), product(mats[j], mats[i])
             comm = [v for row in combine((1, XY), (-1, YX)) for v in row]
-            coords = express_in_span(flat, comm)
+            coords = span.coords(comm)
             if coords is None:
                 raise ValueError(f"[{i}, {j}] leaves the span of the basis")
             terms = [(k, c) for k, c in enumerate(coords) if c]

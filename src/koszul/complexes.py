@@ -20,9 +20,8 @@ import json
 from collections.abc import Mapping
 from copy import copy
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -32,6 +31,7 @@ from .linalg import (
     ShapeError,
     SpanError,
     Subspace,
+    _matrix_rows,
     _ratio,
     complement_basis,
     hstack,
@@ -177,9 +177,19 @@ class LinMap:
     def apply(self, d: int, v: Sequence) -> tuple:
         return self.block(d).apply(v)
 
+    def image(self, d: int, V: Matrix) -> Matrix:
+        """The images of the columns of V, a block of degree-d vectors."""
+        return self.block(d) @ V
+
+    def rows(self, d: int) -> Iterator[dict]:
+        """The nonzero rows of the block at d, in order, as integer rows
+        (dicts col -> numerator) over the block's denominator."""
+        m = self.blocks.get(d)
+        return iter(()) if m is None else (row for _, row in sorted(_matrix_rows(m).items()))
+
     def row_view(self, d: int) -> Optional[tuple]:
         """({row: [(col, numerator)]}, den) of the block at d, or None
-        without one: how a factor hands its rows to TensorSpace.diagonal_rows."""
+        without one: how a factor hands its rows to DiagonalSum.rows."""
         m = self.blocks.get(d)
         if m is None:
             return None
@@ -263,9 +273,9 @@ class _Columns(Mapping):
     """An integer column view {i: ((row, numerator), ...)} of a block with
     dim columns, as Matrix.int_columns gives it, whose column i is
     column(i), built on first read and kept: the identity's, and the lifted
-    columns of a DiagonalSum.  A lookup builds only its column (apply_sum
-    reads the columns in the support of V only); items() builds them all
-    once, as lift_sum walks them once per column of the other factor."""
+    columns of a LiftedSum.  A lookup builds only its column (image reads
+    the columns in the support of V only); items() builds them all once, as
+    lift_sum walks them once per column of the other factor."""
 
     __slots__ = ("dim", "_column", "_built", "_items")
 
@@ -352,68 +362,8 @@ class TensorSpace:
         shift = (0 if opA is None else opA.shift) + (0 if opB is None else opB.shift)
         return self.lift_sum([(opA, opB)], shift, top)
 
-    def diagonal_rows(self, pairs: Sequence) -> Callable[..., Iterator[dict]]:
-        """The rows of opA⊗1 + 1⊗opB for degree-0 factor pairs [(opA, opB), ...],
-        as a function rows_at(t, ks=None) of the total degree t that yields
-        them as integer rows (dicts col -> int) for the pairs pairs[k], k in
-        ks (all pairs by default), with no block of the product built.
-
-        A factor is a LinMap or a DiagonalSum, read through its row_view,
-        which is built once per degree, on first use, for all calls.  The
-        rows come pair by pair, then by target index (see _pair_rows): the
-        order of the lifted blocks' rows stacked pair after pair.
-        """
-        view = cache(lambda op, deg: op.row_view(deg))
-
-        def rows_at(t: int, ks: Optional[Sequence[int]] = None) -> Iterator[dict]:
-            chosen = pairs if ks is None else [pairs[k] for k in ks]
-            return chain.from_iterable(self._pair_rows(t, view, opA, opB)[1] for opA, opB in chosen)
-
-        return rows_at
-
-    def _pair_rows(self, t: int, view: Callable, opA: LinMap, opB: LinMap,
-                   indexed: bool = False) -> tuple:
-        """(den, rows): the nonzero rows of opA⊗1 + 1⊗opB at total degree t
-        in index order, as integer rows (dicts col -> int) over den, or as
-        (target index, row) pairs when indexed, from the factors' row views
-        view(op, degree).
-
-        Row (a', b') of stratum q holds opA[a', a] at column (a, b') and
-        opB[b', b] at column (a', b); den is the lcm of the factor views'
-        denominators, entries that cancel are dropped, and a missing factor
-        block counts as zero, as in lift_sum.
-        """
-        A, B = self.A, self.B
-        strata = []
-        for q, col0 in self._offsets.get(t, {}).items():
-            fA, fB = view(opA, q), view(opB, t - q)
-            if fA is not None or fB is not None:
-                strata.append((q, col0, fA or ({}, 1), fB or ({}, 1)))
-        den = lcm(*[lcm(dA, dB) for _, _, (_, dA), (_, dB) in strata])
-
-        def rows() -> Iterator[tuple]:
-            for q, col0, (rowsA, dA), (rowsB, dB) in strata:
-                kA, kB = den // dA, den // dB
-                n, keysB = B.dim(t - q), sorted(rowsB)
-                for a2 in range(A.dim(q)):
-                    base = col0 + a2 * n
-                    partA = [(col0 + a * n, kA * v) for a, v in rowsA.get(a2, ())]
-                    for b2 in (range(n) if partA else keysB):
-                        row = {c + b2: v for c, v in partA}
-                        for b, w in rowsB.get(b2, ()):
-                            c = base + b
-                            v = row.get(c, 0) + kB * w
-                            if v:
-                                row[c] = v
-                            else:
-                                del row[c]
-                        if row:
-                            yield (base + b2, row) if indexed else row
-
-        return den, rows()
-
     def _parts(self, terms: Sequence, shift: int) -> Callable[[int], Optional[tuple]]:
-        """The sign, window and denominator rule of lift_sum and apply_sum:
+        """The sign, window and denominator rule of lift_sum and LiftedSum:
         parts_at(t) is None when no term maps degree t into the window, else
         (parts, den), a part (imA, imB, row0, col0, n_src, n_tgt, k) per term
         and stratum q with both factor blocks: their column views (built once
@@ -493,33 +443,6 @@ class TensorSpace:
             blocks[t] = Matrix._from_ints(self.space.dim(t + shift), self.space.dim(t), ents, den)
         return LinMap(self.space, self.space, shift, blocks)
 
-    def apply_sum(self, terms: Sequence, shift: int) -> Callable[[int, Matrix], Matrix]:
-        """The sum prepared for application: apply(t, V) is
-        lift_sum(terms, shift).block(t) @ V for a block V of degree-t
-        columns, its entries in the same order, with no block of the sum
-        built: each basis vector in the support of V is lifted once to its
-        image column, straight from the factor blocks.  One preparation
-        (see _parts) serves every call, so each factor block's column view
-        is built once for all of them."""
-        parts_at = self._parts(terms, shift)
-
-        def apply(t: int, V: Matrix) -> Matrix:
-            if V.rows != self.space.dim(t):
-                raise ShapeError(f"{V.rows} rows applied at degree {t} of dim {self.space.dim(t)}")
-            parts, den = parts_at(t) or ((), 1)
-            lifted, ents = {}, {}  # source position -> its image column; the product
-            get = ents.get
-            for (i, j), w in V.num.items():
-                col = lifted.get(i)
-                if col is None:
-                    col = lifted[i] = self._image_column(t, parts, i)
-                for row, v in col:
-                    rc = (row, j)
-                    ents[rc] = get(rc, 0) + v * w
-            return Matrix._from_ints(self.space.dim(t + shift), V.cols, ents, den * V.den)
-
-        return apply
-
     def _image_column(self, t: int, parts: Sequence, i: int) -> list:
         """[(row, numerator)]: the image of basis vector i of degree t under
         a sum prepared as parts_at(t) = (parts, den) (see _parts), over den."""
@@ -534,48 +457,130 @@ class TensorSpace:
         return [(row, v) for row, v in acc.items() if v]
 
 
-class DiagonalSum(LinMap):
-    """opA⊗1 + 1⊗opB on a TensorSpace for degree-0 factors (no Koszul
-    sign), with no block at total degrees above top when top is given: the
-    L_k of a tensor product.  Its blocks are lifted on first read
-    (lift_sum), so every LinMap reader works.  As a factor of a further
-    TensorSpace it lifts nothing: row_view builds a degree's rows from the
-    factors' rows, and column_view hands over columns that are each built
-    from the factors' columns when first read."""
+class LiftedSum(LinMap):
+    """The sum of opA ⊗ opB over terms [(opA, opB), ...] of one shift on a
+    TensorSpace (see TensorSpace.lift_sum), with no block at degrees above
+    top when top is given, between copies of ``space`` (the tensor's own
+    by default; a TensorComplex cut at top + 1 passes its cut).
 
-    __slots__ = ("tensor", "pair", "top", "_parts_at", "_views", "_lifted")
+    Nothing of it is built until it is read.  Its blocks are lifted all at
+    once on first read, so every LinMap reader works.  image(t, V) applies
+    it to a block of columns with no block lifted: each basis vector in the
+    support of V is lifted once to its image column, straight from the
+    factor blocks.  As a factor of a further TensorSpace, column_view hands
+    over columns that are each built from the factors' columns when first
+    read.  One preparation (TensorSpace._parts) serves image and
+    column_view at every degree, so each factor block's column view is
+    built once, and goes with the sum.
+    """
 
-    def __init__(self, tensor: TensorSpace, opA: LinMap, opB: LinMap, top: Optional[int] = None):
-        self.source = self.target = tensor.space
-        self.shift = 0
-        self.tensor, self.pair, self.top = tensor, (opA, opB), top
-        self._parts_at = tensor._parts([(opA, None), (None, opB)], 0)
-        self._views = cache(lambda op, deg: op.row_view(deg))  # the factors' row views
+    __slots__ = ("tensor", "terms", "top", "_parts_at", "_lifted")
+
+    def __init__(self, tensor: TensorSpace, terms: Sequence, shift: int, top: Optional[int] = None,
+                 space: Optional[GradedSpace] = None):
+        self.source = self.target = tensor.space if space is None else space
+        self.shift = shift
+        self.tensor, self.terms, self.top = tensor, terms, top
+        self._parts_at = tensor._parts(terms, shift)
         self._lifted = None
 
     @property
     def blocks(self) -> dict:
         if self._lifted is None:
-            opA, opB = self.pair
-            self._lifted = self.tensor.lift_sum([(opA, None), (None, opB)], 0, self.top).blocks
+            self._lifted = self.tensor.lift_sum(self.terms, self.shift, self.top).blocks
         return self._lifted
 
-    def row_view(self, d: int) -> Optional[tuple]:
-        if self.top is not None and d > self.top:
-            return None
-        den, rows = self.tensor._pair_rows(d, self._views, *self.pair, indexed=True)
-        view = {i: list(row.items()) for i, row in rows}
-        return (view, den) if view else None
+    def _prepared(self, t: int) -> Optional[tuple]:
+        return None if self.top is not None and t > self.top else self._parts_at(t)
+
+    def image(self, t: int, V: Matrix) -> Matrix:
+        """block(t) @ V, its entries in the same order, with no block built."""
+        if V.rows != self.source.dim(t):
+            raise ShapeError(f"{V.rows} rows applied at degree {t} of dim {self.source.dim(t)}")
+        parts, den = self._prepared(t) or ((), 1)
+        lifted, ents = {}, {}  # source position -> its image column; the product
+        get = ents.get
+        for (i, j), w in V.num.items():
+            col = lifted.get(i)
+            if col is None:
+                col = lifted[i] = self.tensor._image_column(t, parts, i)
+            for row, v in col:
+                rc = (row, j)
+                ents[rc] = get(rc, 0) + v * w
+        return Matrix._from_ints(self.target.dim(t + self.shift), V.cols, ents, den * V.den)
 
     def column_view(self, d: int) -> Optional[tuple]:
-        found = None if self.top is not None and d > self.top else self._parts_at(d)
+        found = self._prepared(d)
         if found is None:
             return None
         parts, den = found
-        return _Columns(self.tensor.space.dim(d), partial(self.tensor._image_column, d, parts)), den
+        return _Columns(self.source.dim(d), partial(self.tensor._image_column, d, parts)), den
 
     def __repr__(self):
-        return f"DiagonalSum(top={self.top}, lifted={self._lifted is not None})"
+        return f"{type(self).__name__}(shift={self.shift}, top={self.top}, lifted={self._lifted is not None})"
+
+
+class DiagonalSum(LiftedSum):
+    """opA⊗1 + 1⊗opB for degree-0 factors (no Koszul sign): the L_k of a
+    tensor product.  Besides what a LiftedSum reads without lifting, its
+    rows come straight from the factors' rows: rows(t) for a kernel, and
+    row_view(t) as a factor of a further product.  The factors' row views
+    are built once per degree, on first use, and go with the sum."""
+
+    __slots__ = ("pair", "_views")
+
+    def __init__(self, tensor: TensorSpace, opA: LinMap, opB: LinMap, top: Optional[int] = None):
+        super().__init__(tensor, [(opA, None), (None, opB)], 0, top)
+        self.pair = (opA, opB)
+        self._views = cache(lambda op, deg: op.row_view(deg))
+
+    def rows(self, t: int) -> Iterator[dict]:
+        return self._rows(t)[1]
+
+    def row_view(self, d: int) -> Optional[tuple]:
+        den, rows = self._rows(d, indexed=True)
+        view = {i: list(row.items()) for i, row in rows}
+        return (view, den) if view else None
+
+    def _rows(self, t: int, indexed: bool = False) -> tuple:
+        """(den, rows): the nonzero rows at total degree t in index order, as
+        integer rows (dicts col -> int) over den, or as (target index, row)
+        pairs when indexed, from the factors' row views; none above top.
+
+        Row (a', b') of stratum q holds opA[a', a] at column (a, b') and
+        opB[b', b] at column (a', b); den is the lcm of the factor views'
+        denominators, entries that cancel are dropped, and a missing factor
+        block counts as zero, as in lift_sum.
+        """
+        (opA, opB), tensor = self.pair, self.tensor
+        A, B = tensor.A, tensor.B
+        strata = []
+        for q, col0 in tensor._offsets.get(t, {}).items() if self.top is None or t <= self.top else ():
+            fA, fB = self._views(opA, q), self._views(opB, t - q)
+            if fA is not None or fB is not None:
+                strata.append((q, col0, fA or ({}, 1), fB or ({}, 1)))
+        den = lcm(*[lcm(dA, dB) for _, _, (_, dA), (_, dB) in strata])
+
+        def rows() -> Iterator[tuple]:
+            for q, col0, (rowsA, dA), (rowsB, dB) in strata:
+                kA, kB = den // dA, den // dB
+                n, keysB = B.dim(t - q), sorted(rowsB)
+                for a2 in range(A.dim(q)):
+                    base = col0 + a2 * n
+                    partA = [(col0 + a * n, kA * v) for a, v in rowsA.get(a2, ())]
+                    for b2 in (range(n) if partA else keysB):
+                        row = {c + b2: v for c, v in partA}
+                        for b, w in rowsB.get(b2, ()):
+                            c = base + b
+                            v = row.get(c, 0) + kB * w
+                            if v:
+                                row[c] = v
+                            else:
+                                del row[c]
+                        if row:
+                            yield (base + b2, row) if indexed else row
+
+        return den, rows()
 
 
 class Complex:
@@ -618,10 +623,6 @@ class Complex:
     def dims(self) -> dict:
         return {d: self.space.dim(d) for d in self.space.degrees()}
 
-    def images(self) -> Callable[[int, Matrix], Matrix]:
-        """image(deg, V) = d·V for a block V of degree-deg columns."""
-        return lambda deg, V: self.d.block(deg) @ V
-
     def truncated(self, top: int) -> "Complex":
         """The complex cut at degree top (itself when top reaches the window's end)."""
         if top >= self.space.hi:
@@ -633,32 +634,17 @@ class Complex:
 
 class TensorComplex(Complex):
     """A complex on a TensorSpace, cut at degree top + 1 when top is given,
-    whose d is tensor.lift_sum(terms, 1, top), lifted on first read; images
-    and truncated build no block of it.  d² is not checked."""
+    whose d is the LiftedSum of terms with no block above top: read as
+    images d·V, or through truncated, it lifts no block.  d² is not checked."""
 
     def __init__(self, tensor: TensorSpace, terms: Sequence, complete: bool, top: Optional[int] = None):
-        self.tensor, self.terms, self.top, self.complete = tensor, terms, top, complete
+        self.complete = complete
         self.space = tensor.space if top is None else tensor.space.truncated(top + 1)
+        self.d = LiftedSum(tensor, terms, 1, top, self.space)
         self._cohomology_bases, self._d_pivots = {}, {}
 
-    @cached_property
-    def d(self) -> LinMap:
-        return LinMap(self.space, self.space, 1, self.tensor.lift_sum(self.terms, 1, self.top).blocks)
-
-    def images(self) -> Callable[[int, Matrix], Matrix]:
-        """One prepared tensor.apply_sum: the factor column views it builds
-        serve every degree it is called on, and go with it."""
-        apply = self.tensor.apply_sum(self.terms, 1)
-
-        def image(deg: int, V: Matrix) -> Matrix:
-            if self.top is not None and deg > self.top:
-                return Matrix.zero(self.space.dim(deg + 1), V.cols)
-            return apply(deg, V)
-
-        return image
-
     def truncated(self, top: int) -> "Complex":
-        return self if top >= self.space.hi else TensorComplex(self.tensor, self.terms, False, top - 1)
+        return self if top >= self.space.hi else TensorComplex(self.d.tensor, self.d.terms, False, top - 1)
 
 
 @dataclass
@@ -940,28 +926,21 @@ def induced_map(
     src_vectors / tgt_vectors: degree -> Matrix whose columns span the
     subspace in the ambient coordinates of op.source / op.target.  Raises
     SubcomplexError when the image of a sub-basis vector leaves the target
-    subspace.
+    subspace.  op is read only as its images op.image(d, V).
     """
-    return restricted(lambda d, V: op.block(d) @ V, op.shift,
-                      src_vectors, tgt_vectors, src_space, tgt_space)
-
-
-def restricted(image: Callable[[int, Matrix], Matrix], shift: int, src_vectors: dict,
-               tgt_vectors: dict, src_space: GradedSpace, tgt_space: GradedSpace) -> LinMap:
-    """induced_map of the map of the given shift whose d·V is image(d, V)."""
     blocks = {}
     for d in src_space.degrees():
         V = src_vectors.get(d)
         if V is None or not V.cols:
             continue
-        X = image(d, V)
+        X = op.image(d, V)
         if not X.rows:
             continue
-        m = Subspace(tgt_vectors.get(d + shift, Matrix.zero(X.rows, 0))).restrict(X)
+        m = Subspace(tgt_vectors.get(d + op.shift, Matrix.zero(X.rows, 0))).restrict(X)
         if m is None:
             raise SubcomplexError(f"operator image leaves the subspace at degree {d}")
         blocks[d] = m
-    return LinMap(src_space, tgt_space, shift, blocks)
+    return LinMap(src_space, tgt_space, op.shift, blocks)
 
 
 def subcomplex(
@@ -973,12 +952,12 @@ def subcomplex(
 
     `vectors`: degree -> Matrix of independent columns in the coordinates
     of C; each block is also the inclusion at its degree.  The restricted
-    differential reads d only through C.images(), as the images d·V.
+    differential reads d only as its images d·V (see induced_map).
     """
     vectors = {d: V for d, V in vectors.items() if V.cols}
     labels = {d: tuple(f"{label_prefix}[{d},{i}]" for i in range(V.cols)) for d, V in vectors.items()}
     space = GradedSpace(labels, lo=C.space.lo, hi=C.space.hi)
-    d_map = restricted(C.images(), 1, vectors, vectors, space, space)
+    d_map = induced_map(C.d, vectors, vectors, space, space)
     sub = Complex(space, d_map, complete=C.complete, check=False)
     incl = ChainMap(sub, C, LinMap(space, C.space, 0, vectors))
     return sub, incl

@@ -20,7 +20,9 @@ from typing import Sequence
 from .complexes import (
     ChainMap,
     Complex,
+    DiagonalSum,
     GradedSpace,
+    LiftedSum,
     LinMap,
     SubcomplexError,
     TensorComplex,
@@ -29,13 +31,11 @@ from .complexes import (
     cohomology_classes,
     cohomology_representatives,
     induced_map,
-    restricted,
     subcomplex,
 )
-from .lie import LieAlgebra, adjoint_matrices, block_action_kernel
+from .lie import LieAlgebra, adjoint_matrices, block_action_kernel, invariants
 from .linalg import Matrix, Subspace
 from .modules import (
-    DiagonalAction,
     KgModule,
     derivation_on_lambda,
     derivation_on_sym,
@@ -193,8 +193,8 @@ class CartanModel:
         factor = dict(zip(sym_monomials(self.g.dim, sym_degree), coeffs))
         mult = sym_multiplication(self.ambient.A, self.sym_basis, sym_degree, factor)
         shift, space = 2 * sym_degree, self.complex.space
-        return restricted(self.ambient.apply_sum([(mult, None)], shift), shift,
-                          self.vectors, self.vectors, space, space)
+        return induced_map(LiftedSum(self.ambient, [(mult, None)], shift),
+                           self.vectors, self.vectors, space, space)
 
 
 def symmetric_algebra(g: LieAlgebra, max_a: int):
@@ -247,8 +247,8 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
     ambient = TensorSpace(S, M.space, N)
 
     # invariants of the diagonal action per total degree
-    diagonal = DiagonalAction(g, ambient, zip(sym_action, M.L_ops))
-    vectors = {deg: V for deg in ambient.entries if (V := diagonal.invariants(deg)).cols}
+    L = [DiagonalSum(ambient, A, B) for A, B in zip(sym_action, M.L_ops)]
+    vectors = {deg: V for deg in ambient.entries if (V := invariants(g, L, deg, ambient.space.dim(deg))).cols}
 
     # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs),
     # read only as its images of the invariant columns: none of it is lifted

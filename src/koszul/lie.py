@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
 from importlib import resources
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Sequence
 
 from .linalg import (
@@ -29,6 +29,7 @@ from .linalg import (
     qparse,
     qstr,
     rank,
+    row_kernel,
 )
 
 Q0 = Fraction(0)
@@ -321,6 +322,16 @@ def block_action_kernel(g: LieAlgebra, blocks: Sequence[Matrix], cols: int) -> M
     of the blocks, certified by blocks[k] @ K."""
     return action_kernel(g, lambda ks: joint_kernel([blocks[k] for k in ks], cols),
                          lambda k, K: (blocks[k] @ K).is_zero())
+
+
+def invariants(g: LieAlgebra, L: Sequence, deg: int, dim: int) -> Matrix:
+    """action_kernel of the action L_k = L[k] at degree deg, of dimension
+    dim, for graded operators that hand over their rows (L[k].rows) and
+    their images of columns (L[k].image): a LinMap reads its block, a
+    DiagonalSum its factors.  Plain Matrix families go through
+    block_action_kernel."""
+    return action_kernel(g, lambda ks: row_kernel(chain.from_iterable(L[k].rows(deg) for k in ks), dim),
+                         lambda k, K: L[k].image(deg, K).is_zero())
 
 
 def invariant_vectors(rep: RepMatrices) -> list:

@@ -15,10 +15,12 @@ Matrix into that stream, and ``row_kernel`` takes rows built elsewhere.
 ``rank`` and ``image_rank`` need only the pivot columns, which
 ``pivot_columns`` reads from the presolve of ``row_kernel`` and a forward
 elimination, with no back-substitution.
-``Subspace`` keeps the inserted rows as they are, and so does
-``IncrementalSpan``; no code in this package calls ``IncrementalSpan``,
-which stays only because the benchmark's tracer (``perfbench/spans.py``)
-binds ``IncrementalSpan.add``.
+``Subspace`` keeps the inserted rows as they are, each with its
+combination of the spanning columns, and so answers coordinate queries
+(``restrict``, ``coords`` and ``solve_affine``) with no further
+elimination.  ``IncrementalSpan`` keeps its rows too; no code in this
+package calls it, nor ``express_in_span``, and both stay only because the
+benchmark's tracer (``perfbench/spans.py``) binds them by name.
 The RREF of a matrix is unique, so kernel bases, solutions with free
 variables zero and complements do not depend on the elimination order and
 are stable across runs -- which is what makes golden-file tests possible.
@@ -26,17 +28,17 @@ are stable across runs -- which is what makes golden-file tests possible.
 A family of vectors is one ``Matrix`` whose columns are the vectors, so
 it stays integer numerators over one denominator from the kernel that cuts
 it out to the restriction that reads coordinates in it.  Subspaces enter
-in two ways.  Every untracked kernel is cut out by ``row_kernel`` from a
-stream of integer rows, fed by one of exactly two sources: ``joint_kernel``
-(the rows of a family of operator blocks) or ``TensorSpace.diagonal_rows``
-(in ``complexes``: the rows of L⊗1 + 1⊗L on a tensor product, read
-straight from the factor blocks, with no block of the product built).
+in two ways.  Every kernel is cut out by ``row_kernel`` from a stream of
+integer rows: ``joint_kernel`` streams the rows of a family of blocks, and
+``lie.invariants`` those of graded operators, which on a tensor product
+(a ``DiagonalSum`` in ``complexes``, L⊗1 + 1⊗L) come straight from the
+factor blocks, with no block of the product built.
 The kernel of an action L_k of g (invariants) goes through
 ``lie.action_kernel``: since [L_x, L_y] = L_[x,y], it is the kernel of
 the L_k for k in ``LieAlgebra.generators``, so only their rows are
 streamed.  A certificate then checks that every other L_k kills that
-kernel (``block @ K``, or on a product ``TensorSpace.apply_sum`` on the
-factor pair); if one does not, the L_k are not an action and the kernel
+kernel (``block @ K``, or on a product ``LiftedSum.image`` from the
+factor blocks); if one does not, the L_k are not an action and the kernel
 is cut again from the rows of every L_k.  The kernels of the contractions
 (horizontal and basic subspaces) are not kernels of an action and keep
 the rows of every i_k.  ``closure_rank`` runs the generation search.
@@ -433,29 +435,26 @@ def _insert(pivots: dict, row: dict, comb: Optional[dict]) -> bool:
     return True
 
 
-def _echelon(rows: Iterable) -> tuple:
-    """The one elimination: (table, null) from a stream of (integer row,
-    comb) pairs, comb None when untracked.
+def _echelon(rows: Iterable[dict]) -> dict:
+    """The one elimination: the reduced pivot table of a stream of integer
+    rows.
 
-    Each row is inserted in turn; the pivot table is then back-substituted,
+    Each row is inserted in turn; the table is then back-substituted,
     highest pivot first, so that each pivot row is zero in every other pivot
-    column.  null lists the combs of the tracked rows that reduced to zero,
-    in order.
+    column.
     """
     table: dict = {}
-    null: list = []
-    for row, comb in rows:
-        if not _insert(table, row, comb) and comb is not None:
-            null.append(comb)
+    for row in rows:
+        _insert(table, row, None)
     # highest pivot first: the rows used are reduced already
     for c in sorted(table, reverse=True):
-        row, comb = table[c]
+        row, _ = table[c]
         hits = [j for j in row if j != c and j in table]
         for p in hits:
-            _eliminate(row, comb, p, table[p])
+            _eliminate(row, None, p, table[p])
         if hits:
-            table[c] = _primitive(row, comb, c)
-    return table, null
+            table[c] = _primitive(row, None, c)
+    return table
 
 
 def _kernel(table: dict, cols: int, dead=()) -> Matrix:
@@ -485,28 +484,23 @@ def _matrix_rows(A: Matrix) -> dict:
 
 
 class RowReduction:
-    """Reduced row echelon factorization R = E @ A, computed once.
+    """The reduced row echelon form R of a Matrix A, computed once.
 
     ``pivots`` lists the pivot columns in order; row i of R (i < rank) has a
     unit pivot in column pivots[i] and zeros in every other pivot column,
-    and the rows after the rank are empty.  With track=True, E is kept so
-    that consistency of A x = b can be read off from E @ b: its rows after
-    the rank combine the rows of A to zero.  kernel/rank queries skip that
-    extra work.  The factorization is held as primitive integer rows; R and
-    E are read out as Fractions on access.
+    and the rows after the rank are empty.  The form is held as primitive
+    integer rows; R is read out as Fractions on access.
     """
 
-    def __init__(self, A: Matrix, track: bool = True):
+    def __init__(self, A: Matrix):
         self.rows, self.cols = A.rows, A.cols
         rows = _matrix_rows(A)
         # the integer row i is den times row i of A; popped, so that a row
         # reduced to zero is freed at once
-        table, null = _echelon((rows.pop(i, {}), {i: A.den} if track else None)
-                               for i in range(A.rows))
+        table = _echelon(rows.pop(i, {}) for i in range(A.rows))
         self.pivots = sorted(table)
         self.rank = len(table)
         self._table = table
-        self._null = null if track else None
 
     @property
     def R(self) -> list:
@@ -514,32 +508,6 @@ class RowReduction:
         table = self._table
         return ([_over(table[c][0], table[c][0][c]) for c in self.pivots]
                 + [{} for _ in range(self.rows - self.rank)])
-
-    @property
-    def E(self) -> Optional[list]:
-        """Rows of E, as dicts row -> Fraction; None when untracked."""
-        if self._null is None:
-            return None
-        table = self._table
-        # the comb of input row i holds rows <= i only, with comb[i] != 0
-        return ([_over(table[c][1], table[c][0][c]) for c in self.pivots]
-                + [_over(comb, comb[max(comb)]) for comb in self._null])
-
-    def solve(self, b: Sequence) -> Optional[tuple]:
-        """One solution of A x = b with free variables set to 0, else None."""
-        if self._null is None:
-            raise ValueError("RowReduction built with track=False cannot solve")
-        if len(b) != self.rows:
-            raise ShapeError(f"rhs length {len(b)} != rows {self.rows}")
-        y, d = _sparse(b)
-        if any(sum(v * y.get(j, 0) for j, v in comb.items()) for comb in self._null):
-            return None
-        x = [Q0] * self.cols
-        for c, (row, comb) in self._table.items():
-            s = sum(v * y.get(j, 0) for j, v in comb.items())
-            if s:
-                x[c] = Fraction(s, row[c] * d)
-        return tuple(x)
 
     def kernel(self) -> Matrix:
         """Basis of the null space in reduced form, as the columns of a
@@ -620,7 +588,7 @@ def row_kernel(rows: Iterable[dict], cols: int) -> Matrix:
     the reduced basis are those of the whole stream."""
     dead: set = set()
     live = _presolve(rows, dead)
-    return _kernel(_echelon((row, None) for row in live)[0], cols, dead)
+    return _kernel(_echelon(live), cols, dead)
 
 
 def pivot_columns(A: Matrix) -> list:
@@ -686,8 +654,9 @@ def rank(A: Matrix) -> int:
 
 
 def solve_affine(A: Matrix, b: Sequence) -> Optional[tuple]:
-    """Some x with A x = b (free variables 0), or None when inconsistent."""
-    return RowReduction(A).solve(b)
+    """Some x with A x = b (free variables 0), or None when inconsistent:
+    the coordinates of b over the columns of A."""
+    return Subspace(A).coords(b)
 
 
 class IncrementalSpan:
@@ -731,8 +700,8 @@ class Subspace:
         """Coordinates of a dense target over the columns, or None when it
         lies outside: a read-out of ``restrict``.
 
-        Members that depend on earlier members get coordinate 0, as the
-        free variables of ``solve_affine`` on the columns do.
+        Members that depend on earlier members get coordinate 0: they are
+        the free variables of the RREF of the columns.
         """
         if len(target) != self.dim:
             raise ShapeError(f"vector length {len(target)} != {self.dim}")
@@ -797,5 +766,8 @@ def complement_basis(U: Matrix, V: Matrix) -> Matrix:
 def express_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[tuple]:
     """Coordinates of target in the given spanning family, or None.
 
-    For many targets against one family, build the ``Subspace`` once."""
+    No code in this package calls it; use ``Subspace``, built once per
+    family.  It stays because the benchmark's tracer
+    (``perfbench/spans.py``) looks it up by name, so deleting it breaks
+    every traced pass."""
     return Subspace(Matrix.from_columns(basis, nrows=len(target))).coords(target)

@@ -41,12 +41,11 @@ from .complexes import (
 from .lie import (
     LieAlgebra,
     RepMatrices,
-    action_kernel,
-    block_action_kernel,
     certify_reductive,
     invariant_vectors,
+    invariants,
 )
-from .linalg import Matrix, iparse, lparse, qparse, qstr, row_kernel
+from .linalg import Matrix, iparse, lparse, qparse, qstr
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +221,21 @@ class KgModule:
             for deg in degrees
         }) for ik in self.i_ops)
 
+    def _action(self) -> tuple:
+        """The L_k that invariants are cut from: L_ops, here."""
+        return self.L_ops
+
     def invariant_blocks(self, degrees) -> dict:
         """deg -> the common kernel of the L_k at deg, as the columns of a
         Matrix, for the given degrees (each <= max_usable): cut from the
-        generators' blocks and certified on the rest (block_action_kernel)."""
-        return {deg: block_action_kernel(self.g, [op.block(deg) for op in self.L_ops],
-                                         self.space.dim(deg))
-                for deg in degrees}
+        generators' rows and certified on the rest (lie.invariants)."""
+        L = self._action()
+        return {deg: invariants(self.g, L, deg, self.space.dim(deg)) for deg in degrees}
 
     def is_invariant(self, deg: int, X: Matrix) -> bool:
         """Whether every L_k kills each column of X, a block of degree-deg
         vectors, by direct application."""
-        return all((op.block(deg) @ X).is_zero() for op in self.L_ops)
+        return all(op.image(deg, X).is_zero() for op in self._action())
 
     def contraction_of_multivector(self, coeffs: Sequence, monos: Sequence[tuple]) -> LinMap:
         """Composite contraction for a multivector given in a monomial basis.
@@ -258,33 +260,6 @@ class KgModule:
         return f"KgModule({self.name}, dims={self.complex.dims()})"
 
 
-class DiagonalAction:
-    """The action L_k = LA_k⊗1 + 1⊗LB_k of g on a TensorSpace, for factor
-    pairs [(LA_k, LB_k), ...] of degree-0 operators (LinMaps or
-    DiagonalSums), one per basis vector, with no block of the product or
-    of a DiagonalSum factor built: its rows come from
-    TensorSpace.diagonal_rows, and ``apply[k]`` is L_k prepared for
-    application to columns (one TensorSpace.apply_sum per pair)."""
-
-    def __init__(self, g: LieAlgebra, tensor: TensorSpace, pairs: Iterable):
-        pairs = list(pairs)
-        self.g, self.tensor = g, tensor
-        self.rows_at = tensor.diagonal_rows(pairs)
-        self.apply = [tensor.apply_sum([(A, None), (None, B)], 0) for A, B in pairs]
-
-    def invariants(self, t: int) -> Matrix:
-        """The common kernel of the L_k at total degree t (lie.action_kernel):
-        cut from the generators' rows, certified by applying the other L_k."""
-        dim = self.tensor.space.dim(t)
-        return action_kernel(self.g, lambda ks: row_kernel(self.rows_at(t, ks), dim),
-                             lambda k, K: self.apply[k](t, K).is_zero())
-
-    def kills(self, t: int, X: Matrix) -> bool:
-        """Whether every L_k, not only the generators', kills each column of
-        X, a block of degree-t vectors."""
-        return all(apply(t, X).is_zero() for apply in self.apply)
-
-
 class TensorModule(KgModule):
     """A module on a TensorSpace whose i_k and L_k are Leibniz lifts of
     factor operator pairs: i_k = iA_k⊗1 + 1⊗iB_k with the Koszul sign, and
@@ -293,13 +268,14 @@ class TensorModule(KgModule):
     i_pairs() and L_pairs() yield the (A-side, B-side) pairs, one per k.
     They are separate sources so that reading one builds nothing the other
     needs.  i_ops is one summed lift per k on first read, which the duality
-    verifier never makes on W⊗M.  L_ops are DiagonalSums, whose blocks are
-    lifted only where read: as the factors of a further product (the L of
-    W in W⊗M) they hand over rows and columns straight from their own
-    factors.  Invariants are cut from the rows of the L pairs and certified
-    by applying the L pairs to columns (see DiagonalAction), so no L block
-    is lifted for them, nor any block of d (a TensorComplex, see
-    tensor_module).
+    verifier never makes on W⊗M.  The L_k are DiagonalSums of the L pairs,
+    whose blocks are lifted only where read: as the factors of a further
+    product (the L of W in W⊗M) they hand over rows and columns straight
+    from their own factors.  Invariants are cut from their rows and
+    certified by applying them to columns (KgModule.invariant_blocks), so
+    no L block is lifted for them, nor any block of d (a TensorComplex, see
+    tensor_module).  Those DiagonalSums are fresh per call, so the factor
+    views they build go with the call; L_ops are kept.
     """
 
     def __init__(self, g: LieAlgebra, complex_: Complex, tensor: TensorSpace,
@@ -316,19 +292,14 @@ class TensorModule(KgModule):
     def i_ops(self) -> tuple:
         return tuple(self.tensor.lift_sum([(A, None), (None, B)], -1) for A, B in self._i_pairs())
 
-    @cached_property
-    def L_ops(self) -> tuple:
+    def _action(self) -> tuple:
         """DiagonalSums of the L pairs, with no block above max_usable: a
-        factor holds L only up to its own max_usable (see tensor_module).
-        A block is lifted only where it is read."""
+        factor holds L only up to its own max_usable (see tensor_module)."""
         return tuple(DiagonalSum(self.tensor, A, B, self.max_usable) for A, B in self._L_pairs())
 
-    def invariant_blocks(self, degrees) -> dict:
-        action = DiagonalAction(self.g, self.tensor, self._L_pairs())
-        return {deg: action.invariants(deg) for deg in degrees}
-
-    def is_invariant(self, deg: int, X: Matrix) -> bool:
-        return DiagonalAction(self.g, self.tensor, self._L_pairs()).kills(deg, X)
+    @cached_property
+    def L_ops(self) -> tuple:
+        return self._action()
 
 
 @dataclass
