@@ -181,11 +181,16 @@ class LinMap:
         """The images of the columns of V, a block of degree-d vectors."""
         return self.block(d) @ V
 
-    def rows(self, d: int) -> Iterator[dict]:
+    def rows(self, d: int, dead: Optional[set] = None) -> Iterator[dict]:
         """The nonzero rows of the block at d, in order, as integer rows
-        (dicts col -> numerator) over the block's denominator."""
+        (dicts col -> numerator) over the block's denominator.  Given the
+        dead-column set of a kernel's presolve (see linalg.row_kernel), the
+        column of each one-entry row is added to it at once."""
         m = self.blocks.get(d)
-        return iter(()) if m is None else (row for _, row in sorted(_matrix_rows(m).items()))
+        rows = [] if m is None else [row for _, row in sorted(_matrix_rows(m).items())]
+        if dead is not None:
+            dead.update(c for row in rows if len(row) == 1 for c in row)
+        return iter(rows)
 
     def row_view(self, d: int) -> Optional[tuple]:
         """({row: [(col, numerator)]}, den) of the block at d, or None
@@ -523,9 +528,14 @@ class LiftedSum(LinMap):
 class DiagonalSum(LiftedSum):
     """opA⊗1 + 1⊗opB for degree-0 factors (no Koszul sign): the L_k of a
     tensor product.  Besides what a LiftedSum reads without lifting, its
-    rows come straight from the factors' rows: rows(t) for a kernel, and
-    row_view(t) as a factor of a further product.  The factors' row views
-    are built once per degree, on first use, and go with the sum."""
+    rows come straight from the factors' rows: rows(t, dead) for a kernel,
+    and row_view(t) as a factor of a further product.  The factors' row
+    views are built once per degree, on first use, and go with the sum.
+
+    Given a dead-column set, rows(t, dead) is the kernel's presolve seeded
+    from the factors (see _rows): no row whose one entry the factors' row
+    lengths already decide is built, and the other rows are built on the
+    live columns only."""
 
     __slots__ = ("pair", "_views")
 
@@ -534,15 +544,15 @@ class DiagonalSum(LiftedSum):
         self.pair = (opA, opB)
         self._views = cache(lambda op, deg: op.row_view(deg))
 
-    def rows(self, t: int) -> Iterator[dict]:
-        return self._rows(t)[1]
+    def rows(self, t: int, dead: Optional[set] = None) -> Iterator[dict]:
+        return self._rows(t, dead)[1]
 
     def row_view(self, d: int) -> Optional[tuple]:
         den, rows = self._rows(d, indexed=True)
         view = {i: list(row.items()) for i, row in rows}
         return (view, den) if view else None
 
-    def _rows(self, t: int, indexed: bool = False) -> tuple:
+    def _rows(self, t: int, dead: Optional[set] = None, indexed: bool = False) -> tuple:
         """(den, rows): the nonzero rows at total degree t in index order, as
         integer rows (dicts col -> int) over den, or as (target index, row)
         pairs when indexed, from the factors' row views; none above top.
@@ -551,6 +561,15 @@ class DiagonalSum(LiftedSum):
         opB[b', b] at column (a', b); den is the lcm of the factor views'
         denominators, entries that cancel are dropped, and a missing factor
         block counts as zero, as in lift_sum.
+
+        With no dead set every such row is yielded whole.  Given one (the
+        dead columns of a kernel's presolve, see linalg.row_kernel), a row
+        with len(row a' of opA) + len(row b' of opB) == 1 is the unit row of
+        (a, b') or (a', b): that column is added to dead here, before any
+        row is built, and the row is skipped.  Every other row is built on
+        the columns live when it is reached; one left with a single entry
+        adds its column to dead and is not yielded, so each yielded row has
+        two or more live entries.
         """
         (opA, opB), tensor = self.pair, self.tensor
         A, B = tensor.A, tensor.B
@@ -560,31 +579,67 @@ class DiagonalSum(LiftedSum):
             if fA is not None or fB is not None:
                 strata.append((q, col0, fA or ({}, 1), fB or ({}, 1)))
         den = lcm(*[lcm(dA, dB) for _, _, (_, dA), (_, dB) in strata])
+        cut = dead is not None
+        if cut:
+            for q, col0, (rowsA, _), (rowsB, _) in strata:
+                n = B.dim(t - q)
+                unitB = [row[0][0] for row in rowsB.values() if len(row) == 1]
+                zeroB = [b2 for b2 in range(n) if b2 not in rowsB]
+                for a2 in range(A.dim(q)):
+                    rowA = rowsA.get(a2, ())
+                    if not rowA:
+                        dead.update(col0 + a2 * n + b for b in unitB)
+                    elif len(rowA) == 1:
+                        dead.update(col0 + rowA[0][0] * n + b2 for b2 in zeroB)
+        else:
+            dead = frozenset()
 
         def rows() -> Iterator[tuple]:
             for q, col0, (rowsA, dA), (rowsB, dB) in strata:
                 kA, kB = den // dA, den // dB
                 n, keysB = B.dim(t - q), sorted(rowsB)
+                # partners[m]: the b' paired with a row a' of m entries (2 for
+                # two or more); with a dead set, the pairs of one entry in all
+                # were seeded above and are skipped
+                if cut:
+                    partners = ([b2 for b2 in keysB if len(rowsB[b2]) > 1], keysB, range(n))
+                else:
+                    partners = (keysB, range(n), range(n))
                 for a2 in range(A.dim(q)):
                     base = col0 + a2 * n
                     partA = [(col0 + a * n, kA * v) for a, v in rowsA.get(a2, ())]
-                    for b2 in (range(n) if partA else keysB):
-                        row = {c + b2: v for c, v in partA}
+                    for b2 in partners[min(len(partA), 2)]:
+                        row = {}
+                        for c, v in partA:
+                            c += b2
+                            if c not in dead:
+                                row[c] = v
                         for b, w in rowsB.get(b2, ()):
                             c = base + b
+                            if c in dead:
+                                continue
                             v = row.get(c, 0) + kB * w
                             if v:
                                 row[c] = v
                             else:
                                 del row[c]
-                        if row:
+                        if len(row) == 1 and cut:
+                            dead.update(row)
+                        elif row:
                             yield (base + b2, row) if indexed else row
 
         return den, rows()
 
 
 class Complex:
-    """Cochain complex: graded space plus a degree +1 differential with d^2 = 0."""
+    """Cochain complex: graded space plus a degree +1 differential with d^2 = 0.
+
+    With check (the default) d² = 0 is verified on construction, at every
+    degree up to usable_top(2), and checked_top records that degree; a
+    complex built unchecked (every subcomplex and TensorComplex) has
+    checked_top None."""
+
+    checked_top: Optional[int] = None
 
     def __init__(self, space: GradedSpace, d: LinMap, complete: bool = True, check: bool = True):
         if d.shift != 1:
@@ -599,6 +654,7 @@ class Complex:
             if bad is not None:
                 deg, lbl = bad
                 raise ValueError(f"d^2 != 0 at degree {deg} on basis vector {lbl!r}")
+            self.checked_top = self.usable_top(2)
 
     def usable_top(self, k: int) -> int:
         """Top degree from which k successive differentials stay inside the window."""
@@ -784,9 +840,11 @@ def _cocycle_boundaries(C: Complex, deg: int) -> Matrix:
     """A basis of im d_{deg-1}, the images of the pivot columns of
     d_{deg-1}, checked to be cocycles: SpanError, as complement_basis
     raises it, when one is not, i.e. when d² != 0 at deg on a complex built
-    unchecked."""
+    unchecked.  Where the complex's own check covered deg - 1 (see
+    Complex.checked_top), d_deg·B is not formed."""
     boundaries = C.d.block(deg - 1).take(_d_pivots(C, deg - 1))
-    if not (C.d.block(deg) @ boundaries).is_zero():
+    checked = C.checked_top is not None and deg - 1 <= C.checked_top
+    if not checked and not (C.d.block(deg) @ boundaries).is_zero():
         raise SpanError("U is not contained in span(V)")
     return boundaries
 

@@ -113,7 +113,8 @@ class LieAlgebra:
         Every k whose ad_k is diagonal in the basis is kept: on the monomial
         bases built from the basis of g its L_k is diagonal too, and the
         one-entry rows cost almost nothing in an invariant kernel, as the
-        presolve of row_kernel turns them into dead columns.  They are
+        presolve of row_kernel turns them into dead columns (on a tensor
+        product, with no such row built; see invariants).  They are
         joined by the lexicographically first smallest set of the other
         indices that generates g together with them.  Built once, on the
         integer echelon engine (closure_rank)."""
@@ -329,9 +330,19 @@ def invariants(g: LieAlgebra, L: Sequence, deg: int, dim: int) -> Matrix:
     dim, for graded operators that hand over their rows (L[k].rows) and
     their images of columns (L[k].image): a LinMap reads its block, a
     DiagonalSum its factors.  Plain Matrix families go through
-    block_action_kernel."""
-    return action_kernel(g, lambda ks: row_kernel(chain.from_iterable(L[k].rows(deg) for k in ks), dim),
-                         lambda k, K: L[k].image(deg, K).is_zero())
+    block_action_kernel.
+
+    Every L[k] of a cut is asked for its row stream before any row is
+    read, with one dead-column set: each stream seeds it with the columns
+    its one-entry rows kill as it is created (a DiagonalSum from its
+    factors' row lengths, with no such row built), and row_kernel starts
+    its presolve from that set."""
+    def kernel(ks: Sequence[int]) -> Matrix:
+        dead: set = set()
+        streams = [L[k].rows(deg, dead) for k in ks]
+        return row_kernel(chain.from_iterable(streams), dim, dead)
+
+    return action_kernel(g, kernel, lambda k, K: L[k].image(deg, K).is_zero())
 
 
 def invariant_vectors(rep: RepMatrices) -> list:

@@ -44,7 +44,10 @@ is cut again from the rows of every L_k.  The kernels of the contractions
 the rows of every i_k.  ``closure_rank`` runs the generation search.
 ``row_kernel`` first drops each column that a one-entry row forces to zero
 (a pivot column of the full RREF, so the reduced kernel basis is the same)
-and eliminates the rest; its rows must hold nonzero entries only.
+and eliminates the rest; its rows must hold nonzero entries only.  The set
+of dropped columns may come seeded by the stream's builder: a
+``DiagonalSum`` reads its one-entry rows off its factors' row lengths and
+never builds them.
 ``Subspace.restrict`` writes a block of images in the coordinates of a
 spanning family, which is how every restricted operator is built.
 
@@ -581,14 +584,22 @@ def _presolve(rows: Iterable[dict], dead: set) -> list:
     return live
 
 
-def row_kernel(rows: Iterable[dict], cols: int) -> Matrix:
+def row_kernel(rows: Iterable[dict], cols: int, dead: Optional[set] = None) -> Matrix:
     """Common kernel of a stream of integer rows of width cols, as the
     columns of a Matrix (see ``RowReduction.kernel``): only the survivors
     of the presolve (``_presolve``) are eliminated, so the free columns and
-    the reduced basis are those of the whole stream."""
-    dead: set = set()
-    live = _presolve(rows, dead)
-    return _kernel(_echelon(live), cols, dead)
+    the reduced basis are those of the whole stream.
+
+    ``dead`` may come seeded: columns that one-entry rows of the stream
+    kill, put in by whoever builds the stream (``lie.invariants`` asks
+    every operator for its stream, and so for its seeds, first).  Such a
+    stream may then skip those rows and yield the others cut to the columns
+    live as each is built (``DiagonalSum.rows``); the presolve reads them
+    as they come and re-cuts only the rows it kept.  The dead closure is
+    monotone, so its fixpoint, and with it the survivors' span and the
+    kernel, does not depend on the order in which columns die."""
+    dead = set() if dead is None else dead
+    return _kernel(_echelon(_presolve(rows, dead)), cols, dead)
 
 
 def pivot_columns(A: Matrix) -> list:

@@ -236,6 +236,11 @@ def distinguished_transgression(
 ) -> TransgressionData:
     """Solve the three lift conditions for every primitive.
 
+    The solve for a primitive of degree p reads W only at p and p + 1, so
+    without `weil` W is built to needed = the largest primitive degree + 1
+    (0 with no primitive), whatever window `trunc` gives; a given `weil`
+    must reach needed.
+
     `unknown_permutation` reorders the solver's unknowns (used to certify
     that ξ~ does not depend on free-variable choices); it permutes the
     combined (ω, ξ~) coefficient vector.  One sequence serves every
@@ -246,7 +251,7 @@ def distinguished_transgression(
     system of up to 500 unknowns a rotation of its reversed order.
     """
     needed = max((p.degree + 1 for p in P.primitives), default=0)
-    W = weil or weil_model(g, Truncation(max(trunc.max_degree, needed)))
+    W = weil or weil_model(g, Truncation(needed))
     if W.space.hi < needed:
         raise TransgressionError(
             f"Weil algebra materialized to degree {W.space.hi}, need {needed}"

@@ -1,12 +1,14 @@
 import random
 import re
 from fractions import Fraction
+from itertools import chain
 from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from koszul import linalg
 from koszul.complexes import (
     ChainMap,
     CohomologyReport,
@@ -36,7 +38,7 @@ from koszul.equivariant import (
     sym_multiplication,
 )
 from koszul.lie import BUILTIN_NAMES
-from koszul.linalg import Matrix, ShapeError, kernel_basis, solve_affine, vec, vstack
+from koszul.linalg import Matrix, ShapeError, joint_kernel, kernel_basis, row_kernel, solve_affine, vec, vstack
 from koszul.modules import exterior_model, lambda_monomials, tensor_module
 from koszul.weil import weil_model
 
@@ -399,6 +401,117 @@ def test_diagonal_rows_match_stacked_lift_random(data):
         want = _stacked_rows([L.block(t) for L in lifted], ts.space.dim(t))
         assert all(got) and all(type(v) is int and v for row in got for v in row.values())
         assert _primitive_rows(got) == _primitive_rows(want)
+
+
+SPARSE_VALUES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 7)])
+
+
+def _draw_sparse_factor(data, space, c=0):
+    """A random degree-0 map on space, most entries zero and some of them
+    rational, plus c on the diagonal; each block is dropped at random when
+    c is 0."""
+    blocks = {}
+    for d in space.degrees():
+        n = space.dim(d)
+        if c or data.draw(st.booleans()):
+            values = data.draw(st.lists(SPARSE_VALUES, min_size=n * n, max_size=n * n))
+            blocks[d] = Matrix(n, n, {(i, j): values[i * n + j] + (c if i == j else 0)
+                                      for i in range(n) for j in range(n)})
+    return LinMap(space, space, 0, blocks)
+
+
+def _premerge_length(L, t, i):
+    """len(row a' of opA) + len(row b' of opB) for row i of L at degree t,
+    where row i is a'⊗b'."""
+    q, a2, r, b2 = L.tensor.entries[t][i]
+    views = [L._views(op, d) for op, d in zip(L.pair, (q, r))]
+    return sum(len(view[0].get(k, ())) for view, k in zip(views, (a2, b2)) if view)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_seeded_presolve_is_the_presolve_of_the_lifted_rows(data):
+    """The streams of DiagonalSums given one dead set, all asked for before
+    any row is read (as lie.invariants asks), cut the kernel of the stacked
+    lifted blocks.  Every pre-merge singleton row is seeded, not built; each
+    yielded row is its full row cut to live columns, with two or more
+    entries; the final dead set is the plain presolve's.  Factors are sparse
+    with rational entries and missing blocks, the factor A may itself be a
+    DiagonalSum (W's L in W⊗M), diagonal entries may cancel, and both the
+    sum and a nested factor may be cut at a top."""
+    if data.draw(st.booleans()):
+        A1, A2 = _draw_full_space(data, "p"), _draw_full_space(data, "r")
+        tsA = TensorSpace(A1, A2, data.draw(st.integers(A1.lo + A2.lo, A1.hi + A2.hi)))
+        cutA = data.draw(st.one_of(st.none(), st.integers(tsA.space.lo - 1, tsA.space.hi)))
+        A = tsA.space
+
+        def factor(c=0):
+            return DiagonalSum(tsA, _draw_sparse_factor(data, A1, c), _draw_sparse_factor(data, A2), cutA)
+    else:
+        A = _draw_full_space(data, "a")
+
+        def factor(c=0):
+            return _draw_sparse_factor(data, A, c)
+    B = _draw_full_space(data, "b")
+    top = data.draw(st.integers(A.lo + B.lo, A.hi + B.hi))
+    ts = TensorSpace(A, B, top)
+    pairs = [(factor(), _draw_sparse_factor(data, B)) for _ in range(data.draw(st.integers(1, 3)))]
+    if data.draw(st.booleans()):
+        # LA[a', a'] + c and LB[b', b'] - c: where both are 0, the merged entry cancels
+        c = data.draw(st.sampled_from([1, -2, Fraction(3, 5)]))
+        pairs.append((factor(c), _draw_sparse_factor(data, B, -c)))
+    cut = data.draw(st.one_of(st.none(), st.integers(ts.space.lo - 1, top)))
+    sums = [DiagonalSum(ts, fA, fB, cut) for fA, fB in pairs]
+    for t in ts.space.degrees():
+        dim = ts.space.dim(t)
+        dead: set = set()
+        streams = [(L, L._rows(t, dead, indexed=True)[1]) for L in sums]
+        seeds = set(dead)
+        handed = []
+        K = row_kernel((handed.append((L, i, dict(row))) or row for L, rows in streams for i, row in rows), dim, dead)
+        assert K == joint_kernel([L.block(t) for L in sums], dim)
+        full = {id(L): dict(L._rows(t, indexed=True)[1]) for L in sums}
+        plain: set = set()
+        linalg._presolve(chain.from_iterable(rows.values() for rows in full.values()), plain)
+        assert dead == plain
+        for L, i, row in handed:
+            assert len(row) > 1 and _premerge_length(L, t, i) > 1
+            whole = full[id(L)][i]
+            assert row == {c: whole[c] for c in row} and set(whole) - set(row) <= dead
+        for L in sums:
+            for i, row in full[id(L)].items():
+                if _premerge_length(L, t, i) == 1:
+                    assert set(row) <= seeds
+
+
+def test_heavy_invariant_kernel_builds_no_singleton_row(monkeypatch):
+    """On the heavy workload's W⊗Λ(su2xsu2)* at degree 6, every row that
+    reaches the presolve had two or more entries when the factors handed
+    it over, and there are at most 988 of them.  Before the presolve was
+    seeded from the factors' row lengths, 17 248 rows reached it, 9 504 of
+    them with one entry."""
+    g = resolve_algebra("su2xsu2")
+    WM = tensor_module(weil_model(g, Truncation(7)), exterior_model(g), max_total=7)
+    handed, reached = [], []
+    rows_of, presolve = DiagonalSum._rows, linalg._presolve
+
+    def spy(L, t, dead=None, indexed=False):
+        den, rows = rows_of(L, t, dead, indexed=True)
+
+        def stream():
+            for i, row in rows:
+                if dead is not None:
+                    handed.append((L, t, i))
+                yield (i, row) if indexed else row
+        return den, stream()
+
+    monkeypatch.setattr(DiagonalSum, "_rows", spy)
+    monkeypatch.setattr(linalg, "_presolve",
+                        lambda rows, dead: presolve((reached.append(len(row)) or row for row in rows), dead))
+    K = WM.invariant_blocks([6])[6]
+    assert (K.rows, K.cols) == (5336, 58)
+    assert len(reached) == len(handed) <= 988
+    assert min(reached) > 1 and all(_premerge_length(L, t, i) > 1 for L, t, i in handed)
 
 
 def test_diagonal_rows_are_the_stacked_lift_rows():
@@ -1017,6 +1130,25 @@ def test_d_squared_defect_at_a_betti_zero_degree_still_raises():
     zero = Complex(empty, LinMap.zero(empty, empty, 1))
     with pytest.raises(SpanError, match=r"^U is not contained in span\(V\)$"):
         quasi_iso_check(ChainMap(zero, D, LinMap.zero(empty, D.space, 0)), Truncation(3))
+
+
+def test_checked_complex_forms_no_boundary_product(monkeypatch):
+    """W(su2xsu2) to degree 8 is built with its d² check, which covers every
+    degree up to 6 = usable_top(2), so cohomology to degree 8 forms no
+    d_m·B product to re-prove d² = 0 on its boundaries; an unchecked
+    complex on the same d still forms them."""
+    C = weil_model(resolve_algebra("su2xsu2"), Truncation(8)).complex
+    assert C.checked_top == C.usable_top(2) == 6
+    blocks = {id(m) for m in C.d.blocks.values()}
+    products = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda L, R: (id(L) in blocks and products.append(L)) or matmul(L, R))
+    rep = cohomology(C, Truncation(8))
+    assert rep.betti == {0: 1, **{m: 0 for m in range(1, 8)}} and products == []
+    unchecked = Complex(C.space, C.d, complete=False, check=False)
+    assert unchecked.checked_top is None
+    assert cohomology(unchecked, Truncation(8)) == rep and products
 
 
 def test_weil_cohomology_eliminates_each_block_once_and_cuts_one_kernel(monkeypatch):

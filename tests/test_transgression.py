@@ -160,6 +160,19 @@ def test_transgression_lifts_no_weil_operator(su2, P_su2):
     assert T.entries and "L_ops" not in vars(T.weil)
 
 
+@pytest.mark.parametrize("name, N", [("su2xsu2", 8), ("su2", 8), ("abelian2", 3), ("su2", 2)])
+def test_own_weil_model_reaches_only_the_needed_degree(name, N):
+    """Without weil=, W is built to needed = the largest primitive degree
+    + 1 (0 with no primitive in the window), not to max(N, needed): the
+    solve reads W only at p and p + 1."""
+    g = builtin_algebra(name)
+    P = primitive_basis(g, Truncation(N))
+    T = distinguished_transgression(g, P, Truncation(N))
+    needed = max((p.degree + 1 for p in P.primitives), default=0)
+    assert T.weil.space.hi == needed
+    assert needed == {"su2xsu2": 4, "su2": 4 if N >= 3 else 0, "abelian2": 2}[name]
+
+
 @pytest.mark.parametrize("alg", ["su2", "su2xsu2"])
 def test_is_invariant_matches_lifted_operators(alg):
     """On W(g) (a tensor product) and on Λ(g*) (not one), is_invariant of the
