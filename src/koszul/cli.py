@@ -202,7 +202,7 @@ def cmd_cohomology(config: RunConfig, model: str) -> int:
     if model == "plain":
         cx = M.complex
     elif model == "invariant":
-        cx = invariant_subcomplex(M, with_actions=False).complex
+        cx = invariant_subcomplex(M).complex
     elif model == "cartan":
         cx = cartan_model(M, trunc).complex
     else:

@@ -46,6 +46,7 @@ from .transgression import (
     TransgressionData,
     distinguished_transgression,
     primitive_basis,
+    wedge_product,
 )
 from .weil import TwistData, WeilModule, twist_operators, twisted_cartan_image, weil_model
 
@@ -316,8 +317,8 @@ def verify_duality(
         )
     W = weil_model(g, Truncation(N + 1))
     WM = tensor_module(W, M, max_total=N + 1, name=f"W⊗{M.name}")
-    inv_WM = invariant_subcomplex(WM, with_actions=False)
-    inv_M = invariant_subcomplex(M, with_actions=False)
+    inv_WM = invariant_subcomplex(WM)
+    inv_M = invariant_subcomplex(M)
     A = cartan_model(M, Truncation(N))
     P = primitive_basis(g, Truncation(N))
     T = distinguished_transgression(g, P, Truncation(N), weil=W)
@@ -360,40 +361,30 @@ def verify_duality(
 
 
 def psi_contraction_compatibility(comp: DualityComputation) -> bool:
-    """ψ intertwines the invariant-multivector contractions on both sides."""
-    from .equivariant import invariant_multivector_basis
+    """ψ intertwines the invariant-multivector contractions on both sides:
+    their action on (W⊗M)^g, and on h the contraction of the
+    primitive-product forms of its exterior factor.
 
-    g = comp.g
-    ext = comp.weil.algebra.ext
-    inv_WM_full = invariant_subcomplex(comp.product, with_actions=True)
-    psi = build_psi(comp.transgression, comp.cartan, comp.h, comp.product, inv_WM_full, comp.twist)
-    multis = invariant_multivector_basis(g)
-    for mv_idx, mv in enumerate(multis):
-        # action on the h side: contract the primitive-product forms
-        h_side = _h_side_contraction(comp, ext, mv)
-        act = inv_WM_full.actions[mv_idx]
-        for deg in comp.h.complex.space.degrees():
-            if deg > inv_WM_full.complex.space.hi:
+    ψ is built afresh against comp.invariants, not read from comp.psi,
+    which is the corrupted map when comp asked for a corrupted
+    transgression."""
+    ext, h, n = comp.weil.algebra.ext, comp.h, comp.g.dim
+    inv_WM = comp.invariants
+    psi = build_psi(comp.transgression, comp.cartan, h, comp.product, inv_WM, comp.twist)
+    prims = [e.primitive for e in comp.transgression.entries]
+    # each primitive subset expanded into an exterior form
+    forms = {deg: hstack([wedge_product([prims[j] for j in J], n) for J in Js], ext.space.dim(deg))
+             for deg, Js in h.subsets.items()}
+    lam_P = h.tensor.A
+    for mv, act in zip(inv_WM.multivectors, inv_WM.actions):
+        op = ext.contraction_of_multivector(mv.coeffs, lambda_monomials(n, mv.degree))
+        # i_mv restricted to the forms: coordinates of i_mv(form_J) over lower ones
+        h_side = h.tensor.lift(induced_map(op, forms, forms, lam_P, lam_P), None)
+        for deg in h.complex.space.degrees():
+            if deg > inv_WM.complex.space.hi:
                 continue
             lhs = act.block(deg) @ psi.map.block(deg)
             rhs_blk = psi.map.block(deg - mv.degree) @ h_side.block(deg)
             if lhs != rhs_blk:
                 return False
     return True
-
-
-def _h_side_contraction(comp: DualityComputation, ext: KgModule, mv) -> LinMap:
-    """Contraction by an invariant multivector on the exterior factor of h."""
-    from .transgression import wedge_product
-
-    n = comp.g.dim
-    prims = [e.primitive for e in comp.transgression.entries]
-    op = ext.contraction_of_multivector(mv.coeffs, lambda_monomials(n, mv.degree))
-
-    # expand each primitive subset into an exterior form
-    forms = {deg: hstack([wedge_product([prims[j] for j in J], n) for J in Js], ext.space.dim(deg))
-             for deg, Js in comp.h.subsets.items()}
-
-    # i_mv restricted to the forms: coordinates of i_mv(form_J) over lower ones
-    lam_P = comp.h.tensor.A
-    return comp.h.tensor.lift(induced_map(op, forms, forms, lam_P, lam_P), None)

@@ -15,7 +15,8 @@ twist embedding into the basic Weil subcomplex is a chain map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .complexes import (
     ChainMap,
@@ -80,10 +81,11 @@ class MultivectorElement:
     label: str
 
 
-def invariant_multivector_basis(g: LieAlgebra) -> list:
-    """All invariant multivectors of degree >= 1, by degree then index."""
+def invariant_multivector_basis(g: LieAlgebra, top: Optional[int] = None) -> list:
+    """The invariant multivectors of degree 1 to top (dim g by default), by
+    degree then index."""
     out = []
-    for p in range(1, g.dim + 1):
+    for p in range(1, min(g.dim, top if top is not None else g.dim) + 1):
         monos = lambda_monomials(g.dim, p)
         for i, v in enumerate(invariant_multivectors(g, p)):
             terms = " + ".join(
@@ -119,16 +121,41 @@ def sym_invariant_complex(g: LieAlgebra, N: int):
 
 @dataclass
 class InvariantModel:
-    """(M)^g with its restricted differential and contraction action."""
+    """(M)^g with its restricted differential; its contraction action is
+    built on first read."""
 
     module: KgModule
     complex: Complex
     inclusion: ChainMap
     vectors: dict  # degree -> Matrix whose columns are the invariant vectors
-    multivectors: list  # MultivectorElement, positive degrees
-    actions: list  # LinMap on the subcomplex, one per multivector
     # degree -> Subspace of `vectors`, factored on first use
     spans: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def multivectors(self) -> list:
+        """The invariant multivectors of every positive degree."""
+        return invariant_multivector_basis(self.module.g)
+
+    @cached_property
+    def actions(self) -> list:
+        """The composite contraction of each multivector on the subcomplex,
+        verified to commute with the restricted differential in the graded
+        sense d∘a = (-1)^p a∘d (p the multivector degree)."""
+        M, sub, vectors = self.module, self.complex, self.vectors
+        actions = []
+        for mv in self.multivectors:
+            ambient_op = M.contraction_of_multivector(mv.coeffs, lambda_monomials(M.g.dim, mv.degree))
+            act = induced_map(ambient_op, vectors, vectors, sub.space, sub.space)
+            sign = -1 if mv.degree % 2 else 1
+            lhs = sub.d.compose(act)
+            rhs = act.compose(sub.d).scale(sign)
+            if not lhs.equal_on(rhs, M.complex.usable_degrees(2)):
+                raise SubcomplexError(
+                    f"invariant multivector action fails graded commutation with d "
+                    f"for {mv.label}"
+                )
+            actions.append(act)
+        return actions
 
     def span(self, deg: int) -> Subspace:
         """The invariant vectors of degree deg, for restricting maps into (M)^g."""
@@ -138,34 +165,15 @@ class InvariantModel:
         return self.spans[deg]
 
 
-def invariant_subcomplex(M: KgModule, with_actions: bool = True) -> InvariantModel:
+def invariant_subcomplex(M: KgModule) -> InvariantModel:
     """Restrict M to the simultaneous kernel of all Lie derivatives.
 
-    The restricted differential is verified to exist; each invariant
-    multivector acts by the composite contraction, verified to commute
-    with the restricted differential in the graded sense
-    d∘a = (-1)^p a∘d (p the multivector degree).  Pass with_actions=False
-    to skip building the contraction action (cheaper for large modules).
+    The restricted differential is verified to exist.  The multivector
+    action (InvariantModel.actions) is built, and checked, on first read.
     """
-    g = M.g
     vectors = M.invariant_blocks(M.complex.usable_degrees(1))
     sub, incl = subcomplex(M.complex.truncated(M.max_usable), vectors, label_prefix=f"({M.name})^g")
-    multis = invariant_multivector_basis(g) if with_actions else []
-    actions = []
-    for mv in multis:
-        monos = lambda_monomials(g.dim, mv.degree)
-        ambient_op = M.contraction_of_multivector(mv.coeffs, monos)
-        act = induced_map(ambient_op, vectors, vectors, sub.space, sub.space)
-        sign = -1 if mv.degree % 2 else 1
-        lhs = sub.d.compose(act)
-        rhs = act.compose(sub.d).scale(sign)
-        if not lhs.equal_on(rhs, M.complex.usable_degrees(2)):
-            raise SubcomplexError(
-                f"invariant multivector action fails graded commutation with d "
-                f"for {mv.label}"
-            )
-        actions.append(act)
-    return InvariantModel(M, sub, incl, vectors, multis, actions)
+    return InvariantModel(M, sub, incl, vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 from .linalg import (
     Matrix,
     closure_rank,
-    complement_basis,
     hstack,
+    image_rank,
     iparse,
     joint_kernel,
     lparse,
@@ -65,6 +65,13 @@ class LieAlgebra:
     # (i, j) with i < j  ->  tuple of (k, coefficient)
     structure: dict = field(compare=False)
 
+    def __eq__(self, other) -> bool:
+        """Same name, dim and labels, which are what the hash reads, and the
+        same nonzero structure constants."""
+        return isinstance(other, LieAlgebra) and (
+            (self.name, self.dim, self.basis_labels, self._constants)
+            == (other.name, other.dim, other.basis_labels, other._constants))
+
     def bracket(self, i: int, j: int) -> tuple:
         """[x_i, x_j] as a coordinate vector."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
@@ -88,7 +95,7 @@ class LieAlgebra:
                 if c:
                     out[(k, i, j)] = out.get((k, i, j), Q0) + c
                     out[(k, j, i)] = out.get((k, j, i), Q0) - c
-        return out
+        return {kij: c for kij, c in out.items() if c}
 
     @cached_property
     def _adjoint(self) -> tuple:
@@ -384,7 +391,7 @@ def certify_reductive(g: LieAlgebra) -> ReductiveDecomposition:
     center = block_action_kernel(g, ad.matrices, n)
     # the brackets [i, j], i < j, are the columns j > i of ad_i
     brackets = hstack([m.take(range(i + 1, n)) for i, m in enumerate(ad.matrices)], n)
-    derived = complement_basis(Matrix.zero(n, 0), brackets)
+    derived = image_rank(brackets)[1]
     if center.cols + derived.cols != n:
         raise NotReductive(
             f"dim z(g) + dim [g,g] = {center.cols} + {derived.cols} != {n}"

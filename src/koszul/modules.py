@@ -237,20 +237,30 @@ class KgModule:
         vectors, by direct application."""
         return all(op.image(deg, X).is_zero() for op in self._action())
 
-    def contraction_of_multivector(self, coeffs: Sequence, monos: Sequence[tuple]) -> LinMap:
-        """Composite contraction for a multivector given in a monomial basis.
+    def contractions(self, monos: Iterable[tuple]) -> dict:
+        """{I: i_I} for the increasing tuples I of monos, in their order, where
+        i_I = i_{I[0]} o ... o i_{I[-1]} (the identity for I = ()); an I whose
+        i_I vanishes is left out.  Each i_I is one compose of i_{I[0]} after
+        i_{I[1:]}, and the tails are kept for this call only."""
+        built: dict = {}  # I -> i_I, or None where it vanishes
 
-        A monomial (k_1 < ... < k_p) acts by i_{k_1} o ... o i_{k_p},
-        left-to-right composition (i_{k_p} is applied first).
-        """
-        terms = []
-        for c, mono in zip(coeffs, monos):
-            if not c:
-                continue
-            term = self.i_ops[mono[0]] if mono else LinMap.identity(self.space)
-            for k in mono[1:]:
-                term = term.compose(self.i_ops[k])
-            terms.append((c, term))
+        def composite(I: tuple) -> Optional[LinMap]:
+            if I not in built:
+                if len(I) < 2:
+                    op = self.i_ops[I[0]] if I else LinMap.identity(self.space)
+                else:
+                    rest = composite(I[1:])
+                    op = None if rest is None else self.i_ops[I[0]].compose(rest)
+                built[I] = op if op is not None and op.blocks else None
+            return built[I]
+
+        return {I: op for I in monos if (op := composite(tuple(I))) is not None}
+
+    def contraction_of_multivector(self, coeffs: Sequence, monos: Sequence[tuple]) -> LinMap:
+        """Composite contraction for a multivector given in a monomial basis:
+        the sum of c·i_I over its monomials I (see contractions)."""
+        ops = self.contractions(mono for c, mono in zip(coeffs, monos) if c)
+        terms = [(c, ops[mono]) for c, mono in zip(coeffs, monos) if mono in ops]
         if not terms:
             p = len(monos[0]) if monos else 0
             return LinMap.zero(self.space, self.space, -p)

@@ -29,6 +29,7 @@ from .linalg import (
     Subspace,
     complement_basis,
     hstack,
+    image_rank,
     joint_kernel,
     rank,
     vec,
@@ -101,11 +102,6 @@ def wedge_product(prims: Sequence, n: int) -> Matrix:
     return v
 
 
-def _independent_columns(V: Matrix) -> Matrix:
-    """The greedy maximal independent subfamily of the columns of V."""
-    return complement_basis(Matrix.zero(V.rows, 0), V)
-
-
 @dataclass(frozen=True)
 class Primitive:
     degree: int
@@ -145,7 +141,7 @@ def primitive_basis(g: LieAlgebra, trunc: Truncation) -> PrimitiveSpace:
             continue
         decomp = hstack([wedge_columns(inv[a], a, inv[m - a], m - a, n)
                          for a in range(1, m // 2 + 1)], inv[m].rows)
-        prims = complement_basis(_independent_columns(decomp), inv[m])
+        prims = complement_basis(image_rank(decomp)[1], inv[m])
         monos = lambda_monomials(n, m)
         for j, v in enumerate(prims.columns()):
             terms = " + ".join(
@@ -181,11 +177,8 @@ def _verify_freeness(space: PrimitiveSpace, inv: dict, n: int, top: int) -> None
                 f"primitive count mismatch in degree {m}: {len(got)} products, "
                 f"invariants have dimension {want}"
             )
-        if want:
-            if _independent_columns(hstack(got, inv[m].rows)).cols != want:
-                raise TransgressionError(
-                    f"products of primitives are dependent in degree {m}"
-                )
+        if want and rank(hstack(got, inv[m].rows)) != want:
+            raise TransgressionError(f"products of primitives are dependent in degree {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +253,10 @@ def distinguished_transgression(
     n = g.dim
     # the contraction operators do not depend on the primitive: build them once.
     # W's i_k is 1⊗i_k^Λ and S(g*) is even, so a composite of them is the
-    # lift of the composite on Λ(g*), with no sign
+    # lift of the composite on Λ(g*), with no sign.  A multivector of degree
+    # q > p has no rows at degree p, so none above the largest p is built
     contraction_ops = [(mv, W.tensor.lift(None, alg.ext.contraction_of_multivector(
-        mv.coeffs, lambda_monomials(n, mv.degree)))) for mv in invariant_multivector_basis(g)]
+        mv.coeffs, lambda_monomials(n, mv.degree)))) for mv in invariant_multivector_basis(g, needed - 1)]
     entries = []
     for prim in P.primitives:
         p = prim.degree

@@ -293,38 +293,21 @@ class TwistData:
                                    for q, power in enumerate(self._powers)])
 
 
-def _deletion_composites(M: KgModule) -> dict:
-    """ĵ_I per increasing tuple I: the composite of structural deletions
-    ĵ = −i over I, rightmost index applied first, built from the right.
-
-    An I whose composite vanishes is left out, and so is every tuple that
-    ends with it.  Keys are ordered by length, then as lambda_monomials.
-    """
-    n = M.g.dim
-    composites = {(): LinMap.identity(M.space)}
-    for q in range(1, n + 1):
-        for I in lambda_monomials(n, q):
-            if I[1:] in composites:
-                composite = M.i_ops[I[0]].scale(-1).compose(composites[I[1:]])
-                if composite.blocks:
-                    composites[I] = composite
-    return composites
-
-
 def _twist_sign(q: int) -> int:
-    return (-1) ** (q * (q + 1) // 2)
+    """(−1)^{q(q+1)/2} of the twist times the (−1)^q of ĵ_I = (−1)^q i_I."""
+    return (-1) ** (q * (q + 1) // 2 + q)
 
 
 def _twist_on_unit(M: KgModule, space: TensorSpace) -> LinMap:
     """T(1⊗m) = sum_I (−1)^{q(q+1)/2} y^I ⊗ ĵ_I m as a map M -> Λ(g*)⊗M.
 
     The ξ = 1 slice of twist_closed_form (no Koszul sign at |ξ| = 0), with
-    y^I basis vector I of Λ^q(g*): one composite ĵ_I of M per I, written
-    straight into the rows (q, I, ·) of ``space``.
+    y^I basis vector I of Λ^q(g*): one composite ĵ_I = (−1)^q i_I of M per
+    I, written straight into the rows (q, I, ·) of ``space``.
     """
     n = M.g.dim
     index = {I: il for q in range(n + 1) for il, I in enumerate(lambda_monomials(n, q))}
-    composites = _deletion_composites(M)
+    composites = M.contractions(index)
     blocks = {}
     for r in space.space.degrees():
         parts = [(space.position(len(I), index[I], r - len(I), 0), _twist_sign(len(I)), composite.blocks[r])
@@ -357,14 +340,15 @@ def twist_closed_form(data: TwistData) -> LinMap:
     """Direct assembly of T(ξ⊗m) = sum_I (−1)^{q(q+1)/2} ξ∧y^I ⊗ ĵ_I m.
 
     ĵ_I is the composite of structural deletions ĵ = −i over I, rightmost
-    index applied first (see _deletion_composites).  Must equal the
-    exponential series exactly.  The term for I is the lift of
+    index applied first: (−1)^q i_I (KgModule.contractions; see _twist_sign).
+    Must equal the exponential series exactly.  The term for I is the lift of
     (y^I ∧ ·) ⊗ ĵ_I, whose Koszul sign (−1)^{q|ξ|} turns y^I∧ξ into ξ∧y^I.
     """
     M, ext = data.module, data.exterior
+    n = M.g.dim
     wedges = {(): LinMap.identity(ext.space)}  # y^I ∧ ·, built from the right
     terms = []
-    for I, composite in _deletion_composites(M).items():
+    for I, composite in M.contractions(I for q in range(n + 1) for I in lambda_monomials(n, q)).items():
         if I:
             wedges[I] = wedge_by_generator(ext, I[0]).compose(wedges[I[1:]])
         terms.append((wedges[I].scale(_twist_sign(len(I))), composite))

@@ -883,7 +883,7 @@ def test_uncertified_counts_match_representatives(alg):
         complexes = [weil_model(g, trunc).complex]
         for mod in ("trivial", "exterior", "forms:coadjoint:1"):
             M = resolve_module(mod, g)
-            complexes += [M.complex, invariant_subcomplex(M, with_actions=False).complex]
+            complexes += [M.complex, invariant_subcomplex(M).complex]
             try:
                 complexes.append(cartan_model(M, trunc).complex)
             except WindowError:
@@ -941,7 +941,7 @@ def test_induced_map_matches_dense_reference(alg):
     nonzero = 0
     for mod in ("trivial", "exterior", "forms:coadjoint:1"):
         M = resolve_module(mod, g)
-        inv = invariant_subcomplex(M, with_actions=True)
+        inv = invariant_subcomplex(M)
         top = M.complex.truncated(M.max_usable)
         nonzero += _assert_induced_matches_reference(top.d, inv.complex.d, inv.vectors)
         for mv, act in zip(inv.multivectors, inv.actions):
@@ -960,7 +960,7 @@ def test_subcomplex_rejects_one_corrupted_column():
     """The invariants of Λ(su2xsu2)* span a subcomplex; adding to one column
     a vector whose differential leaves that span must be caught."""
     M = exterior_model(resolve_algebra("su2xsu2"))
-    vectors = invariant_subcomplex(M, with_actions=False).vectors
+    vectors = invariant_subcomplex(M).vectors
     subcomplex(M.complex, vectors)  # the family as computed is d-stable
     V, d3 = vectors[3], M.d.block(3)
     leaving = min(j for (_, j) in d3.num)  # d of this basis vector is nonzero, and d = 0 on V

@@ -146,7 +146,7 @@ def test_product_invariants_leave_weil_contractions_unlifted(su2):
     from koszul.weil import weil_model
 
     W = weil_model(su2, Truncation(5))
-    invariant_subcomplex(tensor_module(W, exterior_model(su2), max_total=5), with_actions=False)
+    invariant_subcomplex(tensor_module(W, exterior_model(su2), max_total=5))
     assert "L_ops" in vars(W) and "i_ops" not in vars(W)
     assert all(L._lifted is None for L in W.L_ops)
 
@@ -281,7 +281,7 @@ def test_invariant_path_builds_no_fraction(monkeypatch):
     W = weil_model(g, Truncation(N + 1))
     WM = tensor_module(W, M, max_total=N + 1, name="W⊗M")
     W.L_ops  # the factor L_k are inputs here, built before counting
-    inv_M = invariant_subcomplex(M, with_actions=False)
+    inv_M = invariant_subcomplex(M)
     A = cartan_model(M, Truncation(N))
     T = distinguished_transgression(g, primitive_basis(g, Truncation(N)), Truncation(N), weil=W)
     twist = twist_operators(M, Truncation(N + 1), weil=W)
@@ -294,7 +294,7 @@ def test_invariant_path_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    inv_WM = invariant_subcomplex(WM, with_actions=False)
+    inv_WM = invariant_subcomplex(WM)
     incl = inclusion_map(WM, inv_WM, inv_M)
     psi = build_psi(T, A, h, WM, inv_WM, twist)
     assert built == []
@@ -481,3 +481,41 @@ def test_invariant_kernels_are_certified_and_never_fall_back(monkeypatch, capsys
     for g, seen, ok in certified:
         assert ok, g.name
         assert seen == [k for k in range(g.dim) if k not in g.generators], g.name
+
+
+def test_heavy_case_builds_no_multivector_above_the_primitives(monkeypatch):
+    """On su2xsu2 exterior at N = 6 every primitive has degree 3: the
+    verifier asks for no invariant multivector above degree 3 (the
+    transgression's condition (b) reads only those) and never reads the
+    multivector action of an invariant model."""
+    from koszul import equivariant
+    from koszul.equivariant import InvariantModel
+
+    degrees, reads = [], []
+    invariant_multivectors = equivariant.invariant_multivectors
+    monkeypatch.setattr(equivariant, "invariant_multivectors",
+                        lambda g, p: degrees.append(p) or invariant_multivectors(g, p))
+    monkeypatch.setattr(InvariantModel, "actions", property(lambda inv: reads.append(inv) or []))
+    report, comp = verify_duality(exterior_model(builtin_algebra("su2xsu2")), Truncation(6))
+    assert report.verdict
+    assert sorted(set(degrees)) == [1, 2, 3] and not reads
+    assert [e.primitive.degree for e in comp.transgression.entries] == [3, 3]
+
+
+def test_psi_contraction_compatibility_reads_the_computed_invariants(monkeypatch):
+    """psi_contraction_compatibility builds no second invariant model of
+    W⊗M, and builds its own ψ: it holds on a run with a corrupted
+    transgression even when that run's ψ is taken away."""
+    import dataclasses
+
+    from koszul import duality
+
+    _, comp = verify_duality(exterior_model(builtin_algebra("su2")), Truncation(6),
+                             corrupt_transgression=True)
+
+    def refused(M):
+        raise AssertionError("a second invariant model was built")
+
+    monkeypatch.setattr(duality, "invariant_subcomplex", refused)
+    assert psi_contraction_compatibility(dataclasses.replace(comp, psi=None))
+    assert len(comp.invariants.actions) == len(comp.invariants.multivectors) == 1

@@ -41,7 +41,7 @@ def test_exterior_complex_betti_su2():
 def test_invariants_commute_with_cohomology_sl2():
     g = builtin_algebra("sl2")
     M = exterior_model(g)
-    inv = invariant_subcomplex(M, with_actions=False)
+    inv = invariant_subcomplex(M)
     full = cohomology(M.complex, Truncation(4))
     sub = cohomology(inv.complex, Truncation(4))
     # L acts trivially on cohomology, so invariants-of-H equals H-of-invariants

@@ -460,3 +460,93 @@ def test_operator_entry_given_twice(su2):
     ent = {"degree": 1, "row": 0, "col": 0, "c": "1"}
     with pytest.raises(ModuleValidationError, match=r"i_2 is given twice at degree 1, position \(0,0\)"):
         kg_module_from_dict(su2, dict(data, i={"2": [ent, dict(ent, c="-1")]}))
+
+
+# ---------------------------------------------------------------------------
+# Composite contractions
+# ---------------------------------------------------------------------------
+
+
+def _contraction_module(case: str) -> KgModule:
+    if case == "su2xsu2 exterior":
+        return exterior_model(builtin_algebra("su2xsu2"))
+    if case == "u2 forms:coadjoint:1":
+        # the central i_k vanishes, and so does every i_I with |I| >= 2
+        u2 = builtin_algebra("u2")
+        return polynomial_forms_module(u2, adjoint_matrices(u2)[1], 1)
+    su2 = builtin_algebra("su2")
+    return tensor_module(exterior_model(su2), exterior_model(su2))
+
+
+CONTRACTION_MODULES = {case: _contraction_module(case) for case in (
+    "su2xsu2 exterior", "u2 forms:coadjoint:1", "su2 exterior⊗exterior")}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACTION_MODULES))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_contractions_match_the_compose_chain(case, data):
+    """M.contractions(monos)[I] is i_{I[0]} o ... o i_{I[-1]} composed left
+    to right (the identity for I = ()); an I whose chain vanishes is absent,
+    and the keys follow monos."""
+    M = CONTRACTION_MODULES[case]
+    n = M.g.dim
+    increasing = st.sets(st.integers(0, n - 1), max_size=4).map(lambda s: tuple(sorted(s)))
+    monos = data.draw(st.lists(increasing, min_size=1, max_size=5))
+    got = M.contractions(monos)
+    want = {}
+    for I in monos:
+        chain = M.i_ops[I[0]] if I else LinMap.identity(M.space)
+        for k in I[1:]:
+            chain = chain.compose(M.i_ops[k])
+        if chain.blocks:
+            want.setdefault(I, chain)
+    assert list(got) == list(want)
+    for I, op in got.items():
+        assert op.shift == -len(I) and op.equal_on(want[I], M.space.degrees()), I
+
+
+def test_contraction_of_multivector_composes_once_per_tuple(monkeypatch):
+    """On Λ(su2xsu2)*, contraction_of_multivector composes once per distinct
+    tuple of length >= 2 among its monomials and their tails (no composite
+    of Λ(g*) vanishes), and contractions builds a shared tail once."""
+    from koszul.equivariant import invariant_multivector_basis
+
+    g = builtin_algebra("su2xsu2")
+    M = exterior_model(g)
+    calls = []
+    compose = LinMap.compose
+    monkeypatch.setattr(LinMap, "compose", lambda self, other: calls.append(1) or compose(self, other))
+    multis = invariant_multivector_basis(g)
+    assert [mv.degree for mv in multis] == [3, 3, 6]
+    for mv in multis:
+        monos = [m for c, m in zip(mv.coeffs, lambda_monomials(g.dim, mv.degree)) if c]
+        tuples = {m[s:] for m in monos for s in range(len(m) - 1)}
+        calls.clear()
+        op = M.contraction_of_multivector(mv.coeffs, lambda_monomials(g.dim, mv.degree))
+        assert len(calls) == len(tuples)
+        assert op.shift == -mv.degree and op.blocks
+    calls.clear()
+    assert list(M.contractions([(0, 2, 3), (1, 2, 3), (2, 3), (4,)])) == [(0, 2, 3), (1, 2, 3), (2, 3), (4,)]
+    assert len(calls) == 3  # (2, 3) once, then (0, 2, 3) and (1, 2, 3) from it
+
+
+def test_tensor_factors_over_algebras_with_other_brackets_are_rejected(tmp_path):
+    """Algebras that share name, dim and labels but not their brackets are
+    different: a tensor product of modules over them raises.  Two loads of
+    one file are equal, and their modules tensor."""
+    import json
+
+    from koszul.lie import lie_algebra_from_dict, load_lie_algebra
+
+    abelian = {"name": "x", "dim": 2, "basis": ["a", "b"], "brackets": []}
+    solvable = dict(abelian, brackets=[{"i": 0, "j": 1, "terms": [{"k": 1, "c": "1"}]}])
+    a, b = lie_algebra_from_dict(abelian), lie_algebra_from_dict(solvable)
+    assert a != b
+    with pytest.raises(ValueError, match="different Lie algebras"):
+        tensor_module(trivial_module(a), trivial_module(b))
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(solvable))
+    g, h = load_lie_algebra(str(path)), load_lie_algebra(str(path))
+    assert g is not h and g == h == b and hash(g) == hash(h)
+    assert tensor_module(trivial_module(g), trivial_module(h)).g is g
