@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
@@ -51,20 +50,16 @@ class InputError(ValueError):
     pass
 
 
-@dataclass
 class RunConfig:
-    command: str
-    algebra: str
-    module: str = "exterior"
-    max_degree: int = 6
-    output_format: str = "text"
-    corrupt_transgression: bool = False
-
-    def __post_init__(self):
-        if self.max_degree < 1:
+    def __init__(self, command: str, algebra: str, module: str = "exterior", max_degree: int = 6,
+                 output_format: str = "text", corrupt_transgression: bool = False):
+        if max_degree < 1:
             raise InputError("--max-degree must be >= 1")
-        if self.output_format not in ("text", "json"):
+        if output_format not in ("text", "json"):
             raise InputError("--format must be text or json")
+        self.command, self.algebra, self.module = command, algebra, module
+        self.max_degree, self.output_format = max_degree, output_format
+        self.corrupt_transgression = corrupt_transgression
 
 
 def _threads_cap() -> int:

@@ -19,13 +19,13 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from copy import copy
-from dataclasses import dataclass
 from functools import cache, partial
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterator, Optional, Sequence
 
 from .linalg import (
+    Frozen,
     Matrix,
     Q0,
     ShapeError,
@@ -46,15 +46,19 @@ class WindowError(ValueError):
     """Requested degrees fall outside the materialized window."""
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(Frozen):
     """Degree bound: cohomology is certified for degrees <= max_degree - 1."""
 
-    max_degree: int
-
-    def __post_init__(self):
-        if self.max_degree < 0:
+    def __init__(self, max_degree: int):
+        if max_degree < 0:
             raise ValueError("max_degree must be >= 0")
+        vars(self).update(max_degree=max_degree)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Truncation) and self.max_degree == other.max_degree
+
+    def __hash__(self) -> int:
+        return hash(self.max_degree)
 
 
 class GradedSpace:
@@ -703,23 +707,19 @@ class TensorComplex(Complex):
         return self if top >= self.space.hi else TensorComplex(self.d.tensor, self.d.terms, False, top - 1)
 
 
-@dataclass
 class ChainMap:
     """Degree-0 map between complexes, intended to commute with differentials."""
 
-    source: Complex
-    target: Complex
-    map: LinMap
-
-    def __post_init__(self):
-        if self.map.shift != 0:
+    def __init__(self, source: Complex, target: Complex, map: LinMap):
+        if map.shift != 0:
             raise ShapeError("chain maps have shift 0")
+        self.source, self.target, self.map = source, target, map
 
 
-@dataclass
 class ChainMapReport:
-    ok: bool
-    witness: Optional[tuple] = None  # (degree, basis label, defect vector)
+    def __init__(self, ok: bool, witness: Optional[tuple] = None):
+        self.ok = ok
+        self.witness = witness  # (degree, basis label, defect vector)
 
     def describe(self) -> str:
         if self.ok:
@@ -787,13 +787,18 @@ def check_chain_map(f: ChainMap) -> ChainMapReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CohomologyReport:
     """Betti numbers and representative cocycles, certified below the cut."""
 
-    betti: dict  # degree -> int, certified degrees only
-    representatives: dict  # degree -> list of {label: Fraction}
-    uncertified: dict  # degree -> int, degrees at the truncation edge
+    def __init__(self, betti: dict, representatives: dict, uncertified: dict):
+        self.betti = betti  # degree -> int, certified degrees only
+        self.representatives = representatives  # degree -> list of {label: Fraction}
+        self.uncertified = uncertified  # degree -> int, degrees at the truncation edge
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CohomologyReport) and (
+            (self.betti, self.representatives, self.uncertified)
+            == (other.betti, other.representatives, other.uncertified))
 
     def to_dict(self) -> dict:
         return {
@@ -909,11 +914,10 @@ def cohomology(C: Complex, trunc: Truncation) -> CohomologyReport:
     return CohomologyReport(betti=betti, representatives=reps_out, uncertified=uncertified)
 
 
-@dataclass
 class QuasiIsoReport:
-    ok: bool
-    chain: ChainMapReport
-    degrees: dict  # degree -> {"source_betti", "target_betti", "induced_rank", "ok"}
+    def __init__(self, ok: bool, chain: ChainMapReport, degrees: dict):
+        self.ok, self.chain = ok, chain
+        self.degrees = degrees  # degree -> {"source_betti", "target_betti", "induced_rank", "ok"}
 
     def describe(self) -> str:
         if not self.chain.ok:

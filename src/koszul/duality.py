@@ -15,7 +15,6 @@ that trades a primitive factor for multiplication by its transgression.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -55,15 +54,15 @@ from .weil import TwistData, WeilModule, twist_operators, twisted_cartan_image, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class KoszulDualComplex:
     """h(A) = (exterior algebra on the primitives) ⊗ A with the trade differential."""
 
-    complex: Complex
-    tensor: TensorSpace  # Λ(P) ⊗ A; basis vector i of Λ(P) in degree q is subsets[q][i]
-    subsets: dict  # degree -> primitive index subsets J (increasing tuples)
-    primitive_degrees: list
-    source: CartanModel
+    def __init__(self, complex: Complex, tensor: TensorSpace, subsets: dict,
+                 primitive_degrees: list, source: CartanModel):
+        self.complex = complex
+        self.tensor = tensor  # Λ(P) ⊗ A; basis vector i of Λ(P) in degree q is subsets[q][i]
+        self.subsets = subsets  # degree -> primitive index subsets J (increasing tuples)
+        self.primitive_degrees, self.source = primitive_degrees, source
 
 
 def h_of(A: CartanModel, T: TransgressionData, trunc: Truncation) -> KoszulDualComplex:
@@ -112,22 +111,18 @@ def h_of(A: CartanModel, T: TransgressionData, trunc: Truncation) -> KoszulDualC
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DualityComputation:
     """All shared objects of one duality verification."""
 
-    g: LieAlgebra
-    module: KgModule
-    N: int
-    weil: WeilModule
-    product: TensorModule  # W ⊗ M
-    invariants: InvariantModel  # of W ⊗ M
-    cartan: CartanModel
-    transgression: TransgressionData
-    twist: TwistData
-    h: KoszulDualComplex
-    psi: ChainMap
-    inclusion: ChainMap
+    def __init__(self, g: LieAlgebra, module: KgModule, N: int, weil: WeilModule,
+                 product: TensorModule, invariants: InvariantModel, cartan: CartanModel,
+                 transgression: TransgressionData, twist: TwistData, h: KoszulDualComplex,
+                 psi: ChainMap, inclusion: ChainMap):
+        self.g, self.module, self.N, self.weil = g, module, N, weil
+        self.product = product  # W ⊗ M
+        self.invariants = invariants  # of W ⊗ M
+        self.cartan, self.transgression, self.twist, self.h = cartan, transgression, twist, h
+        self.psi, self.inclusion = psi, inclusion
 
 
 def inclusion_map(WM: TensorModule, inv_model: InvariantModel, inv_M: InvariantModel) -> ChainMap:
@@ -216,20 +211,17 @@ def build_psi(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DualityReport:
-    algebra: str
-    module: str
-    max_degree: int
-    psi_chain: ChainMapReport
-    inclusion_chain: ChainMapReport
-    psi_quasi_iso: Optional[QuasiIsoReport]
-    inclusion_quasi_iso: Optional[QuasiIsoReport]
-    betti_h: dict
-    betti_product_invariants: dict
-    betti_invariants: dict
-    betti_match: bool
-    verdict: bool
+    def __init__(self, algebra: str, module: str, max_degree: int, psi_chain: ChainMapReport,
+                 inclusion_chain: ChainMapReport, psi_quasi_iso: Optional[QuasiIsoReport],
+                 inclusion_quasi_iso: Optional[QuasiIsoReport], betti_h: dict,
+                 betti_product_invariants: dict, betti_invariants: dict, betti_match: bool,
+                 verdict: bool):
+        self.algebra, self.module, self.max_degree = algebra, module, max_degree
+        self.psi_chain, self.inclusion_chain = psi_chain, inclusion_chain
+        self.psi_quasi_iso, self.inclusion_quasi_iso = psi_quasi_iso, inclusion_quasi_iso
+        self.betti_h, self.betti_product_invariants = betti_h, betti_product_invariants
+        self.betti_invariants, self.betti_match, self.verdict = betti_invariants, betti_match, verdict
 
     def to_dict(self) -> dict:
         def chain_dict(rep: ChainMapReport):

@@ -14,7 +14,6 @@ twist embedding into the basic Weil subcomplex is a chain map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -35,7 +34,7 @@ from .complexes import (
     subcomplex,
 )
 from .lie import LieAlgebra, adjoint_matrices, block_action_kernel, invariants
-from .linalg import Matrix, Subspace
+from .linalg import Frozen, Matrix, Subspace
 from .modules import (
     KgModule,
     derivation_on_lambda,
@@ -72,13 +71,11 @@ def sym_invariants(g: LieAlgebra, a: int) -> list:
     return sym_invariant_block(g, a).columns()
 
 
-@dataclass(frozen=True)
-class MultivectorElement:
+class MultivectorElement(Frozen):
     """An invariant multivector: degree, coefficients over the monomial basis."""
 
-    degree: int
-    coeffs: tuple
-    label: str
+    def __init__(self, degree: int, coeffs: tuple, label: str):
+        vars(self).update(degree=degree, coeffs=coeffs, label=label)
 
 
 def invariant_multivector_basis(g: LieAlgebra, top: Optional[int] = None) -> list:
@@ -119,17 +116,16 @@ def sym_invariant_complex(g: LieAlgebra, N: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class InvariantModel:
     """(M)^g with its restricted differential; its contraction action is
     built on first read."""
 
-    module: KgModule
-    complex: Complex
-    inclusion: ChainMap
-    vectors: dict  # degree -> Matrix whose columns are the invariant vectors
-    # degree -> Subspace of `vectors`, factored on first use
-    spans: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, module: KgModule, complex: Complex, inclusion: ChainMap, vectors: dict,
+                 spans: Optional[dict] = None):
+        self.module, self.complex, self.inclusion = module, complex, inclusion
+        self.vectors = vectors  # degree -> Matrix whose columns are the invariant vectors
+        # degree -> Subspace of `vectors`, factored on first use
+        self.spans = {} if spans is None else spans
 
     @cached_property
     def multivectors(self) -> list:
@@ -181,18 +177,16 @@ def invariant_subcomplex(M: KgModule) -> InvariantModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CartanModel:
     """(S(g*) ⊗ M)^g with the equivariant differential and S-module structure."""
 
-    module: KgModule
-    g: LieAlgebra
-    N: int
-    complex: Complex
-    ambient: TensorSpace  # S(g*) ⊗ M cut at degree N
-    sym_basis: dict  # degree 2a -> the S^a monomials, basis of ambient.A
-    vectors: dict  # degree -> Matrix of the invariant vectors in ambient coordinates
-    s_invariants: dict  # cohomological degree 2a -> list of S^a coefficient vectors
+    def __init__(self, module: KgModule, g: LieAlgebra, N: int, complex: Complex,
+                 ambient: TensorSpace, sym_basis: dict, vectors: dict, s_invariants: dict):
+        self.module, self.g, self.N, self.complex = module, g, N, complex
+        self.ambient = ambient  # S(g*) ⊗ M cut at degree N
+        self.sym_basis = sym_basis  # degree 2a -> the S^a monomials, basis of ambient.A
+        self.vectors = vectors  # degree -> Matrix of the invariant vectors in ambient coordinates
+        self.s_invariants = s_invariants  # cohomological degree 2a -> list of S^a coefficient vectors
 
     def s_action(self, sym_degree: int, coeffs: Sequence) -> LinMap:
         """Multiplication by an S^sym_degree element on the model (shift 2a)."""

@@ -11,14 +11,14 @@ form on the derived part.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
 from functools import cache, cached_property
 from fractions import Fraction
-from importlib import resources
 from itertools import chain, combinations
 from typing import Callable, Sequence
 
 from .linalg import (
+    Frozen,
     Matrix,
     closure_rank,
     hstack,
@@ -55,15 +55,15 @@ class NotReductive(LieAlgebraError):
     pass
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Frozen):
     """Finite-dimensional Lie algebra over Q in a fixed basis."""
 
-    name: str
-    dim: int
-    basis_labels: tuple
-    # (i, j) with i < j  ->  tuple of (k, coefficient)
-    structure: dict = field(compare=False)
+    def __init__(self, name: str, dim: int, basis_labels: tuple, structure: dict):
+        # structure: (i, j) with i < j  ->  tuple of (k, coefficient)
+        vars(self).update(name=name, dim=dim, basis_labels=basis_labels, structure=structure)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.dim, self.basis_labels))
 
     def __eq__(self, other) -> bool:
         """Same name, dim and labels, which are what the hash reads, and the
@@ -112,6 +112,30 @@ class LieAlgebra:
             ad.append(Matrix(n, n, ents))
         coad = [m.transpose().scale(-1) for m in ad]
         return RepMatrices(self, tuple(ad)), RepMatrices(self, tuple(coad))
+
+    @cached_property
+    def _reductive(self) -> ReductiveDecomposition:
+        """The decomposition, certified once; see certify_reductive.  A
+        failed certification raises and leaves nothing cached."""
+        n = self.dim
+        ad, _ = adjoint_matrices(self)
+        center = block_action_kernel(self, ad.matrices, n)
+        # the brackets [i, j], i < j, are the columns j > i of ad_i
+        brackets = hstack([m.take(range(i + 1, n)) for i, m in enumerate(ad.matrices)], n)
+        derived = image_rank(brackets)[1]
+        if center.cols + derived.cols != n:
+            raise NotReductive(
+                f"dim z(g) + dim [g,g] = {center.cols} + {derived.cols} != {n}"
+            )
+        killing = killing_form(self)
+        if derived.cols:
+            K_restricted = derived.transpose() @ killing @ derived
+            if rank(K_restricted) != derived.cols:
+                raise NotReductive("Killing form is degenerate on the derived subalgebra")
+        if center.cols and derived.cols:
+            if rank(hstack([center, derived], n)) != n:
+                raise NotReductive("center and derived subalgebra do not span g directly")
+        return ReductiveDecomposition(tuple(center.columns()), tuple(derived.columns()), killing)
 
     @cached_property
     def generators(self) -> tuple:
@@ -250,8 +274,8 @@ def builtin_algebra(name: str) -> LieAlgebra:
         )
     if name not in BUILTIN_NAMES:
         raise LieAlgebraError(f"unknown builtin algebra {name!r}; have {BUILTIN_NAMES}")
-    text = resources.files("koszul.data").joinpath(f"{name}.json").read_text("utf-8")
-    return lie_algebra_from_dict(json.loads(text))
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.json")
+    return lie_algebra_from_dict(json.loads(__loader__.get_data(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +283,12 @@ def builtin_algebra(name: str) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RepMatrices:
+class RepMatrices(Frozen):
     """A representation of g: one square matrix per basis vector."""
 
-    g: LieAlgebra
-    matrices: tuple  # n matrices, all dim x dim on the representation space
+    def __init__(self, g: LieAlgebra, matrices: tuple):
+        # matrices: n matrices, all dim x dim on the representation space
+        vars(self).update(g=g, matrices=matrices)
 
     @property
     def space_dim(self) -> int:
@@ -374,34 +398,17 @@ def killing_form(g: LieAlgebra) -> Matrix:
     return Matrix(n, n, ents)
 
 
-@dataclass(frozen=True)
-class ReductiveDecomposition:
-    center: tuple  # basis vectors of z(g)
-    derived: tuple  # basis vectors of [g, g]
-    killing: Matrix
+class ReductiveDecomposition(Frozen):
+    def __init__(self, center: tuple, derived: tuple, killing: Matrix):
+        # the basis vectors of z(g) and of [g, g]
+        vars(self).update(center=center, derived=derived, killing=killing)
 
 
 def certify_reductive(g: LieAlgebra) -> ReductiveDecomposition:
     """Certify g = z(g) + [g,g] with Killing nondegenerate on [g,g].
 
-    Raises NotReductive with the failed condition otherwise.
+    Raises NotReductive with the failed condition otherwise, on every call.
+    The decomposition is certified once per algebra and shared by every
+    caller.
     """
-    n = g.dim
-    ad, _ = adjoint_matrices(g)
-    center = block_action_kernel(g, ad.matrices, n)
-    # the brackets [i, j], i < j, are the columns j > i of ad_i
-    brackets = hstack([m.take(range(i + 1, n)) for i, m in enumerate(ad.matrices)], n)
-    derived = image_rank(brackets)[1]
-    if center.cols + derived.cols != n:
-        raise NotReductive(
-            f"dim z(g) + dim [g,g] = {center.cols} + {derived.cols} != {n}"
-        )
-    killing = killing_form(g)
-    if derived.cols:
-        K_restricted = derived.transpose() @ killing @ derived
-        if rank(K_restricted) != derived.cols:
-            raise NotReductive("Killing form is degenerate on the derived subalgebra")
-    if center.cols and derived.cols:
-        if rank(hstack([center, derived], n)) != n:
-            raise NotReductive("center and derived subalgebra do not span g directly")
-    return ReductiveDecomposition(tuple(center.columns()), tuple(derived.columns()), killing)
+    return g._reductive

@@ -74,6 +74,17 @@ class SpanError(ValueError):
     """complement_basis precondition failure (dependent U, or U not in span V)."""
 
 
+class Frozen:
+    """A value whose fields are written once, by its __init__ through
+    vars(self), and refuse assignment and deletion after that."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def qstr(x: Fraction) -> str:
     """Render a rational as ``p/q``, or just ``p`` when the denominator is 1."""
     return str(Fraction(x))

@@ -24,7 +24,6 @@ Everything is exact over Q and deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
@@ -312,11 +311,10 @@ class TensorModule(KgModule):
         return self._action()
 
 
-@dataclass
 class IdentityCheck:
-    identity: str
-    ok: bool
-    witness: Optional[tuple] = None  # (degree, basis label, defect vector)
+    def __init__(self, identity: str, ok: bool, witness: Optional[tuple] = None):
+        self.identity, self.ok = identity, ok
+        self.witness = witness  # (degree, basis label, defect vector)
 
     def describe(self) -> str:
         if self.ok:
@@ -326,10 +324,9 @@ class IdentityCheck:
         return f"{self.identity}: FAIL at degree {deg} on {lbl!r}, defect {nz}"
 
 
-@dataclass
 class KgValidationReport:
-    module: str
-    checks: list
+    def __init__(self, module: str, checks: list):
+        self.module, self.checks = module, checks
 
     @property
     def ok(self) -> bool:

@@ -16,7 +16,6 @@ vanishing ξ~ part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -25,6 +24,7 @@ from .complexes import Truncation
 from .equivariant import invariant_multivector_basis, sym_invariant_block, sym_invariants
 from .lie import LieAlgebra, adjoint_matrices, block_action_kernel
 from .linalg import (
+    Frozen,
     Matrix,
     Subspace,
     complement_basis,
@@ -102,11 +102,10 @@ def wedge_product(prims: Sequence, n: int) -> Matrix:
     return v
 
 
-@dataclass(frozen=True)
-class Primitive:
-    degree: int
-    column: Matrix  # one column over the degree-p exterior monomial basis
-    label: str
+class Primitive(Frozen):
+    def __init__(self, degree: int, column: Matrix, label: str):
+        # column: one column over the degree-p exterior monomial basis
+        vars(self).update(degree=degree, column=column, label=label)
 
     @property
     def coeffs(self) -> tuple:
@@ -114,13 +113,13 @@ class Primitive:
         return self.column.columns()[0]
 
 
-@dataclass
 class PrimitiveSpace:
     """Primitives: a complement of the decomposables in the invariant algebra."""
 
-    g: LieAlgebra
-    invariant_dims: dict  # degree -> dim of the invariant forms
-    primitives: list  # Primitive, ordered by (degree, greedy index)
+    def __init__(self, g: LieAlgebra, invariant_dims: dict, primitives: list):
+        self.g = g
+        self.invariant_dims = invariant_dims  # degree -> dim of the invariant forms
+        self.primitives = primitives  # Primitive, ordered by (degree, greedy index)
 
 
 def primitive_basis(g: LieAlgebra, trunc: Truncation) -> PrimitiveSpace:
@@ -186,19 +185,17 @@ def _verify_freeness(space: PrimitiveSpace, inv: dict, n: int, top: int) -> None
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TransgressionEntry:
-    primitive: Primitive
-    omega: dict  # Weil element, keys (sym exponents, lambda monomial)
-    xi_tilde: tuple  # coefficients over the symmetric monomials of degree (p+1)/2
-    xi_tilde_label: str
+    def __init__(self, primitive: Primitive, omega: dict, xi_tilde: tuple, xi_tilde_label: str):
+        self.primitive = primitive
+        self.omega = omega  # Weil element, keys (sym exponents, lambda monomial)
+        self.xi_tilde = xi_tilde  # coefficients over the symmetric monomials of degree (p+1)/2
+        self.xi_tilde_label = xi_tilde_label
 
 
-@dataclass
 class TransgressionData:
-    g: LieAlgebra
-    weil: WeilModule
-    entries: list
+    def __init__(self, g: LieAlgebra, weil: WeilModule, entries: list):
+        self.g, self.weil, self.entries = g, weil, entries
 
     def xi_tilde_sym_degree(self, idx: int) -> int:
         return (self.entries[idx].primitive.degree + 1) // 2

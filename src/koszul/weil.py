@@ -28,7 +28,6 @@ and T restricted to 1⊗M is a bijection onto the horizontal subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
@@ -392,12 +391,12 @@ def twist_identity_differential(data: TwistData) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class HorizontalBasic:
-    horizontal: dict  # degree -> Matrix of the vectors killed by every contraction
-    basic: Complex  # elements killed by i_k and i_k d, as a complex
-    basic_vectors: dict  # degree -> Matrix, the basic elements
-    inclusion: ChainMap
+    def __init__(self, horizontal: dict, basic: Complex, basic_vectors: dict, inclusion: ChainMap):
+        self.horizontal = horizontal  # degree -> Matrix of the vectors killed by every contraction
+        self.basic = basic  # elements killed by i_k and i_k d, as a complex
+        self.basic_vectors = basic_vectors  # degree -> Matrix, the basic elements
+        self.inclusion = inclusion
 
 
 def horizontal_basic(M: KgModule) -> HorizontalBasic:
@@ -422,17 +421,15 @@ def horizontal_basic(M: KgModule) -> HorizontalBasic:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TwistEmbedding:
     """Cartan model ≅ basic subcomplex of W(g) ⊗ M, via a ⊗ m -> a · T(1⊗m)."""
 
-    cartan: CartanModel
-    weil: WeilModule
-    product: TensorModule  # W(g) ⊗ M
-    twist: TwistData
-    basic: HorizontalBasic
-    map: ChainMap  # Cartan -> basic complex
-    ambient_blocks: dict  # degree -> Matrix into W⊗M coordinates
+    def __init__(self, cartan: CartanModel, weil: WeilModule, product: TensorModule,
+                 twist: TwistData, basic: HorizontalBasic, map: ChainMap, ambient_blocks: dict):
+        self.cartan, self.weil, self.twist, self.basic = cartan, weil, twist, basic
+        self.product = product  # W(g) ⊗ M
+        self.map = map  # Cartan -> basic complex
+        self.ambient_blocks = ambient_blocks  # degree -> Matrix into W⊗M coordinates
 
     def is_bijective(self) -> bool:
         for deg in self.map.source.space.degrees():

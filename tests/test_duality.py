@@ -2,6 +2,7 @@ import pytest
 
 from koszul.complexes import Truncation, cohomology
 from koszul.duality import (
+    DualityComputation,
     DualityReport,
     h_of,
     psi_contraction_compatibility,
@@ -10,7 +11,12 @@ from koszul.duality import (
 from koszul.equivariant import cartan_model
 from koszul.lie import adjoint_matrices, builtin_algebra
 from koszul.modules import exterior_model, polynomial_forms_module, trivial_module
-from koszul.transgression import distinguished_transgression, primitive_basis
+from koszul.transgression import (
+    TransgressionData,
+    TransgressionEntry,
+    distinguished_transgression,
+    primitive_basis,
+)
 
 
 # quasi-isomorphisms certified through degree 7 need the window at 8
@@ -51,15 +57,10 @@ def test_h_zero_action_zero_differential(su2):
     A = cartan_model(trivial_module(su2), Truncation(8))
     P = primitive_basis(su2, Truncation(8))
     T = distinguished_transgression(su2, P, Truncation(8))
-    import dataclasses
-
-    zeroed = dataclasses.replace(
-        T,
-        entries=[
-            dataclasses.replace(e, xi_tilde=tuple(0 * c for c in e.xi_tilde))
-            for e in T.entries
-        ],
-    )
+    zeroed = TransgressionData(T.g, T.weil, [
+        TransgressionEntry(e.primitive, e.omega, tuple(0 * c for c in e.xi_tilde), e.xi_tilde_label)
+        for e in T.entries
+    ])
     h = h_of(A, zeroed, Truncation(8))
     assert not h.complex.d.blocks
     rep = cohomology(h.complex, Truncation(8))
@@ -506,8 +507,6 @@ def test_psi_contraction_compatibility_reads_the_computed_invariants(monkeypatch
     """psi_contraction_compatibility builds no second invariant model of
     W⊗M, and builds its own ψ: it holds on a run with a corrupted
     transgression even when that run's ψ is taken away."""
-    import dataclasses
-
     from koszul import duality
 
     _, comp = verify_duality(exterior_model(builtin_algebra("su2")), Truncation(6),
@@ -517,5 +516,8 @@ def test_psi_contraction_compatibility_reads_the_computed_invariants(monkeypatch
         raise AssertionError("a second invariant model was built")
 
     monkeypatch.setattr(duality, "invariant_subcomplex", refused)
-    assert psi_contraction_compatibility(dataclasses.replace(comp, psi=None))
+    without_psi = DualityComputation(
+        comp.g, comp.module, comp.N, comp.weil, comp.product, comp.invariants, comp.cartan,
+        comp.transgression, comp.twist, comp.h, None, comp.inclusion)
+    assert psi_contraction_compatibility(without_psi)
     assert len(comp.invariants.actions) == len(comp.invariants.multivectors) == 1

@@ -1,6 +1,9 @@
-"""Every name a module of src/koszul imports is used in that module."""
+"""Every name a module of src/koszul imports is used in that module, and
+a cold import of the CLI loads no module it does not need."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,20 @@ def test_unused_imports_are_found():
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert not unused_imports(path.read_text("utf-8")), path.name
+
+
+# what the record classes and the built-in algebra data once pulled in; a
+# cold `import koszul.cli` needs none of it
+UNNEEDED = ("dataclasses", "inspect", "ast", "importlib.resources")
+
+
+def test_cold_cli_import_loads_no_unneeded_module():
+    """A fresh interpreter without site (-S), so that no .pth file imports
+    anything first, loads none of UNNEEDED on `import koszul.cli`, nor on
+    reading a built-in algebra."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import koszul.cli; "
+             "koszul.cli.builtin_algebra('su2'); "
+             f"print(','.join(m for m in {UNNEEDED!r} if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC.parent)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""

@@ -8,6 +8,7 @@ from koszul.lie import (
     AntisymmetryViolation,
     BadIndex,
     JacobiViolation,
+    LieAlgebra,
     LieAlgebraError,
     NotReductive,
     RepMatrices,
@@ -98,16 +99,20 @@ def test_inconsistent_antisymmetry_rejected():
 
 
 def test_certify_su2(monkeypatch):
+    """One Killing form for the check and the decomposition, built on the
+    first call only: the decomposition is certified once per algebra."""
     import koszul.lie
 
-    g = builtin_algebra("su2")
+    su2 = builtin_algebra("su2")
+    g = LieAlgebra(su2.name, su2.dim, su2.basis_labels, su2.structure)  # not yet certified
     built = []
     monkeypatch.setattr(koszul.lie, "killing_form", lambda g: built.append(g) or killing_form(g))
     dec = certify_reductive(g)
     assert dec.center == ()
     assert len(dec.derived) == 3
     assert killing_form(g) == Matrix.identity(3).scale(-8) == dec.killing
-    assert built == [g]  # one Killing form for the check and the decomposition
+    assert built == [g]
+    assert certify_reductive(g) is dec and built == [g]
 
 
 def test_certify_abelian():
@@ -122,8 +127,9 @@ def test_nonreductive_rejected():
     data = {"name": "aff1", "dim": 2, "basis": ["x", "y"],
             "brackets": [{"i": 0, "j": 1, "terms": [{"k": 1, "c": "1"}]}]}
     g = lie_algebra_from_dict(data)
-    with pytest.raises(NotReductive):
-        certify_reductive(g)
+    for _ in range(2):  # a failure is not cached
+        with pytest.raises(NotReductive):
+            certify_reductive(g)
 
 
 def test_adjoint_matrices_su2():
