@@ -313,10 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, module_default="exterior"):
+    def common(p):
         p.add_argument("--algebra", required=True,
                        help=f"builtin ({', '.join(BUILTIN_NAMES)}, abelian:n) or JSON file")
-        p.add_argument("--module", default=module_default,
+        p.add_argument("--module", default="exterior",
                        help="trivial | exterior | forms:coadjoint:D | file:PATH")
         p.add_argument("--max-degree", type=int, default=6)
         p.add_argument("--format", dest="output_format", default="text",
@@ -348,9 +348,9 @@ def main(argv: Optional[list] = None) -> int:
         config = RunConfig(
             command=args.command,
             algebra=args.algebra,
-            module=getattr(args, "module", "exterior"),
-            max_degree=getattr(args, "max_degree", 6),
-            output_format=getattr(args, "output_format", "text"),
+            module=args.module,
+            max_degree=args.max_degree,
+            output_format=args.output_format,
             corrupt_transgression=getattr(args, "corrupt_transgression", False),
         )
         if args.command == "validate":

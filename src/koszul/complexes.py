@@ -121,29 +121,6 @@ def _check_distinct(names: tuple, d: int) -> None:
         raise ValueError(f"duplicate basis labels in degree {d}")
 
 
-class _ProductSpace(GradedSpace):
-    """The graded space of a TensorSpace: its dims at once, the labels "a⊗b"
-    of a degree (checked for duplicates) on first read."""
-
-    __slots__ = ("_factors",)
-
-    def __init__(self, A: GradedSpace, B: GradedSpace, entries: dict, lo: int, hi: int):
-        self._factors = (A, B, entries)
-        self._labels = {}
-        self._window({t: len(ents) for t, ents in entries.items()}, lo, hi)
-
-    def labels(self, d: int) -> tuple:
-        names = self._labels.get(d)
-        if names is None:
-            if d not in self._dims:
-                return ()
-            A, B, entries = self._factors
-            names = tuple(f"{A.labels(q)[a]}⊗{B.labels(r)[b]}" for q, a, r, b in entries[d])
-            _check_distinct(names, d)
-            self._labels[d] = names
-        return names
-
-
 class LinMap:
     """Degree-homogeneous linear map between graded spaces (per-degree blocks)."""
 
@@ -177,9 +154,6 @@ class LinMap:
         if m is None:
             return Matrix.zero(self.target.dim(d + self.shift), self.source.dim(d))
         return m
-
-    def apply(self, d: int, v: Sequence) -> tuple:
-        return self.block(d).apply(v)
 
     def image(self, d: int, V: Matrix) -> Matrix:
         """The images of the columns of V, a block of degree-d vectors."""
@@ -318,19 +292,19 @@ def _unit_column(i: int) -> tuple:
     return ((i, 1),)
 
 
-class TensorSpace:
-    """Graded tensor product A ⊗ B, cut to total degrees lo..top.
+class TensorSpace(GradedSpace):
+    """Graded tensor product A ⊗ B, cut to total degrees lo..top, and the
+    graded space of that product: its dims at construction, the labels
+    "a⊗b" of a degree (checked for duplicates) on first read.
 
     ``entries[t]`` lists the basis of total degree t as tuples (q, a, r, b):
     basis vector a of A in degree q times basis vector b of B in degree
-    r = t - q, ordered by q, then a, then b, and ``space`` is the product,
-    labelled "a⊗b" (a degree's labels are built on first read).  Only this
-    class knows where a⊗b sits: position(q, a, r, b) is its index and
-    embed(X, deg, left) gives the columns x⊗1 or 1⊗x.  ``lo`` defaults to
-    A.lo + B.lo.
+    r = t - q, ordered by q, then a, then b.  Only this class knows where
+    a⊗b sits: position(q, a, r, b) is its index and embed(X, deg, left)
+    gives the columns x⊗1 or 1⊗x.  ``lo`` defaults to A.lo + B.lo.
     """
 
-    __slots__ = ("A", "B", "space", "entries", "_offsets")
+    __slots__ = ("A", "B", "entries", "_offsets")
 
     def __init__(self, A: GradedSpace, B: GradedSpace, top: int, lo: Optional[int] = None):
         lo = A.lo + B.lo if lo is None else lo
@@ -347,14 +321,33 @@ class TensorSpace:
             if ents:
                 self.entries[t] = ents
                 self._offsets[t] = starts
-        self.space = _ProductSpace(A, B, self.entries, lo, top)
+        self._labels = {}
+        self._window({t: len(ents) for t, ents in self.entries.items()}, lo, top)
+
+    def labels(self, d: int) -> tuple:
+        names = self._labels.get(d)
+        if names is None:
+            if d not in self._dims:
+                return ()
+            A, B = self.A, self.B
+            names = tuple(f"{A.labels(q)[a]}⊗{B.labels(r)[b]}" for q, a, r, b in self.entries[d])
+            _check_distinct(names, d)
+            self._labels[d] = names
+        return names
+
+    def truncated(self, top: int) -> "TensorSpace":
+        """The product cut at degree top, sharing the bases it keeps."""
+        cut = super().truncated(top)
+        cut.entries = {t: ents for t, ents in self.entries.items() if t <= top}
+        cut._offsets = {t: starts for t, starts in self._offsets.items() if t <= top}
+        return cut
 
     def position(self, q: int, a: int, r: int, b: int) -> int:
         """The index of a⊗b, basis vector a of A^q times b of B^r, in degree
         q + r: in the stratum of q, (a, b) sits at a·dim B^r + b."""
         start = self._offsets.get(q + r, {}).get(q)
         if start is None:
-            raise WindowError(f"A^{q}⊗B^{r} is not in the window {self.space.lo}..{self.space.hi}")
+            raise WindowError(f"A^{q}⊗B^{r} is not in the window {self.lo}..{self.hi}")
         return start + a * self.B.dim(r) + b
 
     def embed(self, X: Matrix, deg: int, left: bool) -> Matrix:
@@ -362,14 +355,13 @@ class TensorSpace:
         of A (left) or of B, where 1 is basis vector 0 of the other
         factor's degree 0."""
         at = (lambda i: self.position(deg, i, 0, 0)) if left else (lambda i: self.position(0, 0, deg, i))
-        return Matrix._from_ints(self.space.dim(deg), X.cols,
+        return Matrix._from_ints(self.dim(deg), X.cols,
                                  {(at(i), j): v for (i, j), v in X.num.items()}, X.den)
 
-    def lift(self, opA: Optional[LinMap], opB: Optional[LinMap],
-             top: Optional[int] = None) -> LinMap:
+    def lift(self, opA: Optional[LinMap], opB: Optional[LinMap]) -> LinMap:
         """opA ⊗ opB on the product: the one-term case of lift_sum."""
         shift = (0 if opA is None else opA.shift) + (0 if opB is None else opB.shift)
-        return self.lift_sum([(opA, opB)], shift, top)
+        return self.lift_sum([(opA, opB)], shift)
 
     def _parts(self, terms: Sequence, shift: int) -> Callable[[int], Optional[tuple]]:
         """The sign, window and denominator rule of lift_sum and LiftedSum:
@@ -449,8 +441,8 @@ class TensorSpace:
                             for rowB, vB in colB:
                                 key = (pos[base + rowB], col)
                                 ents[key] = get(key, 0) + kA * vB
-            blocks[t] = Matrix._from_ints(self.space.dim(t + shift), self.space.dim(t), ents, den)
-        return LinMap(self.space, self.space, shift, blocks)
+            blocks[t] = Matrix._from_ints(self.dim(t + shift), self.dim(t), ents, den)
+        return LinMap(self, self, shift, blocks)
 
     def _image_column(self, t: int, parts: Sequence, i: int) -> list:
         """[(row, numerator)]: the image of basis vector i of degree t under
@@ -469,7 +461,7 @@ class TensorSpace:
 class LiftedSum(LinMap):
     """The sum of opA ⊗ opB over terms [(opA, opB), ...] of one shift on a
     TensorSpace (see TensorSpace.lift_sum), with no block at degrees above
-    top when top is given, between copies of ``space`` (the tensor's own
+    top when top is given, between copies of ``space`` (the tensor itself
     by default; a TensorComplex cut at top + 1 passes its cut).
 
     Nothing of it is built until it is read.  Its blocks are lifted all at
@@ -487,7 +479,7 @@ class LiftedSum(LinMap):
 
     def __init__(self, tensor: TensorSpace, terms: Sequence, shift: int, top: Optional[int] = None,
                  space: Optional[GradedSpace] = None):
-        self.source = self.target = tensor.space if space is None else space
+        self.source = self.target = tensor if space is None else space
         self.shift = shift
         self.tensor, self.terms, self.top = tensor, terms, top
         self._parts_at = tensor._parts(terms, shift)
@@ -699,7 +691,7 @@ class TensorComplex(Complex):
 
     def __init__(self, tensor: TensorSpace, terms: Sequence, complete: bool, top: Optional[int] = None):
         self.complete = complete
-        self.space = tensor.space if top is None else tensor.space.truncated(top + 1)
+        self.space = tensor if top is None else tensor.truncated(top + 1)
         self.d = LiftedSum(tensor, terms, 1, top, self.space)
         self._cohomology_bases, self._d_pivots = {}, {}
 

@@ -102,7 +102,7 @@ def h_of(A: CartanModel, T: TransgressionData, trunc: Truncation) -> KoszulDualC
         [(None, A.complex.d)]
         + [(delete(j), A.s_action(T.xi_tilde_sym_degree(j), entry.xi_tilde))
            for j, entry in enumerate(T.entries)], 1)
-    cx = Complex(product.space, d, complete=False, check=True)
+    cx = Complex(product, d, complete=False, check=True)
     return KoszulDualComplex(cx, product, subsets, weights, A)
 
 

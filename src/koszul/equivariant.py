@@ -120,12 +120,10 @@ class InvariantModel:
     """(M)^g with its restricted differential; its contraction action is
     built on first read."""
 
-    def __init__(self, module: KgModule, complex: Complex, inclusion: ChainMap, vectors: dict,
-                 spans: Optional[dict] = None):
+    def __init__(self, module: KgModule, complex: Complex, inclusion: ChainMap, vectors: dict):
         self.module, self.complex, self.inclusion = module, complex, inclusion
         self.vectors = vectors  # degree -> Matrix whose columns are the invariant vectors
-        # degree -> Subspace of `vectors`, factored on first use
-        self.spans = {} if spans is None else spans
+        self.spans: dict = {}  # degree -> Subspace of `vectors`, factored on first use
 
     @cached_property
     def multivectors(self) -> list:
@@ -181,12 +179,17 @@ class CartanModel:
     """(S(g*) ⊗ M)^g with the equivariant differential and S-module structure."""
 
     def __init__(self, module: KgModule, g: LieAlgebra, N: int, complex: Complex,
-                 ambient: TensorSpace, sym_basis: dict, vectors: dict, s_invariants: dict):
+                 ambient: TensorSpace, sym_basis: dict, vectors: dict):
         self.module, self.g, self.N, self.complex = module, g, N, complex
         self.ambient = ambient  # S(g*) ⊗ M cut at degree N
         self.sym_basis = sym_basis  # degree 2a -> the S^a monomials, basis of ambient.A
         self.vectors = vectors  # degree -> Matrix of the invariant vectors in ambient coordinates
-        self.s_invariants = s_invariants  # cohomological degree 2a -> list of S^a coefficient vectors
+
+    @cached_property
+    def s_invariants(self) -> dict:
+        """Cohomological degree 2a -> the coadjoint invariants of S^a as
+        coefficient vectors, for every S^a of sym_basis that has one."""
+        return {deg: inv for deg in self.sym_basis if (inv := sym_invariants(self.g, deg // 2))}
 
     def s_action(self, sym_degree: int, coeffs: Sequence) -> LinMap:
         """Multiplication by an S^sym_degree element on the model (shift 2a)."""
@@ -250,7 +253,7 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
 
     # invariants of the diagonal action per total degree
     L = [DiagonalSum(ambient, A, B) for A, B in zip(sym_action, M.L_ops)]
-    vectors = {deg: V for deg in ambient.entries if (V := invariants(g, L, deg, ambient.space.dim(deg))).cols}
+    vectors = {deg: V for deg in ambient.entries if (V := invariants(g, L, deg, ambient.dim(deg))).cols}
 
     # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs),
     # read only as its images of the invariant columns: none of it is lifted
@@ -262,9 +265,8 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
     if bad is not None:
         raise SubcomplexError(f"equivariant differential fails d^2 = 0 at {bad}")
 
-    s_inv = {2 * a: inv for a in range(max_a + 1) if (inv := sym_invariants(g, a))}
     return CartanModel(module=M, g=g, N=N, complex=sub, ambient=ambient, sym_basis=sym_basis,
-                       vectors=vectors, s_invariants=s_inv)
+                       vectors=vectors)
 
 
 def induced_action_on_cohomology(M: KgModule, deg: int):

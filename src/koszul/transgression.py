@@ -118,7 +118,7 @@ class PrimitiveSpace:
 
     def __init__(self, g: LieAlgebra, invariant_dims: dict, primitives: list):
         self.g = g
-        self.invariant_dims = invariant_dims  # degree -> dim of the invariant forms
+        self.invariant_dims = invariant_dims  # degree <= min(dim g, N) -> dim of the invariant forms
         self.primitives = primitives  # Primitive, ordered by (degree, greedy index)
 
 
@@ -129,11 +129,11 @@ def primitive_basis(g: LieAlgebra, trunc: Truncation) -> PrimitiveSpace:
     invariants; the primitive complement is chosen greedily over the
     invariant basis. The exterior algebra generated by the result must
     reproduce the invariant dimensions in every searched degree, up to
-    min(dim g, N).
+    min(dim g, N); no invariant above that degree is cut.
     """
     n = g.dim
     top = min(n, trunc.max_degree)
-    inv = {p: exterior_invariant_block(g, p) for p in range(0, n + 1)}
+    inv = {p: exterior_invariant_block(g, p) for p in range(0, top + 1)}
     primitives: list = []
     for m in range(1, top + 1):
         if not inv[m].cols:
@@ -149,9 +149,7 @@ def primitive_basis(g: LieAlgebra, trunc: Truncation) -> PrimitiveSpace:
             )
             primitives.append(Primitive(m, prims.take([j]), terms))
 
-    space = PrimitiveSpace(
-        g, {p: inv[p].cols for p in range(n + 1)}, primitives
-    )
+    space = PrimitiveSpace(g, {p: block.cols for p, block in inv.items()}, primitives)
     _verify_freeness(space, inv, n, top)
     return space
 
@@ -307,7 +305,7 @@ def distinguished_transgression(
             else:
                 beta[(j - n_alpha, 0)] = v
         omega_col = w_inv @ Matrix._from_ints(n_alpha, 1, alpha, sol.den)
-        omega = {alg.basis[p][i]: Fraction(v, omega_col.den) for (i, _), v in sorted(omega_col.num.items())}
+        omega = {alg.key(p, i): Fraction(v, omega_col.den) for (i, _), v in sorted(omega_col.num.items())}
         xi_tilde = (s_inv @ Matrix._from_ints(n_beta, 1, beta, sol.den)).columns()[0]
 
         _verify_entry(W, prim, omega, xi_tilde, contraction_ops, xi_vec)
@@ -323,7 +321,7 @@ def _verify_entry(W, prim, omega, xi_tilde, contraction_ops, xi_vec) -> None:
     """Re-check the three conditions on the returned lift by direct application."""
     alg = W.algebra
     p = prim.degree
-    ov = Matrix(W.space.dim(p), 1, {(alg.index[p][key], 0): c for key, c in omega.items()})
+    ov = Matrix(W.space.dim(p), 1, {(alg.position(key), 0): c for key, c in omega.items()})
     if _lambda_inclusion(W, p).transpose() @ ov != prim.column:
         raise TransgressionError("condition (a) fails on the returned lift")
     for mv, op in contraction_ops:

@@ -72,24 +72,24 @@ class WeilAlgebra:
     """Monomial calculus on W(g) = S(g*) ⊗ Λ(g*), materialized up to a total degree.
 
     ``product`` is the TensorSpace(S, Λ(g*)), ``sym_basis`` the S monomials
-    per degree 2a and ``d`` the lifted d_W.
-    ``basis[m]`` lists the degree-m basis as keys (symmetric exponents, Λ
-    monomial) in the product's order and ``index[m]`` their positions.
+    per degree 2a and ``d`` the lifted d_W.  A monomial key (symmetric
+    exponents, Λ monomial) maps to its position in the product and back
+    through the product and one index per factor: key(m, i) is the key of
+    basis vector i of degree m, and position(key) its index there.
     """
 
     def __init__(self, g: LieAlgebra, ext: KgModule, product: TensorSpace,
                  sym_basis: dict, d: LinMap):
         self.g = g
-        self.N = max_degree = product.space.hi
+        self.N = product.hi
         self.ext = ext
         self.product = product
         self.sym_basis = sym_basis
         self.d = d
-        lambda_basis = {r: lambda_monomials(g.dim, r) for r in range(min(max_degree, g.dim) + 1)}
-        self.basis = {m: [(sym_basis[q][a], lambda_basis[r][b])
-                          for q, a, r, b in product.entries.get(m, ())]
-                      for m in range(max_degree + 1)}
-        self.index = {m: {e: i for i, e in enumerate(ents)} for m, ents in self.basis.items()}
+        self._lambda_basis = {r: lambda_monomials(g.dim, r) for r in range(min(self.N, g.dim) + 1)}
+        # each monomial lies in one degree, so one index per factor serves all
+        self._sym_index = {e: a for monos in sym_basis.values() for a, e in enumerate(monos)}
+        self._lambda_index = {e: b for monos in self._lambda_basis.values() for b, e in enumerate(monos)}
         self._wider: Optional[WeilAlgebra] = None
 
     @staticmethod
@@ -97,16 +97,15 @@ class WeilAlgebra:
         exps, lmono = key
         return 2 * sum(exps) + len(lmono)
 
-    def element_to_vector(self, element: dict, degree: int) -> tuple:
-        out = [Q0] * len(self.basis[degree])
-        for key, c in element.items():
-            if self.degree_of(key) != degree:
-                raise ValueError("element is not homogeneous of the stated degree")
-            out[self.index[degree][key]] = Fraction(c)
-        return tuple(out)
+    def key(self, m: int, i: int) -> tuple:
+        """The key of basis vector i of W in degree m."""
+        q, a, r, b = self.product.entries[m][i]
+        return self.sym_basis[q][a], self._lambda_basis[r][b]
 
-    def vector_to_element(self, v: Sequence, degree: int) -> dict:
-        return {self.basis[degree][i]: c for i, c in enumerate(v) if c}
+    def position(self, key) -> int:
+        """The index of a key in the basis of its degree."""
+        exps, lmono = key
+        return self.product.position(2 * sum(exps), self._sym_index[exps], len(lmono), self._lambda_index[lmono])
 
     def multiply(self, e1: dict, e2: dict) -> dict:
         """Product in W(g); exterior parts pick up the shuffle sign.  Integer
@@ -142,7 +141,9 @@ class WeilAlgebra:
             return self._wider.differential_element(element)
         out: dict = {}
         for m, part in parts.items():
-            out.update(self.vector_to_element(self.d.apply(m, self.element_to_vector(part, m)), m + 1))
+            column = Matrix(self.product.dim(m), 1, {(self.position(key), 0): c for key, c in part.items()})
+            image = self.d.image(m, column).entries
+            out.update((self.key(m + 1, i), image[i, 0]) for i, _ in sorted(image))
         return out
 
 
@@ -190,7 +191,7 @@ def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
     alg, sym_action = weil_algebra(g, ext, trunc.max_degree)
     product = alg.product
     no_contraction = LinMap.zero(product.A, product.A, -1)
-    cx = Complex(product.space, alg.d, complete=False, check=True)
+    cx = Complex(product, alg.d, complete=False, check=True)
     return WeilModule(alg, cx, lambda: ((no_contraction, ik) for ik in ext.i_ops),
                       lambda: zip(sym_action, ext.L_ops), f"W({g.name})")
 
@@ -246,11 +247,11 @@ class TwistData:
     """Twist package on Λ(g*) ⊗ M, cut at total degree ``top``.
 
     ``unit`` is T = exp(−𝐢) on the columns 1⊗m, a degree-0 map from M into
-    Λ(g*)⊗M written on ``space`` = TensorSpace(Λ(g*), M); it is built at
-    construction and is all the duality verifier reads.  The module
-    ``tensor`` (Λ⊗M with its d and i_k), the nilpotent ``generator`` 𝐢,
-    ``twist`` T and ``twist_inv`` exp(+𝐢) on all of Λ⊗M are built on first
-    access and cached.
+    ``space``, the TensorSpace Λ(g*)⊗M (itself a graded space); it is
+    built at construction and is all the duality verifier reads.  The
+    module ``tensor`` (Λ⊗M with its d and i_k), the nilpotent
+    ``generator`` 𝐢, ``twist`` T and ``twist_inv`` exp(+𝐢) on all of Λ⊗M
+    are built on first access and cached.
     """
 
     def __init__(self, exterior: KgModule, module: KgModule, top: int):
@@ -308,15 +309,15 @@ def _twist_on_unit(M: KgModule, space: TensorSpace) -> LinMap:
     index = {I: il for q in range(n + 1) for il, I in enumerate(lambda_monomials(n, q))}
     composites = M.contractions(index)
     blocks = {}
-    for r in space.space.degrees():
+    for r in space.degrees():
         parts = [(space.position(len(I), index[I], r - len(I), 0), _twist_sign(len(I)), composite.blocks[r])
                  for I, composite in composites.items() if r in composite.blocks]
         den = lcm(*[blk.den for _, _, blk in parts])
         # distinct (I, row of ĵ_I m) land on distinct rows: nothing accumulates
-        blocks[r] = Matrix._from_ints(space.space.dim(r), M.space.dim(r), {
+        blocks[r] = Matrix._from_ints(space.dim(r), M.space.dim(r), {
             (row0 + row, col): sign * (den // blk.den) * v
             for row0, sign, blk in parts for (row, col), v in blk.num.items()}, den)
-    return LinMap(M.space, space.space, 0, blocks)
+    return LinMap(M.space, space, 0, blocks)
 
 
 def twist_operators(M: KgModule, trunc: Truncation,
@@ -472,9 +473,8 @@ def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: TensorModule, data: 
                 p, il, r, im = twist_entries[q][pos]
                 prod = alg.multiply(omega, {(exps, ext_monos[p][il]): 1})
                 c = coeff * tval
-                for (w_exps, w_mono), wv in prod.items():
-                    w_deg = 2 * sum(w_exps) + len(w_mono)
-                    row = WM.tensor.position(w_deg, alg.index[w_deg][(w_exps, w_mono)], r, im)
+                for key, wv in prod.items():
+                    row = WM.tensor.position(alg.degree_of(key), alg.position(key), r, im)
                     img[row] = img.get(row, 0) + c * wv
         return img
 

@@ -289,7 +289,7 @@ def test_lift_matches_signed_kronecker_product(data):
     sB = 0 if opB is None else opB.shift
     assert lifted.shift == sA + sB
     for t, expected in _kronecker_sum(A, B, top, [(opA, opB)], sA + sB).items():
-        assert ts.space.dim(t) == sum(A.dim(q) * B.dim(t - q) for q in A.degrees())
+        assert ts.dim(t) == sum(A.dim(q) * B.dim(t - q) for q in A.degrees())
         assert lifted.block(t).dense() == expected
 
     # a random list of terms of one total shift, summed in one pass
@@ -311,7 +311,7 @@ def test_lift_matches_signed_kronecker_product(data):
         cancelled = ts.lift_sum([(fA, fB), (fA, _negated(fB, B))], shift)
         assert not cancelled.blocks
         padded = ts.lift_sum(terms + [(fA, _negated(fB, B)), (fA, fB)], shift)
-        assert padded.equal_on(summed, ts.space.degrees())
+        assert padded.equal_on(summed, ts.degrees())
         assert set(padded.blocks) == set(summed.blocks)
         assert _stored_canonically(padded)
 
@@ -350,7 +350,7 @@ def test_position_and_embed_match_the_entries(data):
     factors = (X.dense(), e0) if left else (e0, X.dense())
     kron = [[x * y for x in row_x for y in row_y] for row_x in factors[0] for row_y in factors[1]]
     start = _offset(A, B, deg, deg if left else 0)
-    want = [[Fraction(0)] * cols for _ in range(ts.space.dim(deg))]
+    want = [[Fraction(0)] * cols for _ in range(ts.dim(deg))]
     want[start:start + len(kron)] = kron
     assert ts.embed(X, deg, left).dense() == want
 
@@ -393,12 +393,12 @@ def test_diagonal_rows_match_stacked_lift_random(data):
     if pairs and data.draw(st.booleans()):
         c = data.draw(COEFFICIENTS)
         pairs.append((pairs[0][0].add(LinMap.identity(A).scale(c)), LinMap.identity(B).scale(-c)))
-    cut = data.draw(st.one_of(st.none(), st.integers(ts.space.lo - 1, top)))
+    cut = data.draw(st.one_of(st.none(), st.integers(ts.lo - 1, top)))
     lifted = [ts.lift_sum([(fA, None), (None, fB)], 0, cut) for fA, fB in pairs]
     sums = [DiagonalSum(ts, fA, fB, cut) for fA, fB in pairs]
-    for t in ts.space.degrees():
+    for t in ts.degrees():
         got = [row for L in sums for row in L.rows(t)]
-        want = _stacked_rows([L.block(t) for L in lifted], ts.space.dim(t))
+        want = _stacked_rows([L.block(t) for L in lifted], ts.dim(t))
         assert all(got) and all(type(v) is int and v for row in got for v in row.values())
         assert _primitive_rows(got) == _primitive_rows(want)
 
@@ -442,8 +442,8 @@ def test_seeded_presolve_is_the_presolve_of_the_lifted_rows(data):
     if data.draw(st.booleans()):
         A1, A2 = _draw_full_space(data, "p"), _draw_full_space(data, "r")
         tsA = TensorSpace(A1, A2, data.draw(st.integers(A1.lo + A2.lo, A1.hi + A2.hi)))
-        cutA = data.draw(st.one_of(st.none(), st.integers(tsA.space.lo - 1, tsA.space.hi)))
-        A = tsA.space
+        cutA = data.draw(st.one_of(st.none(), st.integers(tsA.lo - 1, tsA.hi)))
+        A = tsA
 
         def factor(c=0):
             return DiagonalSum(tsA, _draw_sparse_factor(data, A1, c), _draw_sparse_factor(data, A2), cutA)
@@ -460,10 +460,10 @@ def test_seeded_presolve_is_the_presolve_of_the_lifted_rows(data):
         # LA[a', a'] + c and LB[b', b'] - c: where both are 0, the merged entry cancels
         c = data.draw(st.sampled_from([1, -2, Fraction(3, 5)]))
         pairs.append((factor(c), _draw_sparse_factor(data, B, -c)))
-    cut = data.draw(st.one_of(st.none(), st.integers(ts.space.lo - 1, top)))
+    cut = data.draw(st.one_of(st.none(), st.integers(ts.lo - 1, top)))
     sums = [DiagonalSum(ts, fA, fB, cut) for fA, fB in pairs]
-    for t in ts.space.degrees():
-        dim = ts.space.dim(t)
+    for t in ts.degrees():
+        dim = ts.dim(t)
         dead: set = set()
         streams = [(L, L._rows(t, dead, indexed=True)[1]) for L in sums]
         seeds = set(dead)
@@ -623,21 +623,21 @@ def test_apply_sum_matches_kronecker_sum_times_columns(data):
         terms.append((_thinned(data, _draw_op(data, A, sA, MIXED_ENTRIES)),
                       _thinned(data, _draw_op(data, B, shift - sA, MIXED_ENTRIES))))
     # mostly a degree whose image lands in the window, sometimes any degree
-    inside = [d for d in ts.space.degrees() if ts.space.dim(d + shift)] or [top + 1]
-    anywhere = st.integers(ts.space.lo - 1, top + 1)
+    inside = [d for d in ts.degrees() if ts.dim(d + shift)] or [top + 1]
+    anywhere = st.integers(ts.lo - 1, top + 1)
     t = data.draw(st.sampled_from(inside) if data.draw(st.integers(0, 3)) else anywhere)
     cols = data.draw(st.integers(1, 3))
-    values = data.draw(st.lists(SMALL_ENTRIES[0].filter(bool), min_size=ts.space.dim(t) * cols,
-                                max_size=ts.space.dim(t) * cols))
-    V = Matrix(ts.space.dim(t), cols, {(i, j): values[i * cols + j]
-                                       for i in range(ts.space.dim(t)) for j in range(cols)})
+    values = data.draw(st.lists(SMALL_ENTRIES[0].filter(bool), min_size=ts.dim(t) * cols,
+                                max_size=ts.dim(t) * cols))
+    V = Matrix(ts.dim(t), cols, {(i, j): values[i * cols + j]
+                                       for i in range(ts.dim(t)) for j in range(cols)})
     V = V.scale(data.draw(st.sampled_from([1, Fraction(1, 6), Fraction(-5, 65537)])))
     # no top, or a top that leaves out some source degrees
-    cut = data.draw(st.one_of(st.none(), st.integers(ts.space.lo - 1, top)))
+    cut = data.draw(st.one_of(st.none(), st.integers(ts.lo - 1, top)))
     above = cut is not None and t > cut
     op = LiftedSum(ts, terms, shift, cut)
     got = op.image(t, V)
-    rows = ts.space.dim(t + shift)
+    rows = ts.dim(t + shift)
     zero = [[Fraction(0)] * V.rows] * rows
     block = zero if above else _kronecker_sum(A, B, top, terms, shift).get(t, zero)
     assert got.dense() == [[sum((row[k] * V[k, j] for k in range(V.rows)), Fraction(0))
@@ -654,8 +654,8 @@ def test_apply_sum_matches_kronecker_sum_times_columns(data):
     # one preparation serves every degree: the factor column views it built
     # at t are reused, not rebuilt
     lifted = ts.lift_sum(terms, shift, cut)
-    for u in ts.space.degrees():
-        unit = Matrix.identity(ts.space.dim(u))
+    for u in ts.degrees():
+        unit = Matrix.identity(ts.dim(u))
         assert op.image(u, unit) == lifted.block(u) @ unit
 
 
@@ -971,21 +971,24 @@ def test_subcomplex_rejects_one_corrupted_column():
 
 def test_tensor_labels_built_on_first_read():
     """Product labels "a⊗b" are built per degree on first read, where a
-    duplicate is still rejected; dims and truncation need none."""
+    duplicate is still rejected; dims and truncation need none, and a cut
+    keeps the bases up to its top only."""
     A = GradedSpace({0: ("x", "x⊗"), 1: ("u",)})
     B = GradedSpace({0: ("y", "⊗y"), 1: ("v",)})
     T = TensorSpace(A, B, 2)
-    cut = T.space.truncated(1)
-    assert {d: T.space.dim(d) for d in T.space.degrees()} == {0: 4, 1: 4, 2: 1}
+    cut = T.truncated(1)
+    assert {d: T.dim(d) for d in T.degrees()} == {0: 4, 1: 4, 2: 1}
     assert (cut.lo, cut.hi, cut.degrees()) == (0, 1, [0, 1])
-    assert T.space._labels == cut._labels == {}
-    assert T.space.labels(1) == cut.labels(1) == ("x⊗v", "x⊗⊗v", "u⊗y", "u⊗⊗y")
-    assert cut.labels(2) == ()
+    assert T._labels == cut._labels == {}
+    assert T.labels(1) == cut.labels(1) == ("x⊗v", "x⊗⊗v", "u⊗y", "u⊗⊗y")
+    assert cut.labels(2) == () and list(cut.entries) == [0, 1]
+    with pytest.raises(WindowError):
+        cut.position(1, 0, 1, 0)
     with pytest.raises(ValueError, match="duplicate basis labels in degree 0"):
-        T.space.labels(0)  # "x⊗" ⊗ "y" and "x" ⊗ "⊗y" collide
+        T.labels(0)  # "x⊗" ⊗ "y" and "x" ⊗ "⊗y" collide
     clean = GradedSpace({0: ("a",), 1: ("b", "c")})
     eager = GradedSpace({0: ("a⊗a",), 1: ("a⊗b", "a⊗c", "b⊗a", "c⊗a"), 2: ("b⊗b", "b⊗c", "c⊗b", "c⊗c")})
-    assert TensorSpace(clean, clean, 2).space == eager
+    assert TensorSpace(clean, clean, 2) == eager
 
 
 def test_cocycle_bases_computed_once(monkeypatch):

@@ -129,11 +129,13 @@ def test_duality_su2xsu2_exterior_window_5():
 
 def test_duality_builds_only_what_it_reads():
     # the verifier reads T only on the columns 1⊗m and never reads the
-    # contractions of W⊗M: neither may be built
+    # contractions of W⊗M or the S invariants of the Cartan model: none
+    # may be built
     g = builtin_algebra("su2xsu2")
     report, comp = verify_duality(exterior_model(g), Truncation(4))
     assert report.verdict
     assert "i_ops" not in vars(comp.product)
+    assert "s_invariants" not in vars(comp.cartan)
     assert not {"tensor", "generator", "twist", "twist_inv"} & set(vars(comp.twist))
     assert comp.twist.exterior is comp.weil.algebra.ext
 
@@ -331,7 +333,7 @@ def test_verifier_reads_no_product_labels():
     labelled by the verifier: their labels are built only on first read."""
     g = builtin_algebra("su2xsu2")
     _, comp = verify_duality(exterior_model(g), Truncation(4))
-    for space in (comp.product.space, comp.cartan.ambient.space, comp.twist.space.space, comp.weil.space):
+    for space in (comp.product.tensor, comp.cartan.ambient, comp.twist.space, comp.weil.algebra.product):
         assert space._labels == {}
 
 

@@ -98,7 +98,7 @@ def test_negative_control_exact_defect():
     for i, c in enumerate(ambient):
         if c:
             w_deg, w_idx, r, im = wm_basis[4][i]
-            got[alg.basis[w_deg][w_idx]] = c
+            got[alg.key(w_deg, w_idx)] = c
     expected = {
         ((1, 0, 0), (1, 2)): Q(1),
         ((0, 1, 0), (0, 2)): Q(-1),

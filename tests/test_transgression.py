@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from koszul import transgression
 from koszul.complexes import Truncation
 from koszul.lie import builtin_algebra
 from koszul.transgression import (
@@ -48,6 +49,17 @@ def test_primitives_su2xsu2():
     assert [p.degree for p in P.primitives] == [3, 3]
     # degree 6 invariant space is one-dimensional and purely decomposable
     assert P.invariant_dims[6] == 1
+
+
+def test_primitives_cut_no_invariant_above_the_window(monkeypatch):
+    """At N=4 on su2xsu2 (dim 6) no invariant of Λ^p(g*) with p > 4 is cut."""
+    requested = []
+    cut = transgression.exterior_invariant_block
+    monkeypatch.setattr(transgression, "exterior_invariant_block",
+                        lambda g, p: requested.append(p) or cut(g, p))
+    P = primitive_basis(builtin_algebra("su2xsu2"), Truncation(4))
+    assert [p.degree for p in P.primitives] == [3, 3]
+    assert max(requested) == 4 and sorted(P.invariant_dims) == [0, 1, 2, 3, 4]
 
 
 def test_su2_transgression_golden(T_su2, su2):

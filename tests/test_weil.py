@@ -186,7 +186,7 @@ def test_lifted_weil_matches_per_key_formula(name, top):
     W = weil_model(g, Truncation(top))
     basis, d, i_ops, L_ops = _per_key_weil(g, top)
     degrees = range(top + 1)
-    assert W.algebra.basis == basis
+    assert [[W.algebra.key(m, i) for i in range(W.space.dim(m))] for m in degrees] == [basis[m] for m in degrees]
     names = g.basis_labels
     for m in degrees:
         assert W.space.labels(m) == tuple(
@@ -198,6 +198,18 @@ def test_lifted_weil_matches_per_key_formula(name, top):
         assert set(W.L_ops[k].blocks) == set(L_ops[k].blocks)
     report = validate_kg(W)
     assert report.ok, report.describe()
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "abelian:0"])
+def test_weil_key_position_round_trip(name):
+    """key(m, i) is a monomial of degree m that position sends back to i,
+    on every degree of W."""
+    g = builtin_algebra(name)
+    alg = weil_model(g, Truncation(4 if name in ("sl3", "u2") else 6)).algebra
+    for m in alg.product.degrees():
+        for i in range(alg.product.dim(m)):
+            key = alg.key(m, i)
+            assert WeilAlgebra.degree_of(key) == m and alg.position(key) == i
 
 
 @pytest.mark.parametrize("name,top", [
@@ -221,9 +233,9 @@ def test_restriction_values(W_su2):
     _, restr = weil_structure_maps(W_su2)
     alg = W_su2.algebra
     # 1⊗w restricts to w; s⊗w with positive symmetric part dies
-    col_pure = alg.index[1][(Z3, (0,))]
+    col_pure = alg.position((Z3, (0,)))
     assert restr.map.block(1).column(col_pure) == vec([1, 0, 0])
-    col_mixed = alg.index[3][((1, 0, 0), (0,))]
+    col_mixed = alg.position(((1, 0, 0), (0,)))
     assert not any(restr.map.block(3).column(col_mixed))
 
 
@@ -241,10 +253,10 @@ def test_inclusion_lands_on_cocycles(W_su2):
     # (S^2 g*)^g ⊗ 1 sits in degree 4 and is killed by d_W
     col = incl.map.block(4).column(0)
     assert any(col)
-    assert not any(W_su2.d.apply(4, col))
+    assert not any(W_su2.d.block(4).apply(col))
     # and by every contraction
     for k in range(3):
-        assert not any(W_su2.i_ops[k].apply(4, col))
+        assert not any(W_su2.i_ops[k].block(4).apply(col))
 
 
 def test_inclusion_is_quasi_iso_onto_weil(W_su2):
@@ -427,7 +439,7 @@ def test_embedding_image_is_horizontal(su2):
         for c in range(blk.cols):
             v = blk.column(c)
             for k in range(3):
-                assert not any(WM.i_ops[k].apply(deg, v))
+                assert not any(WM.i_ops[k].block(deg).apply(v))
 
 
 def test_embedding_expansion_golden(su2):
