@@ -297,32 +297,32 @@ class TensorSpace(GradedSpace):
     graded space of that product: its dims at construction, the labels
     "a⊗b" of a degree (checked for duplicates) on first read.
 
-    ``entries[t]`` lists the basis of total degree t as tuples (q, a, r, b):
-    basis vector a of A in degree q times basis vector b of B in degree
-    r = t - q, ordered by q, then a, then b.  Only this class knows where
-    a⊗b sits: position(q, a, r, b) is its index and embed(X, deg, left)
-    gives the columns x⊗1 or 1⊗x.  ``lo`` defaults to A.lo + B.lo.
+    The basis of total degree t is basis vector a of A in degree q times
+    basis vector b of B in degree r = t - q, ordered by q, then a, then b.
+    Only the start of each stratum A^q ⊗ B^r is stored; position(q, a, r, b)
+    and entry(t, i) are the only map between a⊗b and its index, and
+    embed(X, deg, left) gives the columns x⊗1 or 1⊗x.  ``lo`` defaults to
+    A.lo + B.lo.
     """
 
-    __slots__ = ("A", "B", "entries", "_offsets")
+    __slots__ = ("A", "B", "_offsets")
 
     def __init__(self, A: GradedSpace, B: GradedSpace, top: int, lo: Optional[int] = None):
         lo = A.lo + B.lo if lo is None else lo
         self.A, self.B = A, B
-        self.entries: dict = {}
         self._offsets: dict = {}  # t -> {q: start of the stratum A^q ⊗ B^(t-q)}
+        dims = {}
         for t in range(lo, top + 1):
-            ents = []
-            starts = {}
+            n, starts = 0, {}
             for q in A.degrees():
                 if B.dim(t - q):
-                    starts[q] = len(ents)
-                    ents.extend((q, a, t - q, b) for a in range(A.dim(q)) for b in range(B.dim(t - q)))
-            if ents:
-                self.entries[t] = ents
+                    starts[q] = n
+                    n += A.dim(q) * B.dim(t - q)
+            if n:
+                dims[t] = n
                 self._offsets[t] = starts
         self._labels = {}
-        self._window({t: len(ents) for t, ents in self.entries.items()}, lo, top)
+        self._window(dims, lo, top)
 
     def labels(self, d: int) -> tuple:
         names = self._labels.get(d)
@@ -330,7 +330,8 @@ class TensorSpace(GradedSpace):
             if d not in self._dims:
                 return ()
             A, B = self.A, self.B
-            names = tuple(f"{A.labels(q)[a]}⊗{B.labels(r)[b]}" for q, a, r, b in self.entries[d])
+            names = tuple(f"{A.labels(q)[a]}⊗{B.labels(r)[b]}"
+                          for q, a, r, b in map(partial(self.entry, d), range(self._dims[d])))
             _check_distinct(names, d)
             self._labels[d] = names
         return names
@@ -338,9 +339,18 @@ class TensorSpace(GradedSpace):
     def truncated(self, top: int) -> "TensorSpace":
         """The product cut at degree top, sharing the bases it keeps."""
         cut = super().truncated(top)
-        cut.entries = {t: ents for t, ents in self.entries.items() if t <= top}
         cut._offsets = {t: starts for t, starts in self._offsets.items() if t <= top}
         return cut
+
+    def entry(self, t: int, i: int) -> tuple:
+        """(q, a, r, b) of basis vector i of degree t, the inverse of
+        position: the last stratum that starts at or before i holds it."""
+        if not 0 <= i < self.dim(t):
+            raise IndexError(f"no basis vector {i} in degree {t} of dim {self.dim(t)}")
+        for q, start in reversed(self._offsets[t].items()):
+            if start <= i:
+                a, b = divmod(i - start, self.B.dim(t - q))
+                return q, a, t - q, b
 
     def position(self, q: int, a: int, r: int, b: int) -> int:
         """The index of a⊗b, basis vector a of A^q times b of B^r, in degree
@@ -422,7 +432,7 @@ class TensorSpace(GradedSpace):
         parts_at = self._parts(terms, shift)
         # one int object per position, shared by all the keys that hold it;
         # fresh ints in every key raise peak memory on large products by 5-10%
-        pos = list(range(max(map(len, self.entries.values()), default=0)))
+        pos = list(range(max(self._dims.values(), default=0)))
         blocks = {}
         for t in self._offsets:
             found = None if top is not None and t > top else parts_at(t)
@@ -447,7 +457,7 @@ class TensorSpace(GradedSpace):
     def _image_column(self, t: int, parts: Sequence, i: int) -> list:
         """[(row, numerator)]: the image of basis vector i of degree t under
         a sum prepared as parts_at(t) = (parts, den) (see _parts), over den."""
-        q, a, _, b = self.entries[t][i]
+        q, a, _, b = self.entry(t, i)
         col0, acc = self._offsets[t][q], {}
         for imA, imB, row0, start, _, n_tgt, k in parts:
             if start == col0 and a in imA and b in imB:
@@ -581,12 +591,9 @@ class DiagonalSum(LiftedSum):
                 n = B.dim(t - q)
                 unitB = [row[0][0] for row in rowsB.values() if len(row) == 1]
                 zeroB = [b2 for b2 in range(n) if b2 not in rowsB]
-                for a2 in range(A.dim(q)):
-                    rowA = rowsA.get(a2, ())
-                    if not rowA:
-                        dead.update(col0 + a2 * n + b for b in unitB)
-                    elif len(rowA) == 1:
-                        dead.update(col0 + rowA[0][0] * n + b2 for b2 in zeroB)
+                dead.update([col0 + a2 * n + b for a2 in range(A.dim(q)) if a2 not in rowsA for b in unitB])
+                dead.update([col0 + row[0][0] * n + b2 for row in rowsA.values() if len(row) == 1
+                             for b2 in zeroB])
         else:
             dead = frozenset()
 

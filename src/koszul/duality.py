@@ -188,11 +188,11 @@ def build_psi(
     image, unit_den = twisted_cartan_image(A, T.weil, WM, twist)
     a_columns = {adeg: (V.int_columns(), V.den * unit_den) for adeg, V in A.vectors.items()}
     blocks = {}
-    for deg, ents in h.tensor.entries.items():
+    for deg in h.tensor.degrees():
         if deg > inv_model.complex.space.hi:
             continue
         images = []
-        for q, ji, adeg, ai in ents:
+        for q, ji, adeg, ai in (h.tensor.entry(deg, i) for i in range(h.tensor.dim(deg))):
             cols, den = a_columns[adeg]
             omega, d_omega = omega_product(h.subsets[q][ji])
             images.append((image(adeg, cols[ai], omega, deg), den * d_omega))

@@ -253,7 +253,7 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
 
     # invariants of the diagonal action per total degree
     L = [DiagonalSum(ambient, A, B) for A, B in zip(sym_action, M.L_ops)]
-    vectors = {deg: V for deg in ambient.entries if (V := invariants(g, L, deg, ambient.dim(deg))).cols}
+    vectors = {deg: V for deg in ambient.degrees() if (V := invariants(g, L, deg, ambient.dim(deg))).cols}
 
     # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs),
     # read only as its images of the invariant columns: none of it is lifted

@@ -99,7 +99,7 @@ class WeilAlgebra:
 
     def key(self, m: int, i: int) -> tuple:
         """The key of basis vector i of W in degree m."""
-        q, a, r, b = self.product.entries[m][i]
+        q, a, r, b = self.product.entry(m, i)
         return self.sym_basis[q][a], self._lambda_basis[r][b]
 
     def position(self, key) -> int:
@@ -456,7 +456,6 @@ def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: TensorModule, data: 
     """
     alg = W.algebra
     ext_monos = {p: lambda_monomials(W.g.dim, p) for p in data.exterior.space.degrees()}
-    twist_entries = data.space.entries
     den = lcm(*[m.den for m in data.unit.blocks.values()])
     unit_cols = {q: {mi: [(pos, v * (den // m.den)) for pos, v in col]
                      for mi, col in m.int_columns().items()}
@@ -464,13 +463,12 @@ def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: TensorModule, data: 
 
     def image(adeg: int, x: Sequence, omega: dict, deg: int) -> dict:
         img: dict = {}
-        entries = A.ambient.entries[adeg]
         for at, coeff in x:
-            sdeg, si, q, mi = entries[at]
+            sdeg, si, q, mi = A.ambient.entry(adeg, at)
             exps = A.sym_basis[sdeg][si]
             # T(1 ⊗ m_mi): column mi of the twist on 1⊗M at degree q
             for pos, tval in unit_cols[q][mi]:
-                p, il, r, im = twist_entries[q][pos]
+                p, il, r, im = data.space.entry(q, pos)
                 prod = alg.multiply(omega, {(exps, ext_monos[p][il]): 1})
                 c = coeff * tval
                 for key, wv in prod.items():

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import chain
 from math import factorial, gcd
@@ -319,15 +320,15 @@ def test_lift_matches_signed_kronecker_product(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_position_and_embed_match_the_entries(data):
-    """position(q, a, r, b) is the index of (q, a, r, b) in entries[q + r] and
+    """position(q, a, r, b) is the index of entry(q + r, i) = (q, a, r, b) and
     raises WindowError, naming the degrees, for a stratum outside the window;
     embed(X, deg, left) is the dense X⊗e₀ (left) or e₀⊗X in its stratum."""
     A, B = _draw_full_space(data, "a"), _draw_full_space(data, "b")
     lo = data.draw(st.integers(A.lo + B.lo, A.hi + B.hi))
     top = data.draw(st.integers(lo, A.hi + B.hi))
     ts = TensorSpace(A, B, top, lo)
-    for ents in ts.entries.values():
-        assert [ts.position(*e) for e in ents] == list(range(len(ents)))
+    for t in ts.degrees():
+        assert [ts.position(*ts.entry(t, i)) for i in range(ts.dim(t))] == list(range(ts.dim(t)))
     for q in range(A.lo - 1, A.hi + 2):
         for r in range(B.lo - 1, B.hi + 2):
             if not (lo <= q + r <= top and A.dim(q) and B.dim(r)):
@@ -353,6 +354,47 @@ def test_position_and_embed_match_the_entries(data):
     want = [[Fraction(0)] * cols for _ in range(ts.dim(deg))]
     want[start:start + len(kron)] = kron
     assert ts.embed(X, deg, left).dense() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_entry_is_the_inverse_of_position(data):
+    """entry(t, i) is the i-th (q, a, r, b) of degree t, ordered by q, then
+    a, then b, and position undoes it, on the product and on a cut of it;
+    an index outside the degree raises."""
+    A, B = _draw_full_space(data, "a"), _draw_full_space(data, "b")
+    lo = data.draw(st.integers(A.lo + B.lo, A.hi + B.hi))
+    top = data.draw(st.integers(lo, A.hi + B.hi))
+    ts = TensorSpace(A, B, top, lo)
+    cut = ts.truncated(data.draw(st.integers(lo, top)))
+    for space in (ts, cut):
+        for t in range(lo - 1, top + 2):
+            oracle = [(q, a, t - q, b) for q in A.degrees() if B.dim(t - q) and lo <= t <= space.hi
+                      for a in range(A.dim(q)) for b in range(B.dim(t - q))]
+            assert space.dim(t) == len(oracle)
+            for i, e in enumerate(oracle):
+                assert space.entry(t, i) == e
+                assert space.position(*e) == i
+            for i in (-1, len(oracle)):
+                with pytest.raises(IndexError):
+                    space.entry(t, i)
+
+
+def test_tensor_space_holds_no_table_per_basis_vector():
+    """The product basis of heavy's W⊗Λ(su2xsu2)* to degree 7 (19 825
+    vectors) is held as stratum starts: building it keeps at most 16 kB,
+    where one (q, a, r, b) tuple per vector kept about 1.5 MB."""
+    g = resolve_algebra("su2xsu2")
+    W, M = weil_model(g, Truncation(7)), exterior_model(g)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ts = TensorSpace(W.space, M.space, 7)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ts.total_dim() == 19825
+    assert held <= 16 * 1024, held
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +465,7 @@ def _draw_sparse_factor(data, space, c=0):
 def _premerge_length(L, t, i):
     """len(row a' of opA) + len(row b' of opB) for row i of L at degree t,
     where row i is a'⊗b'."""
-    q, a2, r, b2 = L.tensor.entries[t][i]
+    q, a2, r, b2 = L.tensor.entry(t, i)
     views = [L._views(op, d) for op, d in zip(L.pair, (q, r))]
     return sum(len(view[0].get(k, ())) for view, k in zip(views, (a2, b2)) if view)
 
@@ -981,7 +1023,7 @@ def test_tensor_labels_built_on_first_read():
     assert (cut.lo, cut.hi, cut.degrees()) == (0, 1, [0, 1])
     assert T._labels == cut._labels == {}
     assert T.labels(1) == cut.labels(1) == ("x⊗v", "x⊗⊗v", "u⊗y", "u⊗⊗y")
-    assert cut.labels(2) == () and list(cut.entries) == [0, 1]
+    assert cut.labels(2) == () and cut.degrees() == [0, 1]
     with pytest.raises(WindowError):
         cut.position(1, 0, 1, 0)
     with pytest.raises(ValueError, match="duplicate basis labels in degree 0"):

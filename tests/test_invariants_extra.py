@@ -93,11 +93,11 @@ def test_negative_control_exact_defect():
             for i, x in enumerate(v):
                 ambient[i] += c * x
     alg = comp.weil.algebra
-    wm_basis = comp.product.tensor.entries
+    wm_basis = comp.product.tensor
     got = {}
     for i, c in enumerate(ambient):
         if c:
-            w_deg, w_idx, r, im = wm_basis[4][i]
+            w_deg, w_idx, r, im = wm_basis.entry(4, i)
             got[alg.key(w_deg, w_idx)] = c
     expected = {
         ((1, 0, 0), (1, 2)): Q(1),

@@ -442,8 +442,8 @@ def test_invariants_of_a_non_action_fall_back_to_every_L_k():
     cartan = cartan_model(M, Truncation(3))
     S, _, sym_action = symmetric_algebra(su2, 1)
     lifted = [cartan.ambient.lift_sum([(A, None), (None, B)], 0) for A, B in zip(sym_action, M.L_ops)]
-    for t, ents in cartan.ambient.entries.items():
-        K = joint_kernel([L.block(t) for L in lifted], len(ents))
+    for t in cartan.ambient.degrees():
+        K = joint_kernel([L.block(t) for L in lifted], cartan.ambient.dim(t))
         assert cartan.vectors.get(t, K) == K and (t in cartan.vectors) == bool(K.cols)
 
 
