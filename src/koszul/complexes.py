@@ -534,9 +534,9 @@ class LiftedSum(LinMap):
 class DiagonalSum(LiftedSum):
     """opA⊗1 + 1⊗opB for degree-0 factors (no Koszul sign): the L_k of a
     tensor product.  Besides what a LiftedSum reads without lifting, its
-    rows come straight from the factors' rows: rows(t, dead) for a kernel,
-    and row_view(t) as a factor of a further product.  The factors' row
-    views are built once per degree, on first use, and go with the sum.
+    rows come from the factors' rows (rows(t, dead) for a kernel, row_view
+    as a factor): from a view of each, built once per degree and kept, or
+    from opA's own stream on a stratum that only one degree reads (_rows).
 
     Given a dead-column set, rows(t, dead) is the kernel's presolve seeded
     from the factors (see _rows): no row whose one entry the factors' row
@@ -558,7 +558,7 @@ class DiagonalSum(LiftedSum):
         view = {i: list(row.items()) for i, row in rows}
         return (view, den) if view else None
 
-    def _rows(self, t: int, dead: Optional[set] = None, indexed: bool = False) -> tuple:
+    def _rows(self, t: int, dead: Optional[set] = None, indexed: bool = False, offset: int = 0) -> tuple:
         """(den, rows): the nonzero rows at total degree t in index order, as
         integer rows (dicts col -> int) over den, or as (target index, row)
         pairs when indexed, from the factors' row views; none above top.
@@ -567,6 +567,12 @@ class DiagonalSum(LiftedSum):
         opB[b', b] at column (a', b); den is the lcm of the factor views'
         denominators, entries that cancel are dropped, and a missing factor
         block counts as zero, as in lift_sum.
+
+        A stratum A^q⊗B^r with no row of opB that alone in the cut reads A^q
+        (B is 0 in every degree from lo-q to top-q but r, where it is one-
+        dimensional) holds opA's rows at q.  If opA is a DiagonalSum (W's L
+        in W⊗M), they are its own stream shifted by the stratum's start
+        (offset) on the same dead set, and no view of opA at q is built.
 
         With no dead set every such row is yielded whole.  Given one (the
         dead columns of a kernel's presolve, see linalg.row_kernel), a row
@@ -579,35 +585,43 @@ class DiagonalSum(LiftedSum):
         """
         (opA, opB), tensor = self.pair, self.tensor
         A, B = tensor.A, tensor.B
-        strata = []
-        for q, col0 in tensor._offsets.get(t, {}).items() if self.top is None or t <= self.top else ():
-            fA, fB = self._views(opA, q), self._views(opB, t - q)
-            if fA is not None or fB is not None:
-                strata.append((q, col0, fA or ({}, 1), fB or ({}, 1)))
+        top = tensor.hi if self.top is None else self.top
+        cut, strata = dead is not None, []
+        for q, col0 in tensor._offsets.get(t, {}).items() if t <= top else ():
+            r, col0 = t - q, col0 + offset
+            fB = self._views(opB, r)
+            if (fB is None and isinstance(opA, DiagonalSum)
+                    and sum(map(B.dim, range(tensor.lo - q, top - q + 1))) == 1):
+                dA, stream = opA._rows(q, dead, indexed, col0)
+                strata.append((q, col0, (stream, dA), (None, 1)))
+            elif (fA := self._views(opA, q)) is not None or fB is not None:
+                fA, fB = fA or ({}, 1), fB or ({}, 1)
+                strata.append((q, col0, fA, fB))
+                if cut:
+                    (rowsA, _), (rowsB, _), n = fA, fB, B.dim(r)
+                    unitB = [row[0][0] for row in rowsB.values() if len(row) == 1]
+                    zeroB = [b2 for b2 in range(n) if b2 not in rowsB]
+                    dead.update([col0 + a2 * n + b for a2 in range(A.dim(q)) if a2 not in rowsA
+                                 for b in unitB])
+                    dead.update([col0 + row[0][0] * n + b2 for row in rowsA.values() if len(row) == 1
+                                 for b2 in zeroB])
         den = lcm(*[lcm(dA, dB) for _, _, (_, dA), (_, dB) in strata])
-        cut = dead is not None
-        if cut:
-            for q, col0, (rowsA, _), (rowsB, _) in strata:
-                n = B.dim(t - q)
-                unitB = [row[0][0] for row in rowsB.values() if len(row) == 1]
-                zeroB = [b2 for b2 in range(n) if b2 not in rowsB]
-                dead.update([col0 + a2 * n + b for a2 in range(A.dim(q)) if a2 not in rowsA for b in unitB])
-                dead.update([col0 + row[0][0] * n + b2 for row in rowsA.values() if len(row) == 1
-                             for b2 in zeroB])
-        else:
-            dead = frozenset()
+        dead = dead if cut else frozenset()
 
         def rows() -> Iterator[tuple]:
             for q, col0, (rowsA, dA), (rowsB, dB) in strata:
                 kA, kB = den // dA, den // dB
+                if rowsB is None:  # opA's own stream, over its dA
+                    for i, row in rowsA if indexed else ((None, row) for row in rowsA):
+                        row = row if kA == 1 else {c: kA * v for c, v in row.items()}
+                        yield (i, row) if indexed else row
+                    continue
                 n, keysB = B.dim(t - q), sorted(rowsB)
                 # partners[m]: the b' paired with a row a' of m entries (2 for
                 # two or more); with a dead set, the pairs of one entry in all
                 # were seeded above and are skipped
-                if cut:
-                    partners = ([b2 for b2 in keysB if len(rowsB[b2]) > 1], keysB, range(n))
-                else:
-                    partners = (keysB, range(n), range(n))
+                partners = (([b2 for b2 in keysB if len(rowsB[b2]) > 1], keysB, range(n)) if cut
+                            else (keysB, range(n), range(n)))
                 for a2 in range(A.dim(q)):
                     base = col0 + a2 * n
                     partA = [(col0 + a * n, kA * v) for a, v in rowsA.get(a2, ())]

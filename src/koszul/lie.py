@@ -365,9 +365,9 @@ def invariants(g: LieAlgebra, L: Sequence, deg: int, dim: int) -> Matrix:
 
     Every L[k] of a cut is asked for its row stream before any row is
     read, with one dead-column set: each stream seeds it with the columns
-    its one-entry rows kill as it is created (a DiagonalSum from its
-    factors' row lengths, with no such row built), and row_kernel starts
-    its presolve from that set."""
+    its one-entry rows kill as it is created, with no such row built (a
+    DiagonalSum from its factors' row lengths, and so from S and Λ where
+    W⊗M streams W's own rows), and row_kernel starts its presolve there."""
     def kernel(ks: Sequence[int]) -> Matrix:
         dead: set = set()
         streams = [L[k].rows(deg, dead) for k in ks]

@@ -279,10 +279,11 @@ class TensorModule(KgModule):
     needs.  i_ops is one summed lift per k on first read, which the duality
     verifier never makes on W⊗M.  The L_k are DiagonalSums of the L pairs,
     whose blocks are lifted only where read: as the factors of a further
-    product (the L of W in W⊗M) they hand over rows and columns straight
-    from their own factors.  Invariants are cut from their rows and
-    certified by applying them to columns (KgModule.invariant_blocks), so
-    no L block is lifted for them, nor any block of d (a TensorComplex, see
+    product (the L of W in W⊗M) they hand over rows, as a view or as their
+    own stream where one degree reads them, and columns straight from their
+    own factors.  Invariants are cut from their rows and certified by
+    applying them to columns (KgModule.invariant_blocks), so no L block is
+    lifted for them, nor any block of d (a TensorComplex, see
     tensor_module).  Those DiagonalSums are fresh per call, so the factor
     views they build go with the call; L_ops are kept.
     """

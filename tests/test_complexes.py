@@ -40,7 +40,7 @@ from koszul.equivariant import (
 )
 from koszul.lie import BUILTIN_NAMES
 from koszul.linalg import Matrix, ShapeError, joint_kernel, kernel_basis, row_kernel, solve_affine, vec, vstack
-from koszul.modules import exterior_model, lambda_monomials, tensor_module
+from koszul.modules import exterior_model, lambda_monomials, tensor_module, trivial_module
 from koszul.weil import weil_model
 
 
@@ -448,14 +448,14 @@ def test_diagonal_rows_match_stacked_lift_random(data):
 SPARSE_VALUES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 7)])
 
 
-def _draw_sparse_factor(data, space, c=0):
+def _draw_sparse_factor(data, space, c=0, bare=None):
     """A random degree-0 map on space, most entries zero and some of them
     rational, plus c on the diagonal; each block is dropped at random when
-    c is 0."""
+    c is 0, and there is none at degree bare."""
     blocks = {}
     for d in space.degrees():
         n = space.dim(d)
-        if c or data.draw(st.booleans()):
+        if d != bare and (c or data.draw(st.booleans())):
             values = data.draw(st.lists(SPARSE_VALUES, min_size=n * n, max_size=n * n))
             blocks[d] = Matrix(n, n, {(i, j): values[i * n + j] + (c if i == j else 0)
                                       for i in range(n) for j in range(n)})
@@ -470,17 +470,45 @@ def _premerge_length(L, t, i):
     return sum(len(view[0].get(k, ())) for view, k in zip(views, (a2, b2)) if view)
 
 
+def _streamed_strata(calls):
+    """A stand-in for DiagonalSum._rows that records (sum, degree, offset)
+    in calls for every stream asked for with a dead set: a stratum a sum
+    streams from its factor opA's own rows is such a call on opA."""
+    rows_of = DiagonalSum._rows
+
+    def spy(L, t, dead=None, indexed=False, offset=0):
+        if dead is not None:
+            calls.add((L, t, offset))
+        return rows_of(L, t, dead, indexed, offset)
+    return spy
+
+
+def _yielding_stream(L, t, i, calls, offset=0):
+    """(L', t', i'): the sum whose own stream yields row i of L at degree t,
+    and the row's degree and index there.  A stratum that L streams from
+    opA (a call on opA at its degree and start in calls) hands on opA's row
+    a', the stratum's B being one-dimensional."""
+    q, a2, _, _ = L.tensor.entry(t, i)
+    col0 = offset + L.tensor._offsets[t][q]
+    if (L.pair[0], q, col0) in calls:
+        return _yielding_stream(L.pair[0], q, a2, calls, col0)
+    return L, t, i
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_seeded_presolve_is_the_presolve_of_the_lifted_rows(data):
     """The streams of DiagonalSums given one dead set, all asked for before
     any row is read (as lie.invariants asks), cut the kernel of the stacked
-    lifted blocks.  Every pre-merge singleton row is seeded, not built; each
-    yielded row is its full row cut to live columns, with two or more
-    entries; the final dead set is the plain presolve's.  Factors are sparse
-    with rational entries and missing blocks, the factor A may itself be a
-    DiagonalSum (W's L in W⊗M), diagonal entries may cancel, and both the
-    sum and a nested factor may be cut at a top."""
+    lifted blocks.  Every row of pre-merge length 1 in the stream that
+    yields it is seeded, not built; each yielded row is its full row cut to
+    live columns, with two or more entries, from two or more pre-merge
+    entries; the final dead set is the plain presolve's.  Factors are
+    sparse with rational entries and missing blocks, the factor A may
+    itself be a DiagonalSum (W's L in W⊗M), diagonal entries may cancel, B
+    may have a one-dimensional degree where no factor has a block (so a
+    stratum there streams A's own rows), and both the sum and a nested
+    factor may be cut at a top."""
     if data.draw(st.booleans()):
         A1, A2 = _draw_full_space(data, "p"), _draw_full_space(data, "r")
         tsA = TensorSpace(A1, A2, data.draw(st.integers(A1.lo + A2.lo, A1.hi + A2.hi)))
@@ -494,20 +522,28 @@ def test_seeded_presolve_is_the_presolve_of_the_lifted_rows(data):
 
         def factor(c=0):
             return _draw_sparse_factor(data, A, c)
-    B = _draw_full_space(data, "b")
+    B, bare = _draw_full_space(data, "b"), None
+    if data.draw(st.booleans()):
+        # alone (as the trivial module) or beside B's other degrees
+        bare = data.draw(st.integers(B.lo, B.hi + 1))
+        dims = {bare: 1} if data.draw(st.booleans()) else {d: B.dim(d) for d in B.degrees()} | {bare: 1}
+        B = GradedSpace({d: tuple(f"b{d}_{k}" for k in range(n)) for d, n in dims.items()})
     top = data.draw(st.integers(A.lo + B.lo, A.hi + B.hi))
     ts = TensorSpace(A, B, top)
-    pairs = [(factor(), _draw_sparse_factor(data, B)) for _ in range(data.draw(st.integers(1, 3)))]
+    pairs = [(factor(), _draw_sparse_factor(data, B, bare=bare)) for _ in range(data.draw(st.integers(1, 3)))]
     if data.draw(st.booleans()):
         # LA[a', a'] + c and LB[b', b'] - c: where both are 0, the merged entry cancels
         c = data.draw(st.sampled_from([1, -2, Fraction(3, 5)]))
-        pairs.append((factor(c), _draw_sparse_factor(data, B, -c)))
+        pairs.append((factor(c), _draw_sparse_factor(data, B, -c, bare)))
     cut = data.draw(st.one_of(st.none(), st.integers(ts.lo - 1, top)))
     sums = [DiagonalSum(ts, fA, fB, cut) for fA, fB in pairs]
     for t in ts.degrees():
         dim = ts.dim(t)
         dead: set = set()
-        streams = [(L, L._rows(t, dead, indexed=True)[1]) for L in sums]
+        calls: set = set()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DiagonalSum, "_rows", _streamed_strata(calls))
+            streams = [(L, L._rows(t, dead, indexed=True)[1]) for L in sums]
         seeds = set(dead)
         handed = []
         K = row_kernel((handed.append((L, i, dict(row))) or row for L, rows in streams for i, row in rows), dim, dead)
@@ -516,33 +552,39 @@ def test_seeded_presolve_is_the_presolve_of_the_lifted_rows(data):
         plain: set = set()
         linalg._presolve(chain.from_iterable(rows.values() for rows in full.values()), plain)
         assert dead == plain
+        assert all(list(rows) == sorted(rows) for rows in full.values())
         for L, i, row in handed:
-            assert len(row) > 1 and _premerge_length(L, t, i) > 1
+            assert len(row) > 1 and _premerge_length(*_yielding_stream(L, t, i, calls)) > 1
             whole = full[id(L)][i]
             assert row == {c: whole[c] for c in row} and set(whole) - set(row) <= dead
         for L in sums:
             for i, row in full[id(L)].items():
-                if _premerge_length(L, t, i) == 1:
+                if _premerge_length(*_yielding_stream(L, t, i, calls)) == 1:
                     assert set(row) <= seeds
+            # the indexed rows, streamed strata rescaled to the sum's den, are the block
+            view, den = L.row_view(t) or ({}, 1)
+            block = L.block(t)
+            assert ({(i, c): Fraction(v, den) for i, row in view.items() for c, v in row}
+                    == {key: Fraction(v, block.den) for key, v in block.num.items()})
 
 
 def test_heavy_invariant_kernel_builds_no_singleton_row(monkeypatch):
     """On the heavy workload's W⊗Λ(su2xsu2)* at degree 6, every row that
-    reaches the presolve had two or more entries when the factors handed
-    it over, and there are at most 988 of them.  Before the presolve was
-    seeded from the factors' row lengths, 17 248 rows reached it, 9 504 of
-    them with one entry."""
+    reaches the presolve had two or more entries when the stream that
+    yields it read its factors, and there are at most 988 of them.  Before
+    the presolve was seeded from the factors' row lengths, 17 248 rows
+    reached it, 9 504 of them with one entry."""
     g = resolve_algebra("su2xsu2")
     WM = tensor_module(weil_model(g, Truncation(7)), exterior_model(g), max_total=7)
-    handed, reached = [], []
-    rows_of, presolve = DiagonalSum._rows, linalg._presolve
+    calls, handed, reached = set(), [], []
+    rows_of, presolve = _streamed_strata(calls), linalg._presolve
 
-    def spy(L, t, dead=None, indexed=False):
-        den, rows = rows_of(L, t, dead, indexed=True)
+    def spy(L, t, dead=None, indexed=False, offset=0):
+        den, rows = rows_of(L, t, dead, True, offset)
 
         def stream():
             for i, row in rows:
-                if dead is not None:
+                if dead is not None and L.tensor is WM.tensor:
                     handed.append((L, t, i))
                 yield (i, row) if indexed else row
         return den, stream()
@@ -553,7 +595,49 @@ def test_heavy_invariant_kernel_builds_no_singleton_row(monkeypatch):
     K = WM.invariant_blocks([6])[6]
     assert (K.rows, K.cols) == (5336, 58)
     assert len(reached) == len(handed) <= 988
-    assert min(reached) > 1 and all(_premerge_length(L, t, i) > 1 for L, t, i in handed)
+    assert min(reached) > 1
+    assert all(_premerge_length(*_yielding_stream(L, t, i, calls)) > 1 for L, t, i in handed)
+
+
+def test_read_once_strata_build_no_view_of_W(monkeypatch):
+    """The invariant cut of W⊗M builds a row view of W's L_k at degree q
+    only where two or more degrees read W^q; a stratum W^q⊗M^r that alone
+    reads W^q (M^r one-dimensional, with no row of M's L_k) streams W's own
+    rows.  On W⊗Q (Q the trivial su2xsu2 module) at N = 8 it builds no
+    view and streams every q ≤ 8.  On heavy's W⊗Λ(su2xsu2)* at N = 6 it
+    builds one view per generator at each q < 6, as before, and none at
+    q = 6, which only the top degree reads: it streams W^6⊗Λ^0."""
+    g = resolve_algebra("su2xsu2")
+    views, streams, row_view = [], set(), DiagonalSum.row_view
+    monkeypatch.setattr(DiagonalSum, "row_view", lambda L, d: views.append((L, d)) or row_view(L, d))
+    monkeypatch.setattr(DiagonalSum, "_rows", _streamed_strata(streams))
+    for N, M, viewed, streamed in ((8, trivial_module(g), (), range(9)),
+                                   (6, exterior_model(g), range(6), (6,))):
+        W = weil_model(g, Truncation(N + 1))
+        invariant_subcomplex(tensor_module(W, M, max_total=N + 1))
+        assert (sorted((W.L_ops.index(L), q) for L, q in views if L.tensor is W.tensor)
+                == [(k, q) for k in g.generators for q in viewed])
+        assert (sorted((W.L_ops.index(L), q) for L, q, _ in streams if L.tensor is W.tensor)
+                == [(k, q) for k in g.generators for q in streamed])
+        views.clear()
+        streams.clear()
+
+
+def test_streamed_stratum_is_rescaled_to_the_sum_denominator():
+    """At the top degree of W(su2)⊗B, B = Q·1 ⊕ Q·x with L = 1/3 on x only,
+    the stratum W^3⊗1 streams W's own integer rows while W^2⊗x is built
+    over 3: the indexed rows, the streamed ones rescaled, are the block."""
+    g = resolve_algebra("su2")
+    W = weil_model(g, Truncation(4))
+    B = GradedSpace({0: ("1",), 1: ("x",)})
+    ts = TensorSpace(W.space, B, 3)
+    for LW in W.L_ops:
+        L = DiagonalSum(ts, LW, LinMap(B, B, 0, {1: Matrix(1, 1, {(0, 0): Fraction(1, 3)})}))
+        view, den = L.row_view(3)
+        block = L.block(3)
+        assert den == 3 and max(view) >= ts._offsets[3][3]
+        assert ({(i, c): Fraction(v, den) for i, row in view.items() for c, v in row}
+                == {key: Fraction(v, block.den) for key, v in block.num.items()})
 
 
 def test_diagonal_rows_are_the_stacked_lift_rows():
