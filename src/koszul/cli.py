@@ -88,6 +88,8 @@ def resolve_algebra(spec: str) -> LieAlgebra:
         raise InputError(f"cannot read algebra file {spec}: {exc.strerror}") from exc
     except LieAlgebraError as exc:
         raise InputError(str(exc)) from exc
+    except ValueError as exc:  # open() refuses a path with a NUL byte
+        raise InputError(f"cannot read algebra file {spec!r}: {exc}") from exc
 
 
 def resolve_module(spec: str, g: LieAlgebra) -> KgModule:

@@ -840,8 +840,8 @@ class CohomologyReport:
 
 def _d_pivots(C: Complex, deg: int) -> list:
     """The pivot columns of d_deg (see linalg.pivot_columns): their images
-    are a basis of im d_deg, and there are rank d_deg of them.  One forward
-    elimination of the block's rows per complex and degree."""
+    are a basis of im d_deg, and there are rank d_deg of them.  One pass of
+    column insertion per complex and degree."""
     pivots = C._d_pivots.get(deg)
     if pivots is None:
         block = C.d.block(deg)
@@ -903,11 +903,11 @@ def cohomology_classes(reps: Matrix, boundaries: Matrix, images: Matrix) -> Opti
 def cohomology(C: Complex, trunc: Truncation) -> CohomologyReport:
     """H^m = ker(d_m) / im(d_{m-1}) for m <= N, certified for m <= N - 1.
 
-    Each block d_m is eliminated once, forward only, for its rank and pivot
-    columns, and every Betti number is dim - rank d_m - rank d_{m-1}.
-    Representatives are computed at certified degrees where H^m != 0 only
-    (see cohomology_representatives); an uncertified degree reports just
-    its count.
+    Each block d_m is eliminated once, for its rank and pivot columns, and
+    every Betti number is dim - rank d_m - rank d_{m-1}.  Representatives
+    are computed, and their basis labels read, only at certified degrees
+    where H^m != 0 (see cohomology_representatives); an uncertified degree
+    reports just its count.
     """
     N = trunc.max_degree
     if not C.complete and C.space.hi < N:
@@ -921,7 +921,7 @@ def cohomology(C: Complex, trunc: Truncation) -> CohomologyReport:
             uncertified[deg] = _betti_by_rank(C, deg)
             continue
         reps = cohomology_representatives(C, deg)[0] if inside else Matrix.zero(0, 0)
-        labels = C.space.labels(deg)
+        labels = C.space.labels(deg) if reps.cols else ()
         betti[deg] = reps.cols
         reps_out[deg] = [{labels[i]: v for i, v in enumerate(r) if v} for r in reps.columns()]
     return CohomologyReport(betti=betti, representatives=reps_out, uncertified=uncertified)

@@ -204,8 +204,8 @@ def _lie_algebra_from_dict(data: dict) -> LieAlgebra:
     n = iparse(data["dim"])
     labels = tuple(str(x) for x in lparse(data["basis"]))
     bracket_list = data.get("brackets", [])
-    if n < 0 or len(labels) != n:
-        raise LieAlgebraError(f"dim {n} does not match {len(labels)} basis labels")
+    if n < 0 or len(labels) != n or len(set(labels)) != n:
+        raise LieAlgebraError(f"dim {n} does not match {len(labels)} basis labels, {len(set(labels))} distinct")
     structure: dict = {}
     for ent in bracket_list:
         i, j = iparse(ent["i"]), iparse(ent["j"])

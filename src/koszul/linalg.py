@@ -13,8 +13,8 @@ elimination).  ``_echelon`` feeds it a stream of rows and back-substitutes
 the result to the reduced row echelon form: ``RowReduction`` splits a
 Matrix into that stream, and ``row_kernel`` takes rows built elsewhere.
 ``rank`` and ``image_rank`` need only the pivot columns, which
-``pivot_columns`` reads from the presolve of ``row_kernel`` and a forward
-elimination, with no back-substitution.
+``pivot_columns`` finds by inserting the columns of the matrix in order,
+keeping each one that enlarges the span.
 ``Subspace`` keeps the inserted rows as they are, each with its
 combination of the spanning columns, and so answers coordinate queries
 (``restrict``, ``coords`` and ``solve_affine``) with no further
@@ -617,17 +617,14 @@ def pivot_columns(A: Matrix) -> list:
     """The pivot columns of the RREF of A, in increasing order: the columns
     whose images form a basis of A's column space, and as many as its rank.
 
-    The rows of A go through the presolve of ``row_kernel`` and the
-    survivors through forward elimination only, with no back-substitution:
-    the set of leading columns depends only on the row space, and the row
-    space is the span of the dead unit vectors plus that of the survivors,
-    which live off the dead columns.  So the pivots are the dead columns
-    and the survivors' leads."""
-    dead: set = set()
+    The integer columns of A are inserted into one echelon table in
+    increasing order, and those that enlarge the span are kept.  Column j
+    is a pivot of the RREF exactly when it is not a combination of the
+    columns before it, which is what its insertion tests; so the greedy
+    choice is the pivot set, with no row elimination and no
+    back-substitution."""
     table: dict = {}
-    for row in _presolve((row for _, row in sorted(_matrix_rows(A).items())), dead):
-        _insert(table, row, None)
-    return sorted(dead.union(table))
+    return [j for j, col in enumerate(_column_rows(A)) if _insert(table, col, None)]
 
 
 def joint_kernel(mats: Sequence[Matrix], cols: int) -> Matrix:

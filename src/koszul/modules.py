@@ -654,7 +654,7 @@ def kg_module_from_dict(g: LieAlgebra, data: dict, name: str = "file-module") ->
         )
 
     try:
-        labels = {iparse(k): lparse(v) for k, v in data["degrees"].items()}
+        labels = {iparse(k): tuple(map(str, lparse(v))) for k, v in data["degrees"].items()}
         if len(labels) != len(data["degrees"]):
             raise ModuleValidationError(f"two degree keys name one degree: {sorted(data['degrees'])}")
         space = GradedSpace(labels)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from koszul.cli import main
 from koszul.lie import BUILTIN_NAMES
@@ -281,3 +283,102 @@ def test_small_window_sweep(capsys, cmd, alg, mod, N):
     assert code in (0, 2)
     if code == 0 and cmd == "duality":
         assert json.loads(out)["verdict"] == "pass"
+
+
+# -- the exit-code contract under fuzzing ----------------------------------------
+
+JUNK = st.one_of(st.sampled_from(["so5", "abelian:-1", "abelian:x", "forms:x", "file:"]), st.text(max_size=6))
+JUNK_VALUE = st.sampled_from(["x", "1/0", -1, 1.5, True, None, [], {}])
+COEFF = st.sampled_from(["1", "-1", "1/2", "0", 2])
+
+
+def _maybe(strategy):
+    """Mostly a well-typed value from strategy, at times a junk one."""
+    return st.one_of(strategy, strategy, strategy, JUNK_VALUE)
+
+
+def _record(fields):
+    """A JSON object with the given fields, each drawn; at times some are missing."""
+    return st.one_of(st.fixed_dictionaries(fields), st.fixed_dictionaries(fields),
+                     st.fixed_dictionaries({}, optional=fields))
+
+
+def _shapes(broken):
+    """(maybe, record): a broken file mixes in junk values and missing keys;
+    a well-formed one reaches the mathematical checks."""
+    return (_maybe, _record) if broken else (lambda strategy: strategy, st.fixed_dictionaries)
+
+
+@st.composite
+def algebra_json(draw):
+    """An algebra of dim <= 3 with random brackets (not Jacobi at dim 3, as
+    a rule); a broken one has wrong types, a dim that does not match its
+    basis, colliding labels and missing keys."""
+    broken = draw(st.booleans())
+    maybe, record = _shapes(broken)
+    n = draw(st.integers(0, 3))
+    index = st.integers(-1, 3) if broken else st.integers(0, max(n - 1, 0))
+    basis = st.lists(st.sampled_from(["x", "y", 1]), max_size=4) if broken else st.just(["x", "y", "z"][:n])
+    term = record({"k": maybe(index), "c": maybe(COEFF)})
+    bracket = record({"i": maybe(index), "j": maybe(index), "terms": maybe(st.lists(term, max_size=2))})
+    return draw(maybe(record({"name": maybe(st.text(max_size=3)), "dim": maybe(index if broken else st.just(n)),
+                              "basis": maybe(basis), "brackets": maybe(st.lists(bracket, max_size=3))})))
+
+
+@st.composite
+def module_json(draw):
+    """A module in degrees -1..2 of dim <= 2 with random d and i, at times
+    with wrong types, colliding degree keys, empty bases and missing keys."""
+    maybe, record = _shapes(draw(st.booleans()))
+    index, degree = st.integers(0, 1), st.integers(-1, 2)
+    entry = record({"degree": maybe(degree), "row": maybe(index), "col": maybe(index), "c": maybe(COEFF)})
+    degrees = st.dictionaries(st.sampled_from(["-1", "0", "1", "2", "00", "+1"]),
+                              maybe(st.lists(st.sampled_from(["a", "b", 1]), max_size=2)), max_size=3)
+    i_ops = st.dictionaries(st.sampled_from(["0", "1", "2", "-1", "x"]), maybe(st.lists(entry, max_size=2)),
+                            max_size=2)
+    return draw(maybe(record({"degrees": maybe(degrees), "d": maybe(st.lists(entry, max_size=3)),
+                              "i": maybe(i_ops)})))
+
+
+ALGEBRA_ARG = st.one_of(st.sampled_from(["abelian:0", "abelian:1", "abelian:2", "su2", "sl2"]), JUNK,
+                        algebra_json().map(lambda data: ("file", data)))
+MODULE_ARG = st.one_of(
+    st.sampled_from(["trivial", "exterior"]),
+    st.builds("forms:{}:{}".format, st.sampled_from(["coadjoint", "adjoint", "x"]), st.integers(-1, 2)),
+    JUNK, module_json().map(lambda data: ("file", data)))
+COMMAND = st.one_of(
+    st.sampled_from([["validate"], ["weil-check"], ["transgress"], ["duality"],
+                     ["duality", "--corrupt-transgression"]]),
+    st.sampled_from(["plain", "invariant", "cartan"]).map(lambda model: ["cohomology", "--model", model]))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=COMMAND, algebra=ALGEBRA_ARG, module=MODULE_ARG, N=st.integers(-1, 3),
+       fmt=st.sampled_from(["text", "json"]))
+# a path with a NUL byte, which open() refuses with a ValueError
+@example(command=["validate"], algebra="\x00", module="trivial", N=1, fmt="text")
+# a basis label given twice, which the first space built on it refuses
+@example(command=["weil-check"], algebra=("file", {"name": "", "dim": 2, "basis": ["x", "x"], "brackets": []}),
+         module="trivial", N=1, fmt="text")
+# labels 1 and "a" in one representative, which the JSON report cannot sort
+@example(command=["cohomology", "--model", "plain"], algebra="abelian:0", N=2, fmt="json",
+         module=("file", {"degrees": {"0": [1, "a"], "1": ["b"]}, "i": {},
+                          "d": [{"degree": 0, "row": 0, "col": c, "c": "1"} for c in (0, 1)]}))
+def test_exit_code_contract_under_fuzzing(capsys, tmp_path, command, algebra, module, N, fmt):
+    """Every call of main, on built-in and junk specs and on JSON files with
+    wrong types, colliding or missing keys, non-Jacobi brackets and empty
+    bases, ends with exit 0, 1 or 2 and prints no traceback."""
+    if isinstance(algebra, tuple):
+        (path := tmp_path / "algebra.json").write_text(json.dumps(algebra[1]))
+        algebra = str(path)
+    if isinstance(module, tuple):
+        (path := tmp_path / "module.json").write_text(json.dumps(module[1]))
+        module = f"file:{path}"
+    argv = [*command, "--algebra", algebra, "--module", module, "--max-degree", str(N), "--format", fmt]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.out + out.err

@@ -4,9 +4,10 @@ import tracemalloc
 from fractions import Fraction
 from itertools import chain
 from math import factorial, gcd
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszul import linalg
@@ -495,20 +496,11 @@ def _yielding_stream(L, t, i, calls, offset=0):
     return L, t, i
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_seeded_presolve_is_the_presolve_of_the_lifted_rows(data):
-    """The streams of DiagonalSums given one dead set, all asked for before
-    any row is read (as lie.invariants asks), cut the kernel of the stacked
-    lifted blocks.  Every row of pre-merge length 1 in the stream that
-    yields it is seeded, not built; each yielded row is its full row cut to
-    live columns, with two or more entries, from two or more pre-merge
-    entries; the final dead set is the plain presolve's.  Factors are
-    sparse with rational entries and missing blocks, the factor A may
-    itself be a DiagonalSum (W's L in W⊗M), diagonal entries may cancel, B
-    may have a one-dimensional degree where no factor has a block (so a
-    stratum there streams A's own rows), and both the sum and a nested
-    factor may be cut at a top."""
+@st.composite
+def _seeded_sums(draw):
+    """1 to 4 DiagonalSums on one TensorSpace, as the seeded-presolve test
+    draws them."""
+    data = SimpleNamespace(draw=draw)
     if data.draw(st.booleans()):
         A1, A2 = _draw_full_space(data, "p"), _draw_full_space(data, "r")
         tsA = TensorSpace(A1, A2, data.draw(st.integers(A1.lo + A2.lo, A1.hi + A2.hi)))
@@ -536,7 +528,56 @@ def test_seeded_presolve_is_the_presolve_of_the_lifted_rows(data):
         c = data.draw(st.sampled_from([1, -2, Fraction(3, 5)]))
         pairs.append((factor(c), _draw_sparse_factor(data, B, -c, bare)))
     cut = data.draw(st.one_of(st.none(), st.integers(ts.lo - 1, top)))
-    sums = [DiagonalSum(ts, fA, fB, cut) for fA, fB in pairs]
+    return [DiagonalSum(ts, fA, fB, cut) for fA, fB in pairs]
+
+
+def _ops(space, blocks):
+    """The degree-0 map on space with the given square blocks (dicts)."""
+    return LinMap(space, space, 0, {d: Matrix(space.dim(d), space.dim(d), b) for d, b in blocks.items()})
+
+
+def _streamed_sum(A1, blocks1, A2, blocks2, B, blocksB, top):
+    """[DiagonalSum(A⊗B, L, LB)] to degree top, for L = DiagonalSum(A1⊗A2,
+    L1, L2): W's L in W⊗M, in small."""
+    tsA = TensorSpace(A1, A2, A1.hi + A2.hi)
+    L = DiagonalSum(tsA, _ops(A1, blocks1), _ops(A2, blocks2))
+    return [DiagonalSum(TensorSpace(tsA, B, top), L, _ops(B, blocksB))]
+
+
+# The stratum A^0⊗B^0 streams L's rows (B is one-dimensional), and L's row
+# p0_0⊗r0_0 = 3 + (-3) on itself and 2 on p0_1⊗r0_0 cancels to one entry
+# inside L's own stream.
+CANCELS_IN_STREAM = _streamed_sum(
+    GradedSpace({0: ("p0_0", "p0_1")}), {0: {(0, 0): 3, (0, 1): 2, (1, 0): 1, (1, 1): 1}},
+    GradedSpace({0: ("r0_0",)}), {0: {(0, 0): -3}},
+    GradedSpace({0: ("b0_0",)}), {}, 0)
+# At degree 1 the stratum A^1⊗B^0 streams L's rows over 3, beside A^0⊗B^1
+# over 5: the streamed rows are rescaled to the sum's 15.
+RESCALED_STREAM = _streamed_sum(
+    GradedSpace({0: ("p0_0",), 1: ("p1_0", "p1_1")}), {1: {(0, 0): Fraction(1, 3), (0, 1): 1, (1, 1): 2}},
+    GradedSpace({0: ("r0_0",)}), {0: {(0, 0): 1}},
+    GradedSpace({0: ("b0_0",), 1: ("b1_0",)}), {1: {(0, 0): Fraction(1, 5)}}, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_seeded_sums())
+@example(CANCELS_IN_STREAM)
+@example(RESCALED_STREAM)
+def test_seeded_presolve_is_the_presolve_of_the_lifted_rows(sums):
+    """The streams of DiagonalSums given one dead set, all asked for before
+    any row is read (as lie.invariants asks), cut the kernel of the stacked
+    lifted blocks.  Every row of pre-merge length 1 in the stream that
+    yields it is seeded, not built; each yielded row is its full row cut to
+    live columns, with two or more entries, from two or more pre-merge
+    entries; the final dead set is the plain presolve's.  Factors are
+    sparse with rational entries and missing blocks, the factor A may
+    itself be a DiagonalSum (W's L in W⊗M), diagonal entries may cancel, B
+    may have a one-dimensional degree where no factor has a block (so a
+    stratum there streams A's own rows), and both the sum and a nested
+    factor may be cut at a top.  Two cases run every time: a row of L
+    that cancels to one entry inside L's own stream, and a streamed stratum
+    whose denominator differs from the sum's."""
+    ts = sums[0].tensor
     for t in ts.degrees():
         dim = ts.dim(t)
         dead: set = set()
@@ -1283,7 +1324,8 @@ def test_checked_complex_forms_no_boundary_product(monkeypatch):
 def test_weil_cohomology_eliminates_each_block_once_and_cuts_one_kernel(monkeypatch):
     """cohomology of the acyclic W(su2xsu2) to degree 8 eliminates each
     nonzero block of d once, for its rank and pivots, and cuts a cocycle
-    kernel only at degree 0, where H^0 = Q lives."""
+    kernel only at degree 0, where H^0 = Q lives.  Only degree 0 prints a
+    representative, so only there are W's basis labels built."""
     from koszul import complexes
 
     C = weil_model(resolve_algebra("su2xsu2"), Truncation(8)).complex
@@ -1296,6 +1338,7 @@ def test_weil_cohomology_eliminates_each_block_once_and_cuts_one_kernel(monkeypa
     assert rep.betti == {0: 1, **{m: 0 for m in range(1, 8)}}
     assert [id(A) for A in eliminated] == [id(C.d.blocks[m]) for m in sorted(C.d.blocks)]
     assert cut == [[C.d.block(0)]] and C.space.dim(0) == 1
+    assert sorted(C.space._labels) == [0]
 
 
 def test_survey_quasi_iso_degrees_match_the_old_path(monkeypatch):

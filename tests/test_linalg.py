@@ -209,6 +209,24 @@ def test_rref_matches_sympy(A):
         assert got == [_from_sympy(x) for x in want.row(i)]
 
 
+@pytest.mark.parametrize("name, top", [("su2xsu2", 8), ("sl2", 9)])
+def test_pivot_columns_match_row_elimination_on_weil_blocks(name, top):
+    """The columns kept by insertion in order are the leads of row_kernel's
+    row elimination on every nonzero block of d in W(g) and on its
+    transpose: up to 1287×792 and 792×1287, the sizes the benchmark
+    eliminates, where the transposes have many dependent columns."""
+    from koszul.complexes import Truncation
+    from koszul.lie import builtin_algebra
+    from koszul.weil import weil_model
+
+    d = weil_model(builtin_algebra(name), Truncation(top)).complex.d
+    blocks = [m for _, m in sorted(d.blocks.items()) if not m.is_zero()]
+    assert len(blocks) == top - 1  # d_1 .. d_{top-1}; d_0 is zero
+    for A in blocks + [m.transpose() for m in blocks]:
+        rows = linalg._matrix_rows(A)
+        assert pivot_columns(A) == sorted(linalg._echelon(rows[i] for i in sorted(rows)))
+
+
 @given(deficient_matrix())
 @settings(max_examples=80, deadline=None)
 def test_kernel_spans_sympy_nullspace(A):
