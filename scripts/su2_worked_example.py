@@ -56,7 +56,7 @@ def main():
     print("Maurer-Cartan residuals:", maurer_cartan_residuals(W))
 
     P = primitive_basis(g, Truncation(8))
-    T = distinguished_transgression(g, P, Truncation(8), weil=W)
+    T = distinguished_transgression(g, P, weil=W)
     for entry in T.entries:
         print(f"\nprimitive: {entry.primitive.label} (degree {entry.primitive.degree})")
         print(f"  lift ω = {weil_str(W, entry.omega)}")

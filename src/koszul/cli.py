@@ -2,8 +2,9 @@
 
 Subcommands: validate | cohomology | weil-check | transgress | duality.
 Exit codes: 0 = pass, 1 = mathematical failure (a witness is printed),
-2 = input error.  All JSON reports embed the tool version and the full
-run configuration, and two runs on the same input are byte-identical.
+2 = input error (a window that does not fit in memory included).  All
+JSON reports embed the tool version and the full run configuration, and
+two runs on the same input are byte-identical.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def cmd_transgress(config: RunConfig) -> int:
     g = resolve_algebra(config.algebra)
     trunc = Truncation(config.max_degree)
     P = primitive_basis(g, trunc)
-    T = distinguished_transgression(g, P, trunc)
+    T = distinguished_transgression(g, P)
     gen_ok = generation_check(g, T, trunc)
     lines = [f"primitive elements of the invariant exterior algebra of {g.name}:"]
     entries_payload = []
@@ -375,6 +376,10 @@ def main(argv: Optional[list] = None) -> int:
     except TransgressionError as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"input error: {args.command} at --max-degree {args.max_degree} does not fit in "
+              "memory; choose a smaller window", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -31,12 +31,13 @@ from .linalg import (
     ShapeError,
     SpanError,
     Subspace,
+    _column_rows,
+    _insert,
     _matrix_rows,
     _ratio,
     complement_basis,
     hstack,
     joint_kernel,
-    pivot_columns,
     qstr,
     rank,
 )
@@ -665,7 +666,7 @@ class Complex:
         self.d = d
         self.complete = complete
         self._cohomology_bases: dict = {}  # degree -> (representatives, boundaries)
-        self._d_pivots: dict = {}  # degree -> pivot columns of d_degree
+        self._d_pivots: dict = {}  # degree -> (basis-of-image columns of d_degree, leading rows)
         if check:
             bad = self.d_squared_defect()
             if bad is not None:
@@ -838,15 +839,37 @@ class CohomologyReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _d_pivots(C: Complex, deg: int) -> list:
-    """The pivot columns of d_deg (see linalg.pivot_columns): their images
-    are a basis of im d_deg, and there are rank d_deg of them.  One pass of
-    column insertion per complex and degree."""
-    pivots = C._d_pivots.get(deg)
-    if pivots is None:
-        block = C.d.block(deg)
-        pivots = C._d_pivots[deg] = [] if block.is_zero() else pivot_columns(block)
-    return pivots
+def _basis_columns(A: Matrix, skip: frozenset) -> tuple:
+    """(kept, leads): the columns of A outside skip that enlarge the span
+    when inserted one at a time, in increasing order, into one echelon
+    table (see linalg.pivot_columns), and the table's leading rows.  With
+    nothing skipped, kept is the pivot set of the RREF of A."""
+    table: dict = {}
+    kept = [j for j, col in enumerate(_column_rows(A)) if j not in skip and _insert(table, col, None)]
+    return kept, frozenset(table)
+
+
+def _d_pivots(C: Complex, deg: int, squared_zero: bool = False) -> list:
+    """Columns of d_deg whose images are a basis of im d_deg, rank d_deg
+    of them: one insertion (_basis_columns) per complex and degree.
+
+    Where d_deg·d_{deg-1} = 0 is known (deg - 1 <= C.checked_top, or
+    squared_zero, which _cocycle_boundaries passes once it has checked
+    d_deg·B = 0), the columns at d_{deg-1}'s leading rows are not inserted.
+    The rows of d_{deg-1}'s table span im d_{deg-1} and are triangular on
+    their leading rows, so the other unit vectors span a complement of it,
+    which d_deg maps onto im d_deg.  A column that then reduces to zero
+    marks a class of H^deg: in an exact degree none does.  Elsewhere every
+    column is inserted."""
+    found = C._d_pivots.get(deg)
+    if found is None:
+        block, skip = C.d.block(deg), frozenset()
+        known = squared_zero or (C.checked_top is not None and deg - 1 <= C.checked_top)
+        if known and not block.is_zero():
+            _d_pivots(C, deg - 1)
+            skip = C._d_pivots[deg - 1][1]
+        found = C._d_pivots[deg] = ([], frozenset()) if block.is_zero() else _basis_columns(block, skip)
+    return found[0]
 
 
 def _betti_by_rank(C: Complex, deg: int) -> int:
@@ -855,15 +878,19 @@ def _betti_by_rank(C: Complex, deg: int) -> int:
 
 
 def _cocycle_boundaries(C: Complex, deg: int) -> Matrix:
-    """A basis of im d_{deg-1}, the images of the pivot columns of
-    d_{deg-1}, checked to be cocycles: SpanError, as complement_basis
-    raises it, when one is not, i.e. when d² != 0 at deg on a complex built
-    unchecked.  Where the complex's own check covered deg - 1 (see
-    Complex.checked_top), d_deg·B is not formed."""
+    """A basis B of im d_{deg-1}, the images of the columns _d_pivots
+    finds for d_{deg-1}, checked to be cocycles: SpanError, as
+    complement_basis raises it, when one is not, i.e. when d² != 0 at deg
+    on a complex built unchecked.  Where the complex's own check covered
+    deg - 1 (see Complex.checked_top), d_deg·B is not formed.
+
+    With d_deg·d_{deg-1} = 0 so known, d_deg's columns are found here,
+    off d_{deg-1}'s leading rows: every caller reads rank d_deg next."""
     boundaries = C.d.block(deg - 1).take(_d_pivots(C, deg - 1))
     checked = C.checked_top is not None and deg - 1 <= C.checked_top
     if not checked and not (C.d.block(deg) @ boundaries).is_zero():
         raise SpanError("U is not contained in span(V)")
+    _d_pivots(C, deg, squared_zero=True)
     return boundaries
 
 
@@ -903,11 +930,13 @@ def cohomology_classes(reps: Matrix, boundaries: Matrix, images: Matrix) -> Opti
 def cohomology(C: Complex, trunc: Truncation) -> CohomologyReport:
     """H^m = ker(d_m) / im(d_{m-1}) for m <= N, certified for m <= N - 1.
 
-    Each block d_m is eliminated once, for its rank and pivot columns, and
-    every Betti number is dim - rank d_m - rank d_{m-1}.  Representatives
-    are computed, and their basis labels read, only at certified degrees
-    where H^m != 0 (see cohomology_representatives); an uncertified degree
-    reports just its count.
+    Each block d_m is eliminated once, for its rank and a set of columns
+    whose images are a basis of im d_m, found off d_{m-1}'s leading rows
+    wherever d_m·d_{m-1} = 0 is known (see _d_pivots); every Betti number
+    is dim - rank d_m - rank d_{m-1}.  Representatives are computed, and
+    their basis labels read, only at certified degrees where H^m != 0 (see
+    cohomology_representatives); an uncertified degree reports just its
+    count.
     """
     N = trunc.max_degree
     if not C.complete and C.space.hi < N:

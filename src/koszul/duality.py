@@ -313,7 +313,7 @@ def verify_duality(
     inv_M = invariant_subcomplex(M)
     A = cartan_model(M, Truncation(N))
     P = primitive_basis(g, Truncation(N))
-    T = distinguished_transgression(g, P, Truncation(N), weil=W)
+    T = distinguished_transgression(g, P, weil=W)
     twist = twist_operators(M, Truncation(N + 1), weil=W)
     h = h_of(A, T, Truncation(N))
     psi = build_psi(T, A, h, WM, inv_WM, twist, corrupt_transgression=corrupt_transgression)

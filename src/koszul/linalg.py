@@ -597,9 +597,9 @@ def _presolve(rows: Iterable[dict], dead: set) -> list:
 
 def row_kernel(rows: Iterable[dict], cols: int, dead: Optional[set] = None) -> Matrix:
     """Common kernel of a stream of integer rows of width cols, as the
-    columns of a Matrix (see ``RowReduction.kernel``): only the survivors
-    of the presolve (``_presolve``) are eliminated, so the free columns and
-    the reduced basis are those of the whole stream.
+    columns of a Matrix (see ``_kernel``): only the survivors of the
+    presolve (``_presolve``) are eliminated, so the free columns and the
+    reduced basis are those of the whole stream.
 
     ``dead`` may come seeded: columns that one-entry rows of the stream
     kill, put in by whoever builds the stream (``lie.invariants`` asks

@@ -218,7 +218,6 @@ def _lambda_inclusion_vector(W: WeilModule, coeffs: Sequence, p: int) -> Matrix:
 def distinguished_transgression(
     g: LieAlgebra,
     P: PrimitiveSpace,
-    trunc: Truncation,
     weil: Optional[WeilModule] = None,
     unknown_permutation: Optional[Sequence[int]] = None,
 ) -> TransgressionData:
@@ -226,8 +225,7 @@ def distinguished_transgression(
 
     The solve for a primitive of degree p reads W only at p and p + 1, so
     without `weil` W is built to needed = the largest primitive degree + 1
-    (0 with no primitive), whatever window `trunc` gives; a given `weil`
-    must reach needed.
+    (0 with no primitive); a given `weil` must reach needed.
 
     `unknown_permutation` reorders the solver's unknowns (used to certify
     that ξ~ does not depend on free-variable choices); it permutes the

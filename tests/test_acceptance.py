@@ -99,7 +99,7 @@ def test_criterion_1_su2_golden_suite():
     )
     _verify_entry(W, prim, omega, halves, ops, xi_vec)
     # and the solver's unique transgression equals the book value
-    T = distinguished_transgression(su2, P, Truncation(4), weil=W)
+    T = distinguished_transgression(su2, P, weil=W)
     assert T.entries[0].xi_tilde == halves
     dt = time.perf_counter() - t0
     assert dt < 1.0, f"criterion 1 exceeded 1s: {dt:.2f}s"
@@ -194,8 +194,8 @@ def test_criterion_7_transgression_determinism():
     for name in BUILTINS:
         g = builtin_algebra(name)
         P = primitive_basis(g, Truncation(8))
-        T1 = distinguished_transgression(g, P, Truncation(8))
-        T2 = distinguished_transgression(g, P, Truncation(8), weil=T1.weil,
+        T1 = distinguished_transgression(g, P)
+        T2 = distinguished_transgression(g, P, weil=T1.weil,
                                          unknown_permutation=list(range(500))[::-1])
         for e1, e2 in zip(T1.entries, T2.entries):
             assert e1.xi_tilde == e2.xi_tilde, name

@@ -206,6 +206,27 @@ def test_bad_max_degree(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, stage", [
+    (("validate",), "certify_reductive"),
+    (("cohomology", "--model", "cartan"), "cartan_model"),
+    (("weil-check",), "weil_model"),
+    (("transgress",), "primitive_basis"),
+    (("duality",), "verify_duality"),
+])
+def test_memory_error_is_an_input_error(capsys, monkeypatch, command, stage):
+    """A window that does not fit in memory ends with exit 2 and a message
+    naming the command and its window, not a traceback and exit 1.  The
+    stage is patched to raise MemoryError; no memory is exhausted."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"koszul.cli.{stage}", exhausted)
+    code, out, err = run(capsys, *command, "--algebra", "su2", "--max-degree", "2000")
+    assert code == 2 and out == ""
+    assert err == (f"input error: {command[0]} at --max-degree 2000 does not fit in memory; "
+                   "choose a smaller window\n")
+
+
 def test_threads_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("KOSZUL_THREADS", "zero")
     code, _, err = run(capsys, "validate", "--algebra", "su2")

@@ -1167,7 +1167,7 @@ def test_cocycle_bases_computed_once(monkeypatch):
     trunc = Truncation(3)
     betti = cohomology(C, trunc).betti
     calls = []
-    for name in ("pivot_columns", "joint_kernel"):
+    for name in ("_basis_columns", "joint_kernel"):
         fn = getattr(complexes, name)
         monkeypatch.setattr(complexes, name, lambda *args, fn=fn: calls.append(args) or fn(*args))
     rep = quasi_iso_check(ChainMap(C, C, LinMap.identity(C.space)), trunc)
@@ -1262,11 +1262,16 @@ def test_rank_path_matches_the_old_bases_and_sympy(case):
         assert rep.betti[deg] == reps.cols == (hom[deg] if deg <= C.space.hi else 0)
         assert rep.representatives[deg] == [{labels[i]: v for i, v in enumerate(r) if v}
                                             for r in reps.columns()]
+    def sympy_rank(block):
+        return sp.Matrix(block.rows, block.cols, lambda i, j: sp.Rational(
+            block[i, j].numerator, block[i, j].denominator)).rank() if block.rows and block.cols else 0
+
     for deg in range(C.space.lo - 1, N + 1):
         block = C.d.block(deg)
-        want = sp.Matrix(block.rows, block.cols, lambda i, j: sp.Rational(
-            block[i, j].numerator, block[i, j].denominator)).rank() if block.rows and block.cols else 0
-        assert len(complexes._d_pivots(C, deg)) == want
+        want = sympy_rank(block)
+        kept = complexes._d_pivots(C, deg)
+        # rank d of independent columns of d: their images span im d
+        assert len(kept) == want == sympy_rank(block.take(kept))
     for deg, count in rep.uncertified.items():
         assert count == C.space.dim(deg) - len(complexes._d_pivots(C, deg)) - len(
             complexes._d_pivots(C, deg - 1))
@@ -1281,6 +1286,38 @@ def _skewed_complex():
     space = GradedSpace({0: ("a",), 1: ("b", "c"), 2: ("e",)})
     d = LinMap(space, space, 1, {0: Matrix(2, 1, {(0, 0): 1}), 1: Matrix(1, 2, {(0, 0): 1})})
     return Complex(space, d, check=False)
+
+
+def test_rank_off_the_boundaries_needs_d_squared_zero():
+    """On the unchecked skewed complex d_1·d_0 != 0: skipping d_1's column
+    0, d_0's leading row, would leave only its zero column 1.  The rank at
+    degree 1 is still sympy's, before and after cohomology's check finds
+    the defect."""
+    import sympy as sp
+    from koszul import complexes
+    from koszul.linalg import SpanError
+
+    C = _skewed_complex()
+    want = sp.Matrix([[1, 0]]).rank()
+    assert len(complexes._d_pivots(C, 0)) == 1
+    assert len(complexes._d_pivots(C, 1)) == want == 1
+    C = _skewed_complex()
+    with pytest.raises(SpanError):
+        cohomology(C, Truncation(3))
+    assert len(complexes._d_pivots(C, 1)) == want
+
+
+def test_weil_sl3_ranks_off_the_boundaries_match_pivot_columns():
+    """W(sl3) to degree 8 is acyclic and checked, so every rank there
+    skips d_{m-1}'s leading rows; each is the RREF rank of its block."""
+    from koszul import complexes
+
+    C = weil_model(resolve_algebra("sl3"), Truncation(8)).complex
+    rep = cohomology(C, Truncation(8))
+    assert rep.betti == {0: 1, **{m: 0 for m in range(1, 8)}}
+    assert sorted(C.d.blocks) == list(range(1, 8))
+    for m, block in C.d.blocks.items():
+        assert len(complexes._d_pivots(C, m)) == len(linalg.pivot_columns(block))
 
 
 def test_d_squared_defect_at_a_betti_zero_degree_still_raises():
@@ -1323,15 +1360,16 @@ def test_checked_complex_forms_no_boundary_product(monkeypatch):
 
 def test_weil_cohomology_eliminates_each_block_once_and_cuts_one_kernel(monkeypatch):
     """cohomology of the acyclic W(su2xsu2) to degree 8 eliminates each
-    nonzero block of d once, for its rank and pivots, and cuts a cocycle
+    nonzero block of d once, for its rank and image basis, and cuts a cocycle
     kernel only at degree 0, where H^0 = Q lives.  Only degree 0 prints a
     representative, so only there are W's basis labels built."""
     from koszul import complexes
 
     C = weil_model(resolve_algebra("su2xsu2"), Truncation(8)).complex
     eliminated, cut = [], []
-    pivot_columns, joint_kernel = complexes.pivot_columns, complexes.joint_kernel
-    monkeypatch.setattr(complexes, "pivot_columns", lambda A: eliminated.append(A) or pivot_columns(A))
+    basis_columns, joint_kernel = complexes._basis_columns, complexes.joint_kernel
+    monkeypatch.setattr(complexes, "_basis_columns",
+                        lambda A, skip: eliminated.append(A) or basis_columns(A, skip))
     monkeypatch.setattr(complexes, "joint_kernel",
                         lambda mats, cols: cut.append(list(mats)) or joint_kernel(mats, cols))
     rep = cohomology(C, Truncation(8))

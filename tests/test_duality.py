@@ -41,7 +41,7 @@ def su2_exterior_run(su2):
 def test_h_of_trivial_su2_is_koszul_complex(su2):
     A = cartan_model(trivial_module(su2), Truncation(8))
     P = primitive_basis(su2, Truncation(8))
-    T = distinguished_transgression(su2, P, Truncation(8))
+    T = distinguished_transgression(su2, P)
     h = h_of(A, T, Truncation(8))
     rep = cohomology(h.complex, Truncation(8))
     assert rep.betti[0] == 1
@@ -56,7 +56,7 @@ def test_h_zero_action_zero_differential(su2):
     # cohomology is the whole exterior-factor tensor A
     A = cartan_model(trivial_module(su2), Truncation(8))
     P = primitive_basis(su2, Truncation(8))
-    T = distinguished_transgression(su2, P, Truncation(8))
+    T = distinguished_transgression(su2, P)
     zeroed = TransgressionData(T.g, T.weil, [
         TransgressionEntry(e.primitive, e.omega, tuple(0 * c for c in e.xi_tilde), e.xi_tilde_label)
         for e in T.entries
@@ -286,7 +286,7 @@ def test_invariant_path_builds_no_fraction(monkeypatch):
     W.L_ops  # the factor L_k are inputs here, built before counting
     inv_M = invariant_subcomplex(M)
     A = cartan_model(M, Truncation(N))
-    T = distinguished_transgression(g, primitive_basis(g, Truncation(N)), Truncation(N), weil=W)
+    T = distinguished_transgression(g, primitive_basis(g, Truncation(N)), weil=W)
     twist = twist_operators(M, Truncation(N + 1), weil=W)
     h = h_of(A, T, Truncation(N))
     built = []

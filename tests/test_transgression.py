@@ -29,7 +29,7 @@ def P_su2(su2):
 
 @pytest.fixture(scope="module")
 def T_su2(su2, P_su2):
-    return distinguished_transgression(su2, P_su2, Truncation(8))
+    return distinguished_transgression(su2, P_su2)
 
 
 def test_primitives_su2(P_su2):
@@ -100,7 +100,7 @@ def test_su2_book_lift_satisfies_conditions(su2, P_su2):
 def test_abelian_transgression_forced():
     g = builtin_algebra("abelian1")
     P = primitive_basis(g, Truncation(4))
-    T = distinguished_transgression(g, P, Truncation(4))
+    T = distinguished_transgression(g, P)
     entry = T.entries[0]
     # ω = 1⊗t*, ξ~ = the degree-2 generator: forced by d_W(1⊗t*) = t*⊗1
     assert entry.omega == {((0,), (0,)): Q(1)}
@@ -110,7 +110,7 @@ def test_abelian_transgression_forced():
 def test_su2xsu2_block_transgression():
     g = builtin_algebra("su2xsu2")
     P = primitive_basis(g, Truncation(8))
-    T = distinguished_transgression(g, P, Truncation(8))
+    T = distinguished_transgression(g, P)
     from koszul.modules import sym_monomials
 
     monos = sym_monomials(6, 2)
@@ -130,10 +130,10 @@ def test_su2xsu2_block_transgression():
 def test_permuted_solve_same_xi_tilde(name):
     g = builtin_algebra(name)
     P = primitive_basis(g, Truncation(8))
-    T1 = distinguished_transgression(g, P, Truncation(8))
+    T1 = distinguished_transgression(g, P)
     # reversal permutation of the unknowns
     perm = list(range(200))[::-1]
-    T2 = distinguished_transgression(g, P, Truncation(8), weil=T1.weil,
+    T2 = distinguished_transgression(g, P, weil=T1.weil,
                                      unknown_permutation=perm)
     for e1, e2 in zip(T1.entries, T2.entries):
         assert e1.xi_tilde == e2.xi_tilde
@@ -143,7 +143,7 @@ def test_permuted_solve_same_xi_tilde(name):
 def test_degree_shift_and_nonzero(name):
     g = builtin_algebra(name)
     P = primitive_basis(g, Truncation(8))
-    T = distinguished_transgression(g, P, Truncation(8))
+    T = distinguished_transgression(g, P)
     for entry in T.entries:
         assert any(entry.xi_tilde)
         # cohomological degree of ξ~ is deg ξ + 1
@@ -154,7 +154,7 @@ def test_degree_shift_and_nonzero(name):
 def test_generation_dimension_count(name):
     g = builtin_algebra(name)
     P = primitive_basis(g, Truncation(8))
-    T = distinguished_transgression(g, P, Truncation(8))
+    T = distinguished_transgression(g, P)
     assert generation_check(g, T, Truncation(8))
 
 
@@ -168,7 +168,7 @@ def test_exterior_invariants_su2(su2):
 def test_transgression_lifts_no_weil_operator(su2, P_su2):
     """distinguished_transgression cuts W's invariants and re-checks the
     lift's invariance on the factor rows: W's L_k stay unlifted."""
-    T = distinguished_transgression(su2, P_su2, Truncation(8))
+    T = distinguished_transgression(su2, P_su2)
     assert T.entries and "L_ops" not in vars(T.weil)
 
 
@@ -179,7 +179,7 @@ def test_own_weil_model_reaches_only_the_needed_degree(name, N):
     solve reads W only at p and p + 1."""
     g = builtin_algebra(name)
     P = primitive_basis(g, Truncation(N))
-    T = distinguished_transgression(g, P, Truncation(N))
+    T = distinguished_transgression(g, P)
     needed = max((p.degree + 1 for p in P.primitives), default=0)
     assert T.weil.space.hi == needed
     assert needed == {"su2xsu2": 4, "su2": 4 if N >= 3 else 0, "abelian2": 2}[name]
