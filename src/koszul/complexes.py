@@ -1024,13 +1024,14 @@ def induced_map(
     tgt_vectors: dict,
     src_space: GradedSpace,
     tgt_space: GradedSpace,
+    target_name: str = "the subspace",
 ) -> LinMap:
     """Restrict `op` to subspaces given per degree by column blocks.
 
     src_vectors / tgt_vectors: degree -> Matrix whose columns span the
     subspace in the ambient coordinates of op.source / op.target.  Raises
-    SubcomplexError when the image of a sub-basis vector leaves the target
-    subspace.  op is read only as its images op.image(d, V).
+    SubcomplexError, naming target_name and the degree, when the image of a
+    sub-basis vector leaves the target.  op is read only as its images op.image(d, V).
     """
     blocks = {}
     for d in src_space.degrees():
@@ -1042,7 +1043,7 @@ def induced_map(
             continue
         m = Subspace(tgt_vectors.get(d + op.shift, Matrix.zero(X.rows, 0))).restrict(X)
         if m is None:
-            raise SubcomplexError(f"operator image leaves the subspace at degree {d}")
+            raise SubcomplexError(f"operator image leaves {target_name} at degree {d}")
         blocks[d] = m
     return LinMap(src_space, tgt_space, op.shift, blocks)
 
@@ -1061,7 +1062,7 @@ def subcomplex(
     vectors = {d: V for d, V in vectors.items() if V.cols}
     labels = {d: tuple(f"{label_prefix}[{d},{i}]" for i in range(V.cols)) for d, V in vectors.items()}
     space = GradedSpace(labels, lo=C.space.lo, hi=C.space.hi)
-    d_map = induced_map(C.d, vectors, vectors, space, space)
+    d_map = induced_map(C.d, vectors, vectors, space, space, f"the subcomplex {label_prefix}")
     sub = Complex(space, d_map, complete=C.complete, check=False)
     incl = ChainMap(sub, C, LinMap(space, C.space, 0, vectors))
     return sub, incl

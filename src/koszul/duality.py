@@ -299,7 +299,9 @@ def verify_duality(
     Quasi-isomorphisms are certified for degrees <= trunc.max_degree - 1;
     all internal objects are materialized one degree beyond.  M must live
     in degrees >= 0 (ModuleValidationError otherwise): the zig-zag is
-    built on windows that start at degree 0.
+    built on windows that start at degree 0.  S(g*) is built once, in
+    W(g), and (S(g*)⊗M)^g is read off the (W(g)⊗M)^g cut (exact: see
+    cartan_model).
     """
     g = M.g
     N = trunc.max_degree
@@ -311,7 +313,7 @@ def verify_duality(
     WM = tensor_module(W, M, max_total=N + 1, name=f"W⊗{M.name}")
     inv_WM = invariant_subcomplex(WM)
     inv_M = invariant_subcomplex(M)
-    A = cartan_model(M, Truncation(N))
+    A = cartan_model(M, Truncation(N), weil=W, invariants=inv_WM)
     P = primitive_basis(g, Truncation(N))
     T = distinguished_transgression(g, P, weil=W)
     twist = twist_operators(M, Truncation(N + 1), weil=W)

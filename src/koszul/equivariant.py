@@ -33,7 +33,7 @@ from .complexes import (
     induced_map,
     subcomplex,
 )
-from .lie import LieAlgebra, adjoint_matrices, block_action_kernel, invariants
+from .lie import LieAlgebra, adjoint_matrices, block_action_kernel, invariants as action_invariants
 from .linalg import Frozen, Matrix, Subspace
 from .modules import (
     KgModule,
@@ -59,16 +59,11 @@ def invariant_multivectors(g: LieAlgebra, p: int) -> list:
                                len(lambda_monomials(g.dim, p))).columns()
 
 
-def sym_invariant_block(g: LieAlgebra, a: int) -> Matrix:
-    """Coadjoint invariants of S^a(g*) as the columns of a Matrix."""
-    _, coad = adjoint_matrices(g)
-    return block_action_kernel(g, derivation_on_sym(list(coad.matrices), a),
-                               len(sym_monomials(g.dim, a)))
-
-
 def sym_invariants(g: LieAlgebra, a: int) -> list:
     """Basis of coadjoint invariants of S^a(g*), read out as dense vectors."""
-    return sym_invariant_block(g, a).columns()
+    _, coad = adjoint_matrices(g)
+    return block_action_kernel(g, derivation_on_sym(list(coad.matrices), a),
+                               len(sym_monomials(g.dim, a))).columns()
 
 
 class MultivectorElement(Frozen):
@@ -240,20 +235,41 @@ def sym_multiplication(S: GradedSpace, sym_basis: dict, a: int, factor: dict) ->
     return LinMap(S, S, 2 * a, blocks)
 
 
-def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
-    """Build the equivariant model of M up to total degree trunc.max_degree."""
+def cartan_model(M: KgModule, trunc: Truncation, weil=None,
+                 invariants: Optional[InvariantModel] = None) -> CartanModel:
+    """Build the equivariant model of M up to total degree trunc.max_degree.
+
+    With ``weil`` S(g*) and its action are W(g)'s, cut to degree 2·max_a.
+    With ``invariants``, those of W(g)⊗M to degree N + 1, no kernel is cut:
+    each L_k keeps the S-, Λ- and M-degrees, so each reduced kernel vector
+    lies in the stratum of its free column; on S^a⊗Λ^0⊗M^r L_k is the
+    ambient's (L^Λ kills Λ^0) and s⊗m -> (s⊗1)⊗m keeps the index order, so
+    the columns there, shifted, are the ambient's reduced kernel basis, and
+    the W⊗M certificate (or its fallback) shows every L_k kills them.
+    """
     g = M.g
     n = g.dim
     N = trunc.max_degree
     if not M.complete:
         raise ValueError("the equivariant model needs a complete (untruncated) module")
     max_a = max(0, (N - M.space.lo) // 2)
-    S, sym_basis, sym_action = symmetric_algebra(g, max_a)
+    if weil is None:
+        S, sym_basis, sym_action = symmetric_algebra(g, max_a)
+    else:
+        alg = weil.algebra
+        if 2 * max_a > alg.N:
+            raise ValueError(f"W(g) is built to degree {alg.N}, S(g*) is needed to {2 * max_a}")
+        S, sym_action = alg.product.A.truncated(2 * max_a), alg.sym_action
+        sym_basis = {deg: monos for deg, monos in alg.sym_basis.items() if deg <= 2 * max_a}
     ambient = TensorSpace(S, M.space, N)
 
     # invariants of the diagonal action per total degree
-    L = [DiagonalSum(ambient, A, B) for A, B in zip(sym_action, M.L_ops)]
-    vectors = {deg: V for deg in ambient.degrees() if (V := invariants(g, L, deg, ambient.dim(deg))).cols}
+    if invariants is None:
+        L = [DiagonalSum(ambient, A, B) for A, B in zip(sym_action, M.L_ops)]
+        vectors = {deg: V for deg in ambient.degrees()
+                   if (V := action_invariants(g, L, deg, ambient.dim(deg))).cols}
+    else:
+        vectors = _lambda_zero_columns(ambient, invariants, f"({M.name})_g")
 
     # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs),
     # read only as its images of the invariant columns: none of it is lifted
@@ -267,6 +283,30 @@ def cartan_model(M: KgModule, trunc: Truncation) -> CartanModel:
 
     return CartanModel(module=M, g=g, N=N, complex=sub, ambient=ambient, sym_basis=sym_basis,
                        vectors=vectors)
+
+
+def _lambda_zero_columns(ambient: TensorSpace, inv: InvariantModel, name: str) -> dict:
+    """degree -> the columns of inv.vectors in a stratum S^a⊗Λ^0⊗M^r, placed by their last
+    row and shifted to S^a⊗M^r in ambient; a row before the stratum raises SubcomplexError."""
+    WM, S, B = inv.module.tensor, ambient.A, ambient.B
+    vectors = {}
+    for t in ambient.degrees():
+        # (first row in W⊗M, its shift to ambient, end row, q) of S^(q/2)⊗Λ^0⊗M^(t-q)
+        strata = [(start, start - ambient.position(q, 0, t - q, 0), start + S.dim(q) * B.dim(t - q), q)
+                  for q in S.degrees() if B.dim(t - q)
+                  for start in [WM.position(q, WM.A.position(q, 0, 0, 0), t - q, 0)]]
+        V, picked = inv.vectors[t], []
+        for j, col in sorted(V.int_columns().items()):
+            rows = [i for i, _ in col]
+            for start, shift, end, q in strata:
+                if start <= max(rows) < end:
+                    if min(rows) < start:
+                        raise SubcomplexError(f"Cartan read of {name} from (W⊗M)^g: column {j} "
+                                              f"leaves S^{q // 2}⊗Λ^0⊗M^{t - q} at degree {t}")
+                    picked.append(({i - shift: v for i, v in col}, V.den))
+        if picked:
+            vectors[t] = Matrix._from_int_columns(ambient.dim(t), picked)
+    return vectors
 
 
 def induced_action_on_cohomology(M: KgModule, deg: int):

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .complexes import Truncation
-from .equivariant import invariant_multivector_basis, sym_invariant_block, sym_invariants
+from .equivariant import invariant_multivector_basis, sym_invariants
 from .lie import LieAlgebra, adjoint_matrices, block_action_kernel
 from .linalg import (
     Frozen,
@@ -225,7 +225,8 @@ def distinguished_transgression(
 
     The solve for a primitive of degree p reads W only at p and p + 1, so
     without `weil` W is built to needed = the largest primitive degree + 1
-    (0 with no primitive); a given `weil` must reach needed.
+    (0 with no primitive); a given `weil` must reach needed.  (S^a)^g, a =
+    (p + 1)/2, is cut from W's own S action blocks: no S^a is built anew.
 
     `unknown_permutation` reorders the solver's unknowns (used to certify
     that ξ~ does not depend on free-variable choices); it permutes the
@@ -257,12 +258,12 @@ def distinguished_transgression(
             raise TransgressionError("primitive of even degree cannot transgress")
         w_inv = W.invariant_blocks([p])[p]
         s_deg = (p + 1) // 2
-        s_inv = sym_invariant_block(g, s_deg)
+        s_monos = sym_monomials(n, s_deg)
+        s_inv = block_action_kernel(g, [L.block(p + 1) for L in alg.sym_action], len(s_monos))
         if not s_inv.cols:
             raise TransgressionError(
                 f"no invariant polynomials of degree {s_deg} to transgress into"
             )
-        s_monos = sym_monomials(n, s_deg)
         n_alpha, n_beta = w_inv.cols, s_inv.cols
 
         # unknowns (ω over w_inv, ξ~ over s_inv); equations (a), (b), (c) stacked

@@ -72,19 +72,20 @@ class WeilAlgebra:
     """Monomial calculus on W(g) = S(g*) ⊗ Λ(g*), materialized up to a total degree.
 
     ``product`` is the TensorSpace(S, Λ(g*)), ``sym_basis`` the S monomials
-    per degree 2a and ``d`` the lifted d_W.  A monomial key (symmetric
+    per degree 2a, ``sym_action`` the coadjoint L_k on S (one LinMap per
+    basis vector of g) and ``d`` the lifted d_W.  A monomial key (symmetric
     exponents, Λ monomial) maps to its position in the product and back
     through the product and one index per factor: key(m, i) is the key of
     basis vector i of degree m, and position(key) its index there.
     """
 
     def __init__(self, g: LieAlgebra, ext: KgModule, product: TensorSpace,
-                 sym_basis: dict, d: LinMap):
+                 sym_basis: dict, sym_action: list, d: LinMap):
         self.g = g
         self.N = product.hi
         self.ext = ext
         self.product = product
-        self.sym_basis = sym_basis
+        self.sym_basis, self.sym_action = sym_basis, sym_action
         self.d = d
         self._lambda_basis = {r: lambda_monomials(g.dim, r) for r in range(min(self.N, g.dim) + 1)}
         # each monomial lies in one degree, so one index per factor serves all
@@ -137,7 +138,7 @@ class WeilAlgebra:
         top = max(parts, default=-1)
         if top >= self.N:
             if self._wider is None or self._wider.N <= top:
-                self._wider = weil_algebra(self.g, self.ext, top + 1)[0]
+                self._wider = weil_algebra(self.g, self.ext, top + 1)
             return self._wider.differential_element(element)
         out: dict = {}
         for m, part in parts.items():
@@ -160,8 +161,8 @@ class WeilModule(TensorModule):
         self.algebra = algebra
 
 
-def weil_algebra(g: LieAlgebra, ext: KgModule, N: int):
-    """(W(g) to total degree N with its lifted d_W, the L_k on S) from ext = Λ(g*)."""
+def weil_algebra(g: LieAlgebra, ext: KgModule, N: int) -> WeilAlgebra:
+    """W(g) to total degree N with its lifted d_W and the L_k on S, from ext = Λ(g*)."""
     n = g.dim
     S, sym_basis, sym_action = symmetric_algebra(g, N // 2)
     product = TensorSpace(S, ext.space, N)
@@ -170,7 +171,7 @@ def weil_algebra(g: LieAlgebra, ext: KgModule, N: int):
         + [(sym_multiplication(S, sym_basis, 1, sym_generator(n, k)), ext.i_ops[k].scale(-1))
            for k in range(n)]
         + [(sym_action[k].scale(-1), wedge_by_generator(ext, k)) for k in range(n)], 1)
-    return WeilAlgebra(g, ext, product, sym_basis, d), sym_action
+    return WeilAlgebra(g, ext, product, sym_basis, sym_action, d)
 
 
 def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
@@ -188,12 +189,12 @@ def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
     result (a truncated module), one product column at a time.
     """
     ext = exterior_model(g)  # certifies that g is reductive
-    alg, sym_action = weil_algebra(g, ext, trunc.max_degree)
+    alg = weil_algebra(g, ext, trunc.max_degree)
     product = alg.product
     no_contraction = LinMap.zero(product.A, product.A, -1)
     cx = Complex(product, alg.d, complete=False, check=True)
     return WeilModule(alg, cx, lambda: ((no_contraction, ik) for ik in ext.i_ops),
-                      lambda: zip(sym_action, ext.L_ops), f"W({g.name})")
+                      lambda: zip(alg.sym_action, ext.L_ops), f"W({g.name})")
 
 
 def maurer_cartan_residuals(W: WeilModule) -> list:
@@ -521,8 +522,7 @@ def twist_embedding(
 
 def embedding_s_linearity(emb: TwistEmbedding) -> bool:
     """a' · Ψ(x) = Ψ(a' · x) for every invariant symmetric generator a'."""
-    A = emb.cartan
-    W = emb.weil
+    A, alg = emb.cartan, emb.weil.algebra
     product = emb.product.tensor
     for s_deg, inv_vectors in sorted(A.s_invariants.items()):
         a = s_deg // 2
@@ -530,8 +530,10 @@ def embedding_s_linearity(emb: TwistEmbedding) -> bool:
             continue
         for coeffs in inv_vectors:
             mult = A.s_action(a, coeffs)
-            # multiply ambient images by the invariant polynomial on the W factor
-            lifted = product.lift(_weil_multiplication(W, a, coeffs), None)
+            # multiply ambient images by the invariant polynomial on the W factor (S is even: a lift)
+            factor = dict(zip(sym_monomials(A.g.dim, a), coeffs))
+            on_w = alg.product.lift(sym_multiplication(alg.product.A, alg.sym_basis, a, factor), None)
+            lifted = product.lift(on_w, None)
             for deg, blk in emb.ambient_blocks.items():
                 tgt_deg = deg + s_deg
                 if tgt_deg not in emb.ambient_blocks:
@@ -542,9 +544,3 @@ def embedding_s_linearity(emb: TwistEmbedding) -> bool:
                     return False
     return True
 
-
-def _weil_multiplication(W: WeilModule, a: int, coeffs: Sequence) -> LinMap:
-    """Multiplication by the S^a element `coeffs` on W(g) (shift 2a): S is even, so a lift."""
-    alg = W.algebra
-    factor = dict(zip(sym_monomials(W.g.dim, a), coeffs))
-    return alg.product.lift(sym_multiplication(alg.product.A, alg.sym_basis, a, factor), None)

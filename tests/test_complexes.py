@@ -163,7 +163,7 @@ def test_subcomplex_rejects_unclosed_subspace():
     space = GradedSpace({0: ("a",), 1: ("c", "d")})
     d = LinMap(space, space, 1, {0: Matrix.from_rows([[1], [0]])})
     C = Complex(space, d)
-    with pytest.raises(SubcomplexError):
+    with pytest.raises(SubcomplexError, match=r"^operator image leaves the subcomplex v at degree 0$"):
         subcomplex(C, {0: Matrix.from_columns([vec([1])]), 1: Matrix.from_columns([vec([0, 1])])})
 
 
@@ -1132,8 +1132,8 @@ def test_subcomplex_rejects_one_corrupted_column():
     V, d3 = vectors[3], M.d.block(3)
     leaving = min(j for (_, j) in d3.num)  # d of this basis vector is nonzero, and d = 0 on V
     bad = V + Matrix(V.rows, V.cols, {(leaving, 0): 1})
-    with pytest.raises(SubcomplexError):
-        subcomplex(M.complex, {**vectors, 3: bad})
+    with pytest.raises(SubcomplexError, match=r"^operator image leaves the subcomplex \(Λ\)\^g at degree 3$"):
+        subcomplex(M.complex, {**vectors, 3: bad}, label_prefix="(Λ)^g")
 
 
 def test_tensor_labels_built_on_first_read():

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from koszul.complexes import Truncation, cohomology
 from koszul.duality import (
@@ -9,7 +13,7 @@ from koszul.duality import (
     verify_duality,
 )
 from koszul.equivariant import cartan_model
-from koszul.lie import adjoint_matrices, builtin_algebra
+from koszul.lie import adjoint_matrices, builtin_algebra, lie_algebra_from_dict
 from koszul.modules import exterior_model, polynomial_forms_module, trivial_module
 from koszul.transgression import (
     TransgressionData,
@@ -523,3 +527,53 @@ def test_psi_contraction_compatibility_reads_the_computed_invariants(monkeypatch
         comp.transgression, comp.twist, comp.h, None, comp.inclusion)
     assert psi_contraction_compatibility(without_psi)
     assert len(comp.invariants.actions) == len(comp.invariants.multivectors) == 1
+
+
+# -- metamorphic oracle: a change of basis of g changes no answer ---------------
+
+
+def _rebased(g, perm, scales):
+    """g in the basis f_a = scales[a]·x_perm[a]: c'^c_ab = s_a s_b c^perm[c]_{perm[a] perm[b]} / s_c."""
+    n = g.dim
+    brackets = [{"i": a, "j": b, "terms": [
+        {"k": c, "c": str(Fraction(scales[a] * scales[b] * g.c(perm[c], perm[a], perm[b]), scales[c]))}
+        for c in range(n) if g.c(perm[c], perm[a], perm[b])]}
+        for a in range(n) for b in range(a + 1, n)]
+    return lie_algebra_from_dict({"name": f"{g.name}'", "dim": n,
+                                  "basis": [f"{g.basis_labels[p]}'" for p in perm], "brackets": brackets})
+
+
+def _duality_answers(g, kind, N):
+    """The Betti tables, verdict and transgression degrees of one duality run."""
+    report, comp = verify_duality((trivial_module if kind == "trivial" else exterior_model)(g),
+                                  Truncation(N))
+    return (report.betti_h, report.betti_product_invariants, report.betti_invariants,
+            report.betti_match, report.verdict, [e.primitive.degree for e in comp.transgression.entries],
+            [comp.transgression.xi_tilde_sym_degree(j) for j in range(len(comp.transgression.entries))])
+
+
+_ANSWERS: dict = {}  # (algebra, module kind, N) -> the answers in the built-in basis
+
+
+@st.composite
+def rebasings(draw):
+    """(algebra, module kind, N, permutation, nonzero rational scales)."""
+    alg = draw(st.sampled_from(["su2", "sl2", "su2xsu2", "u2"]))
+    n = builtin_algebra(alg).dim
+    nonzero = st.fractions(-4, 4, max_denominator=4).filter(bool)
+    return (alg, draw(st.sampled_from(["trivial", "exterior"])), draw(st.integers(1, 4)),
+            tuple(draw(st.permutations(range(n)))), tuple(draw(st.lists(nonzero, min_size=n, max_size=n))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=rebasings())
+@example(case=("su2xsu2", "exterior", 4, (5, 4, 3, 2, 1, 0), (1,) * 6))
+def test_a_change_of_basis_of_g_changes_no_duality_answer(case):
+    """Permuting and rationally rescaling the basis of g leaves the Betti
+    tables, the verdict and the transgression degrees of verify_duality as
+    they are in the built-in basis."""
+    alg, kind, N, perm, scales = case
+    g = builtin_algebra(alg)
+    if (alg, kind, N) not in _ANSWERS:
+        _ANSWERS[alg, kind, N] = _duality_answers(g, kind, N)
+    assert _duality_answers(_rebased(g, perm, scales), kind, N) == _ANSWERS[alg, kind, N]

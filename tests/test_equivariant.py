@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from koszul.complexes import Truncation, check_chain_map, cohomology
+from koszul.cli import resolve_module
+from koszul.complexes import SubcomplexError, Truncation, check_chain_map, cohomology
 from koszul.equivariant import (
     cartan_model,
     induced_action_on_cohomology,
@@ -12,8 +13,15 @@ from koszul.equivariant import (
     sym_invariant_complex,
     sym_invariants,
 )
-from koszul.lie import builtin_algebra
-from koszul.modules import exterior_model, sym_monomials, trivial_module, tensor_module
+from koszul.lie import BUILTIN_NAMES, builtin_algebra
+from koszul.linalg import Matrix
+from koszul.modules import (
+    exterior_model,
+    kg_module_from_dict,
+    sym_monomials,
+    tensor_module,
+    trivial_module,
+)
 
 Q = Fraction
 
@@ -202,3 +210,117 @@ def test_product_invariants_equal_kernel_of_lifted_blocks(alg, kind, N):
     for t in ambient.degrees():
         K = joint_kernel([L.block(t) for L in lifted], ambient.dim(t))
         assert comp.cartan.vectors.get(t, K.take([])) == K, t
+
+
+# -- the Cartan model read off the W⊗M invariant cut ----------------------------
+
+
+def _weil_side(M, N):
+    """W(g) to N + 1 and the invariants of W⊗M, as verify_duality builds them."""
+    from koszul.weil import weil_model
+
+    W = weil_model(M.g, Truncation(N + 1))
+    return W, invariant_subcomplex(tensor_module(W, M, max_total=N + 1))
+
+
+def _two_degree_file_module(g):
+    """A module loaded from a file's data, one basis vector in degree 2 and
+    one in 5, d = 0 and i = 0: the Cartan strata have gaps."""
+    return kg_module_from_dict(g, {"degrees": {"2": ["a"], "5": ["b"]}, "d": [], "i": {}},
+                               name="file25")
+
+
+CARTAN_CASES = [(alg, kind, 3 if alg in ("sl3", "u2") else 5)
+                for alg in (*BUILTIN_NAMES, "abelian:0")
+                for kind in ("trivial", "exterior", "forms:coadjoint:1", "file25", "exterior⊗exterior")
+                if kind != "exterior⊗exterior" or builtin_algebra(alg).dim <= 3]
+
+
+def _build(kind, g):
+    if kind == "file25":
+        return _two_degree_file_module(g)
+    if kind == "exterior⊗exterior":
+        ext = exterior_model(g)
+        return tensor_module(ext, ext)
+    return resolve_module(kind, g)
+
+
+def _assert_same_cartan(M, N, W, inv_WM):
+    fresh = cartan_model(M, Truncation(N))
+    read = cartan_model(M, Truncation(N), weil=W, invariants=inv_WM)
+    assert read.vectors == fresh.vectors, (M.name, N)
+    assert read.sym_basis == fresh.sym_basis, (M.name, N)
+    assert read.ambient.A == fresh.ambient.A and read.complex.space == fresh.complex.space
+    assert read.complex.d.blocks == fresh.complex.d.blocks, (M.name, N)
+    return fresh
+
+
+@pytest.mark.parametrize("alg, kind, top", CARTAN_CASES)
+def test_cartan_read_off_the_weil_side_equals_the_fresh_cut(alg, kind, top):
+    """cartan_model with S(g*) from W(g) and the invariant vectors read off
+    the (W⊗M)^g cut gives the same vectors, S monomials and d blocks as the
+    model built on its own, at every window 0..top."""
+    g = builtin_algebra(alg)
+    M = _build(kind, g)
+    seen = 0
+    for N in range(top + 1):
+        seen += sum(V.cols for V in _assert_same_cartan(M, N, *_weil_side(M, N)).vectors.values())
+    assert seen or not M.space.degrees()
+
+
+def test_cartan_read_names_a_column_that_leaves_its_stratum(su2):
+    """A selected column with a row in another stratum of W⊗M is caught:
+    the error names the stage, the stratum and the degree."""
+    M = trivial_module(su2)
+    W, inv = _weil_side(M, 4)
+    V = inv.vectors[4]
+    last = {j: max(i for i, _ in col) for j, col in V.int_columns().items()}
+    j, row = max(last.items(), key=lambda jr: jr[1])  # a column of S^2⊗Λ^0⊗M^0, the last stratum
+    assert row >= W.space.dim(4) - len(W.algebra.sym_basis[4])
+    inv.vectors[4] = V + Matrix(V.rows, V.cols, {(0, j): 1})  # row 0 lies in S^0⊗Λ^4
+    with pytest.raises(SubcomplexError, match=r"^Cartan read of \(Q\)_g from \(W⊗M\)\^g: "
+                                              rf"column {j} leaves S\^2⊗Λ\^0⊗M\^0 at degree 4$"):
+        cartan_model(M, Truncation(4), weil=W, invariants=inv)
+
+
+def test_cartan_from_the_weil_side_rejects_a_short_weil_algebra(su2):
+    M = trivial_module(su2)
+    W, _ = _weil_side(M, 2)
+    with pytest.raises(ValueError, match="W\\(g\\) is built to degree 3, S\\(g\\*\\) is needed to 4"):
+        cartan_model(M, Truncation(4), weil=W)
+
+
+def test_verify_duality_cuts_no_cartan_or_polynomial_invariants(monkeypatch):
+    """Inside verify_duality, cartan_model makes no invariant cut of its
+    own and distinguished_transgression builds no derivation on S(g*):
+    both read what W(g) and the W⊗M cut already hold."""
+    from koszul import duality, equivariant, lie
+    from koszul.duality import verify_duality
+
+    stage, calls = [], []
+
+    def staged(fn):
+        def wrapped(*args, **kwargs):
+            stage.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stage.pop()
+        return wrapped
+
+    def counted_in(name, fn):
+        def wrapped(*args, **kwargs):
+            if name in stage:
+                calls.append((name, fn.__name__))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(duality, "cartan_model", staged(duality.cartan_model))
+    monkeypatch.setattr(duality, "distinguished_transgression", staged(duality.distinguished_transgression))
+    # every invariant cut, of an action or of Matrix blocks, ends in lie.action_kernel
+    monkeypatch.setattr(lie, "action_kernel", counted_in("cartan_model", lie.action_kernel))
+    monkeypatch.setattr(equivariant, "derivation_on_sym",
+                        counted_in("distinguished_transgression", equivariant.derivation_on_sym))
+    report, comp = verify_duality(exterior_model(builtin_algebra("su2")), Truncation(5))
+    assert report.verdict and comp.cartan.vectors and comp.transgression.entries
+    assert calls == []

@@ -422,15 +422,18 @@ def test_invariants_of_a_non_action_fall_back_to_every_L_k():
     """On a module whose L_k break [L_j, L_k] = L_[x_j,x_k], the kernel of
     the generators' L_k is too large; the certificate fails and the
     invariants of the module, of W⊗it and of its Cartan ambient S(g*)⊗it
-    are the joint kernel of every lifted L_k."""
-    from koszul.equivariant import cartan_model, symmetric_algebra
+    are the joint kernel of every lifted L_k.  The Cartan model read off
+    the W⊗M cut equals the one cut on its own."""
+    from koszul.equivariant import cartan_model, invariant_subcomplex, symmetric_algebra
     from koszul.linalg import joint_kernel
 
     su2, M = _broken_su2_module()
     assert su2.generators == (0, 1)
     assert not validate_kg(M).ok
     gens_only = []
-    for module in (M, tensor_module(weil_model(su2, Truncation(4)), M, max_total=4)):
+    W = weil_model(su2, Truncation(4))
+    WM = tensor_module(W, M, max_total=4)
+    for module in (M, WM):
         degrees = module.complex.usable_degrees(1)
         got = module.invariant_blocks(degrees)
         for deg in degrees:
@@ -445,6 +448,8 @@ def test_invariants_of_a_non_action_fall_back_to_every_L_k():
     for t in cartan.ambient.degrees():
         K = joint_kernel([L.block(t) for L in lifted], cartan.ambient.dim(t))
         assert cartan.vectors.get(t, K) == K and (t in cartan.vectors) == bool(K.cols)
+    read = cartan_model(M, Truncation(3), weil=W, invariants=invariant_subcomplex(WM))
+    assert read.vectors == cartan.vectors and read.complex.d.blocks == cartan.complex.d.blocks
 
 
 def test_operator_entry_given_twice(su2):
