@@ -313,7 +313,7 @@ def verify_duality(
     WM = tensor_module(W, M, max_total=N + 1, name=f"W⊗{M.name}")
     inv_WM = invariant_subcomplex(WM)
     inv_M = invariant_subcomplex(M)
-    A = cartan_model(M, Truncation(N), weil=W, invariants=inv_WM)
+    A = cartan_model(M, Truncation(N), invariants=inv_WM)
     P = primitive_basis(g, Truncation(N))
     T = distinguished_transgression(g, P, weil=W)
     twist = twist_operators(M, Truncation(N + 1), weil=W)

@@ -235,17 +235,18 @@ def sym_multiplication(S: GradedSpace, sym_basis: dict, a: int, factor: dict) ->
     return LinMap(S, S, 2 * a, blocks)
 
 
-def cartan_model(M: KgModule, trunc: Truncation, weil=None,
+def cartan_model(M: KgModule, trunc: Truncation,
                  invariants: Optional[InvariantModel] = None) -> CartanModel:
     """Build the equivariant model of M up to total degree trunc.max_degree.
 
-    With ``weil`` S(g*) and its action are W(g)'s, cut to degree 2·max_a.
-    With ``invariants``, those of W(g)⊗M to degree N + 1, no kernel is cut:
+    With ``invariants``, those of W(g)⊗M to degree N (so W(g) reaches every
+    S^a needed), S(g*) is W(g)'s cut to degree 2·max_a and no kernel is cut:
     each L_k keeps the S-, Λ- and M-degrees, so each reduced kernel vector
     lies in the stratum of its free column; on S^a⊗Λ^0⊗M^r L_k is the
-    ambient's (L^Λ kills Λ^0) and s⊗m -> (s⊗1)⊗m keeps the index order, so
-    the columns there, shifted, are the ambient's reduced kernel basis, and
-    the W⊗M certificate (or its fallback) shows every L_k kills them.
+    ambient's (L^Λ kills Λ^0) and
+    s⊗m -> (s⊗1)⊗m keeps the index order, so the columns there, shifted,
+    are the ambient's reduced kernel basis, and the W⊗M certificate (or its
+    fallback) shows every L_k kills them.
     """
     g = M.g
     n = g.dim
@@ -253,22 +254,20 @@ def cartan_model(M: KgModule, trunc: Truncation, weil=None,
     if not M.complete:
         raise ValueError("the equivariant model needs a complete (untruncated) module")
     max_a = max(0, (N - M.space.lo) // 2)
-    if weil is None:
-        S, sym_basis, sym_action = symmetric_algebra(g, max_a)
-    else:
-        alg = weil.algebra
-        if 2 * max_a > alg.N:
-            raise ValueError(f"W(g) is built to degree {alg.N}, S(g*) is needed to {2 * max_a}")
-        S, sym_action = alg.product.A.truncated(2 * max_a), alg.sym_action
-        sym_basis = {deg: monos for deg, monos in alg.sym_basis.items() if deg <= 2 * max_a}
-    ambient = TensorSpace(S, M.space, N)
-
-    # invariants of the diagonal action per total degree
     if invariants is None:
+        S, sym_basis, sym_action = symmetric_algebra(g, max_a)
+        ambient = TensorSpace(S, M.space, N)
         L = [DiagonalSum(ambient, A, B) for A, B in zip(sym_action, M.L_ops)]
         vectors = {deg: V for deg in ambient.degrees()
                    if (V := action_invariants(g, L, deg, ambient.dim(deg))).cols}
     else:
+        WM = invariants.module
+        if WM.max_usable < N:
+            raise ValueError(f"the invariants of {WM.name} stop at degree {WM.max_usable}; "
+                             f"the Cartan model needs degree {N}")
+        S = WM.tensor.A.A.truncated(2 * max_a)
+        sym_basis = {2 * a: sym_monomials(n, a) for a in range(max_a + 1)}
+        ambient = TensorSpace(S, M.space, N)
         vectors = _lambda_zero_columns(ambient, invariants, f"({M.name})_g")
 
     # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs),

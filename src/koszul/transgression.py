@@ -258,7 +258,7 @@ def distinguished_transgression(
             raise TransgressionError("primitive of even degree cannot transgress")
         w_inv = W.invariant_blocks([p])[p]
         s_deg = (p + 1) // 2
-        s_monos = sym_monomials(n, s_deg)
+        s_monos = alg.sym_basis[p + 1]
         s_inv = block_action_kernel(g, [L.block(p + 1) for L in alg.sym_action], len(s_monos))
         if not s_inv.cols:
             raise TransgressionError(

@@ -245,9 +245,9 @@ def _build(kind, g):
     return resolve_module(kind, g)
 
 
-def _assert_same_cartan(M, N, W, inv_WM):
+def _assert_same_cartan(M, N, inv_WM):
     fresh = cartan_model(M, Truncation(N))
-    read = cartan_model(M, Truncation(N), weil=W, invariants=inv_WM)
+    read = cartan_model(M, Truncation(N), invariants=inv_WM)
     assert read.vectors == fresh.vectors, (M.name, N)
     assert read.sym_basis == fresh.sym_basis, (M.name, N)
     assert read.ambient.A == fresh.ambient.A and read.complex.space == fresh.complex.space
@@ -264,7 +264,7 @@ def test_cartan_read_off_the_weil_side_equals_the_fresh_cut(alg, kind, top):
     M = _build(kind, g)
     seen = 0
     for N in range(top + 1):
-        seen += sum(V.cols for V in _assert_same_cartan(M, N, *_weil_side(M, N)).vectors.values())
+        seen += sum(V.cols for V in _assert_same_cartan(M, N, _weil_side(M, N)[1]).vectors.values())
     assert seen or not M.space.degrees()
 
 
@@ -280,14 +280,17 @@ def test_cartan_read_names_a_column_that_leaves_its_stratum(su2):
     inv.vectors[4] = V + Matrix(V.rows, V.cols, {(0, j): 1})  # row 0 lies in S^0⊗Λ^4
     with pytest.raises(SubcomplexError, match=r"^Cartan read of \(Q\)_g from \(W⊗M\)\^g: "
                                               rf"column {j} leaves S\^2⊗Λ\^0⊗M\^0 at degree 4$"):
-        cartan_model(M, Truncation(4), weil=W, invariants=inv)
+        cartan_model(M, Truncation(4), invariants=inv)
 
 
-def test_cartan_from_the_weil_side_rejects_a_short_weil_algebra(su2):
+def test_cartan_from_the_weil_side_rejects_invariants_that_stop_short(su2):
+    """Invariants of W⊗M that stop below the Cartan window are named, with
+    the degree they reach and the degree the model needs."""
     M = trivial_module(su2)
-    W, _ = _weil_side(M, 2)
-    with pytest.raises(ValueError, match="W\\(g\\) is built to degree 3, S\\(g\\*\\) is needed to 4"):
-        cartan_model(M, Truncation(4), weil=W)
+    _, inv = _weil_side(M, 2)
+    with pytest.raises(ValueError, match=r"^the invariants of W\(su2\)⊗Q stop at degree 2; "
+                                         r"the Cartan model needs degree 4$"):
+        cartan_model(M, Truncation(4), invariants=inv)
 
 
 def test_verify_duality_cuts_no_cartan_or_polynomial_invariants(monkeypatch):

@@ -448,7 +448,7 @@ def test_invariants_of_a_non_action_fall_back_to_every_L_k():
     for t in cartan.ambient.degrees():
         K = joint_kernel([L.block(t) for L in lifted], cartan.ambient.dim(t))
         assert cartan.vectors.get(t, K) == K and (t in cartan.vectors) == bool(K.cols)
-    read = cartan_model(M, Truncation(3), weil=W, invariants=invariant_subcomplex(WM))
+    read = cartan_model(M, Truncation(3), invariants=invariant_subcomplex(WM))
     assert read.vectors == cartan.vectors and read.complex.d.blocks == cartan.complex.d.blocks
 
 
