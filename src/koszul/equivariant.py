@@ -59,13 +59,6 @@ def invariant_multivectors(g: LieAlgebra, p: int) -> list:
                                len(lambda_monomials(g.dim, p))).columns()
 
 
-def sym_invariants(g: LieAlgebra, a: int) -> list:
-    """Basis of coadjoint invariants of S^a(g*), read out as dense vectors."""
-    _, coad = adjoint_matrices(g)
-    return block_action_kernel(g, derivation_on_sym(list(coad.matrices), a),
-                               len(sym_monomials(g.dim, a))).columns()
-
-
 class MultivectorElement(Frozen):
     """An invariant multivector: degree, coefficients over the monomial basis."""
 
@@ -88,22 +81,90 @@ def invariant_multivector_basis(g: LieAlgebra, top: Optional[int] = None) -> lis
     return out
 
 
-def sym_invariant_complex(g: LieAlgebra, N: int):
-    """(S(g*))^g as a complex with zero differential, degrees 0..N.
+class SymmetricAlgebra(GradedSpace):
+    """S(g*) with generators u^k in degree 2, up to S^max_a: the graded
+    space labelled by the monomials of ``basis`` (degree 2a -> the S^a
+    monomials), its coadjoint action and invariants, and multiplication.
 
-    Returns (Complex, vectors) where vectors[2a] lists coordinate vectors
-    over the degree-a symmetric monomial basis.
+    The L_k blocks and the invariants of each S^a are built on first read
+    and shared by every cut (truncated) or widening (to) of the record.
     """
-    labels = {}
-    vectors = {}
-    for a in range(0, N // 2 + 1):
-        inv = sym_invariants(g, a)
-        if inv:
-            vectors[2 * a] = inv
-            labels[2 * a] = tuple(f"S^g[{2*a},{i}]" for i in range(len(inv)))
-    space = GradedSpace(labels, lo=0, hi=N)
-    cx = Complex(space, LinMap.zero(space, space, 1), complete=False, check=False)
-    return cx, vectors
+
+    __slots__ = ("g", "basis", "_shared")
+
+    def __init__(self, g: LieAlgebra, max_a: int, shared: Optional[tuple] = None):
+        self.g = g
+        self.basis = {2 * a: sym_monomials(g.dim, a) for a in range(max_a + 1)}
+        self._shared = shared or ({}, {})  # (a -> L_k blocks on S^a, a -> invariants of S^a)
+        super().__init__({deg: tuple(sym_label(e, g.basis_labels) for e in monos)
+                          for deg, monos in self.basis.items()})
+
+    def truncated(self, top: int) -> "SymmetricAlgebra":
+        """The degrees up to top, with ``basis`` cut to match."""
+        cut = super().truncated(top)
+        cut.basis = {deg: monos for deg, monos in self.basis.items() if deg <= top}
+        return cut
+
+    def to(self, max_a: int) -> "SymmetricAlgebra":
+        """S up to S^max_a: this record cut, or a wider one sharing its blocks and invariants."""
+        if 2 * max_a in self.basis:
+            return self.truncated(2 * max_a)
+        return SymmetricAlgebra(self.g, max_a, self._shared)
+
+    def _blocks(self, a: int) -> list:
+        blocks, _ = self._shared
+        if a not in blocks:
+            _, coad = adjoint_matrices(self.g)
+            blocks[a] = derivation_on_sym(list(coad.matrices), a)
+        return blocks[a]
+
+    @property
+    def action(self) -> list:
+        """The coadjoint L_k on S as derivations (shift 0), one LinMap per basis vector of g."""
+        return [LinMap(self, self, 0, {deg: self._blocks(deg // 2)[k] for deg in self.basis})
+                for k in range(self.g.dim)]
+
+    def invariants(self, deg: int) -> Matrix:
+        """The coadjoint invariants of S^(deg/2) as the columns of a Matrix."""
+        _, kernels = self._shared
+        a = deg // 2
+        if a not in kernels:
+            kernels[a] = block_action_kernel(self.g, self._blocks(a), len(self.basis[deg]))
+        return kernels[a]
+
+    def multiplication(self, a: int, coeffs: Sequence) -> LinMap:
+        """Multiplication by the S^a element with coefficients coeffs over
+        the S^a monomials (shift 2a)."""
+        monos = sym_monomials(self.g.dim, a)
+        if len(coeffs) != len(monos):
+            raise ValueError(f"an element of S^{a} needs dim S^{a} = {len(monos)} coefficients, "
+                             f"got {len(coeffs)}")
+        factor = [(m, c) for m, c in zip(monos, coeffs) if c]
+        blocks = {}
+        for deg, source in self.basis.items():
+            target = self.basis.get(deg + 2 * a)
+            if target is not None:
+                row_of = {m: i for i, m in enumerate(target)}
+                blocks[deg] = Matrix(len(target), len(source), {
+                    (row_of[sym_multiply(e, m)], col): c for col, e in enumerate(source) for m, c in factor})
+        return LinMap(self, self, 2 * a, blocks)
+
+    def generator(self, k: int) -> LinMap:
+        """Multiplication by the generator u^k (shift 2)."""
+        return self.multiplication(1, [int(i == k) for i in range(self.g.dim)])
+
+
+def sym_invariant_complex(S: SymmetricAlgebra, N: int):
+    """(S(g*))^g as a complex with zero differential, degrees 0..N, cut
+    from S, which reaches N.
+
+    Returns (Complex, vectors) where vectors[2a] is the Matrix
+    S.invariants(2a), for every S^a with an invariant.
+    """
+    vectors = {deg: V for deg in S.basis if (V := S.invariants(deg)).cols}
+    space = GradedSpace({deg: tuple(f"S^g[{deg},{i}]" for i in range(V.cols)) for deg, V in vectors.items()},
+                        lo=0, hi=N)
+    return Complex(space, LinMap.zero(space, space, 1), complete=False, check=False), vectors
 
 
 # ---------------------------------------------------------------------------
@@ -171,76 +232,30 @@ def invariant_subcomplex(M: KgModule) -> InvariantModel:
 
 
 class CartanModel:
-    """(S(g*) ⊗ M)^g with the equivariant differential and S-module structure."""
+    """(S(g*) ⊗ M)^g with the equivariant differential and S-module
+    structure; ``ambient.A`` is S(g*), a SymmetricAlgebra cut at degree N."""
 
     def __init__(self, module: KgModule, g: LieAlgebra, N: int, complex: Complex,
-                 ambient: TensorSpace, sym_basis: dict, vectors: dict):
+                 ambient: TensorSpace, vectors: dict):
         self.module, self.g, self.N, self.complex = module, g, N, complex
         self.ambient = ambient  # S(g*) ⊗ M cut at degree N
-        self.sym_basis = sym_basis  # degree 2a -> the S^a monomials, basis of ambient.A
         self.vectors = vectors  # degree -> Matrix of the invariant vectors in ambient coordinates
-
-    @cached_property
-    def s_invariants(self) -> dict:
-        """Cohomological degree 2a -> the coadjoint invariants of S^a as
-        coefficient vectors, for every S^a of sym_basis that has one."""
-        return {deg: inv for deg in self.sym_basis if (inv := sym_invariants(self.g, deg // 2))}
 
     def s_action(self, sym_degree: int, coeffs: Sequence) -> LinMap:
         """Multiplication by an S^sym_degree element on the model (shift 2a)."""
-        if len(coeffs) != len(sym_monomials(self.g.dim, sym_degree)):
-            raise ValueError("coefficient vector does not match the monomial basis")
-        factor = dict(zip(sym_monomials(self.g.dim, sym_degree), coeffs))
-        mult = sym_multiplication(self.ambient.A, self.sym_basis, sym_degree, factor)
-        shift, space = 2 * sym_degree, self.complex.space
-        return induced_map(LiftedSum(self.ambient, [(mult, None)], shift),
+        mult, space = self.ambient.A.multiplication(sym_degree, coeffs), self.complex.space
+        return induced_map(LiftedSum(self.ambient, [(mult, None)], mult.shift),
                            self.vectors, self.vectors, space, space)
-
-
-def symmetric_algebra(g: LieAlgebra, max_a: int):
-    """S(g*) with generators in degree 2, up to S^max_a.
-
-    Returns (S, sym_basis, action): the graded space labelled by monomials,
-    degree 2a -> the S^a monomials, and the coadjoint action L_k on S as
-    derivations (shift 0), one LinMap per basis vector of g.
-    """
-    n = g.dim
-    _, coad = adjoint_matrices(g)
-    sym_basis = {2 * a: sym_monomials(n, a) for a in range(max_a + 1)}
-    S = GradedSpace({deg: tuple(sym_label(e, g.basis_labels) for e in monos)
-                     for deg, monos in sym_basis.items()})
-    per_a = [derivation_on_sym(list(coad.matrices), a) for a in range(max_a + 1)]
-    action = [LinMap(S, S, 0, {2 * a: per_a[a][k] for a in range(max_a + 1)})
-              for k in range(n)]
-    return S, sym_basis, action
-
-
-def sym_generator(n: int, k: int) -> dict:
-    """The generator u^k of S(g*) as {monomial: coefficient}."""
-    return {tuple(int(i == k) for i in range(n)): 1}
-
-
-def sym_multiplication(S: GradedSpace, sym_basis: dict, a: int, factor: dict) -> LinMap:
-    """Multiplication by the S^a element {monomial: coefficient} on S(g*) (shift 2a)."""
-    blocks = {}
-    for deg, monos in sym_basis.items():
-        target = sym_basis.get(deg + 2 * a)
-        if target is None:
-            continue
-        row_of = {m: i for i, m in enumerate(target)}
-        blocks[deg] = Matrix(len(target), len(monos), {
-            (row_of[sym_multiply(exps, smono)], col): c
-            for col, exps in enumerate(monos) for smono, c in factor.items() if c
-        })
-    return LinMap(S, S, 2 * a, blocks)
 
 
 def cartan_model(M: KgModule, trunc: Truncation,
                  invariants: Optional[InvariantModel] = None) -> CartanModel:
     """Build the equivariant model of M up to total degree trunc.max_degree.
 
-    With ``invariants``, those of W(g)⊗M to degree N (so W(g) reaches every
-    S^a needed), S(g*) is W(g)'s cut to degree 2·max_a and no kernel is cut:
+    Without ``invariants``, S(g*) is a SymmetricAlgebra of its own and the
+    invariant vectors are cut from its L_k and M's.  With ``invariants``,
+    those of W(g)⊗M to degree N, S(g*) is W(g)'s record cut (or widened)
+    to S^max_a and no kernel is cut:
     each L_k keeps the S-, Λ- and M-degrees, so each reduced kernel vector
     lies in the stratum of its free column; on S^a⊗Λ^0⊗M^r L_k is the
     ambient's (L^Λ kills Λ^0) and
@@ -249,15 +264,14 @@ def cartan_model(M: KgModule, trunc: Truncation,
     fallback) shows every L_k kills them.
     """
     g = M.g
-    n = g.dim
     N = trunc.max_degree
     if not M.complete:
         raise ValueError("the equivariant model needs a complete (untruncated) module")
     max_a = max(0, (N - M.space.lo) // 2)
     if invariants is None:
-        S, sym_basis, sym_action = symmetric_algebra(g, max_a)
+        S = SymmetricAlgebra(g, max_a)
         ambient = TensorSpace(S, M.space, N)
-        L = [DiagonalSum(ambient, A, B) for A, B in zip(sym_action, M.L_ops)]
+        L = [DiagonalSum(ambient, A, B) for A, B in zip(S.action, M.L_ops)]
         vectors = {deg: V for deg in ambient.degrees()
                    if (V := action_invariants(g, L, deg, ambient.dim(deg))).cols}
     else:
@@ -265,23 +279,20 @@ def cartan_model(M: KgModule, trunc: Truncation,
         if WM.max_usable < N:
             raise ValueError(f"the invariants of {WM.name} stop at degree {WM.max_usable}; "
                              f"the Cartan model needs degree {N}")
-        S = WM.tensor.A.A.truncated(2 * max_a)
-        sym_basis = {2 * a: sym_monomials(n, a) for a in range(max_a + 1)}
+        S = WM.tensor.A.A.to(max_a)
         ambient = TensorSpace(S, M.space, N)
         vectors = _lambda_zero_columns(ambient, invariants, f"({M.name})_g")
 
     # ambient equivariant differential d + sum_k u^k · i_k (S is even: no signs),
     # read only as its images of the invariant columns: none of it is lifted
     amb_complex = TensorComplex(ambient, [(None, M.d)] + [
-        (sym_multiplication(S, sym_basis, 1, sym_generator(n, k)), M.i_ops[k])
-        for k in range(n)], complete=False)
+        (S.generator(k), M.i_ops[k]) for k in range(g.dim)], complete=False)
     sub, _ = subcomplex(amb_complex, vectors, label_prefix=f"({M.name})_g")
     bad = sub.d_squared_defect()
     if bad is not None:
         raise SubcomplexError(f"equivariant differential fails d^2 = 0 at {bad}")
 
-    return CartanModel(module=M, g=g, N=N, complex=sub, ambient=ambient, sym_basis=sym_basis,
-                       vectors=vectors)
+    return CartanModel(module=M, g=g, N=N, complex=sub, ambient=ambient, vectors=vectors)
 
 
 def _lambda_zero_columns(ambient: TensorSpace, inv: InvariantModel, name: str) -> dict:

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .complexes import Truncation
-from .equivariant import invariant_multivector_basis, sym_invariants
+from .equivariant import invariant_multivector_basis
 from .lie import LieAlgebra, adjoint_matrices, block_action_kernel
 from .linalg import (
     Frozen,
@@ -32,22 +32,10 @@ from .linalg import (
     image_rank,
     joint_kernel,
     rank,
-    vec,
     vstack,
 )
-from .modules import (
-    derivation_on_lambda,
-    lambda_label,
-    lambda_monomials,
-    sym_label,
-    sym_monomials,
-    sym_multiply,
-    wedge_concat,
-)
+from .modules import derivation_on_lambda, lambda_label, lambda_monomials, sym_label, wedge_concat
 from .weil import WeilModule, weil_model
-
-Q0 = Fraction(0)
-Q1 = Fraction(1)
 
 
 class TransgressionError(ValueError):
@@ -226,7 +214,8 @@ def distinguished_transgression(
     The solve for a primitive of degree p reads W only at p and p + 1, so
     without `weil` W is built to needed = the largest primitive degree + 1
     (0 with no primitive); a given `weil` must reach needed.  (S^a)^g, a =
-    (p + 1)/2, is cut from W's own S action blocks: no S^a is built anew.
+    (p + 1)/2, is read from W's S(g*) record (SymmetricAlgebra.invariants):
+    no S^a is built anew.
 
     `unknown_permutation` reorders the solver's unknowns (used to certify
     that ξ~ does not depend on free-variable choices); it permutes the
@@ -243,7 +232,7 @@ def distinguished_transgression(
         raise TransgressionError(
             f"Weil algebra materialized to degree {W.space.hi}, need {needed}"
         )
-    alg = W.algebra
+    alg, S = W.algebra, W.algebra.product.A
     n = g.dim
     # the contraction operators do not depend on the primitive: build them once.
     # W's i_k is 1⊗i_k^Λ and S(g*) is even, so a composite of them is the
@@ -258,8 +247,7 @@ def distinguished_transgression(
             raise TransgressionError("primitive of even degree cannot transgress")
         w_inv = W.invariant_blocks([p])[p]
         s_deg = (p + 1) // 2
-        s_monos = alg.sym_basis[p + 1]
-        s_inv = block_action_kernel(g, [L.block(p + 1) for L in alg.sym_action], len(s_monos))
+        s_monos, s_inv = S.basis[p + 1], S.invariants(p + 1)
         if not s_inv.cols:
             raise TransgressionError(
                 f"no invariant polynomials of degree {s_deg} to transgress into"
@@ -341,68 +329,30 @@ def _verify_entry(W, prim, omega, xi_tilde, contraction_ops, xi_vec) -> None:
 def generation_check(g: LieAlgebra, data: TransgressionData, trunc: Truncation) -> bool:
     """The ξ~ generate the invariant polynomials freely, by dimension count.
 
-    For every symmetric degree a with 2a <= max_degree, monomials in the
-    ξ~ of weighted degree a must span (S^a g*)^g and be independent.
+    For every symmetric degree a with 2a <= max_degree, the monomials in
+    the ξ~ of weighted degree a must be as many as dim (S^a g*)^g and
+    independent; being invariant, they then span it.  They are built on
+    W's S(g*), cut or widened to S^(max_degree/2), degree by degree: those
+    of degree a are ξ~_j times each monomial of degree a − w_j whose last
+    factor index is ≤ j, so each multiset of factors is built once.
     """
-    n = g.dim
-    weights = [data.xi_tilde_sym_degree(i) for i in range(len(data.entries))]
     max_a = trunc.max_degree // 2
-    for a in range(0, max_a + 1):
-        target = sym_invariants(g, a)
-        dim_target = len(target)
-        exps_list = _weighted_exponents(weights, a)
-        prods = []
-        for exps in exps_list:
-            v = {tuple([0] * n): Q1}
-            for idx, e in enumerate(exps):
-                for _ in range(e):
-                    v = _sym_elt_multiply(
-                        v,
-                        {m: c for m, c in zip(
-                            sym_monomials(n, weights[idx]),
-                            data.entries[idx].xi_tilde) if c},
-                    )
-            monos = sym_monomials(n, a)
-            prods.append(vec([v.get(m, Q0) for m in monos]))
-        if len(prods) != dim_target:
-            return False
-        if dim_target and rank(Matrix.from_columns(prods)) != dim_target:
+    S = data.weil.algebra.product.A.to(max_a)
+    weights = [data.xi_tilde_sym_degree(j) for j in range(len(data.entries))]
+    mults = [S.multiplication(w, e.xi_tilde) for w, e in zip(weights, data.entries)]
+    # a -> (the monomials of degree a as columns over S^a, the last factor index of each)
+    products = {0: (Matrix.identity(1), [-1])}
+    for a in range(max_a + 1):
+        if a:
+            parts, last = [], []
+            for j, (w, mult) in enumerate(zip(weights, mults)):
+                if w <= a:
+                    V, ends = products[a - w]
+                    cols = [i for i, end in enumerate(ends) if end <= j]
+                    parts.append(mult.block(2 * (a - w)) @ V.take(cols))
+                    last += [j] * len(cols)
+            products[a] = hstack(parts, S.dim(2 * a)), last
+        V, want = products[a][0], S.invariants(2 * a).cols
+        if V.cols != want or (want and rank(V) != want):
             return False
     return True
-
-
-def _weighted_exponents(weights, total):
-    if total == 0:
-        return [tuple([0] * len(weights))]
-    if not weights:
-        return []
-    out = []
-
-    def rec(prefix, remaining, idx):
-        if idx == len(weights) - 1:
-            w = weights[idx]
-            if w and remaining % w == 0:
-                out.append(prefix + (remaining // w,))
-            elif remaining == 0:
-                out.append(prefix + (0,))
-            return
-        w = weights[idx]
-        maxe = remaining // w if w else 0
-        for e in range(maxe + 1):
-            rec(prefix + (e,), remaining - e * w, idx + 1)
-
-    rec((), total, 0)
-    return out
-
-
-def _sym_elt_multiply(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            key = sym_multiply(m1, m2)
-            s = out.get(key, Q0) + c1 * c2
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out

@@ -42,14 +42,7 @@ from .complexes import (
     Truncation,
     subcomplex,
 )
-from .equivariant import (
-    CartanModel,
-    cartan_model,
-    sym_generator,
-    sym_invariant_complex,
-    sym_multiplication,
-    symmetric_algebra,
-)
+from .equivariant import CartanModel, SymmetricAlgebra, cartan_model, sym_invariant_complex
 from .lie import LieAlgebra
 from .linalg import Matrix, Subspace, joint_kernel, rank
 from .modules import (
@@ -57,7 +50,6 @@ from .modules import (
     TensorModule,
     exterior_model,
     lambda_monomials,
-    sym_monomials,
     sym_multiply,
     tensor_module,
     wedge_by_generator,
@@ -71,25 +63,23 @@ Q1 = Fraction(1)
 class WeilAlgebra:
     """Monomial calculus on W(g) = S(g*) ⊗ Λ(g*), materialized up to a total degree.
 
-    ``product`` is the TensorSpace(S, Λ(g*)), ``sym_basis`` the S monomials
-    per degree 2a, ``sym_action`` the coadjoint L_k on S (one LinMap per
-    basis vector of g) and ``d`` the lifted d_W.  A monomial key (symmetric
+    ``product`` is the TensorSpace(S, Λ(g*)); its A is S(g*) itself, the
+    SymmetricAlgebra record of its monomials, coadjoint L_k, invariants and
+    multiplication.  ``d`` is the lifted d_W.  A monomial key (symmetric
     exponents, Λ monomial) maps to its position in the product and back
     through the product and one index per factor: key(m, i) is the key of
     basis vector i of degree m, and position(key) its index there.
     """
 
-    def __init__(self, g: LieAlgebra, ext: KgModule, product: TensorSpace,
-                 sym_basis: dict, sym_action: list, d: LinMap):
-        self.g = g
+    def __init__(self, ext: KgModule, product: TensorSpace, d: LinMap):
+        self.g = g = product.A.g
         self.N = product.hi
         self.ext = ext
         self.product = product
-        self.sym_basis, self.sym_action = sym_basis, sym_action
         self.d = d
         self._lambda_basis = {r: lambda_monomials(g.dim, r) for r in range(min(self.N, g.dim) + 1)}
         # each monomial lies in one degree, so one index per factor serves all
-        self._sym_index = {e: a for monos in sym_basis.values() for a, e in enumerate(monos)}
+        self._sym_index = {e: a for monos in product.A.basis.values() for a, e in enumerate(monos)}
         self._lambda_index = {e: b for monos in self._lambda_basis.values() for b, e in enumerate(monos)}
         self._wider: Optional[WeilAlgebra] = None
 
@@ -101,7 +91,7 @@ class WeilAlgebra:
     def key(self, m: int, i: int) -> tuple:
         """The key of basis vector i of W in degree m."""
         q, a, r, b = self.product.entry(m, i)
-        return self.sym_basis[q][a], self._lambda_basis[r][b]
+        return self.product.A.basis[q][a], self._lambda_basis[r][b]
 
     def position(self, key) -> int:
         """The index of a key in the basis of its degree."""
@@ -138,7 +128,7 @@ class WeilAlgebra:
         top = max(parts, default=-1)
         if top >= self.N:
             if self._wider is None or self._wider.N <= top:
-                self._wider = weil_algebra(self.g, self.ext, top + 1)
+                self._wider = weil_algebra(self.product.A.to((top + 1) // 2), self.ext, top + 1)
             return self._wider.differential_element(element)
         out: dict = {}
         for m, part in parts.items():
@@ -161,17 +151,15 @@ class WeilModule(TensorModule):
         self.algebra = algebra
 
 
-def weil_algebra(g: LieAlgebra, ext: KgModule, N: int) -> WeilAlgebra:
-    """W(g) to total degree N with its lifted d_W and the L_k on S, from ext = Λ(g*)."""
-    n = g.dim
-    S, sym_basis, sym_action = symmetric_algebra(g, N // 2)
+def weil_algebra(S: SymmetricAlgebra, ext: KgModule, N: int) -> WeilAlgebra:
+    """W(g) to total degree N with its lifted d_W, on S = S(g*) to S^(N/2)
+    and ext = Λ(g*); a W built wider shares S's record (SymmetricAlgebra.to)."""
     product = TensorSpace(S, ext.space, N)
     d = product.lift_sum(
         [(None, ext.d)]
-        + [(sym_multiplication(S, sym_basis, 1, sym_generator(n, k)), ext.i_ops[k].scale(-1))
-           for k in range(n)]
-        + [(sym_action[k].scale(-1), wedge_by_generator(ext, k)) for k in range(n)], 1)
-    return WeilAlgebra(g, ext, product, sym_basis, sym_action, d)
+        + [(S.generator(k), ext.i_ops[k].scale(-1)) for k in range(S.g.dim)]
+        + [(L.scale(-1), wedge_by_generator(ext, k)) for k, L in enumerate(S.action)], 1)
+    return WeilAlgebra(ext, product, d)
 
 
 def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
@@ -189,12 +177,12 @@ def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
     result (a truncated module), one product column at a time.
     """
     ext = exterior_model(g)  # certifies that g is reductive
-    alg = weil_algebra(g, ext, trunc.max_degree)
+    alg = weil_algebra(SymmetricAlgebra(g, trunc.max_degree // 2), ext, trunc.max_degree)
     product = alg.product
     no_contraction = LinMap.zero(product.A, product.A, -1)
     cx = Complex(product, alg.d, complete=False, check=True)
     return WeilModule(alg, cx, lambda: ((no_contraction, ik) for ik in ext.i_ops),
-                      lambda: zip(alg.sym_action, ext.L_ops), f"W({g.name})")
+                      lambda: zip(product.A.action, ext.L_ops), f"W({g.name})")
 
 
 def maurer_cartan_residuals(W: WeilModule) -> list:
@@ -228,10 +216,9 @@ def maurer_cartan_residuals(W: WeilModule) -> list:
 def weil_structure_maps(W: WeilModule):
     """(inclusion (S)^g -> W(g), restriction W(g) ->> Λ(g*)) as chain maps."""
     product, N = W.algebra.product, W.space.hi
-    s_complex, s_vectors = sym_invariant_complex(W.g, N)
+    s_complex, s_vectors = sym_invariant_complex(product.A, N)
     inclusion = ChainMap(s_complex, W.complex, LinMap(s_complex.space, W.space, 0, {
-        deg: product.embed(Matrix.from_columns(vecs, nrows=product.A.dim(deg)), deg, left=True)
-        for deg, vecs in s_vectors.items()}))
+        deg: product.embed(V, deg, left=True) for deg, V in s_vectors.items()}))
     ext = W.algebra.ext
     restriction = ChainMap(W.complex, ext.complex, LinMap(W.space, ext.space, 0, {
         m: product.embed(Matrix.identity(ext.space.dim(m)), m, left=False).transpose()
@@ -466,7 +453,7 @@ def twisted_cartan_image(A: CartanModel, W: WeilModule, WM: TensorModule, data: 
         img: dict = {}
         for at, coeff in x:
             sdeg, si, q, mi = A.ambient.entry(adeg, at)
-            exps = A.sym_basis[sdeg][si]
+            exps = A.ambient.A.basis[sdeg][si]
             # T(1 ⊗ m_mi): column mi of the twist on 1⊗M at degree q
             for pos, tval in unit_cols[q][mi]:
                 p, il, r, im = data.space.entry(q, pos)
@@ -522,18 +509,16 @@ def twist_embedding(
 
 def embedding_s_linearity(emb: TwistEmbedding) -> bool:
     """a' · Ψ(x) = Ψ(a' · x) for every invariant symmetric generator a'."""
-    A, alg = emb.cartan, emb.weil.algebra
+    A, W = emb.cartan, emb.weil.algebra.product
     product = emb.product.tensor
-    for s_deg, inv_vectors in sorted(A.s_invariants.items()):
+    for s_deg in A.ambient.A.basis:
         a = s_deg // 2
         if a == 0:
             continue
-        for coeffs in inv_vectors:
+        for coeffs in A.ambient.A.invariants(s_deg).columns():
             mult = A.s_action(a, coeffs)
             # multiply ambient images by the invariant polynomial on the W factor (S is even: a lift)
-            factor = dict(zip(sym_monomials(A.g.dim, a), coeffs))
-            on_w = alg.product.lift(sym_multiplication(alg.product.A, alg.sym_basis, a, factor), None)
-            lifted = product.lift(on_w, None)
+            lifted = product.lift(W.lift(W.A.multiplication(a, coeffs), None), None)
             for deg, blk in emb.ambient_blocks.items():
                 tgt_deg = deg + s_deg
                 if tgt_deg not in emb.ambient_blocks:

@@ -33,12 +33,7 @@ from koszul.complexes import (
     subcomplex,
 )
 from koszul.cli import resolve_algebra, resolve_module
-from koszul.equivariant import (
-    cartan_model,
-    invariant_subcomplex,
-    sym_generator,
-    sym_multiplication,
-)
+from koszul.equivariant import cartan_model, invariant_subcomplex
 from koszul.lie import BUILTIN_NAMES
 from koszul.linalg import Matrix, ShapeError, joint_kernel, kernel_basis, row_kernel, solve_affine, vec, vstack
 from koszul.modules import exterior_model, lambda_monomials, tensor_module, trivial_module
@@ -1115,10 +1110,8 @@ def test_induced_map_matches_dense_reference(alg):
             ambient = M.contraction_of_multivector(mv.coeffs, lambda_monomials(n, mv.degree))
             nonzero += _assert_induced_matches_reference(ambient, act, inv.vectors)
         A = cartan_model(M, Truncation(4))
-        S, sym_basis = A.ambient.A, A.sym_basis
         amb_d = A.ambient.lift_sum(
-            [(None, M.d)] + [(sym_multiplication(S, sym_basis, 1, sym_generator(n, k)), M.i_ops[k])
-                             for k in range(n)], 1)
+            [(None, M.d)] + [(A.ambient.A.generator(k), M.i_ops[k]) for k in range(n)], 1)
         nonzero += _assert_induced_matches_reference(amb_d, A.complex.d, A.vectors)
     assert nonzero  # the comparison saw restricted maps that do not vanish
 

@@ -19,6 +19,7 @@ from koszul.transgression import (
     TransgressionData,
     TransgressionEntry,
     distinguished_transgression,
+    generation_check,
     primitive_basis,
 )
 
@@ -133,13 +134,14 @@ def test_duality_su2xsu2_exterior_window_5():
 
 def test_duality_builds_only_what_it_reads():
     # the verifier reads T only on the columns 1⊗m and never reads the
-    # contractions of W⊗M or the S invariants of the Cartan model: none
-    # may be built
+    # contractions of W⊗M; S(g*)'s invariants are cut only where the
+    # transgression reads them (S^2, for the two degree-3 primitives)
     g = builtin_algebra("su2xsu2")
     report, comp = verify_duality(exterior_model(g), Truncation(4))
     assert report.verdict
     assert "i_ops" not in vars(comp.product)
-    assert "s_invariants" not in vars(comp.cartan)
+    _, s_invariants = comp.cartan.ambient.A._shared
+    assert sorted(s_invariants) == [2] and comp.cartan.ambient.A._shared is comp.weil.algebra.product.A._shared
     assert not {"tensor", "generator", "twist", "twist_inv"} & set(vars(comp.twist))
     assert comp.twist.exterior is comp.weil.algebra.ext
 
@@ -532,24 +534,42 @@ def test_psi_contraction_compatibility_reads_the_computed_invariants(monkeypatch
 # -- metamorphic oracle: a change of basis of g changes no answer ---------------
 
 
-def _rebased(g, perm, scales):
-    """g in the basis f_a = scales[a]·x_perm[a]: c'^c_ab = s_a s_b c^perm[c]_{perm[a] perm[b]} / s_c."""
+def _rebased(g, perm, scales, shear=None):
+    """g in the basis f_a = scales[a]·y_perm[a], where y_m = x_m except
+    y_s = x_s + x_t for shear = (s, t): the brackets [f_a, f_b] written back
+    in the f, through x_s = y_s − y_t."""
     n = g.dim
-    brackets = [{"i": a, "j": b, "terms": [
-        {"k": c, "c": str(Fraction(scales[a] * scales[b] * g.c(perm[c], perm[a], perm[b]), scales[c]))}
-        for c in range(n) if g.c(perm[c], perm[a], perm[b])]}
-        for a in range(n) for b in range(a + 1, n)]
+    s, t = shear or (None, None)
+
+    def in_f(x: dict) -> dict:
+        y = dict(x)
+        if s in x:
+            y[t] = y.get(t, 0) - x[s]
+        return {a: Fraction(y[perm[a]], scales[a]) for a in range(n) if y.get(perm[a])}
+
+    f = [{perm[a]: scales[a], **({t: scales[a]} if perm[a] == s else {})} for a in range(n)]
+    brackets = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            x = {}
+            for i, u in f[a].items():
+                for j, v in f[b].items():
+                    for k in range(n):
+                        x[k] = x.get(k, 0) + u * v * g.c(k, i, j)
+            brackets.append({"i": a, "j": b, "terms": [{"k": c, "c": str(v)} for c, v in in_f(x).items()]})
     return lie_algebra_from_dict({"name": f"{g.name}'", "dim": n,
                                   "basis": [f"{g.basis_labels[p]}'" for p in perm], "brackets": brackets})
 
 
 def _duality_answers(g, kind, N):
-    """The Betti tables, verdict and transgression degrees of one duality run."""
+    """The Betti tables, verdict, transgression degrees and generation
+    verdict of one duality run."""
     report, comp = verify_duality((trivial_module if kind == "trivial" else exterior_model)(g),
                                   Truncation(N))
+    T = comp.transgression
     return (report.betti_h, report.betti_product_invariants, report.betti_invariants,
-            report.betti_match, report.verdict, [e.primitive.degree for e in comp.transgression.entries],
-            [comp.transgression.xi_tilde_sym_degree(j) for j in range(len(comp.transgression.entries))])
+            report.betti_match, report.verdict, [e.primitive.degree for e in T.entries],
+            [T.xi_tilde_sym_degree(j) for j in range(len(T.entries))], generation_check(g, T, Truncation(N)))
 
 
 _ANSWERS: dict = {}  # (algebra, module kind, N) -> the answers in the built-in basis
@@ -557,23 +577,28 @@ _ANSWERS: dict = {}  # (algebra, module kind, N) -> the answers in the built-in 
 
 @st.composite
 def rebasings(draw):
-    """(algebra, module kind, N, permutation, nonzero rational scales)."""
-    alg = draw(st.sampled_from(["su2", "sl2", "su2xsu2", "u2"]))
+    """(algebra, module kind, N, permutation, nonzero rational scales, shear
+    (s, t) with s != t, or None)."""
+    alg = draw(st.sampled_from(["su2", "sl2", "su2xsu2", "u2", "sl3"]))
     n = builtin_algebra(alg).dim
     nonzero = st.fractions(-4, 4, max_denominator=4).filter(bool)
+    index = st.integers(0, n - 1)
     return (alg, draw(st.sampled_from(["trivial", "exterior"])), draw(st.integers(1, 4)),
-            tuple(draw(st.permutations(range(n)))), tuple(draw(st.lists(nonzero, min_size=n, max_size=n))))
+            tuple(draw(st.permutations(range(n)))), tuple(draw(st.lists(nonzero, min_size=n, max_size=n))),
+            draw(st.none() | st.tuples(index, index).filter(lambda st_: st_[0] != st_[1])))
 
 
 @settings(max_examples=25, deadline=None)
 @given(case=rebasings())
-@example(case=("su2xsu2", "exterior", 4, (5, 4, 3, 2, 1, 0), (1,) * 6))
+@example(case=("su2xsu2", "exterior", 4, (5, 4, 3, 2, 1, 0), (1,) * 6, None))
+@example(case=("sl3", "exterior", 4, tuple(range(8)), (1,) * 8, (0, 2)))  # h1 -> h1 + e12
 def test_a_change_of_basis_of_g_changes_no_duality_answer(case):
-    """Permuting and rationally rescaling the basis of g leaves the Betti
-    tables, the verdict and the transgression degrees of verify_duality as
-    they are in the built-in basis."""
-    alg, kind, N, perm, scales = case
+    """Permuting, rationally rescaling and shearing the basis of g leaves
+    the Betti tables, the verdict, the transgression degrees and the
+    generation verdict of verify_duality as they are in the built-in
+    basis."""
+    alg, kind, N, perm, scales, shear = case
     g = builtin_algebra(alg)
     if (alg, kind, N) not in _ANSWERS:
         _ANSWERS[alg, kind, N] = _duality_answers(g, kind, N)
-    assert _duality_answers(_rebased(g, perm, scales), kind, N) == _ANSWERS[alg, kind, N]
+    assert _duality_answers(_rebased(g, perm, scales, shear), kind, N) == _ANSWERS[alg, kind, N]

@@ -5,13 +5,13 @@ import pytest
 from koszul.cli import resolve_module
 from koszul.complexes import SubcomplexError, Truncation, check_chain_map, cohomology
 from koszul.equivariant import (
+    SymmetricAlgebra,
     cartan_model,
     induced_action_on_cohomology,
     invariant_multivector_basis,
     invariant_multivectors,
     invariant_subcomplex,
     sym_invariant_complex,
-    sym_invariants,
 )
 from koszul.lie import BUILTIN_NAMES, builtin_algebra
 from koszul.linalg import Matrix
@@ -44,15 +44,13 @@ def test_invariant_multivectors_su2(su2):
 
 
 def test_sym_invariants_su2(su2):
-    assert len(sym_invariants(su2, 0)) == 1
-    assert sym_invariants(su2, 1) == []
-    inv2 = sym_invariants(su2, 2)
-    assert len(inv2) == 1
+    S = SymmetricAlgebra(su2, 4)
+    assert [S.invariants(2 * a).cols for a in range(5)] == [1, 0, 1, 0, 1]
+    inv2 = S.invariants(4).columns()
     monos = sym_monomials(3, 2)
+    assert S.basis[4] == monos
     nonzero = {monos[i] for i, c in enumerate(inv2[0]) if c}
     assert nonzero == {(2, 0, 0), (0, 2, 0), (0, 0, 2)}
-    assert sym_invariants(su2, 3) == []
-    assert len(sym_invariants(su2, 4)) == 1
 
 
 def test_invariant_subcomplex_exterior_su2(ext_su2):
@@ -130,11 +128,12 @@ def test_cartan_model_exterior_su2(ext_su2):
 def test_cartan_s_action_is_chain_map(su2, ext_su2):
     # every invariant polynomial acts as a chain map of the Cartan model
     model = cartan_model(ext_su2, Truncation(6))
-    for deg2a, invariants in sorted(model.s_invariants.items()):
+    S = model.ambient.A
+    for deg2a in S.basis:
         a = deg2a // 2
         if a == 0:
             continue
-        for s in invariants:
+        for s in S.invariants(deg2a).columns():
             mult = model.s_action(a, s)
             lhs = model.complex.d.compose(mult)
             rhs = mult.compose(model.complex.d)
@@ -151,8 +150,59 @@ def test_cartan_rejects_truncated_module(su2, ext_su2):
 
 
 def test_sym_invariant_complex_su2(su2):
-    cx, vecs = sym_invariant_complex(su2, 8)
+    cx, vecs = sym_invariant_complex(SymmetricAlgebra(su2, 4), 8)
     assert {d: cx.space.dim(d) for d in cx.space.degrees()} == {0: 1, 4: 1, 8: 1}
+
+
+def test_symmetric_algebra_cut_and_widened_share_one_record(su2):
+    """A cut keeps ``basis`` in step with its degrees and labels; a cut and
+    a widening read the L_k blocks and invariants of the record they came
+    from, so no S^a is differentiated or cut twice."""
+    S = SymmetricAlgebra(su2, 2)
+    for cut, hi in ((S.truncated(3), 3), (S.to(1), 2)):
+        assert cut.degrees() == sorted(cut.basis) == [0, 2] and cut.hi == hi
+        assert all(cut.dim(deg) == len(monos) == len(cut.labels(deg)) for deg, monos in cut.basis.items())
+        assert all(sorted(L.blocks) == [2] for L in cut.action)
+    wide = S.to(4)
+    assert sorted(wide.basis) == wide.degrees() == [0, 2, 4, 6, 8] and wide.basis[4] == S.basis[4]
+    assert S.invariants(4) is wide.invariants(4) is S.to(1).to(3).invariants(4)
+    assert wide.invariants(8) is S.to(4).invariants(8) and wide.invariants(8).cols == 1
+    assert wide.labels(4) == S.labels(4) and wide.action[0].block(4) == S.action[0].block(4)
+
+
+@pytest.mark.parametrize("args, powers", [
+    (["transgress", "--algebra", "su2xsu2", "--max-degree", "8"], [0, 1, 2, 3, 4]),
+    (["weil-check", "--algebra", "su2", "--max-degree", "1"], [0, 1]),
+])
+def test_each_symmetric_power_is_differentiated_once(monkeypatch, capsys, args, powers):
+    """The L_k on each S^a are built once per command: transgress's W(g)
+    reaches S^2 and generation_check widens its record to S^4; weil-check
+    at N = 1 widens W to degree 2 for d_W(1⊗y), on a wider record."""
+    from koszul import cli, equivariant
+
+    calls = []
+
+    def spy(matrices, total):
+        calls.append(total)
+        return derivation_on_sym(matrices, total)
+
+    derivation_on_sym = equivariant.derivation_on_sym
+    monkeypatch.setattr(equivariant, "derivation_on_sym", spy)
+    assert cli.main(args) == 0
+    assert "pass" in capsys.readouterr().out
+    assert calls == powers
+
+
+def test_symmetric_multiplication_names_a_wrong_coefficient_count(su2):
+    """A coefficient vector of the wrong length is refused with the degree,
+    the length given and dim S^a, by the record and by the Cartan model."""
+    S = SymmetricAlgebra(su2, 2)
+    assert S.multiplication(2, [1] * 6).shift == 4 and S.generator(0).block(0).num == {(0, 0): 1}
+    message = r"^an element of S\^2 needs dim S\^2 = 6 coefficients, got 5$"
+    with pytest.raises(ValueError, match=message):
+        S.multiplication(2, [1] * 5)
+    with pytest.raises(ValueError, match=message):
+        cartan_model(trivial_module(su2), Truncation(4)).s_action(2, [1] * 5)
 
 
 def test_abelian_cartan_of_trivial():
@@ -194,7 +244,6 @@ def test_product_invariants_equal_kernel_of_lifted_blocks(alg, kind, N):
     ambient S(g*)⊗M, cut from the factor rows, equal joint_kernel of the
     lifted L_k blocks (the reference)."""
     from koszul.duality import verify_duality
-    from koszul.equivariant import symmetric_algebra
     from koszul.linalg import joint_kernel
 
     g = builtin_algebra(alg)
@@ -205,7 +254,7 @@ def test_product_invariants_equal_kernel_of_lifted_blocks(alg, kind, N):
         assert comp.invariants.vectors[t] == joint_kernel(
             [L.block(t) for L in WM.L_ops], WM.space.dim(t)), t
     ambient = comp.cartan.ambient
-    _, _, sym_action = symmetric_algebra(g, max(0, (N - M.space.lo) // 2))
+    sym_action = SymmetricAlgebra(g, max(0, (N - M.space.lo) // 2)).action
     lifted = [ambient.lift_sum([(LS, None), (None, LM)], 0) for LS, LM in zip(sym_action, M.L_ops)]
     for t in ambient.degrees():
         K = joint_kernel([L.block(t) for L in lifted], ambient.dim(t))
@@ -249,7 +298,7 @@ def _assert_same_cartan(M, N, inv_WM):
     fresh = cartan_model(M, Truncation(N))
     read = cartan_model(M, Truncation(N), invariants=inv_WM)
     assert read.vectors == fresh.vectors, (M.name, N)
-    assert read.sym_basis == fresh.sym_basis, (M.name, N)
+    assert read.ambient.A.basis == fresh.ambient.A.basis, (M.name, N)
     assert read.ambient.A == fresh.ambient.A and read.complex.space == fresh.complex.space
     assert read.complex.d.blocks == fresh.complex.d.blocks, (M.name, N)
     return fresh
@@ -276,7 +325,7 @@ def test_cartan_read_names_a_column_that_leaves_its_stratum(su2):
     V = inv.vectors[4]
     last = {j: max(i for i, _ in col) for j, col in V.int_columns().items()}
     j, row = max(last.items(), key=lambda jr: jr[1])  # a column of S^2⊗Λ^0⊗M^0, the last stratum
-    assert row >= W.space.dim(4) - len(W.algebra.sym_basis[4])
+    assert row >= W.space.dim(4) - W.algebra.product.A.dim(4)
     inv.vectors[4] = V + Matrix(V.rows, V.cols, {(0, j): 1})  # row 0 lies in S^0⊗Λ^4
     with pytest.raises(SubcomplexError, match=r"^Cartan read of \(Q\)_g from \(W⊗M\)\^g: "
                                               rf"column {j} leaves S\^2⊗Λ\^0⊗M\^0 at degree 4$"):

@@ -424,7 +424,7 @@ def test_invariants_of_a_non_action_fall_back_to_every_L_k():
     invariants of the module, of W⊗it and of its Cartan ambient S(g*)⊗it
     are the joint kernel of every lifted L_k.  The Cartan model read off
     the W⊗M cut equals the one cut on its own."""
-    from koszul.equivariant import cartan_model, invariant_subcomplex, symmetric_algebra
+    from koszul.equivariant import SymmetricAlgebra, cartan_model, invariant_subcomplex
     from koszul.linalg import joint_kernel
 
     su2, M = _broken_su2_module()
@@ -443,8 +443,8 @@ def test_invariants_of_a_non_action_fall_back_to_every_L_k():
     assert any(gens_only)  # the generators alone would have kept too much
 
     cartan = cartan_model(M, Truncation(3))
-    S, _, sym_action = symmetric_algebra(su2, 1)
-    lifted = [cartan.ambient.lift_sum([(A, None), (None, B)], 0) for A, B in zip(sym_action, M.L_ops)]
+    lifted = [cartan.ambient.lift_sum([(A, None), (None, B)], 0)
+              for A, B in zip(SymmetricAlgebra(su2, 1).action, M.L_ops)]
     for t in cartan.ambient.degrees():
         K = joint_kernel([L.block(t) for L in lifted], cartan.ambient.dim(t))
         assert cartan.vectors.get(t, K) == K and (t in cartan.vectors) == bool(K.cols)

@@ -4,7 +4,7 @@ import pytest
 
 from koszul import transgression
 from koszul.complexes import Truncation
-from koszul.lie import builtin_algebra
+from koszul.lie import BUILTIN_NAMES, builtin_algebra
 from koszul.transgression import (
     TransgressionError,
     distinguished_transgression,
@@ -203,3 +203,105 @@ def test_is_invariant_matches_lifted_operators(alg):
                 e = Matrix._from_ints(dim, 1, {(i, 0): 1}, 1)
                 want = all((L.block(p) @ e).is_zero() for L in module.L_ops)
                 assert module.is_invariant(p, e) == want, (module.name, p, i)
+
+
+# -- generation_check: W's S(g*), negative cases and a sympy oracle ---------------
+
+
+def _altered(T, entries):
+    return transgression.TransgressionData(T.g, T.weil, entries)
+
+
+def _with_xi_tilde(entry, xi_tilde):
+    return transgression.TransgressionEntry(entry.primitive, entry.omega, tuple(xi_tilde), entry.xi_tilde_label)
+
+
+@pytest.fixture(scope="module")
+def T_su2xsu2():
+    g = builtin_algebra("su2xsu2")
+    return distinguished_transgression(g, primitive_basis(g, Truncation(8)))
+
+
+def _variants(T):
+    """(name, data, verdict): ξ~_2 replaced by ξ~_1, an entry dropped, each
+    ξ~ rescaled by a nonzero rational."""
+    first, second = T.entries
+    return [
+        ("xi2 := xi1", _altered(T, [first, _with_xi_tilde(second, first.xi_tilde)]), False),
+        ("drop xi1", _altered(T, [second]), False),
+        ("drop xi2", _altered(T, [first]), False),
+        ("rescaled", _altered(T, [_with_xi_tilde(e, [c * s for c in e.xi_tilde])
+                                  for e, s in zip(T.entries, (Q(-3, 2), Q(5)))]), True),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_generation_check_rejects_what_does_not_generate_freely(T_su2xsu2, index):
+    """On su2xsu2 to N = 8, two equal ξ~ are dependent in degree 4 and a
+    missing one leaves an invariant ungenerated: both are False; rescaling
+    a ξ~ by a nonzero rational changes nothing."""
+    name, data, verdict = _variants(T_su2xsu2)[index]
+    assert generation_check(data.g, data, Truncation(8)) is verdict, name
+
+
+def _sympy_generates(g, weights, xis, N):
+    """generation_check's verdict from sympy alone: products of the ξ~ as
+    polynomials in u^0..u^(n-1), and the invariants of S^a as the kernel of
+    the coadjoint derivations u^j -> sum_i c^j_ki u^i."""
+    from itertools import combinations_with_replacement
+    from math import prod
+
+    import sympy as sp
+    from sympy.polys.matrices import DomainMatrix
+
+    from koszul.modules import sym_monomials
+
+    n = g.dim
+    u = sp.symbols(f"u:{n}")
+
+    def poly(terms):
+        return sp.Poly.from_dict({m: sp.Rational(c.numerator, c.denominator) for m, c in terms if c}
+                                 or {(0,) * n: 0}, *u, domain="QQ")
+
+    def unit(m):
+        return poly([(m, Q(1))])
+
+    def rank(rows):
+        return DomainMatrix.from_Matrix(sp.Matrix(rows)).to_field().rank() if rows and rows[0] else 0
+
+    xi = [poly(zip(sym_monomials(n, w), v)) for w, v in zip(weights, xis)]
+    act = [[poly([(tuple(int(t == i) for t in range(n)), Q(g.c(j, k, i))) for i in range(n)]) for j in range(n)]
+           for k in range(n)]
+    for a in range(N // 2 + 1):
+        monos = sym_monomials(n, a)
+
+        def coords(p):
+            d = p.as_dict()
+            return [d.get(m, 0) for m in monos]
+
+        images = [[coords(sum((unit(m).diff(u[j]) * act[k][j] for j in range(n) if m[j]), poly([])))
+                   for m in monos] for k in range(n)]
+        dim_inv = len(monos) - rank([[img[c][r] for c in range(len(monos))]
+                                     for img in images for r in range(len(monos))])
+        prods = [coords(prod((xi[j] for j in seq), start=unit((0,) * n)))
+                 for r in range(a + 1) for seq in combinations_with_replacement(range(len(xi)), r)
+                 if sum(weights[j] for j in seq) == a]
+        if len(prods) != dim_inv or (dim_inv and rank(prods) != dim_inv):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_generation_check_matches_sympy(name, T_su2xsu2):
+    """For every built-in algebra (sl3 and u2 to N = 6, the others to 8)
+    generation_check gives sympy's verdict; on su2xsu2 also for each
+    altered family of _variants."""
+    pytest.importorskip("sympy")
+    g = builtin_algebra(name)
+    N = 6 if name in ("sl3", "u2") else 8
+    T = T_su2xsu2 if name == "su2xsu2" else distinguished_transgression(g, primitive_basis(g, Truncation(N)))
+    cases = [("built", T, True)] + (_variants(T) if name == "su2xsu2" else [])
+    for label, data, verdict in cases:
+        weights = [data.xi_tilde_sym_degree(j) for j in range(len(data.entries))]
+        oracle = _sympy_generates(g, weights, [e.xi_tilde for e in data.entries], N)
+        assert generation_check(g, data, Truncation(N)) is oracle is verdict, label
