@@ -299,9 +299,9 @@ def verify_duality(
     Quasi-isomorphisms are certified for degrees <= trunc.max_degree - 1;
     all internal objects are materialized one degree beyond.  M must live
     in degrees >= 0 (ModuleValidationError otherwise): the zig-zag is
-    built on windows that start at degree 0.  S(g*) is built once, in
-    W(g), and (S(g*)⊗M)^g is read off the (W(g)⊗M)^g cut (exact: see
-    cartan_model).
+    built on windows that start at degree 0.  Λ(g*) and S(g*) are g's
+    own records, which W(g) is built on, and (S(g*)⊗M)^g is read off the
+    (W(g)⊗M)^g cut (exact: see cartan_model).
     """
     g = M.g
     N = trunc.max_degree
@@ -316,7 +316,7 @@ def verify_duality(
     A = cartan_model(M, Truncation(N), invariants=inv_WM)
     P = primitive_basis(g, Truncation(N))
     T = distinguished_transgression(g, P, weil=W)
-    twist = twist_operators(M, Truncation(N + 1), weil=W)
+    twist = twist_operators(M, Truncation(N + 1))
     h = h_of(A, T, Truncation(N))
     psi = build_psi(T, A, h, WM, inv_WM, twist, corrupt_transgression=corrupt_transgression)
     incl = inclusion_map(WM, inv_WM, inv_M)

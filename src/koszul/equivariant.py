@@ -15,6 +15,7 @@ twist embedding into the basic Weil subcomplex is a chain map.
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from .complexes import (
@@ -86,16 +87,17 @@ class SymmetricAlgebra(GradedSpace):
     space labelled by the monomials of ``basis`` (degree 2a -> the S^a
     monomials), its coadjoint action and invariants, and multiplication.
 
-    The L_k blocks and the invariants of each S^a are built on first read
-    and shared by every cut (truncated) or widening (to) of the record.
+    The L_k blocks, the invariants and the u^k· blocks of each S^a are
+    built on first read and kept on g (LieAlgebra._symmetric), so every
+    record on g, and every cut (truncated) or widening (to) of one, reads
+    them.
     """
 
-    __slots__ = ("g", "basis", "_shared")
+    __slots__ = ("g", "basis")
 
-    def __init__(self, g: LieAlgebra, max_a: int, shared: Optional[tuple] = None):
+    def __init__(self, g: LieAlgebra, max_a: int):
         self.g = g
         self.basis = {2 * a: sym_monomials(g.dim, a) for a in range(max_a + 1)}
-        self._shared = shared or ({}, {})  # (a -> L_k blocks on S^a, a -> invariants of S^a)
         super().__init__({deg: tuple(sym_label(e, g.basis_labels) for e in monos)
                           for deg, monos in self.basis.items()})
 
@@ -106,13 +108,13 @@ class SymmetricAlgebra(GradedSpace):
         return cut
 
     def to(self, max_a: int) -> "SymmetricAlgebra":
-        """S up to S^max_a: this record cut, or a wider one sharing its blocks and invariants."""
+        """S up to S^max_a: this record cut, or a wider one."""
         if 2 * max_a in self.basis:
             return self.truncated(2 * max_a)
-        return SymmetricAlgebra(self.g, max_a, self._shared)
+        return SymmetricAlgebra(self.g, max_a)
 
     def _blocks(self, a: int) -> list:
-        blocks, _ = self._shared
+        blocks, _, _ = self.g._symmetric
         if a not in blocks:
             _, coad = adjoint_matrices(self.g)
             blocks[a] = derivation_on_sym(list(coad.matrices), a)
@@ -126,32 +128,42 @@ class SymmetricAlgebra(GradedSpace):
 
     def invariants(self, deg: int) -> Matrix:
         """The coadjoint invariants of S^(deg/2) as the columns of a Matrix."""
-        _, kernels = self._shared
+        _, kernels, _ = self.g._symmetric
         a = deg // 2
         if a not in kernels:
             kernels[a] = block_action_kernel(self.g, self._blocks(a), len(self.basis[deg]))
         return kernels[a]
 
+    def _product(self, factor: list, den: int, deg: int, shift: int) -> Matrix:
+        """The block at deg of multiplication by sum (c/den)·m over the
+        (monomial m, integer c) of factor, which lands at deg + shift."""
+        source, target = self.basis[deg], self.basis[deg + shift]
+        row_of = {m: i for i, m in enumerate(target)}
+        # distinct factor monomials give distinct products: nothing accumulates
+        return Matrix._from_ints(len(target), len(source), {
+            (row_of[sym_multiply(e, m)], col): c for col, e in enumerate(source) for m, c in factor}, den)
+
     def multiplication(self, a: int, coeffs: Sequence) -> LinMap:
-        """Multiplication by the S^a element with coefficients coeffs over
-        the S^a monomials (shift 2a)."""
+        """Multiplication by the S^a element with (integer or Fraction)
+        coefficients coeffs over the S^a monomials (shift 2a), on integer
+        blocks over the lcm of their denominators."""
         monos = sym_monomials(self.g.dim, a)
         if len(coeffs) != len(monos):
             raise ValueError(f"an element of S^{a} needs dim S^{a} = {len(monos)} coefficients, "
                              f"got {len(coeffs)}")
-        factor = [(m, c) for m, c in zip(monos, coeffs) if c]
-        blocks = {}
-        for deg, source in self.basis.items():
-            target = self.basis.get(deg + 2 * a)
-            if target is not None:
-                row_of = {m: i for i, m in enumerate(target)}
-                blocks[deg] = Matrix(len(target), len(source), {
-                    (row_of[sym_multiply(e, m)], col): c for col, e in enumerate(source) for m, c in factor})
-        return LinMap(self, self, 2 * a, blocks)
+        den = lcm(*(c.denominator for c in coeffs if c))
+        factor = [(m, c.numerator * (den // c.denominator)) for m, c in zip(monos, coeffs) if c]
+        return LinMap(self, self, 2 * a, {deg: self._product(factor, den, deg, 2 * a)
+                                          for deg in self.basis if deg + 2 * a in self.basis})
 
     def generator(self, k: int) -> LinMap:
         """Multiplication by the generator u^k (shift 2)."""
-        return self.multiplication(1, [int(i == k) for i in range(self.g.dim)])
+        _, _, blocks = self.g._symmetric
+        unit = [(tuple(int(i == k) for i in range(self.g.dim)), 1)]
+        for deg in self.basis:
+            if deg + 2 in self.basis and (k, deg) not in blocks:
+                blocks[(k, deg)] = self._product(unit, 1, deg, 2)
+        return LinMap(self, self, 2, {deg: blocks[(k, deg)] for deg in self.basis if deg + 2 in self.basis})
 
 
 def sym_invariant_complex(S: SymmetricAlgebra, N: int):
@@ -252,10 +264,10 @@ def cartan_model(M: KgModule, trunc: Truncation,
                  invariants: Optional[InvariantModel] = None) -> CartanModel:
     """Build the equivariant model of M up to total degree trunc.max_degree.
 
-    Without ``invariants``, S(g*) is a SymmetricAlgebra of its own and the
-    invariant vectors are cut from its L_k and M's.  With ``invariants``,
-    those of W(g)⊗M to degree N, S(g*) is W(g)'s record cut (or widened)
-    to S^max_a and no kernel is cut:
+    Without ``invariants``, S(g*) is a SymmetricAlgebra on g (reading g's
+    S(g*) state) and the invariant vectors are cut from its L_k and M's.
+    With ``invariants``, those of W(g)⊗M to degree N, S(g*) is W(g)'s
+    record cut (or widened) to S^max_a and no kernel is cut:
     each L_k keeps the S-, Λ- and M-degrees, so each reduced kernel vector
     lies in the stratum of its free column; on S^a⊗Λ^0⊗M^r L_k is the
     ambient's (L^Λ kills Λ^0) and

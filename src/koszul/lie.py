@@ -137,6 +137,37 @@ class LieAlgebra(Frozen):
                 raise NotReductive("center and derived subalgebra do not span g directly")
         return ReductiveDecomposition(tuple(center.columns()), tuple(derived.columns()), killing)
 
+    # The structures on g alone are built once per algebra, on first read,
+    # like the decomposition: Λ(g*) and S(g*) are the same for every module
+    # and window.  Their builders live downstream and are imported here
+    # lazily, as those modules import this one.
+
+    @cached_property
+    def _exterior(self):
+        """Λ(g*) with its d and i_k; see modules.exterior_model.  A failed
+        certification raises and leaves nothing cached."""
+        from .modules import build_exterior
+        return build_exterior(self)
+
+    @cached_property
+    def _wedges(self) -> tuple:
+        """y^k∧ on Λ(g*), one LinMap per k; see modules.wedge_by_generator."""
+        from .modules import build_wedges
+        return build_wedges(self._exterior)
+
+    @cached_property
+    def _lambda_invariants(self) -> dict:
+        """p -> the coadjoint invariants of Λ^p(g*), each cut on first read;
+        see transgression.exterior_invariant_block."""
+        return {}
+
+    @cached_property
+    def _symmetric(self) -> tuple:
+        """(a -> the coadjoint L_k blocks on S^a, a -> the invariants of S^a,
+        (k, 2a) -> the block of u^k· on S^a), each built on first read: the
+        state of S(g*) that every equivariant.SymmetricAlgebra on g reads."""
+        return {}, {}, {}
+
     @cached_property
     def generators(self) -> tuple:
         """Basis indices that generate g as a Lie algebra, in increasing order.

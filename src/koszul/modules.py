@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .complexes import (
@@ -392,8 +393,17 @@ def exterior_model(g: LieAlgebra) -> KgModule:
 
     Generators sit in degree 1.  d y^m = sum_{i<j} c^m_ij y^i^y^j extended
     as an odd derivation; contraction is minus index deletion (see module
-    docstring for why the sign is forced).
+    docstring for why the sign is forced).  One module per algebra, built
+    (and g certified reductive) on the first call and shared by every
+    caller; a failed certification raises on every call and caches nothing.
     """
+    return g._exterior
+
+
+def build_exterior(g: LieAlgebra) -> KgModule:
+    """Λ(g*) as exterior_model describes it, built anew (LieAlgebra._exterior
+    keeps it); d and the i_k are integer blocks, d over the lcm of the
+    denominators of the structure constants."""
     certify_reductive(g)
     n = g.dim
     names = g.basis_labels
@@ -402,9 +412,12 @@ def exterior_model(g: LieAlgebra) -> KgModule:
     labels = {p: tuple(lambda_label(m, names) for m in monos[p]) for p in range(n + 1)}
     space = GradedSpace(labels)
 
-    # the nonzero c^m_ab of each generator m, a < b in order, read once
+    # the nonzero c^m_ab of each generator m, a < b in order, read once as
+    # integers over their common denominator
     brackets = [[(a, b, c) for a in range(n) for b in range(a + 1, n) if (c := g.c(m, a, b))]
                 for m in range(n)]
+    den = lcm(*(c.denominator for terms in brackets for _, _, c in terms))
+    brackets = [[(a, b, c.numerator * (den // c.denominator)) for a, b, c in terms] for terms in brackets]
     d_blocks = {}
     for p in range(n):
         ents: dict = {}
@@ -415,7 +428,7 @@ def exterior_model(g: LieAlgebra) -> KgModule:
                     if sign:
                         rc = (index[p + 1][new], col)
                         ents[rc] = ents.get(rc, 0) + (-1) ** t * sign * c
-        d_blocks[p] = Matrix(len(monos[p + 1]), len(monos[p]), ents)
+        d_blocks[p] = Matrix._from_ints(len(monos[p + 1]), len(monos[p]), ents, den)
     d = LinMap(space, space, 1, d_blocks)
 
     i_ops = []
@@ -428,7 +441,7 @@ def exterior_model(g: LieAlgebra) -> KgModule:
                 if hit:
                     sign, new = hit
                     ents[(index[p - 1][new], col)] = -sign
-            blocks[p] = Matrix(len(monos[p - 1]), len(monos[p]), ents)
+            blocks[p] = Matrix._from_ints(len(monos[p - 1]), len(monos[p]), ents, 1)
         i_ops.append(LinMap(space, space, -1, blocks))
 
     return KgModule(g, Complex(space, d), i_ops, name=f"Λ({g.name})")
@@ -582,21 +595,32 @@ def polynomial_forms_module(
 
 
 def wedge_by_generator(ext: KgModule, k: int) -> LinMap:
-    """Left wedge multiplication y^k ∧ (·) on an exterior_model module."""
+    """Left wedge multiplication y^k ∧ (·) on Λ(g*) = exterior_model(g),
+    built once per algebra."""
+    return ext.g._wedges[k]
+
+
+def build_wedges(ext: KgModule) -> tuple:
+    """y^k ∧ (·) on the exterior_model module ext for every k, built anew
+    (LieAlgebra._wedges keeps them)."""
     space = ext.space
     monos = {p: lambda_monomials(ext.g.dim, p) for p in space.degrees()}
     index = {p: {m: i for i, m in enumerate(monos[p])} for p in monos}
-    blocks = {}
-    for p, plist in monos.items():
-        if p + 1 not in monos:
-            continue
-        ents = {}
-        for col, mono in enumerate(plist):
-            sign, new = wedge_normalize((k,) + mono)
-            if sign:
-                ents[(index[p + 1][new], col)] = sign
-        blocks[p] = Matrix(space.dim(p + 1), space.dim(p), ents)
-    return LinMap(space, space, 1, blocks)
+
+    def wedge(k: int) -> LinMap:
+        blocks = {}
+        for p, plist in monos.items():
+            if p + 1 not in monos:
+                continue
+            ents = {}
+            for col, mono in enumerate(plist):
+                sign, new = wedge_normalize((k,) + mono)
+                if sign:
+                    ents[(index[p + 1][new], col)] = sign
+            blocks[p] = Matrix._from_ints(space.dim(p + 1), space.dim(p), ents, 1)
+        return LinMap(space, space, 1, blocks)
+
+    return tuple(wedge(k) for k in range(ext.g.dim))
 
 
 def doubled_differential_identity(ext: KgModule) -> bool:

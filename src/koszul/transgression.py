@@ -43,10 +43,14 @@ class TransgressionError(ValueError):
 
 
 def exterior_invariant_block(g: LieAlgebra, p: int) -> Matrix:
-    """Coadjoint invariants of Λ^p(g*) as the columns of a Matrix."""
-    _, coad = adjoint_matrices(g)
-    return block_action_kernel(g, derivation_on_lambda(list(coad.matrices), p),
-                               len(lambda_monomials(g.dim, p)))
+    """Coadjoint invariants of Λ^p(g*) as the columns of a Matrix, cut once
+    per algebra (LieAlgebra._lambda_invariants)."""
+    cut = g._lambda_invariants
+    if p not in cut:
+        _, coad = adjoint_matrices(g)
+        cut[p] = block_action_kernel(g, derivation_on_lambda(list(coad.matrices), p),
+                                     len(lambda_monomials(g.dim, p)))
+    return cut[p]
 
 
 def exterior_invariants(g: LieAlgebra, p: int) -> list:

@@ -176,7 +176,7 @@ def weil_model(g: LieAlgebra, trunc: Truncation) -> WeilModule:
     block of it is read (see TensorModule).  d_W² = 0 is checked on the
     result (a truncated module), one product column at a time.
     """
-    ext = exterior_model(g)  # certifies that g is reductive
+    ext = exterior_model(g)  # g's own Λ(g*), certified reductive
     alg = weil_algebra(SymmetricAlgebra(g, trunc.max_degree // 2), ext, trunc.max_degree)
     product = alg.product
     no_contraction = LinMap.zero(product.A, product.A, -1)
@@ -308,18 +308,17 @@ def _twist_on_unit(M: KgModule, space: TensorSpace) -> LinMap:
     return LinMap(M.space, space, 0, blocks)
 
 
-def twist_operators(M: KgModule, trunc: Truncation,
-                    weil: Optional[WeilModule] = None) -> TwistData:
+def twist_operators(M: KgModule, trunc: Truncation) -> TwistData:
     """T = exp(−𝐢) on Λ(g*) ⊗ M, built on 1⊗M (see TwistData).
 
     𝐢(ξ⊗m) = −sum_k ξ∧y^k ⊗ i_k m: the structural-deletion reading of the
     contraction, which is what makes the interchange identities below hold
     with T = exp(−𝐢) (the module's own i would flip T to exp(+𝐢)).  The
     lift of (y^k ∧ ·) ⊗ i_k carries the Koszul sign (−1)^|ξ|, which turns
-    the left wedge y^k∧ξ into ξ∧y^k.  Λ(g*) is taken from ``weil`` when
-    given, so it is not built (and g not certified) twice.
+    the left wedge y^k∧ξ into ξ∧y^k.  Λ(g*) is g's own (exterior_model),
+    the one W(g) is built on.
     """
-    ext = weil.algebra.ext if weil is not None else exterior_model(M.g)
+    ext = exterior_model(M.g)
     top = min(trunc.max_degree, ext.space.hi + M.space.hi)
     return TwistData(ext, M, top)
 
@@ -480,7 +479,7 @@ def twist_embedding(
     W = weil or weil_model(g, trunc)
     A = cartan or cartan_model(M, trunc)
     WM = product if product is not None else tensor_module(W, M, max_total=N, name=f"W⊗{M.name}")
-    data = twist_operators(M, trunc, weil=W)
+    data = twist_operators(M, trunc)
     basic = horizontal_basic(WM)
     image, unit_den = twisted_cartan_image(A, W, WM, data)
     unit = {(tuple([0] * g.dim), ()): 1}

@@ -227,6 +227,50 @@ def test_memory_error_is_an_input_error(capsys, monkeypatch, command, stage):
                    "choose a smaller window\n")
 
 
+def test_exterior_algebra_is_built_once_per_algebra(capsys, monkeypatch):
+    """Λ(g*) is one record of the algebra: validate, cohomology, weil-check,
+    transgress and duality on one fresh su2xsu2 build it once between them."""
+    from koszul import modules
+    from koszul.lie import builtin_algebra
+
+    built = []
+    build_exterior = modules.build_exterior
+    monkeypatch.setattr(modules, "build_exterior", lambda g: built.append(g) or build_exterior(g))
+    builtin_algebra.cache_clear()
+    for command in (["validate"], ["cohomology", "--model", "cartan"], ["weil-check"], ["transgress"],
+                    ["duality"]):
+        code, _, _ = run(capsys, *command, "--algebra", "su2xsu2", "--module", "exterior",
+                         "--max-degree", "4")
+        assert code == 0, command
+    assert built == [builtin_algebra("su2xsu2")]
+
+
+def test_shared_records_are_not_poisoned(capsys, monkeypatch):
+    """A corrupted duality run leaves g's records as it found them: the
+    honest run after it prints what the same call prints on a fresh copy of
+    the algebra, and two distinct algebra objects share no record."""
+    from pathlib import Path
+
+    from koszul import cli
+    from koszul.lie import builtin_algebra, lie_algebra_from_dict
+
+    argv = ["duality", "--algebra", "su2xsu2", "--module", "exterior", "--max-degree", "4",
+            "--format", "json"]
+    g = builtin_algebra("su2xsu2")
+    code, out, _ = run(capsys, *argv, "--corrupt-transgression")
+    assert code == 1 and json.loads(out)["psi_chain"]["witness"]["defect"]
+    code, honest, _ = run(capsys, *argv)
+    assert code == 0 and cli.resolve_algebra("su2xsu2") is g
+    data = json.loads((Path(cli.__file__).parent / "data" / "su2xsu2.json").read_text("utf-8"))
+    fresh = lie_algebra_from_dict(data)
+    monkeypatch.setattr(cli, "resolve_algebra", lambda spec: fresh)
+    assert run(capsys, *argv) == (0, honest, "")
+    assert fresh == g
+    for record in ("_exterior", "_wedges", "_lambda_invariants", "_symmetric"):
+        assert vars(fresh)[record] is not vars(g)[record], record
+    assert fresh._exterior.d.blocks == g._exterior.d.blocks
+
+
 def test_threads_env_validation(capsys, monkeypatch):
     monkeypatch.setenv("KOSZUL_THREADS", "zero")
     code, _, err = run(capsys, "validate", "--algebra", "su2")

@@ -134,14 +134,16 @@ def test_duality_su2xsu2_exterior_window_5():
 
 def test_duality_builds_only_what_it_reads():
     # the verifier reads T only on the columns 1⊗m and never reads the
-    # contractions of W⊗M; S(g*)'s invariants are cut only where the
-    # transgression reads them (S^2, for the two degree-3 primitives)
+    # contractions of W⊗M; on a fresh algebra, S(g*)'s invariants are cut
+    # only where the transgression reads them (S^2, for the two degree-3
+    # primitives), and the Cartan model's S(g*) and W's read g's one record
+    builtin_algebra.cache_clear()
     g = builtin_algebra("su2xsu2")
     report, comp = verify_duality(exterior_model(g), Truncation(4))
     assert report.verdict
     assert "i_ops" not in vars(comp.product)
-    _, s_invariants = comp.cartan.ambient.A._shared
-    assert sorted(s_invariants) == [2] and comp.cartan.ambient.A._shared is comp.weil.algebra.product.A._shared
+    _, s_invariants, _ = g._symmetric
+    assert sorted(s_invariants) == [2] and comp.cartan.ambient.A.g is comp.weil.algebra.product.A.g is g
     assert not {"tensor", "generator", "twist", "twist_inv"} & set(vars(comp.twist))
     assert comp.twist.exterior is comp.weil.algebra.ext
 
@@ -293,7 +295,7 @@ def test_invariant_path_builds_no_fraction(monkeypatch):
     inv_M = invariant_subcomplex(M)
     A = cartan_model(M, Truncation(N))
     T = distinguished_transgression(g, primitive_basis(g, Truncation(N)), weil=W)
-    twist = twist_operators(M, Truncation(N + 1), weil=W)
+    twist = twist_operators(M, Truncation(N + 1))
     h = h_of(A, T, Truncation(N))
     built = []
     new = Fraction.__new__

@@ -175,22 +175,40 @@ def test_symmetric_algebra_cut_and_widened_share_one_record(su2):
     (["weil-check", "--algebra", "su2", "--max-degree", "1"], [0, 1]),
 ])
 def test_each_symmetric_power_is_differentiated_once(monkeypatch, capsys, args, powers):
-    """The L_k on each S^a are built once per command: transgress's W(g)
-    reaches S^2 and generation_check widens its record to S^4; weil-check
-    at N = 1 widens W to degree 2 for d_W(1⊗y), on a wider record."""
-    from koszul import cli, equivariant
+    """The L_k on each S^a are built once per algebra.  On a fresh algebra,
+    transgress's W(g) reaches S^2 and generation_check widens its record to
+    S^4; weil-check at N = 1 widens W to degree 2 for d_W(1⊗y), on a wider
+    record; each builds Λ(g*) once.  The same command again, on the same
+    algebra, differentiates no S^a and builds no Λ(g*)."""
+    from koszul import cli, equivariant, modules
 
-    calls = []
+    calls, built = [], []
+    derivation_on_sym, build_exterior = equivariant.derivation_on_sym, modules.build_exterior
+    monkeypatch.setattr(equivariant, "derivation_on_sym",
+                        lambda matrices, total: calls.append(total) or derivation_on_sym(matrices, total))
+    monkeypatch.setattr(modules, "build_exterior", lambda g: built.append(g) or build_exterior(g))
+    builtin_algebra.cache_clear()
+    for want_powers, want_builds in ((powers, 1), ([], 0)):
+        calls.clear()
+        built.clear()
+        assert cli.main(args) == 0
+        assert "pass" in capsys.readouterr().out
+        assert calls == want_powers and len(built) == want_builds
 
-    def spy(matrices, total):
-        calls.append(total)
-        return derivation_on_sym(matrices, total)
 
-    derivation_on_sym = equivariant.derivation_on_sym
-    monkeypatch.setattr(equivariant, "derivation_on_sym", spy)
-    assert cli.main(args) == 0
-    assert "pass" in capsys.readouterr().out
-    assert calls == powers
+def test_symmetric_multiplication_with_fraction_coefficients(su2):
+    """Multiplication by 1/2·i* − 2/3·k* on S(su2*) to S^3, built on integer
+    blocks, equals the blocks written out entry by entry here."""
+    S = SymmetricAlgebra(su2, 3)
+    coeffs = [Q(1, 2), 0, Q(-2, 3)]
+    mult = S.multiplication(1, coeffs)
+    assert sorted(mult.blocks) == [0, 2, 4]
+    for deg in (0, 2, 4):
+        source, target = sym_monomials(3, deg // 2), sym_monomials(3, deg // 2 + 1)
+        want = Matrix(len(target), len(source), {
+            (target.index(tuple(x + (i == k) for i, x in enumerate(e))), col): c
+            for col, e in enumerate(source) for k, c in enumerate(coeffs) if c})
+        assert mult.block(deg) == want and mult.block(deg).den == 6
 
 
 def test_symmetric_multiplication_names_a_wrong_coefficient_count(su2):

@@ -21,6 +21,7 @@ from koszul.lie import (
     load_lie_algebra,
 )
 from koszul.linalg import Matrix, vec
+from koszul.modules import exterior_model
 
 
 def test_su2_loads_and_brackets():
@@ -127,9 +128,12 @@ def test_nonreductive_rejected():
     data = {"name": "aff1", "dim": 2, "basis": ["x", "y"],
             "brackets": [{"i": 0, "j": 1, "terms": [{"k": 1, "c": "1"}]}]}
     g = lie_algebra_from_dict(data)
-    for _ in range(2):  # a failure is not cached
+    for _ in range(2):  # a failure is not cached, nor is Λ(g*) built on it
         with pytest.raises(NotReductive):
             certify_reductive(g)
+        with pytest.raises(NotReductive):
+            exterior_model(g)
+    assert not {"_reductive", "_exterior", "_wedges"} & set(vars(g))
 
 
 def test_adjoint_matrices_su2():

@@ -41,6 +41,20 @@ def ext_su2(su2):
     return exterior_model(su2)
 
 
+def test_exterior_blocks_over_a_common_denominator(su2):
+    """Scaling every structure constant of su2 by 1/4 scales d on Λ(g*) by
+    1/4 and keeps every i_k: d is built over the denominators of the
+    constants."""
+    from koszul.lie import lie_algebra_from_dict
+
+    quarter = lie_algebra_from_dict({"name": "su2/4", "dim": 3, "basis": ["i", "j", "k"], "brackets": [
+        {"i": i, "j": j, "terms": [{"k": k, "c": "1/2"}]} for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]})
+    E, H = exterior_model(su2), exterior_model(quarter)
+    assert validate_kg(H).ok and H is exterior_model(quarter)
+    assert all(H.d.block(p) == E.d.block(p).scale(Q(1, 4)) for p in range(3)) and H.d.block(1).den == 2
+    assert all(H.i_ops[k].blocks == E.i_ops[k].blocks for k in range(3))
+
+
 def test_wedge_normalize():
     assert wedge_normalize((0, 1, 2)) == (1, (0, 1, 2))
     assert wedge_normalize((1, 0)) == (-1, (0, 1))
