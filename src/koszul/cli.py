@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from typing import Optional
 
 from . import __version__
@@ -307,7 +308,10 @@ def cmd_duality(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call (not at import) and
+    shared by every later one: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="koszul",
         description="Exact verification of equivariant-invariant duality "

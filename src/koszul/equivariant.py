@@ -69,16 +69,17 @@ class MultivectorElement(Frozen):
 
 def invariant_multivector_basis(g: LieAlgebra, top: Optional[int] = None) -> list:
     """The invariant multivectors of degree 1 to top (dim g by default), by
-    degree then index."""
+    degree then index; those of each degree are cut once per algebra
+    (LieAlgebra._multivector_invariants)."""
+    cut = g._multivector_invariants
     out = []
     for p in range(1, min(g.dim, top if top is not None else g.dim) + 1):
-        monos = lambda_monomials(g.dim, p)
-        for i, v in enumerate(invariant_multivectors(g, p)):
-            terms = " + ".join(
+        if p not in cut:
+            monos = lambda_monomials(g.dim, p)
+            cut[p] = tuple(MultivectorElement(p, tuple(v), " + ".join(
                 f"{c}·{lambda_label(m, g.basis_labels).replace('*', '')}"
-                for c, m in zip(v, monos) if c
-            )
-            out.append(MultivectorElement(p, tuple(v), terms or "0"))
+                for c, m in zip(v, monos) if c) or "0") for v in invariant_multivectors(g, p))
+        out.extend(cut[p])
     return out
 
 

@@ -162,6 +162,26 @@ class LieAlgebra(Frozen):
         return {}
 
     @cached_property
+    def _multivector_invariants(self) -> dict:
+        """p -> the invariant multivectors of degree p (the adjoint invariants
+        of Λ^p(g)), each cut on first read; see
+        equivariant.invariant_multivector_basis."""
+        return {}
+
+    @cached_property
+    def _primitives(self) -> dict:
+        """m -> (the primitives of degree m, whether freeness was checked at
+        degree m), each built on first read; see
+        transgression.primitive_basis."""
+        return {}
+
+    @cached_property
+    def _transgressions(self) -> dict:
+        """(degree, column, label) of a primitive -> its verified
+        TransgressionEntry; see transgression.distinguished_transgression."""
+        return {}
+
+    @cached_property
     def _symmetric(self) -> tuple:
         """(a -> the coadjoint L_k blocks on S^a, a -> the invariants of S^a,
         (k, 2a) -> the block of u^k· on S^a), each built on first read: the

@@ -122,52 +122,61 @@ def primitive_basis(g: LieAlgebra, trunc: Truncation) -> PrimitiveSpace:
     invariant basis. The exterior algebra generated by the result must
     reproduce the invariant dimensions in every searched degree, up to
     min(dim g, N); no invariant above that degree is cut.
+
+    The primitives of degree m, and whether freeness was checked at m,
+    depend only on the invariants of degree <= m and the primitives below
+    m, so both are kept per algebra (LieAlgebra._primitives): a call builds
+    and checks only the degrees no earlier call reached.  A failed check
+    records nothing, so it raises on every call.
     """
     n = g.dim
     top = min(n, trunc.max_degree)
     inv = {p: exterior_invariant_block(g, p) for p in range(0, top + 1)}
-    primitives: list = []
-    for m in range(1, top + 1):
-        if not inv[m].cols:
-            continue
-        decomp = hstack([wedge_columns(inv[a], a, inv[m - a], m - a, n)
-                         for a in range(1, m // 2 + 1)], inv[m].rows)
-        prims = complement_basis(image_rank(decomp)[1], inv[m])
-        monos = lambda_monomials(n, m)
-        for j, v in enumerate(prims.columns()):
-            terms = " + ".join(
-                f"{c}·{lambda_label(mono, g.basis_labels)}"
-                for c, mono in zip(v, monos) if c
-            )
-            primitives.append(Primitive(m, prims.take([j]), terms))
-
-    space = PrimitiveSpace(g, {p: block.cols for p, block in inv.items()}, primitives)
-    _verify_freeness(space, inv, n, top)
+    record = g._primitives
+    for m in range(top + 1):
+        if m not in record:
+            record[m] = (_primitives_of_degree(g, inv, m), False)
+    space = PrimitiveSpace(g, {p: block.cols for p, block in inv.items()},
+                           [prim for m in range(top + 1) for prim in record[m][0]])
+    if any(p.degree % 2 == 0 for p in space.primitives):
+        raise TransgressionError("even-degree primitive found; not reductive input?")
+    for m in range(top + 1):
+        prims, checked = record[m]
+        if not checked:
+            _verify_freeness(space.primitives, inv[m], n, m)
+            record[m] = (prims, True)
     return space
 
 
-def _verify_freeness(space: PrimitiveSpace, inv: dict, n: int, top: int) -> None:
-    """Products of the primitives must form a basis of the invariants up to `top`."""
-    prims = space.primitives
-    if any(p.degree % 2 == 0 for p in prims):
-        raise TransgressionError("even-degree primitive found; not reductive input?")
-    products: dict = {m: [] for m in range(top + 1)}
-    for r in range(len(prims) + 1):
-        for subset in combinations(range(len(prims)), r):
-            deg = sum(prims[i].degree for i in subset)
-            if deg > top:
-                continue
-            products[deg].append(wedge_product([prims[i] for i in subset], n))
-    for m in range(top + 1):
-        want = inv[m].cols
-        got = products[m]
-        if len(got) != want:
-            raise TransgressionError(
-                f"primitive count mismatch in degree {m}: {len(got)} products, "
-                f"invariants have dimension {want}"
-            )
-        if want and rank(hstack(got, inv[m].rows)) != want:
-            raise TransgressionError(f"products of primitives are dependent in degree {m}")
+def _primitives_of_degree(g: LieAlgebra, inv: dict, m: int) -> tuple:
+    """A complement of the decomposables in the invariants of degree m,
+    chosen greedily over the invariant basis."""
+    n = g.dim
+    if not m or not inv[m].cols:
+        return ()
+    decomp = hstack([wedge_columns(inv[a], a, inv[m - a], m - a, n)
+                     for a in range(1, m // 2 + 1)], inv[m].rows)
+    prims = complement_basis(image_rank(decomp)[1], inv[m])
+    monos = lambda_monomials(n, m)
+    return tuple(Primitive(m, prims.take([j]), " + ".join(
+        f"{c}·{lambda_label(mono, g.basis_labels)}" for c, mono in zip(v, monos) if c))
+        for j, v in enumerate(prims.columns()))
+
+
+def _verify_freeness(prims: list, inv: Matrix, n: int, m: int) -> None:
+    """Products of the primitives of degree m must form a basis of the
+    invariants inv of degree m (only primitives of degree <= m, at most m of
+    them, can take part)."""
+    prims = [p for p in prims if p.degree <= m]
+    got = [wedge_product(subset, n) for r in range(min(len(prims), m) + 1)
+           for subset in combinations(prims, r) if sum(p.degree for p in subset) == m]
+    if len(got) != inv.cols:
+        raise TransgressionError(
+            f"primitive count mismatch in degree {m}: {len(got)} products, "
+            f"invariants have dimension {inv.cols}"
+        )
+    if inv.cols and rank(hstack(got, inv.rows)) != inv.cols:
+        raise TransgressionError(f"products of primitives are dependent in degree {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +184,12 @@ def _verify_freeness(space: PrimitiveSpace, inv: dict, n: int, top: int) -> None
 # ---------------------------------------------------------------------------
 
 
-class TransgressionEntry:
+class TransgressionEntry(Frozen):
     def __init__(self, primitive: Primitive, omega: dict, xi_tilde: tuple, xi_tilde_label: str):
-        self.primitive = primitive
-        self.omega = omega  # Weil element, keys (sym exponents, lambda monomial)
-        self.xi_tilde = xi_tilde  # coefficients over the symmetric monomials of degree (p+1)/2
-        self.xi_tilde_label = xi_tilde_label
+        # omega: Weil element, keys (sym exponents, lambda monomial);
+        # xi_tilde: coefficients over the symmetric monomials of degree (p+1)/2
+        vars(self).update(primitive=primitive, omega=omega, xi_tilde=xi_tilde,
+                          xi_tilde_label=xi_tilde_label)
 
 
 class TransgressionData:
@@ -221,6 +230,11 @@ def distinguished_transgression(
     (p + 1)/2, is read from W's S(g*) record (SymmetricAlgebra.invariants):
     no S^a is built anew.
 
+    A lift depends on g and the primitive alone, so each verified entry is
+    kept per algebra (LieAlgebra._transgressions) and only the primitives
+    no earlier call solved are solved here; a lift that fails its check
+    records nothing.
+
     `unknown_permutation` reorders the solver's unknowns (used to certify
     that ξ~ does not depend on free-variable choices); it permutes the
     combined (ω, ξ~) coefficient vector.  One sequence serves every
@@ -228,7 +242,9 @@ def distinguished_transgression(
     not a permutation of range(n) is reduced to one: each entry is taken
     mod n, repeats are dropped keeping the first, and the missing indices
     follow in increasing order.  A reversed range(500) thus gives every
-    system of up to 500 unknowns a rotation of its reversed order.
+    system of up to 500 unknowns a rotation of its reversed order.  A
+    permuted ω is another valid lift, so such a solve neither reads nor
+    writes the per-algebra record.
     """
     needed = max((p.degree + 1 for p in P.primitives), default=0)
     W = weil or weil_model(g, Truncation(needed))
@@ -236,76 +252,86 @@ def distinguished_transgression(
         raise TransgressionError(
             f"Weil algebra materialized to degree {W.space.hi}, need {needed}"
         )
-    alg, S = W.algebra, W.algebra.product.A
-    n = g.dim
-    # the contraction operators do not depend on the primitive: build them once.
-    # W's i_k is 1⊗i_k^Λ and S(g*) is even, so a composite of them is the
-    # lift of the composite on Λ(g*), with no sign.  A multivector of degree
-    # q > p has no rows at degree p, so none above the largest p is built
-    contraction_ops = [(mv, W.tensor.lift(None, alg.ext.contraction_of_multivector(
-        mv.coeffs, lambda_monomials(n, mv.degree)))) for mv in invariant_multivector_basis(g, needed - 1)]
-    entries = []
-    for prim in P.primitives:
-        p = prim.degree
-        if p % 2 == 0:
-            raise TransgressionError("primitive of even degree cannot transgress")
-        w_inv = W.invariant_blocks([p])[p]
-        s_deg = (p + 1) // 2
-        s_monos, s_inv = S.basis[p + 1], S.invariants(p + 1)
-        if not s_inv.cols:
-            raise TransgressionError(
-                f"no invariant polynomials of degree {s_deg} to transgress into"
-            )
-        n_alpha, n_beta = w_inv.cols, s_inv.cols
+    record = {} if unknown_permutation else g._transgressions
+    keys = [(prim.degree, prim.column, prim.label) for prim in P.primitives]
+    missing = [(key, prim) for key, prim in zip(keys, P.primitives) if key not in record]
+    if missing:
+        # the contraction operators do not depend on the primitive: build them
+        # once.  W's i_k is 1⊗i_k^Λ and S(g*) is even, so a composite of them
+        # is the lift of the composite on Λ(g*), with no sign.  A multivector
+        # of degree q > p has no rows at degree p, so none above the largest p
+        # is built
+        contraction_ops = [(mv, W.tensor.lift(None, W.algebra.ext.contraction_of_multivector(
+            mv.coeffs, lambda_monomials(g.dim, mv.degree)))) for mv in invariant_multivector_basis(g, needed - 1)]
+        for key, prim in missing:
+            record[key] = _solve_entry(W, prim, contraction_ops, unknown_permutation)
+    return TransgressionData(g, W, [record[key] for key in keys])
 
-        # unknowns (ω over w_inv, ξ~ over s_inv); equations (a), (b), (c) stacked
-        incl = _lambda_inclusion(W, p)
-        xi_vec = incl @ prim.column
-        top = [incl.transpose()] + [op.block(p) for _, op in contraction_ops]
-        rows_top = sum(m.rows for m in top)
-        omega_part = vstack([m @ w_inv for m in top] + [W.d.block(p) @ w_inv], n_alpha)
-        xi_part = vstack([Matrix.zero(rows_top, n_beta), (_sym_inclusion(W, s_deg) @ s_inv).scale(-1)],
-                         n_beta)
-        rhs = vstack([m @ xi_vec for m in top] + [Matrix.zero(W.space.dim(p + 1), 1)], 1)
 
-        total_unknowns = n_alpha + n_beta
-        perm = list(unknown_permutation) if unknown_permutation else list(range(total_unknowns))
-        if sorted(perm) != list(range(total_unknowns)):
-            perm = [i % total_unknowns for i in perm]
-            seen = []
-            perm = [x for x in perm if not (x in seen or seen.append(x))]
-            perm += [i for i in range(total_unknowns) if i not in perm]
-        A = hstack([omega_part, xi_part], rhs.rows).take(perm)
-        # coordinates of rhs over the columns of A: free unknowns are 0
-        sol = Subspace(A).restrict(rhs)
-        if sol is None:
-            raise TransgressionError(
-                f"transgression system inconsistent for {prim.label}; "
-                "this indicates a sign-convention defect"
-            )
-        if any(perm[pos] >= n_alpha for pos, _ in joint_kernel([A], A.cols).num):
-            raise TransgressionError(
-                f"ξ~ is not unique for {prim.label}: homogeneous solution "
-                "has a nonzero polynomial part"
-            )
-        alpha, beta = {}, {}
-        for (pos, _), v in sol.num.items():
-            j = perm[pos]
-            if j < n_alpha:
-                alpha[(j, 0)] = v
-            else:
-                beta[(j - n_alpha, 0)] = v
-        omega_col = w_inv @ Matrix._from_ints(n_alpha, 1, alpha, sol.den)
-        omega = {alg.key(p, i): Fraction(v, omega_col.den) for (i, _), v in sorted(omega_col.num.items())}
-        xi_tilde = (s_inv @ Matrix._from_ints(n_beta, 1, beta, sol.den)).columns()[0]
-
-        _verify_entry(W, prim, omega, xi_tilde, contraction_ops, xi_vec)
-        label = " + ".join(
-            f"{c}·{sym_label(mono, g.basis_labels)}"
-            for mono, c in zip(s_monos, xi_tilde) if c
+def _solve_entry(W: WeilModule, prim: Primitive, contraction_ops: list,
+                 unknown_permutation: Optional[Sequence[int]]) -> TransgressionEntry:
+    """The lift of one primitive, by one exact solve of (a)-(c), with the
+    uniqueness of ξ~ certified and the lift checked by direct application."""
+    alg, S, g = W.algebra, W.algebra.product.A, W.algebra.g
+    p = prim.degree
+    if p % 2 == 0:
+        raise TransgressionError("primitive of even degree cannot transgress")
+    w_inv = W.invariant_blocks([p])[p]
+    s_deg = (p + 1) // 2
+    s_monos, s_inv = S.basis[p + 1], S.invariants(p + 1)
+    if not s_inv.cols:
+        raise TransgressionError(
+            f"no invariant polynomials of degree {s_deg} to transgress into"
         )
-        entries.append(TransgressionEntry(prim, omega, xi_tilde, label or "0"))
-    return TransgressionData(g, W, entries)
+    n_alpha, n_beta = w_inv.cols, s_inv.cols
+
+    # unknowns (ω over w_inv, ξ~ over s_inv); equations (a), (b), (c) stacked
+    incl = _lambda_inclusion(W, p)
+    xi_vec = incl @ prim.column
+    top = [incl.transpose()] + [op.block(p) for _, op in contraction_ops]
+    rows_top = sum(m.rows for m in top)
+    omega_part = vstack([m @ w_inv for m in top] + [W.d.block(p) @ w_inv], n_alpha)
+    xi_part = vstack([Matrix.zero(rows_top, n_beta), (_sym_inclusion(W, s_deg) @ s_inv).scale(-1)],
+                     n_beta)
+    rhs = vstack([m @ xi_vec for m in top] + [Matrix.zero(W.space.dim(p + 1), 1)], 1)
+
+    total_unknowns = n_alpha + n_beta
+    perm = list(unknown_permutation) if unknown_permutation else list(range(total_unknowns))
+    if sorted(perm) != list(range(total_unknowns)):
+        perm = [i % total_unknowns for i in perm]
+        seen = []
+        perm = [x for x in perm if not (x in seen or seen.append(x))]
+        perm += [i for i in range(total_unknowns) if i not in perm]
+    A = hstack([omega_part, xi_part], rhs.rows).take(perm)
+    # coordinates of rhs over the columns of A: free unknowns are 0
+    sol = Subspace(A).restrict(rhs)
+    if sol is None:
+        raise TransgressionError(
+            f"transgression system inconsistent for {prim.label}; "
+            "this indicates a sign-convention defect"
+        )
+    if any(perm[pos] >= n_alpha for pos, _ in joint_kernel([A], A.cols).num):
+        raise TransgressionError(
+            f"ξ~ is not unique for {prim.label}: homogeneous solution "
+            "has a nonzero polynomial part"
+        )
+    alpha, beta = {}, {}
+    for (pos, _), v in sol.num.items():
+        j = perm[pos]
+        if j < n_alpha:
+            alpha[(j, 0)] = v
+        else:
+            beta[(j - n_alpha, 0)] = v
+    omega_col = w_inv @ Matrix._from_ints(n_alpha, 1, alpha, sol.den)
+    omega = {alg.key(p, i): Fraction(v, omega_col.den) for (i, _), v in sorted(omega_col.num.items())}
+    xi_tilde = (s_inv @ Matrix._from_ints(n_beta, 1, beta, sol.den)).columns()[0]
+
+    _verify_entry(W, prim, omega, xi_tilde, contraction_ops, xi_vec)
+    label = " + ".join(
+        f"{c}·{sym_label(mono, g.basis_labels)}"
+        for mono, c in zip(s_monos, xi_tilde) if c
+    )
+    return TransgressionEntry(prim, omega, xi_tilde, label or "0")
 
 
 def _verify_entry(W, prim, omega, xi_tilde, contraction_ops, xi_vec) -> None:

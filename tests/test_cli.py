@@ -266,9 +266,76 @@ def test_shared_records_are_not_poisoned(capsys, monkeypatch):
     monkeypatch.setattr(cli, "resolve_algebra", lambda spec: fresh)
     assert run(capsys, *argv) == (0, honest, "")
     assert fresh == g
-    for record in ("_exterior", "_wedges", "_lambda_invariants", "_symmetric"):
+    for record in ("_exterior", "_wedges", "_lambda_invariants", "_symmetric", "_primitives",
+                   "_transgressions", "_multivector_invariants"):
         assert vars(fresh)[record] is not vars(g)[record], record
     assert fresh._exterior.d.blocks == g._exterior.d.blocks
+
+
+def test_transgress_after_a_corrupted_duality_prints_what_a_fresh_algebra_does(capsys, monkeypatch):
+    """The lifts a corrupted duality run leaves on g are the honest ones:
+    transgress after it prints, byte for byte, what it prints on a fresh
+    copy of the algebra."""
+    from pathlib import Path
+
+    from koszul import cli
+    from koszul.lie import builtin_algebra, lie_algebra_from_dict
+
+    builtin_algebra.cache_clear()
+    code, _, _ = run(capsys, "duality", "--algebra", "su2xsu2", "--module", "exterior",
+                     "--max-degree", "4", "--corrupt-transgression")
+    assert code == 1 and builtin_algebra("su2xsu2")._transgressions
+    argv = ["transgress", "--algebra", "su2xsu2", "--max-degree", "8"]
+    after = run(capsys, *argv)
+    data = json.loads((Path(cli.__file__).parent / "data" / "su2xsu2.json").read_text("utf-8"))
+    fresh = lie_algebra_from_dict(data)
+    monkeypatch.setattr(cli, "resolve_algebra", lambda spec: fresh)
+    assert after == run(capsys, *argv) and after[0] == 0 and "lift ω" in after[1]
+
+
+def test_invariant_multivectors_are_cut_once_per_algebra(capsys, monkeypatch):
+    """transgress, duality and psi_contraction_compatibility on one fresh
+    su2xsu2 cut the invariant multivectors of each degree once between them."""
+    from koszul import equivariant
+    from koszul.complexes import Truncation
+    from koszul.duality import psi_contraction_compatibility, verify_duality
+    from koszul.lie import builtin_algebra
+    from koszul.modules import exterior_model
+
+    degrees = []
+    invariant_multivectors = equivariant.invariant_multivectors
+    monkeypatch.setattr(equivariant, "invariant_multivectors",
+                        lambda g, p: degrees.append(p) or invariant_multivectors(g, p))
+    builtin_algebra.cache_clear()
+    assert run(capsys, "transgress", "--algebra", "su2xsu2", "--max-degree", "8")[0] == 0
+    assert run(capsys, "duality", "--algebra", "su2xsu2", "--module", "exterior",
+               "--max-degree", "4")[0] == 0
+    _, comp = verify_duality(exterior_model(builtin_algebra("su2xsu2")), Truncation(4))
+    assert psi_contraction_compatibility(comp)
+    assert degrees == [1, 2, 3, 4, 5, 6]
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once: a corrupted duality run, --version and a bad
+    argv leave nothing on it that changes the next honest call."""
+    from koszul import __version__
+    from koszul.cli import build_parser
+
+    assert build_parser() is build_parser()
+    argv = ["duality", "--algebra", "su2", "--module", "exterior", "--max-degree", "4",
+            "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--corrupt-transgression")
+    assert code == 1 and json.loads(out)["config"]["corrupt_transgression"]
+    with pytest.raises(SystemExit) as version:
+        main(["--version"])
+    assert version.value.code == 0 and capsys.readouterr().out == f"{__version__}\n"
+    with pytest.raises(SystemExit) as bad:
+        main(["duality", "--algebra", "su2", "--max-degree", "x"])
+    assert bad.value.code == 2 and "invalid int value" in capsys.readouterr().err
+    shared = run(capsys, *argv)
+    build_parser.cache_clear()
+    assert shared == run(capsys, *argv) and shared[0] == 0
+    assert not json.loads(shared[1])["config"]["corrupt_transgression"]
 
 
 def test_threads_env_validation(capsys, monkeypatch):

@@ -498,19 +498,30 @@ def test_heavy_case_builds_no_multivector_above_the_primitives(monkeypatch):
     """On su2xsu2 exterior at N = 6 every primitive has degree 3: the
     verifier asks for no invariant multivector above degree 3 (the
     transgression's condition (b) reads only those) and never reads the
-    multivector action of an invariant model."""
-    from koszul import equivariant
+    multivector action of an invariant model.  On a fresh algebra; the
+    same call again cuts no multivector and solves no lift."""
+    from koszul import equivariant, transgression
     from koszul.equivariant import InvariantModel
 
-    degrees, reads = [], []
+    degrees, reads, solved = [], [], []
     invariant_multivectors = equivariant.invariant_multivectors
     monkeypatch.setattr(equivariant, "invariant_multivectors",
                         lambda g, p: degrees.append(p) or invariant_multivectors(g, p))
     monkeypatch.setattr(InvariantModel, "actions", property(lambda inv: reads.append(inv) or []))
+    solve = transgression._solve_entry
+    monkeypatch.setattr(transgression, "_solve_entry",
+                        lambda W, prim, *rest: solved.append(prim) or solve(W, prim, *rest))
+    builtin_algebra.cache_clear()
     report, comp = verify_duality(exterior_model(builtin_algebra("su2xsu2")), Truncation(6))
     assert report.verdict
     assert sorted(set(degrees)) == [1, 2, 3] and not reads
     assert [e.primitive.degree for e in comp.transgression.entries] == [3, 3]
+    assert len(solved) == 2
+    first = degrees[:]
+    again, comp_again = verify_duality(exterior_model(builtin_algebra("su2xsu2")), Truncation(6))
+    assert again.to_dict() == report.to_dict() and not reads
+    assert degrees == first and len(solved) == 2
+    assert comp_again.transgression.entries == comp.transgression.entries
 
 
 def test_psi_contraction_compatibility_reads_the_computed_invariants(monkeypatch):

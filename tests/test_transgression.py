@@ -52,14 +52,27 @@ def test_primitives_su2xsu2():
 
 
 def test_primitives_cut_no_invariant_above_the_window(monkeypatch):
-    """At N=4 on su2xsu2 (dim 6) no invariant of Λ^p(g*) with p > 4 is cut."""
-    requested = []
+    """At N=4 on su2xsu2 (dim 6) no invariant of Λ^p(g*) with p > 4 is cut.
+    On a fresh algebra; the same call again cuts no invariant and solves no
+    primitive complement."""
+    requested, cuts, solves = [], [], []
     cut = transgression.exterior_invariant_block
     monkeypatch.setattr(transgression, "exterior_invariant_block",
                         lambda g, p: requested.append(p) or cut(g, p))
+    kernel, complement = transgression.block_action_kernel, transgression.complement_basis
+    monkeypatch.setattr(transgression, "block_action_kernel",
+                        lambda g, *rest: cuts.append(rest) or kernel(g, *rest))
+    monkeypatch.setattr(transgression, "complement_basis",
+                        lambda *args: solves.append(args) or complement(*args))
+    builtin_algebra.cache_clear()
     P = primitive_basis(builtin_algebra("su2xsu2"), Truncation(4))
     assert [p.degree for p in P.primitives] == [3, 3]
     assert max(requested) == 4 and sorted(P.invariant_dims) == [0, 1, 2, 3, 4]
+    assert len(cuts) == 5 and solves
+    made = len(solves)
+    again = primitive_basis(builtin_algebra("su2xsu2"), Truncation(4))
+    assert (again.primitives, again.invariant_dims) == (P.primitives, P.invariant_dims)
+    assert len(cuts) == 5 and len(solves) == made
 
 
 def test_su2_transgression_golden(T_su2, su2):
@@ -305,3 +318,80 @@ def test_generation_check_matches_sympy(name, T_su2xsu2):
         weights = [data.xi_tilde_sym_degree(j) for j in range(len(data.entries))]
         oracle = _sympy_generates(g, weights, [e.xi_tilde for e in data.entries], N)
         assert generation_check(g, data, Truncation(N)) is oracle is verdict, label
+
+
+# -- the per-algebra records of primitives and lifts ------------------------------
+
+
+def _fresh_copy(name):
+    """A second LieAlgebra object equal to the built-in one, with records of its own."""
+    import json
+    from pathlib import Path
+
+    from koszul.lie import lie_algebra_from_dict
+
+    path = Path(transgression.__file__).parent / "data" / f"{name}.json"
+    return lie_algebra_from_dict(json.loads(path.read_text("utf-8")))
+
+
+def test_permuted_solve_leaves_the_record_alone():
+    """A permuted solve between two default calls neither reads nor writes
+    g's lifts: the default ω and ξ~ stay those of a fresh algebra."""
+    builtin_algebra.cache_clear()
+    g = builtin_algebra("su2xsu2")
+    P = primitive_basis(g, Truncation(8))
+    first = distinguished_transgression(g, P)
+    recorded = dict(g._transgressions)
+    permuted = distinguished_transgression(g, P, unknown_permutation=list(range(500))[::-1])
+    assert not any(e is r for e in permuted.entries for r in recorded.values())
+    assert g._transgressions == recorded
+    second = distinguished_transgression(g, P)
+    assert second.entries == first.entries == list(recorded.values())
+    fresh = _fresh_copy("su2xsu2")
+    expected = distinguished_transgression(fresh, primitive_basis(fresh, Truncation(8)))
+    assert [(e.omega, e.xi_tilde, e.xi_tilde_label) for e in second.entries] == \
+        [(e.omega, e.xi_tilde, e.xi_tilde_label) for e in expected.entries]
+    assert [e.xi_tilde for e in permuted.entries] == [e.xi_tilde for e in expected.entries]
+
+
+def test_failed_lift_records_nothing(monkeypatch):
+    """A lift whose direct check fails raises and leaves g's record empty; the
+    next honest call solves every primitive and passes."""
+    g = _fresh_copy("su2xsu2")
+    P = primitive_basis(g, Truncation(8))
+
+    def refuse(*args):
+        raise TransgressionError("condition (a) fails on the returned lift")
+
+    verify = transgression._verify_entry
+    monkeypatch.setattr(transgression, "_verify_entry", refuse)
+    with pytest.raises(TransgressionError, match="condition"):
+        distinguished_transgression(g, P)
+    assert g._transgressions == {}
+    checked = []
+    monkeypatch.setattr(transgression, "_verify_entry",
+                        lambda W, prim, *rest: checked.append(prim) or verify(W, prim, *rest))
+    T = distinguished_transgression(g, P)
+    assert checked == P.primitives and T.entries == list(g._transgressions.values())
+    assert generation_check(g, T, Truncation(8))
+
+
+def test_primitives_extend_only_the_degrees_not_seen(monkeypatch):
+    """primitive_basis at a wider window builds and checks only the degrees
+    above the narrower one, and agrees with a fresh algebra's."""
+    g = _fresh_copy("sl3")
+    narrow = primitive_basis(g, Truncation(4))
+    built, checked = [], []
+    build, verify = transgression._primitives_of_degree, transgression._verify_freeness
+    monkeypatch.setattr(transgression, "_primitives_of_degree",
+                        lambda g, inv, m: built.append(m) or build(g, inv, m))
+    monkeypatch.setattr(transgression, "_verify_freeness",
+                        lambda prims, inv, n, m: checked.append(m) or verify(prims, inv, n, m))
+    wide = primitive_basis(g, Truncation(6))
+    assert built == checked == [5, 6]
+    assert wide.primitives[:len(narrow.primitives)] == narrow.primitives
+    fresh = _fresh_copy("sl3")
+    expected = primitive_basis(fresh, Truncation(6))
+    assert [(p.degree, p.column, p.label) for p in wide.primitives] == \
+        [(p.degree, p.column, p.label) for p in expected.primitives] and [
+            p.degree for p in wide.primitives] == [3, 5]
