@@ -11,7 +11,7 @@ The window rule: an identity whose composites apply k differentials in
 succession is exact at degree deg when deg <= Complex.usable_top(k),
 which is space.hi on a complete complex and space.hi - k on a truncated
 one; max_usable is the case k = 1.  Every operator-identity check reads
-its degrees from this rule and reports its witness through first_defect.
+its degrees from this rule and reports its lowest nonzero column there.
 """
 
 from __future__ import annotations
@@ -195,9 +195,6 @@ class LinMap:
             raise ShapeError("composition space mismatch")
         blocks = {d: self.block(d + other.shift) @ other.block(d) for d in other.source.degrees()}
         return LinMap(other.source, self.target, self.shift + other.shift, blocks)
-
-    def add(self, other: "LinMap") -> "LinMap":
-        return LinMap.combination([(1, self), (1, other)])
 
     def sub(self, other: "LinMap") -> "LinMap":
         return LinMap.combination([(1, self), (-1, other)])
@@ -960,17 +957,6 @@ class QuasiIsoReport:
     def __init__(self, ok: bool, chain: ChainMapReport, degrees: dict):
         self.ok, self.chain = ok, chain
         self.degrees = degrees  # degree -> {"source_betti", "target_betti", "induced_rank", "ok"}
-
-    def describe(self) -> str:
-        if not self.chain.ok:
-            return "not a chain map: " + self.chain.describe()
-        lines = []
-        for d, info in sorted(self.degrees.items()):
-            lines.append(
-                f"H^{d}: {info['source_betti']} -> {info['target_betti']}"
-                f" rank {info['induced_rank']} {'ok' if info['ok'] else 'FAIL'}"
-            )
-        return ("quasi-isomorphism" if self.ok else "NOT a quasi-isomorphism") + "; " + "; ".join(lines)
 
 
 def quasi_iso_check(f: ChainMap, trunc: Truncation) -> QuasiIsoReport:

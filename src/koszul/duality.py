@@ -135,7 +135,7 @@ def inclusion_map(WM: TensorModule, inv_model: InvariantModel, inv_M: InvariantM
             continue
         blk = inv_model.span(deg).restrict(WM.tensor.embed(V, deg, left=False))
         if blk is None:
-            raise ValueError(f"vector is not invariant at degree {deg}")
+            raise ValueError(f"inclusion (M)^g -> (W⊗M)^g: vector is not invariant at degree {deg}")
         blocks[deg] = blk
     return ChainMap(
         inv_M.complex, inv_model.complex,
@@ -198,7 +198,7 @@ def build_psi(
             images.append((image(adeg, cols[ai], omega, deg), den * d_omega))
         blk = inv_model.span(deg).restrict(Matrix._from_int_columns(WM.space.dim(deg), images))
         if blk is None:
-            raise ValueError(f"vector is not invariant at degree {deg}")
+            raise ValueError(f"ψ h((M)_g) -> (W⊗M)^g: image is not invariant at degree {deg}")
         blocks[deg] = blk
     return ChainMap(
         h.complex, inv_model.complex,

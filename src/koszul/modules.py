@@ -24,8 +24,9 @@ Everything is exact over Q and deterministic.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -36,7 +37,6 @@ from .complexes import (
     LinMap,
     TensorComplex,
     TensorSpace,
-    first_defect,
 )
 from .lie import (
     LieAlgebra,
@@ -342,43 +342,65 @@ class KgValidationReport:
 def validate_kg(M: KgModule) -> KgValidationReport:
     """Check all five operator identity families on every basis vector.
 
-    Each family is a lazily built sequence of difference maps, checked on
-    the degrees where its composites apply k differentials inside the
-    window; it fails at the first map with a nonzero block.
+    d, each i_k and each L_k is read once as one integer matrix on the whole
+    graded space (its blocks at their degrees' offsets, over one common
+    denominator); each difference map is a sum of c·A∘B of those, a lone A
+    being A∘1.  A family is checked on the columns of the degrees where its
+    composites apply k differentials inside the window: it fails at its
+    first map with a nonzero column there, and the lowest one is the witness.
     """
-    g = M.g
-    n = g.dim
-    d, i = M.d, M.i_ops
+    g, space, n = M.g, M.space, M.g.dim
+    offset = dict(zip(space.degrees(), accumulate(map(space.dim, space.degrees()), initial=0)))
+    den = lcm(*(m.den for op in (M.d, *M.i_ops, *M.L_ops) for m in op.blocks.values()))
 
-    def bracket_defect(A, B, j, k):
-        """[A_j, B_k] - B_[x_j,x_k]."""
-        return LinMap.combination([(1, A[j].compose(B[k])), (-1, B[k].compose(A[j]))]
-                                  + [(-c, B[m]) for m, c in enumerate(g.bracket(j, k)) if c])
+    def whole(op: LinMap) -> dict:
+        """op as integer columns over den on the whole space: {col: [(row, numerator)]}."""
+        cols: dict = {}
+        for deg, m in op.blocks.items():
+            r0, c0, k = offset[deg + op.shift], offset[deg], den // m.den
+            for (r, c), v in m.num.items():
+                cols.setdefault(c0 + c, []).append((r0 + r, k * v))
+        return cols
+
+    d, i, L = whole(M.d), [whole(op) for op in M.i_ops], [whole(op) for op in M.L_ops]
+    one = {j: [(j, den)] for j in range(space.total_dim())}
+
+    def bracket_defect(A, B, j, k) -> list:  # [A_j, B_k] - B_[x_j,x_k]
+        return [(1, A[j], B[k]), (-1, B[k], A[j])] + [(-c, B[m], one) for m, c in enumerate(g.bracket(j, k)) if c]
 
     families = [
-        ("d∘d = 0", 2, [d.compose(d)]),
-        ("L_k = d∘i_k + i_k∘d", 1,
-         (LinMap.combination([(1, d.compose(i[k])), (1, i[k].compose(d)), (-1, M.L_ops[k])])
-          for k in range(n))),
-        ("i_j∘i_k + i_k∘i_j = 0", 0,
-         (i[j].compose(i[k]).add(i[k].compose(i[j])) for j in range(n) for k in range(j, n))),
-        ("[L_j, i_k] = i_[x_j,x_k]", 1,
-         (bracket_defect(M.L_ops, i, j, k) for j in range(n) for k in range(n))),
-        ("[L_j, L_k] = L_[x_j,x_k]", 2,
-         (bracket_defect(M.L_ops, M.L_ops, j, k) for j in range(n) for k in range(j + 1, n))),
+        ("d∘d = 0", 2, 2, [[(1, d, d)]]),
+        ("L_k = d∘i_k + i_k∘d", 1, 0, ([(1, d, i[k]), (1, i[k], d), (-1, L[k], one)] for k in range(n))),
+        ("i_j∘i_k + i_k∘i_j = 0", 0, -2,
+         ([(1, i[j], i[k]), (1, i[k], i[j])] for j in range(n) for k in range(j, n))),
+        ("[L_j, i_k] = i_[x_j,x_k]", 1, -1, (bracket_defect(L, i, j, k) for j in range(n) for k in range(n))),
+        ("[L_j, L_k] = L_[x_j,x_k]", 2, 0,
+         (bracket_defect(L, L, j, k) for j in range(n) for k in range(j + 1, n))),
     ]
 
-    def blocks(diff: LinMap) -> Callable:
-        """diff's nonzero blocks as the products 1·blk for first_defect."""
-        def at(deg: int) -> list:
-            blk = diff.block(deg)
-            return [(1, Matrix.identity(blk.rows), blk)] if blk.num else []
-        return at
+    def witness(terms: list, shift: int, width: int) -> Optional[tuple]:
+        """(degree, label, defect column) of the first nonzero column below width of Σ c·A∘B, or None."""
+        q = lcm(*(Fraction(c).denominator for c, _, _ in terms))
+        cols: dict = {}
+        for c, A, B in terms:
+            k = int(c * q)
+            for j, col in B.items():
+                acc = cols.setdefault(j, {})
+                for t, w in col if j < width else ():
+                    for r, v in A.get(t, ()):
+                        acc[r] = acc.get(r, 0) + k * v * w
+        j = min((j for j, acc in cols.items() if any(acc.values())), default=None)
+        if j is None:
+            return None
+        deg = max(deg for deg, start in offset.items() if start <= j)
+        rows = range(offset[deg + shift], offset[deg + shift] + space.dim(deg + shift))
+        return deg, space.labels(deg)[j - offset[deg]], tuple(
+            Fraction(cols[j].get(r, 0), q * den * den) for r in rows)
 
     checks = []
-    for identity, k, diffs in families:
-        degrees = M.complex.usable_degrees(k)
-        defect = next(filter(None, (first_defect(M.space, degrees, blocks(diff)) for diff in diffs)), None)
+    for identity, k, shift, maps in families:
+        width = sum(map(space.dim, M.complex.usable_degrees(k)))
+        defect = next(filter(None, (witness(terms, shift, width) for terms in maps)), None)
         checks.append(IdentityCheck(identity, defect is None, defect))
     return KgValidationReport(M.name, checks)
 

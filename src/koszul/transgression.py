@@ -312,8 +312,8 @@ def _solve_entry(W: WeilModule, prim: Primitive, contraction_ops: list,
         )
     if any(perm[pos] >= n_alpha for pos, _ in joint_kernel([A], A.cols).num):
         raise TransgressionError(
-            f"ξ~ is not unique for {prim.label}: homogeneous solution "
-            "has a nonzero polynomial part"
+            f"ξ~ is not unique for {prim.label} at degree {p}: homogeneous "
+            "solution has a nonzero polynomial part"
         )
     alpha, beta = {}, {}
     for (pos, _), v in sol.num.items():

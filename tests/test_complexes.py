@@ -170,7 +170,7 @@ def test_combination_rejects_mismatched_shapes():
     zero = LinMap.zero(large, large, 1)
     for bad in ((f, g), (g, f), (f, zero), (zero, f)):
         with pytest.raises(ShapeError):
-            bad[0].add(bad[1])
+            LinMap.combination([(1, bad[0]), (1, bad[1])])
     with pytest.raises(ShapeError):
         LinMap.combination([(1, f), (2, f), (-1, g)])
     with pytest.raises(ShapeError):
@@ -430,7 +430,8 @@ def test_diagonal_rows_match_stacked_lift_random(data):
     # (opA + c, -c): the diagonal entries cancel, leaving the rows of opA⊗1
     if pairs and data.draw(st.booleans()):
         c = data.draw(COEFFICIENTS)
-        pairs.append((pairs[0][0].add(LinMap.identity(A).scale(c)), LinMap.identity(B).scale(-c)))
+        pairs.append((LinMap.combination([(1, pairs[0][0]), (1, LinMap.identity(A).scale(c))]),
+                      LinMap.identity(B).scale(-c)))
     cut = data.draw(st.one_of(st.none(), st.integers(ts.lo - 1, top)))
     lifted = [ts.lift_sum([(fA, None), (None, fB)], 0, cut) for fA, fB in pairs]
     sums = [DiagonalSum(ts, fA, fB, cut) for fA, fB in pairs]

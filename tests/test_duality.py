@@ -615,3 +615,52 @@ def test_a_change_of_basis_of_g_changes_no_duality_answer(case):
     if (alg, kind, N) not in _ANSWERS:
         _ANSWERS[alg, kind, N] = _duality_answers(g, kind, N)
     assert _duality_answers(_rebased(g, perm, scales, shear), kind, N) == _ANSWERS[alg, kind, N]
+
+
+# -- the invariance gates of the two legs -------------------------------------
+
+
+@pytest.fixture
+def u2_legs():
+    """What inclusion_map and build_psi take for u2 exterior at N = 3, built
+    anew: u2's centre gives (Λ¹g*)^g = Q·z*, and i* is not invariant."""
+    from koszul.equivariant import invariant_subcomplex
+    from koszul.modules import tensor_module
+    from koszul.weil import twist_operators, weil_model
+
+    g = builtin_algebra("u2")
+    M, N = exterior_model(g), 3
+    W = weil_model(g, Truncation(N + 1))
+    WM = tensor_module(W, M, max_total=N + 1)
+    inv_WM, inv_M = invariant_subcomplex(WM), invariant_subcomplex(M)
+    A = cartan_model(M, Truncation(N), invariants=inv_WM)
+    T = distinguished_transgression(g, primitive_basis(g, Truncation(N)), weil=W)
+    assert g.basis_labels[1] == "i" and inv_M.vectors[1].num == A.vectors[1].num == {(0, 0): 1}
+    return WM, inv_WM, inv_M, A, T, twist_operators(M, Truncation(N + 1)), h_of(A, T, Truncation(N))
+
+
+def test_inclusion_gate_names_its_leg_and_degree(monkeypatch, u2_legs):
+    """A unit vector i* of Λ¹ in place of the invariant z* is refused by the
+    inclusion (M)^g -> (W⊗M)^g at degree 1."""
+    from koszul.duality import inclusion_map
+    from koszul.linalg import Matrix
+
+    WM, inv_WM, inv_M, *_ = u2_legs
+    monkeypatch.setitem(inv_M.vectors, 1, Matrix(4, 1, {(1, 0): 1}))
+    with pytest.raises(ValueError) as exc:
+        inclusion_map(WM, inv_WM, inv_M)
+    assert str(exc.value) == "inclusion (M)^g -> (W⊗M)^g: vector is not invariant at degree 1"
+
+
+def test_psi_gate_names_its_leg_and_degree(monkeypatch, u2_legs):
+    """A Cartan column 1⊗i* in place of the invariant 1⊗z* gives ψ an image
+    that is not invariant, refused at degree 1."""
+    from koszul.duality import build_psi
+    from koszul.linalg import Matrix
+
+    WM, inv_WM, _, A, T, twist, h = u2_legs
+    assert build_psi(T, A, h, WM, inv_WM, twist).map.blocks
+    monkeypatch.setitem(A.vectors, 1, Matrix(A.vectors[1].rows, 1, {(1, 0): 1}))
+    with pytest.raises(ValueError) as exc:
+        build_psi(T, A, h, WM, inv_WM, twist)
+    assert str(exc.value) == "ψ h((M)_g) -> (W⊗M)^g: image is not invariant at degree 1"

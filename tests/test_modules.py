@@ -1,14 +1,17 @@
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszul.complexes import Complex, GradedSpace, LinMap, Truncation
+from koszul.complexes import Complex, GradedSpace, LinMap, Truncation, first_defect
 from koszul.lie import BUILTIN_NAMES, adjoint_matrices, builtin_algebra, invariant_vectors
 from koszul.linalg import Matrix, vec
 from koszul.modules import (
+    IdentityCheck,
     KgModule,
+    KgValidationReport,
     ModuleValidationError,
     TensorModule,
     delete_index,
@@ -569,3 +572,125 @@ def test_tensor_factors_over_algebras_with_other_brackets_are_rejected(tmp_path)
     g, h = load_lie_algebra(str(path)), load_lie_algebra(str(path))
     assert g is not h and g == h == b and hash(g) == hash(h)
     assert tensor_module(trivial_module(g), trivial_module(h)).g is g
+
+
+# ---------------------------------------------------------------------------
+# validate_kg against the per-degree composite reference
+# ---------------------------------------------------------------------------
+
+
+def reference_validate_kg(M: KgModule) -> KgValidationReport:
+    """validate_kg as it was built from per-degree composites: each
+    difference map a LinMap of composed and combined blocks, checked by
+    first_defect degree by degree."""
+    g, n = M.g, M.g.dim
+    d, i = M.d, M.i_ops
+
+    def bracket_defect(A, B, j, k):
+        return LinMap.combination([(1, A[j].compose(B[k])), (-1, B[k].compose(A[j]))]
+                                  + [(-c, B[m]) for m, c in enumerate(g.bracket(j, k)) if c])
+
+    families = [
+        ("d∘d = 0", 2, [d.compose(d)]),
+        ("L_k = d∘i_k + i_k∘d", 1,
+         (LinMap.combination([(1, d.compose(i[k])), (1, i[k].compose(d)), (-1, M.L_ops[k])])
+          for k in range(n))),
+        ("i_j∘i_k + i_k∘i_j = 0", 0,
+         (LinMap.combination([(1, i[j].compose(i[k])), (1, i[k].compose(i[j]))])
+          for j in range(n) for k in range(j, n))),
+        ("[L_j, i_k] = i_[x_j,x_k]", 1,
+         (bracket_defect(M.L_ops, i, j, k) for j in range(n) for k in range(n))),
+        ("[L_j, L_k] = L_[x_j,x_k]", 2,
+         (bracket_defect(M.L_ops, M.L_ops, j, k) for j in range(n) for k in range(j + 1, n))),
+    ]
+
+    def blocks(diff):
+        def at(deg):
+            blk = diff.block(deg)
+            return [(1, Matrix.identity(blk.rows), blk)] if blk.num else []
+        return at
+
+    checks = []
+    for identity, k, diffs in families:
+        degrees = M.complex.usable_degrees(k)
+        defect = next(filter(None, (first_defect(M.space, degrees, blocks(diff)) for diff in diffs)), None)
+        checks.append(IdentityCheck(identity, defect is None, defect))
+    return KgValidationReport(M.name, checks)
+
+
+ORACLE_KINDS = ("exterior", "forms:coadjoint:1", "trivial", "Λ⊗Λ", "W to 5")
+
+
+@functools.cache
+def _oracle_module(name: str, kind: str) -> KgModule:
+    """A valid module over a built-in algebra.  Λ⊗Λ is whole on algebras of
+    dim <= 3 and cut at total degree 3 above, an incomplete window, as W(g)
+    to degree 5 is."""
+    g = builtin_algebra(name)
+    E = exterior_model(g)
+    return {"exterior": lambda: E,
+            "forms:coadjoint:1": lambda: polynomial_forms_module(g, adjoint_matrices(g)[1], 1),
+            "trivial": lambda: trivial_module(g),
+            "Λ⊗Λ": lambda: tensor_module(E, E, max_total=None if g.dim <= 3 else 3),
+            "W to 5": lambda: weil_model(g, Truncation(5))}[kind]()
+
+
+@st.composite
+def corrupted_modules(draw):
+    """A module of _oracle_module with one entry of d or of some i_k moved
+    by a nonzero rational (none where no operator has a position: the
+    trivial module), as a KgModule whose L_k are derived from the corrupted
+    operators or, when drawn, kept from the valid module."""
+    M = _oracle_module(draw(st.sampled_from(BUILTIN_NAMES)), draw(st.sampled_from(ORACLE_KINDS)))
+    ops = [M.d, *M.i_ops]
+    places = [(o, deg) for o, op in enumerate(ops) for deg in M.space.degrees()
+              if M.space.dim(deg + op.shift)]
+    if places:
+        o, deg = draw(st.sampled_from(places))
+        op = ops[o]
+        blk = op.block(deg)
+        rc = (draw(st.integers(0, blk.rows - 1)), draw(st.integers(0, blk.cols - 1)))
+        delta = Q(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 4)))
+        ents = dict(blk.entries)
+        ents[rc] = ents.get(rc, 0) + delta
+        ops[o] = LinMap(M.space, M.space, op.shift, {**op.blocks, deg: Matrix(blk.rows, blk.cols, ents)})
+    module = KgModule(M.g, Complex(M.space, ops[0], complete=M.complete, check=False), ops[1:], M.name)
+    if draw(st.booleans()):
+        module.L_ops = M.L_ops
+    return module
+
+
+@given(corrupted_modules())
+@settings(max_examples=60, deadline=None)
+def test_validate_kg_matches_the_per_degree_reference(M):
+    """On built-in algebras × {exterior, forms:coadjoint:1, trivial, Λ⊗Λ,
+    W to 5}, each with one corrupted entry of d or of an i_k (rational
+    values allowed), the whole-space validator reports what the per-degree
+    composites report: the same lines, and the same witnesses."""
+    got, want = validate_kg(M), reference_validate_kg(M)
+    assert [c.describe() for c in got.checks] == [c.describe() for c in want.checks]
+    assert [c.witness for c in got.checks] == [c.witness for c in want.checks]
+
+
+def test_validate_kg_builds_no_composite(monkeypatch):
+    """validate_kg reads each operator once as a whole-space matrix: it
+    composes no LinMap, combines none and calls no first_defect, on a
+    module that passes and on one that fails."""
+    import koszul.complexes
+    import koszul.modules
+
+    valid = _oracle_module("su2", "W to 5")
+    broken = KgModule(valid.g, Complex(valid.space, valid.d.scale(2), complete=False, check=False),
+                      valid.i_ops, "broken")
+    for M in (valid, broken):
+        M.L_ops  # built before the spies; the derived L_k are products of blocks
+
+    def forbidden(*args):
+        raise AssertionError("validate_kg built a per-degree composite")
+
+    monkeypatch.setattr(LinMap, "compose", forbidden)
+    monkeypatch.setattr(LinMap, "combination", staticmethod(forbidden))
+    monkeypatch.setattr(koszul.complexes, "first_defect", forbidden)
+    monkeypatch.setattr(koszul.modules, "first_defect", forbidden, raising=False)
+    assert validate_kg(valid).ok
+    assert [c.ok for c in validate_kg(broken).checks] == [True, True, True, False, False]

@@ -395,3 +395,20 @@ def test_primitives_extend_only_the_degrees_not_seen(monkeypatch):
     assert [(p.degree, p.column, p.label) for p in wide.primitives] == \
         [(p.degree, p.column, p.label) for p in expected.primitives] and [
             p.degree for p in wide.primitives] == [3, 5]
+
+
+def test_xi_tilde_uniqueness_gate_names_the_primitive_and_degree(monkeypatch):
+    """With the contraction conditions (b) dropped, the lift system of u2's
+    degree-3 primitive at N=8 has a homogeneous solution with a nonzero ξ~
+    part, and the uniqueness gate refuses it, naming the primitive and its
+    degree.  su2xsu2 and sl3 at N=8 still solve with (b) dropped; with (b)
+    in place every lift kernel tried has dimension 0, so the permuted solve
+    of acceptance criterion 7 cannot differ from the default one.  u2 is
+    loaded anew, so no lift solved without (b) is recorded on the built-in
+    algebra."""
+    g = _fresh_copy("u2")
+    monkeypatch.setattr(transgression, "invariant_multivector_basis", lambda g, top: [])
+    with pytest.raises(TransgressionError) as exc:
+        distinguished_transgression(g, primitive_basis(g, Truncation(8)))
+    assert str(exc.value) == ("ξ~ is not unique for 1·i*∧j*∧k* at degree 3: homogeneous "
+                              "solution has a nonzero polynomial part")
